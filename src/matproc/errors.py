@@ -89,6 +89,10 @@ class EmbedderUnavailable(EndpointError):
     """The configured embedding endpoint could not be reached."""
 
 
+class EmbeddingDimensionMismatch(DataError):
+    """A stored memory vector does not have the query side's dimension."""
+
+
 class UnknownTask(DataError):
     """Item carries a task kind no scorer knows."""
 

@@ -38,24 +38,40 @@ def write_ndjson(path: str | Path, header: dict, rows: Iterable[dict]) -> int:
     return n
 
 
-def read_ndjson(path: str | Path) -> tuple[dict, list[dict]]:
-    """Read header + rows. Raises MalformedDocument on non-JSON lines."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        lines = [ln for ln in (l.rstrip("\n") for l in fh) if ln.strip()]
-    if not lines:
+def _records(path: Path, fh) -> Iterator[dict]:
+    """Header, then rows, parsed one line at a time; blank lines skipped."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedDocument(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+        yield record
+
+
+def _header(path: Path, records: Iterator[dict]) -> dict:
+    header = next(records, None)
+    if header is None:
         raise MalformedDocument(f"{path}: empty file")
-    try:
-        header = json.loads(lines[0])
-        rows = [json.loads(ln) for ln in lines[1:]]
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"{path}: invalid JSON line: {exc}") from exc
     if not isinstance(header, dict) or "format" not in header:
         raise MalformedDocument(f"{path}: missing format header line")
-    return header, rows
+    return header
+
+
+def read_ndjson(path: str | Path) -> tuple[dict, list[dict]]:
+    """Read header + rows. Raises MalformedDocument, naming the line, on
+    non-JSON lines."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        records = _records(path, fh)
+        return _header(path, records), list(records)
 
 
 def iter_ndjson(path: str | Path) -> Iterator[dict]:
-    """Stream rows (header skipped) for large stores."""
-    _, rows = read_ndjson(path)
-    yield from rows
+    """Stream rows (header checked, then skipped) one line at a time."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        records = _records(path, fh)
+        _header(path, records)
+        yield from records

@@ -12,6 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from . import __version__
 from .canon import canon_label
@@ -38,6 +42,32 @@ def jaccard(a, b) -> float:
     if not sa and not sb:
         return 1.0
     return len(sa & sb) / len(sa | sb)
+
+
+class LabelSets:
+    """A list of label sets as a 0/1 incidence matrix, for :func:`jaccard`
+    of one query set against every member at once.
+
+    Intersections and unions are integer counts, so each value is the same
+    float ``jaccard`` returns for that pair.
+    """
+
+    def __init__(self, sets: Iterable[Iterable[str]]):
+        sets = [set(s) for s in sets]
+        self.columns = {label: i for i, label in enumerate(sorted(set().union(*sets)))}
+        self.incidence = np.zeros((len(sets), len(self.columns)), dtype=np.uint8)
+        for row, labels in enumerate(sets):
+            self.incidence[row, [self.columns[label] for label in labels]] = 1
+        self.sizes = np.array([len(s) for s in sets], dtype=np.int64)
+
+    def jaccard(self, query: Iterable[str]) -> np.ndarray:
+        labels = set(query)
+        cols = [self.columns[label] for label in labels if label in self.columns]
+        inter = self.incidence[:, cols].sum(axis=1, dtype=np.int64)
+        union = len(labels) + self.sizes - inter
+        out = np.ones(len(self.sizes))  # two empty sets count as a perfect match
+        np.divide(inter, union, out=out, where=union > 0)
+        return out
 
 
 @dataclass
@@ -149,6 +179,33 @@ class NextDistribution:
         return self.probs.get(label, self.smoothing_floor())
 
 
+@dataclass(frozen=True)
+class StepIndex:
+    """The step library as arrays, in library order, for :func:`match_steps`."""
+
+    activity: np.ndarray
+    norm_position: np.ndarray
+    graph_rank: np.ndarray  # rank of the entry's graph_id in sorted order
+    position: np.ndarray
+    neighbours: LabelSets
+    input_forms: LabelSets
+
+    @classmethod
+    def build(cls, library: list[StepEntry]) -> "StepIndex":
+        gids = [e.graph_id for e in library]
+        rank = {gid: i for i, gid in enumerate(sorted(set(gids)))}
+        return cls(
+            activity=np.array([e.activity for e in library], dtype=object),
+            norm_position=np.array([e.norm_position for e in library], dtype=np.float64),
+            graph_rank=np.array([rank[gid] for gid in gids], dtype=np.int64),
+            position=np.array([e.position for e in library], dtype=np.int64),
+            neighbours=LabelSets(
+                [x for x in (e.prev_activity, e.next_activity) if x] for e in library
+            ),
+            input_forms=LabelSets(e.input_forms for e in library),
+        )
+
+
 @dataclass
 class ProcessMemory:
     split_id: str = ""
@@ -158,22 +215,80 @@ class ProcessMemory:
     transition_table: dict[tuple[str, str], int] = field(default_factory=dict)
     prefix_index: dict[tuple[str, ...], Counter] = field(default_factory=dict)
     embedding_store: dict[str, dict[str, list[float]]] = field(default_factory=dict)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def graph_ids(self) -> set[str]:
-        return {p.graph_id for p in self.processes}
+    def derived(self, key: str, build: Callable[[], object], *sources):
+        """``build()``, computed once and reused while every one of ``sources``
+        (fields of this memory) is the same object at the same size.
 
-    def by_graph_id(self) -> dict[str, ProcessSummary]:
-        return {p.graph_id: p for p in self.processes}
+        A built memory is read-only; code that edits a field in place without
+        changing its size must assign a new container to drop derived views.
+        Concurrent first calls may each build the value; the builds are equal.
+        """
+        hit = self._derived.get(key)
+        if hit is not None and all(
+            src is old and len(src) == size for src, (old, size) in zip(sources, hit[0])
+        ):
+            return hit[1]
+        value = build()
+        self._derived[key] = ([(src, len(src)) for src in sources], value)
+        return value
 
-    def vocab(self) -> set[str]:
-        labels = {label for p in self.processes for label in p.route}
-        return labels
+    def __getstate__(self):
+        return {**self.__dict__, "_derived": {}}  # copies and pickles rebuild their views
+
+    def graph_ids(self) -> frozenset[str]:
+        return self.derived(
+            "graph_ids", lambda: frozenset(p.graph_id for p in self.processes), self.processes
+        )
+
+    def by_graph_id(self) -> Mapping[str, ProcessSummary]:
+        return self.derived(
+            "by_graph_id",
+            lambda: MappingProxyType({p.graph_id: p for p in self.processes}),
+            self.processes,
+        )
+
+    def vocab(self) -> frozenset[str]:
+        return self.derived(
+            "vocab",
+            lambda: frozenset(label for p in self.processes for label in p.route),
+            self.processes,
+        )
+
+    def _transition_totals(self) -> tuple[Counter, Counter]:
+        """Transition counts summed per source label and per target label."""
+
+        def build():
+            out, into = Counter(), Counter()
+            for (a, b), c in self.transition_table.items():
+                out[a] += c
+                into[b] += c
+            return out, into
+
+        return self.derived("transition_totals", build, self.transition_table)
 
     def total_out(self, label: str) -> int:
-        return sum(c for (a, _), c in self.transition_table.items() if a == label)
+        return self._transition_totals()[0].get(label, 0)
 
     def total_in(self, label: str) -> int:
-        return sum(c for (_, b), c in self.transition_table.items() if b == label)
+        return self._transition_totals()[1].get(label, 0)
+
+    def steps_of(self, graph_id: str) -> tuple[StepEntry, ...]:
+        """One process's step-library entries, by position."""
+
+        def build():
+            grouped: dict[str, list[StepEntry]] = {}
+            for e in self.step_library:
+                grouped.setdefault(e.graph_id, []).append(e)
+            return {gid: tuple(sorted(es, key=lambda e: e.position)) for gid, es in grouped.items()}
+
+        return self.derived("steps_of", build, self.step_library).get(graph_id, ())
+
+    def step_index(self) -> StepIndex:
+        return self.derived(
+            "step_index", lambda: StepIndex.build(self.step_library), self.step_library
+        )
 
 
 def build_memory(
@@ -254,9 +369,7 @@ def next_distribution(memory: ProcessMemory, prefix) -> NextDistribution:
                 total=total,
                 vocab_size=len(vocab),
             )
-    unigram = Counter()
-    for (_, b), c in memory.transition_table.items():
-        unigram[b] += c
+    unigram = memory._transition_totals()[1]
     if unigram:
         total = sum(unigram.values())
         return NextDistribution(
@@ -288,20 +401,18 @@ def match_steps(
     if not memory.step_library:
         raise EmptyLibrary("step matching requested against an empty library")
     w1, w2, w3, w4 = weights
-    q_neighbours = query.neighbour_labels()
-    scored = []
-    for entry in memory.step_library:
-        score = 0.0
-        if query.activity is not None and entry.activity == query.activity:
-            score += w1
-        entry_neighbours = {x for x in (entry.prev_activity, entry.next_activity) if x}
-        score += w2 * jaccard(q_neighbours, entry_neighbours)
-        if query.norm_position is not None:
-            score += w3 * (1.0 - abs(query.norm_position - entry.norm_position))
-        score += w4 * jaccard(query.input_forms, entry.input_forms)
-        scored.append((score, entry))
-    scored.sort(key=lambda pair: (-pair[0], pair[1].graph_id, pair[1].position))
-    return scored[:top_m]
+    index = memory.step_index()
+    # the terms are added in the order of the formula, so every score is the
+    # float a per-entry sum would give
+    score = np.zeros(len(memory.step_library))
+    if query.activity is not None:
+        score += w1 * (index.activity == query.activity)
+    score += w2 * index.neighbours.jaccard(query.neighbour_labels())
+    if query.norm_position is not None:
+        score += w3 * (1.0 - np.abs(query.norm_position - index.norm_position))
+    score += w4 * index.input_forms.jaccard(query.input_forms)
+    top = np.lexsort((index.position, index.graph_rank, -score))[:top_m]
+    return [(float(score[i]), memory.step_library[i]) for i in top]
 
 
 # --- linearization -------------------------------------------------------------
@@ -338,10 +449,7 @@ def linearize_parts(
 def linearize_process(memory: ProcessMemory, graph_id: str) -> str:
     """Deterministic text rendering of one stored process."""
     summary = memory.by_graph_id()[graph_id]
-    steps = sorted(
-        (e for e in memory.step_library if e.graph_id == graph_id),
-        key=lambda e: e.position,
-    )
+    steps = memory.steps_of(graph_id)
     route_text = linearize_steps(summary.route, [e.conditions for e in steps])
     return linearize_parts(
         precursors=summary.precursors,

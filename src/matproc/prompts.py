@@ -105,12 +105,8 @@ def neighbourhood_block(memory: ProcessMemory, graph_ids: list[str], hops: int =
     """Compact text rendering of each process's step neighbourhoods."""
     lines = [f"Process neighbourhoods ({hops}-hop):"]
     for gid in graph_ids:
-        entries = sorted(
-            (e for e in memory.step_library if e.graph_id == gid),
-            key=lambda e: e.position,
-        )
         lines.append(f"process {gid}:")
-        for entry in entries:
+        for entry in memory.steps_of(gid):
             parts = [f"step {entry.position + 1} {entry.activity}:"]
             clauses = []
             if entry.input_labels:

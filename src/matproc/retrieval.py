@@ -7,21 +7,31 @@ descriptions (built-in hashed character n-grams, or an external endpoint
 when configured); the structure view propagates label features through a
 frozen, seed-derived attention encoder over the provenance graph; the
 heuristic view averages activity overlap, route-length agreement and
-precursor correspondence.
+precursor correspondence. Retrieval scores every stored process in one
+pass over a per-memory dense index whose values equal the per-pair
+formulas to the last bit.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import requests
 
 from .canon import canon_label, derive_seed
-from .errors import EmbedderUnavailable, EmptyMemory, InvalidParams
-from .memory import ProcessMemory, ProcessSummary, jaccard, linearize_parts, linearize_process
+from .errors import EmbedderUnavailable, EmbeddingDimensionMismatch, EmptyMemory, InvalidParams
+from .memory import (
+    LabelSets,
+    ProcessMemory,
+    ProcessSummary,
+    jaccard,
+    linearize_parts,
+    linearize_process,
+)
 from .provgraph import ProcessGraph
 from .taskgen import MASK_TOKEN, BenchItem
 
@@ -90,6 +100,11 @@ class RetrievedPrecedent:
 
 # --- text embedding ----------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1 << 16)
+def _gram_bucket(gram: str, dim: int) -> int:
+    return int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=4).digest(), "big") % dim
+
+
 class BuiltinTextEmbedder:
     """Hashed character n-gram frequencies; deterministic, no network."""
 
@@ -98,13 +113,12 @@ class BuiltinTextEmbedder:
     def embed(self, texts: list[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
         for row, text in enumerate(texts):
-            for n in NGRAM_SIZES:
-                for i in range(max(0, len(text) - n + 1)):
-                    gram = text[i : i + n].encode("utf-8")
-                    bucket = int.from_bytes(
-                        hashlib.blake2b(gram, digest_size=4).digest(), "big"
-                    ) % self.dim
-                    out[row, bucket] += 1.0
+            buckets = [
+                _gram_bucket(text[i : i + n], self.dim)
+                for n in NGRAM_SIZES
+                for i in range(max(0, len(text) - n + 1))
+            ]
+            out[row] = np.bincount(buckets, minlength=self.dim)
         return _normalize_rows(out)
 
 
@@ -157,11 +171,35 @@ def cos_to_unit(c: float) -> float:
     return (c + 1.0) / 2.0
 
 
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(row)`` for every row, to the last bit."""
+    # vecdot runs the same BLAS dot per row that np.dot and the 1-D norm
+    # run, so it matches the per-pair calls exactly; ``@`` (gemv) sums in
+    # another order and can move the last bit
+    return np.sqrt(np.vecdot(matrix, matrix))
+
+
+def unit_cosines(vecs: np.ndarray, matrix: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``cos_to_unit(cosine(v, row))`` for each row of ``matrix`` (with
+    ``norms`` its row norms): one value per row for a 1-D ``vecs``, one row
+    of values per vector for a 2-D ``vecs``. Every value is the float the
+    per-pair call returns."""
+    vecs = np.ascontiguousarray(vecs, dtype=np.float64)
+    dots = np.vecdot(vecs[..., None, :], matrix)
+    vec_norms = _row_norms(vecs)[..., None]
+    cos = np.zeros(dots.shape)
+    np.divide(dots, vec_norms * norms, out=cos, where=(vec_norms != 0.0) & (norms != 0.0))
+    return (np.clip(cos, -1.0, 1.0) + 1.0) / 2.0
+
+
 # --- structure embedding -------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
 def _frozen_projection(seed: int, round_index: int) -> np.ndarray:
     rng = np.random.default_rng(derive_seed(seed, "round", round_index))
-    return rng.normal(0.0, 1.0 / np.sqrt(EMBED_DIM), size=(EMBED_DIM, EMBED_DIM))
+    w = rng.normal(0.0, 1.0 / np.sqrt(EMBED_DIM), size=(EMBED_DIM, EMBED_DIM))
+    w.setflags(write=False)  # shared by every caller
+    return w
 
 
 def embed_structure(g: ProcessGraph, seed: int = DEFAULT_STRUCT_SEED) -> np.ndarray:
@@ -348,28 +386,108 @@ def attach_embeddings(
     ids = [p.graph_id for p in memory.processes]
     texts = [linearize_process(memory, graph_id) for graph_id in ids]
     text_vecs = embedder.embed(texts)
+    store = dict(memory.embedding_store)  # a new store drops any index built on the old one
     for row, graph_id in enumerate(ids):
         entry = {"text": [float(x) for x in text_vecs[row]]}
         g = graphs_by_id.get(graph_id)
         if g is not None:
             entry["struct"] = [float(x) for x in embed_structure(g, seed=struct_seed)]
-        memory.embedding_store[graph_id] = entry
+        store[graph_id] = entry
+    memory.embedding_store = store
     return memory
-
-
-def _stored_vec(memory: ProcessMemory, graph_id: str, kind: str) -> np.ndarray | None:
-    entry = memory.embedding_store.get(graph_id, {})
-    vec = entry.get(kind)
-    return np.asarray(vec, dtype=np.float64) if vec is not None else None
 
 
 def text_vector(memory: ProcessMemory, graph_id: str) -> np.ndarray:
     """Stored text vector for one process; derived and cached when absent."""
-    vec = _stored_vec(memory, graph_id, "text")
+    vec = memory.embedding_store.get(graph_id, {}).get("text")
     if vec is None:
         vec = BuiltinTextEmbedder().embed([linearize_process(memory, graph_id)])[0]
         memory.embedding_store.setdefault(graph_id, {})["text"] = [float(x) for x in vec]
+    return np.asarray(vec, dtype=np.float64)
+
+
+# --- dense index -----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DenseIndex:
+    """Every stored process as one row of dense arrays, in memory order: an
+    exact flat index (no approximation) that scores a query against all
+    processes in one pass."""
+
+    graph_ids: list[str]
+    rows: dict[str, int]  # graph_id -> row
+    id_rank: np.ndarray  # rank of each graph_id in sorted order, for tie-breaks
+    text: np.ndarray  # (N, EMBED_DIM)
+    text_norm: np.ndarray
+    struct: np.ndarray  # (N, EMBED_DIM), a zero row where a process has none
+    struct_norm: np.ndarray
+    routes: LabelSets
+    precursors: LabelSets
+    route_length: np.ndarray
+
+    def heuristic(self, q: ProcessSummary) -> np.ndarray:
+        """:func:`score_heuristic` of ``q`` against every process."""
+        activity = self.routes.jaccard(q.route)
+        lo = np.minimum(q.route_length, self.route_length)
+        hi = np.maximum(q.route_length, self.route_length)
+        length = np.ones(len(hi))  # two empty routes agree
+        np.divide(lo, hi, out=length, where=hi > 0)
+        precursor = self.precursors.jaccard(q.precursors)
+        return (activity + length + precursor) / 3.0
+
+
+def _checked_vector(graph_id: str, kind: str, vec) -> list:
+    if len(vec) != EMBED_DIM:
+        raise EmbeddingDimensionMismatch(
+            f"memory process {graph_id!r}: stored {kind} vector has {len(vec)} dimensions,"
+            f" the query side embeds in {EMBED_DIM}"
+        )
     return vec
+
+
+def _build_index(memory: ProcessMemory) -> DenseIndex:
+    ids = [p.graph_id for p in memory.processes]
+    for graph_id in ids:
+        text_vector(memory, graph_id)  # derives and stores any missing text vector
+    entries = [memory.embedding_store[graph_id] for graph_id in ids]
+    text = np.array(
+        [_checked_vector(gid, "text", e["text"]) for gid, e in zip(ids, entries)],
+        dtype=np.float64,
+    ).reshape(len(ids), EMBED_DIM)
+    struct = np.zeros_like(text)
+    for row, (gid, e) in enumerate(zip(ids, entries)):
+        if e.get("struct") is not None:
+            struct[row] = _checked_vector(gid, "struct", e["struct"])
+    rank = {gid: i for i, gid in enumerate(sorted(set(ids)))}
+    return DenseIndex(
+        graph_ids=ids,
+        rows={gid: row for row, gid in enumerate(ids)},
+        id_rank=np.array([rank[gid] for gid in ids], dtype=np.int64),
+        text=text,
+        text_norm=_row_norms(text),
+        struct=struct,
+        struct_norm=_row_norms(struct),
+        routes=LabelSets(p.route for p in memory.processes),
+        precursors=LabelSets(p.precursors for p in memory.processes),
+        route_length=np.array([p.route_length for p in memory.processes], dtype=np.int64),
+    )
+
+
+def dense_index(memory: ProcessMemory) -> DenseIndex:
+    """The memory's dense index, built on first use.
+
+    Building derives (and stores, as :func:`text_vector` does) every missing
+    text vector, and raises :class:`EmbeddingDimensionMismatch` for a stored
+    vector whose length is not ``EMBED_DIM``.
+    """
+    return memory.derived(
+        "dense_index",
+        lambda: _build_index(memory),
+        memory.processes,
+        memory.step_library,
+        memory.embedding_store,
+    )
 
 
 # --- fusion -----------------------------------------------------------------------
@@ -382,11 +500,16 @@ def retrieve(
     text_embedder=None,
     struct_seed: int = DEFAULT_STRUCT_SEED,
 ) -> list[RetrievedPrecedent]:
-    """Exhaustive scan, descending s_ret, ties by ascending graph_id."""
+    """Exhaustive scan, descending s_ret, ties by ascending graph_id.
+
+    Every process is scored in one pass over the memory's :class:`DenseIndex`;
+    each score is the float the per-process formula gives.
+    """
     if not memory.processes:
         raise EmptyMemory("retrieval requested against an empty memory")
     if k < 1:
         raise InvalidParams("k must be >= 1")
+    index = dense_index(memory)
 
     if weights.alpha > 0 and query.text_vec is None:
         embedder = text_embedder or BuiltinTextEmbedder()
@@ -394,27 +517,27 @@ def retrieve(
     if weights.beta > 0 and query.struct_vec is None and query.context_graph is not None:
         query.struct_vec = embed_structure(query.context_graph, seed=struct_seed)
 
-    results = []
-    for p in memory.processes:
-        s_text = s_struct = 0.0
-        if weights.alpha > 0:
-            s_text = cos_to_unit(cosine(query.text_vec, text_vector(memory, p.graph_id)))
-        if weights.beta > 0:
-            vec = _stored_vec(memory, p.graph_id, "struct")
-            if vec is not None and query.struct_vec is not None:
-                s_struct = cos_to_unit(cosine(query.struct_vec, vec))
-            else:
-                s_struct = 0.5  # neutral when either side has no structure view
-        s_heur = score_heuristic(query.summary, p)
-        s_ret = weights.alpha * s_text + weights.beta * s_struct + weights.gamma * s_heur
-        results.append(
-            RetrievedPrecedent(
-                graph_id=p.graph_id,
-                s_text=s_text,
-                s_struct=s_struct,
-                s_heur=s_heur,
-                s_ret=s_ret,
-            )
+    n = len(index.graph_ids)
+    s_text = np.zeros(n)
+    if weights.alpha > 0:
+        s_text = unit_cosines(query.text_vec, index.text, index.text_norm)
+    s_struct = np.zeros(n)
+    if weights.beta > 0:
+        # neutral 0.5 when either side has no structure view: a missing
+        # process vector is a zero row, whose cosine maps to 0.5 as well
+        s_struct = np.full(n, 0.5)
+        if query.struct_vec is not None:
+            s_struct = unit_cosines(query.struct_vec, index.struct, index.struct_norm)
+    s_heur = index.heuristic(query.summary)
+    s_ret = weights.alpha * s_text + weights.beta * s_struct + weights.gamma * s_heur
+    top = np.lexsort((index.id_rank, -s_ret))[:k]
+    return [
+        RetrievedPrecedent(
+            graph_id=index.graph_ids[i],
+            s_text=float(s_text[i]),
+            s_struct=float(s_struct[i]),
+            s_heur=float(s_heur[i]),
+            s_ret=float(s_ret[i]),
         )
-    results.sort(key=lambda r: (-r.s_ret, r.graph_id))
-    return results[:k]
+        for i in top
+    ]

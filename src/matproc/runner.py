@@ -26,7 +26,7 @@ from .errors import (
 )
 from .memory import ProcessMemory
 from .prompts import build_prompt, parse_answer
-from .retrieval import RetrievalWeights, retrieve, query_from_item
+from .retrieval import RetrievalWeights, dense_index, query_from_item, retrieve
 from .scoring import (
     OptionScores,
     ScoringConfig,
@@ -407,11 +407,17 @@ def evaluate(
                 raise InvalidParams(f"exemplars leak into {partition}: {leaked[:3]}")
 
     started = time.monotonic()
+    if config.policy in _NEEDS_MEMORY:
+        # built (and its vectors checked) once, before any worker starts;
+        # a bad memory fails the run instead of flagging every item
+        dense_index(memory)
 
     def work(item):
         return _answer_item(item, memory, config, client, exemplars_by_task, predictions)
 
-    if jobs > 1:
+    # Threads only overlap waiting on a chat endpoint; CPU-bound policies
+    # hold the GIL, so they run in-process whatever ``jobs`` says.
+    if jobs > 1 and config.policy in _LLM_POLICIES:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             answers = list(pool.map(work, items))
     else:

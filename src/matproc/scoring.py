@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .canon import canon_value
 from .errors import ArityMismatch, InvalidParams, UnknownTask
 from .memory import ProcessMemory, StepQuery, match_steps, next_distribution
-from .retrieval import BuiltinTextEmbedder, RetrievedPrecedent, cos_to_unit, cosine, text_vector
+from .retrieval import BuiltinTextEmbedder, RetrievedPrecedent, dense_index, unit_cosines
 from .taskgen import (
     MASK_TOKEN,
     TUPLE_KEYS,
@@ -158,16 +160,12 @@ def _split_route(option: str) -> list[str]:
 
 def _positional_frequency(memory: ProcessMemory, label: str, norm_pos: float, window: float) -> float:
     vocab_size = len(memory.vocab())
-    hits = 0
-    total = 0
-    for entry in memory.step_library:
-        if abs(entry.norm_position - norm_pos) <= window:
-            total += 1
-            if entry.activity == label:
-                hits += 1
     if vocab_size == 0:
         return 0.0
-    return (hits + 1.0) / (total + vocab_size)
+    index = memory.step_index()
+    near = np.abs(index.norm_position - norm_pos) <= window
+    hits = int(np.count_nonzero(near & (index.activity == label)))
+    return (hits + 1.0) / (int(np.count_nonzero(near)) + vocab_size)
 
 
 def _step_query(question: dict) -> StepQuery:
@@ -363,15 +361,10 @@ def score_options_neural(
     embedder = text_embedder or BuiltinTextEmbedder()
     texts = [option_completed_text(item, option) for option in item.options]
     vectors = embedder.embed(texts)
-    precedent_vectors = [
-        text_vector(memory, p.graph_id) for p in precedents if p.graph_id in memory.graph_ids()
-    ]
-    raw = []
-    for row in range(len(item.options)):
-        best = 0.0
-        for pv in precedent_vectors:
-            best = max(best, cos_to_unit(cosine(vectors[row], pv)))
-        raw.append(best)
+    index = dense_index(memory)
+    rows = [index.rows[p.graph_id] for p in precedents if p.graph_id in index.rows]
+    sims = unit_cosines(vectors, index.text[rows], index.text_norm[rows])
+    raw = [float(best) for best in sims.max(axis=1, initial=0.0)]
     return OptionScores(item_id=item.item_id, raw_neu=raw)
 
 

@@ -13,7 +13,7 @@ from matproc import __version__
 from matproc import cli
 from matproc.config import PATH_KEYS, RunConfig, load_config_file
 from matproc.errors import ConfigConflict
-from matproc.jsonio import read_ndjson
+from matproc.jsonio import read_ndjson, write_ndjson
 from matproc.runner import DEFAULT_BUDGETS
 
 
@@ -290,6 +290,45 @@ def test_report_command_rejects_unknown_formats(tmp_path, capsys):
 
 
 # --- dispatch and exit codes ----------------------------------------------------------------
+
+
+def eval_argv(paths, policy, log, jobs=1, memory=None):
+    return [
+        "eval",
+        "--bench", str(paths["bench"]),
+        "--split", str(paths["split"]),
+        "--memory", str(memory or paths["memory"]),
+        "--partition", "test",
+        "--policy", policy,
+        "--log", str(log),
+        "--jobs", str(jobs),
+    ]
+
+
+@pytest.mark.parametrize("policy", ["argmax_hybrid", "provmind_llm"])
+def test_jobs_never_change_eval_logs(tmp_path, policy, monkeypatch, capsys):
+    monkeypatch.delenv("MATPROC_CHAT_URL", raising=False)  # provmind_llm uses the mock client
+    paths = pipeline()
+    logs = []
+    for jobs in (1, 4):
+        log = tmp_path / f"log-jobs{jobs}.ndjson"
+        assert cli.dispatch(eval_argv(paths, policy, log, jobs)) == 0
+        logs.append(log.read_bytes())
+    assert logs[0] == logs[1]
+
+
+def test_memory_vector_of_another_dimension_exits_3(tmp_path, capsys):
+    paths = pipeline()
+    header, rows = read_ndjson(paths["memory"])
+    process = next(r for r in rows if r["kind"] == "process")
+    process["embeddings"]["text"] = [0.03] * 768  # as an endpoint with another width stores it
+    memory = tmp_path / "memory.ndjson"
+    write_ndjson(memory, header, rows)
+    code = cli.dispatch(eval_argv(paths, "argmax_hybrid", tmp_path / "log.ndjson", memory=memory))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and process["graph_id"] in err and "768" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_command_exits_2(capsys):

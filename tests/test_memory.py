@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
@@ -215,6 +216,64 @@ def test_match_steps_tie_break():
     ]
     ranked = match_steps(memory, StepQuery(activity="sinter"), top_m=3)
     assert [(e.graph_id, e.position) for _, e in ranked] == [("ga", 0), ("ga", 2), ("gb", 1)]
+
+
+def reference_match_steps(memory, query, top_m, weights=(1.0, 0.5, 0.25, 0.25)):
+    """The per-entry scoring loop match_steps replaced, kept as the oracle."""
+    w1, w2, w3, w4 = weights
+    scored = []
+    for e in memory.step_library:
+        score = 0.0
+        if query.activity is not None and e.activity == query.activity:
+            score += w1
+        score += w2 * jaccard(query.neighbour_labels(), {x for x in (e.prev_activity, e.next_activity) if x})
+        if query.norm_position is not None:
+            score += w3 * (1.0 - abs(query.norm_position - e.norm_position))
+        score += w4 * jaccard(query.input_forms, e.input_forms)
+        scored.append((score, e))
+    scored.sort(key=lambda pair: (-pair[0], pair[1].graph_id, pair[1].position))
+    return scored[:top_m]
+
+
+def test_match_steps_equals_per_entry_reference():
+    memory, _ = synth_memory(20)
+    queries = [
+        StepQuery(
+            activity=e.activity,
+            prev_activity=e.prev_activity,
+            next_activity=e.next_activity,
+            norm_position=e.norm_position,
+            input_forms=list(e.input_forms),
+        )
+        for e in memory.step_library[::7]
+    ]
+    queries += [
+        StepQuery(),
+        StepQuery(activity="never seen", input_forms=["powder", "never seen"]),
+        StepQuery(prev_activity=memory.step_library[0].activity, norm_position=0.5),
+    ]
+    for query in queries:
+        for top_m in (1, 8, len(memory.step_library) + 1):
+            want = reference_match_steps(memory, query, top_m)
+            got = match_steps(memory, query, top_m=top_m)
+            assert [(s, e.graph_id, e.position) for s, e in got] == [
+                (s, e.graph_id, e.position) for s, e in want
+            ]
+
+
+def test_derived_views_follow_replaced_fields():
+    memory = two_route_memory()
+    assert memory.vocab() == {"mill", "sinter", "anneal"}
+    assert memory.total_out("mill") == 2
+    memory.processes.append(memory.processes[0].__class__(
+        graph_id="r3", route=["quench"], precursors=[], products=[], tools=[]
+    ))
+    assert "quench" in memory.vocab() and "r3" in memory.graph_ids()
+    memory.transition_table = {("mill", "sinter"): 5}
+    assert memory.total_out("mill") == 5 and memory.total_in("anneal") == 0
+    clone = copy.deepcopy(memory)
+    assert clone.by_graph_id().keys() == memory.by_graph_id().keys()
+    assert clone.total_out("mill") == 5
 
 
 def test_match_steps_empty_library():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -10,7 +12,13 @@ import requests
 
 from matproc import retrieval as rt
 from matproc.canon import canon_label, derive_seed
-from matproc.errors import EmbedderUnavailable, EmptyMemory, InvalidParams
+from matproc.errors import (
+    DataError,
+    EmbedderUnavailable,
+    EmbeddingDimensionMismatch,
+    EmptyMemory,
+    InvalidParams,
+)
 from matproc.memory import (
     ProcessSummary,
     build_memory,
@@ -25,6 +33,7 @@ from matproc.provgraph import (
     generate_synthetic_corpus,
     validate_graph,
 )
+from matproc.runner import _FUSION_ROWS
 from matproc.taskgen import generate_benchmark
 
 from helpers import chain_graph, compiled
@@ -459,6 +468,128 @@ def test_retrieve_backfills_missing_text_vectors():
     results = rt.retrieve(query, memory, k=2)
     assert results[0].graph_id == "ga"
     assert set(memory.embedding_store) == {"ga", "gb"}  # computed lazily, then cached
+
+
+# --- dense index against the per-pair reference ------------------------------------------
+
+
+def reference_retrieve(query, memory, weights, k):
+    """The per-process scoring loop the dense index replaced, kept as the oracle."""
+    if weights.alpha > 0 and query.text_vec is None:
+        query.text_vec = rt.BuiltinTextEmbedder().embed([query.text])[0]
+    if weights.beta > 0 and query.struct_vec is None and query.context_graph is not None:
+        query.struct_vec = rt.embed_structure(query.context_graph)
+    results = []
+    for p in memory.processes:
+        s_text = s_struct = 0.0
+        if weights.alpha > 0:
+            s_text = rt.cos_to_unit(rt.cosine(query.text_vec, rt.text_vector(memory, p.graph_id)))
+        if weights.beta > 0:
+            stored = memory.embedding_store.get(p.graph_id, {}).get("struct")
+            if stored is not None and query.struct_vec is not None:
+                s_struct = rt.cos_to_unit(rt.cosine(query.struct_vec, np.asarray(stored)))
+            else:
+                s_struct = 0.5
+        s_heur = rt.score_heuristic(query.summary, p)
+        s_ret = weights.alpha * s_text + weights.beta * s_struct + weights.gamma * s_heur
+        results.append(rt.RetrievedPrecedent(p.graph_id, s_text, s_struct, s_heur, s_ret))
+    results.sort(key=lambda r: (-r.s_ret, r.graph_id))
+    return results[:k]
+
+
+VIEWS = ("text", "structure", "heuristic")
+ALL_WEIGHTS = [
+    rt.RetrievalWeights.for_views(list(views))
+    for size in (1, 2, 3)
+    for views in itertools.combinations(VIEWS, size)
+] + [rt.RetrievalWeights(*preset) for _, preset in _FUSION_ROWS]
+
+
+def equivalence_corpus():
+    corpus = small_corpus(n=25, seed=9)
+    # exact twins under other ids tie on every view, so the graph_id
+    # tie-break decides their order
+    twins = []
+    for g in corpus[:3]:
+        twin = copy.deepcopy(g)
+        twin.record_id = f"{g.record_id}-twin"
+        twins.append(twin)
+    return corpus + twins
+
+
+def memory_variant(corpus, variant):
+    memory = build_memory(corpus)
+    if variant == "no_vectors":
+        return memory
+    memory = rt.attach_embeddings(memory, corpus)
+    if variant == "partial_struct":
+        memory.embedding_store = {
+            gid: ({"text": e["text"]} if i % 3 == 0 else e)
+            for i, (gid, e) in enumerate(memory.embedding_store.items())
+        }
+    return memory
+
+
+def equivalence_queries(corpus):
+    """Two items of every task, plus one query without a context graph (its
+    structure view is neutral), with their vectors computed once."""
+    items, _ = generate_benchmark(corpus, seed=5)
+    per_task = {}
+    for item in items:
+        per_task.setdefault(item.task, []).append(item)
+    queries = [rt.query_from_item(it) for task in sorted(per_task) for it in per_task[task][:2]]
+    queries.append(rt.RetrievalQuery(summary=summary(["mill"], ["x"]), text="route: mill"))
+    for q in queries:
+        q.text_vec = rt.BuiltinTextEmbedder().embed([q.text])[0]
+        if q.context_graph is not None:
+            q.struct_vec = rt.embed_structure(q.context_graph)
+    return queries
+
+
+@pytest.mark.parametrize("variant", ["full", "partial_struct", "no_vectors"])
+def test_dense_retrieve_equals_per_pair_reference(variant):
+    corpus = equivalence_corpus()
+    memory = memory_variant(corpus, variant)
+    oracle_memory = copy.deepcopy(memory)
+    n = len(memory.processes)
+    for query in equivalence_queries(corpus):
+        for weights in ALL_WEIGHTS:
+            want = [r.to_dict() for r in reference_retrieve(query, oracle_memory, weights, n)]
+            for k in (1, 8, n + 3):
+                got = [r.to_dict() for r in rt.retrieve(query, memory, weights, k=k)]
+                assert got == want[:k], (variant, weights, k)  # == on every float
+    if variant == "no_vectors":  # both sides derived the same text vectors
+        assert memory.embedding_store == oracle_memory.embedding_store
+
+
+def test_dense_index_rebuilds_when_the_memory_changes():
+    corpus = small_corpus(n=8)
+    memory = build_memory(corpus)
+    first = rt.dense_index(memory)
+    assert rt.dense_index(memory) is first
+    rt.attach_embeddings(memory, corpus)
+    second = rt.dense_index(memory)
+    assert second is not first
+    gid = memory.processes[0].graph_id
+    assert np.array_equal(second.struct[0], memory.embedding_store[gid]["struct"])
+
+
+def test_frozen_projection_is_cached_and_read_only():
+    w = rt._frozen_projection(13, 0)
+    assert rt._frozen_projection(13, 0) is w
+    assert rt._frozen_projection(13, 1) is not w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", ["text", "struct"])
+def test_index_rejects_stored_vectors_of_another_dimension(kind):
+    memory, query = three_process_memory()
+    memory.embedding_store["pb"][kind] = [0.1] * 768
+    with pytest.raises(EmbeddingDimensionMismatch, match="'pb'.*768") as info:
+        rt.retrieve(query, memory, k=3)
+    assert isinstance(info.value, DataError)
 
 
 # --- memory round-trip --------------------------------------------------------------

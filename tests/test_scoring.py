@@ -384,6 +384,23 @@ def test_neural_matches_brute_force_cosines():
             assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_neural_is_exactly_the_per_pair_maximum():
+    corpus = [compiled(g) for g in generate_synthetic_corpus(SynthParams(n_records=12), seed=4)]
+    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    items, _ = generate_benchmark(corpus, seed=5)
+    embedder = rt.BuiltinTextEmbedder()
+    for item in items[:40]:
+        precedents = rt.retrieve(rt.query_from_item(item), memory, k=8)
+        vectors = embedder.embed([sc.option_completed_text(item, o) for o in item.options])
+        want = []
+        for vec in vectors:
+            best = 0.0
+            for p in precedents:
+                best = max(best, rt.cos_to_unit(rt.cosine(vec, rt.text_vector(memory, p.graph_id))))
+            want.append(best)
+        assert sc.score_options_neural(item, precedents, memory).raw_neu == want
+
+
 def test_neural_range_and_no_precedents():
     memory, _ = two_route_memory()
     item = make_item(
