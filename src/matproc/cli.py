@@ -326,11 +326,24 @@ def cmd_ablate(cfg: RunConfig) -> int:
     return 0
 
 
+def _renderable(path: str, rows: list, keys: tuple[str, ...]) -> list[dict]:
+    """``rows`` when there is at least one and every row holds ``keys``."""
+    if not rows:
+        raise MalformedDocument(f"{path}: no rows to render")
+    for n, row in enumerate(rows, start=1):
+        missing = [k for k in keys if not isinstance(row, dict) or k not in row]
+        if missing:
+            raise MalformedDocument(f"{path}: row {n} has no {', '.join(missing)}")
+    return rows
+
+
 def cmd_report(cfg: RunConfig) -> int:
-    header, rows = read_ndjson(cfg.path("report"))
+    path = cfg.path("report")
+    header, rows = read_ndjson(path)
     fmt = header.get("format", "")
     if fmt == EVAL_REPORT_FORMAT:
-        print(render_report(EvalReport.from_dict(rows[0])))
+        row = _renderable(path, rows, ("per_task", "overall"))[0]
+        print(render_report(EvalReport.from_dict(row)))
     elif fmt == ABLATION_FORMAT:
         results = [
             {
@@ -338,7 +351,7 @@ def cmd_report(cfg: RunConfig) -> int:
                 "label": r["label"],
                 "report": EvalReport.from_dict(r["report"]),
             }
-            for r in rows
+            for r in _renderable(path, rows, ("block", "label", "report"))
         ]
         print(render_ablation_table(results))
     elif fmt == AUDIT_FORMAT:

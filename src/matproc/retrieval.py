@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import requests
@@ -256,11 +256,17 @@ def score_heuristic(q: ProcessSummary, p: ProcessSummary) -> float:
 
 @dataclass
 class RetrievalQuery:
+    """One query process. :func:`retrieve` fills the vector fields and
+    ``view_scores`` on first use, so a query answered under several weight
+    settings scores each view once; treat a query as read-only after that."""
+
     summary: ProcessSummary
     text: str = ""
     context_graph: ProcessGraph | None = None
     text_vec: np.ndarray | None = None
     struct_vec: np.ndarray | None = None
+    # view name -> (the DenseIndex it was scored on, the score of every process)
+    view_scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def query_from_item(item: BenchItem) -> RetrievalQuery:
@@ -503,7 +509,9 @@ def retrieve(
     """Exhaustive scan, descending s_ret, ties by ascending graph_id.
 
     Every process is scored in one pass over the memory's :class:`DenseIndex`;
-    each score is the float the per-process formula gives.
+    each score is the float the per-process formula gives. A view is scored
+    once per query and index, when a weight first needs it, so a query
+    retrieved again under other weights or another ``k`` only re-fuses.
     """
     if not memory.processes:
         raise EmptyMemory("retrieval requested against an empty memory")
@@ -511,24 +519,30 @@ def retrieve(
         raise InvalidParams("k must be >= 1")
     index = dense_index(memory)
 
-    if weights.alpha > 0 and query.text_vec is None:
-        embedder = text_embedder or BuiltinTextEmbedder()
-        query.text_vec = embedder.embed([query.text])[0]
-    if weights.beta > 0 and query.struct_vec is None and query.context_graph is not None:
-        query.struct_vec = embed_structure(query.context_graph, seed=struct_seed)
+    def view(name, score):
+        hit = query.view_scores.get(name)
+        if hit is None or hit[0] is not index:
+            hit = query.view_scores[name] = (index, score())
+        return hit[1]
+
+    def text_view():
+        if query.text_vec is None:
+            query.text_vec = (text_embedder or BuiltinTextEmbedder()).embed([query.text])[0]
+        return unit_cosines(query.text_vec, index.text, index.text_norm)
+
+    def struct_view():
+        if query.struct_vec is None and query.context_graph is not None:
+            query.struct_vec = embed_structure(query.context_graph, seed=struct_seed)
+        if query.struct_vec is None:
+            # neutral 0.5 when the query has no structure view; a process
+            # without one is a zero row, whose cosine maps to 0.5 as well
+            return np.full(len(index.graph_ids), 0.5)
+        return unit_cosines(query.struct_vec, index.struct, index.struct_norm)
 
     n = len(index.graph_ids)
-    s_text = np.zeros(n)
-    if weights.alpha > 0:
-        s_text = unit_cosines(query.text_vec, index.text, index.text_norm)
-    s_struct = np.zeros(n)
-    if weights.beta > 0:
-        # neutral 0.5 when either side has no structure view: a missing
-        # process vector is a zero row, whose cosine maps to 0.5 as well
-        s_struct = np.full(n, 0.5)
-        if query.struct_vec is not None:
-            s_struct = unit_cosines(query.struct_vec, index.struct, index.struct_norm)
-    s_heur = index.heuristic(query.summary)
+    s_text = view("text", text_view) if weights.alpha > 0 else np.zeros(n)
+    s_struct = view("structure", struct_view) if weights.beta > 0 else np.zeros(n)
+    s_heur = view("heuristic", lambda: index.heuristic(query.summary))
     s_ret = weights.alpha * s_text + weights.beta * s_struct + weights.gamma * s_heur
     top = np.lexsort((index.id_rank, -s_ret))[:k]
     return [

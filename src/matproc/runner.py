@@ -10,10 +10,12 @@ uniform_random and gold_oracle. All randomness is derived from
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from .canon import derive_seed, stable_hash
 from .chat import MockChatClient
@@ -28,6 +30,7 @@ from .memory import ProcessMemory
 from .prompts import build_prompt, parse_answer
 from .retrieval import RetrievalWeights, dense_index, query_from_item, retrieve
 from .scoring import (
+    ItemInputs,
     OptionScores,
     ScoringConfig,
     argmax_index,
@@ -180,12 +183,39 @@ def _effective_lambda(config: PolicyConfig) -> float:
     return config.lam
 
 
-def _score_item(item, memory, config):
+class _ItemContext:
+    """What every config answering one item shares: the retrieval query (which
+    caches its view scores), the lanes' precedent-independent inputs, and each
+    lane's scores by (precedent ids, scoring config). Built when the item's
+    answers start and dropped when they end."""
+
+    def __init__(self, item: BenchItem, memory: ProcessMemory | None):
+        self.item = item
+        self.inputs = ItemInputs(item, memory)
+        self.lanes: dict = {}
+
+    @functools.cached_property
+    def query(self):
+        return query_from_item(self.item)
+
+    def lane(self, key, score) -> OptionScores:
+        if key not in self.lanes:
+            self.lanes[key] = score()
+        return self.lanes[key]
+
+
+def _score_item(item, memory, config, context):
     """Retrieve precedents and fuse the lanes the policy needs."""
-    precedents = retrieve(query_from_item(item), memory, config.weights, config.top_k)
+    precedents = retrieve(context.query, memory, config.weights, config.top_k)
     lam = _effective_lambda(config)
-    sym = score_options_symbolic(item, precedents, memory, config.scoring) if lam > 0 else None
-    neu = score_options_neural(item, precedents, memory, config.scoring) if lam < 1 else None
+    key = (tuple(p.graph_id for p in precedents), config.scoring)  # the lanes read only ids
+    sym = neu = None
+    if lam > 0:
+        sym = context.lane(("symbolic", *key), lambda: score_options_symbolic(
+            item, precedents, memory, config.scoring, inputs=context.inputs))
+    if lam < 1:
+        neu = context.lane(("neural", *key), lambda: score_options_neural(
+            item, precedents, memory, config.scoring, inputs=context.inputs))
     return precedents, sym, fuse_scores(sym, neu, lam)
 
 
@@ -298,8 +328,9 @@ def _baseline_answer(item, mode, client, config, memory=None, precedents=None,
         return None, trace
 
 
-def _answer_item(item, memory, config, client, exemplars_by_task, predictions):
-    """One item -> (answer index or None, trace dict). Never raises."""
+def _answer_item(item, memory, config, client, exemplars_by_task, predictions, context):
+    """One item under one config -> (answer index or None, trace dict), with
+    ``context`` the item's :class:`_ItemContext`. Never raises."""
     trace: dict = {"exchanges": [], "fallback_used": False, "flags": []}
     try:
         policy = config.policy
@@ -319,13 +350,13 @@ def _answer_item(item, memory, config, client, exemplars_by_task, predictions):
             return index, trace
 
         if policy in ("argmax_symbolic", "argmax_neural", "argmax_hybrid"):
-            precedents, _, fused = _score_item(item, memory, config)
+            precedents, _, fused = _score_item(item, memory, config, context)
             trace["precedents"] = [p.graph_id for p in precedents]
             trace["scores"] = fused.to_dict()
             return answer_argmax(fused), trace
 
         if policy == "provmind_llm":
-            precedents, sym, fused = _score_item(item, memory, config)
+            precedents, sym, fused = _score_item(item, memory, config, context)
             fallback = fuse_scores(sym, None, 1.0) if sym is not None else fused
             index, trace = llm_answer(item, memory, precedents, fused, fallback, client, config)
             trace["precedents"] = [p.graph_id for p in precedents]
@@ -339,9 +370,7 @@ def _answer_item(item, memory, config, client, exemplars_by_task, predictions):
                 item, "few_shot", client, config, exemplars=exemplars_by_task[item.task]
             )
         if policy == "rag":
-            precedents = retrieve(
-                query_from_item(item), memory, config.weights, config.rag_k
-            )
+            precedents = retrieve(context.query, memory, config.weights, config.rag_k)
             trace_index, trace = _baseline_answer(
                 item, "rag", client, config, memory=memory, precedents=precedents
             )
@@ -349,7 +378,7 @@ def _answer_item(item, memory, config, client, exemplars_by_task, predictions):
             return trace_index, trace
         if policy == "graphrag":
             structural = retrieve(
-                query_from_item(item),
+                context.query,
                 memory,
                 RetrievalWeights.for_views(["structure"]),
                 config.graph_k,
@@ -369,6 +398,127 @@ def _answer_item(item, memory, config, client, exemplars_by_task, predictions):
 # --- evaluation -------------------------------------------------------------------------
 
 
+def _check_policy_inputs(config, memory, train_items, predictions) -> None:
+    if config.policy in _NEEDS_MEMORY and memory is None:
+        raise InvalidParams(f"policy {config.policy!r} needs a process memory")
+    if config.policy == "few_shot" and not train_items:
+        raise InvalidParams("few_shot policy needs train_items as the exemplar pool")
+    if config.policy == "external_predictions" and predictions is None:
+        raise InvalidParams("external_predictions policy needs a predictions mapping")
+
+
+def _exemplars_by_task(items, train_items, config, partition) -> dict[str, list[BenchItem]]:
+    """Few-shot exemplars per task, checked against the evaluated partition."""
+    if config.policy != "few_shot":
+        return {}
+    eval_ids = {it.item_id for it in items}
+    if partition in ("dev", "test"):
+        overlap = eval_ids & {it.item_id for it in train_items}
+        if overlap:
+            raise InvalidParams(
+                f"exemplar pool overlaps the evaluated {partition} partition: "
+                f"{sorted(overlap)[:3]}"
+            )
+    exemplars_by_task = {task: _sample_exemplars(train_items, task, config) for task in TASKS}
+    for exemplar_list in exemplars_by_task.values():
+        leaked = [ex.item_id for ex in exemplar_list if ex.item_id in eval_ids]
+        if leaked and partition in ("dev", "test"):
+            raise InvalidParams(f"exemplars leak into {partition}: {leaked[:3]}")
+    return exemplars_by_task
+
+
+def _log_row(item: BenchItem, config: PolicyConfig, index: int | None, trace: dict) -> dict:
+    return {
+        "item_id": item.item_id,
+        "task": item.task,
+        "policy": config.policy,
+        "answer_index": index,
+        "gold_index": item.gold_index,
+        "correct": index is not None and index == item.gold_index,
+        "fallback_used": trace.get("fallback_used", False),
+        "flags": trace.get("flags", []),
+        "exchanges": trace.get("exchanges", []),
+        "precedents": trace.get("precedents", []),
+        "scores": trace.get("scores"),
+    }
+
+
+def answer_items(
+    items: list[BenchItem],
+    memory: ProcessMemory | None,
+    configs: list[PolicyConfig],
+    client=None,
+    train_items: list[BenchItem] | None = None,
+    predictions: dict[str, int] | None = None,
+    partition: str = "",
+    jobs: int = 1,
+) -> Iterator[list[dict]]:
+    """Answer every item under every config, item by item: yields, in item
+    order, each item's log rows, one per config in config order.
+
+    The configs answering one item share its query, view scores, lane inputs
+    and lane scores, so a config costs only what it does not share with an
+    earlier one; that shared work is dropped before the next item. A row is
+    the one ``evaluate`` of its config alone would give. Inputs are checked
+    before this returns.
+    """
+    configs = list(configs)
+    for config in configs:
+        _check_policy_inputs(config, memory, train_items, predictions)
+    chat_bound = any(config.policy in _LLM_POLICIES for config in configs)
+    if client is None and chat_bound:
+        client = MockChatClient()
+    exemplars = [_exemplars_by_task(items, train_items, c, partition) for c in configs]
+    if any(config.policy in _NEEDS_MEMORY for config in configs):
+        # built (and its vectors checked) once, before any worker starts;
+        # a bad memory fails the run instead of flagging every item
+        dense_index(memory)
+
+    def work(item):
+        context = _ItemContext(item, memory)
+        return [
+            _log_row(item, config, *_answer_item(
+                item, memory, config, client, by_task, predictions, context))
+            for config, by_task in zip(configs, exemplars)
+        ]
+
+    # Threads only overlap waiting on a chat endpoint; CPU-bound configs
+    # hold the GIL, so without a chat-bound one every item runs in-process
+    # whatever ``jobs`` says. A thread answers all configs of its item.
+    if jobs > 1 and chat_bound:
+        return _in_threads(work, items, jobs)
+    return map(work, items)
+
+
+def _in_threads(work, items, jobs):
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(work, items)
+
+
+def _tally(per_task: dict[str, dict], row: dict) -> None:
+    bucket = per_task.setdefault(row["task"], {"correct": 0, "total": 0})
+    bucket["total"] += 1
+    bucket["correct"] += int(row["correct"])
+
+
+def _report(config, memory, per_task: dict[str, dict], wall_clock_s: float) -> EvalReport:
+    for bucket in per_task.values():
+        bucket["accuracy"] = bucket["correct"] / bucket["total"] if bucket["total"] else 0.0
+    overall_correct = sum(b["correct"] for b in per_task.values())
+    overall_total = sum(b["total"] for b in per_task.values())
+    return EvalReport(
+        split_id=memory.split_id if memory is not None else "",
+        policy=config.to_dict(),
+        per_task={task: per_task[task] for task in sorted(per_task)},
+        overall={
+            "correct": overall_correct,
+            "total": overall_total,
+            "accuracy": overall_correct / overall_total if overall_total else 0.0,
+        },
+        wall_clock_s=wall_clock_s,
+    )
+
+
 def evaluate(
     items: list[BenchItem],
     memory: ProcessMemory | None = None,
@@ -380,87 +530,15 @@ def evaluate(
     jobs: int = 1,
 ) -> tuple[EvalReport, list[dict]]:
     """Answer every item once; return the report and the per-item log rows."""
-    if config.policy in _NEEDS_MEMORY and memory is None:
-        raise InvalidParams(f"policy {config.policy!r} needs a process memory")
-    if config.policy == "few_shot" and not train_items:
-        raise InvalidParams("few_shot policy needs train_items as the exemplar pool")
-    if config.policy == "external_predictions" and predictions is None:
-        raise InvalidParams("external_predictions policy needs a predictions mapping")
-    if client is None and config.policy in _LLM_POLICIES:
-        client = MockChatClient()
-
-    exemplars_by_task: dict[str, list[BenchItem]] = {}
-    if config.policy == "few_shot":
-        eval_ids = {it.item_id for it in items}
-        if partition in ("dev", "test"):
-            overlap = eval_ids & {it.item_id for it in train_items}
-            if overlap:
-                raise InvalidParams(
-                    f"exemplar pool overlaps the evaluated {partition} partition: "
-                    f"{sorted(overlap)[:3]}"
-                )
-        for task in TASKS:
-            exemplars_by_task[task] = _sample_exemplars(train_items, task, config)
-        for exemplar_list in exemplars_by_task.values():
-            leaked = [ex.item_id for ex in exemplar_list if ex.item_id in eval_ids]
-            if leaked and partition in ("dev", "test"):
-                raise InvalidParams(f"exemplars leak into {partition}: {leaked[:3]}")
-
     started = time.monotonic()
-    if config.policy in _NEEDS_MEMORY:
-        # built (and its vectors checked) once, before any worker starts;
-        # a bad memory fails the run instead of flagging every item
-        dense_index(memory)
-
-    def work(item):
-        return _answer_item(item, memory, config, client, exemplars_by_task, predictions)
-
-    # Threads only overlap waiting on a chat endpoint; CPU-bound policies
-    # hold the GIL, so they run in-process whatever ``jobs`` says.
-    if jobs > 1 and config.policy in _LLM_POLICIES:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            answers = list(pool.map(work, items))
-    else:
-        answers = [work(item) for item in items]
-
-    rows = []
-    per_task: dict[str, dict] = {}
-    for item, (index, trace) in zip(items, answers):
-        correct = index is not None and index == item.gold_index
-        row = {
-            "item_id": item.item_id,
-            "task": item.task,
-            "policy": config.policy,
-            "answer_index": index,
-            "gold_index": item.gold_index,
-            "correct": correct,
-            "fallback_used": trace.get("fallback_used", False),
-            "flags": trace.get("flags", []),
-            "exchanges": trace.get("exchanges", []),
-            "precedents": trace.get("precedents", []),
-            "scores": trace.get("scores"),
-        }
-        rows.append(row)
-        bucket = per_task.setdefault(item.task, {"correct": 0, "total": 0})
-        bucket["total"] += 1
-        bucket["correct"] += int(correct)
-
-    for bucket in per_task.values():
-        bucket["accuracy"] = bucket["correct"] / bucket["total"] if bucket["total"] else 0.0
-    overall_correct = sum(b["correct"] for b in per_task.values())
-    overall_total = sum(b["total"] for b in per_task.values())
-    report = EvalReport(
-        split_id=memory.split_id if memory is not None else "",
-        policy=config.to_dict(),
-        per_task={task: per_task[task] for task in sorted(per_task)},
-        overall={
-            "correct": overall_correct,
-            "total": overall_total,
-            "accuracy": overall_correct / overall_total if overall_total else 0.0,
-        },
-        wall_clock_s=time.monotonic() - started,
+    answers = answer_items(
+        items, memory, [config], client, train_items, predictions, partition, jobs
     )
-    return report, rows
+    rows = [row for (row,) in answers]
+    per_task: dict[str, dict] = {}
+    for row in rows:
+        _tally(per_task, row)
+    return _report(config, memory, per_task, time.monotonic() - started), rows
 
 
 def score_external_predictions(
@@ -508,6 +586,8 @@ def ablation_grid(base: PolicyConfig, axes=None) -> list[tuple[str, str, PolicyC
     unknown = set(chosen) - set(ABLATION_AXES)
     if unknown:
         raise InvalidGridAxis(f"unknown ablation axes: {sorted(unknown)}")
+    if not chosen:
+        raise InvalidGridAxis(f"no ablation axis chosen; pick from {', '.join(ABLATION_AXES)}")
     rows: list[tuple[str, str, PolicyConfig]] = []
     if "module" in chosen:
         llm = replace(base, policy="provmind_llm")
@@ -560,12 +640,20 @@ def run_ablation(
     axes=None,
     jobs: int = 1,
 ) -> list[dict]:
-    """One EvalReport per lattice point."""
-    results = []
-    for block, label, config in ablation_grid(base, axes):
-        report, _ = evaluate(items, memory, config, client=client, jobs=jobs)
-        results.append({"block": block, "label": label, "report": report})
-    return results
+    """One EvalReport per lattice point, each equal to ``evaluate`` of its
+    config; the rows answer the items together (see :func:`answer_items`)."""
+    grid = ablation_grid(base, axes)
+    started = time.monotonic()
+    tallies: list[dict[str, dict]] = [{} for _ in grid]
+    for rows in answer_items(items, memory, [config for _, _, config in grid],
+                             client=client, jobs=jobs):
+        for per_task, row in zip(tallies, rows):
+            _tally(per_task, row)
+    wall_clock_s = time.monotonic() - started  # the whole grid's, on every row
+    return [
+        {"block": block, "label": label, "report": _report(config, memory, per_task, wall_clock_s)}
+        for (block, label, config), per_task in zip(grid, tallies)
+    ]
 
 
 # --- rendering --------------------------------------------------------------------------

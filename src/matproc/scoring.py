@@ -6,6 +6,10 @@ option-completed texts and precedent linearizations, and their fusion
 s = lambda * s_sym_hat + (1 - lambda) * s_neu_hat after per-item min-max
 normalization. Every scorer is a pure function of (item, precedents,
 memory, config), so identical inputs always reproduce identical scores.
+What a lane needs that no precedent changes (option-completed text
+vectors, step matches, positional frequencies) comes from an
+:class:`ItemInputs`, which a caller scoring one item under several
+precedent lists can build once and pass to every call.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ class ScoringConfig:
     position_window: float = 0.25
     ordering_bonus: float = 1.0
     uniform_transitions: bool = False  # ablation: flatten all transition statistics
+
+    def __post_init__(self):
+        # tuples keep the config hashable, so lane scores can be keyed by it
+        object.__setattr__(self, "two_way", tuple(self.two_way))
+        object.__setattr__(self, "three_way", tuple(self.three_way))
 
     def to_dict(self) -> dict:
         return {
@@ -158,14 +167,17 @@ def _split_route(option: str) -> list[str]:
     return [part for part in option.split(" -> ") if part]
 
 
-def _positional_frequency(memory: ProcessMemory, label: str, norm_pos: float, window: float) -> float:
+def _positional_frequencies(memory: ProcessMemory, labels, norm_pos: float, window: float) -> list[float]:
+    """Add-one share of library steps within ``window`` of ``norm_pos`` that
+    carry each label."""
     vocab_size = len(memory.vocab())
     if vocab_size == 0:
-        return 0.0
+        return [0.0] * len(labels)
     index = memory.step_index()
     near = np.abs(index.norm_position - norm_pos) <= window
-    hits = int(np.count_nonzero(near & (index.activity == label)))
-    return (hits + 1.0) / (int(np.count_nonzero(near)) + vocab_size)
+    activity = index.activity[near]
+    denominator = len(activity) + vocab_size
+    return [(int(np.count_nonzero(activity == label)) + 1.0) / denominator for label in labels]
 
 
 def _step_query(question: dict) -> StepQuery:
@@ -181,9 +193,61 @@ def _step_query(question: dict) -> StepQuery:
     )
 
 
+class ItemInputs:
+    """The precedent-independent inputs of one item's lanes, each computed
+    on first use and then reused by every scorer call given this object."""
+
+    def __init__(self, item: BenchItem, memory: ProcessMemory, text_embedder=None):
+        self.item = item
+        self.memory = memory
+        self.text_embedder = text_embedder
+        self._memo: dict = {}
+
+    def _once(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def option_vectors(self) -> np.ndarray:
+        """Embedded option-completed texts, one row per option."""
+
+        def build():
+            embedder = self.text_embedder or BuiltinTextEmbedder()
+            return embedder.embed([option_completed_text(self.item, o) for o in self.item.options])
+
+        return self._once("option_vectors", build)
+
+    def step_matches(self, top_m: int) -> list:
+        """:func:`match_steps` of the item's target step (B1/B2/C1 items)."""
+        return self._once(
+            ("step_matches", top_m),
+            lambda: match_steps(self.memory, _step_query(self.item.question), top_m=top_m),
+        )
+
+    def positional(self, window: float) -> list[float]:
+        """Positional frequency of every option at the masked step (A2 items)."""
+
+        def build():
+            q = self.item.question
+            span = len(q["route_with_mask"]) - 1
+            norm_pos = q["masked_index"] / span if span > 0 else 0.0
+            return _positional_frequencies(self.memory, self.item.options, norm_pos, window)
+
+        return self._once(("positional", window), build)
+
+
+def _inputs_for(item, memory, inputs, text_embedder=None) -> ItemInputs:
+    """``inputs`` when given (its own embedder wins), fresh ones otherwise."""
+    if inputs is None:
+        return ItemInputs(item, memory, text_embedder)
+    if inputs.item is not item or inputs.memory is not memory:
+        raise InvalidParams(f"scoring inputs of {inputs.item.item_id!r} given for another item or memory")
+    return inputs
+
+
 def _weighted_match_frequency(
     item: BenchItem,
-    memory: ProcessMemory,
+    inputs: ItemInputs,
     precedents,
     config: ScoringConfig,
     matches_option,
@@ -193,7 +257,7 @@ def _weighted_match_frequency(
     Match rank i contributes 1/(1+i), multiplied by a precedent boost
     1 + 1/(1+rank) when the entry's process was itself retrieved.
     """
-    matched = match_steps(memory, _step_query(item.question), top_m=config.top_m)
+    matched = inputs.step_matches(config.top_m)
     precedent_rank = {p.graph_id: rank for rank, p in enumerate(precedents)}
     scores = []
     for option in item.options:
@@ -214,8 +278,10 @@ def score_options_symbolic(
     precedents: list[RetrievedPrecedent],
     memory: ProcessMemory,
     config: ScoringConfig = ScoringConfig(),
+    inputs: ItemInputs | None = None,
 ) -> OptionScores:
     """Fill raw_sym with the task-appropriate statistic per option."""
+    inputs = _inputs_for(item, memory, inputs)
     q = item.question
     uniform = config.uniform_transitions
 
@@ -239,11 +305,10 @@ def score_options_symbolic(
         dist = next_distribution(memory, left)
         vocab_size = len(memory.vocab())
         denominator = (memory.total_in(right) if right else 0) + vocab_size
-        span = len(q["route_with_mask"]) - 1
-        norm_pos = q["masked_index"] / span if span > 0 else 0.0
         w1, w2, w3 = config.three_way
+        positional = inputs.positional(config.position_window)
         raw = []
-        for option in item.options:
+        for option, option_positional in zip(item.options, positional):
             mass = (1.0 / vocab_size if vocab_size else 0.0) if uniform else dist.mass(option)
             if vocab_size == 0:
                 reverse = 0.0
@@ -252,8 +317,7 @@ def score_options_symbolic(
             else:
                 count = memory.transition_table.get((option, right), 0) if right else 0
                 reverse = (count + 1.0) / denominator
-            positional = _positional_frequency(memory, option, norm_pos, config.position_window)
-            raw.append(w1 * mass + w2 * reverse + w3 * positional)
+            raw.append(w1 * mass + w2 * reverse + w3 * option_positional)
 
     elif item.task == "A3_next_activity":
         prefix = q["prefix"]
@@ -286,7 +350,7 @@ def score_options_symbolic(
             stored = entry.conditions.get(key)
             return stored is not None and canon_value(stored) == canon_value(option)
 
-        raw = _weighted_match_frequency(item, memory, precedents, config, value_matches)
+        raw = _weighted_match_frequency(item, inputs, precedents, config, value_matches)
 
     elif item.task == "B2_full_condition_set":
 
@@ -295,14 +359,14 @@ def score_options_symbolic(
                 return False
             return render_condition_tuple(entry.conditions) == option
 
-        raw = _weighted_match_frequency(item, memory, precedents, config, tuple_matches)
+        raw = _weighted_match_frequency(item, inputs, precedents, config, tuple_matches)
 
     elif item.task == "C1_tool_selection":
 
         def tool_matches(option, entry):
             return option in entry.tools
 
-        raw = _weighted_match_frequency(item, memory, precedents, config, tool_matches)
+        raw = _weighted_match_frequency(item, inputs, precedents, config, tool_matches)
 
     else:
         raise UnknownTask(f"no symbolic scorer for task {item.task!r}")
@@ -356,11 +420,11 @@ def score_options_neural(
     memory: ProcessMemory,
     config: ScoringConfig = ScoringConfig(),
     text_embedder=None,
+    inputs: ItemInputs | None = None,
 ) -> OptionScores:
-    """raw_neu = max similarity against the retrieved precedents' texts."""
-    embedder = text_embedder or BuiltinTextEmbedder()
-    texts = [option_completed_text(item, option) for option in item.options]
-    vectors = embedder.embed(texts)
+    """raw_neu per option: the highest cosine (mapped onto [0, 1]) between
+    its option-completed text and the stored texts of the precedents."""
+    vectors = _inputs_for(item, memory, inputs, text_embedder).option_vectors()
     index = dense_index(memory)
     rows = [index.rows[p.graph_id] for p in precedents if p.graph_id in index.rows]
     sims = unit_cosines(vectors, index.text[rows], index.text_norm[rows])

@@ -289,6 +289,27 @@ def test_report_command_rejects_unknown_formats(tmp_path, capsys):
     assert "no renderer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fmt, rows",
+    [
+        (cli.EVAL_REPORT_FORMAT, []),
+        (cli.EVAL_REPORT_FORMAT, [{"split_id": "year"}]),
+        (cli.ABLATION_FORMAT, []),
+        (cli.ABLATION_FORMAT, [{"label": "full", "report": {}}]),
+        (cli.ABLATION_FORMAT, [{"block": "module", "report": {}}]),
+        (cli.ABLATION_FORMAT, [{"block": "module", "label": "full"}]),
+    ],
+    ids=["eval-no-rows", "eval-no-tallies", "ablation-no-rows", "no-block", "no-label",
+         "no-report"],
+)
+def test_report_rejects_artifacts_without_renderable_rows(tmp_path, capsys, fmt, rows):
+    path = tmp_path / "artifact.ndjson"
+    write_ndjson(path, {"format": fmt}, rows)
+    assert cli.dispatch(["report", "--in", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
 # --- dispatch and exit codes ----------------------------------------------------------------
 
 
@@ -315,6 +336,40 @@ def test_jobs_never_change_eval_logs(tmp_path, policy, monkeypatch, capsys):
         assert cli.dispatch(eval_argv(paths, policy, log, jobs)) == 0
         logs.append(log.read_bytes())
     assert logs[0] == logs[1]
+
+
+def ablate_argv(paths, report, axes=None, jobs=1):
+    argv = [
+        "ablate",
+        "--bench", str(paths["bench"]),
+        "--split", str(paths["split"]),
+        "--memory", str(paths["memory"]),
+        "--partition", "test",
+        "--report", str(report),
+        "--jobs", str(jobs),
+    ]
+    return argv if axes is None else [*argv, "--axes", axes]
+
+
+def test_jobs_never_change_the_ablation_artifact(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MATPROC_CHAT_URL", raising=False)  # the module rows use the mock client
+    paths = pipeline()
+    artifacts = []
+    for jobs in (1, 4):
+        report = tmp_path / f"ablation-jobs{jobs}.ndjson"
+        assert cli.dispatch(ablate_argv(paths, report, jobs=jobs)) == 0
+        artifacts.append(report.read_bytes())
+    assert len(read_ndjson(tmp_path / "ablation-jobs1.ndjson")[1]) == 25
+    assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("axes", ["", ","])
+def test_ablate_without_an_axis_exits_2_and_writes_nothing(tmp_path, capsys, axes):
+    report = tmp_path / "ablation.ndjson"
+    assert cli.dispatch(ablate_argv(pipeline(), report, axes=axes)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no ablation axis" in err
+    assert not report.exists()
 
 
 def test_memory_vector_of_another_dimension_exits_3(tmp_path, capsys):

@@ -562,6 +562,25 @@ def test_dense_retrieve_equals_per_pair_reference(variant):
         assert memory.embedding_store == oracle_memory.embedding_store
 
 
+def test_reused_query_scores_each_view_once_per_index(monkeypatch):
+    corpus = equivalence_corpus()
+    memory = memory_variant(corpus, "full")
+    smaller = memory_variant(corpus[:12], "full")
+    query = equivalence_queries(corpus)[0]
+    fresh = copy.deepcopy(query)
+    scored = []
+    unit_cosines = rt.unit_cosines
+    monkeypatch.setattr(rt, "unit_cosines", lambda *args: scored.append(1) or unit_cosines(*args))
+    for weights in ALL_WEIGHTS:
+        for k in (1, 8):
+            rt.retrieve(query, memory, weights, k=k)
+    assert len(scored) == 2  # the text and the structure view, once each
+    # on another memory's index the views are scored again
+    assert ([r.to_dict() for r in rt.retrieve(query, smaller)]
+            == [r.to_dict() for r in rt.retrieve(fresh, smaller)])
+    assert len(scored) == 6
+
+
 def test_dense_index_rebuilds_when_the_memory_changes():
     corpus = small_corpus(n=8)
     memory = build_memory(corpus)

@@ -9,7 +9,9 @@ import requests
 
 from matproc import chat as ch
 from matproc import prompts as pr
+from matproc import retrieval as rt
 from matproc import runner as rn
+from matproc import scoring as sc
 from matproc.errors import (
     ClientTimeout,
     InvalidGridAxis,
@@ -49,6 +51,15 @@ def mem():
     memory = build_memory(list(corpus()), split_id="runner-tests")
     attach_embeddings(memory, list(corpus()))
     return memory
+
+
+def per_task_sample(n):
+    """The first ``n`` items of every task, task by task."""
+    by_task = {}
+    for item in bench():
+        by_task.setdefault(item.task, []).append(item)
+    assert len(by_task) == 7
+    return [item for task in sorted(by_task) for item in by_task[task][:n]]
 
 
 def scored(values, item_id="g:A1_route_retrieval:0"):
@@ -679,6 +690,45 @@ def test_run_ablation_produces_reports_per_row():
     by_label = {r["label"]: r["report"].accuracy for r in results}
     symbolic, _ = rn.evaluate(items, mem(), rn.PolicyConfig(policy="argmax_symbolic"))
     assert by_label["lambda=1.0"] == pytest.approx(symbolic.accuracy)
+
+
+def test_ablation_grid_needs_an_axis():
+    with pytest.raises(InvalidGridAxis, match="no ablation axis"):
+        rn.ablation_grid(rn.PolicyConfig(), axes=[])
+
+
+def test_every_grid_row_equals_a_fresh_evaluate_of_its_config():
+    items = per_task_sample(2)
+    grid = rn.ablation_grid(rn.PolicyConfig())
+    per_item = list(rn.answer_items(items, mem(), [config for _, _, config in grid],
+                                    client=ch.MockChatClient()))
+    results = rn.run_ablation(items, mem(), client=ch.MockChatClient())
+    assert [(r["block"], r["label"]) for r in results] == [(b, l) for b, l, _ in grid]
+    for column, ((block, label, config), result) in enumerate(zip(grid, results)):
+        report, rows = rn.evaluate(items, mem(), config, client=ch.MockChatClient())
+        # answers, precedents and every score float, compared with ==
+        assert [item_rows[column] for item_rows in per_item] == rows, (block, label)
+        assert result["report"].to_dict() == report.to_dict(), (block, label)
+
+
+def test_grid_embeds_and_matches_once_per_item(monkeypatch):
+    items = per_task_sample(2)
+    memory = mem()
+    calls = {"embed_structure": 0, "match_steps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rt, "embed_structure", counted("embed_structure", rt.embed_structure))
+    # the symbolic lane calls match_steps through its own module's binding
+    monkeypatch.setattr(sc, "match_steps", counted("match_steps", sc.match_steps))
+    rn.run_ablation(items, memory)
+    step_tasks = ("B1_condition_prediction", "B2_full_condition_set", "C1_tool_selection")
+    assert calls["embed_structure"] == len(items)
+    assert calls["match_steps"] == sum(item.task in step_tasks for item in items)
 
 
 def test_retrieval_axis_covers_all_view_subsets():

@@ -401,6 +401,30 @@ def test_neural_is_exactly_the_per_pair_maximum():
         assert sc.score_options_neural(item, precedents, memory).raw_neu == want
 
 
+def test_shared_item_inputs_score_like_fresh_ones():
+    corpus = [compiled(g) for g in generate_synthetic_corpus(SynthParams(n_records=12), seed=4)]
+    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    items, _ = generate_benchmark(corpus, seed=5)
+    first_per_task = {}
+    for item in items:
+        first_per_task.setdefault(item.task, item)
+    assert len(first_per_task) == 7
+    config = sc.ScoringConfig(two_way=[0.5, 0.5])  # lists are kept hashable as tuples
+    assert hash(config) == hash(sc.ScoringConfig())
+    for item in first_per_task.values():
+        inputs = sc.ItemInputs(item, memory)
+        for k in (1, 3, 8):  # one inputs object, several precedent lists
+            precedents = rt.retrieve(rt.query_from_item(item), memory, k=k)
+            for score in (sc.score_options_symbolic, sc.score_options_neural):
+                shared = score(item, precedents, memory, config, inputs=inputs)
+                assert shared == score(item, precedents, memory, config), (item.task, k)
+    other = next(it for it in items if it is not item)
+    with pytest.raises(InvalidParams):
+        sc.score_options_symbolic(other, precedents, memory, inputs=inputs)
+    with pytest.raises(InvalidParams):
+        sc.score_options_neural(item, precedents, two_route_memory()[0], inputs=inputs)
+
+
 def test_neural_range_and_no_precedents():
     memory, _ = two_route_memory()
     item = make_item(
