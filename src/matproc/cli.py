@@ -106,7 +106,9 @@ def cmd_compile(cfg: RunConfig) -> int:
     field_map = FieldMap.from_dict(cfg.field_map) if cfg.field_map else None
     graphs, warning_rows = [], []
     for row in rows:
-        record_id = str(row.get("@id") or row.get("record_id") or row.get("id") or "?")
+        record_id = "?"
+        if isinstance(row, dict):
+            record_id = str(row.get("@id") or row.get("record_id") or row.get("id") or "?")
         try:
             g = compile_graph(parse_record(row, field_map))
         except MatprocError as exc:
@@ -326,14 +328,54 @@ def cmd_ablate(cfg: RunConfig) -> int:
     return 0
 
 
-def _renderable(path: str, rows: list, keys: tuple[str, ...]) -> list[dict]:
-    """``rows`` when there is at least one and every row holds ``keys``."""
-    if not rows:
+def _is_tally(value) -> bool:
+    """An accuracy bucket the renderers can format."""
+    return isinstance(value, dict) and all(
+        isinstance(value.get(k), (int, float)) for k in ("accuracy", "correct", "total")
+    )
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str)
+
+
+# field -> check of its value, applied where the field is present
+REPORT_CHECKS = {
+    "per_task": lambda v: isinstance(v, dict) and all(map(_is_tally, v.values())),
+    "overall": _is_tally,
+    "policy": lambda v: isinstance(v, dict),
+}
+ABLATION_CHECKS = {
+    "block": _is_text,
+    "label": _is_text,
+    "report": lambda v: isinstance(v, dict) and "overall" in v and not _malformed(v, REPORT_CHECKS),
+}
+AUDIT_CHECKS = {
+    "train_of": _is_text,
+    "test_of": _is_text,
+    "fraction": lambda v: isinstance(v, (int, float)),
+}
+SPLIT_CHECKS = {"partition": _is_text}
+
+
+def _malformed(row: dict, checks: dict) -> list[str]:
+    return [k for k, ok in checks.items() if k in row and not ok(row[k])]
+
+
+def _renderable(
+    path: str, rows: list, keys: tuple[str, ...], checks: dict, allow_empty: bool = False
+) -> list[dict]:
+    """``rows`` when every row holds ``keys`` and its fields pass ``checks``;
+    unless ``allow_empty``, there must be at least one row."""
+    if not rows and not allow_empty:
         raise MalformedDocument(f"{path}: no rows to render")
     for n, row in enumerate(rows, start=1):
         missing = [k for k in keys if not isinstance(row, dict) or k not in row]
         if missing:
             raise MalformedDocument(f"{path}: row {n} has no {', '.join(missing)}")
+        malformed = _malformed(row, checks)
+        if malformed:
+            raise MalformedDocument(f"{path}: row {n} has a malformed {', '.join(malformed)}")
     return rows
 
 
@@ -342,7 +384,7 @@ def cmd_report(cfg: RunConfig) -> int:
     header, rows = read_ndjson(path)
     fmt = header.get("format", "")
     if fmt == EVAL_REPORT_FORMAT:
-        row = _renderable(path, rows, ("per_task", "overall"))[0]
+        row = _renderable(path, rows, ("per_task", "overall"), REPORT_CHECKS)[0]
         print(render_report(EvalReport.from_dict(row)))
     elif fmt == ABLATION_FORMAT:
         results = [
@@ -351,18 +393,18 @@ def cmd_report(cfg: RunConfig) -> int:
                 "label": r["label"],
                 "report": EvalReport.from_dict(r["report"]),
             }
-            for r in _renderable(path, rows, ("block", "label", "report"))
+            for r in _renderable(path, rows, ("block", "label", "report"), ABLATION_CHECKS)
         ]
         print(render_ablation_table(results))
     elif fmt == AUDIT_FORMAT:
-        for row in rows:
+        for row in _renderable(path, rows, tuple(AUDIT_CHECKS), AUDIT_CHECKS, allow_empty=True):
             print(
                 f"contamination(train of {row['train_of']}, test of {row['test_of']}) "
                 f"= {row['fraction']:.3f}"
             )
     elif fmt == SPLIT_FORMAT:
         counts: dict[str, int] = {}
-        for row in rows:
+        for row in _renderable(path, rows, tuple(SPLIT_CHECKS), SPLIT_CHECKS, allow_empty=True):
             counts[row["partition"]] = counts.get(row["partition"], 0) + 1
         print(f"protocol: {header.get('protocol', '?')}")
         for name in ("train", "dev", "test", "excluded"):

@@ -55,10 +55,13 @@ class LabelSets:
     def __init__(self, sets: Iterable[Iterable[str]]):
         sets = [set(s) for s in sets]
         self.columns = {label: i for i, label in enumerate(sorted(set().union(*sets)))}
-        self.incidence = np.zeros((len(sets), len(self.columns)), dtype=np.uint8)
-        for row, labels in enumerate(sets):
-            self.incidence[row, [self.columns[label] for label in labels]] = 1
         self.sizes = np.array([len(s) for s in sets], dtype=np.int64)
+        self.incidence = np.zeros((len(sets), len(self.columns)), dtype=np.uint8)
+        rows = np.repeat(np.arange(len(sets)), self.sizes)
+        cols = np.fromiter(
+            (self.columns[label] for labels in sets for label in labels), np.intp, len(rows)
+        )
+        self.incidence[rows, cols] = 1
 
     def jaccard(self, query: Iterable[str]) -> np.ndarray:
         labels = set(query)

@@ -151,6 +151,8 @@ def parse_record(raw_document: bytes | str | dict, field_map: FieldMap | None = 
 def _load_document(raw: bytes | str | dict) -> dict:
     if isinstance(raw, dict):
         return raw
+    if not isinstance(raw, (bytes, str)):
+        raise MalformedDocument(f"document must be a JSON object, not {type(raw).__name__}")
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8", errors="strict")
     try:
@@ -225,27 +227,26 @@ def _collect_flat(doc: dict, fm: FieldMap):
     """PROV-JSON: entity/activity maps plus used/wasGeneratedBy relation maps."""
     nodes: dict[str, dict] = {}
     relations: list[tuple[str, str, str]] = []
-    for node_id, obj in _as_map(doc.get("entity")).items():
-        nodes[node_id] = {"kind": "entity", "obj": obj}
-    for node_id, obj in _as_map(doc.get("activity")).items():
-        nodes[node_id] = {"kind": "activity", "obj": obj}
-    for key in ("used", "prov:used"):
-        for rel in _as_map(doc.get(key)).values():
-            ent = _ref_id(_first(rel, fm.relation_entity_keys))
-            act = _ref_id(_first(rel, fm.relation_activity_keys))
-            if ent and act:
-                relations.append(("usage", ent, act))
-    for key in ("wasGeneratedBy", "prov:wasGeneratedBy"):
-        for rel in _as_map(doc.get(key)).values():
-            ent = _ref_id(_first(rel, fm.relation_entity_keys))
-            act = _ref_id(_first(rel, fm.relation_activity_keys))
-            if ent and act:
-                relations.append(("generation", ent, act))
+    for kind in ("entity", "activity"):
+        for node_id, obj in _objects(doc.get(kind)):
+            nodes[node_id] = {"kind": kind, "obj": obj}
+    for kind, keys in (("usage", ("used", "prov:used")),
+                       ("generation", ("wasGeneratedBy", "prov:wasGeneratedBy"))):
+        for key in keys:
+            for _, rel in _objects(doc.get(key)):
+                ent = _ref_id(_first(rel, fm.relation_entity_keys))
+                act = _ref_id(_first(rel, fm.relation_activity_keys))
+                if ent and act:
+                    relations.append((kind, ent, act))
     return nodes, relations
 
 
-def _as_map(value) -> dict:
-    return value if isinstance(value, dict) else {}
+def _objects(value) -> list[tuple[str, dict]]:
+    """The object-valued entries of a map; like non-object @graph members,
+    anything else is skipped."""
+    if not isinstance(value, dict):
+        return []
+    return [(k, v) for k, v in value.items() if isinstance(v, dict)]
 
 
 def _build_graph(doc: dict, nodes: dict, relations: list, fm: FieldMap) -> ProcessGraph:
@@ -257,7 +258,7 @@ def _build_graph(doc: dict, nodes: dict, relations: list, fm: FieldMap) -> Proce
     if year_text is not None:
         try:
             year = int(float(year_text))
-        except ValueError:
+        except (ValueError, OverflowError):
             year = None  # unparseable optional field: dropped
     raw_class = (_as_text(_first(meta, fm.class_keys)) or "other").strip().lower()
     material_class = raw_class if raw_class in ("battery", "thermoelectric", "magnetic") else "other"

@@ -9,10 +9,13 @@ independent and a benchmark regenerates byte-identically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..canon import derive_seed
 from ..errors import PoolExhausted, RetentionFilterFailed
@@ -150,12 +153,8 @@ def instantiate_tasks(
     task = "A1_route_retrieval"
     if caps.a1 >= 1:
         gold = render_route(route)
-        rendered = Counter()
-        for r, count in pools.routes.items():
-            text = render_route(r)
-            if text != gold:
-                rendered[text] += count / (1 + abs(len(r) - len(route)))
-        distractors = sample_labels(task, 0, rendered, gold)
+        # the shared pool may hold the gold text; sample_labels excludes it
+        distractors = sample_labels(task, 0, pools.routes_near(len(route)), gold)
         if distractors is not None:
             emit(task, 0, {"product": product, "precursors": precursors}, gold, distractors)
 
@@ -229,12 +228,7 @@ def instantiate_tasks(
     complete = [i for i, act in enumerate(acts) if all(k in act.conditions for k in TUPLE_KEYS)]
     for ordinal, i in enumerate(_select_positions(select_rng(task), complete, caps.b2)):
         gold = render_condition_tuple(acts[i].conditions)
-        rendered = Counter()
-        for values, count in pools.condition_tuples.items():
-            text = render_condition_tuple(dict(zip(TUPLE_KEYS, values)))
-            if text != gold:
-                rendered[text] += count
-        distractors = sample_labels(task, ordinal, rendered, gold)
+        distractors = sample_labels(task, ordinal, pools.rendered_tuples, gold)
         if distractors is None:
             continue
         emit(task, ordinal, step_question(i), gold, distractors)
@@ -276,6 +270,26 @@ def instantiate_tasks(
     return items
 
 
+@functools.cache
+def _index_permutations(n: int) -> np.ndarray:
+    """Every permutation of range(n), one per row, in itertools order."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    perms.flags.writeable = False
+    return perms
+
+
+def _violates(perms: np.ndarray, route: list[str], constraints) -> np.ndarray:
+    """Per row of ``perms`` (indices into a route of distinct labels): does
+    the reordered route break a constraint, i.e. ``not order_satisfies``."""
+    index = {label: i for i, label in enumerate(route)}
+    pairs = [(index[a], index[b]) for a, b in constraints if a in index and b in index]
+    if not pairs:
+        return np.zeros(len(perms), dtype=bool)
+    before, after = (np.array(side) for side in zip(*pairs))
+    position = np.argsort(perms, axis=1)  # position[p, i]: where route[i] lands in row p
+    return (position[:, before] >= position[:, after]).any(axis=1)
+
+
 def _violating_permutations(
     rng: random.Random, route: list[str], constraints, need: int
 ) -> list[tuple[str, ...]] | None:
@@ -285,14 +299,11 @@ def _violating_permutations(
     longer routes fall back to seeded rejection sampling.
     """
     if len(route) <= 7:
-        bad = [
-            p
-            for p in itertools.permutations(route)
-            if not order_satisfies(list(p), constraints)
-        ]
+        perms = _index_permutations(len(route))
+        bad = perms[_violates(perms, route, constraints)]
         if len(bad) < need:
             return None
-        return sorted(rng.sample(bad, need))
+        return sorted(tuple(route[i] for i in bad[j]) for j in rng.sample(range(len(bad)), need))
     found: set[tuple[str, ...]] = set()
     for _ in range(200 * need):
         perm = list(route)

@@ -7,6 +7,7 @@ distractor is ever synthesized de novo.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ from ..provgraph import (
     step_material_outputs,
     step_tool_labels,
 )
-from .model import TUPLE_KEYS
+from .model import TUPLE_KEYS, render_condition_tuple, render_route
 
 
 @dataclass
@@ -36,6 +37,24 @@ class DistractorPools:
     values_by_activity: dict[tuple[str, str], Counter] = field(default_factory=dict)
     # form-transition sub-pool: (input form, output form) -> activity labels
     activities_by_form_transition: dict[tuple[str, str], Counter] = field(default_factory=dict)
+    # every pool route rendered once, in pool order: (text, route length, count)
+    rendered_routes: list[tuple[str, int, int]] = field(default_factory=list)
+    rendered_tuples: Counter = field(default_factory=Counter)  # rendered condition tuple -> count
+    _routes_by_length: dict[int, Counter] = field(default_factory=dict, repr=False, compare=False)
+
+    def routes_near(self, length: int) -> Counter:
+        """Rendered routes, each weighted ``count / (1 + |len(r) - length|)``.
+
+        Summed per text in pool order, so every weight is the float a
+        per-graph pass would compute; built on first use of each length.
+        """
+        pool = self._routes_by_length.get(length)
+        if pool is None:
+            pool = Counter()
+            for text, route_len, count in self.rendered_routes:
+                pool[text] += count / (1 + abs(route_len - length))
+            self._routes_by_length[length] = pool
+        return pool
 
 
 def build_candidate_pools(corpus: list[ProcessGraph]) -> DistractorPools:
@@ -66,6 +85,9 @@ def build_candidate_pools(corpus: list[ProcessGraph]) -> DistractorPools:
             for fin in set(in_forms):
                 for fout in set(out_forms):
                     pools.activities_by_form_transition.setdefault((fin, fout), Counter())[label] += 1
+    pools.rendered_routes = [(render_route(r), len(r), count) for r, count in pools.routes.items()]
+    for values, count in pools.condition_tuples.items():
+        pools.rendered_tuples[render_condition_tuple(dict(zip(TUPLE_KEYS, values)))] += count
     return pools
 
 
@@ -80,12 +102,12 @@ def weighted_distinct_sample(rng, pool: Counter, n: int, exclude=()) -> list:
     candidates = sorted(k for k in pool if k not in excluded)
     if len(candidates) < n:
         raise PoolExhausted(f"pool holds {len(candidates)} candidates, {n} needed")
-    weights = [pool[k] for k in candidates]
+    cum_weights = list(itertools.accumulate(pool[k] for k in candidates))
     chosen: list = []
     seen = set()
     attempts = 0
     while len(chosen) < n and attempts < 50 * n:
-        pick = rng.choices(candidates, weights=weights, k=1)[0]
+        pick = rng.choices(candidates, cum_weights=cum_weights, k=1)[0]
         attempts += 1
         if pick not in seen:
             seen.add(pick)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from matproc import cli
 from matproc.config import PATH_KEYS, RunConfig, load_config_file
 from matproc.errors import ConfigConflict
 from matproc.jsonio import read_ndjson, write_ndjson
+from matproc.provgraph import SynthParams, generate_synthetic_corpus, to_prov_document
 from matproc.runner import DEFAULT_BUDGETS
 
 
@@ -552,3 +556,62 @@ def test_compile_logs_excluded_records(tmp_path, capsys):
     assert any(
         w["record_id"] == "loop1" and "CyclicPrecedence" in w["warning"] for w in warn_rows
     )
+
+
+@pytest.mark.parametrize(
+    "fmt, rows",
+    [
+        (cli.ABLATION_FORMAT, [{"block": "module", "label": "full", "report": {}}]),
+        (cli.ABLATION_FORMAT,
+         [{"block": "module", "label": "full", "report": {"overall": {"correct": 1, "total": 2}}}]),
+        (cli.EVAL_REPORT_FORMAT,
+         [{"per_task": {}, "overall": {"accuracy": "high", "correct": 1, "total": 2}}]),
+        (cli.EVAL_REPORT_FORMAT,
+         [{"per_task": {"A1": {"accuracy": 0.5}},
+           "overall": {"accuracy": 0.5, "correct": 1, "total": 2}}]),
+        (cli.AUDIT_FORMAT, [{"train_of": "random", "fraction": 0.5}]),
+        (cli.AUDIT_FORMAT, [{"train_of": "random", "test_of": "year", "fraction": "half"}]),
+        (cli.SPLIT_FORMAT, [{"item_id": "g1:A1_route_retrieval:0"}]),
+        (cli.SPLIT_FORMAT, [{"item_id": "g1:A1_route_retrieval:0", "partition": ["test"]}]),
+    ],
+    ids=["ablation-empty-report", "ablation-no-accuracy", "eval-text-accuracy",
+         "eval-task-no-tally", "audit-no-test-of", "audit-text-fraction", "split-no-partition",
+         "split-list-partition"],
+)
+def test_report_rejects_rows_without_renderable_fields(tmp_path, capsys, fmt, rows):
+    path = tmp_path / "artifact.ndjson"
+    write_ndjson(path, {"format": fmt}, rows)
+    assert cli.dispatch(["report", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(path) in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_compile_excludes_rows_that_are_not_objects(tmp_path, capsys):
+    raw = tmp_path / "raw.ndjson"
+    good = to_prov_document(generate_synthetic_corpus(SynthParams(n_records=1), seed=3)[0])
+    lines = ['{"format": "matproc-raw-prov"}', "[1, 2]", json.dumps(good), "null", '"text"']
+    raw.write_text("\n".join(lines) + "\n")
+    graphs = tmp_path / "graphs.ndjson"
+    warnings = tmp_path / "warn.ndjson"
+    code = cli.dispatch(
+        ["compile", "--in", str(raw), "--out", str(graphs), "--warnings", str(warnings)]
+    )
+    assert code == 0
+    assert "compiled 1 graphs (3 records excluded)" in capsys.readouterr().out
+    _, warn_rows = read_ndjson(warnings)
+    excluded = [w for w in warn_rows if w["warning"].startswith("excluded:")]
+    assert [w["record_id"] for w in excluded] == ["?", "?", "?"]
+    assert all("MalformedDocument" in w["warning"] for w in excluded)
+
+
+def test_python_dash_m_matproc_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    )}
+    done = subprocess.run(
+        [sys.executable, "-m", "matproc", "--help"], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage: matproc" in done.stdout

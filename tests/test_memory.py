@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import copy
 import math
+import random
 
+import numpy as np
 import pytest
 
 from matproc.errors import EmptyLibrary, EmptyTrainSet, MalformedDocument
 from matproc.memory import (
+    LabelSets,
     ProcessMemory,
     StepEntry,
     StepQuery,
@@ -329,3 +332,23 @@ def test_memory_serialization_deterministic(tmp_path):
     save_memory(p1, build_memory(corpus, split_id="s"))
     save_memory(p2, build_memory(corpus, split_id="s"))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("n_sets", [0, 1, 40])
+def test_label_sets_match_row_by_row_incidence(n_sets):
+    rng = random.Random(n_sets)
+    vocab = [f"label {i}" for i in range(12)]
+    sets = [rng.sample(vocab, rng.randrange(0, 6)) for _ in range(n_sets)]
+    sets += [["mill", "mill", "sinter"], []][: min(n_sets, 2)]  # duplicates and an empty set
+    built = LabelSets(sets)
+    uniq = [set(s) for s in sets]
+    columns = {label: i for i, label in enumerate(sorted(set().union(*uniq)))}
+    incidence = np.zeros((len(uniq), len(columns)), dtype=np.uint8)
+    for row, labels in enumerate(uniq):
+        incidence[row, [columns[label] for label in labels]] = 1
+    assert built.columns == columns
+    assert built.incidence.dtype == incidence.dtype
+    assert np.array_equal(built.incidence, incidence)
+    assert np.array_equal(built.sizes, [len(s) for s in uniq]) and built.sizes.dtype == np.int64
+    for query in (vocab[:3], ["mill", "absent"], []):
+        assert built.jaccard(query).tolist() == [jaccard(query, s) for s in sets]
