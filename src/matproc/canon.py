@@ -7,8 +7,9 @@ memory keys, gold recovery); originals are preserved on the parsed nodes.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
+
+from .jsonio import dumps_line as canonical_json
 
 _WS = re.compile(r"\s+")
 
@@ -24,11 +25,6 @@ def canon_value(text: str) -> str:
     Trim, collapse whitespace, lowercase unit tokens. No unit conversion.
     """
     return _WS.sub(" ", text.strip()).lower()
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON rendering (sorted keys, compact separators)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def stable_hash(obj) -> str:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import requests
 
 from .errors import ClientTimeout
+from .jsonio import Record
 
 CHAT_URL_VAR = "MATPROC_CHAT_URL"
 CHAT_TOKEN_VAR = "MATPROC_CHAT_TOKEN"
@@ -27,7 +28,7 @@ _PLAN_INSTRUCTION = "Write a brief plan"
 
 
 @dataclass
-class ChatExchange:
+class ChatExchange(Record):
     """One request/response pair, replayable from its serialized form."""
 
     messages: list[dict]
@@ -35,25 +36,6 @@ class ChatExchange:
     temperature: float = 0.0
     response_text: str = ""
     finish_reason: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "messages": [dict(m) for m in self.messages],
-            "max_new_tokens": self.max_new_tokens,
-            "temperature": self.temperature,
-            "response_text": self.response_text,
-            "finish_reason": self.finish_reason,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChatExchange":
-        return cls(
-            messages=[dict(m) for m in d["messages"]],
-            max_new_tokens=int(d["max_new_tokens"]),
-            temperature=float(d.get("temperature", 0.0)),
-            response_text=d.get("response_text", ""),
-            finish_reason=d.get("finish_reason", ""),
-        )
 
 
 class HttpChatClient:

@@ -20,6 +20,7 @@ from . import __version__
 from .config import RunConfig, load_config_file
 from .errors import (
     ConfigConflict,
+    EmptyCorpus,
     EmptyTestPartition,
     EndpointError,
     MalformedDocument,
@@ -27,7 +28,7 @@ from .errors import (
     UnknownCommand,
     UsageError,
 )
-from .jsonio import FORMAT_VERSION, read_ndjson, write_ndjson
+from .jsonio import artifact_header, read_ndjson, write_ndjson
 from .memory import build_memory, load_memory, save_memory
 from .provgraph import (
     FieldMap,
@@ -79,13 +80,7 @@ ABLATION_FORMAT = "matproc-ablation"
 
 
 def _header(fmt: str, cfg: RunConfig, **extra) -> dict:
-    return {
-        "format": fmt,
-        "version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "config_hash": cfg.config_hash(),
-        **extra,
-    }
+    return artifact_header(fmt, config_hash=cfg.config_hash(), **extra)
 
 
 # --- stage handlers ---------------------------------------------------------------------
@@ -163,6 +158,8 @@ def _split_kwargs(cfg: RunConfig, protocol: str) -> dict:
 
 def cmd_split(cfg: RunConfig) -> int:
     items = load_items(cfg.path("bench"))
+    if not items:  # an assignment of no items would leave nothing to evaluate or render
+        raise EmptyCorpus(f"{cfg.path('bench')}: no items to split")
     assignment = split_items(
         items, cfg.protocol, seed=cfg.seed, **_split_kwargs(cfg, cfg.protocol)
     )
@@ -229,7 +226,7 @@ def cmd_build_memory(cfg: RunConfig) -> int:
     )
     if cfg.embeddings:
         embedder = get_text_embedder(
-            cfg.endpoints["embed_url"] or None, cfg.endpoints["embed_token"] or None
+            cfg.endpoints.embed_url or None, cfg.endpoints.embed_token or None
         )
         attach_embeddings(
             memory, selected, struct_seed=cfg.struct_seed, text_embedder=embedder
@@ -246,7 +243,7 @@ def _chat_client(cfg: RunConfig):
     from .chat import get_chat_client
 
     return get_chat_client(
-        cfg.endpoints["chat_url"] or None, cfg.endpoints["chat_token"] or None
+        cfg.endpoints.chat_url or None, cfg.endpoints.chat_token or None
     )
 
 
@@ -299,9 +296,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         )
         report.log_path = cfg.paths["log"]
     if cfg.paths.get("report"):
-        write_ndjson(
-            cfg.paths["report"], _header(EVAL_REPORT_FORMAT, cfg), [report.to_dict()]
-        )
+        write_ndjson(cfg.paths["report"], _header(EVAL_REPORT_FORMAT, cfg), [report])
     print(render_report(report))
     return 0
 
@@ -318,12 +313,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
         axes=cfg.axes,
         jobs=cfg.jobs,
     )
-    rows = [
-        {"block": r["block"], "label": r["label"], "report": r["report"].to_dict()}
-        for r in results
-    ]
     if cfg.paths.get("report"):
-        write_ndjson(cfg.paths["report"], _header(ABLATION_FORMAT, cfg), rows)
+        write_ndjson(cfg.paths["report"], _header(ABLATION_FORMAT, cfg), results)
     print(render_ablation_table(results))
     return 0
 
@@ -362,12 +353,10 @@ def _malformed(row: dict, checks: dict) -> list[str]:
     return [k for k, ok in checks.items() if k in row and not ok(row[k])]
 
 
-def _renderable(
-    path: str, rows: list, keys: tuple[str, ...], checks: dict, allow_empty: bool = False
-) -> list[dict]:
-    """``rows`` when every row holds ``keys`` and its fields pass ``checks``;
-    unless ``allow_empty``, there must be at least one row."""
-    if not rows and not allow_empty:
+def _renderable(path: str, rows: list, keys: tuple[str, ...], checks: dict) -> list[dict]:
+    """``rows`` when there is at least one, every row holds ``keys`` and its
+    fields pass ``checks``."""
+    if not rows:
         raise MalformedDocument(f"{path}: no rows to render")
     for n, row in enumerate(rows, start=1):
         missing = [k for k in keys if not isinstance(row, dict) or k not in row]
@@ -397,14 +386,14 @@ def cmd_report(cfg: RunConfig) -> int:
         ]
         print(render_ablation_table(results))
     elif fmt == AUDIT_FORMAT:
-        for row in _renderable(path, rows, tuple(AUDIT_CHECKS), AUDIT_CHECKS, allow_empty=True):
+        for row in _renderable(path, rows, tuple(AUDIT_CHECKS), AUDIT_CHECKS):
             print(
                 f"contamination(train of {row['train_of']}, test of {row['test_of']}) "
                 f"= {row['fraction']:.3f}"
             )
     elif fmt == SPLIT_FORMAT:
         counts: dict[str, int] = {}
-        for row in _renderable(path, rows, tuple(SPLIT_CHECKS), SPLIT_CHECKS, allow_empty=True):
+        for row in _renderable(path, rows, tuple(SPLIT_CHECKS), SPLIT_CHECKS):
             counts[row["partition"]] = counts.get(row["partition"], 0) + 1
         print(f"protocol: {header.get('protocol', '?')}")
         for name in ("train", "dev", "test", "excluded"):

@@ -14,10 +14,13 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .canon import stable_hash
-from .errors import ConfigConflict
+from .errors import ConfigConflict, MalformedDocument
+from .jsonio import Record, check_fields
+from .memory import DEFAULT_MAX_PREFIX_LEN
 from .retrieval import DEFAULT_STRUCT_SEED, RetrievalWeights
-from .runner import DEFAULT_BUDGETS, PolicyConfig
-from .scoring import DEFAULT_LAMBDA, ScoringConfig
+from .runner import PolicyConfig
+from .scoring import ScoringConfig
+from .taskgen import DEFAULT_K
 
 PATH_KEYS = (
     "raw",
@@ -33,55 +36,40 @@ PATH_KEYS = (
 )
 
 
-def _default_weights() -> dict:
-    return RetrievalWeights().to_dict()
-
-
-def _default_scoring() -> dict:
-    return ScoringConfig().to_dict()
-
-
-def _default_runner() -> dict:
-    return {
-        "planning": True,
-        "fallback": True,
-        "budgets": dict(DEFAULT_BUDGETS),
-        "few_shot_count": 3,
-        "few_shot_seed": 42,
-        "rag_k": 3,
-        "graph_k": 3,
-        "graph_hops": 1,
-        "log_full_prompts": False,
-    }
-
-
-def _default_endpoints() -> dict:
-    return {"embed_url": "", "embed_token": "", "chat_url": "", "chat_token": ""}
+@dataclass
+class Endpoints:
+    embed_url: str = ""
+    embed_token: str = ""
+    chat_url: str = ""
+    chat_token: str = ""
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Record):
+    load_error = ConfigConflict
+
     paths: dict[str, str] = field(default_factory=dict)
     seed: int = 0
-    k_options: int = 4
+    k_options: int = DEFAULT_K
     n_records: int = 200
     protocol: str = "random"
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     held_out_class: str = "battery"
     dev_ratio: float = 0.1
     partition: str = "test"
-    max_prefix_len: int = 4
+    max_prefix_len: int = DEFAULT_MAX_PREFIX_LEN
     struct_seed: int = DEFAULT_STRUCT_SEED
     embeddings: bool = True
     field_map: dict | None = None
     caps: dict | None = None
-    weights: dict = field(default_factory=_default_weights)
-    top_k: int = 8
-    lam: float = DEFAULT_LAMBDA
-    policy: str = "argmax_hybrid"
-    scoring: dict = field(default_factory=_default_scoring)
-    runner: dict = field(default_factory=_default_runner)
-    endpoints: dict = field(default_factory=_default_endpoints)
+    weights: RetrievalWeights = field(default_factory=RetrievalWeights)
+    top_k: int = PolicyConfig.top_k
+    lam: float = PolicyConfig.lam
+    policy: str = PolicyConfig.policy
+    scoring: ScoringConfig = field(default_factory=ScoringConfig)
+    # PolicyConfig's knobs that have no field here; missing ones take its defaults
+    runner: dict = field(default_factory=dict)
+    endpoints: Endpoints = field(default_factory=Endpoints)
     pairs: str = ""
     axes: list[str] | None = None
     jobs: int = 1
@@ -91,49 +79,16 @@ class RunConfig:
         strangers = set(self.paths) - set(PATH_KEYS)
         if strangers:
             raise ConfigConflict(f"unknown path keys: {sorted(strangers)}")
-        self.runner = {**_default_runner(), **self.runner}
-        self.endpoints = {**_default_endpoints(), **self.endpoints}
-
-    def to_dict(self) -> dict:
-        return {
-            "paths": dict(sorted(self.paths.items())),
-            "seed": self.seed,
-            "k_options": self.k_options,
-            "n_records": self.n_records,
-            "protocol": self.protocol,
-            "ratios": list(self.ratios),
-            "held_out_class": self.held_out_class,
-            "dev_ratio": self.dev_ratio,
-            "partition": self.partition,
-            "max_prefix_len": self.max_prefix_len,
-            "struct_seed": self.struct_seed,
-            "embeddings": self.embeddings,
-            "field_map": dict(self.field_map) if self.field_map is not None else None,
-            "caps": dict(self.caps) if self.caps is not None else None,
-            "weights": dict(self.weights),
-            "top_k": self.top_k,
-            "lam": self.lam,
-            "policy": self.policy,
-            "scoring": dict(self.scoring),
-            "runner": dict(self.runner),
-            "endpoints": dict(self.endpoints),
-            "pairs": self.pairs,
-            "axes": list(self.axes) if self.axes is not None else None,
-            "jobs": self.jobs,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        strangers = set(d) - known
+        own = {f.name for f in fields(self)}
+        defaults = {k: v for k, v in PolicyConfig().to_dict().items() if k not in own}
+        strangers = set(self.runner) - set(defaults)
         if strangers:
-            raise ConfigConflict(f"unknown configuration keys: {sorted(strangers)}")
-        kwargs = dict(d)
-        if "ratios" in kwargs:
-            kwargs["ratios"] = tuple(kwargs["ratios"])
-        if kwargs.get("axes") is not None:
-            kwargs["axes"] = list(kwargs["axes"])
-        return cls(**kwargs)
+            raise ConfigConflict(f"unknown runner keys: {sorted(strangers)}")
+        self.runner = {**defaults, **self.runner}
+        try:
+            check_fields(PolicyConfig, self.runner)
+        except MalformedDocument as exc:
+            raise ConfigConflict(f"runner: {exc}") from exc
 
     def merged(self, overrides: dict) -> "RunConfig":
         """A copy with ``overrides`` applied; nested dicts merge per key."""
@@ -162,33 +117,11 @@ class RunConfig:
         }
         return stable_hash(d)
 
-    # --- stage-object views -------------------------------------------------------------
-
-    def retrieval_weights(self) -> RetrievalWeights:
-        return RetrievalWeights(**self.weights)
-
-    def scoring_config(self) -> ScoringConfig:
-        return ScoringConfig.from_dict(self.scoring)
-
     def policy_config(self) -> PolicyConfig:
-        r = self.runner
-        return PolicyConfig(
-            policy=self.policy,
-            lam=self.lam,
-            top_k=self.top_k,
-            weights=self.retrieval_weights(),
-            scoring=self.scoring_config(),
-            planning=bool(r["planning"]),
-            fallback=bool(r["fallback"]),
-            budgets={**DEFAULT_BUDGETS, **r["budgets"]},
-            few_shot_count=int(r["few_shot_count"]),
-            few_shot_seed=int(r["few_shot_seed"]),
-            rag_k=int(r["rag_k"]),
-            graph_k=int(r["graph_k"]),
-            graph_hops=int(r["graph_hops"]),
-            seed=self.seed,
-            log_full_prompts=bool(r["log_full_prompts"]),
-        )
+        """The runner knobs, with the policy fields this config holds itself."""
+        d = self.to_dict()
+        shared = {f.name: d[f.name] for f in fields(PolicyConfig) if f.name in d}
+        return PolicyConfig.from_dict({**d["runner"], **shared})
 
     def path(self, key: str) -> str:
         if key not in PATH_KEYS:

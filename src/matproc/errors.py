@@ -44,7 +44,7 @@ class InvalidParams(DataError):
 # --- benchmark generation ----------------------------------------------------
 
 class EmptyCorpus(DataError):
-    """Candidate pools requested over an empty corpus."""
+    """Candidate pools or a split requested over an empty corpus."""
 
 
 class RetentionFilterFailed(DataError):

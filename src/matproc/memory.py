@@ -17,10 +17,9 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from . import __version__
 from .canon import canon_label
 from .errors import EmptyLibrary, EmptyTrainSet, MalformedDocument
-from .jsonio import FORMAT_VERSION, read_ndjson, write_ndjson
+from .jsonio import Record, artifact_header, read_ndjson, record_fields, write_ndjson
 from .provgraph import (
     ProcessGraph,
     precursor_labels,
@@ -74,7 +73,7 @@ class LabelSets:
 
 
 @dataclass
-class ProcessSummary:
+class ProcessSummary(Record):
     graph_id: str
     route: list[str]
     precursors: list[str]
@@ -85,28 +84,9 @@ class ProcessSummary:
     def route_length(self) -> int:
         return len(self.route)
 
-    def to_dict(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "route": list(self.route),
-            "precursors": list(self.precursors),
-            "products": list(self.products),
-            "tools": list(self.tools),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProcessSummary":
-        return cls(
-            graph_id=d["graph_id"],
-            route=list(d["route"]),
-            precursors=list(d["precursors"]),
-            products=list(d["products"]),
-            tools=list(d["tools"]),
-        )
-
 
 @dataclass
-class StepEntry:
+class StepEntry(Record):
     graph_id: str
     activity: str
     position: int
@@ -119,39 +99,6 @@ class StepEntry:
     input_forms: list[str] = field(default_factory=list)
     output_labels: list[str] = field(default_factory=list)
     output_forms: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "activity": self.activity,
-            "position": self.position,
-            "norm_position": self.norm_position,
-            "prev_activity": self.prev_activity,
-            "next_activity": self.next_activity,
-            "tools": list(self.tools),
-            "conditions": dict(self.conditions),
-            "input_labels": list(self.input_labels),
-            "input_forms": list(self.input_forms),
-            "output_labels": list(self.output_labels),
-            "output_forms": list(self.output_forms),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StepEntry":
-        return cls(
-            graph_id=d["graph_id"],
-            activity=d["activity"],
-            position=int(d["position"]),
-            norm_position=float(d["norm_position"]),
-            prev_activity=d.get("prev_activity"),
-            next_activity=d.get("next_activity"),
-            tools=list(d.get("tools", [])),
-            conditions=dict(d.get("conditions", {})),
-            input_labels=list(d.get("input_labels", [])),
-            input_forms=list(d.get("input_forms", [])),
-            output_labels=list(d.get("output_labels", [])),
-            output_forms=list(d.get("output_forms", [])),
-        )
 
 
 @dataclass
@@ -465,23 +412,21 @@ def linearize_process(memory: ProcessMemory, graph_id: str) -> str:
 # --- persistence -----------------------------------------------------------------
 
 def save_memory(path: str | Path, memory: ProcessMemory, config_hash: str = "") -> int:
-    header = {
-        "format": MEMORY_FORMAT,
-        "version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "config_hash": config_hash,
-        "split_id": memory.split_id,
-        "max_prefix_len": memory.max_prefix_len,
-        "linearization": LINEARIZATION_VERSION,
-    }
+    header = artifact_header(
+        MEMORY_FORMAT,
+        config_hash=config_hash,
+        split_id=memory.split_id,
+        max_prefix_len=memory.max_prefix_len,
+        linearization=LINEARIZATION_VERSION,
+    )
     rows: list[dict] = []
     for p in memory.processes:
-        row = {"kind": "process", **p.to_dict()}
+        row = {"kind": "process", **record_fields(p)}
         vectors = memory.embedding_store.get(p.graph_id)
         if vectors:
             row["embeddings"] = vectors
         rows.append(row)
-    rows.extend({"kind": "step", **e.to_dict()} for e in memory.step_library)
+    rows.extend({"kind": "step", **record_fields(e)} for e in memory.step_library)
     rows.extend(
         {"kind": "transition", "a": a, "b": b, "count": c}
         for (a, b), c in sorted(memory.transition_table.items())

@@ -11,66 +11,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import MalformedDocument
+from ..jsonio import TRANSIENT, Record
 
 MATERIAL_CLASSES = ("battery", "thermoelectric", "magnetic", "other")
 ROLES = ("precursor", "intermediate", "product", "tool", "unconnected")
 
 
 @dataclass
-class EntityNode:
+class EntityNode(Record):
     id: str
     label: str
     kind: str  # "material" | "tool"
     attributes: dict[str, str] = field(default_factory=dict)
     role: str | None = None  # filled by assign_roles
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "label": self.label,
-            "kind": self.kind,
-            "attributes": dict(self.attributes),
-            "role": self.role,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EntityNode":
-        return cls(
-            id=d["id"],
-            label=d["label"],
-            kind=d["kind"],
-            attributes=dict(d.get("attributes", {})),
-            role=d.get("role"),
-        )
-
 
 @dataclass
-class ActivityNode:
+class ActivityNode(Record):
     id: str
     label: str
     conditions: dict[str, str] = field(default_factory=dict)
     source_position: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "label": self.label,
-            "conditions": dict(self.conditions),
-            "source_position": self.source_position,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ActivityNode":
-        return cls(
-            id=d["id"],
-            label=d["label"],
-            conditions=dict(d.get("conditions", {})),
-            source_position=int(d.get("source_position", 0)),
-        )
-
 
 @dataclass
-class ProcessGraph:
+class ProcessGraph(Record):
     """One synthesis record as a typed heterogeneous directed graph."""
 
     record_id: str
@@ -83,7 +48,7 @@ class ProcessGraph:
     usage_edges: list[tuple[str, str]] = field(default_factory=list)  # (entity, activity)
     generation_edges: list[tuple[str, str]] = field(default_factory=list)  # (activity, entity)
     ordered_activity_ids: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)  # parse-time diagnostics, not serialized
+    warnings: list[str] = field(default_factory=list, metadata=TRANSIENT)  # parse-time diagnostics
 
     # --- lookups -------------------------------------------------------------
 
@@ -107,37 +72,6 @@ class ProcessGraph:
     def ordered_activities(self) -> list[ActivityNode]:
         by_id = self.activity_by_id()
         return [by_id[i] for i in self.ordered_activity_ids]
-
-    # --- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "record_id": self.record_id,
-            "doi": self.doi,
-            "year": self.year,
-            "material_class": self.material_class,
-            "material_entities": [e.to_dict() for e in self.material_entities],
-            "tool_entities": [e.to_dict() for e in self.tool_entities],
-            "activities": [a.to_dict() for a in self.activities],
-            "usage_edges": [list(e) for e in self.usage_edges],
-            "generation_edges": [list(e) for e in self.generation_edges],
-            "ordered_activity_ids": list(self.ordered_activity_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProcessGraph":
-        return cls(
-            record_id=d["record_id"],
-            doi=d.get("doi", ""),
-            year=d.get("year"),
-            material_class=d.get("material_class", "other"),
-            material_entities=[EntityNode.from_dict(x) for x in d.get("material_entities", [])],
-            tool_entities=[EntityNode.from_dict(x) for x in d.get("tool_entities", [])],
-            activities=[ActivityNode.from_dict(x) for x in d.get("activities", [])],
-            usage_edges=[tuple(e) for e in d.get("usage_edges", [])],
-            generation_edges=[tuple(e) for e in d.get("generation_edges", [])],
-            ordered_activity_ids=list(d.get("ordered_activity_ids", [])),
-        )
 
 
 def validate_graph(g: ProcessGraph) -> None:

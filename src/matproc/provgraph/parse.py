@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 
 from ..canon import canon_value
 from ..errors import EmptyRecord, MalformedDocument
+from ..jsonio import Record
 from .model import ActivityNode, EntityNode, ProcessGraph, validate_graph
 
 
 @dataclass
-class FieldMap:
+class FieldMap(Record):
     """Declares which document keys carry what.
 
     All matching is exact on the key after stripping a namespace prefix is
@@ -61,15 +62,6 @@ class FieldMap:
     record_id_keys: tuple[str, ...] = ("@id", "record_id", "id")
     # attribute keys never copied into entity attributes / activity conditions
     reserved_keys: tuple[str, ...] = ("@id", "@type", "id", "type")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FieldMap":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise MalformedDocument(f"field map: unknown keys {sorted(unknown)}")
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-        return cls(**kwargs)
 
 
 def _first(d: dict, keys: tuple[str, ...]):

@@ -1,44 +1,18 @@
-"""Compiled-graph store: newline-delimited graphs with a version header,
-plus a separate parse-warning log."""
+"""Compiled-graph store: newline-delimited graphs with a version header."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .. import __version__
-from ..jsonio import FORMAT_VERSION, read_ndjson, write_ndjson
+from ..jsonio import artifact_header, read_ndjson, write_ndjson
 from .model import ProcessGraph
 
 GRAPH_FORMAT = "matproc-graphs"
-WARNING_FORMAT = "matproc-parse-warnings"
 
 
-def write_graph_store(
-    path: str | Path,
-    graphs: list[ProcessGraph],
-    config_hash: str = "",
-    warnings_path: str | Path | None = None,
-) -> int:
-    header = {
-        "format": GRAPH_FORMAT,
-        "version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "config_hash": config_hash,
-        "count": len(graphs),
-    }
-    n = write_ndjson(path, header, (g.to_dict() for g in graphs))
-    if warnings_path is not None:
-        rows = [
-            {"record_id": g.record_id, "warning": w}
-            for g in graphs
-            for w in g.warnings
-        ]
-        write_ndjson(
-            warnings_path,
-            {"format": WARNING_FORMAT, "version": FORMAT_VERSION, "tool_version": __version__},
-            rows,
-        )
-    return n
+def write_graph_store(path: str | Path, graphs: list[ProcessGraph], config_hash: str = "") -> int:
+    header = artifact_header(GRAPH_FORMAT, config_hash=config_hash, count=len(graphs))
+    return write_ndjson(path, header, graphs)
 
 
 def read_graph_store(path: str | Path) -> tuple[dict, list[ProcessGraph]]:

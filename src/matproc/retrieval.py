@@ -24,6 +24,7 @@ import requests
 
 from .canon import canon_label, derive_seed
 from .errors import EmbedderUnavailable, EmbeddingDimensionMismatch, EmptyMemory, InvalidParams
+from .jsonio import Record
 from .memory import (
     LabelSets,
     ProcessMemory,
@@ -47,7 +48,7 @@ EMBED_TOKEN_VAR = "MATPROC_EMBED_TOKEN"
 # --- weights ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RetrievalWeights:
+class RetrievalWeights(Record):
     alpha: float = 0.4  # text
     beta: float = 0.3  # structure
     gamma: float = 0.3  # heuristic
@@ -62,7 +63,8 @@ class RetrievalWeights:
     @classmethod
     def for_views(cls, views) -> "RetrievalWeights":
         """Default weights restricted to a view subset and renormalized."""
-        base = {"text": 0.4, "structure": 0.3, "heuristic": 0.3}
+        default = cls()
+        base = {"text": default.alpha, "structure": default.beta, "heuristic": default.gamma}
         unknown = set(views) - set(base)
         if unknown:
             raise InvalidParams(f"unknown retrieval views: {sorted(unknown)}")
@@ -76,26 +78,14 @@ class RetrievalWeights:
             gamma=kept["heuristic"] / total,
         )
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}
-
 
 @dataclass
-class RetrievedPrecedent:
+class RetrievedPrecedent(Record):
     graph_id: str
     s_text: float
     s_struct: float
     s_heur: float
     s_ret: float
-
-    def to_dict(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "s_text": self.s_text,
-            "s_struct": self.s_struct,
-            "s_heur": self.s_heur,
-            "s_ret": self.s_ret,
-        }
 
 
 # --- text embedding ----------------------------------------------------------------

@@ -26,10 +26,12 @@ from .errors import (
     MatprocError,
     UnknownItemId,
 )
+from .jsonio import TRANSIENT, Record
 from .memory import ProcessMemory
 from .prompts import build_prompt, parse_answer
-from .retrieval import RetrievalWeights, dense_index, query_from_item, retrieve
+from .retrieval import DEFAULT_TOP_K, RetrievalWeights, dense_index, query_from_item, retrieve
 from .scoring import (
+    DEFAULT_LAMBDA,
     ItemInputs,
     OptionScores,
     ScoringConfig,
@@ -61,15 +63,15 @@ DEFAULT_BUDGETS = {"planning": 96, "answer": 48, "baseline": 16}
 
 
 @dataclass
-class PolicyConfig:
+class PolicyConfig(Record):
     policy: str = "argmax_hybrid"
-    lam: float = 0.5
-    top_k: int = 8
+    lam: float = DEFAULT_LAMBDA
+    top_k: int = DEFAULT_TOP_K
     weights: RetrievalWeights = field(default_factory=RetrievalWeights)
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
     planning: bool = True
     fallback: bool = True
-    budgets: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
+    budgets: dict[str, int] = field(default_factory=dict)  # missing names take DEFAULT_BUDGETS
     few_shot_count: int = 3
     few_shot_seed: int = 42
     rag_k: int = 3
@@ -79,6 +81,7 @@ class PolicyConfig:
     log_full_prompts: bool = False
 
     def __post_init__(self):
+        self.budgets = {**DEFAULT_BUDGETS, **self.budgets}
         if self.policy not in POLICIES:
             raise InvalidParams(f"unknown policy {self.policy!r}")
         if not 0.0 <= self.lam <= 1.0:
@@ -94,77 +97,19 @@ class PolicyConfig:
             if value < 1:
                 raise InvalidParams(f"{name} must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "lam": self.lam,
-            "top_k": self.top_k,
-            "weights": self.weights.to_dict(),
-            "scoring": self.scoring.to_dict(),
-            "planning": self.planning,
-            "fallback": self.fallback,
-            "budgets": dict(self.budgets),
-            "few_shot_count": self.few_shot_count,
-            "few_shot_seed": self.few_shot_seed,
-            "rag_k": self.rag_k,
-            "graph_k": self.graph_k,
-            "graph_hops": self.graph_hops,
-            "seed": self.seed,
-            "log_full_prompts": self.log_full_prompts,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolicyConfig":
-        return cls(
-            policy=d.get("policy", "argmax_hybrid"),
-            lam=float(d.get("lam", 0.5)),
-            top_k=int(d.get("top_k", 8)),
-            weights=RetrievalWeights(**d["weights"]) if "weights" in d else RetrievalWeights(),
-            scoring=ScoringConfig.from_dict(d.get("scoring", {})),
-            planning=bool(d.get("planning", True)),
-            fallback=bool(d.get("fallback", True)),
-            budgets={**DEFAULT_BUDGETS, **d.get("budgets", {})},
-            few_shot_count=int(d.get("few_shot_count", 3)),
-            few_shot_seed=int(d.get("few_shot_seed", 42)),
-            rag_k=int(d.get("rag_k", 3)),
-            graph_k=int(d.get("graph_k", 3)),
-            graph_hops=int(d.get("graph_hops", 1)),
-            seed=int(d.get("seed", 0)),
-            log_full_prompts=bool(d.get("log_full_prompts", False)),
-        )
-
 
 @dataclass
-class EvalReport:
+class EvalReport(Record):
     split_id: str
     policy: dict
     per_task: dict[str, dict]
     overall: dict
-    wall_clock_s: float = 0.0  # human-facing only: kept out of to_dict
+    wall_clock_s: float = field(default=0.0, metadata=TRANSIENT)  # human-facing only
     log_path: str = ""
 
     @property
     def accuracy(self) -> float:
         return self.overall["accuracy"]
-
-    def to_dict(self) -> dict:
-        return {
-            "split_id": self.split_id,
-            "policy": self.policy,
-            "per_task": self.per_task,
-            "overall": self.overall,
-            "log_path": self.log_path,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            split_id=d.get("split_id", ""),
-            policy=dict(d.get("policy", {})),
-            per_task={k: dict(v) for k, v in d.get("per_task", {}).items()},
-            overall=dict(d.get("overall", {})),
-            log_path=d.get("log_path", ""),
-        )
 
 
 def answer_argmax(scores: OptionScores) -> int:

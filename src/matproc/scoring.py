@@ -21,6 +21,7 @@ import numpy as np
 
 from .canon import canon_value
 from .errors import ArityMismatch, InvalidParams, UnknownTask
+from .jsonio import Record
 from .memory import ProcessMemory, StepQuery, match_steps, next_distribution
 from .retrieval import BuiltinTextEmbedder, RetrievedPrecedent, dense_index, unit_cosines
 from .taskgen import (
@@ -36,7 +37,7 @@ DEFAULT_LAMBDA = 0.5
 
 
 @dataclass(frozen=True)
-class ScoringConfig:
+class ScoringConfig(Record):
     two_way: tuple[float, float] = (0.5, 0.5)
     three_way: tuple[float, float, float] = (0.4, 0.3, 0.3)
     top_m: int = 8
@@ -49,30 +50,9 @@ class ScoringConfig:
         object.__setattr__(self, "two_way", tuple(self.two_way))
         object.__setattr__(self, "three_way", tuple(self.three_way))
 
-    def to_dict(self) -> dict:
-        return {
-            "two_way": list(self.two_way),
-            "three_way": list(self.three_way),
-            "top_m": self.top_m,
-            "position_window": self.position_window,
-            "ordering_bonus": self.ordering_bonus,
-            "uniform_transitions": self.uniform_transitions,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScoringConfig":
-        return cls(
-            two_way=tuple(d.get("two_way", (0.5, 0.5))),
-            three_way=tuple(d.get("three_way", (0.4, 0.3, 0.3))),
-            top_m=int(d.get("top_m", 8)),
-            position_window=float(d.get("position_window", 0.25)),
-            ordering_bonus=float(d.get("ordering_bonus", 1.0)),
-            uniform_transitions=bool(d.get("uniform_transitions", False)),
-        )
-
 
 @dataclass
-class OptionScores:
+class OptionScores(Record):
     item_id: str
     raw_sym: list[float] | None = None
     raw_neu: list[float] | None = None
@@ -80,17 +60,6 @@ class OptionScores:
     norm_neu: list[float] | None = None
     fused: list[float] | None = None
     lam: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "raw_sym": self.raw_sym,
-            "raw_neu": self.raw_neu,
-            "norm_sym": self.norm_sym,
-            "norm_neu": self.norm_neu,
-            "fused": self.fused,
-            "lam": self.lam,
-        }
 
 
 def argmax_index(values) -> int:

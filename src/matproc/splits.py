@@ -14,9 +14,8 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__
 from .errors import EmptyTestPartition, InvalidParams
-from .jsonio import FORMAT_VERSION, read_ndjson, write_ndjson
+from .jsonio import artifact_header, read_ndjson, write_ndjson
 from .taskgen import BenchItem
 
 PARTITIONS = ("train", "dev", "test", "excluded")
@@ -48,12 +47,6 @@ class SplitAssignment:
 @dataclass
 class ContaminationMatrix:
     entries: dict[tuple[str, str], float] = field(default_factory=dict)  # (train of, test of) -> fraction
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {"train_of": a, "test_of": b, "fraction": self.entries[(a, b)]}
-            for (a, b) in sorted(self.entries)
-        ]
 
 
 def split_random(items: list[BenchItem], ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitAssignment:
@@ -211,14 +204,9 @@ def render_split_report(report: dict) -> str:
 def write_assignment(
     path: str | Path, assignment: SplitAssignment, config_hash: str = ""
 ) -> int:
-    header = {
-        "format": SPLIT_FORMAT,
-        "version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "config_hash": config_hash,
-        "protocol": assignment.protocol,
-        "seed": assignment.seed,
-    }
+    header = artifact_header(
+        SPLIT_FORMAT, config_hash=config_hash, protocol=assignment.protocol, seed=assignment.seed
+    )
     rows = [
         {"item_id": item_id, "partition": partition}
         for item_id, partition in sorted(assignment.mapping.items())

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..canon import derive_seed
-from ..errors import PoolExhausted, RetentionFilterFailed
+from ..errors import ConfigConflict, PoolExhausted, RetentionFilterFailed
+from ..jsonio import Record
 from ..provgraph import (
     ProcessGraph,
     final_product_label,
@@ -35,8 +36,10 @@ DEFAULT_K = 4
 
 
 @dataclass
-class GenCaps:
+class GenCaps(Record):
     """Per-graph emission caps; tuned so the task mix stays B1-heavy."""
+
+    load_error = ConfigConflict  # caps come from the run configuration
 
     a1: int = 1
     a2: int = 3
@@ -45,13 +48,6 @@ class GenCaps:
     b2: int = 2
     c1: int = 3
     d: int = 1
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ("a1", "a2", "a3", "b1", "b2", "c1", "d")}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GenCaps":
-        return cls(**{k: int(v) for k, v in d.items()})
 
 
 def payload_constraints(steps: list[dict]) -> set[tuple[str, str]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..canon import canon_label
+from ..jsonio import Record
 
 TASKS = (
     "A1_route_retrieval",
@@ -36,7 +37,7 @@ def render_condition_tuple(conditions: dict) -> str:
 
 
 @dataclass
-class BenchItem:
+class BenchItem(Record):
     item_id: str
     task: str
     question: dict
@@ -49,33 +50,6 @@ class BenchItem:
 
     def gold_option(self) -> str:
         return self.options[self.gold_index]
-
-    def to_dict(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "task": self.task,
-            "question": self.question,
-            "options": list(self.options),
-            "gold_index": self.gold_index,
-            "graph_id": self.graph_id,
-            "doi": self.doi,
-            "year": self.year,
-            "material_class": self.material_class,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenchItem":
-        return cls(
-            item_id=d["item_id"],
-            task=d["task"],
-            question=dict(d["question"]),
-            options=list(d["options"]),
-            gold_index=int(d["gold_index"]),
-            graph_id=d["graph_id"],
-            doi=d.get("doi", ""),
-            year=d.get("year"),
-            material_class=d.get("material_class", "other"),
-        )
 
 
 @dataclass

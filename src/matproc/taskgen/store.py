@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .. import __version__
-from ..jsonio import FORMAT_VERSION, read_ndjson, write_ndjson
+from ..jsonio import artifact_header, read_ndjson, write_ndjson
 from .model import BenchItem
 
 BENCH_FORMAT = "matproc-bench"
@@ -21,22 +20,12 @@ def write_benchmark(
     skip_log: list[dict] | None = None,
     skips_path: str | Path | None = None,
 ) -> int:
-    header = {
-        "format": BENCH_FORMAT,
-        "version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "config_hash": config_hash,
-        "seed": seed,
-        "k_options": k_options,
-        "count": len(items),
-    }
-    n = write_ndjson(path, header, (it.to_dict() for it in items))
+    header = artifact_header(
+        BENCH_FORMAT, config_hash=config_hash, seed=seed, k_options=k_options, count=len(items)
+    )
+    n = write_ndjson(path, header, items)
     if skips_path is not None:
-        write_ndjson(
-            skips_path,
-            {"format": SKIP_FORMAT, "version": FORMAT_VERSION, "tool_version": __version__},
-            skip_log or [],
-        )
+        write_ndjson(skips_path, artifact_header(SKIP_FORMAT), skip_log or [])
     return n
 
 

@@ -302,9 +302,11 @@ def test_report_command_rejects_unknown_formats(tmp_path, capsys):
         (cli.ABLATION_FORMAT, [{"label": "full", "report": {}}]),
         (cli.ABLATION_FORMAT, [{"block": "module", "report": {}}]),
         (cli.ABLATION_FORMAT, [{"block": "module", "label": "full"}]),
+        (cli.AUDIT_FORMAT, []),
+        (cli.SPLIT_FORMAT, []),
     ],
     ids=["eval-no-rows", "eval-no-tallies", "ablation-no-rows", "no-block", "no-label",
-         "no-report"],
+         "no-report", "audit-no-rows", "split-no-rows"],
 )
 def test_report_rejects_artifacts_without_renderable_rows(tmp_path, capsys, fmt, rows):
     path = tmp_path / "artifact.ndjson"
@@ -499,6 +501,128 @@ def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
     cfg_path.write_text('{"galaxy": 1}')
     assert cli.dispatch(["eval", "--config", str(cfg_path)]) == 2
     assert "unknown configuration key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"ratios": 5},
+        {"runner": 3},
+        {"paths": 3},
+        {"runner": {"budgets": 3}},
+        {"runner": {"budgets": {"answer": "10"}}},
+        {"top_k": "8"},
+        {"lam": "a"},
+        {"lam": True},
+        {"weights": {"alpha": 1, "delta": 0}},
+        {"weights": 3},
+        {"scoring": {"top_m": "x"}},
+        {"scoring": {"two_way": [1.0]}},
+        {"runner": {"mystery": 1}},
+        {"runner": {"lam": 0.3}},
+        {"scoring": {"mystery": 1}},
+        {"endpoints": {"mystery": 1}},
+    ],
+    ids=lambda c: json.dumps(c, sort_keys=True),
+)
+def test_malformed_config_file_exits_2_without_a_traceback(tmp_path, capsys, content):
+    paths = pipeline()
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(content))
+    report = tmp_path / "report.ndjson"
+    code = cli.dispatch(
+        ["eval", "--config", str(cfg_path), "--bench", str(paths["bench"]),
+         "--split", str(paths["split"]), "--memory", str(paths["memory"]),
+         "--report", str(report)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("caps", ['{"z":1}', '{"a1":"x"}', '{"a1":"2"}', '{"a1":true}', "[1]"])
+def test_genbench_rejects_malformed_caps(tmp_path, capsys, caps):
+    out = tmp_path / "bench.ndjson"
+    code = cli.dispatch(
+        ["genbench", "--graphs", str(pipeline()["graphs"]), "--out", str(out), "--caps", caps]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field_map",
+    [{"label_keys": "name"}, {"label_keys": 5}, {"label_keys": ["name", 5]}, {"galaxy": []}],
+)
+def test_compile_rejects_malformed_field_maps(tmp_path, capsys, field_map):
+    fm_path = tmp_path / "fm.json"
+    fm_path.write_text(json.dumps(field_map))
+    out = tmp_path / "graphs.ndjson"
+    code = cli.dispatch(
+        ["compile", "--in", str(pipeline()["raw"]), "--out", str(out),
+         "--field-map", str(fm_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "FieldMap" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_compile_reads_a_field_map_list(tmp_path):
+    fm_path = tmp_path / "fm.json"
+    fm_path.write_text(json.dumps({"label_keys": ["prov:label"]}))
+    out = tmp_path / "graphs.ndjson"
+    assert cli.dispatch(
+        ["compile", "--in", str(pipeline()["raw"]), "--out", str(out),
+         "--field-map", str(fm_path)]
+    ) == 0
+    assert read_ndjson(out)[1] == read_ndjson(pipeline()["graphs"])[1]
+
+
+def test_split_of_an_empty_question_set_exits_3_and_writes_nothing(tmp_path, capsys):
+    bench = tmp_path / "bench.ndjson"
+    zero = json.dumps({k: 0 for k in ("a1", "a2", "a3", "b1", "b2", "c1", "d")})
+    assert cli.dispatch(
+        ["genbench", "--graphs", str(pipeline()["graphs"]), "--out", str(bench), "--caps", zero]
+    ) == 0
+    out = tmp_path / "split.ndjson"
+    assert cli.dispatch(["split", "--bench", str(bench), "--out", str(out)]) == 3
+    assert "no items to split" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# measured before the configuration moved onto the typed loader
+PINNED_CONFIG_HASHES = [
+    ({}, "c39be25d878e"),
+    ({"policy": "provmind_llm"}, "cd296389e6fe"),
+    ({"lam": 0.9}, "bbe674a5e304"),
+    ({"runner": {"planning": False}}, "e97bef433851"),
+    ({"runner": {"budgets": {"answer": 10}}}, "e5fcbcb16116"),
+    ({"weights": {"alpha": 0.5, "beta": 0.25, "gamma": 0.25}}, "ff577694c65e"),
+    ({"scoring": {"top_m": 4}}, "b9093d580b5f"),
+    ({"lam": 1, "scoring": {"ordering_bonus": 1}}, "4e4139e6b706"),
+]
+
+
+@pytest.mark.parametrize("overrides, digest", PINNED_CONFIG_HASHES,
+                         ids=[json.dumps(o, sort_keys=True) for o, _ in PINNED_CONFIG_HASHES])
+def test_config_hash_is_pinned(overrides, digest):
+    assert RunConfig().merged(overrides).config_hash() == digest
+
+
+def test_partial_budgets_keep_the_other_defaults():
+    cfg = RunConfig().merged({"runner": {"budgets": {"answer": 10}}})
+    assert cfg.policy_config().budgets == {**DEFAULT_BUDGETS, "answer": 10}
+
+
+def test_int_for_a_float_field_is_kept_as_given():
+    config = RunConfig().merged({"lam": 1, "scoring": {"ordering_bonus": 1}}).policy_config()
+    assert config.lam == 1 and type(config.lam) is int
+    assert type(config.scoring.ordering_bonus) is int
+    assert config.to_dict()["scoring"]["ordering_bonus"] == 1
 
 
 def test_synth_seed_changes_output(tmp_path):

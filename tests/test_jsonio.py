@@ -1,11 +1,56 @@
-"""NDJSON stores: header checks, streaming reads, and error locations."""
+"""NDJSON stores (header checks, streaming reads, error locations), the
+encoder and the typed loader."""
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import functools
+import json
+from pathlib import Path
+
 import pytest
 
-from matproc.errors import MalformedDocument
-from matproc.jsonio import iter_ndjson, read_ndjson, write_ndjson
+import matproc
+from matproc.chat import ChatExchange, MockChatClient
+from matproc.config import RunConfig
+from matproc.errors import ConfigConflict, MalformedDocument
+from matproc.jsonio import (
+    Record,
+    check_fields,
+    dumps_line,
+    iter_ndjson,
+    read_ndjson,
+    write_ndjson,
+)
+from matproc.memory import ProcessSummary, StepEntry, build_memory
+from matproc.provgraph import (
+    ActivityNode,
+    EntityNode,
+    FieldMap,
+    ProcessGraph,
+    SynthParams,
+    compile_graph,
+    generate_synthetic_corpus,
+    parse_record,
+    to_prov_document,
+)
+from matproc.retrieval import (
+    RetrievalWeights,
+    RetrievedPrecedent,
+    attach_embeddings,
+    query_from_item,
+    retrieve,
+)
+from matproc.runner import EvalReport, PolicyConfig, evaluate
+from matproc.scoring import (
+    OptionScores,
+    ScoringConfig,
+    fuse_scores,
+    score_options_neural,
+    score_options_symbolic,
+)
+from matproc.taskgen import BenchItem, GenCaps, generate_benchmark
 
 
 def test_round_trip_and_streaming_agree(tmp_path):
@@ -45,3 +90,175 @@ def test_both_readers_check_the_header(tmp_path, text, message):
         read_ndjson(path)
     with pytest.raises(MalformedDocument, match=message):
         next(iter_ndjson(path))
+
+
+# --- the encoder and the typed loader -------------------------------------------------
+
+
+PERSISTED = (EntityNode, ActivityNode, ProcessGraph, ProcessSummary, StepEntry, BenchItem, GenCaps,
+             FieldMap, RetrievalWeights, RetrievedPrecedent, ScoringConfig, OptionScores,
+             PolicyConfig, EvalReport, ChatExchange, RunConfig)
+
+
+@functools.lru_cache(maxsize=None)
+def run_objects() -> dict[type, list]:
+    """One object or more of every persisted class, from a small pipeline run."""
+    docs = [to_prov_document(g) for g in generate_synthetic_corpus(SynthParams(n_records=12), seed=5)]
+    graphs = [compile_graph(parse_record(doc)) for doc in docs]
+    items, _ = generate_benchmark(graphs, seed=3)
+    memory = build_memory(graphs, split_id="jsonio-tests")
+    attach_embeddings(memory, graphs)
+    precedents = retrieve(query_from_item(items[0]), memory, k=3)
+    sym = score_options_symbolic(items[0], precedents, memory)
+    neu = score_options_neural(items[0], precedents, memory)
+    cfg = RunConfig().merged({"lam": 1, "runner": {"budgets": {"answer": 10}},
+                              "scoring": {"top_m": 4}, "endpoints": {"chat_url": "http://x"},
+                              "axes": ["module"], "caps": {"b1": 8}})
+    config = cfg.policy_config()
+    report, _ = evaluate(items[:6], memory, config)
+    exchange = MockChatClient().complete([{"role": "user", "content": "q"}], max_new_tokens=16)
+    return {
+        EntityNode: graphs[0].entities(),
+        ActivityNode: graphs[0].activities,
+        ProcessGraph: graphs,
+        ProcessSummary: memory.processes,
+        StepEntry: memory.step_library,
+        BenchItem: items,
+        GenCaps: [GenCaps(), GenCaps(b1=8)],
+        FieldMap: [FieldMap(), FieldMap(label_keys=("name",))],
+        RetrievalWeights: [RetrievalWeights(), RetrievalWeights(1, 0, 0)],
+        RetrievedPrecedent: precedents,
+        ScoringConfig: [ScoringConfig(), config.scoring],
+        OptionScores: [sym, neu, fuse_scores(sym, neu, 0.5)],
+        PolicyConfig: [PolicyConfig(), config],
+        EvalReport: [report],
+        ChatExchange: [exchange],
+        RunConfig: [RunConfig(), cfg],
+    }
+
+
+def _persisted_only(x):
+    """``x`` as a round trip returns it: transient fields back at their defaults."""
+    if isinstance(x, ProcessGraph):
+        return dataclasses.replace(x, warnings=[])
+    if isinstance(x, EvalReport):
+        return dataclasses.replace(x, wall_clock_s=0.0)
+    return x
+
+
+@pytest.mark.parametrize("cls", PERSISTED, ids=lambda c: c.__name__)
+def test_every_persisted_class_round_trips(cls):
+    objects = run_objects()[cls]
+    assert objects
+    for x in objects:
+        assert cls.from_dict(json.loads(dumps_line(x))) == _persisted_only(x)
+        assert x.to_dict() == json.loads(dumps_line(x))
+
+
+def test_every_record_class_is_covered():
+    def subclasses(c):
+        return {c, *(s for sub in c.__subclasses__() for s in subclasses(sub))}
+
+    assert subclasses(Record) - {Record} == set(PERSISTED) == set(run_objects())
+
+
+def test_transient_fields_are_neither_written_nor_read():
+    g = ProcessGraph(record_id="g1", warnings=["dangling edge"])
+    assert "warnings" not in json.loads(dumps_line(g))
+    with pytest.raises(MalformedDocument, match=r"ProcessGraph: unknown keys \['warnings'\]"):
+        ProcessGraph.from_dict({"record_id": "g1", "warnings": []})
+    report = EvalReport(split_id="s", policy={}, per_task={}, overall={}, wall_clock_s=2.5)
+    assert "wall_clock_s" not in report.to_dict()
+
+
+def test_dataclasses_nest_and_tuples_become_lists_on_the_write_path():
+    config = PolicyConfig(weights=RetrievalWeights(1, 0, 0))
+    row = json.loads(dumps_line({"kind": "policy", "config": config}))
+    assert row["config"]["weights"] == {"alpha": 1, "beta": 0, "gamma": 0}
+    assert row["config"]["scoring"]["two_way"] == [0.5, 0.5]
+    with pytest.raises(TypeError):
+        dumps_line({"x": object()})
+
+
+def test_loader_keeps_ints_for_floats_and_never_takes_bools_for_numbers():
+    weights = RetrievalWeights.from_dict({"alpha": 1, "beta": 0, "gamma": 0.0})
+    assert type(weights.alpha) is int and type(weights.gamma) is float
+    with pytest.raises(MalformedDocument, match=r"ActivityNode\.source_position: expected int, got bool"):
+        ActivityNode.from_dict({"id": "a", "label": "mix", "source_position": True})
+    with pytest.raises(MalformedDocument, match=r"RetrievalWeights\.alpha: expected float, got bool"):
+        RetrievalWeights.from_dict({"alpha": True, "beta": 0, "gamma": 0})
+    with pytest.raises(MalformedDocument, match=r"StepEntry\.position: expected int, got float"):
+        StepEntry.from_dict({"graph_id": "g", "activity": "a", "position": 1.0,
+                             "norm_position": 0.0})
+
+
+def test_loader_converts_only_lists_to_tuples_and_objects_to_dataclasses():
+    g = ProcessGraph.from_dict({"record_id": "g", "usage_edges": [["e", "a"]],
+                                "activities": [{"id": "a", "label": "mix"}]})
+    assert g.usage_edges == [("e", "a")]
+    assert g.activities == [ActivityNode(id="a", label="mix")]
+    assert FieldMap.from_dict({"label_keys": ["name"]}).label_keys == ("name",)
+    with pytest.raises(MalformedDocument, match=r"FieldMap\.label_keys: expected tuple\[str, \.\.\.\], got str"):
+        FieldMap.from_dict({"label_keys": "name"})
+    row = {"graph_id": "g", "route": ("a",), "precursors": [], "products": [], "tools": []}
+    with pytest.raises(MalformedDocument, match=r"ProcessSummary\.route: expected list\[str\], got tuple"):
+        check_fields(ProcessSummary, row)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([], r"ProcessGraph: expected an object, got list"),
+        ({}, r"ProcessGraph: missing keys \['record_id'\]"),
+        ({"record_id": "g", "galaxy": 1}, r"ProcessGraph: unknown keys \['galaxy'\]"),
+        ({"record_id": "g", "year": "2019"}, r"ProcessGraph\.year: expected int \| None, got str"),
+        ({"record_id": "g", "usage_edges": [["e"]]},
+         r"ProcessGraph\.usage_edges: expected list\[tuple\[str, str\]\], got list"),
+        ({"record_id": "g", "activities": [{"id": "a", "label": "x", "galaxy": 1}]},
+         r"ActivityNode: unknown keys \['galaxy'\]"),
+        ({"record_id": "g", "activities": [{"id": "a", "label": "x", "conditions": {"t": 5}}]},
+         r"ActivityNode\.conditions: expected dict\[str, str\], got dict"),
+        ({"record_id": "g", "tool_entities": [3]},
+         r"ProcessGraph\.tool_entities: expected list\[EntityNode\], got list"),
+    ],
+)
+def test_loader_errors_name_the_class_the_key_and_the_type(row, message):
+    with pytest.raises(MalformedDocument, match=message):
+        ProcessGraph.from_dict(row)
+
+
+def test_configuration_classes_raise_a_usage_error():
+    with pytest.raises(ConfigConflict, match=r"ScoringConfig\.top_m: expected int, got str"):
+        RunConfig.from_dict({"scoring": {"top_m": "x"}})
+    with pytest.raises(ConfigConflict, match=r"GenCaps: unknown keys \['z'\]"):
+        GenCaps.from_dict({"z": 1})
+
+
+def _src_trees() -> dict[Path, ast.Module]:
+    root = Path(matproc.__file__).parent
+    return {p.relative_to(root): ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(root.rglob("*.py"))}
+
+
+def test_no_class_but_the_shared_base_writes_its_own_serializer():
+    offenders = [
+        f"{path}:{node.name}.{item.name}"
+        for path, tree in _src_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name != "Record"
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name in ("to_dict", "from_dict")
+    ]
+    assert offenders == []
+
+
+def test_nothing_writes_through_dataclasses_asdict():
+    uses = [
+        str(path)
+        for path, tree in _src_trees().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "asdict")
+        or (isinstance(node, ast.alias) and node.name == "asdict")
+    ]
+    assert uses == []
