@@ -14,8 +14,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-import requests
-
+from .endpoint import post_json
 from .errors import ClientTimeout
 from .jsonio import Record
 
@@ -46,30 +45,28 @@ class HttpChatClient:
         self.retries = retries
 
     def complete(self, messages: list[dict], max_new_tokens: int, temperature: float = 0.0) -> ChatExchange:
-        headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
         payload = {
             "messages": messages,
             "max_new_tokens": max_new_tokens,
             "temperature": temperature,
         }
-        last_error: Exception | None = None
-        for _ in range(self.retries + 1):
-            try:
-                response = requests.post(
-                    self.url, json=payload, headers=headers, timeout=self.timeout
-                )
-                response.raise_for_status()
-                body = response.json()
-                return ChatExchange(
-                    messages=messages,
-                    max_new_tokens=max_new_tokens,
-                    temperature=temperature,
-                    response_text=body["text"],
-                    finish_reason=body.get("finish_reason", "stop"),
-                )
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last_error = exc
-        raise ClientTimeout(f"chat endpoint failed after {self.retries + 1} attempts: {last_error}")
+        text, finish_reason = post_json(
+            self.url, payload, self.token, self.timeout, self.retries + 1, ClientTimeout, _reply
+        )
+        return ChatExchange(
+            messages=messages,
+            max_new_tokens=max_new_tokens,
+            temperature=temperature,
+            response_text=text,
+            finish_reason=finish_reason,
+        )
+
+
+def _reply(body: dict) -> tuple[str, str]:
+    text, finish_reason = body.get("text"), body.get("finish_reason", "stop")
+    if not isinstance(text, str) or not isinstance(finish_reason, str):
+        raise ValueError("reply needs a string 'text' and, if given, a string 'finish_reason'")
+    return text, finish_reason
 
 
 @dataclass

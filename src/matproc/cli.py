@@ -249,10 +249,18 @@ def _chat_client(cfg: RunConfig):
 
 def _load_predictions(path: str) -> dict[str, int]:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise MalformedDocument(f"{path}: predictions are not JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedDocument(f"{path}: predictions must map item_id to option index")
-    return {str(k): int(v) for k, v in raw.items()}
+    for item_id, index in raw.items():
+        if type(index) is not int:
+            raise MalformedDocument(
+                f"{path}: item {item_id!r} has option index {index!r}, not an integer"
+            )
+    return raw
 
 
 def _eval_inputs(cfg: RunConfig):

@@ -20,9 +20,9 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
 from .canon import canon_label, derive_seed
+from .endpoint import post_json
 from .errors import EmbedderUnavailable, EmbeddingDimensionMismatch, EmptyMemory, InvalidParams
 from .jsonio import Record
 from .memory import (
@@ -121,19 +121,30 @@ class EndpointTextEmbedder:
         self.timeout = timeout
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
-        try:
-            response = requests.post(
-                self.url, json={"texts": texts}, headers=headers, timeout=self.timeout
-            )
-            response.raise_for_status()
-            vectors = response.json()["vectors"]
-        except (requests.RequestException, KeyError, ValueError) as exc:
-            raise EmbedderUnavailable(f"embedding endpoint failed: {exc}") from exc
-        array = np.asarray(vectors, dtype=np.float64)
-        if array.ndim != 2 or array.shape[0] != len(texts):
-            raise EmbedderUnavailable(f"endpoint returned shape {array.shape}")
-        return _normalize_rows(array)
+        vectors = post_json(
+            self.url, {"texts": texts}, self.token, self.timeout, 1, EmbedderUnavailable,
+            lambda body: _endpoint_vectors(body, len(texts)),
+        )
+        return _normalize_rows(vectors)
+
+
+def _endpoint_vectors(body: dict, n_texts: int) -> np.ndarray:
+    """The body's ``vectors`` as an (n_texts, d) array of finite floats, d > 0."""
+    rows = body.get("vectors")
+    if not (
+        isinstance(rows, list)
+        and len(rows) == n_texts
+        and all(isinstance(row, list) and row and len(row) == len(rows[0]) for row in rows)
+        and all(type(x) in (int, float) for row in rows for x in row)
+    ):
+        raise ValueError(f"'vectors' must be {n_texts} numeric rows of one non-zero length")
+    try:
+        array = np.array(rows, dtype=np.float64).reshape(n_texts, -1)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(f"'vectors': {exc}") from exc
+    if not np.isfinite(array).all():
+        raise ValueError("'vectors' holds a non-finite value")
+    return array
 
 
 def get_text_embedder(url: str | None = None, token: str | None = None):
@@ -394,11 +405,11 @@ def attach_embeddings(
 
 
 def text_vector(memory: ProcessMemory, graph_id: str) -> np.ndarray:
-    """Stored text vector for one process; derived and cached when absent."""
+    """Stored text vector for one process; the built-in embedding of its
+    linearized text when none is stored. Never writes to the memory."""
     vec = memory.embedding_store.get(graph_id, {}).get("text")
     if vec is None:
-        vec = BuiltinTextEmbedder().embed([linearize_process(memory, graph_id)])[0]
-        memory.embedding_store.setdefault(graph_id, {})["text"] = [float(x) for x in vec]
+        return BuiltinTextEmbedder().embed([linearize_process(memory, graph_id)])[0]
     return np.asarray(vec, dtype=np.float64)
 
 
@@ -433,7 +444,7 @@ class DenseIndex:
         return (activity + length + precursor) / 3.0
 
 
-def _checked_vector(graph_id: str, kind: str, vec) -> list:
+def _checked_vector(graph_id: str, kind: str, vec):
     if len(vec) != EMBED_DIM:
         raise EmbeddingDimensionMismatch(
             f"memory process {graph_id!r}: stored {kind} vector has {len(vec)} dimensions,"
@@ -444,17 +455,13 @@ def _checked_vector(graph_id: str, kind: str, vec) -> list:
 
 def _build_index(memory: ProcessMemory) -> DenseIndex:
     ids = [p.graph_id for p in memory.processes]
-    for graph_id in ids:
-        text_vector(memory, graph_id)  # derives and stores any missing text vector
-    entries = [memory.embedding_store[graph_id] for graph_id in ids]
-    text = np.array(
-        [_checked_vector(gid, "text", e["text"]) for gid, e in zip(ids, entries)],
-        dtype=np.float64,
-    ).reshape(len(ids), EMBED_DIM)
+    text = np.zeros((len(ids), EMBED_DIM), dtype=np.float64)
     struct = np.zeros_like(text)
-    for row, (gid, e) in enumerate(zip(ids, entries)):
-        if e.get("struct") is not None:
-            struct[row] = _checked_vector(gid, "struct", e["struct"])
+    for row, gid in enumerate(ids):
+        text[row] = _checked_vector(gid, "text", text_vector(memory, gid))
+        stored_struct = memory.embedding_store.get(gid, {}).get("struct")
+        if stored_struct is not None:
+            struct[row] = _checked_vector(gid, "struct", stored_struct)
     rank = {gid: i for i, gid in enumerate(sorted(set(ids)))}
     return DenseIndex(
         graph_ids=ids,
@@ -473,9 +480,10 @@ def _build_index(memory: ProcessMemory) -> DenseIndex:
 def dense_index(memory: ProcessMemory) -> DenseIndex:
     """The memory's dense index, built on first use.
 
-    Building derives (and stores, as :func:`text_vector` does) every missing
-    text vector, and raises :class:`EmbeddingDimensionMismatch` for a stored
-    vector whose length is not ``EMBED_DIM``.
+    A process without a stored text vector gets the row :func:`text_vector`
+    derives for it; the memory is not written to. Building raises
+    :class:`EmbeddingDimensionMismatch` for a stored vector whose length is
+    not ``EMBED_DIM``.
     """
     return memory.derived(
         "dense_index",
@@ -493,8 +501,6 @@ def retrieve(
     memory: ProcessMemory,
     weights: RetrievalWeights = RetrievalWeights(),
     k: int = DEFAULT_TOP_K,
-    text_embedder=None,
-    struct_seed: int = DEFAULT_STRUCT_SEED,
 ) -> list[RetrievedPrecedent]:
     """Exhaustive scan, descending s_ret, ties by ascending graph_id.
 
@@ -517,12 +523,12 @@ def retrieve(
 
     def text_view():
         if query.text_vec is None:
-            query.text_vec = (text_embedder or BuiltinTextEmbedder()).embed([query.text])[0]
+            query.text_vec = BuiltinTextEmbedder().embed([query.text])[0]
         return unit_cosines(query.text_vec, index.text, index.text_norm)
 
     def struct_view():
         if query.struct_vec is None and query.context_graph is not None:
-            query.struct_vec = embed_structure(query.context_graph, seed=struct_seed)
+            query.struct_vec = embed_structure(query.context_graph)
         if query.struct_vec is None:
             # neutral 0.5 when the query has no structure view; a process
             # without one is a zero row, whose cosine maps to 0.5 as well

@@ -166,10 +166,9 @@ class ItemInputs:
     """The precedent-independent inputs of one item's lanes, each computed
     on first use and then reused by every scorer call given this object."""
 
-    def __init__(self, item: BenchItem, memory: ProcessMemory, text_embedder=None):
+    def __init__(self, item: BenchItem, memory: ProcessMemory):
         self.item = item
         self.memory = memory
-        self.text_embedder = text_embedder
         self._memo: dict = {}
 
     def _once(self, key, build):
@@ -181,8 +180,8 @@ class ItemInputs:
         """Embedded option-completed texts, one row per option."""
 
         def build():
-            embedder = self.text_embedder or BuiltinTextEmbedder()
-            return embedder.embed([option_completed_text(self.item, o) for o in self.item.options])
+            texts = [option_completed_text(self.item, o) for o in self.item.options]
+            return BuiltinTextEmbedder().embed(texts)
 
         return self._once("option_vectors", build)
 
@@ -205,10 +204,10 @@ class ItemInputs:
         return self._once(("positional", window), build)
 
 
-def _inputs_for(item, memory, inputs, text_embedder=None) -> ItemInputs:
-    """``inputs`` when given (its own embedder wins), fresh ones otherwise."""
+def _inputs_for(item, memory, inputs) -> ItemInputs:
+    """``inputs`` when given, fresh ones otherwise."""
     if inputs is None:
-        return ItemInputs(item, memory, text_embedder)
+        return ItemInputs(item, memory)
     if inputs.item is not item or inputs.memory is not memory:
         raise InvalidParams(f"scoring inputs of {inputs.item.item_id!r} given for another item or memory")
     return inputs
@@ -388,12 +387,11 @@ def score_options_neural(
     precedents: list[RetrievedPrecedent],
     memory: ProcessMemory,
     config: ScoringConfig = ScoringConfig(),
-    text_embedder=None,
     inputs: ItemInputs | None = None,
 ) -> OptionScores:
     """raw_neu per option: the highest cosine (mapped onto [0, 1]) between
     its option-completed text and the stored texts of the precedents."""
-    vectors = _inputs_for(item, memory, inputs, text_embedder).option_vectors()
+    vectors = _inputs_for(item, memory, inputs).option_vectors()
     index = dense_index(memory)
     rows = [index.rows[p.graph_id] for p in precedents if p.graph_id in index.rows]
     sims = unit_cosines(vectors, index.text[rows], index.text_norm[rows])

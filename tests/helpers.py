@@ -1,8 +1,13 @@
-"""Tiny graph builders shared across test modules."""
+"""Tiny graph builders and a loopback JSON endpoint shared across test modules."""
 
 from __future__ import annotations
 
+import json
 import random
+import socket
+import threading
+from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from matproc.provgraph import ActivityNode, EntityNode, ProcessGraph, compile_graph
 
@@ -58,3 +63,70 @@ def random_graph(seed, n_materials=12, n_tools=3, n_activities=5, p_edge=0.35):
 
 def compiled(g):
     return compile_graph(g)
+
+
+@dataclass
+class Reply:
+    """One canned endpoint answer: ``body`` is sent as JSON unless it is bytes;
+    with ``status`` None the bytes are the whole answer, status line included."""
+
+    body: object = None
+    status: int | None = 200
+    delay: float = 0.0
+
+
+class LoopbackEndpoint:
+    """An HTTP server on 127.0.0.1 (port 0, daemon thread) that answers every
+    POST with the next of ``replies`` (the last one repeats) and appends each
+    request to ``received`` as ``(path, headers, decoded JSON body)``."""
+
+    def __init__(self, *replies):
+        self.replies = [r if isinstance(r, Reply) else Reply(r) for r in replies]
+        self.received: list[tuple[str, dict, object]] = []
+        self._lock = threading.Lock()
+        self._release = threading.Event()
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                raw = self.rfile.read(int(self.headers["Content-Length"]))
+                with endpoint._lock:
+                    endpoint.received.append((self.path, dict(self.headers), json.loads(raw)))
+                    n = min(len(endpoint.received), len(endpoint.replies))
+                reply = endpoint.replies[n - 1]
+                endpoint._release.wait(reply.delay)
+                data = reply.body if isinstance(reply.body, bytes) else json.dumps(reply.body).encode()
+                if reply.status is None:
+                    self.wfile.write(data)
+                    return
+                self.send_response(reply.status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server.handle_error = lambda *args: None  # a client that gave up
+        self.url = f"http://127.0.0.1:{self._server.server_port}/v1"
+        threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        ).start()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._release.set()
+        self._server.shutdown()
+        self._server.server_close()
+
+
+def closed_port_url() -> str:
+    """A loopback URL on a port nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1"

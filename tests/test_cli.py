@@ -20,6 +20,8 @@ from matproc.jsonio import read_ndjson, write_ndjson
 from matproc.provgraph import SynthParams, generate_synthetic_corpus, to_prov_document
 from matproc.runner import DEFAULT_BUDGETS
 
+from helpers import LoopbackEndpoint, closed_port_url
+
 
 # --- run configuration ------------------------------------------------------------------
 
@@ -469,6 +471,124 @@ def test_external_predictions_via_cli(tmp_path, capsys):
     )
     assert code == 0
     assert "100.00%" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("index", ["a", "3", True, 3.7], ids=["letter", "digit-string", "bool", "float"])
+def test_external_predictions_need_exact_integer_indexes(tmp_path, capsys, index):
+    paths = pipeline()
+    _, split_rows = read_ndjson(paths["split"])
+    item_id = next(row["item_id"] for row in split_rows if row["partition"] == "test")
+    preds_path = tmp_path / "preds.json"
+    preds_path.write_text(json.dumps({item_id: index}))
+    code = cli.dispatch(
+        [
+            "eval",
+            "--bench", str(paths["bench"]),
+            "--split", str(paths["split"]),
+            "--partition", "test",
+            "--policy", "external_predictions",
+            "--predictions", str(preds_path),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and item_id in err
+
+
+def test_external_predictions_that_are_not_json_exit_3(tmp_path, capsys):
+    paths = pipeline()
+    preds_path = tmp_path / "preds.json"
+    preds_path.write_text("{not json")
+    code = cli.dispatch(
+        [
+            "eval",
+            "--bench", str(paths["bench"]),
+            "--split", str(paths["split"]),
+            "--policy", "external_predictions",
+            "--predictions", str(preds_path),
+        ]
+    )
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [{"vectors": [[1.0], [1.0, 2.0]]}, {"vectors": [[1.0]]}, {"texts": []}, [1]],
+    ids=["ragged", "too-few-rows", "no-vectors", "list-body"],
+)
+def test_build_memory_exits_4_on_a_malformed_embedding_reply(tmp_path, capsys, body):
+    paths = pipeline()
+    out = tmp_path / "memory.ndjson"
+    with LoopbackEndpoint(body) as server:
+        code = cli.dispatch(
+            [
+                "build-memory",
+                "--graphs", str(paths["graphs"]),
+                "--bench", str(paths["bench"]),
+                "--split", str(paths["split"]),
+                "--out", str(out),
+                "--embed-url", server.url,
+            ]
+        )
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+    assert len(server.received) == 1  # the embedder makes one attempt
+
+
+def test_build_memory_exits_4_when_the_embedding_endpoint_is_down(tmp_path, capsys):
+    paths = pipeline()
+    code = cli.dispatch(
+        [
+            "build-memory",
+            "--graphs", str(paths["graphs"]),
+            "--bench", str(paths["bench"]),
+            "--split", str(paths["split"]),
+            "--out", str(tmp_path / "memory.ndjson"),
+            "--embed-url", closed_port_url(),
+        ]
+    )
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("body", [{"text": 5}, [1]], ids=["int-text", "list-body"])
+def test_eval_flags_every_item_on_a_malformed_chat_reply(tmp_path, body):
+    paths = pipeline()
+    log = tmp_path / "log.ndjson"
+    with LoopbackEndpoint(body) as server:
+        code = cli.dispatch(
+            [
+                "eval",
+                "--bench", str(paths["bench"]),
+                "--split", str(paths["split"]),
+                "--partition", "test",
+                "--policy", "zero_shot",
+                "--chat-url", server.url,
+                "--log", str(log),
+            ]
+        )
+    assert code == 0
+    _, rows = read_ndjson(log)
+    assert rows and all(row["flags"] == ["answer_timeout"] for row in rows)
+    assert all(row["answer_index"] is None for row in rows)
+    assert len(server.received) == 3 * len(rows)  # each item: one try and two retries
+
+
+def test_importing_the_cli_loads_no_http_stack():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    )}
+    probe = (
+        "import sys, matproc.cli; "
+        "print(sorted({'requests', 'urllib3', 'urllib.request', 'http.client'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_audit_rejects_malformed_pairs(capsys):

@@ -5,10 +5,10 @@ from __future__ import annotations
 import copy
 import hashlib
 import itertools
+import time
 
 import numpy as np
 import pytest
-import requests
 
 from matproc import retrieval as rt
 from matproc.canon import canon_label, derive_seed
@@ -36,7 +36,7 @@ from matproc.provgraph import (
 from matproc.runner import _FUSION_ROWS
 from matproc.taskgen import generate_benchmark
 
-from helpers import chain_graph, compiled
+from helpers import LoopbackEndpoint, Reply, chain_graph, closed_port_url, compiled
 
 
 def small_corpus(n=20, seed=7):
@@ -99,58 +99,84 @@ def test_builtin_embedder_distinguishes_texts():
 # --- endpoint text embedder ---------------------------------------------------------
 
 
-class _FakeResponse:
-    def __init__(self, payload, fail=False):
-        self._payload = payload
-        self._fail = fail
-
-    def raise_for_status(self):
-        if self._fail:
-            raise requests.HTTPError("boom")
-
-    def json(self):
-        return self._payload
-
-
-def test_endpoint_embedder_normalizes_and_posts(monkeypatch):
-    seen = {}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        seen.update(url=url, json=json, headers=headers)
-        return _FakeResponse({"vectors": [[3.0, 4.0], [0.0, 2.0]]})
-
-    monkeypatch.setattr(rt.requests, "post", fake_post)
-    embedder = rt.EndpointTextEmbedder("http://embed.local/v1", token="tok")
-    out = embedder.embed(["a", "b"])
-    assert seen["url"] == "http://embed.local/v1"
-    assert seen["json"] == {"texts": ["a", "b"]}
-    assert seen["headers"] == {"Authorization": "Bearer tok"}
+def test_endpoint_embedder_normalizes_and_posts():
+    with LoopbackEndpoint({"vectors": [[3.0, 4.0], [0.0, 2.0]]}) as server:
+        out = rt.EndpointTextEmbedder(server.url, token="tok").embed(["a", "b"])
+    [(path, headers, body)] = server.received
+    assert path == "/v1"
+    assert body == {"texts": ["a", "b"]}
+    assert headers["Authorization"] == "Bearer tok"
+    assert headers["Content-Type"] == "application/json"
     assert np.allclose(out, [[0.6, 0.8], [0.0, 1.0]])
 
 
-def test_endpoint_embedder_connection_error(monkeypatch):
-    def fake_post(*args, **kwargs):
-        raise requests.ConnectionError("no route to host")
+def test_endpoint_embedder_sends_no_authorization_without_token():
+    with LoopbackEndpoint({"vectors": [[1.0]]}) as server:
+        rt.EndpointTextEmbedder(server.url).embed(["a"])
+    assert "Authorization" not in server.received[0][1]
 
-    monkeypatch.setattr(rt.requests, "post", fake_post)
+
+def test_endpoint_embedder_connection_error():
     with pytest.raises(EmbedderUnavailable):
-        rt.EndpointTextEmbedder("http://embed.local/v1").embed(["a"])
+        rt.EndpointTextEmbedder(closed_port_url()).embed(["a"])
 
 
-def test_endpoint_embedder_bad_payload(monkeypatch):
-    monkeypatch.setattr(
-        rt.requests, "post", lambda *a, **k: _FakeResponse({"wrong_key": []})
-    )
+@pytest.mark.parametrize(
+    "url", ['data:,{"vectors": [[1.0]]}', "file:///dev/null", "embed.local/v1"]
+)
+def test_endpoint_embedder_refuses_urls_that_are_not_http(url):
     with pytest.raises(EmbedderUnavailable):
-        rt.EndpointTextEmbedder("http://embed.local/v1").embed(["a"])
+        rt.EndpointTextEmbedder(url).embed(["a"])
 
 
-def test_endpoint_embedder_wrong_row_count(monkeypatch):
-    monkeypatch.setattr(
-        rt.requests, "post", lambda *a, **k: _FakeResponse({"vectors": [[1.0, 0.0]]})
-    )
-    with pytest.raises(EmbedderUnavailable):
-        rt.EndpointTextEmbedder("http://embed.local/v1").embed(["a", "b"])
+def test_endpoint_embedder_bad_payload():
+    with LoopbackEndpoint({"wrong_key": []}) as server:
+        with pytest.raises(EmbedderUnavailable):
+            rt.EndpointTextEmbedder(server.url).embed(["a"])
+
+
+def test_endpoint_embedder_wrong_row_count():
+    with LoopbackEndpoint({"vectors": [[1.0, 0.0]]}) as server:
+        with pytest.raises(EmbedderUnavailable):
+            rt.EndpointTextEmbedder(server.url).embed(["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        Reply({"vectors": [[1.0], [1.0, 2.0]]}),  # ragged
+        Reply({"vectors": [[1.0, "2"], [1.0, 2.0]]}),
+        Reply({"vectors": [[True, 2.0], [1.0, 2.0]]}),
+        Reply({"vectors": [[], []]}),
+        Reply({"vectors": [1.0, 2.0]}),
+        Reply({"vectors": "[[1.0], [2.0]]"}),
+        Reply({"vectors": [[10**400], [1.0]]}),
+        Reply(b'{"vectors": [[NaN], [1.0]]}'),
+        Reply(b'{"vectors": [[1e400], [1.0]]}'),
+        Reply([[1.0], [2.0]]),  # not an object
+        Reply(b"not json"),
+        Reply(b'{"vectors": [[1.0], [2.0]]'),  # truncated
+        Reply(b'\xff{"vectors": [[1.0], [2.0]]}'),  # not UTF-8
+        Reply({"vectors": [[1.0], [2.0]]}, status=500),
+    ],
+    ids=[
+        "ragged", "string", "bool", "empty-rows", "flat", "string-vectors", "huge-int",
+        "nan", "overflow", "list-body", "not-json", "truncated", "bad-utf8", "http-500",
+    ],
+)
+def test_endpoint_embedder_rejects_malformed_replies_in_one_attempt(reply):
+    with LoopbackEndpoint(reply) as server:
+        with pytest.raises(EmbedderUnavailable):
+            rt.EndpointTextEmbedder(server.url).embed(["a", "b"])
+    assert len(server.received) == 1
+
+
+def test_endpoint_embedder_gives_up_at_its_timeout():
+    with LoopbackEndpoint(Reply({"vectors": [[1.0]]}, delay=5.0)) as server:
+        started = time.perf_counter()
+        with pytest.raises(EmbedderUnavailable):
+            rt.EndpointTextEmbedder(server.url, timeout=0.2).embed(["a"])
+        assert time.perf_counter() - started < 4.0
 
 
 def test_get_text_embedder_env_selection(monkeypatch):
@@ -459,7 +485,7 @@ def test_retrieve_deterministic():
     assert first == second
 
 
-def test_retrieve_backfills_missing_text_vectors():
+def test_retrieve_derives_missing_text_vectors_without_storing_them():
     graphs = [compiled(chain_graph(["mill"], record_id="ga")),
               compiled(chain_graph(["sinter"], record_id="gb"))]
     memory = build_memory(graphs)  # no attach_embeddings on purpose
@@ -467,7 +493,25 @@ def test_retrieve_backfills_missing_text_vectors():
                               text=linearize_process(memory, "ga"))
     results = rt.retrieve(query, memory, k=2)
     assert results[0].graph_id == "ga"
-    assert set(memory.embedding_store) == {"ga", "gb"}  # computed lazily, then cached
+    index = rt.dense_index(memory)
+    for gid in ("ga", "gb"):
+        derived = rt.BuiltinTextEmbedder().embed([linearize_process(memory, gid)])[0]
+        assert np.array_equal(rt.text_vector(memory, gid), derived)
+        assert np.array_equal(index.text[index.rows[gid]], derived)
+    assert memory.embedding_store == {}  # retrieval never writes to the memory
+
+
+def test_dense_index_mixes_stored_and_derived_text_rows():
+    graphs = [compiled(chain_graph(["mill"], record_id="ga")),
+              compiled(chain_graph(["sinter"], record_id="gb"))]
+    memory = build_memory(graphs)
+    stored = [0.0] * rt.EMBED_DIM
+    stored[3] = 1.0
+    memory.embedding_store = {"ga": {"text": stored}}
+    index = rt.dense_index(memory)
+    assert index.text[index.rows["ga"]].tolist() == stored
+    assert np.array_equal(index.text[index.rows["gb"]], rt.text_vector(memory, "gb"))
+    assert memory.embedding_store == {"ga": {"text": stored}}
 
 
 # --- dense index against the per-pair reference ------------------------------------------

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import functools
+import time
 
 import pytest
-import requests
 
 from matproc import chat as ch
 from matproc import prompts as pr
@@ -30,7 +30,7 @@ from matproc.scoring import (
     score_options_symbolic,
 )
 
-from helpers import chain_graph, compiled
+from helpers import LoopbackEndpoint, Reply, chain_graph, closed_port_url, compiled
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,59 +131,102 @@ def test_exchange_round_trip():
 # --- HTTP chat client -------------------------------------------------------------------
 
 
-class _FakeResponse:
-    def __init__(self, body):
-        self._body = body
-
-    def raise_for_status(self):
-        return None
-
-    def json(self):
-        return self._body
+MESSAGES = [{"role": "user", "content": "q"}]
 
 
-def test_http_client_posts_wire_contract(monkeypatch):
-    seen = {}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        seen.update(url=url, json=json, headers=headers, timeout=timeout)
-        return _FakeResponse({"text": "Answer: D", "finish_reason": "stop"})
-
-    monkeypatch.setattr(ch.requests, "post", fake_post)
-    client = ch.HttpChatClient("http://chat.local/v1", token="tok", timeout=9.0)
-    exchange = client.complete([{"role": "user", "content": "q"}], max_new_tokens=48, temperature=0.0)
+def test_http_client_posts_wire_contract():
+    # the 0.3 s handler needs the passed 9 s timeout: a timeout under 0.3 s fails
+    reply = Reply({"text": "Answer: D", "finish_reason": "stop"}, delay=0.3)
+    with LoopbackEndpoint(reply) as server:
+        client = ch.HttpChatClient(server.url + "/chat", token="tok", timeout=9.0)
+        exchange = client.complete(MESSAGES, max_new_tokens=48, temperature=0.0)
     assert exchange.response_text == "Answer: D"
     assert exchange.finish_reason == "stop"
-    assert seen["json"] == {
+    [(path, headers, body)] = server.received
+    assert path == "/v1/chat"
+    assert body == {
         "messages": [{"role": "user", "content": "q"}],
         "max_new_tokens": 48,
         "temperature": 0.0,
     }
-    assert seen["headers"] == {"Authorization": "Bearer tok"}
-    assert seen["timeout"] == 9.0
+    assert headers["Authorization"] == "Bearer tok"
+    assert headers["Content-Type"] == "application/json"
 
 
-def test_http_client_retries_then_times_out(monkeypatch):
-    attempts = []
+def test_http_client_defaults_finish_reason_and_sends_no_authorization_without_token():
+    with LoopbackEndpoint({"text": "Answer: A"}) as server:
+        exchange = ch.HttpChatClient(server.url).complete(MESSAGES, max_new_tokens=16)
+    assert exchange.finish_reason == "stop"
+    assert "Authorization" not in server.received[0][1]
 
-    def fake_post(*args, **kwargs):
-        attempts.append(1)
-        raise requests.ConnectionError("down")
 
-    monkeypatch.setattr(ch.requests, "post", fake_post)
-    client = ch.HttpChatClient("http://chat.local/v1", retries=2)
+def test_http_client_retries_then_times_out():
+    with LoopbackEndpoint(Reply({"error": "boom"}, status=500)) as server:
+        client = ch.HttpChatClient(server.url, retries=2)
+        with pytest.raises(ClientTimeout):
+            client.complete(MESSAGES, max_new_tokens=16)
+    assert len(server.received) == 3
+
+
+def test_http_client_connection_error_times_out():
+    client = ch.HttpChatClient(closed_port_url(), retries=1)
     with pytest.raises(ClientTimeout):
-        client.complete([{"role": "user", "content": "q"}], max_new_tokens=16)
-    assert len(attempts) == 3
+        client.complete(MESSAGES, max_new_tokens=16)
 
 
-def test_http_client_rejects_malformed_body(monkeypatch):
-    monkeypatch.setattr(
-        ch.requests, "post", lambda *a, **k: _FakeResponse({"unexpected": True})
-    )
-    client = ch.HttpChatClient("http://chat.local/v1", retries=0)
+def test_http_client_retries_a_server_error_and_then_succeeds():
+    replies = (Reply({"error": "busy"}, status=500), {"text": "Answer: B"})
+    with LoopbackEndpoint(*replies) as server:
+        exchange = ch.HttpChatClient(server.url).complete(MESSAGES, max_new_tokens=16)
+    assert exchange.response_text == "Answer: B"
+    assert len(server.received) == 2
+
+
+def test_http_client_rejects_malformed_body():
+    with LoopbackEndpoint({"unexpected": True}) as server:
+        client = ch.HttpChatClient(server.url, retries=0)
+        with pytest.raises(ClientTimeout):
+            client.complete(MESSAGES, max_new_tokens=16)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        Reply({"text": 5}),
+        Reply({"text": None}),
+        Reply({"text": "Answer: A", "finish_reason": 3}),
+        Reply({"text": "Answer: A", "finish_reason": None}),
+        Reply([1]),
+        Reply("Answer: A"),
+        Reply(b"Answer: A"),  # not JSON
+        Reply(b'{"text": "Answer: A"'),
+        Reply(b"not http\r\n\r\n", status=None),  # http.client.BadStatusLine
+    ],
+    ids=[
+        "int-text", "null-text", "int-finish", "null-finish", "list-body", "string-body",
+        "not-json", "truncated", "bad-status-line",
+    ],
+)
+def test_http_client_times_out_on_every_malformed_body(reply):
+    with LoopbackEndpoint(reply) as server:
+        with pytest.raises(ClientTimeout):
+            ch.HttpChatClient(server.url).complete(MESSAGES, max_new_tokens=16)
+    assert len(server.received) == 3
+
+
+def test_http_client_refuses_a_url_that_is_not_http():
     with pytest.raises(ClientTimeout):
-        client.complete([{"role": "user", "content": "q"}], max_new_tokens=16)
+        ch.HttpChatClient('data:,{"text": "Answer: A"}').complete(MESSAGES, max_new_tokens=16)
+
+
+def test_http_client_gives_up_at_its_timeout():
+    with LoopbackEndpoint(Reply({"text": "Answer: A"}, delay=5.0)) as server:
+        started = time.perf_counter()
+        with pytest.raises(ClientTimeout):
+            ch.HttpChatClient(server.url, timeout=0.2, retries=0).complete(
+                MESSAGES, max_new_tokens=16
+            )
+        assert time.perf_counter() - started < 4.0
 
 
 def test_get_chat_client_env_selection(monkeypatch):
