@@ -28,7 +28,7 @@ from .errors import (
     UnknownCommand,
     UsageError,
 )
-from .jsonio import artifact_header, read_ndjson, write_ndjson
+from .jsonio import artifact_header, read_artifact, read_header, read_ndjson, write_ndjson
 from .memory import build_memory, load_memory, save_memory
 from .provgraph import (
     FieldMap,
@@ -41,6 +41,7 @@ from .provgraph import (
 from .provgraph.store import load_graphs, write_graph_store
 from .retrieval import attach_embeddings, get_text_embedder
 from .runner import (
+    AblationRow,
     EvalReport,
     evaluate,
     render_ablation_table,
@@ -49,8 +50,11 @@ from .runner import (
 )
 from .splits import (
     SPLIT_FORMAT,
+    AuditRow,
     contamination_matrix,
     read_assignment,
+    render_audit,
+    render_split_counts,
     render_split_report,
     split_items,
     split_report,
@@ -116,7 +120,7 @@ def cmd_compile(cfg: RunConfig) -> int:
     write_graph_store(cfg.path("graphs"), graphs, cfg.config_hash())
     if cfg.paths.get("warnings"):
         write_ndjson(cfg.paths["warnings"], _header(WARNINGS_FORMAT, cfg), warning_rows)
-    excluded = sum(1 for w in warning_rows if w["warning"].startswith("excluded:"))
+    excluded = len(rows) - len(graphs)
     print(
         f"compiled {len(graphs)} graphs ({excluded} records excluded) -> {cfg.path('graphs')}"
     )
@@ -192,17 +196,10 @@ def cmd_audit(cfg: RunConfig) -> int:
         split_items(items, p, seed=cfg.seed, **_split_kwargs(cfg, p)) for p in protocols
     ]
     matrix = contamination_matrix(assignments, items)
-    rows = [
-        {"train_of": a, "test_of": b, "fraction": matrix.entries[(a, b)]}
-        for a, b in pairs
-    ]
+    rows = [AuditRow(a, b, matrix.entries[(a, b)]) for a, b in pairs]
     if cfg.paths.get("report"):
         write_ndjson(cfg.paths["report"], _header(AUDIT_FORMAT, cfg), rows)
-    for row in rows:
-        print(
-            f"contamination(train of {row['train_of']}, test of {row['test_of']}) "
-            f"= {row['fraction']:.3f}"
-        )
+    print(render_audit(rows))
     return 0
 
 
@@ -327,87 +324,30 @@ def cmd_ablate(cfg: RunConfig) -> int:
     return 0
 
 
-def _is_tally(value) -> bool:
-    """An accuracy bucket the renderers can format."""
-    return isinstance(value, dict) and all(
-        isinstance(value.get(k), (int, float)) for k in ("accuracy", "correct", "total")
-    )
+def _rows(fmt: str, row_type):
+    """The reader of the rows of an artifact of format ``fmt``."""
+    return lambda path: read_artifact(path, fmt, row_type)[1]
 
 
-def _is_text(value) -> bool:
-    return isinstance(value, str)
-
-
-# field -> check of its value, applied where the field is present
-REPORT_CHECKS = {
-    "per_task": lambda v: isinstance(v, dict) and all(map(_is_tally, v.values())),
-    "overall": _is_tally,
-    "policy": lambda v: isinstance(v, dict),
+# artifact format -> (reader of the file, renderer of what it read)
+REPORTS = {
+    EVAL_REPORT_FORMAT: (_rows(EVAL_REPORT_FORMAT, EvalReport), lambda rows: render_report(rows[0])),
+    ABLATION_FORMAT: (_rows(ABLATION_FORMAT, AblationRow), render_ablation_table),
+    AUDIT_FORMAT: (_rows(AUDIT_FORMAT, AuditRow), render_audit),
+    SPLIT_FORMAT: (read_assignment, render_split_counts),
 }
-ABLATION_CHECKS = {
-    "block": _is_text,
-    "label": _is_text,
-    "report": lambda v: isinstance(v, dict) and "overall" in v and not _malformed(v, REPORT_CHECKS),
-}
-AUDIT_CHECKS = {
-    "train_of": _is_text,
-    "test_of": _is_text,
-    "fraction": lambda v: isinstance(v, (int, float)),
-}
-SPLIT_CHECKS = {"partition": _is_text}
-
-
-def _malformed(row: dict, checks: dict) -> list[str]:
-    return [k for k, ok in checks.items() if k in row and not ok(row[k])]
-
-
-def _renderable(path: str, rows: list, keys: tuple[str, ...], checks: dict) -> list[dict]:
-    """``rows`` when there is at least one, every row holds ``keys`` and its
-    fields pass ``checks``."""
-    if not rows:
-        raise MalformedDocument(f"{path}: no rows to render")
-    for n, row in enumerate(rows, start=1):
-        missing = [k for k in keys if not isinstance(row, dict) or k not in row]
-        if missing:
-            raise MalformedDocument(f"{path}: row {n} has no {', '.join(missing)}")
-        malformed = _malformed(row, checks)
-        if malformed:
-            raise MalformedDocument(f"{path}: row {n} has a malformed {', '.join(malformed)}")
-    return rows
 
 
 def cmd_report(cfg: RunConfig) -> int:
     path = cfg.path("report")
-    header, rows = read_ndjson(path)
-    fmt = header.get("format", "")
-    if fmt == EVAL_REPORT_FORMAT:
-        row = _renderable(path, rows, ("per_task", "overall"), REPORT_CHECKS)[0]
-        print(render_report(EvalReport.from_dict(row)))
-    elif fmt == ABLATION_FORMAT:
-        results = [
-            {
-                "block": r["block"],
-                "label": r["label"],
-                "report": EvalReport.from_dict(r["report"]),
-            }
-            for r in _renderable(path, rows, ("block", "label", "report"), ABLATION_CHECKS)
-        ]
-        print(render_ablation_table(results))
-    elif fmt == AUDIT_FORMAT:
-        for row in _renderable(path, rows, tuple(AUDIT_CHECKS), AUDIT_CHECKS):
-            print(
-                f"contamination(train of {row['train_of']}, test of {row['test_of']}) "
-                f"= {row['fraction']:.3f}"
-            )
-    elif fmt == SPLIT_FORMAT:
-        counts: dict[str, int] = {}
-        for row in _renderable(path, rows, tuple(SPLIT_CHECKS), SPLIT_CHECKS):
-            counts[row["partition"]] = counts.get(row["partition"], 0) + 1
-        print(f"protocol: {header.get('protocol', '?')}")
-        for name in ("train", "dev", "test", "excluded"):
-            print(f"{name:<10} {counts.get(name, 0):>8}")
-    else:
-        raise MalformedDocument(f"no renderer for artifact format {fmt!r}")
+    fmt = read_header(path)["format"]
+    if fmt not in REPORTS:
+        raise MalformedDocument(f"{path}: no renderer for artifact format {fmt!r}")
+    read, render = REPORTS[fmt]
+    artifact = read(path)  # read_assignment refuses a split of no items itself
+    if not artifact:
+        raise MalformedDocument(f"{path}: no rows to render")
+    print(render(artifact))
     return 0
 
 

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .canon import stable_hash
-from .errors import ConfigConflict, MalformedDocument
+from .errors import ConfigConflict, DataError, MalformedDocument
 from .jsonio import Record, check_fields
 from .memory import DEFAULT_MAX_PREFIX_LEN
+from .provgraph import FieldMap
 from .retrieval import DEFAULT_STRUCT_SEED, RetrievalWeights
 from .runner import PolicyConfig
 from .scoring import ScoringConfig
-from .taskgen import DEFAULT_K
+from .taskgen import DEFAULT_K, GenCaps
 
 PATH_KEYS = (
     "raw",
@@ -76,6 +77,14 @@ class RunConfig(Record):
 
     def __post_init__(self):
         self.ratios = tuple(float(r) for r in self.ratios)
+        # caps and field_map stay plain dicts, so that a partial one keeps its hash
+        if self.caps:
+            GenCaps.from_dict(self.caps)  # a usage error, like every other knob
+        if self.field_map:
+            try:
+                FieldMap.from_dict(self.field_map)
+            except MalformedDocument as exc:  # a data error, as compile reports it
+                raise DataError(f"field_map: {exc}") from None
         strangers = set(self.paths) - set(PATH_KEYS)
         if strangers:
             raise ConfigConflict(f"unknown path keys: {sorted(strangers)}")

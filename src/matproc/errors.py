@@ -69,6 +69,10 @@ class EmptyTestPartition(DataError):
     """Contamination requested against a test partition with no DOIs."""
 
 
+class UncoveredItem(DataError):
+    """A split assigns no partition to an item of the question set."""
+
+
 # --- process memory ----------------------------------------------------------
 
 class EmptyTrainSet(DataError):

@@ -10,7 +10,8 @@ Every artifact file the pipeline emits uses this layout:
 Writers are deterministic (sorted keys) so identical inputs produce
 byte-identical files. A :class:`Record` dataclass is written as its
 persisted fields and read back by ``from_dict``, which checks every value
-against the field's annotation.
+against the field's annotation; :func:`read_artifact` reads every
+artifact that way, after checking its header.
 """
 
 from __future__ import annotations
@@ -199,6 +200,45 @@ def read_ndjson(path: str | Path) -> tuple[dict, list[dict]]:
     with path.open("r", encoding="utf-8") as fh:
         records = _records(path, fh)
         return _header(path, records), list(records)
+
+
+def read_header(path: str | Path) -> dict:
+    """The header line alone."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        return _header(path, _records(path, fh))
+
+
+def read_artifact(path: str | Path, fmt: str, row_type, **header_types) -> tuple[dict, list | dict]:
+    """Header and records of the artifact at ``path``: its ``format`` must be
+    ``fmt``, each header field in ``header_types`` must have that type where
+    present, and each row is built by ``row_type.from_dict``. In a file of
+    several row types, ``row_type`` maps each row's ``kind`` to the type of
+    its other fields, and the records come back as one list per kind.
+    Raises :class:`MalformedDocument` naming the file and the row."""
+    header, rows = read_ndjson(path)
+    if header["format"] != fmt:
+        raise MalformedDocument(f"{path}: format {header['format']!r}, expected {fmt!r}")
+    for key, tp in header_types.items():
+        if key in header and type(header[key]) not in _plan(tp)[0]:
+            raise MalformedDocument(
+                f"{path}: header {key}: expected {getattr(tp, '__name__', tp)}, "
+                f"got {type(header[key]).__name__}"
+            )
+    kinds = row_type if isinstance(row_type, dict) else None
+    records: list | dict = [] if kinds is None else {kind: [] for kind in kinds}
+    for n, row in enumerate(rows, start=1):
+        try:
+            if kinds is None:
+                records.append(row_type.from_dict(row))
+                continue
+            kind = row.pop("kind", None) if type(row) is dict else None
+            if type(kind) is not str or kind not in kinds:
+                raise MalformedDocument(f"kind {kind!r} is not one of {', '.join(kinds)}")
+            records[kind].append(kinds[kind].from_dict(row))
+        except MalformedDocument as exc:
+            raise MalformedDocument(f"{path}: row {n}: {exc}") from None
+    return header, records
 
 
 def iter_ndjson(path: str | Path) -> Iterator[dict]:

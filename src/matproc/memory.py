@@ -10,7 +10,7 @@ on routes the memory has never seen from the start.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -19,7 +19,7 @@ import numpy as np
 
 from .canon import canon_label
 from .errors import EmptyLibrary, EmptyTrainSet, MalformedDocument
-from .jsonio import Record, artifact_header, read_ndjson, record_fields, write_ndjson
+from .jsonio import Record, artifact_header, read_artifact, record_fields, write_ndjson
 from .provgraph import (
     ProcessGraph,
     precursor_labels,
@@ -411,6 +411,36 @@ def linearize_process(memory: ProcessMemory, graph_id: str) -> str:
 
 # --- persistence -----------------------------------------------------------------
 
+
+@dataclass
+class ProcessRow(ProcessSummary):
+    """A process as the memory file stores it, with its vectors. They are
+    checked here only as lists; the dense index converts them."""
+
+    embeddings: dict[str, list] | None = None
+
+    def summary(self) -> ProcessSummary:
+        return ProcessSummary(**{f.name: getattr(self, f.name) for f in fields(ProcessSummary)})
+
+
+@dataclass
+class TransitionRow(Record):
+    a: str
+    b: str
+    count: int
+
+
+@dataclass
+class PrefixRow(Record):
+    prefix: tuple[str, ...]
+    next: dict[str, int]
+
+
+# the record type of each kind of memory-file row
+MEMORY_ROWS = {"process": ProcessRow, "step": StepEntry, "transition": TransitionRow,
+               "prefix": PrefixRow}
+
+
 def save_memory(path: str | Path, memory: ProcessMemory, config_hash: str = "") -> int:
     header = artifact_header(
         MEMORY_FORMAT,
@@ -428,37 +458,25 @@ def save_memory(path: str | Path, memory: ProcessMemory, config_hash: str = "") 
         rows.append(row)
     rows.extend({"kind": "step", **record_fields(e)} for e in memory.step_library)
     rows.extend(
-        {"kind": "transition", "a": a, "b": b, "count": c}
+        {"kind": "transition", **record_fields(TransitionRow(a, b, c))}
         for (a, b), c in sorted(memory.transition_table.items())
     )
     rows.extend(
-        {"kind": "prefix", "prefix": list(window), "next": dict(sorted(counts.items()))}
+        {"kind": "prefix", **record_fields(PrefixRow(window, dict(counts)))}
         for window, counts in sorted(memory.prefix_index.items())
     )
     return write_ndjson(path, header, rows)
 
 
 def load_memory(path: str | Path) -> ProcessMemory:
-    header, rows = read_ndjson(path)
-    if header.get("format") != MEMORY_FORMAT:
-        raise MalformedDocument(f"{path}: not a process-memory file")
-    memory = ProcessMemory(
+    header, rows = read_artifact(path, MEMORY_FORMAT, MEMORY_ROWS, split_id=str, max_prefix_len=int)
+    processes = rows["process"]
+    return ProcessMemory(
         split_id=header.get("split_id", ""),
-        max_prefix_len=int(header.get("max_prefix_len", DEFAULT_MAX_PREFIX_LEN)),
+        max_prefix_len=header.get("max_prefix_len", DEFAULT_MAX_PREFIX_LEN),
+        processes=[p.summary() for p in processes],
+        step_library=rows["step"],
+        transition_table={(t.a, t.b): t.count for t in rows["transition"]},
+        prefix_index={p.prefix: Counter(p.next) for p in rows["prefix"]},
+        embedding_store={p.graph_id: p.embeddings for p in processes if p.embeddings},
     )
-    for row in rows:
-        kind = row.pop("kind")
-        if kind == "process":
-            embeddings = row.pop("embeddings", None)
-            memory.processes.append(ProcessSummary.from_dict(row))
-            if embeddings:
-                memory.embedding_store[row["graph_id"]] = embeddings
-        elif kind == "step":
-            memory.step_library.append(StepEntry.from_dict(row))
-        elif kind == "transition":
-            memory.transition_table[(row["a"], row["b"])] = int(row["count"])
-        elif kind == "prefix":
-            memory.prefix_index[tuple(row["prefix"])] = Counter(row["next"])
-        else:
-            raise MalformedDocument(f"{path}: unknown row kind {kind!r}")
-    return memory

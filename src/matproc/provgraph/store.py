@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..jsonio import artifact_header, read_ndjson, write_ndjson
+from ..jsonio import artifact_header, read_artifact, write_ndjson
 from .model import ProcessGraph
 
 GRAPH_FORMAT = "matproc-graphs"
@@ -16,8 +16,7 @@ def write_graph_store(path: str | Path, graphs: list[ProcessGraph], config_hash:
 
 
 def read_graph_store(path: str | Path) -> tuple[dict, list[ProcessGraph]]:
-    header, rows = read_ndjson(path)
-    return header, [ProcessGraph.from_dict(r) for r in rows]
+    return read_artifact(path, GRAPH_FORMAT, ProcessGraph)
 
 
 def load_graphs(path: str | Path) -> list[ProcessGraph]:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .canon import canon_label, derive_seed
 from .endpoint import post_json
-from .errors import EmbedderUnavailable, EmbeddingDimensionMismatch, EmptyMemory, InvalidParams
+from .errors import (EmbedderUnavailable, EmbeddingDimensionMismatch, EmptyMemory, InvalidParams,
+                     MalformedDocument)
 from .jsonio import Record
 from .memory import (
     LabelSets,
@@ -410,7 +411,7 @@ def text_vector(memory: ProcessMemory, graph_id: str) -> np.ndarray:
     vec = memory.embedding_store.get(graph_id, {}).get("text")
     if vec is None:
         return BuiltinTextEmbedder().embed([linearize_process(memory, graph_id)])[0]
-    return np.asarray(vec, dtype=np.float64)
+    return _stored_vector(graph_id, "text", vec)
 
 
 # --- dense index -----------------------------------------------------------------------
@@ -444,13 +445,19 @@ class DenseIndex:
         return (activity + length + precursor) / 3.0
 
 
-def _checked_vector(graph_id: str, kind: str, vec):
-    if len(vec) != EMBED_DIM:
+def _stored_vector(graph_id: str, kind: str, vec: list) -> np.ndarray:
+    """A stored vector as float64, checked to be ``EMBED_DIM`` numbers."""
+    array = np.asarray(vec)
+    if array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise MalformedDocument(
+            f"memory process {graph_id!r}: stored {kind} vector is not a list of numbers"
+        )
+    if len(array) != EMBED_DIM:
         raise EmbeddingDimensionMismatch(
-            f"memory process {graph_id!r}: stored {kind} vector has {len(vec)} dimensions,"
+            f"memory process {graph_id!r}: stored {kind} vector has {len(array)} dimensions,"
             f" the query side embeds in {EMBED_DIM}"
         )
-    return vec
+    return array.astype(np.float64, copy=False)
 
 
 def _build_index(memory: ProcessMemory) -> DenseIndex:
@@ -458,10 +465,10 @@ def _build_index(memory: ProcessMemory) -> DenseIndex:
     text = np.zeros((len(ids), EMBED_DIM), dtype=np.float64)
     struct = np.zeros_like(text)
     for row, gid in enumerate(ids):
-        text[row] = _checked_vector(gid, "text", text_vector(memory, gid))
+        text[row] = text_vector(memory, gid)
         stored_struct = memory.embedding_store.get(gid, {}).get("struct")
         if stored_struct is not None:
-            struct[row] = _checked_vector(gid, "struct", stored_struct)
+            struct[row] = _stored_vector(gid, "struct", stored_struct)
     rank = {gid: i for i, gid in enumerate(sorted(set(ids)))}
     return DenseIndex(
         graph_ids=ids,
@@ -483,7 +490,8 @@ def dense_index(memory: ProcessMemory) -> DenseIndex:
     A process without a stored text vector gets the row :func:`text_vector`
     derives for it; the memory is not written to. Building raises
     :class:`EmbeddingDimensionMismatch` for a stored vector whose length is
-    not ``EMBED_DIM``.
+    not ``EMBED_DIM``, and :class:`MalformedDocument` for one that holds
+    anything but numbers.
     """
     return memory.derived(
         "dense_index",

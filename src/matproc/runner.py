@@ -99,17 +99,43 @@ class PolicyConfig(Record):
 
 
 @dataclass
+class Tally(Record):
+    """Correct answers out of a total."""
+
+    accuracy: float
+    correct: int
+    total: int
+
+    @classmethod
+    def of(cls, correct: int, total: int) -> "Tally":
+        return cls(accuracy=correct / total if total else 0.0, correct=correct, total=total)
+
+    def render(self) -> str:
+        """The ``accuracy   correct/total`` cells of the report tables."""
+        return f"{self.accuracy * 100:7.2f}%   {self.correct}/{self.total}"
+
+
+@dataclass
 class EvalReport(Record):
     split_id: str
     policy: dict
-    per_task: dict[str, dict]
-    overall: dict
+    per_task: dict[str, Tally]
+    overall: Tally
     wall_clock_s: float = field(default=0.0, metadata=TRANSIENT)  # human-facing only
     log_path: str = ""
 
     @property
     def accuracy(self) -> float:
-        return self.overall["accuracy"]
+        return self.overall.accuracy
+
+
+@dataclass
+class AblationRow(Record):
+    """One lattice point of the ablation grid and its report."""
+
+    block: str
+    label: str
+    report: EvalReport
 
 
 def answer_argmax(scores: OptionScores) -> int:
@@ -447,19 +473,13 @@ def _tally(per_task: dict[str, dict], row: dict) -> None:
 
 
 def _report(config, memory, per_task: dict[str, dict], wall_clock_s: float) -> EvalReport:
-    for bucket in per_task.values():
-        bucket["accuracy"] = bucket["correct"] / bucket["total"] if bucket["total"] else 0.0
-    overall_correct = sum(b["correct"] for b in per_task.values())
-    overall_total = sum(b["total"] for b in per_task.values())
+    tallies = {task: Tally.of(b["correct"], b["total"]) for task, b in sorted(per_task.items())}
     return EvalReport(
         split_id=memory.split_id if memory is not None else "",
         policy=config.to_dict(),
-        per_task={task: per_task[task] for task in sorted(per_task)},
-        overall={
-            "correct": overall_correct,
-            "total": overall_total,
-            "accuracy": overall_correct / overall_total if overall_total else 0.0,
-        },
+        per_task=tallies,
+        overall=Tally.of(sum(t.correct for t in tallies.values()),
+                         sum(t.total for t in tallies.values())),
         wall_clock_s=wall_clock_s,
     )
 
@@ -584,7 +604,7 @@ def run_ablation(
     client=None,
     axes=None,
     jobs: int = 1,
-) -> list[dict]:
+) -> list[AblationRow]:
     """One EvalReport per lattice point, each equal to ``evaluate`` of its
     config; the rows answer the items together (see :func:`answer_items`)."""
     grid = ablation_grid(base, axes)
@@ -596,7 +616,7 @@ def run_ablation(
             _tally(per_task, row)
     wall_clock_s = time.monotonic() - started  # the whole grid's, on every row
     return [
-        {"block": block, "label": label, "report": _report(config, memory, per_task, wall_clock_s)}
+        AblationRow(block, label, _report(config, memory, per_task, wall_clock_s))
         for (block, label, config), per_task in zip(grid, tallies)
     ]
 
@@ -610,29 +630,18 @@ def render_report(report: EvalReport) -> str:
         f"policy: {report.policy.get('policy', '?')}    split: {report.split_id or '-'}",
         f"{'task'.ljust(width)}  accuracy   correct/total",
     ]
-    for task, bucket in report.per_task.items():
-        lines.append(
-            f"{task.ljust(width)}  {bucket['accuracy'] * 100:7.2f}%   "
-            f"{bucket['correct']}/{bucket['total']}"
-        )
-    overall = report.overall
-    lines.append(
-        f"{'overall'.ljust(width)}  {overall['accuracy'] * 100:7.2f}%   "
-        f"{overall['correct']}/{overall['total']}"
-    )
+    for task, tally in [*report.per_task.items(), ("overall", report.overall)]:
+        lines.append(f"{task.ljust(width)}  {tally.render()}")
     if report.wall_clock_s:
         lines.append(f"wall clock: {report.wall_clock_s:.2f}s")
     return "\n".join(lines)
 
 
-def render_ablation_table(rows: list[dict]) -> str:
-    label_width = max(len(r["label"]) for r in rows)
-    block_width = max(len(r["block"]) for r in rows)
+def render_ablation_table(rows: list[AblationRow]) -> str:
+    label_width = max(len(r.label) for r in rows)
+    block_width = max(len(r.block) for r in rows)
     lines = [f"{'block'.ljust(block_width)}  {'variant'.ljust(label_width)}  accuracy   correct/total"]
     for row in rows:
-        overall = row["report"].overall
-        lines.append(
-            f"{row['block'].ljust(block_width)}  {row['label'].ljust(label_width)}  "
-            f"{overall['accuracy'] * 100:7.2f}%   {overall['correct']}/{overall['total']}"
-        )
+        lines.append(f"{row.block.ljust(block_width)}  {row.label.ljust(label_width)}  "
+                     f"{row.report.overall.render()}")
     return "\n".join(lines)

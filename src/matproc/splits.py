@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EmptyTestPartition, InvalidParams
-from .jsonio import artifact_header, read_ndjson, write_ndjson
+from .errors import EmptyTestPartition, InvalidParams, MalformedDocument, UncoveredItem
+from .jsonio import Record, artifact_header, read_artifact, write_ndjson
 from .taskgen import BenchItem
 
 PARTITIONS = ("train", "dev", "test", "excluded")
@@ -30,12 +30,16 @@ class SplitAssignment:
     mapping: dict[str, str]  # item_id -> partition
     seed: int | None = None
     warnings: list[str] = field(default_factory=list)
-
-    def partition_of(self, item_id: str) -> str:
-        return self.mapping[item_id]
+    source: str = field(default="", compare=False)  # the file it was read from, if any
 
     def items_in(self, items: list[BenchItem], partition: str) -> list[BenchItem]:
-        return [it for it in items if self.mapping[it.item_id] == partition]
+        """The items in ``partition``; raises :class:`UncoveredItem` naming
+        the first item this split assigns nowhere."""
+        try:
+            return [it for it in items if self.mapping[it.item_id] == partition]
+        except KeyError as exc:
+            where = self.source or f"split {self.protocol!r}"
+            raise UncoveredItem(f"{where}: no partition for item {exc.args[0]!r}") from None
 
     def counts(self) -> dict[str, int]:
         out = {p: 0 for p in PARTITIONS}
@@ -45,8 +49,38 @@ class SplitAssignment:
 
 
 @dataclass
+class SplitRow(Record):
+    """One item's partition, as a split file stores it."""
+
+    item_id: str
+    partition: str
+
+    def __post_init__(self):
+        if self.partition not in PARTITIONS:
+            raise MalformedDocument(
+                f"SplitRow.partition: {self.partition!r} is not one of {', '.join(PARTITIONS)}"
+            )
+
+
+@dataclass
 class ContaminationMatrix:
     entries: dict[tuple[str, str], float] = field(default_factory=dict)  # (train of, test of) -> fraction
+
+
+@dataclass
+class AuditRow(Record):
+    """One requested entry of the contamination matrix, as the audit writes it."""
+
+    train_of: str
+    test_of: str
+    fraction: float
+
+
+def render_audit(rows: list[AuditRow]) -> str:
+    return "\n".join(
+        f"contamination(train of {r.train_of}, test of {r.test_of}) = {r.fraction:.3f}"
+        for r in rows
+    )
 
 
 def split_random(items: list[BenchItem], ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitAssignment:
@@ -201,23 +235,32 @@ def render_split_report(report: dict) -> str:
     return "\n".join(lines)
 
 
+def render_split_counts(assignment: SplitAssignment) -> str:
+    """The protocol, then the item count of each partition."""
+    counts = assignment.counts()
+    return "\n".join([f"protocol: {assignment.protocol}",
+                      *(f"{name:<10} {n:>8}" for name, n in counts.items())])
+
+
 def write_assignment(
     path: str | Path, assignment: SplitAssignment, config_hash: str = ""
 ) -> int:
     header = artifact_header(
         SPLIT_FORMAT, config_hash=config_hash, protocol=assignment.protocol, seed=assignment.seed
     )
-    rows = [
-        {"item_id": item_id, "partition": partition}
-        for item_id, partition in sorted(assignment.mapping.items())
-    ]
+    rows = (SplitRow(*pair) for pair in sorted(assignment.mapping.items()))
     return write_ndjson(path, header, rows)
 
 
 def read_assignment(path: str | Path) -> SplitAssignment:
-    header, rows = read_ndjson(path)
+    """The assignment a split file holds; a file that assigns no item is
+    malformed (``split`` refuses an empty question set)."""
+    header, rows = read_artifact(path, SPLIT_FORMAT, SplitRow, protocol=str, seed=int | None)
+    if not rows:
+        raise MalformedDocument(f"{path}: no items assigned")
     return SplitAssignment(
         protocol=header.get("protocol", "unknown"),
-        mapping={r["item_id"]: r["partition"] for r in rows},
+        mapping={r.item_id: r.partition for r in rows},
         seed=header.get("seed"),
+        source=str(path),
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..jsonio import artifact_header, read_ndjson, write_ndjson
+from ..jsonio import artifact_header, read_artifact, write_ndjson
 from .model import BenchItem
 
 BENCH_FORMAT = "matproc-bench"
@@ -30,8 +30,7 @@ def write_benchmark(
 
 
 def read_benchmark(path: str | Path) -> tuple[dict, list[BenchItem]]:
-    header, rows = read_ndjson(path)
-    return header, [BenchItem.from_dict(r) for r in rows]
+    return read_artifact(path, BENCH_FORMAT, BenchItem)
 
 
 def load_items(path: str | Path) -> list[BenchItem]:

@@ -317,6 +317,6 @@ def test_criterion_7_grid_shape_and_lambda_one_equivalence():
     # The full grid runs end to end with the mock client on a small slice.
     results = run_ablation(sample[:24], memory, axes=["module", "scoring"])
     assert len(results) == 9
-    by_label = {r["label"]: r["report"] for r in results}
+    by_label = {r.label: r.report for r in results}
     symbolic_small, _ = evaluate(sample[:24], memory, PolicyConfig(policy="argmax_symbolic"))
     assert by_label["lambda=1.0"].overall == symbolic_small.overall

@@ -817,10 +817,11 @@ def test_compile_logs_excluded_records(tmp_path, capsys):
         (cli.AUDIT_FORMAT, [{"train_of": "random", "test_of": "year", "fraction": "half"}]),
         (cli.SPLIT_FORMAT, [{"item_id": "g1:A1_route_retrieval:0"}]),
         (cli.SPLIT_FORMAT, [{"item_id": "g1:A1_route_retrieval:0", "partition": ["test"]}]),
+        (cli.SPLIT_FORMAT, [{"item_id": "g1:A1_route_retrieval:0", "partition": "tset"}]),
     ],
     ids=["ablation-empty-report", "ablation-no-accuracy", "eval-text-accuracy",
          "eval-task-no-tally", "audit-no-test-of", "audit-text-fraction", "split-no-partition",
-         "split-list-partition"],
+         "split-list-partition", "split-unknown-partition"],
 )
 def test_report_rejects_rows_without_renderable_fields(tmp_path, capsys, fmt, rows):
     path = tmp_path / "artifact.ndjson"
@@ -859,3 +860,154 @@ def test_python_dash_m_matproc_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "usage: matproc" in done.stdout
+
+
+# --- artifact readers ---------------------------------------------------------------------
+
+
+def _edited(tmp_path, name: str, edit) -> Path:
+    """A copy of the pipeline's ``name`` artifact with ``edit(header, rows)`` applied."""
+    header, rows = read_ndjson(pipeline()[name])
+    edit(header, rows)
+    path = tmp_path / f"{name}.ndjson"
+    write_ndjson(path, header, rows)
+    return path
+
+
+def _first(kind):
+    return lambda rows: next(r for r in rows if r.get("kind") == kind)
+
+
+def _drop_count(header, rows):
+    del _first("transition")(rows)["count"]
+
+
+def _drop_kind(header, rows):
+    del rows[-1]["kind"]
+
+
+def _text_vector_as_string(header, rows):
+    _first("process")(rows)["embeddings"]["text"] = "0.1 0.2"
+
+
+def _text_prefix_len(header, rows):
+    header["max_prefix_len"] = "4"
+
+
+def _drop_last_item(header, rows):
+    del rows[-1]
+
+
+def _numeric_protocol(header, rows):
+    header["protocol"] = 5
+
+
+def _text_seed(header, rows):
+    header["seed"] = "5"
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("memory", _drop_count, "missing keys ['count']"),
+        ("memory", _drop_kind, "kind None is not one of"),
+        ("memory", _text_vector_as_string, "ProcessRow.embeddings"),
+        ("memory", _text_prefix_len, "header max_prefix_len: expected int, got str"),
+        ("split", _drop_last_item, "no partition for item"),
+        ("split", _numeric_protocol, "header protocol: expected str, got int"),
+        ("split", _text_seed, "header seed: expected int | None, got str"),
+    ],
+    ids=["transition-no-count", "row-no-kind", "string-vector", "text-max-prefix-len",
+         "split-misses-an-item", "numeric-protocol", "text-seed"],
+)
+def test_eval_on_a_malformed_artifact_exits_3_naming_it(tmp_path, capsys, name, edit, message):
+    path = _edited(tmp_path, name, edit)
+    argv = eval_argv(pipeline(), "argmax_hybrid", tmp_path / "log.ndjson", memory=path)
+    if name == "split":
+        argv[argv.index("--split") + 1] = str(path)
+    code = cli.dispatch(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and str(path) in err and message in err
+    assert "Traceback" not in err
+
+
+def test_eval_with_the_question_set_as_its_split_exits_3(tmp_path, capsys):
+    paths = pipeline()
+    argv = eval_argv(paths, "argmax_hybrid", tmp_path / "log.ndjson")
+    argv[argv.index("--split") + 1] = str(paths["bench"])
+    assert cli.dispatch(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(paths["bench"]) in err
+    assert "expected 'matproc-split'" in err and "Traceback" not in err
+
+
+def test_a_non_number_in_a_stored_vector_exits_3_naming_the_graph(tmp_path, capsys):
+    graph_ids = []
+
+    def edit(header, rows):
+        process = _first("process")(rows)
+        process["embeddings"]["struct"][3] = "0.5"
+        graph_ids.append(process["graph_id"])
+
+    path = _edited(tmp_path, "memory", edit)
+    code = cli.dispatch(eval_argv(pipeline(), "argmax_hybrid", tmp_path / "log.ndjson", memory=path))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and graph_ids[0] in err and "not a list of numbers" in err
+    assert "Traceback" not in err
+
+
+def _eval_reading(flag):
+    def argv(paths, path, out):
+        argv = eval_argv(paths, "argmax_hybrid", out)
+        argv[argv.index(flag) + 1] = str(path)
+        return argv
+
+    return argv
+
+
+# reader -> (its argv given the artifact at ``path``, the artifacts it takes)
+READERS = {
+    "genbench": (lambda paths, path, out: ["genbench", "--graphs", str(path), "--out", str(out)],
+                 {"graphs"}),
+    "split": (lambda paths, path, out: ["split", "--bench", str(path), "--out", str(out)],
+              {"bench"}),
+    "eval-split": (_eval_reading("--split"), {"split"}),
+    "eval-memory": (_eval_reading("--memory"), {"memory"}),
+    "report": (lambda paths, path, out: ["report", "--in", str(path)],
+               {"report", "ablation", "audit", "split"}),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_refuses_every_other_artifact(tmp_path, capsys, reader):
+    paths = pipeline()
+    argv, takes = READERS[reader]
+    out = tmp_path / "out.ndjson"
+    for name, path in paths.items():
+        if name in takes:
+            continue
+        assert cli.dispatch(argv(paths, path, out)) == 3, name
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "Traceback" not in err, name
+        assert not out.exists(), name
+
+
+@pytest.mark.parametrize(
+    "content, code",
+    [({"caps": {"z": 1}}, 2), ({"caps": {"a1": "2"}}, 2), ({"field_map": {"label_keys": 5}}, 3),
+     ({"field_map": {"galaxy": []}}, 3)],
+    ids=lambda c: json.dumps(c, sort_keys=True),
+)
+def test_caps_and_field_map_are_checked_on_every_command(tmp_path, capsys, content, code):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(content))
+    out = tmp_path / "split.ndjson"
+    assert cli.dispatch(
+        ["split", "--config", str(cfg_path), "--bench", str(pipeline()["bench"]), "--out", str(out)]
+    ) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert ("GenCaps" if "caps" in content else "FieldMap") in err
+    assert not out.exists()

@@ -20,10 +20,12 @@ from matproc.jsonio import (
     check_fields,
     dumps_line,
     iter_ndjson,
+    read_artifact,
+    read_header,
     read_ndjson,
     write_ndjson,
 )
-from matproc.memory import ProcessSummary, StepEntry, build_memory
+from matproc.memory import PrefixRow, ProcessRow, ProcessSummary, StepEntry, TransitionRow, build_memory
 from matproc.provgraph import (
     ActivityNode,
     EntityNode,
@@ -42,7 +44,7 @@ from matproc.retrieval import (
     query_from_item,
     retrieve,
 )
-from matproc.runner import EvalReport, PolicyConfig, evaluate
+from matproc.runner import AblationRow, EvalReport, PolicyConfig, Tally, evaluate
 from matproc.scoring import (
     OptionScores,
     ScoringConfig,
@@ -50,6 +52,7 @@ from matproc.scoring import (
     score_options_neural,
     score_options_symbolic,
 )
+from matproc.splits import AuditRow, SplitRow, split_items
 from matproc.taskgen import BenchItem, GenCaps, generate_benchmark
 
 
@@ -92,12 +95,46 @@ def test_both_readers_check_the_header(tmp_path, text, message):
         next(iter_ndjson(path))
 
 
+def test_read_artifact_checks_the_format_the_header_and_every_row(tmp_path):
+    path = tmp_path / "store.ndjson"
+    rows = [{"alpha": 1, "beta": 0, "gamma": 0}, {"alpha": 0.5, "beta": 0.5, "gamma": 0}]
+    write_ndjson(path, {"format": "demo", "seed": 3}, rows)
+    assert read_header(path) == {"format": "demo", "seed": 3}
+    header, records = read_artifact(path, "demo", RetrievalWeights, seed=int | None, protocol=str)
+    assert header["seed"] == 3 and records == [RetrievalWeights(1, 0, 0), RetrievalWeights(0.5, 0.5, 0)]
+    with pytest.raises(MalformedDocument, match=r"store\.ndjson: format 'demo', expected 'other'"):
+        read_artifact(path, "other", RetrievalWeights)
+    with pytest.raises(MalformedDocument, match=r"store\.ndjson: header seed: expected str, got int"):
+        read_artifact(path, "demo", RetrievalWeights, seed=str)
+    write_ndjson(path, {"format": "demo"}, [*rows, {"alpha": True, "beta": 0, "gamma": 0}])
+    with pytest.raises(MalformedDocument,
+                       match=r"store\.ndjson: row 3: RetrievalWeights\.alpha: expected float, got bool"):
+        read_artifact(path, "demo", RetrievalWeights)
+
+
+def test_read_artifact_groups_tagged_rows_by_kind(tmp_path):
+    def tagged(kind, record):
+        return {"kind": kind, **record.to_dict()}
+
+    path = tmp_path / "store.ndjson"
+    kinds = {"weights": RetrievalWeights, "caps": GenCaps}
+    write_ndjson(path, {"format": "demo"},
+                 [tagged("caps", GenCaps(b1=8)), tagged("weights", RetrievalWeights()), tagged("caps", GenCaps())])
+    _, records = read_artifact(path, "demo", kinds)
+    assert records == {"weights": [RetrievalWeights()], "caps": [GenCaps(b1=8), GenCaps()]}
+    for bad in ({"alpha": 1}, {"kind": "nope"}, {"kind": ["caps"]}, [1]):
+        write_ndjson(path, {"format": "demo"}, [tagged("caps", GenCaps()), bad])
+        with pytest.raises(MalformedDocument, match=r"store\.ndjson: row 2: kind .* is not one of weights, caps"):
+            read_artifact(path, "demo", kinds)
+
+
 # --- the encoder and the typed loader -------------------------------------------------
 
 
 PERSISTED = (EntityNode, ActivityNode, ProcessGraph, ProcessSummary, StepEntry, BenchItem, GenCaps,
              FieldMap, RetrievalWeights, RetrievedPrecedent, ScoringConfig, OptionScores,
-             PolicyConfig, EvalReport, ChatExchange, RunConfig)
+             PolicyConfig, EvalReport, ChatExchange, RunConfig, Tally, AblationRow, SplitRow,
+             AuditRow, ProcessRow, TransitionRow, PrefixRow)
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,6 +171,14 @@ def run_objects() -> dict[type, list]:
         EvalReport: [report],
         ChatExchange: [exchange],
         RunConfig: [RunConfig(), cfg],
+        Tally: [report.overall, *report.per_task.values()],
+        AblationRow: [AblationRow("scoring", "lambda=0.5", dataclasses.replace(report, wall_clock_s=0.0))],
+        SplitRow: [SplitRow(*pair) for pair in split_items(items, "year").mapping.items()],
+        AuditRow: [AuditRow("dual", "year", 0.25), AuditRow("random", "random", 1)],
+        ProcessRow: [ProcessRow(**p.to_dict(), embeddings=memory.embedding_store.get(p.graph_id))
+                     for p in memory.processes] + [ProcessRow(**memory.processes[0].to_dict())],
+        TransitionRow: [TransitionRow(a, b, c) for (a, b), c in memory.transition_table.items()],
+        PrefixRow: [PrefixRow(window, dict(counts)) for window, counts in memory.prefix_index.items()],
     }
 
 

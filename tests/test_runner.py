@@ -472,11 +472,11 @@ def test_report_arithmetic_recomputes_from_rows():
         bucket[0] += int(row["correct"])
         bucket[1] += 1
     for task, (correct, total) in by_task.items():
-        assert report.per_task[task]["correct"] == correct
-        assert report.per_task[task]["total"] == total
-        assert report.per_task[task]["accuracy"] == pytest.approx(correct / total)
-    assert report.overall["total"] == len(items)
-    assert report.overall["correct"] == sum(int(r["correct"]) for r in rows)
+        assert report.per_task[task].correct == correct
+        assert report.per_task[task].total == total
+        assert report.per_task[task].accuracy == pytest.approx(correct / total)
+    assert report.overall.total == len(items)
+    assert report.overall.correct == sum(int(r["correct"]) for r in rows)
     assert report.split_id == "runner-tests"
 
 
@@ -637,7 +637,7 @@ def test_exemplar_pool_must_not_overlap_scored_partitions():
     report, _ = rn.evaluate(
         items, config=rn.PolicyConfig(policy="few_shot"), train_items=list(bench()[:40])
     )
-    assert report.overall["total"] == len(items)
+    assert report.overall.total == len(items)
 
 
 def test_rag_and_graphrag_cite_their_precedents():
@@ -674,7 +674,7 @@ def test_external_predictions_flags_gaps_and_range_errors():
     assert rows[0]["correct"] is True
     assert "prediction_out_of_range" in rows[1]["flags"] and not rows[1]["correct"]
     assert "missing_prediction" in rows[2]["flags"] and not rows[2]["correct"]
-    assert report.overall["correct"] == 1
+    assert report.overall.correct == 1
 
 
 def test_external_predictions_reject_unknown_ids():
@@ -729,8 +729,8 @@ def test_run_ablation_produces_reports_per_row():
     results = rn.run_ablation(items, mem(), axes=["scoring"])
     assert len(results) == 5
     for result in results:
-        assert result["report"].overall["total"] == len(items)
-    by_label = {r["label"]: r["report"].accuracy for r in results}
+        assert result.report.overall.total == len(items)
+    by_label = {r.label: r.report.accuracy for r in results}
     symbolic, _ = rn.evaluate(items, mem(), rn.PolicyConfig(policy="argmax_symbolic"))
     assert by_label["lambda=1.0"] == pytest.approx(symbolic.accuracy)
 
@@ -746,12 +746,12 @@ def test_every_grid_row_equals_a_fresh_evaluate_of_its_config():
     per_item = list(rn.answer_items(items, mem(), [config for _, _, config in grid],
                                     client=ch.MockChatClient()))
     results = rn.run_ablation(items, mem(), client=ch.MockChatClient())
-    assert [(r["block"], r["label"]) for r in results] == [(b, l) for b, l, _ in grid]
+    assert [(r.block, r.label) for r in results] == [(b, l) for b, l, _ in grid]
     for column, ((block, label, config), result) in enumerate(zip(grid, results)):
         report, rows = rn.evaluate(items, mem(), config, client=ch.MockChatClient())
         # answers, precedents and every score float, compared with ==
         assert [item_rows[column] for item_rows in per_item] == rows, (block, label)
-        assert result["report"].to_dict() == report.to_dict(), (block, label)
+        assert result.report.to_dict() == report.to_dict(), (block, label)
 
 
 def test_grid_embeds_and_matches_once_per_item(monkeypatch):
@@ -794,7 +794,7 @@ def test_render_report_layout():
     assert "policy: argmax_symbolic" in text
     assert "overall" in text
     assert "wall clock:" in text
-    assert f"{report.overall['correct']}/{report.overall['total']}" in text
+    assert f"{report.overall.correct}/{report.overall.total}" in text
 
 
 def test_render_ablation_table_layout():

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from matproc.errors import EmptyTestPartition, InvalidParams
+from matproc.errors import EmptyTestPartition, InvalidParams, MalformedDocument, UncoveredItem
+from matproc.jsonio import write_ndjson
 from matproc.provgraph import SynthParams, generate_synthetic_corpus
 from matproc.splits import (
     PARTITIONS,
@@ -251,3 +252,29 @@ def test_assignment_round_trip(tmp_path):
     back = read_assignment(path)
     assert back.protocol == "dual"
     assert back.mapping == a.mapping
+
+
+def test_items_in_names_the_first_item_the_split_does_not_cover():
+    items = [make_item(i) for i in range(4)]
+    a = SplitAssignment(protocol="p", mapping={"it0": "train", "it2": "test"})
+    assert a.items_in(items[:1], "train") == items[:1]
+    with pytest.raises(UncoveredItem, match=r"split 'p': no partition for item 'it1'"):
+        a.items_in(items, "test")
+
+
+@pytest.mark.parametrize(
+    "header, rows, message",
+    [
+        ({}, [], "no items assigned"),
+        ({}, [{"item_id": "it0", "partition": "tset"}], r"row 1: SplitRow\.partition: 'tset'"),
+        ({}, [{"item_id": "it0"}], r"row 1: SplitRow: missing keys \['partition'\]"),
+        ({"seed": 1.5}, [{"item_id": "it0", "partition": "test"}], "header seed"),
+        ({"protocol": None}, [{"item_id": "it0", "partition": "test"}], "header protocol"),
+    ],
+    ids=["no-rows", "unknown-partition", "no-partition", "float-seed", "null-protocol"],
+)
+def test_read_assignment_rejects_malformed_files(tmp_path, header, rows, message):
+    path = tmp_path / "split.ndjson"
+    write_ndjson(path, {"format": "matproc-split", **header}, rows)
+    with pytest.raises(MalformedDocument, match=message):
+        read_assignment(path)
