@@ -19,14 +19,6 @@ def canon_label(text: str) -> str:
     return _WS.sub(" ", text.strip()).lower()
 
 
-def canon_value(text: str) -> str:
-    """Canonical form for value-plus-unit condition strings.
-
-    Trim, collapse whitespace, lowercase unit tokens. No unit conversion.
-    """
-    return _WS.sub(" ", text.strip()).lower()
-
-
 def stable_hash(obj) -> str:
     """12-hex digest of the canonical JSON of ``obj``."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:12]

@@ -28,7 +28,14 @@ from .errors import (
     UnknownCommand,
     UsageError,
 )
-from .jsonio import artifact_header, read_artifact, read_header, read_ndjson, write_ndjson
+from .jsonio import (
+    artifact_header,
+    check_format,
+    read_artifact,
+    read_header,
+    read_ndjson,
+    write_ndjson,
+)
 from .memory import build_memory, load_memory, save_memory
 from .provgraph import (
     FieldMap,
@@ -63,18 +70,6 @@ from .splits import (
 from .taskgen import GenCaps, generate_benchmark
 from .taskgen.store import load_items, write_benchmark
 
-COMMANDS = (
-    "synth",
-    "compile",
-    "genbench",
-    "split",
-    "audit",
-    "build-memory",
-    "eval",
-    "ablate",
-    "report",
-)
-
 RAW_FORMAT = "matproc-raw-prov"
 WARNINGS_FORMAT = "matproc-compile-warnings"
 AUDIT_FORMAT = "matproc-audit"
@@ -101,7 +96,8 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_compile(cfg: RunConfig) -> int:
-    _, rows = read_ndjson(cfg.path("raw"))
+    header, rows = read_ndjson(cfg.path("raw"))
+    check_format(cfg.path("raw"), header, RAW_FORMAT)
     field_map = FieldMap.from_dict(cfg.field_map) if cfg.field_map else None
     graphs, warning_rows = [], []
     for row in rows:
@@ -362,6 +358,7 @@ HANDLERS = {
     "ablate": cmd_ablate,
     "report": cmd_report,
 }
+COMMANDS = tuple(HANDLERS)
 
 
 # --- argument parsing -------------------------------------------------------------------

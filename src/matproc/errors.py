@@ -55,14 +55,6 @@ class PoolExhausted(DataError):
     """Not enough distinct distractors; the item is skipped, not fatal."""
 
 
-class GoldMismatch(DataError):
-    """Recomputed gold answer disagrees with the stored option."""
-
-
-class DistractorViolationMissing(DataError):
-    """An ordering distractor satisfies every visible constraint."""
-
-
 # --- splitting ---------------------------------------------------------------
 
 class EmptyTestPartition(DataError):

@@ -209,6 +209,13 @@ def read_header(path: str | Path) -> dict:
         return _header(path, _records(path, fh))
 
 
+def check_format(path: str | Path, header: dict, fmt: str) -> None:
+    """Raise :class:`MalformedDocument`, naming the file, unless the header's
+    ``format`` is ``fmt``."""
+    if header["format"] != fmt:
+        raise MalformedDocument(f"{path}: format {header['format']!r}, expected {fmt!r}")
+
+
 def read_artifact(path: str | Path, fmt: str, row_type, **header_types) -> tuple[dict, list | dict]:
     """Header and records of the artifact at ``path``: its ``format`` must be
     ``fmt``, each header field in ``header_types`` must have that type where
@@ -217,8 +224,7 @@ def read_artifact(path: str | Path, fmt: str, row_type, **header_types) -> tuple
     its other fields, and the records come back as one list per kind.
     Raises :class:`MalformedDocument` naming the file and the row."""
     header, rows = read_ndjson(path)
-    if header["format"] != fmt:
-        raise MalformedDocument(f"{path}: format {header['format']!r}, expected {fmt!r}")
+    check_format(path, header, fmt)
     for key, tp in header_types.items():
         if key in header and type(header[key]) not in _plan(tp)[0]:
             raise MalformedDocument(

@@ -48,36 +48,12 @@ def infer_precedence(g: ProcessGraph) -> set[tuple[str, str]]:
         for producer in generated_by_entity.get(ent, []):
             if producer != act:
                 pairs.add((producer, act))
-    _check_acyclic(g, pairs)
+    _topological_order(g, pairs)
     return pairs
 
 
-def _check_acyclic(g: ProcessGraph, pairs: set[tuple[str, str]]) -> None:
-    indegree = {a.id: 0 for a in g.activities}
-    succ: dict[str, list[str]] = {a.id: [] for a in g.activities}
-    for i, j in pairs:
-        succ[i].append(j)
-        indegree[j] += 1
-    queue = [a for a, d in indegree.items() if d == 0]
-    seen = 0
-    while queue:
-        node = queue.pop()
-        seen += 1
-        for nxt in succ[node]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                queue.append(nxt)
-    if seen != len(indegree):
-        raise CyclicPrecedence(f"{g.record_id}: precedence relation contains a cycle")
-
-
-def order_activities(g: ProcessGraph, prec: set[tuple[str, str]]) -> list[str]:
-    """Kahn's algorithm with source_position priority.
-
-    Output is a permutation of all activity ids honouring every precedence
-    pair; among unconstrained peers the earliest source position wins, so the
-    order is unique and deterministic.
-    """
+def _topological_order(g: ProcessGraph, prec: set[tuple[str, str]]) -> list[str]:
+    """Kahn's algorithm with source_position priority; raises CyclicPrecedence."""
     position = {a.id: a.source_position for a in g.activities}
     indegree = {a.id: 0 for a in g.activities}
     succ: dict[str, list[str]] = {a.id: [] for a in g.activities}
@@ -96,8 +72,18 @@ def order_activities(g: ProcessGraph, prec: set[tuple[str, str]]) -> list[str]:
                 heapq.heappush(ready, (position[nxt], nxt))
     if len(order) != len(g.activities):
         raise CyclicPrecedence(f"{g.record_id}: precedence relation contains a cycle")
-    g.ordered_activity_ids = order
     return order
+
+
+def order_activities(g: ProcessGraph, prec: set[tuple[str, str]]) -> list[str]:
+    """Kahn's algorithm with source_position priority.
+
+    Output is a permutation of all activity ids honouring every precedence
+    pair; among unconstrained peers the earliest source position wins, so the
+    order is unique and deterministic.
+    """
+    g.ordered_activity_ids = _topological_order(g, prec)
+    return g.ordered_activity_ids
 
 
 def compile_graph(g: ProcessGraph) -> ProcessGraph:

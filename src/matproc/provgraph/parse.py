@@ -23,9 +23,9 @@ warning list (dangling edge references, generation edges targeting tools).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..canon import canon_value
+from ..canon import canon_label
 from ..errors import EmptyRecord, MalformedDocument
 from ..jsonio import Record
 from .model import ActivityNode, EntityNode, ProcessGraph, validate_graph
@@ -273,7 +273,7 @@ def _build_graph(doc: dict, nodes: dict, relations: list, fm: FieldMap) -> Proce
             if text is not None:
                 attrs[k] = text
         if entry["kind"] == "activity":
-            conditions = {k: canon_value(v) for k, v in attrs.items()}
+            conditions = {k: canon_label(v) for k, v in attrs.items()}
             g.activities.append(
                 ActivityNode(id=node_id, label=label, conditions=conditions, source_position=source_position)
             )

@@ -50,11 +50,10 @@ def step_tool_labels(g: ProcessGraph, activity_id: str) -> list[str]:
     return sorted(labels)
 
 
-def step_material_inputs(g: ProcessGraph, activity_id: str) -> tuple[list[str], list[str]]:
-    """(labels, forms) of material entities the activity consumes, edge order."""
+def _step_materials(g: ProcessGraph, entity_ids: list[str]) -> tuple[list[str], list[str]]:
     by_id = g.entity_by_id()
     labels, forms = [], []
-    for eid in g.used_by(activity_id):
+    for eid in entity_ids:
         node = by_id.get(eid)
         if node is None or node.kind != "material":
             continue
@@ -63,18 +62,13 @@ def step_material_inputs(g: ProcessGraph, activity_id: str) -> tuple[list[str], 
         if form:
             forms.append(canon_label(form))
     return labels, forms
+
+
+def step_material_inputs(g: ProcessGraph, activity_id: str) -> tuple[list[str], list[str]]:
+    """(labels, forms) of material entities the activity consumes, edge order."""
+    return _step_materials(g, g.used_by(activity_id))
 
 
 def step_material_outputs(g: ProcessGraph, activity_id: str) -> tuple[list[str], list[str]]:
     """(labels, forms) of material entities the activity generates, edge order."""
-    by_id = g.entity_by_id()
-    labels, forms = [], []
-    for eid in g.generated_by(activity_id):
-        node = by_id.get(eid)
-        if node is None or node.kind != "material":
-            continue
-        labels.append(canon_label(node.label))
-        form = node.attributes.get("form")
-        if form:
-            forms.append(canon_label(form))
-    return labels, forms
+    return _step_materials(g, g.generated_by(activity_id))

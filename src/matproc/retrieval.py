@@ -299,11 +299,12 @@ def query_from_item(item: BenchItem) -> RetrievalQuery:
         route_text=" -> ".join(visible),
         products=summary.products,
     )
-    return RetrievalQuery(summary=summary, text=text, context_graph=_context_graph(item))
+    return RetrievalQuery(summary=summary, text=text, context_graph=_context_graph(item, visible))
 
 
-def _context_graph(item: BenchItem) -> ProcessGraph:
-    """Minimal provenance graph over the visible payload."""
+def _context_graph(item: BenchItem, visible: list[str]) -> ProcessGraph:
+    """Minimal provenance graph over the visible payload; ``visible`` is the
+    query's visible route, which an ordering item's steps replace."""
     from .provgraph import ActivityNode, EntityNode  # local: avoid wide import surface
 
     q = item.question
@@ -335,13 +336,6 @@ def _context_graph(item: BenchItem) -> ProcessGraph:
                 if edge not in g.generation_edges:
                     g.generation_edges.append(edge)
         return g
-
-    if item.task == "A2_missing_step":
-        visible = [x for x in q["route_with_mask"] if x != MASK_TOKEN]
-    elif item.task == "A3_next_activity":
-        visible = list(q["prefix"])
-    else:
-        visible = list(q.get("route", []))
 
     named: dict[str, str] = {}
 
@@ -513,8 +507,8 @@ def retrieve(
     """Exhaustive scan, descending s_ret, ties by ascending graph_id.
 
     Every process is scored in one pass over the memory's :class:`DenseIndex`;
-    each score is the float the per-process formula gives. A view is scored
-    once per query and index, when a weight first needs it, so a query
+    each score is the float the per-process formula gives. Every view is
+    scored once per query and index, whatever its weight, so a query
     retrieved again under other weights or another ``k`` only re-fuses.
     """
     if not memory.processes:
@@ -543,9 +537,8 @@ def retrieve(
             return np.full(len(index.graph_ids), 0.5)
         return unit_cosines(query.struct_vec, index.struct, index.struct_norm)
 
-    n = len(index.graph_ids)
-    s_text = view("text", text_view) if weights.alpha > 0 else np.zeros(n)
-    s_struct = view("structure", struct_view) if weights.beta > 0 else np.zeros(n)
+    s_text = view("text", text_view)
+    s_struct = view("structure", struct_view)
     s_heur = view("heuristic", lambda: index.heuristic(query.summary))
     s_ret = weights.alpha * s_text + weights.beta * s_struct + weights.gamma * s_heur
     top = np.lexsort((index.id_rank, -s_ret))[:k]

@@ -194,7 +194,14 @@ def _hash_messages(messages: list[dict]) -> str:
     return stable_hash([(m["role"], m["content"]) for m in messages])
 
 
-def _record_exchange(trace: dict, mode: str, exchange, config: PolicyConfig) -> None:
+def _ask(client, messages, mode: str, budget: int, trace: dict, config: PolicyConfig):
+    """One chat call, recorded on ``trace``; None when the endpoint times
+    out, flagged ``plan_timeout`` for a plan call, else ``answer_timeout``."""
+    try:
+        exchange = client.complete(messages, max_new_tokens=budget, temperature=0.0)
+    except ClientTimeout:
+        trace["flags"].append("plan_timeout" if mode == "plan" else "answer_timeout")
+        return None
     entry = {
         "mode": mode,
         "max_new_tokens": exchange.max_new_tokens,
@@ -206,6 +213,18 @@ def _record_exchange(trace: dict, mode: str, exchange, config: PolicyConfig) -> 
         entry["messages"] = exchange.messages
         entry["response_text"] = exchange.response_text
     trace["exchanges"].append(entry)
+    return exchange
+
+
+def _parse(exchange, item: BenchItem, trace: dict) -> int | None:
+    """The option index a reply names; flags ``unparseable_response`` when
+    it names none. A missing reply (a timeout) is already flagged."""
+    if exchange is None:
+        return None
+    index = parse_answer(exchange.response_text, len(item.options))
+    if index is None:
+        trace["flags"].append("unparseable_response")
+    return index
 
 
 def llm_answer(
@@ -224,14 +243,9 @@ def llm_answer(
         plan_messages = build_prompt(
             item, "plan", precedents=precedents, scores=evidence_scores, memory=memory
         )
-        try:
-            exchange = client.complete(
-                plan_messages, max_new_tokens=config.budgets["planning"], temperature=0.0
-            )
-            plan_text = exchange.response_text
-            _record_exchange(trace, "plan", exchange, config)
-        except ClientTimeout:
-            trace["flags"].append("plan_timeout")
+        plan = _ask(client, plan_messages, "plan", config.budgets["planning"], trace, config)
+        if plan is not None:
+            plan_text = plan.response_text
 
     answer_messages = build_prompt(
         item,
@@ -241,17 +255,8 @@ def llm_answer(
         memory=memory,
         plan_text=plan_text,
     )
-    index: int | None = None
-    try:
-        exchange = client.complete(
-            answer_messages, max_new_tokens=config.budgets["answer"], temperature=0.0
-        )
-        _record_exchange(trace, "answer", exchange, config)
-        index = parse_answer(exchange.response_text, len(item.options))
-        if index is None:
-            trace["flags"].append("unparseable_response")
-    except ClientTimeout:
-        trace["flags"].append("answer_timeout")
+    answer = _ask(client, answer_messages, "answer", config.budgets["answer"], trace, config)
+    index = _parse(answer, item, trace)
 
     if index is None and config.fallback and fallback_scores is not None:
         index = answer_argmax(fallback_scores)
@@ -285,18 +290,8 @@ def _baseline_answer(item, mode, client, config, memory=None, precedents=None,
         graph_k=config.graph_k,
         graph_hops=config.graph_hops,
     )
-    try:
-        exchange = client.complete(
-            messages, max_new_tokens=config.budgets["baseline"], temperature=0.0
-        )
-        _record_exchange(trace, mode, exchange, config)
-        index = parse_answer(exchange.response_text, len(item.options))
-        if index is None:
-            trace["flags"].append("unparseable_response")
-        return index, trace
-    except ClientTimeout:
-        trace["flags"].append("answer_timeout")
-        return None, trace
+    exchange = _ask(client, messages, mode, config.budgets["baseline"], trace, config)
+    return _parse(exchange, item, trace), trace
 
 
 def _answer_item(item, memory, config, client, exemplars_by_task, predictions, context):

@@ -15,11 +15,11 @@ precedent lists can build once and pass to every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .canon import canon_value
+from .canon import canon_label
 from .errors import ArityMismatch, InvalidParams, UnknownTask
 from .jsonio import Record
 from .memory import ProcessMemory, StepQuery, match_steps, next_distribution
@@ -316,7 +316,7 @@ def score_options_symbolic(
 
         def value_matches(option, entry):
             stored = entry.conditions.get(key)
-            return stored is not None and canon_value(stored) == canon_value(option)
+            return stored is not None and canon_label(stored) == canon_label(option)
 
         raw = _weighted_match_frequency(item, inputs, precedents, config, value_matches)
 
@@ -351,25 +351,6 @@ def option_completed_text(item: BenchItem, option: str) -> str:
 
     q = item.question
     task = item.task
-    if task in ("A1_route_retrieval", "D_process_ordering"):
-        return linearize_parts(
-            precursors=q.get("precursors", []),
-            route_text=option,
-            products=[q["product"]] if q.get("product") else [],
-        )
-    if task == "A2_missing_step":
-        labels = [option if x == MASK_TOKEN else x for x in q["route_with_mask"]]
-        return linearize_parts(
-            precursors=q.get("precursors", []),
-            route_text=" -> ".join(labels),
-            products=[q["product"]] if q.get("product") else [],
-        )
-    if task == "A3_next_activity":
-        return linearize_parts(
-            precursors=q.get("precursors", []),
-            route_text=" -> ".join([*q["prefix"], option]),
-            products=[q["product"]] if q.get("product") else [],
-        )
     if task in ("B1_condition_prediction", "B2_full_condition_set", "C1_tool_selection"):
         clauses = list(q["route"])
         i = q["step_index"]
@@ -379,7 +360,19 @@ def option_completed_text(item: BenchItem, option: str) -> str:
             clauses[i] = f"{clauses[i]}({option})"
         tools = [option] if task == "C1_tool_selection" else []
         return linearize_parts(route_text=" -> ".join(clauses), tools=tools)
-    raise UnknownTask(f"no option rendering for task {item.task!r}")
+    if task in ("A1_route_retrieval", "D_process_ordering"):
+        route_text = option
+    elif task == "A2_missing_step":
+        route_text = " -> ".join(option if x == MASK_TOKEN else x for x in q["route_with_mask"])
+    elif task == "A3_next_activity":
+        route_text = " -> ".join([*q["prefix"], option])
+    else:
+        raise UnknownTask(f"no option rendering for task {item.task!r}")
+    return linearize_parts(
+        precursors=q.get("precursors", []),
+        route_text=route_text,
+        products=[q["product"]] if q.get("product") else [],
+    )
 
 
 def score_options_neural(

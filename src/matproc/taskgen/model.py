@@ -13,19 +13,67 @@ from dataclasses import dataclass, field
 from ..canon import canon_label
 from ..jsonio import Record
 
-TASKS = (
-    "A1_route_retrieval",
-    "A2_missing_step",
-    "A3_next_activity",
-    "B1_condition_prediction",
-    "B2_full_condition_set",
-    "C1_tool_selection",
-    "D_process_ordering",
-)
-
 TUPLE_KEYS = ("temperature", "duration", "atmosphere")
 
 MASK_TOKEN = "?"
+
+
+# Question payloads, one shape per task (QUESTION_TYPES); a bench file is
+# checked against them when it is read, while BenchItem.question stays a dict.
+@dataclass
+class RouteQuestion:
+    product: str
+    precursors: list[str]
+
+
+@dataclass
+class MaskedQuestion(RouteQuestion):
+    route_with_mask: list[str]
+    masked_index: int
+
+
+@dataclass
+class PrefixQuestion(RouteQuestion):
+    prefix: list[str]
+
+
+@dataclass
+class StepQuestion:
+    route: list[str]
+    step_index: int
+    activity: str
+    step_inputs: list[str]
+    step_input_forms: list[str]
+
+
+@dataclass
+class ConditionQuestion(StepQuestion):
+    condition_key: str
+
+
+@dataclass
+class OrderingStep:
+    label: str
+    inputs: list[str]
+    outputs: list[str]
+
+
+@dataclass
+class OrderingQuestion(RouteQuestion):
+    steps: list[OrderingStep]
+
+
+QUESTION_TYPES = {
+    "A1_route_retrieval": RouteQuestion,
+    "A2_missing_step": MaskedQuestion,
+    "A3_next_activity": PrefixQuestion,
+    "B1_condition_prediction": ConditionQuestion,
+    "B2_full_condition_set": StepQuestion,
+    "C1_tool_selection": StepQuestion,
+    "D_process_ordering": OrderingQuestion,
+}
+
+TASKS = tuple(QUESTION_TYPES)
 
 
 def render_route(labels) -> str:

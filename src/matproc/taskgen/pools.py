@@ -12,13 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import EmptyCorpus, PoolExhausted
-from ..provgraph import (
-    ProcessGraph,
-    route_labels,
-    step_material_inputs,
-    step_material_outputs,
-    step_tool_labels,
-)
+from ..provgraph import ProcessGraph, route_labels, step_tool_labels
 from .model import TUPLE_KEYS, render_condition_tuple, render_route
 
 
@@ -27,16 +21,12 @@ class DistractorPools:
     routes: Counter = field(default_factory=Counter)  # tuple[str, ...] -> count
     activity_labels: Counter = field(default_factory=Counter)
     tool_labels: Counter = field(default_factory=Counter)
-    material_forms: Counter = field(default_factory=Counter)
     condition_values: dict[str, Counter] = field(default_factory=dict)
     condition_tuples: Counter = field(default_factory=Counter)  # tuple of TUPLE_KEYS values
     # activity-conditioned sub-pools
     successors: dict[str, Counter] = field(default_factory=dict)
     predecessors: dict[str, Counter] = field(default_factory=dict)
-    tools_by_activity: dict[str, Counter] = field(default_factory=dict)
     values_by_activity: dict[tuple[str, str], Counter] = field(default_factory=dict)
-    # form-transition sub-pool: (input form, output form) -> activity labels
-    activities_by_form_transition: dict[tuple[str, str], Counter] = field(default_factory=dict)
     # every pool route rendered once, in pool order: (text, route length, count)
     rendered_routes: list[tuple[str, int, int]] = field(default_factory=list)
     rendered_tuples: Counter = field(default_factory=Counter)  # rendered condition tuple -> count
@@ -72,19 +62,11 @@ def build_candidate_pools(corpus: list[ProcessGraph]) -> DistractorPools:
             pools.activity_labels[label] += 1
             for tool in step_tool_labels(g, act.id):
                 pools.tool_labels[tool] += 1
-                pools.tools_by_activity.setdefault(label, Counter())[tool] += 1
             for key, value in act.conditions.items():
                 pools.condition_values.setdefault(key, Counter())[value] += 1
                 pools.values_by_activity.setdefault((label, key), Counter())[value] += 1
             if all(k in act.conditions for k in TUPLE_KEYS):
                 pools.condition_tuples[tuple(act.conditions[k] for k in TUPLE_KEYS)] += 1
-            _, in_forms = step_material_inputs(g, act.id)
-            _, out_forms = step_material_outputs(g, act.id)
-            for form in in_forms + out_forms:
-                pools.material_forms[form] += 1
-            for fin in set(in_forms):
-                for fout in set(out_forms):
-                    pools.activities_by_form_transition.setdefault((fin, fout), Counter())[label] += 1
     pools.rendered_routes = [(render_route(r), len(r), count) for r, count in pools.routes.items()]
     for values, count in pools.condition_tuples.items():
         pools.rendered_tuples[render_condition_tuple(dict(zip(TUPLE_KEYS, values)))] += count

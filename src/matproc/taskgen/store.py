@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..jsonio import artifact_header, read_artifact, write_ndjson
-from .model import BenchItem
+from ..errors import MalformedDocument
+from ..jsonio import artifact_header, check_fields, read_artifact, write_ndjson
+from .model import QUESTION_TYPES, TASKS, BenchItem
 
 BENCH_FORMAT = "matproc-bench"
 SKIP_FORMAT = "matproc-bench-skips"
@@ -30,7 +31,16 @@ def write_benchmark(
 
 
 def read_benchmark(path: str | Path) -> tuple[dict, list[BenchItem]]:
-    return read_artifact(path, BENCH_FORMAT, BenchItem)
+    """Header and items; each item's question must have its task's shape."""
+    header, items = read_artifact(path, BENCH_FORMAT, BenchItem)
+    for n, item in enumerate(items, start=1):
+        try:
+            if item.task not in QUESTION_TYPES:
+                raise MalformedDocument(f"task {item.task!r} is not one of {', '.join(TASKS)}")
+            check_fields(QUESTION_TYPES[item.task], item.question)
+        except MalformedDocument as exc:
+            raise MalformedDocument(f"{path}: row {n}: {exc}") from None
+    return header, items
 
 
 def load_items(path: str | Path) -> list[BenchItem]:

@@ -1011,3 +1011,60 @@ def test_caps_and_field_map_are_checked_on_every_command(tmp_path, capsys, conte
     assert err.startswith("error:") and "Traceback" not in err
     assert ("GenCaps" if "caps" in content else "FieldMap") in err
     assert not out.exists()
+
+
+def _question_edit(task, edit):
+    """An edit of the first ``task`` item's row; records the row's number."""
+    def apply(header, rows):
+        n, row = next((n, r) for n, r in enumerate(rows, start=1) if r["task"] == task)
+        edit(row)
+        apply.row = n
+
+    return apply
+
+
+def _set(key, value):
+    return lambda row: row["question"].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_question_edit("A3_next_activity", lambda row: row["question"].clear()),
+         "PrefixQuestion: missing keys ['precursors', 'prefix', 'product']"),
+        (_question_edit("A2_missing_step", lambda row: row["question"].pop("masked_index")),
+         "MaskedQuestion: missing keys ['masked_index']"),
+        (_question_edit("B1_condition_prediction", _set("step_index", "0")),
+         "ConditionQuestion.step_index: expected int, got str"),
+        (_question_edit("D_process_ordering",
+                        lambda row: row["question"]["steps"][0].__setitem__("inputs", "x")),
+         "OrderingStep.inputs: expected list[str], got str"),
+        (_question_edit("C1_tool_selection", _set("condition_key", "temperature")),
+         "StepQuestion: unknown keys ['condition_key']"),
+        (_question_edit("A1_route_retrieval", lambda row: row.__setitem__("task", "Z_bogus")),
+         "task 'Z_bogus' is not one of A1_route_retrieval"),
+    ],
+    ids=["empty-question", "missing-key", "text-step-index", "text-step-inputs",
+         "key-of-another-task", "unknown-task"],
+)
+def test_eval_refuses_a_malformed_question_naming_its_row(tmp_path, capsys, edit, message):
+    path = _edited(tmp_path, "bench", edit)
+    argv = eval_argv(pipeline(), "argmax_hybrid", tmp_path / "log.ndjson")
+    argv[argv.index("--bench") + 1] = str(path)
+    code = cli.dispatch(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: {path}: row {edit.row}: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "log.ndjson").exists()
+
+
+@pytest.mark.parametrize("name", ["graphs", "bench"])
+def test_compile_refuses_an_artifact_that_is_not_raw_records(tmp_path, capsys, name):
+    path = pipeline()[name]
+    out = tmp_path / "graphs.ndjson"
+    assert cli.dispatch(["compile", "--in", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: format ") and "expected 'matproc-raw-prov'" in err
+    assert "Traceback" not in err
+    assert not out.exists()

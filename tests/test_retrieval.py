@@ -519,21 +519,18 @@ def test_dense_index_mixes_stored_and_derived_text_rows():
 
 def reference_retrieve(query, memory, weights, k):
     """The per-process scoring loop the dense index replaced, kept as the oracle."""
-    if weights.alpha > 0 and query.text_vec is None:
+    if query.text_vec is None:
         query.text_vec = rt.BuiltinTextEmbedder().embed([query.text])[0]
-    if weights.beta > 0 and query.struct_vec is None and query.context_graph is not None:
+    if query.struct_vec is None and query.context_graph is not None:
         query.struct_vec = rt.embed_structure(query.context_graph)
     results = []
     for p in memory.processes:
-        s_text = s_struct = 0.0
-        if weights.alpha > 0:
-            s_text = rt.cos_to_unit(rt.cosine(query.text_vec, rt.text_vector(memory, p.graph_id)))
-        if weights.beta > 0:
-            stored = memory.embedding_store.get(p.graph_id, {}).get("struct")
-            if stored is not None and query.struct_vec is not None:
-                s_struct = rt.cos_to_unit(rt.cosine(query.struct_vec, np.asarray(stored)))
-            else:
-                s_struct = 0.5
+        s_text = rt.cos_to_unit(rt.cosine(query.text_vec, rt.text_vector(memory, p.graph_id)))
+        stored = memory.embedding_store.get(p.graph_id, {}).get("struct")
+        if stored is not None and query.struct_vec is not None:
+            s_struct = rt.cos_to_unit(rt.cosine(query.struct_vec, np.asarray(stored)))
+        else:
+            s_struct = 0.5
         s_heur = rt.score_heuristic(query.summary, p)
         s_ret = weights.alpha * s_text + weights.beta * s_struct + weights.gamma * s_heur
         results.append(rt.RetrievedPrecedent(p.graph_id, s_text, s_struct, s_heur, s_ret))
