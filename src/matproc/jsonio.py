@@ -24,6 +24,8 @@ import typing
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
+import numpy as np
+
 from . import __version__
 from .errors import MalformedDocument
 
@@ -45,11 +47,17 @@ def record_fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in _persisted(type(obj))}
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=record_fields)
+def _encode_default(obj) -> dict | list:
+    # an array is written as its list, whose floats have the same repr
+    return obj.tolist() if type(obj) is np.ndarray else record_fields(obj)
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_encode_default)
 
 
 def dumps_line(obj: Any) -> str:
-    """Compact, sorted-key JSON; dataclasses are written as their persisted fields."""
+    """Compact, sorted-key JSON; dataclasses are written as their persisted
+    fields and arrays as lists."""
     return _ENCODER.encode(obj)
 
 
@@ -89,6 +97,8 @@ def _plan(tp) -> tuple[frozenset, Callable[[Any], Any] | None]:
     what lies inside that makes lists tuples and objects dataclasses where
     declared, or None when there is nothing inside to check."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is np.ndarray:  # read as a JSON list; the record converts it
+        return frozenset({list}), None
     if dataclasses.is_dataclass(tp):
         return frozenset({dict}), lambda v: tp(**check_fields(tp, v))
     if origin is types.UnionType:  # only `X | None` occurs
@@ -193,13 +203,28 @@ def _header(path: Path, records: Iterator[dict]) -> dict:
     return header
 
 
-def read_ndjson(path: str | Path) -> tuple[dict, list[dict]]:
-    """Read header + rows. Raises MalformedDocument, naming the line, on
-    non-JSON lines."""
+def read_ndjson(path: str | Path, build: Callable[[dict], Callable[[dict], Any]] | None = None
+                ) -> tuple[dict, list]:
+    """Header and rows of the file at ``path``, parsed one line at a time.
+    With ``build``, ``build(header)`` is called once the header is read and
+    returns the function that turns each row into what is kept, so every
+    row is built before the next line is parsed. Raises MalformedDocument
+    naming the line on a non-JSON line, and naming the row when building
+    it raises one."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         records = _records(path, fh)
-        return _header(path, records), list(records)
+        header = _header(path, records)
+        if build is None:
+            return header, list(records)
+        build_row = build(header)
+        rows = []
+        for n, row in enumerate(records, start=1):
+            try:
+                rows.append(build_row(row))
+            except MalformedDocument as exc:
+                raise MalformedDocument(f"{path}: row {n}: {exc}") from None
+        return header, rows
 
 
 def read_header(path: str | Path) -> dict:
@@ -219,38 +244,28 @@ def check_format(path: str | Path, header: dict, fmt: str) -> None:
 def read_artifact(path: str | Path, fmt: str, row_type, **header_types) -> tuple[dict, list | dict]:
     """Header and records of the artifact at ``path``: its ``format`` must be
     ``fmt``, each header field in ``header_types`` must have that type where
-    present, and each row is built by ``row_type.from_dict``. In a file of
-    several row types, ``row_type`` maps each row's ``kind`` to the type of
-    its other fields, and the records come back as one list per kind.
-    Raises :class:`MalformedDocument` naming the file and the row."""
-    header, rows = read_ndjson(path)
-    check_format(path, header, fmt)
-    for key, tp in header_types.items():
-        if key in header and type(header[key]) not in _plan(tp)[0]:
-            raise MalformedDocument(
-                f"{path}: header {key}: expected {getattr(tp, '__name__', tp)}, "
-                f"got {type(header[key]).__name__}"
-            )
+    present, and each row is built by ``row_type.from_dict`` as it is read.
+    In a file of several row types, ``row_type`` maps each row's ``kind`` to
+    the type of its other fields, and the records come back as one list per
+    kind. Raises :class:`MalformedDocument` naming the file and the row."""
     kinds = row_type if isinstance(row_type, dict) else None
-    records: list | dict = [] if kinds is None else {kind: [] for kind in kinds}
-    for n, row in enumerate(rows, start=1):
-        try:
-            if kinds is None:
-                records.append(row_type.from_dict(row))
-                continue
-            kind = row.pop("kind", None) if type(row) is dict else None
-            if type(kind) is not str or kind not in kinds:
-                raise MalformedDocument(f"kind {kind!r} is not one of {', '.join(kinds)}")
-            records[kind].append(kinds[kind].from_dict(row))
-        except MalformedDocument as exc:
-            raise MalformedDocument(f"{path}: row {n}: {exc}") from None
-    return header, records
+    grouped = {kind: [] for kind in kinds or ()}
 
+    def build(header):
+        check_format(path, header, fmt)
+        for key, tp in header_types.items():
+            if key in header and type(header[key]) not in _plan(tp)[0]:
+                raise MalformedDocument(
+                    f"{path}: header {key}: expected {getattr(tp, '__name__', tp)}, "
+                    f"got {type(header[key]).__name__}"
+                )
+        return row_type.from_dict if kinds is None else add_kind
 
-def iter_ndjson(path: str | Path) -> Iterator[dict]:
-    """Stream rows (header checked, then skipped) one line at a time."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        records = _records(path, fh)
-        _header(path, records)
-        yield from records
+    def add_kind(row):
+        kind = row.pop("kind", None) if type(row) is dict else None
+        if type(kind) is not str or kind not in kinds:
+            raise MalformedDocument(f"kind {kind!r} is not one of {', '.join(kinds)}")
+        grouped[kind].append(kinds[kind].from_dict(row))
+
+    header, records = read_ndjson(path, build)
+    return header, records if kinds is None else grouped  # add_kind keeps nothing in records

@@ -164,7 +164,7 @@ class ProcessMemory:
     step_library: list[StepEntry] = field(default_factory=list)
     transition_table: dict[tuple[str, str], int] = field(default_factory=dict)
     prefix_index: dict[tuple[str, ...], Counter] = field(default_factory=dict)
-    embedding_store: dict[str, dict[str, list[float]]] = field(default_factory=dict)
+    embedding_store: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def derived(self, key: str, build: Callable[[], object], *sources):
@@ -412,12 +412,39 @@ def linearize_process(memory: ProcessMemory, graph_id: str) -> str:
 # --- persistence -----------------------------------------------------------------
 
 
+_NUMBERS = frozenset({int, float})
+
+
+def frozen_vector(values) -> np.ndarray:
+    """``values`` copied into a read-only float64 array."""
+    array = np.array(values, dtype=np.float64)
+    array.setflags(write=False)
+    return array
+
+
 @dataclass
 class ProcessRow(ProcessSummary):
-    """A process as the memory file stores it, with its vectors. They are
-    checked here only as lists; the dense index converts them."""
+    """A process as the memory file stores it, with its vectors. Each vector
+    becomes a read-only float64 array when the row is built; the dense index
+    checks its length."""
 
-    embeddings: dict[str, list] | None = None
+    embeddings: dict[str, np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.embeddings is not None:
+            self.embeddings = {kind: self._vector(kind, v) for kind, v in self.embeddings.items()}
+
+    def _vector(self, kind: str, values) -> np.ndarray:
+        # a JSON bool would convert to 1.0 or 0.0, an int past float range
+        # would overflow: neither is a stored number
+        try:
+            if type(values) is np.ndarray or _NUMBERS.issuperset(map(type, values)):
+                return frozen_vector(values)
+        except OverflowError:
+            pass
+        raise MalformedDocument(
+            f"memory process {self.graph_id!r}: stored {kind} vector is not a list of numbers"
+        )
 
     def summary(self) -> ProcessSummary:
         return ProcessSummary(**{f.name: getattr(self, f.name) for f in fields(ProcessSummary)})
@@ -449,23 +476,22 @@ def save_memory(path: str | Path, memory: ProcessMemory, config_hash: str = "") 
         max_prefix_len=memory.max_prefix_len,
         linearization=LINEARIZATION_VERSION,
     )
-    rows: list[dict] = []
-    for p in memory.processes:
-        row = {"kind": "process", **record_fields(p)}
-        vectors = memory.embedding_store.get(p.graph_id)
-        if vectors:
-            row["embeddings"] = vectors
-        rows.append(row)
-    rows.extend({"kind": "step", **record_fields(e)} for e in memory.step_library)
-    rows.extend(
-        {"kind": "transition", **record_fields(TransitionRow(a, b, c))}
-        for (a, b), c in sorted(memory.transition_table.items())
-    )
-    rows.extend(
-        {"kind": "prefix", **record_fields(PrefixRow(window, dict(counts)))}
-        for window, counts in sorted(memory.prefix_index.items())
-    )
-    return write_ndjson(path, header, rows)
+
+    def rows():
+        for p in memory.processes:
+            row = {"kind": "process", **record_fields(p)}
+            vectors = memory.embedding_store.get(p.graph_id)
+            if vectors:
+                row["embeddings"] = vectors
+            yield row
+        for e in memory.step_library:
+            yield {"kind": "step", **record_fields(e)}
+        for (a, b), c in sorted(memory.transition_table.items()):
+            yield {"kind": "transition", **record_fields(TransitionRow(a, b, c))}
+        for window, counts in sorted(memory.prefix_index.items()):
+            yield {"kind": "prefix", **record_fields(PrefixRow(window, dict(counts)))}
+
+    return write_ndjson(path, header, rows())
 
 
 def load_memory(path: str | Path) -> ProcessMemory:

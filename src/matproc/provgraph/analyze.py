@@ -40,6 +40,13 @@ def infer_precedence(g: ProcessGraph) -> set[tuple[str, str]]:
     Irreflexive by construction. Raises CyclicPrecedence when the induced
     relation contains a cycle; the record gets flagged, never repaired.
     """
+    pairs = _precedence_pairs(g)
+    _topological_order(g, pairs)
+    return pairs
+
+
+def _precedence_pairs(g: ProcessGraph) -> set[tuple[str, str]]:
+    """The pairs of :func:`infer_precedence`, not checked for cycles."""
     generated_by_entity: dict[str, list[str]] = {}
     for act, ent in g.generation_edges:
         generated_by_entity.setdefault(ent, []).append(act)
@@ -48,7 +55,6 @@ def infer_precedence(g: ProcessGraph) -> set[tuple[str, str]]:
         for producer in generated_by_entity.get(ent, []):
             if producer != act:
                 pairs.add((producer, act))
-    _topological_order(g, pairs)
     return pairs
 
 
@@ -87,9 +93,9 @@ def order_activities(g: ProcessGraph, prec: set[tuple[str, str]]) -> list[str]:
 
 
 def compile_graph(g: ProcessGraph) -> ProcessGraph:
-    """validate -> roles -> precedence -> ordering; returns the same graph."""
+    """validate -> roles -> precedence -> ordering; returns the same graph.
+    The ordering walk is the cycle check, so the precedence is walked once."""
     validate_graph(g)
     assign_roles(g)
-    prec = infer_precedence(g)
-    order_activities(g, prec)
+    order_activities(g, _precedence_pairs(g))
     return g

@@ -30,6 +30,7 @@ from .memory import (
     LabelSets,
     ProcessMemory,
     ProcessSummary,
+    frozen_vector,
     jaccard,
     linearize_parts,
     linearize_process,
@@ -390,10 +391,10 @@ def attach_embeddings(
     text_vecs = embedder.embed(texts)
     store = dict(memory.embedding_store)  # a new store drops any index built on the old one
     for row, graph_id in enumerate(ids):
-        entry = {"text": [float(x) for x in text_vecs[row]]}
+        entry = {"text": frozen_vector(text_vecs[row])}
         g = graphs_by_id.get(graph_id)
         if g is not None:
-            entry["struct"] = [float(x) for x in embed_structure(g, seed=struct_seed)]
+            entry["struct"] = frozen_vector(embed_structure(g, seed=struct_seed))
         store[graph_id] = entry
     memory.embedding_store = store
     return memory
@@ -439,8 +440,10 @@ class DenseIndex:
         return (activity + length + precursor) / 3.0
 
 
-def _stored_vector(graph_id: str, kind: str, vec: list) -> np.ndarray:
-    """A stored vector as float64, checked to be ``EMBED_DIM`` numbers."""
+def _stored_vector(graph_id: str, kind: str, vec) -> np.ndarray:
+    """A stored vector as float64, checked to be ``EMBED_DIM`` numbers. A
+    loaded memory holds float64 arrays already; a store filled in process
+    may hold lists."""
     array = np.asarray(vec)
     if array.ndim != 1 or array.dtype.kind not in "iuf":
         raise MalformedDocument(

@@ -1,4 +1,5 @@
-"""Tiny graph builders and a loopback JSON endpoint shared across test modules."""
+"""Tiny graph builders, a stored-vector comparison and a loopback JSON
+endpoint shared across test modules."""
 
 from __future__ import annotations
 
@@ -9,7 +10,22 @@ import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
+
 from matproc.provgraph import ActivityNode, EntityNode, ProcessGraph, compile_graph
+
+
+def assert_same_vectors(got, want):
+    """``got == want`` for loaded stored vectors, nested in dicts or None:
+    the same keys, and every vector a read-only float64 array equal to the
+    wanted one to the last bit."""
+    if want is None or isinstance(want, dict):
+        assert type(got) is type(want) and (want is None or got.keys() == want.keys())
+        for key in want or ():
+            assert_same_vectors(got[key], want[key])
+        return
+    assert type(got) is np.ndarray and got.dtype == np.float64 and not got.flags.writeable
+    assert np.array_equal(got, want)
 
 
 def chain_graph(labels, record_id="g0", doi="10.1/x", year=2018, material_class="thermoelectric",

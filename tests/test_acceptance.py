@@ -106,10 +106,10 @@ def test_criterion_2_contamination_is_exactly_zero():
 
 @needs_real_raw
 def test_criterion_3_regenerated_benchmark_matches_published_mix():
-    from matproc.jsonio import iter_ndjson
+    from matproc.jsonio import read_ndjson
 
     graphs = []
-    for row in iter_ndjson(REAL_RAW):
+    for row in read_ndjson(REAL_RAW)[1]:
         try:
             graphs.append(compile_graph(parse_record(row)))
         except Exception:

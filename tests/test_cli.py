@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -369,6 +370,24 @@ def test_jobs_never_change_the_ablation_artifact(tmp_path, monkeypatch, capsys):
         artifacts.append(report.read_bytes())
     assert len(read_ndjson(tmp_path / "ablation-jobs1.ndjson")[1]) == 25
     assert artifacts[0] == artifacts[1]
+
+
+def test_shuffled_memory_rows_change_no_eval_log_or_ablation_byte(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MATPROC_CHAT_URL", raising=False)  # the module rows use the mock client
+    paths = pipeline()
+    header, *rows = paths["memory"].read_text().splitlines(keepends=True)
+    random.Random(0).shuffle(rows)
+    shuffled = tmp_path / "memory.ndjson"
+    shuffled.write_text(header + "".join(rows))
+    outputs = []
+    for memory in (paths["memory"], shuffled):
+        log, ablation = tmp_path / "log.ndjson", tmp_path / "ablation.ndjson"
+        assert cli.dispatch(eval_argv(paths, "argmax_hybrid", log, memory=memory)) == 0
+        argv = ablate_argv(paths, ablation)
+        argv[argv.index("--memory") + 1] = str(memory)
+        assert cli.dispatch(argv) == 0
+        outputs.append((log.read_bytes(), ablation.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("axes", ["", ","])
@@ -942,12 +961,13 @@ def test_eval_with_the_question_set_as_its_split_exits_3(tmp_path, capsys):
     assert "expected 'matproc-split'" in err and "Traceback" not in err
 
 
-def test_a_non_number_in_a_stored_vector_exits_3_naming_the_graph(tmp_path, capsys):
+@pytest.mark.parametrize("value", ["0.5", True], ids=["string", "bool"])
+def test_a_non_number_in_a_stored_vector_exits_3_naming_the_graph(tmp_path, capsys, value):
     graph_ids = []
 
     def edit(header, rows):
         process = _first("process")(rows)
-        process["embeddings"]["struct"][3] = "0.5"
+        process["embeddings"]["struct"][3] = value
         graph_ids.append(process["graph_id"])
 
     path = _edited(tmp_path, "memory", edit)

@@ -19,7 +19,6 @@ from matproc.jsonio import (
     Record,
     check_fields,
     dumps_line,
-    iter_ndjson,
     read_artifact,
     read_header,
     read_ndjson,
@@ -55,6 +54,8 @@ from matproc.scoring import (
 from matproc.splits import AuditRow, SplitRow, split_items
 from matproc.taskgen import BenchItem, GenCaps, generate_benchmark
 
+from helpers import assert_same_vectors
+
 
 def test_round_trip_and_streaming_agree(tmp_path):
     path = tmp_path / "store.ndjson"
@@ -63,7 +64,7 @@ def test_round_trip_and_streaming_agree(tmp_path):
     header, read_rows = read_ndjson(path)
     assert header == {"format": "demo", "version": 1}
     assert read_rows == rows
-    assert list(iter_ndjson(path)) == rows
+    assert read_ndjson(path, lambda header: lambda row: row) == (header, rows)
 
 
 def test_read_ndjson_names_the_bad_line(tmp_path):
@@ -73,13 +74,13 @@ def test_read_ndjson_names_the_bad_line(tmp_path):
         read_ndjson(path)
 
 
-def test_iter_ndjson_yields_rows_before_reading_further(tmp_path):
+def test_read_ndjson_builds_rows_before_reading_further(tmp_path):
     path = tmp_path / "store.ndjson"
     path.write_text('{"format": "demo"}\n{"a": 1}\nnot json\n')
-    rows = iter_ndjson(path)
-    assert next(rows) == {"a": 1}  # served before the bad line is parsed
+    built = []
     with pytest.raises(MalformedDocument, match="line 3"):
-        next(rows)
+        read_ndjson(path, lambda header: built.append)
+    assert built == [{"a": 1}]  # built before the bad line is parsed
 
 
 @pytest.mark.parametrize(
@@ -92,7 +93,7 @@ def test_both_readers_check_the_header(tmp_path, text, message):
     with pytest.raises(MalformedDocument, match=message):
         read_ndjson(path)
     with pytest.raises(MalformedDocument, match=message):
-        next(iter_ndjson(path))
+        read_ndjson(path, lambda header: lambda row: row)
 
 
 def test_read_artifact_checks_the_format_the_header_and_every_row(tmp_path):
@@ -196,7 +197,11 @@ def test_every_persisted_class_round_trips(cls):
     objects = run_objects()[cls]
     assert objects
     for x in objects:
-        assert cls.from_dict(json.loads(dumps_line(x))) == _persisted_only(x)
+        back, want = cls.from_dict(json.loads(dumps_line(x))), _persisted_only(x)
+        if cls is ProcessRow:  # its vectors are arrays, compared one by one
+            assert_same_vectors(back.embeddings, want.embeddings)
+            back, want = (dataclasses.replace(r, embeddings=None) for r in (back, want))
+        assert back == want
         assert x.to_dict() == json.loads(dumps_line(x))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from matproc.memory import (
     save_memory,
 )
 from matproc.provgraph import SynthParams, generate_synthetic_corpus, route_labels
+from matproc.retrieval import EMBED_DIM, attach_embeddings
 
-from helpers import chain_graph, compiled
+from helpers import assert_same_vectors, chain_graph, compiled
 
 
 def two_route_memory():
@@ -323,7 +325,7 @@ def test_memory_round_trip(tmp_path):
     assert back.prefix_index == memory.prefix_index
     assert [p.to_dict() for p in back.processes] == [p.to_dict() for p in memory.processes]
     assert [e.to_dict() for e in back.step_library] == [e.to_dict() for e in memory.step_library]
-    assert back.embedding_store == memory.embedding_store
+    assert_same_vectors(back.embedding_store, memory.embedding_store)
 
 
 def test_memory_serialization_deterministic(tmp_path):
@@ -332,6 +334,34 @@ def test_memory_serialization_deterministic(tmp_path):
     save_memory(p1, build_memory(corpus, split_id="s"))
     save_memory(p2, build_memory(corpus, split_id="s"))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _load_with_peak(path):
+    """The memory at ``path`` and the peak bytes traced while loading it."""
+    tracemalloc.start()
+    try:
+        return load_memory(path), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stored_vectors_load_as_read_only_arrays_of_their_own_size(tmp_path):
+    memory, corpus = synth_memory(60)
+    attach_embeddings(memory, corpus)
+    with_vectors, without = tmp_path / "with.ndjson", tmp_path / "without.ndjson"
+    save_memory(with_vectors, memory)
+    memory.embedding_store = {}
+    save_memory(without, memory)
+    loaded, peak = _load_with_peak(with_vectors)
+    _, base_peak = _load_with_peak(without)
+    vectors = [v for entry in loaded.embedding_store.values() for v in entry.values()]
+    assert len(vectors) == 2 * len(memory.processes)
+    for v in vectors:
+        assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (EMBED_DIM,)
+        assert not v.flags.writeable
+    # the float64 values themselves, not a list of Python floats (4x) or
+    # a list of raw rows next to the records
+    assert peak - base_peak <= 1.5 * sum(v.nbytes for v in vectors)
 
 
 @pytest.mark.parametrize("n_sets", [0, 1, 40])
