@@ -22,6 +22,7 @@ import json
 import types
 import typing
 from pathlib import Path
+from sys import intern
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -95,7 +96,9 @@ def _plan(tp) -> tuple[frozenset, Callable[[Any], Any] | None]:
     """For annotation ``tp``: the exact JSON types a value may have (a bool
     is never a number; an int is a float, kept as given), and a check of
     what lies inside that makes lists tuples and objects dataclasses where
-    declared, or None when there is nothing inside to check."""
+    declared, or None when there is nothing inside to check. Strings,
+    dict keys included, come back interned: the labels and graph ids a
+    store repeats are then held once."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp is np.ndarray:  # read as a JSON list; the record converts it
         return frozenset({list}), None
@@ -105,7 +108,7 @@ def _plan(tp) -> tuple[frozenset, Callable[[Any], Any] | None]:
         accepted, inner = _plan(args[0])
         return accepted | {type(None)}, inner and (lambda v: None if v is None else inner(v))
     if origin is None:
-        return frozenset({int, float} if tp is float else {tp}), None
+        return frozenset({int, float} if tp is float else {tp}), intern if tp is str else None
     # list[X], dict[str, X], tuple[X, ...] or a fixed-length tuple[X, X, ...]
     item_types, item_inner = _plan(args[-1] if origin is dict else args[0])
     length = len(args) if origin is tuple and args[-1] is not Ellipsis else None
@@ -115,8 +118,10 @@ def _plan(tp) -> tuple[frozenset, Callable[[Any], Any] | None]:
         if (not item_types.issuperset(map(type, items)) or length not in (None, len(v))
                 or (origin is dict and not _STR.issuperset(map(type, v)))):
             raise _Mismatch
+        if origin is dict:
+            return dict(zip(map(intern, v), items if item_inner is None else map(item_inner, items)))
         if item_inner is not None:
-            return dict(zip(v, map(item_inner, items))) if origin is dict else origin(map(item_inner, v))
+            return origin(map(item_inner, v))
         return v if type(v) is origin else origin(v)
 
     return frozenset({list, tuple} if origin is tuple else {origin}), check
@@ -138,7 +143,8 @@ def check_fields(cls, row) -> dict:
     """The keyword arguments of ``cls`` that ``row`` holds, each checked
     against its annotation. Unknown and missing keys raise
     :class:`MalformedDocument`; JSON lists become tuples where a tuple is
-    declared and objects become nested dataclasses; nothing else converts."""
+    declared and objects become nested dataclasses; strings are interned;
+    nothing else converts."""
     plans, required = _class_plan(cls)
     where = cls.__name__
     if type(row) is not dict:
@@ -246,9 +252,11 @@ def read_artifact(path: str | Path, fmt: str, row_type, **header_types) -> tuple
     ``fmt``, each header field in ``header_types`` must have that type where
     present, and each row is built by ``row_type.from_dict`` as it is read.
     In a file of several row types, ``row_type`` maps each row's ``kind`` to
-    the type of its other fields, and the records come back as one list per
-    kind. Raises :class:`MalformedDocument` naming the file and the row."""
+    the type of its other fields (or to the function that builds its record
+    from them), and the records come back as one list per kind. Raises
+    :class:`MalformedDocument` naming the file and the row."""
     kinds = row_type if isinstance(row_type, dict) else None
+    from_row = {kind: t.from_dict if isinstance(t, type) else t for kind, t in (kinds or {}).items()}
     grouped = {kind: [] for kind in kinds or ()}
 
     def build(header):
@@ -265,7 +273,7 @@ def read_artifact(path: str | Path, fmt: str, row_type, **header_types) -> tuple
         kind = row.pop("kind", None) if type(row) is dict else None
         if type(kind) is not str or kind not in kinds:
             raise MalformedDocument(f"kind {kind!r} is not one of {', '.join(kinds)}")
-        grouped[kind].append(kinds[kind].from_dict(row))
+        grouped[kind].append(from_row[kind](row))
 
     header, records = read_ndjson(path, build)
     return header, records if kinds is None else grouped  # add_kind keeps nothing in records

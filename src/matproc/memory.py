@@ -9,8 +9,9 @@ on routes the memory has never seen from the start.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -19,7 +20,8 @@ import numpy as np
 
 from .canon import canon_label
 from .errors import EmptyLibrary, EmptyTrainSet, MalformedDocument
-from .jsonio import Record, artifact_header, read_artifact, record_fields, write_ndjson
+from .jsonio import (Record, artifact_header, check_fields, read_artifact, record_fields,
+                     write_ndjson)
 from .provgraph import (
     ProcessGraph,
     precursor_labels,
@@ -415,39 +417,43 @@ def linearize_process(memory: ProcessMemory, graph_id: str) -> str:
 _NUMBERS = frozenset({int, float})
 
 
-def frozen_vector(values) -> np.ndarray:
+def frozen_array(values) -> np.ndarray:
     """``values`` copied into a read-only float64 array."""
-    array = np.array(values, dtype=np.float64)
-    array.setflags(write=False)
-    return array
+    out = np.array(values, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+def _stored(graph_id: str, kind: str, convert: Callable[[list], object], values):
+    """``convert(values)`` for a list of JSON numbers. A JSON bool would
+    convert to 1.0 or 0.0 and an int past float range would overflow:
+    neither is a stored number, and both raise MalformedDocument."""
+    try:
+        if _NUMBERS.issuperset(map(type, values)):
+            return convert(values)
+    except OverflowError:
+        pass
+    raise MalformedDocument(
+        f"memory process {graph_id!r}: stored {kind} vector is not a list of numbers"
+    )
 
 
 @dataclass
 class ProcessRow(ProcessSummary):
     """A process as the memory file stores it, with its vectors. Each vector
     becomes a read-only float64 array when the row is built; the dense index
-    checks its length."""
+    checks its length. :func:`load_memory` reads these rows through
+    :class:`StoredVectors` instead, which keeps each vector once."""
 
     embeddings: dict[str, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.embeddings is not None:
-            self.embeddings = {kind: self._vector(kind, v) for kind, v in self.embeddings.items()}
-
-    def _vector(self, kind: str, values) -> np.ndarray:
-        # a JSON bool would convert to 1.0 or 0.0, an int past float range
-        # would overflow: neither is a stored number
-        try:
-            if type(values) is np.ndarray or _NUMBERS.issuperset(map(type, values)):
-                return frozen_vector(values)
-        except OverflowError:
-            pass
-        raise MalformedDocument(
-            f"memory process {self.graph_id!r}: stored {kind} vector is not a list of numbers"
-        )
-
-    def summary(self) -> ProcessSummary:
-        return ProcessSummary(**{f.name: getattr(self, f.name) for f in fields(ProcessSummary)})
+            self.embeddings = {
+                kind: frozen_array(v) if type(v) is np.ndarray
+                else _stored(self.graph_id, kind, frozen_array, v)
+                for kind, v in self.embeddings.items()
+            }
 
 
 @dataclass
@@ -494,15 +500,68 @@ def save_memory(path: str | Path, memory: ProcessMemory, config_hash: str = "") 
     return write_ndjson(path, header, rows())
 
 
+class StoredVectors:
+    """The stored vectors of one memory file, read row by row. Each kind's
+    vectors go into one growable float64 buffer, which ends as one read-only
+    ``(n, d)`` matrix; the embedding store holds its rows as views."""
+
+    def __init__(self):
+        self._buffers: dict[str, array] = {}
+        self._widths: dict[str, tuple[int, str]] = {}  # kind -> width, first graph_id
+        self._counts: dict[str, int] = {}
+        self._rows: dict[str, dict[str, int]] = {}  # graph_id -> kind -> matrix row
+
+    def read(self, row) -> ProcessSummary:
+        """A process row of the file as its summary, checked as a
+        :class:`ProcessRow`, with its vectors appended to the buffers."""
+        kwargs = check_fields(ProcessRow, row)
+        vectors = kwargs.pop("embeddings", None)
+        summary = ProcessSummary(**kwargs)
+        if vectors:
+            self._rows[summary.graph_id] = {
+                kind: self._append(summary.graph_id, kind, values) for kind, values in vectors.items()
+            }
+        return summary
+
+    def _append(self, graph_id: str, kind: str, values: list) -> int:
+        buffer = self._buffers.setdefault(kind, array("d"))
+        width, first = self._widths.setdefault(kind, (len(values), graph_id))
+        if len(values) != width:
+            raise MalformedDocument(
+                f"memory process {graph_id!r}: stored {kind} vector has {len(values)} numbers,"
+                f" the first one (process {first!r}) has {width}"
+            )
+        _stored(graph_id, kind, buffer.fromlist, values)
+        row = self._counts.get(kind, 0)
+        self._counts[kind] = row + 1
+        return row
+
+    def store(self) -> dict[str, dict[str, np.ndarray]]:
+        """Every process's vectors, as read-only rows of one matrix per kind."""
+        matrices = {}
+        for kind, buffer in self._buffers.items():
+            flat = np.frombuffer(buffer, dtype=np.float64)  # no copy; locks the buffer's size
+            flat.setflags(write=False)
+            matrices[kind] = flat.reshape(self._counts[kind], self._widths[kind][0])
+        return {
+            graph_id: {kind: matrices[kind][row] for kind, row in rows.items()}
+            for graph_id, rows in self._rows.items()
+        }
+
+
 def load_memory(path: str | Path) -> ProcessMemory:
-    header, rows = read_artifact(path, MEMORY_FORMAT, MEMORY_ROWS, split_id=str, max_prefix_len=int)
-    processes = rows["process"]
+    """The memory saved at ``path``. Its stored vectors of each kind are the
+    rows of one read-only float64 matrix, which the dense index scores as
+    it is (see :class:`StoredVectors`)."""
+    vectors = StoredVectors()
+    header, rows = read_artifact(path, MEMORY_FORMAT, {**MEMORY_ROWS, "process": vectors.read},
+                                 split_id=str, max_prefix_len=int)
     return ProcessMemory(
         split_id=header.get("split_id", ""),
         max_prefix_len=header.get("max_prefix_len", DEFAULT_MAX_PREFIX_LEN),
-        processes=[p.summary() for p in processes],
+        processes=rows["process"],
         step_library=rows["step"],
         transition_table={(t.a, t.b): t.count for t in rows["transition"]},
         prefix_index={p.prefix: Counter(p.next) for p in rows["prefix"]},
-        embedding_store={p.graph_id: p.embeddings for p in processes if p.embeddings},
+        embedding_store=vectors.store(),
     )

@@ -30,7 +30,7 @@ from .memory import (
     LabelSets,
     ProcessMemory,
     ProcessSummary,
-    frozen_vector,
+    frozen_array,
     jaccard,
     linearize_parts,
     linearize_process,
@@ -382,20 +382,24 @@ def attach_embeddings(
     struct_seed: int = DEFAULT_STRUCT_SEED,
     text_embedder=None,
 ) -> ProcessMemory:
-    """Fill memory.embedding_store for every stored process."""
+    """Fill memory.embedding_store for every stored process. Its text and
+    struct vectors are read-only rows of one matrix each, which the dense
+    index scores as it is."""
     embedder = text_embedder or BuiltinTextEmbedder()
     known = memory.graph_ids()
     graphs_by_id = {g.record_id: g for g in graphs if g.record_id in known}
     ids = [p.graph_id for p in memory.processes]
-    texts = [linearize_process(memory, graph_id) for graph_id in ids]
-    text_vecs = embedder.embed(texts)
+    text = frozen_array(embedder.embed([linearize_process(memory, gid) for gid in ids]))
+    with_graph = [gid for gid in ids if gid in graphs_by_id]
+    struct = np.empty((len(with_graph), EMBED_DIM), dtype=np.float64)
+    for row, gid in enumerate(with_graph):
+        struct[row] = embed_structure(graphs_by_id[gid], seed=struct_seed)
+    struct.setflags(write=False)
     store = dict(memory.embedding_store)  # a new store drops any index built on the old one
-    for row, graph_id in enumerate(ids):
-        entry = {"text": frozen_vector(text_vecs[row])}
-        g = graphs_by_id.get(graph_id)
-        if g is not None:
-            entry["struct"] = frozen_vector(embed_structure(g, seed=struct_seed))
-        store[graph_id] = entry
+    for gid, vec in zip(ids, text):
+        store[gid] = {"text": vec}
+    for gid, vec in zip(with_graph, struct):
+        store[gid]["struct"] = vec
     memory.embedding_store = store
     return memory
 
@@ -457,15 +461,37 @@ def _stored_vector(graph_id: str, kind: str, vec) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
+def _stored_matrix(vectors: list) -> np.ndarray | None:
+    """The ``(N, EMBED_DIM)`` matrix whose rows, in order, are the N
+    ``vectors``, when they are read-only float64 rows of one matrix (as
+    :func:`~matproc.memory.load_memory` and :func:`attach_embeddings` store
+    them); None otherwise."""
+    base = getattr(vectors[0], "base", None) if vectors else None
+    if (type(base) is not np.ndarray or base.dtype != np.float64 or base.flags.writeable
+            or not base.flags.c_contiguous or base.size != len(vectors) * EMBED_DIM):
+        return None
+    matrix = base.reshape(len(vectors), EMBED_DIM)  # a view: base is contiguous
+    for row, vec in enumerate(vectors):
+        if not (type(vec) is np.ndarray and vec.base is base
+                and vec.__array_interface__ == matrix[row].__array_interface__):
+            return None
+    return matrix
+
+
 def _build_index(memory: ProcessMemory) -> DenseIndex:
     ids = [p.graph_id for p in memory.processes]
-    text = np.zeros((len(ids), EMBED_DIM), dtype=np.float64)
-    struct = np.zeros_like(text)
-    for row, gid in enumerate(ids):
-        text[row] = text_vector(memory, gid)
-        stored_struct = memory.embedding_store.get(gid, {}).get("struct")
-        if stored_struct is not None:
-            struct[row] = _stored_vector(gid, "struct", stored_struct)
+    stored = {kind: [memory.embedding_store.get(gid, {}).get(kind) for gid in ids]
+              for kind in ("text", "struct")}
+    text, struct = _stored_matrix(stored["text"]), _stored_matrix(stored["struct"])
+    if text is None:
+        text = np.zeros((len(ids), EMBED_DIM), dtype=np.float64)
+        for row, gid in enumerate(ids):
+            text[row] = text_vector(memory, gid)
+    if struct is None:
+        struct = np.zeros((len(ids), EMBED_DIM), dtype=np.float64)
+        for row, (gid, vec) in enumerate(zip(ids, stored["struct"])):
+            if vec is not None:
+                struct[row] = _stored_vector(gid, "struct", vec)
     rank = {gid: i for i, gid in enumerate(sorted(set(ids)))}
     return DenseIndex(
         graph_ids=ids,

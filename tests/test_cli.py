@@ -978,6 +978,22 @@ def test_a_non_number_in_a_stored_vector_exits_3_naming_the_graph(tmp_path, caps
     assert "Traceback" not in err
 
 
+def test_a_stored_vector_of_another_length_exits_3_naming_the_file_and_graph(tmp_path, capsys):
+    graph_ids = []
+
+    def edit(header, rows):
+        process = [r for r in rows if r.get("kind") == "process"][2]
+        process["embeddings"]["text"].pop()
+        graph_ids.append(process["graph_id"])
+
+    path = _edited(tmp_path, "memory", edit)
+    code = cli.dispatch(eval_argv(pipeline(), "argmax_hybrid", tmp_path / "log.ndjson", memory=path))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and str(path) in err and repr(graph_ids[0]) in err
+    assert "stored text vector has 511 numbers" in err and "Traceback" not in err
+
+
 def _eval_reading(flag):
     def argv(paths, path, out):
         argv = eval_argv(paths, "argmax_hybrid", out)

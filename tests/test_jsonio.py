@@ -7,6 +7,7 @@ import ast
 import dataclasses
 import functools
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,23 @@ def test_loader_converts_only_lists_to_tuples_and_objects_to_dataclasses():
     row = {"graph_id": "g", "route": ("a",), "precursors": [], "products": [], "tools": []}
     with pytest.raises(MalformedDocument, match=r"ProcessSummary\.route: expected list\[str\], got tuple"):
         check_fields(ProcessSummary, row)
+
+
+def test_loader_interns_every_string_and_dict_key():
+    def fresh(text):  # an equal string that is not the interned one
+        return "".join(list(text))
+
+    row = json.loads(json.dumps({
+        "graph_id": "g1", "activity": "mill", "position": 0, "norm_position": 0.0,
+        "prev_activity": "weigh", "tools": ["ball mill"], "conditions": {"speed": "300 rpm"},
+    }))
+    entry = StepEntry.from_dict(row)
+    strings = [entry.graph_id, entry.activity, entry.prev_activity, *entry.tools,
+               *entry.conditions, *entry.conditions.values()]
+    assert strings == ["g1", "mill", "weigh", "ball mill", "speed", "300 rpm"]
+    assert all(s is sys.intern(fresh(s)) for s in strings)
+    prefix = PrefixRow.from_dict(json.loads('{"prefix": ["mill", "sinter"], "next": {"anneal": 2}}'))
+    assert all(s is sys.intern(fresh(s)) for s in [*prefix.prefix, *prefix.next])
 
 
 @pytest.mark.parametrize(

@@ -634,6 +634,82 @@ def test_dense_index_rebuilds_when_the_memory_changes():
     assert np.array_equal(second.struct[0], memory.embedding_store[gid]["struct"])
 
 
+def _built_and_loaded(tmp_path):
+    """A memory with vectors from attach_embeddings, and the same memory
+    saved and loaded."""
+    corpus = small_corpus(n=12)
+    built = rt.attach_embeddings(build_memory(corpus), corpus)
+    save_memory(tmp_path / "memory.ndjson", built)
+    return built, load_memory(tmp_path / "memory.ndjson"), corpus
+
+
+def _retrieved(memory, corpus):
+    """retrieve() of every corpus graph as a query, under two weightings."""
+    out = []
+    for g in corpus:
+        query = rt.RetrievalQuery(summary=memory.by_graph_id()[g.record_id],
+                                  text=linearize_process(memory, g.record_id), context_graph=g)
+        for weights in (rt.RetrievalWeights(), rt.RetrievalWeights(1.0, 0.0, 0.0)):
+            out.append(rt.retrieve(query, memory, weights, k=5))
+    return out
+
+
+def test_the_dense_index_scores_the_stored_vectors_in_place(tmp_path):
+    built, loaded, _ = _built_and_loaded(tmp_path)
+    for memory in (built, loaded):
+        index = rt.dense_index(memory)
+        for kind, matrix in (("text", index.text), ("struct", index.struct)):
+            assert not matrix.flags.writeable
+            for p in memory.processes:
+                vec = memory.embedding_store[p.graph_id][kind]
+                assert np.shares_memory(matrix, vec)
+                assert np.shares_memory(matrix[index.rows[p.graph_id]], vec)
+
+
+@pytest.mark.parametrize("edit", ["store replaced", "one entry swapped"])
+def test_stored_vectors_that_are_not_one_matrix_are_copied_into_the_index(tmp_path, edit):
+    _, loaded, corpus = _built_and_loaded(tmp_path)
+    edited = load_memory(tmp_path / "memory.ndjson")
+    store = edited.embedding_store
+    if edit == "store replaced":
+        edited.embedding_store = {gid: {kind: np.array(v) for kind, v in entry.items()}
+                                  for gid, entry in store.items()}
+    else:  # before the first index is built, so no derived view is stale
+        gid = edited.processes[5].graph_id
+        store[gid]["text"] = np.array(store[gid]["text"])
+    in_place = {"text": False, "struct": edit == "one entry swapped"}
+    index = rt.dense_index(edited)
+    for p in edited.processes:
+        for kind, matrix in (("text", index.text), ("struct", index.struct)):
+            vec = edited.embedding_store[p.graph_id][kind]
+            assert np.shares_memory(matrix, vec) is in_place[kind]
+            assert np.array_equal(matrix[index.rows[p.graph_id]], vec)
+    assert _retrieved(edited, corpus) == _retrieved(loaded, corpus)
+
+
+def test_rows_of_one_matrix_out_of_process_order_are_copied_in_order(tmp_path):
+    _, loaded, _ = _built_and_loaded(tmp_path)
+    a, b = (p.graph_id for p in loaded.processes[:2])
+    store = dict(loaded.embedding_store)
+    store[a], store[b] = store[b], store[a]
+    loaded.embedding_store = store
+    index = rt.dense_index(loaded)
+    for kind, matrix in (("text", index.text), ("struct", index.struct)):
+        assert not np.array_equal(store[a][kind], store[b][kind])
+        for p in loaded.processes:
+            assert np.array_equal(matrix[index.rows[p.graph_id]], store[p.graph_id][kind])
+
+
+def test_a_loaded_memory_of_another_dimension_fails_at_index_build(tmp_path):
+    memory = build_memory(small_corpus(n=3))
+    memory.embedding_store = {p.graph_id: {"text": [0.5, 0.25], "struct": [1.0, 0.0]}
+                              for p in memory.processes}
+    save_memory(tmp_path / "memory.ndjson", memory)
+    loaded = load_memory(tmp_path / "memory.ndjson")
+    with pytest.raises(EmbeddingDimensionMismatch, match="has 2 dimensions"):
+        rt.dense_index(loaded)
+
+
 def test_frozen_projection_is_cached_and_read_only():
     w = rt._frozen_projection(13, 0)
     assert rt._frozen_projection(13, 0) is w
