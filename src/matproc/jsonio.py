@@ -100,8 +100,6 @@ def _plan(tp) -> tuple[frozenset, Callable[[Any], Any] | None]:
     dict keys included, come back interned: the labels and graph ids a
     store repeats are then held once."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if tp is np.ndarray:  # read as a JSON list; the record converts it
-        return frozenset({list}), None
     if dataclasses.is_dataclass(tp):
         return frozenset({dict}), lambda v: tp(**check_fields(tp, v))
     if origin is types.UnionType:  # only `X | None` occurs

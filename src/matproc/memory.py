@@ -166,7 +166,9 @@ class ProcessMemory:
     step_library: list[StepEntry] = field(default_factory=list)
     transition_table: dict[tuple[str, str], int] = field(default_factory=dict)
     prefix_index: dict[tuple[str, ...], Counter] = field(default_factory=dict)
-    embedding_store: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
+    # kind ("text", "struct") -> read-only float64 (len(processes), d) matrix,
+    # row i for processes[i]; a kind is stored for every process or for none
+    vectors: dict[str, np.ndarray] = field(default_factory=dict)
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def derived(self, key: str, build: Callable[[], object], *sources):
@@ -440,20 +442,10 @@ def _stored(graph_id: str, kind: str, convert: Callable[[list], object], values)
 
 @dataclass
 class ProcessRow(ProcessSummary):
-    """A process as the memory file stores it, with its vectors. Each vector
-    becomes a read-only float64 array when the row is built; the dense index
-    checks its length. :func:`load_memory` reads these rows through
-    :class:`StoredVectors` instead, which keeps each vector once."""
+    """A process as the memory file stores it: its summary and, per kind,
+    its vector as a JSON list, which :class:`StoredVectors` checks and packs."""
 
-    embeddings: dict[str, np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.embeddings is not None:
-            self.embeddings = {
-                kind: frozen_array(v) if type(v) is np.ndarray
-                else _stored(self.graph_id, kind, frozen_array, v)
-                for kind, v in self.embeddings.items()
-            }
+    embeddings: dict[str, list] | None = None
 
 
 @dataclass
@@ -484,11 +476,10 @@ def save_memory(path: str | Path, memory: ProcessMemory, config_hash: str = "") 
     )
 
     def rows():
-        for p in memory.processes:
+        for i, p in enumerate(memory.processes):
             row = {"kind": "process", **record_fields(p)}
-            vectors = memory.embedding_store.get(p.graph_id)
-            if vectors:
-                row["embeddings"] = vectors
+            if memory.vectors:
+                row["embeddings"] = {kind: m[i] for kind, m in memory.vectors.items()}
             yield row
         for e in memory.step_library:
             yield {"kind": "step", **record_fields(e)}
@@ -503,27 +494,34 @@ def save_memory(path: str | Path, memory: ProcessMemory, config_hash: str = "") 
 class StoredVectors:
     """The stored vectors of one memory file, read row by row. Each kind's
     vectors go into one growable float64 buffer, which ends as one read-only
-    ``(n, d)`` matrix; the embedding store holds its rows as views."""
+    ``(n, d)`` matrix whose row i belongs to the file's i-th process."""
 
     def __init__(self):
         self._buffers: dict[str, array] = {}
         self._widths: dict[str, tuple[int, str]] = {}  # kind -> width, first graph_id
-        self._counts: dict[str, int] = {}
-        self._rows: dict[str, dict[str, int]] = {}  # graph_id -> kind -> matrix row
+        self._kinds: tuple[list[str], str] | None = None  # the first process's kinds and id
+        self._count = 0
 
     def read(self, row) -> ProcessSummary:
         """A process row of the file as its summary, checked as a
         :class:`ProcessRow`, with its vectors appended to the buffers."""
         kwargs = check_fields(ProcessRow, row)
-        vectors = kwargs.pop("embeddings", None)
+        vectors = kwargs.pop("embeddings", None) or {}
         summary = ProcessSummary(**kwargs)
-        if vectors:
-            self._rows[summary.graph_id] = {
-                kind: self._append(summary.graph_id, kind, values) for kind, values in vectors.items()
-            }
+        kinds = sorted(vectors)
+        self._kinds = self._kinds or (kinds, summary.graph_id)
+        if kinds != self._kinds[0]:
+            raise MalformedDocument(
+                f"memory process {summary.graph_id!r}: stored vector kinds {kinds}, the first"
+                f" process ({self._kinds[1]!r}) has {self._kinds[0]}; a memory stores each kind"
+                " for every process or for none"
+            )
+        for kind, values in vectors.items():
+            self._append(summary.graph_id, kind, values)
+        self._count += 1
         return summary
 
-    def _append(self, graph_id: str, kind: str, values: list) -> int:
+    def _append(self, graph_id: str, kind: str, values: list) -> None:
         buffer = self._buffers.setdefault(kind, array("d"))
         width, first = self._widths.setdefault(kind, (len(values), graph_id))
         if len(values) != width:
@@ -532,27 +530,21 @@ class StoredVectors:
                 f" the first one (process {first!r}) has {width}"
             )
         _stored(graph_id, kind, buffer.fromlist, values)
-        row = self._counts.get(kind, 0)
-        self._counts[kind] = row + 1
-        return row
 
-    def store(self) -> dict[str, dict[str, np.ndarray]]:
-        """Every process's vectors, as read-only rows of one matrix per kind."""
+    def store(self) -> dict[str, np.ndarray]:
+        """Every kind's vectors as one read-only matrix, in process order."""
         matrices = {}
         for kind, buffer in self._buffers.items():
             flat = np.frombuffer(buffer, dtype=np.float64)  # no copy; locks the buffer's size
             flat.setflags(write=False)
-            matrices[kind] = flat.reshape(self._counts[kind], self._widths[kind][0])
-        return {
-            graph_id: {kind: matrices[kind][row] for kind, row in rows.items()}
-            for graph_id, rows in self._rows.items()
-        }
+            matrices[kind] = flat.reshape(self._count, self._widths[kind][0])
+        return matrices
 
 
 def load_memory(path: str | Path) -> ProcessMemory:
-    """The memory saved at ``path``. Its stored vectors of each kind are the
-    rows of one read-only float64 matrix, which the dense index scores as
-    it is (see :class:`StoredVectors`)."""
+    """The memory saved at ``path``. Its stored vectors of each kind are one
+    read-only float64 matrix, which the dense index scores as it is (see
+    :class:`StoredVectors`)."""
     vectors = StoredVectors()
     header, rows = read_artifact(path, MEMORY_FORMAT, {**MEMORY_ROWS, "process": vectors.read},
                                  split_id=str, max_prefix_len=int)
@@ -563,5 +555,5 @@ def load_memory(path: str | Path) -> ProcessMemory:
         step_library=rows["step"],
         transition_table={(t.a, t.b): t.count for t in rows["transition"]},
         prefix_index={p.prefix: Counter(p.next) for p in rows["prefix"]},
-        embedding_store=vectors.store(),
+        vectors=vectors.store(),
     )

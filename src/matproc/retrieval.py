@@ -23,8 +23,8 @@ import numpy as np
 
 from .canon import canon_label, derive_seed
 from .endpoint import post_json
-from .errors import (EmbedderUnavailable, EmbeddingDimensionMismatch, EmptyMemory, InvalidParams,
-                     MalformedDocument)
+from .errors import (DataError, EmbedderUnavailable, EmbeddingDimensionMismatch, EmptyMemory,
+                     InvalidParams)
 from .jsonio import Record
 from .memory import (
     LabelSets,
@@ -382,35 +382,33 @@ def attach_embeddings(
     struct_seed: int = DEFAULT_STRUCT_SEED,
     text_embedder=None,
 ) -> ProcessMemory:
-    """Fill memory.embedding_store for every stored process. Its text and
-    struct vectors are read-only rows of one matrix each, which the dense
-    index scores as it is."""
-    embedder = text_embedder or BuiltinTextEmbedder()
-    known = memory.graph_ids()
-    graphs_by_id = {g.record_id: g for g in graphs if g.record_id in known}
+    """Store the text and struct vectors of every stored process in
+    ``memory.vectors``: one read-only matrix per kind, row i for process i,
+    which the dense index scores as it is. Raises :class:`DataError` when a
+    process has no graph in ``graphs``."""
+    graphs_by_id = {g.record_id: g for g in graphs}
     ids = [p.graph_id for p in memory.processes]
+    missing = [gid for gid in ids if gid not in graphs_by_id]
+    if missing:
+        raise DataError(f"no graph given for memory process {missing[0]!r}"
+                        f" ({len(missing)} of {len(ids)} processes lack one)")
+    embedder = text_embedder or BuiltinTextEmbedder()
     text = frozen_array(embedder.embed([linearize_process(memory, gid) for gid in ids]))
-    with_graph = [gid for gid in ids if gid in graphs_by_id]
-    struct = np.empty((len(with_graph), EMBED_DIM), dtype=np.float64)
-    for row, gid in enumerate(with_graph):
+    struct = np.empty((len(ids), EMBED_DIM), dtype=np.float64)
+    for row, gid in enumerate(ids):
         struct[row] = embed_structure(graphs_by_id[gid], seed=struct_seed)
     struct.setflags(write=False)
-    store = dict(memory.embedding_store)  # a new store drops any index built on the old one
-    for gid, vec in zip(ids, text):
-        store[gid] = {"text": vec}
-    for gid, vec in zip(with_graph, struct):
-        store[gid]["struct"] = vec
-    memory.embedding_store = store
+    memory.vectors = {"text": text, "struct": struct}  # a new dict drops the old index
     return memory
 
 
 def text_vector(memory: ProcessMemory, graph_id: str) -> np.ndarray:
     """Stored text vector for one process; the built-in embedding of its
     linearized text when none is stored. Never writes to the memory."""
-    vec = memory.embedding_store.get(graph_id, {}).get("text")
-    if vec is None:
+    stored = memory.vectors.get("text")
+    if stored is None:
         return BuiltinTextEmbedder().embed([linearize_process(memory, graph_id)])[0]
-    return _stored_vector(graph_id, "text", vec)
+    return stored[[p.graph_id for p in memory.processes].index(graph_id)]
 
 
 # --- dense index -----------------------------------------------------------------------
@@ -427,7 +425,7 @@ class DenseIndex:
     id_rank: np.ndarray  # rank of each graph_id in sorted order, for tie-breaks
     text: np.ndarray  # (N, EMBED_DIM)
     text_norm: np.ndarray
-    struct: np.ndarray  # (N, EMBED_DIM), a zero row where a process has none
+    struct: np.ndarray  # (N, EMBED_DIM), all zero when the memory stores none
     struct_norm: np.ndarray
     routes: LabelSets
     precursors: LabelSets
@@ -444,54 +442,32 @@ class DenseIndex:
         return (activity + length + precursor) / 3.0
 
 
-def _stored_vector(graph_id: str, kind: str, vec) -> np.ndarray:
-    """A stored vector as float64, checked to be ``EMBED_DIM`` numbers. A
-    loaded memory holds float64 arrays already; a store filled in process
-    may hold lists."""
-    array = np.asarray(vec)
-    if array.ndim != 1 or array.dtype.kind not in "iuf":
-        raise MalformedDocument(
-            f"memory process {graph_id!r}: stored {kind} vector is not a list of numbers"
-        )
-    if len(array) != EMBED_DIM:
+def _vectors(memory: ProcessMemory, kind: str) -> np.ndarray | None:
+    """The memory's stored ``kind`` matrix as float64 (not copied when it
+    is float64 already), checked to hold one ``EMBED_DIM``-wide row per
+    process; None when the kind is not stored."""
+    if kind not in memory.vectors:
+        return None
+    matrix = np.asarray(memory.vectors[kind], dtype=np.float64)
+    if matrix.ndim != 2 or len(matrix) != len(memory.processes):
+        raise DataError(f"stored {kind} vectors of shape {matrix.shape} for"
+                        f" {len(memory.processes)} memory processes: one row per process expected")
+    if matrix.shape[1] != EMBED_DIM:
         raise EmbeddingDimensionMismatch(
-            f"memory process {graph_id!r}: stored {kind} vector has {len(array)} dimensions,"
+            f"each stored {kind} vector has {matrix.shape[1]} dimensions,"
             f" the query side embeds in {EMBED_DIM}"
         )
-    return array.astype(np.float64, copy=False)
-
-
-def _stored_matrix(vectors: list) -> np.ndarray | None:
-    """The ``(N, EMBED_DIM)`` matrix whose rows, in order, are the N
-    ``vectors``, when they are read-only float64 rows of one matrix (as
-    :func:`~matproc.memory.load_memory` and :func:`attach_embeddings` store
-    them); None otherwise."""
-    base = getattr(vectors[0], "base", None) if vectors else None
-    if (type(base) is not np.ndarray or base.dtype != np.float64 or base.flags.writeable
-            or not base.flags.c_contiguous or base.size != len(vectors) * EMBED_DIM):
-        return None
-    matrix = base.reshape(len(vectors), EMBED_DIM)  # a view: base is contiguous
-    for row, vec in enumerate(vectors):
-        if not (type(vec) is np.ndarray and vec.base is base
-                and vec.__array_interface__ == matrix[row].__array_interface__):
-            return None
     return matrix
 
 
 def _build_index(memory: ProcessMemory) -> DenseIndex:
     ids = [p.graph_id for p in memory.processes]
-    stored = {kind: [memory.embedding_store.get(gid, {}).get(kind) for gid in ids]
-              for kind in ("text", "struct")}
-    text, struct = _stored_matrix(stored["text"]), _stored_matrix(stored["struct"])
+    text = _vectors(memory, "text")
     if text is None:
-        text = np.zeros((len(ids), EMBED_DIM), dtype=np.float64)
-        for row, gid in enumerate(ids):
-            text[row] = text_vector(memory, gid)
+        text = BuiltinTextEmbedder().embed([linearize_process(memory, gid) for gid in ids])
+    struct = _vectors(memory, "struct")
     if struct is None:
         struct = np.zeros((len(ids), EMBED_DIM), dtype=np.float64)
-        for row, (gid, vec) in enumerate(zip(ids, stored["struct"])):
-            if vec is not None:
-                struct[row] = _stored_vector(gid, "struct", vec)
     rank = {gid: i for i, gid in enumerate(sorted(set(ids)))}
     return DenseIndex(
         graph_ids=ids,
@@ -510,18 +486,19 @@ def _build_index(memory: ProcessMemory) -> DenseIndex:
 def dense_index(memory: ProcessMemory) -> DenseIndex:
     """The memory's dense index, built on first use.
 
-    A process without a stored text vector gets the row :func:`text_vector`
-    derives for it; the memory is not written to. Building raises
-    :class:`EmbeddingDimensionMismatch` for a stored vector whose length is
-    not ``EMBED_DIM``, and :class:`MalformedDocument` for one that holds
-    anything but numbers.
+    Without stored text vectors each process gets the row
+    :func:`text_vector` derives for it, and without stored struct vectors a
+    zero row; the memory is not written to. Building raises
+    :class:`EmbeddingDimensionMismatch` for stored vectors whose width is
+    not ``EMBED_DIM``, and :class:`DataError` for a stored matrix without
+    one row per process.
     """
     return memory.derived(
         "dense_index",
         lambda: _build_index(memory),
         memory.processes,
         memory.step_library,
-        memory.embedding_store,
+        memory.vectors,
     )
 
 

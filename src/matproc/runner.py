@@ -10,7 +10,6 @@ uniform_random and gold_oracle. All randomness is derived from
 
 from __future__ import annotations
 
-import functools
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +28,7 @@ from .errors import (
 from .jsonio import TRANSIENT, Record
 from .memory import ProcessMemory
 from .prompts import build_prompt, parse_answer
-from .retrieval import DEFAULT_TOP_K, RetrievalWeights, dense_index, query_from_item, retrieve
+from .retrieval import DEFAULT_TOP_K, RetrievalWeights, dense_index, retrieve
 from .scoring import (
     DEFAULT_LAMBDA,
     ItemInputs,
@@ -154,27 +153,6 @@ def _effective_lambda(config: PolicyConfig) -> float:
     return config.lam
 
 
-class _ItemContext:
-    """What every config answering one item shares: the retrieval query (which
-    caches its view scores), the lanes' precedent-independent inputs, and each
-    lane's scores by (precedent ids, scoring config). Built when the item's
-    answers start and dropped when they end."""
-
-    def __init__(self, item: BenchItem, memory: ProcessMemory | None):
-        self.item = item
-        self.inputs = ItemInputs(item, memory)
-        self.lanes: dict = {}
-
-    @functools.cached_property
-    def query(self):
-        return query_from_item(self.item)
-
-    def lane(self, key, score) -> OptionScores:
-        if key not in self.lanes:
-            self.lanes[key] = score()
-        return self.lanes[key]
-
-
 def _score_item(item, memory, config, context):
     """Retrieve precedents and fuse the lanes the policy needs."""
     precedents = retrieve(context.query, memory, config.weights, config.top_k)
@@ -182,11 +160,11 @@ def _score_item(item, memory, config, context):
     key = (tuple(p.graph_id for p in precedents), config.scoring)  # the lanes read only ids
     sym = neu = None
     if lam > 0:
-        sym = context.lane(("symbolic", *key), lambda: score_options_symbolic(
-            item, precedents, memory, config.scoring, inputs=context.inputs))
+        sym = context.once(("symbolic", *key), lambda: score_options_symbolic(
+            item, precedents, memory, config.scoring, inputs=context))
     if lam < 1:
-        neu = context.lane(("neural", *key), lambda: score_options_neural(
-            item, precedents, memory, config.scoring, inputs=context.inputs))
+        neu = context.once(("neural", *key), lambda: score_options_neural(
+            item, precedents, memory, config.scoring, inputs=context))
     return precedents, sym, fuse_scores(sym, neu, lam)
 
 
@@ -296,7 +274,8 @@ def _baseline_answer(item, mode, client, config, memory=None, precedents=None,
 
 def _answer_item(item, memory, config, client, exemplars_by_task, predictions, context):
     """One item under one config -> (answer index or None, trace dict), with
-    ``context`` the item's :class:`_ItemContext`. Never raises."""
+    ``context`` the item's :class:`ItemInputs`, shared by every config
+    answering it. Never raises."""
     trace: dict = {"exchanges": [], "fallback_used": False, "flags": []}
     try:
         policy = config.policy
@@ -441,7 +420,7 @@ def answer_items(
         dense_index(memory)
 
     def work(item):
-        context = _ItemContext(item, memory)
+        context = ItemInputs(item, memory)
         return [
             _log_row(item, config, *_answer_item(
                 item, memory, config, client, by_task, predictions, context))

@@ -14,6 +14,7 @@ precedent lists can build once and pass to every call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,8 @@ from .canon import canon_label
 from .errors import ArityMismatch, InvalidParams, UnknownTask
 from .jsonio import Record
 from .memory import ProcessMemory, StepQuery, match_steps, next_distribution
-from .retrieval import BuiltinTextEmbedder, RetrievedPrecedent, dense_index, unit_cosines
+from .retrieval import (BuiltinTextEmbedder, RetrievalQuery, RetrievedPrecedent, dense_index,
+                        query_from_item, unit_cosines)
 from .taskgen import (
     MASK_TOKEN,
     TUPLE_KEYS,
@@ -164,14 +166,22 @@ def _step_query(question: dict) -> StepQuery:
 
 class ItemInputs:
     """The precedent-independent inputs of one item's lanes, each computed
-    on first use and then reused by every scorer call given this object."""
+    on first use and then reused by every scorer call given this object.
+    A caller answering the item under several configs keeps its retrieval
+    query here too, and any other per-item value under :meth:`once`."""
 
-    def __init__(self, item: BenchItem, memory: ProcessMemory):
+    def __init__(self, item: BenchItem, memory: ProcessMemory | None):
         self.item = item
         self.memory = memory
         self._memo: dict = {}
 
-    def _once(self, key, build):
+    @functools.cached_property
+    def query(self) -> RetrievalQuery:
+        """The item's retrieval query, which caches its view scores."""
+        return query_from_item(self.item)
+
+    def once(self, key, build):
+        """``build()``, computed on the first call with ``key`` and reused."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -183,11 +193,11 @@ class ItemInputs:
             texts = [option_completed_text(self.item, o) for o in self.item.options]
             return BuiltinTextEmbedder().embed(texts)
 
-        return self._once("option_vectors", build)
+        return self.once("option_vectors", build)
 
     def step_matches(self, top_m: int) -> list:
         """:func:`match_steps` of the item's target step (B1/B2/C1 items)."""
-        return self._once(
+        return self.once(
             ("step_matches", top_m),
             lambda: match_steps(self.memory, _step_query(self.item.question), top_m=top_m),
         )
@@ -201,7 +211,7 @@ class ItemInputs:
             norm_pos = q["masked_index"] / span if span > 0 else 0.0
             return _positional_frequencies(self.memory, self.item.options, norm_pos, window)
 
-        return self._once(("positional", window), build)
+        return self.once(("positional", window), build)
 
 
 def _inputs_for(item, memory, inputs) -> ItemInputs:

@@ -234,8 +234,8 @@ def test_criterion_5_oracle_equivalence_suite():
             graph_id="p2", route=["anneal", "sinter"], precursors=["y"], products=["v"], tools=[]
         )
     )
-    memory.embedding_store["p1"] = {"text": one_hot(0), "struct": one_hot(2)}
-    memory.embedding_store["p2"] = {"text": one_hot(1), "struct": one_hot(3)}
+    memory.vectors = {"text": np.array([one_hot(0), one_hot(1)]),
+                      "struct": np.array([one_hot(2), one_hot(3)])}
     query = RetrievalQuery(
         summary=ProcessSummary(
             graph_id="q", route=["mill"], precursors=["x"], products=["u"], tools=[]

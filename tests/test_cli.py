@@ -390,6 +390,25 @@ def test_shuffled_memory_rows_change_no_eval_log_or_ablation_byte(tmp_path, monk
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("policy", ["argmax_hybrid", "provmind_llm"])
+def test_permuted_bench_items_change_no_item_log_row(tmp_path, policy, monkeypatch, capsys):
+    monkeypatch.delenv("MATPROC_CHAT_URL", raising=False)  # provmind_llm uses the mock client
+    paths = pipeline()
+    header, *rows = paths["bench"].read_text().splitlines(keepends=True)
+    shuffled = list(rows)
+    random.Random(1).shuffle(shuffled)
+    logs = []
+    for name, order in (("bench", rows), ("reversed", rows[::-1]), ("shuffled", shuffled)):
+        bench, log = tmp_path / f"{name}.ndjson", tmp_path / f"log-{name}.ndjson"
+        bench.write_text(header + "".join(order))
+        argv = eval_argv(paths, policy, log)
+        argv[argv.index("--bench") + 1] = str(bench)
+        assert cli.dispatch(argv) == 0
+        logs.append({row["item_id"]: row for row in read_ndjson(log)[1]})
+    assert len(logs[0]) > 1 and list(logs[0]) == list(logs[1])[::-1]  # the order did change
+    assert logs[0] == logs[1] == logs[2]
+
+
 @pytest.mark.parametrize("axes", ["", ","])
 def test_ablate_without_an_axis_exits_2_and_writes_nothing(tmp_path, capsys, axes):
     report = tmp_path / "ablation.ndjson"
@@ -992,6 +1011,28 @@ def test_a_stored_vector_of_another_length_exits_3_naming_the_file_and_graph(tmp
     assert code == 3
     assert err.startswith("error:") and str(path) in err and repr(graph_ids[0]) in err
     assert "stored text vector has 511 numbers" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", ["a-kind-missing", "an-extra-kind"])
+def test_a_process_row_with_other_vector_kinds_exits_3_naming_the_file_row_and_graph(
+        tmp_path, capsys, edit):
+    named = []
+
+    def change(header, rows):
+        processes = [(n, r) for n, r in enumerate(rows, start=1) if r.get("kind") == "process"]
+        n, process = processes[2]
+        if edit == "a-kind-missing":
+            del process["embeddings"]["struct"]
+        else:
+            process["embeddings"]["extra"] = process["embeddings"]["text"]
+        named.extend([f"row {n}:", repr(process["graph_id"]), repr(processes[0][1]["graph_id"])])
+
+    path = _edited(tmp_path, "memory", change)
+    code = cli.dispatch(eval_argv(pipeline(), "argmax_hybrid", tmp_path / "log.ndjson", memory=path))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and str(path) in err and all(name in err for name in named)
+    assert "for every process or for none" in err and "Traceback" not in err
 
 
 def _eval_reading(flag):

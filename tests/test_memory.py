@@ -17,6 +17,7 @@ from matproc.memory import (
     StepEntry,
     StepQuery,
     build_memory,
+    frozen_array,
     jaccard,
     linearize_process,
     load_memory,
@@ -316,7 +317,9 @@ def test_linearize_process_contains_context():
 
 def test_memory_round_trip(tmp_path):
     memory, _ = synth_memory(12)
-    memory.embedding_store["synth-r00000"] = {"text": [0.1, 0.2], "struct": [0.3, 0.4]}
+    n = len(memory.processes)
+    memory.vectors = {"text": frozen_array(np.arange(2 * n).reshape(n, 2) / 7),
+                      "struct": frozen_array(np.arange(2 * n).reshape(n, 2) / -3)}
     path = tmp_path / "memory.ndjson"
     save_memory(path, memory, config_hash="h")
     back = load_memory(path)
@@ -325,7 +328,7 @@ def test_memory_round_trip(tmp_path):
     assert back.prefix_index == memory.prefix_index
     assert [p.to_dict() for p in back.processes] == [p.to_dict() for p in memory.processes]
     assert [e.to_dict() for e in back.step_library] == [e.to_dict() for e in memory.step_library]
-    assert_same_vectors(back.embedding_store, memory.embedding_store)
+    assert_same_vectors(back.vectors, memory.vectors)
 
 
 def test_memory_serialization_deterministic(tmp_path):
@@ -350,18 +353,17 @@ def test_stored_vectors_load_as_read_only_arrays_of_their_own_size(tmp_path):
     attach_embeddings(memory, corpus)
     with_vectors, without = tmp_path / "with.ndjson", tmp_path / "without.ndjson"
     save_memory(with_vectors, memory)
-    memory.embedding_store = {}
+    memory.vectors = {}
     save_memory(without, memory)
     loaded, peak = _load_with_peak(with_vectors)
     _, base_peak = _load_with_peak(without)
-    vectors = [v for entry in loaded.embedding_store.values() for v in entry.values()]
-    assert len(vectors) == 2 * len(memory.processes)
-    for v in vectors:
-        assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (EMBED_DIM,)
-        assert not v.flags.writeable
+    assert set(loaded.vectors) == {"text", "struct"}
+    for m in loaded.vectors.values():
+        assert type(m) is np.ndarray and m.dtype == np.float64
+        assert m.shape == (len(memory.processes), EMBED_DIM) and not m.flags.writeable
     # the float64 values themselves, not a list of Python floats (4x) or
     # a list of raw rows next to the records
-    assert peak - base_peak <= 1.5 * sum(v.nbytes for v in vectors)
+    assert peak - base_peak <= 1.3 * sum(m.nbytes for m in loaded.vectors.values())
 
 
 @pytest.mark.parametrize("n_sets", [0, 1, 40])

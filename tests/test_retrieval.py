@@ -345,11 +345,8 @@ def three_process_memory():
     ]
     memory = build_memory(graphs)
     # orthogonal hand-chosen view vectors make every cosine either 0 or 1
-    memory.embedding_store = {
-        "pa": {"text": one_hot(0), "struct": one_hot(3)},
-        "pb": {"text": one_hot(1), "struct": one_hot(4)},
-        "pc": {"text": one_hot(2), "struct": one_hot(5)},
-    }
+    memory.vectors = {"text": np.array([one_hot(0), one_hot(1), one_hot(2)]),
+                      "struct": np.array([one_hot(3), one_hot(4), one_hot(5)])}
     query = rt.RetrievalQuery(
         summary=summary(["mill"], ["x"]),
         text_vec=np.asarray(one_hot(1)),
@@ -498,20 +495,7 @@ def test_retrieve_derives_missing_text_vectors_without_storing_them():
         derived = rt.BuiltinTextEmbedder().embed([linearize_process(memory, gid)])[0]
         assert np.array_equal(rt.text_vector(memory, gid), derived)
         assert np.array_equal(index.text[index.rows[gid]], derived)
-    assert memory.embedding_store == {}  # retrieval never writes to the memory
-
-
-def test_dense_index_mixes_stored_and_derived_text_rows():
-    graphs = [compiled(chain_graph(["mill"], record_id="ga")),
-              compiled(chain_graph(["sinter"], record_id="gb"))]
-    memory = build_memory(graphs)
-    stored = [0.0] * rt.EMBED_DIM
-    stored[3] = 1.0
-    memory.embedding_store = {"ga": {"text": stored}}
-    index = rt.dense_index(memory)
-    assert index.text[index.rows["ga"]].tolist() == stored
-    assert np.array_equal(index.text[index.rows["gb"]], rt.text_vector(memory, "gb"))
-    assert memory.embedding_store == {"ga": {"text": stored}}
+    assert memory.vectors == {}  # retrieval never writes to the memory
 
 
 # --- dense index against the per-pair reference ------------------------------------------
@@ -526,9 +510,10 @@ def reference_retrieve(query, memory, weights, k):
     results = []
     for p in memory.processes:
         s_text = rt.cos_to_unit(rt.cosine(query.text_vec, rt.text_vector(memory, p.graph_id)))
-        stored = memory.embedding_store.get(p.graph_id, {}).get("struct")
+        stored = memory.vectors.get("struct")
         if stored is not None and query.struct_vec is not None:
-            s_struct = rt.cos_to_unit(rt.cosine(query.struct_vec, np.asarray(stored)))
+            row = [q.graph_id for q in memory.processes].index(p.graph_id)
+            s_struct = rt.cos_to_unit(rt.cosine(query.struct_vec, stored[row]))
         else:
             s_struct = 0.5
         s_heur = rt.score_heuristic(query.summary, p)
@@ -563,11 +548,8 @@ def memory_variant(corpus, variant):
     if variant == "no_vectors":
         return memory
     memory = rt.attach_embeddings(memory, corpus)
-    if variant == "partial_struct":
-        memory.embedding_store = {
-            gid: ({"text": e["text"]} if i % 3 == 0 else e)
-            for i, (gid, e) in enumerate(memory.embedding_store.items())
-        }
+    if variant == "text_only":
+        memory.vectors = {"text": memory.vectors["text"]}
     return memory
 
 
@@ -587,7 +569,7 @@ def equivalence_queries(corpus):
     return queries
 
 
-@pytest.mark.parametrize("variant", ["full", "partial_struct", "no_vectors"])
+@pytest.mark.parametrize("variant", ["full", "text_only", "no_vectors"])
 def test_dense_retrieve_equals_per_pair_reference(variant):
     corpus = equivalence_corpus()
     memory = memory_variant(corpus, variant)
@@ -599,8 +581,8 @@ def test_dense_retrieve_equals_per_pair_reference(variant):
             for k in (1, 8, n + 3):
                 got = [r.to_dict() for r in rt.retrieve(query, memory, weights, k=k)]
                 assert got == want[:k], (variant, weights, k)  # == on every float
-    if variant == "no_vectors":  # both sides derived the same text vectors
-        assert memory.embedding_store == oracle_memory.embedding_store
+    if variant == "no_vectors":  # neither side stored the vectors it derived
+        assert memory.vectors == oracle_memory.vectors == {}
 
 
 def test_reused_query_scores_each_view_once_per_index(monkeypatch):
@@ -630,8 +612,7 @@ def test_dense_index_rebuilds_when_the_memory_changes():
     rt.attach_embeddings(memory, corpus)
     second = rt.dense_index(memory)
     assert second is not first
-    gid = memory.processes[0].graph_id
-    assert np.array_equal(second.struct[0], memory.embedding_store[gid]["struct"])
+    assert np.array_equal(second.struct, memory.vectors["struct"])
 
 
 def _built_and_loaded(tmp_path):
@@ -640,70 +621,33 @@ def _built_and_loaded(tmp_path):
     corpus = small_corpus(n=12)
     built = rt.attach_embeddings(build_memory(corpus), corpus)
     save_memory(tmp_path / "memory.ndjson", built)
-    return built, load_memory(tmp_path / "memory.ndjson"), corpus
-
-
-def _retrieved(memory, corpus):
-    """retrieve() of every corpus graph as a query, under two weightings."""
-    out = []
-    for g in corpus:
-        query = rt.RetrievalQuery(summary=memory.by_graph_id()[g.record_id],
-                                  text=linearize_process(memory, g.record_id), context_graph=g)
-        for weights in (rt.RetrievalWeights(), rt.RetrievalWeights(1.0, 0.0, 0.0)):
-            out.append(rt.retrieve(query, memory, weights, k=5))
-    return out
+    return built, load_memory(tmp_path / "memory.ndjson")
 
 
 def test_the_dense_index_scores_the_stored_vectors_in_place(tmp_path):
-    built, loaded, _ = _built_and_loaded(tmp_path)
+    built, loaded = _built_and_loaded(tmp_path)
     for memory in (built, loaded):
         index = rt.dense_index(memory)
         for kind, matrix in (("text", index.text), ("struct", index.struct)):
             assert not matrix.flags.writeable
-            for p in memory.processes:
-                vec = memory.embedding_store[p.graph_id][kind]
-                assert np.shares_memory(matrix, vec)
-                assert np.shares_memory(matrix[index.rows[p.graph_id]], vec)
+            assert np.shares_memory(matrix, memory.vectors[kind])
+            assert matrix.shape == memory.vectors[kind].shape
 
 
-@pytest.mark.parametrize("edit", ["store replaced", "one entry swapped"])
-def test_stored_vectors_that_are_not_one_matrix_are_copied_into_the_index(tmp_path, edit):
-    _, loaded, corpus = _built_and_loaded(tmp_path)
-    edited = load_memory(tmp_path / "memory.ndjson")
-    store = edited.embedding_store
-    if edit == "store replaced":
-        edited.embedding_store = {gid: {kind: np.array(v) for kind, v in entry.items()}
-                                  for gid, entry in store.items()}
-    else:  # before the first index is built, so no derived view is stale
-        gid = edited.processes[5].graph_id
-        store[gid]["text"] = np.array(store[gid]["text"])
-    in_place = {"text": False, "struct": edit == "one entry swapped"}
-    index = rt.dense_index(edited)
-    for p in edited.processes:
-        for kind, matrix in (("text", index.text), ("struct", index.struct)):
-            vec = edited.embedding_store[p.graph_id][kind]
-            assert np.shares_memory(matrix, vec) is in_place[kind]
-            assert np.array_equal(matrix[index.rows[p.graph_id]], vec)
-    assert _retrieved(edited, corpus) == _retrieved(loaded, corpus)
-
-
-def test_rows_of_one_matrix_out_of_process_order_are_copied_in_order(tmp_path):
-    _, loaded, _ = _built_and_loaded(tmp_path)
-    a, b = (p.graph_id for p in loaded.processes[:2])
-    store = dict(loaded.embedding_store)
-    store[a], store[b] = store[b], store[a]
-    loaded.embedding_store = store
-    index = rt.dense_index(loaded)
-    for kind, matrix in (("text", index.text), ("struct", index.struct)):
-        assert not np.array_equal(store[a][kind], store[b][kind])
-        for p in loaded.processes:
-            assert np.array_equal(matrix[index.rows[p.graph_id]], store[p.graph_id][kind])
+@pytest.mark.parametrize("kind", ["text", "struct"])
+@pytest.mark.parametrize("rows", [-1, 1])
+def test_stored_vectors_without_one_row_per_process_fail_at_index_build(tmp_path, kind, rows):
+    _, loaded = _built_and_loaded(tmp_path)
+    stored = loaded.vectors[kind]
+    matrix = stored[:rows] if rows < 0 else np.vstack([stored, stored[:rows]])
+    loaded.vectors = {**loaded.vectors, kind: matrix}
+    with pytest.raises(DataError, match=f"stored {kind} vectors of shape"):
+        rt.dense_index(loaded)
 
 
 def test_a_loaded_memory_of_another_dimension_fails_at_index_build(tmp_path):
     memory = build_memory(small_corpus(n=3))
-    memory.embedding_store = {p.graph_id: {"text": [0.5, 0.25], "struct": [1.0, 0.0]}
-                              for p in memory.processes}
+    memory.vectors = {"text": np.full((3, 2), 0.5), "struct": np.full((3, 2), 1.0)}
     save_memory(tmp_path / "memory.ndjson", memory)
     loaded = load_memory(tmp_path / "memory.ndjson")
     with pytest.raises(EmbeddingDimensionMismatch, match="has 2 dimensions"):
@@ -722,8 +666,8 @@ def test_frozen_projection_is_cached_and_read_only():
 @pytest.mark.parametrize("kind", ["text", "struct"])
 def test_index_rejects_stored_vectors_of_another_dimension(kind):
     memory, query = three_process_memory()
-    memory.embedding_store["pb"][kind] = [0.1] * 768
-    with pytest.raises(EmbeddingDimensionMismatch, match="'pb'.*768") as info:
+    memory.vectors = {**memory.vectors, kind: np.full((3, 768), 0.1)}
+    with pytest.raises(EmbeddingDimensionMismatch, match=f"{kind} vector has 768") as info:
         rt.retrieve(query, memory, k=3)
     assert isinstance(info.value, DataError)
 
@@ -734,10 +678,10 @@ def test_index_rejects_stored_vectors_of_another_dimension(kind):
 def test_attach_embeddings_round_trip(tmp_path):
     corpus = small_corpus(n=6)
     memory = rt.attach_embeddings(build_memory(corpus), corpus)
-    for gid, entry in memory.embedding_store.items():
-        assert set(entry) == {"text", "struct"}, gid
-        assert np.linalg.norm(entry["text"]) == pytest.approx(1.0, abs=1e-9)
-        assert np.linalg.norm(entry["struct"]) == pytest.approx(1.0, abs=1e-9)
+    assert set(memory.vectors) == {"text", "struct"}
+    for matrix in memory.vectors.values():
+        assert matrix.shape == (len(memory.processes), rt.EMBED_DIM)
+        assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0, rtol=0.0, atol=1e-9)
 
     path = tmp_path / "memory.ndjson"
     save_memory(path, memory)
@@ -750,6 +694,14 @@ def test_attach_embeddings_round_trip(tmp_path):
     before = [r.to_dict() for r in rt.retrieve(query, memory)]
     after = [r.to_dict() for r in rt.retrieve(query, reloaded)]
     assert before == after
+
+
+def test_attach_embeddings_names_a_process_without_a_graph():
+    corpus = small_corpus(n=6)
+    memory = build_memory(corpus)
+    with pytest.raises(DataError, match=repr(corpus[2].record_id)):
+        rt.attach_embeddings(memory, corpus[:2] + corpus[3:])
+    assert memory.vectors == {}
 
 
 # --- query construction --------------------------------------------------------------
