@@ -22,6 +22,7 @@ from .retrieval import DEFAULT_STRUCT_SEED, RetrievalWeights
 from .runner import PolicyConfig
 from .scoring import ScoringConfig
 from .taskgen import DEFAULT_K, GenCaps
+from .taskgen.model import OPTION_COUNTS
 
 PATH_KEYS = (
     "raw",
@@ -77,6 +78,9 @@ class RunConfig(Record):
 
     def __post_init__(self):
         self.ratios = tuple(float(r) for r in self.ratios)
+        if self.k_options not in OPTION_COUNTS:
+            raise ConfigConflict(
+                f"k_options must lie in {OPTION_COUNTS[0]}..{OPTION_COUNTS[-1]}, got {self.k_options}")
         # caps and field_map stay plain dicts, so that a partial one keeps its hash
         if self.caps:
             GenCaps.from_dict(self.caps)  # a usage error, like every other knob

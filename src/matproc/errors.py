@@ -89,10 +89,6 @@ class EmbeddingDimensionMismatch(DataError):
     """A stored memory vector does not have the query side's dimension."""
 
 
-class UnknownTask(DataError):
-    """Item carries a task kind no scorer knows."""
-
-
 class ArityMismatch(DataError):
     """Score fusion given vectors of different option arity."""
 

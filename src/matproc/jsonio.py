@@ -102,7 +102,9 @@ def _plan(tp) -> tuple[frozenset, Callable[[Any], Any] | None]:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if dataclasses.is_dataclass(tp):
         return frozenset({dict}), lambda v: tp(**check_fields(tp, v))
-    if origin is types.UnionType:  # only `X | None` occurs
+    if origin is types.UnionType and type(None) not in args:
+        return frozenset({dict}), None  # a union of records: the owner builds the right one
+    if origin is types.UnionType:  # `X | None`
         accepted, inner = _plan(args[0])
         return accepted | {type(None)}, inner and (lambda v: None if v is None else inner(v))
     if origin is None:

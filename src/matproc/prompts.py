@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import re
 
-from .errors import MissingContext, UnknownTask
+from .errors import MissingContext
 from .memory import ProcessMemory, linearize_process
 from .retrieval import RetrievedPrecedent
 from .scoring import OptionScores
 from .taskgen import MASK_TOKEN, BenchItem
+from .taskgen.model import OPTION_LETTERS
 
 PROMPT_VERSION = "prompts-1"
-OPTION_LETTERS = "ABCDEFGH"
 PROMPT_MODES = ("plan", "answer", "zero_shot", "few_shot", "rag", "graphrag")
 
 SYSTEM_TEXT = (
@@ -37,46 +37,44 @@ def question_text(item: BenchItem) -> str:
     task = item.task
     if task == "A1_route_retrieval":
         return (
-            f"Which operation sequence synthesizes {q['product']} "
-            f"from: {', '.join(q['precursors'])}?"
+            f"Which operation sequence synthesizes {q.product} "
+            f"from: {', '.join(q.precursors)}?"
         )
     if task == "A2_missing_step":
         route = " -> ".join(
-            "[?]" if x == MASK_TOKEN else x for x in q["route_with_mask"]
+            "[?]" if x == MASK_TOKEN else x for x in q.route_with_mask
         )
         return (
-            f"One step in this route for {q['product']} is masked: {route}. "
+            f"One step in this route for {q.product} is masked: {route}. "
             f"Which operation is masked?"
         )
     if task == "A3_next_activity":
         return (
-            f"A synthesis of {q['product']} begins: {' -> '.join(q['prefix'])}. "
+            f"A synthesis of {q.product} begins: {' -> '.join(q.prefix)}. "
             f"Which operation comes next?"
         )
     if task in ("B1_condition_prediction", "B2_full_condition_set", "C1_tool_selection"):
-        route = " -> ".join(q["route"])
-        step = f"step {q['step_index'] + 1} ({q['activity']})"
-        inputs = ", ".join(q.get("step_inputs", []))
+        route = " -> ".join(q.route)
+        step = f"step {q.step_index + 1} ({q.activity})"
+        inputs = ", ".join(q.step_inputs)
         context = f"Route: {route}. Target: {step}"
         if inputs:
             context += f", consuming {inputs}"
         if task == "B1_condition_prediction":
-            return f"{context}. Which {q['condition_key']} setting does this step use?"
+            return f"{context}. Which {q.condition_key} setting does this step use?"
         if task == "B2_full_condition_set":
             return f"{context}. Which complete condition set does this step use?"
         return f"{context}. Which tool does this step use?"
-    if task == "D_process_ordering":
-        lines = [
-            f"- {s['label']} (uses: {', '.join(s['inputs']) or 'none'}; "
-            f"makes: {', '.join(s['outputs']) or 'none'})"
-            for s in q["steps"]
-        ]
-        return (
-            f"These synthesis steps for {q['product']} are shuffled:\n"
-            + "\n".join(lines)
-            + "\nWhich ordering is causally valid?"
-        )
-    raise UnknownTask(f"no question template for task {task!r}")
+    lines = [  # D_process_ordering
+        f"- {s.label} (uses: {', '.join(s.inputs) or 'none'}; "
+        f"makes: {', '.join(s.outputs) or 'none'})"
+        for s in q.steps
+    ]
+    return (
+        f"These synthesis steps for {q.product} are shuffled:\n"
+        + "\n".join(lines)
+        + "\nWhich ordering is causally valid?"
+    )
 
 
 def options_block(item: BenchItem) -> str:

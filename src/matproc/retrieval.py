@@ -37,6 +37,7 @@ from .memory import (
 )
 from .provgraph import ProcessGraph
 from .taskgen import MASK_TOKEN, BenchItem
+from .taskgen.model import RouteQuestion, StepQuestion
 
 EMBED_DIM = 512
 NGRAM_SIZES = (3, 4, 5)
@@ -275,18 +276,17 @@ class RetrievalQuery:
 def query_from_item(item: BenchItem) -> RetrievalQuery:
     """Build the query process context from the visible payload only."""
     q = item.question
-    precursors = list(q.get("precursors", []))
-    product = q.get("product", "")
+    precursors, product = (list(q.precursors), q.product) if isinstance(q, RouteQuestion) else ([], "")
     if item.task == "A1_route_retrieval":
         visible: list[str] = []
     elif item.task == "A2_missing_step":
-        visible = [x for x in q["route_with_mask"] if x != MASK_TOKEN]
+        visible = [x for x in q.route_with_mask if x != MASK_TOKEN]
     elif item.task == "A3_next_activity":
-        visible = list(q["prefix"])
+        visible = list(q.prefix)
     elif item.task == "D_process_ordering":
-        visible = sorted(s["label"] for s in q["steps"])
+        visible = sorted(s.label for s in q.steps)
     else:  # B1 / B2 / C1 carry the full route
-        visible = list(q.get("route", []))
+        visible = list(q.route)
 
     summary = ProcessSummary(
         graph_id=f"query:{item.item_id}",
@@ -300,10 +300,11 @@ def query_from_item(item: BenchItem) -> RetrievalQuery:
         route_text=" -> ".join(visible),
         products=summary.products,
     )
-    return RetrievalQuery(summary=summary, text=text, context_graph=_context_graph(item, visible))
+    context_graph = _context_graph(item, visible, precursors, product)
+    return RetrievalQuery(summary=summary, text=text, context_graph=context_graph)
 
 
-def _context_graph(item: BenchItem, visible: list[str]) -> ProcessGraph:
+def _context_graph(item: BenchItem, visible: list[str], precursors: list[str], product: str) -> ProcessGraph:
     """Minimal provenance graph over the visible payload; ``visible`` is the
     query's visible route, which an ordering item's steps replace."""
     from .provgraph import ActivityNode, EntityNode  # local: avoid wide import surface
@@ -321,16 +322,16 @@ def _context_graph(item: BenchItem, visible: list[str]) -> ProcessGraph:
 
     if item.task == "D_process_ordering":
         by_label: dict[str, str] = {}
-        for pos, step in enumerate(q["steps"]):
+        for pos, step in enumerate(q.steps):
             act_id = f"qa{pos}"
-            g.activities.append(ActivityNode(id=act_id, label=step["label"], source_position=pos))
-            for label in step["inputs"]:
+            g.activities.append(ActivityNode(id=act_id, label=step.label, source_position=pos))
+            for label in step.inputs:
                 if label not in by_label:
                     by_label[label] = add_material(label)
                 edge = (by_label[label], act_id)
                 if edge not in g.usage_edges:
                     g.usage_edges.append(edge)
-            for label in step["outputs"]:
+            for label in step.outputs:
                 if label not in by_label:
                     by_label[label] = add_material(label)
                 edge = (act_id, by_label[label])
@@ -350,24 +351,23 @@ def _context_graph(item: BenchItem, visible: list[str]) -> ProcessGraph:
         act_id = f"qa{pos}"
         g.activities.append(ActivityNode(id=act_id, label=label, source_position=pos))
         if pos == 0:
-            for pre in q.get("precursors", []):
+            for pre in precursors:
                 g.usage_edges.append((material(pre), act_id))
         if previous is not None:
             link = add_material("intermediate")  # fresh node per hand-off
             g.generation_edges.append((previous, link))
             g.usage_edges.append((link, act_id))
         previous = act_id
-    if previous is not None and q.get("product"):
-        g.generation_edges.append((previous, material(q["product"])))
+    if previous is not None and product:
+        g.generation_edges.append((previous, material(product)))
     elif previous is None:
-        for pre in q.get("precursors", []):
+        for pre in precursors:
             material(pre)
-        if q.get("product"):
-            material(q["product"])
-    inputs = q.get("step_inputs", [])
-    if inputs and q.get("step_index") is not None and q["step_index"] < len(g.activities):
-        target = g.activities[q["step_index"]].id
-        for label in inputs:
+        if product:
+            material(product)
+    if isinstance(q, StepQuestion):  # its route is ``visible``, so step_index names an activity
+        target = g.activities[q.step_index].id
+        for label in q.step_inputs:
             node_id = material(label)
             if (node_id, target) not in g.usage_edges:
                 g.usage_edges.append((node_id, target))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import canon_label
-from .errors import ArityMismatch, InvalidParams, UnknownTask
+from .errors import ArityMismatch, InvalidParams
 from .jsonio import Record
 from .memory import ProcessMemory, StepQuery, match_steps, next_distribution
 from .retrieval import (BuiltinTextEmbedder, RetrievalQuery, RetrievedPrecedent, dense_index,
@@ -34,6 +34,7 @@ from .taskgen import (
     payload_constraints,
     render_condition_tuple,
 )
+from .taskgen.model import StepQuestion
 
 DEFAULT_LAMBDA = 0.5
 
@@ -151,16 +152,16 @@ def _positional_frequencies(memory: ProcessMemory, labels, norm_pos: float, wind
     return [(int(np.count_nonzero(activity == label)) + 1.0) / denominator for label in labels]
 
 
-def _step_query(question: dict) -> StepQuery:
-    route = question["route"]
-    i = question["step_index"]
+def _step_query(question: StepQuestion) -> StepQuery:
+    route = question.route
+    i = question.step_index
     last = len(route) - 1
     return StepQuery(
         activity=route[i],
         prev_activity=route[i - 1] if i > 0 else None,
         next_activity=route[i + 1] if i < last else None,
         norm_position=i / last if last > 0 else 0.0,
-        input_forms=list(question.get("step_input_forms", [])),
+        input_forms=list(question.step_input_forms),
     )
 
 
@@ -207,8 +208,8 @@ class ItemInputs:
 
         def build():
             q = self.item.question
-            span = len(q["route_with_mask"]) - 1
-            norm_pos = q["masked_index"] / span if span > 0 else 0.0
+            span = len(q.route_with_mask) - 1
+            norm_pos = q.masked_index / span if span > 0 else 0.0
             return _positional_frequencies(self.memory, self.item.options, norm_pos, window)
 
         return self.once(("positional", window), build)
@@ -266,7 +267,7 @@ def score_options_symbolic(
     if item.task in ("A1_route_retrieval", "D_process_ordering"):
         precedent_routes = _precedent_routes(memory, precedents)
         constraints = (
-            payload_constraints(q["steps"]) if item.task == "D_process_ordering" else None
+            payload_constraints(q.steps) if item.task == "D_process_ordering" else None
         )
         raw = []
         for option in item.options:
@@ -277,8 +278,8 @@ def score_options_symbolic(
             raw.append(score)
 
     elif item.task == "A2_missing_step":
-        left = q["route_with_mask"][: q["masked_index"]]
-        right_labels = q["route_with_mask"][q["masked_index"] + 1 :]
+        left = q.route_with_mask[: q.masked_index]
+        right_labels = q.route_with_mask[q.masked_index + 1 :]
         right = right_labels[0] if right_labels else None
         dist = next_distribution(memory, left)
         vocab_size = len(memory.vocab())
@@ -298,7 +299,7 @@ def score_options_symbolic(
             raw.append(w1 * mass + w2 * reverse + w3 * option_positional)
 
     elif item.task == "A3_next_activity":
-        prefix = q["prefix"]
+        prefix = q.prefix
         dist = next_distribution(memory, prefix)
         vocab_size = len(memory.vocab())
         last = prefix[-1] if prefix else None
@@ -322,7 +323,7 @@ def score_options_symbolic(
             raw.append(w1 * mass + w2 * continuation)
 
     elif item.task == "B1_condition_prediction":
-        key = q["condition_key"]
+        key = q.condition_key
 
         def value_matches(option, entry):
             stored = entry.conditions.get(key)
@@ -339,15 +340,12 @@ def score_options_symbolic(
 
         raw = _weighted_match_frequency(item, inputs, precedents, config, tuple_matches)
 
-    elif item.task == "C1_tool_selection":
+    else:  # C1_tool_selection
 
         def tool_matches(option, entry):
             return option in entry.tools
 
         raw = _weighted_match_frequency(item, inputs, precedents, config, tool_matches)
-
-    else:
-        raise UnknownTask(f"no symbolic scorer for task {item.task!r}")
 
     return OptionScores(item_id=item.item_id, raw_sym=raw)
 
@@ -362,10 +360,10 @@ def option_completed_text(item: BenchItem, option: str) -> str:
     q = item.question
     task = item.task
     if task in ("B1_condition_prediction", "B2_full_condition_set", "C1_tool_selection"):
-        clauses = list(q["route"])
-        i = q["step_index"]
+        clauses = list(q.route)
+        i = q.step_index
         if task == "B1_condition_prediction":
-            clauses[i] = f"{clauses[i]}({q['condition_key']}={option})"
+            clauses[i] = f"{clauses[i]}({q.condition_key}={option})"
         elif task == "B2_full_condition_set":
             clauses[i] = f"{clauses[i]}({option})"
         tools = [option] if task == "C1_tool_selection" else []
@@ -373,15 +371,13 @@ def option_completed_text(item: BenchItem, option: str) -> str:
     if task in ("A1_route_retrieval", "D_process_ordering"):
         route_text = option
     elif task == "A2_missing_step":
-        route_text = " -> ".join(option if x == MASK_TOKEN else x for x in q["route_with_mask"])
-    elif task == "A3_next_activity":
-        route_text = " -> ".join([*q["prefix"], option])
-    else:
-        raise UnknownTask(f"no option rendering for task {item.task!r}")
+        route_text = " -> ".join(option if x == MASK_TOKEN else x for x in q.route_with_mask)
+    else:  # A3_next_activity
+        route_text = " -> ".join([*q.prefix, option])
     return linearize_parts(
-        precursors=q.get("precursors", []),
+        precursors=q.precursors,
         route_text=route_text,
-        products=[q["product"]] if q.get("product") else [],
+        products=[q.product] if q.product else [],
     )
 
 

@@ -29,7 +29,9 @@ from ..provgraph import (
     step_material_outputs,
     step_tool_labels,
 )
-from .model import MASK_TOKEN, TUPLE_KEYS, BenchItem, render_condition_tuple, render_route
+from .model import (MASK_TOKEN, TUPLE_KEYS, BenchItem, ConditionQuestion, MaskedQuestion, OrderingQuestion,
+                    OrderingStep, PrefixQuestion, Question, RouteQuestion, StepQuestion,
+                    render_condition_tuple, render_route)
 from .pools import DistractorPools, build_candidate_pools, weighted_distinct_sample
 
 DEFAULT_K = 4
@@ -50,7 +52,7 @@ class GenCaps(Record):
     d: int = 1
 
 
-def payload_constraints(steps: list[dict]) -> set[tuple[str, str]]:
+def payload_constraints(steps: list[OrderingStep]) -> set[tuple[str, str]]:
     """Ordering constraints recomputable from a D question payload.
 
     Step i must precede step j when an output of i is an input of j. Label
@@ -58,10 +60,10 @@ def payload_constraints(steps: list[dict]) -> set[tuple[str, str]]:
     """
     pairs = set()
     for a in steps:
-        outs = set(a["outputs"])
+        outs = set(a.outputs)
         for b in steps:
-            if a["label"] != b["label"] and outs & set(b["inputs"]):
-                pairs.add((a["label"], b["label"]))
+            if a.label != b.label and outs & set(b.inputs):
+                pairs.add((a.label, b.label))
     return pairs
 
 
@@ -119,7 +121,7 @@ def instantiate_tasks(
     def select_rng(task: str) -> random.Random:
         return random.Random(derive_seed(seed, gid, task, "select"))
 
-    def emit(task: str, ordinal: int, question: dict, gold: str, distractors: list[str]) -> None:
+    def emit(task: str, ordinal: int, question: Question, gold: str, distractors: list[str]) -> None:
         place_rng = random.Random(derive_seed(seed, gid, task, ordinal, "gold"))
         options, gold_index = _place_gold(place_rng, gold, distractors)
         items.append(
@@ -152,7 +154,7 @@ def instantiate_tasks(
         # the shared pool may hold the gold text; sample_labels excludes it
         distractors = sample_labels(task, 0, pools.routes_near(len(route)), gold)
         if distractors is not None:
-            emit(task, 0, {"product": product, "precursors": precursors}, gold, distractors)
+            emit(task, 0, RouteQuestion(product, precursors), gold, distractors)
 
     # A2: identify one masked activity from its neighbours
     task = "A2_missing_step"
@@ -169,13 +171,7 @@ def instantiate_tasks(
             continue
         masked = list(route)
         masked[pos] = MASK_TOKEN
-        question = {
-            "product": product,
-            "precursors": precursors,
-            "route_with_mask": masked,
-            "masked_index": pos,
-        }
-        emit(task, ordinal, question, gold, distractors)
+        emit(task, ordinal, MaskedQuestion(product, precursors, masked, pos), gold, distractors)
 
     # A3: continue a route prefix with the next activity
     task = "A3_next_activity"
@@ -188,18 +184,12 @@ def instantiate_tasks(
         distractors = sample_labels(task, ordinal, pool, gold)
         if distractors is None:
             continue
-        question = {"product": product, "precursors": precursors, "prefix": route[:plen]}
-        emit(task, ordinal, question, gold, distractors)
+        emit(task, ordinal, PrefixQuestion(product, precursors, route[:plen]), gold, distractors)
 
-    def step_question(index: int) -> dict:
+    def step_question(index: int, cls=StepQuestion, **more) -> StepQuestion:
         labels, forms = step_material_inputs(g, acts[index].id)
-        return {
-            "route": route,
-            "step_index": index,
-            "activity": route[index],
-            "step_inputs": labels,
-            "step_input_forms": forms,
-        }
+        return cls(route=route, step_index=index, activity=route[index], step_inputs=labels,
+                   step_input_forms=forms, **more)
 
     # B1: predict one condition value on a target step
     task = "B1_condition_prediction"
@@ -215,9 +205,7 @@ def instantiate_tasks(
         distractors = sample_labels(task, ordinal, pool, gold)
         if distractors is None:
             continue
-        question = step_question(i)
-        question["condition_key"] = key
-        emit(task, ordinal, question, gold, distractors)
+        emit(task, ordinal, step_question(i, ConditionQuestion, condition_key=key), gold, distractors)
 
     # B2: predict the step's complete condition tuple
     task = "B2_full_condition_set"
@@ -248,7 +236,7 @@ def instantiate_tasks(
         for act, label in zip(acts, route):
             in_labels, _ = step_material_inputs(g, act.id)
             out_labels, _ = step_material_outputs(g, act.id)
-            steps.append({"label": label, "inputs": in_labels, "outputs": out_labels})
+            steps.append(OrderingStep(label, in_labels, out_labels))
         shuffled = list(steps)
         rng.shuffle(shuffled)
         constraints = payload_constraints(shuffled)
@@ -260,7 +248,7 @@ def instantiate_tasks(
             if violating is None:
                 log_skip(task, "pool_exhausted")
             else:
-                question = {"product": product, "precursors": precursors, "steps": shuffled}
+                question = OrderingQuestion(product, precursors, shuffled)
                 emit(task, 0, question, gold, [render_route(p) for p in violating])
 
     return items

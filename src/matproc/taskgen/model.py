@@ -11,15 +11,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..canon import canon_label
-from ..jsonio import Record
+from ..errors import MalformedDocument
+from ..jsonio import Record, check_fields
 
 TUPLE_KEYS = ("temperature", "duration", "atmosphere")
 
 MASK_TOKEN = "?"
 
+# the letters a prompt names options by; an item has at least two options
+OPTION_LETTERS = "ABCDEFGH"
+OPTION_COUNTS = range(2, len(OPTION_LETTERS) + 1)
 
-# Question payloads, one shape per task (QUESTION_TYPES); a bench file is
-# checked against them when it is read, while BenchItem.question stays a dict.
+
+def _check_index(obj, name: str, within: list) -> None:
+    """Raise MalformedDocument unless ``obj.<name>`` indexes ``within``."""
+    index = getattr(obj, name)
+    if not 0 <= index < len(within):
+        raise MalformedDocument(f"{type(obj).__name__}.{name}: {index} is outside [0, {len(within)})")
+
+
+# Question payloads, one type per task (QUESTION_TYPES).
 @dataclass
 class RouteQuestion:
     product: str
@@ -30,6 +41,9 @@ class RouteQuestion:
 class MaskedQuestion(RouteQuestion):
     route_with_mask: list[str]
     masked_index: int
+
+    def __post_init__(self):
+        _check_index(self, "masked_index", self.route_with_mask)
 
 
 @dataclass
@@ -44,6 +58,9 @@ class StepQuestion:
     activity: str
     step_inputs: list[str]
     step_input_forms: list[str]
+
+    def __post_init__(self):
+        _check_index(self, "step_index", self.route)
 
 
 @dataclass
@@ -75,6 +92,9 @@ QUESTION_TYPES = {
 
 TASKS = tuple(QUESTION_TYPES)
 
+# every question type derives from one of these
+Question = RouteQuestion | StepQuestion
+
 
 def render_route(labels) -> str:
     return " -> ".join(canon_label(x) for x in labels)
@@ -88,13 +108,24 @@ def render_condition_tuple(conditions: dict) -> str:
 class BenchItem(Record):
     item_id: str
     task: str
-    question: dict
+    question: Question  # a QUESTION_TYPES[task], built here from a JSON object
     options: list[str]
     gold_index: int
     graph_id: str
     doi: str = ""
     year: int | None = None
     material_class: str = "other"
+
+    def __post_init__(self):
+        cls = QUESTION_TYPES.get(self.task)
+        if cls is None:
+            raise MalformedDocument(f"task {self.task!r} is not one of {', '.join(TASKS)}")
+        if type(self.question) is not cls:
+            self.question = cls(**check_fields(cls, self.question))
+        if len(self.options) not in OPTION_COUNTS:
+            raise MalformedDocument(f"BenchItem.options: {len(self.options)} options, "
+                                    f"expected {OPTION_COUNTS[0]} to {OPTION_COUNTS[-1]}")
+        _check_index(self, "gold_index", self.options)
 
     def gold_option(self) -> str:
         return self.options[self.gold_index]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import random
@@ -206,6 +207,24 @@ def test_pipeline_stages_produce_artifacts():
     paths = pipeline()
     for name, path in paths.items():
         assert path.exists(), name
+
+
+# SHA-256 of the pipeline's artifacts that hold no stored vector. The memory,
+# eval and ablation files stay out: their floats depend on the BLAS build.
+# Every header carries the tool version, so a version bump changes these too.
+PINNED_DIGESTS = {
+    "graphs": "61f1014be0fe3d6485c1e41e100c264c53f5a48543932b72ae94a1b845999925",
+    "bench": "34173bd42285ced50dbeeff226ffe81e1c940d57e94e40b5be1d7bd42d6163a5",
+    "skips": "7792dde37b0f6b2f7ffe09f51313374b83fc4877b4e26739eaed798c88d018c5",
+    "split": "96b42d8423dc01cbefa349d2076361b926e553b05dc3676ead874455466e5e9a",
+    "audit": "3e2a6be11c3f9c6d79b4c7e216bf58b24d1430c4c9d4ce1b5a1cb459ce113d69",
+}
+
+
+def test_vector_free_artifacts_keep_their_pinned_bytes():
+    paths = pipeline()
+    digests = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in PINNED_DIGESTS}
+    assert digests == PINNED_DIGESTS
 
 
 def test_artifacts_carry_config_hash_and_tool_version():
@@ -711,6 +730,16 @@ def test_genbench_rejects_malformed_caps(tmp_path, capsys, caps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["0", "1", "9"])
+def test_genbench_refuses_an_option_count_no_prompt_can_letter(tmp_path, capsys, k):
+    out = tmp_path / "bench.ndjson"
+    code = cli.dispatch(["genbench", "--graphs", str(pipeline()["graphs"]), "--out", str(out), "--k", k])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: k_options must lie in 2..8, got {k}") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field_map",
     [{"label_keys": "name"}, {"label_keys": 5}, {"label_keys": ["name", 5]}, {"galaxy": []}],
@@ -1120,9 +1149,22 @@ def _set(key, value):
          "StepQuestion: unknown keys ['condition_key']"),
         (_question_edit("A1_route_retrieval", lambda row: row.__setitem__("task", "Z_bogus")),
          "task 'Z_bogus' is not one of A1_route_retrieval"),
+        (_question_edit("B1_condition_prediction", _set("step_index", 99)),
+         "ConditionQuestion.step_index: 99 is outside [0, "),
+        (_question_edit("C1_tool_selection", _set("step_index", -1)),
+         "StepQuestion.step_index: -1 is outside [0, "),
+        (_question_edit("A2_missing_step", _set("masked_index", -1)),
+         "MaskedQuestion.masked_index: -1 is outside [0, "),
+        (_question_edit("A3_next_activity", lambda row: row.__setitem__("gold_index", 4)),
+         "BenchItem.gold_index: 4 is outside [0, 4)"),
+        (_question_edit("A3_next_activity", lambda row: row["options"].extend("efghi")),
+         "BenchItem.options: 9 options, expected 2 to 8"),
+        (_question_edit("A3_next_activity", lambda row: row["options"].__delitem__(slice(1, None))),
+         "BenchItem.options: 1 options, expected 2 to 8"),
     ],
     ids=["empty-question", "missing-key", "text-step-index", "text-step-inputs",
-         "key-of-another-task", "unknown-task"],
+         "key-of-another-task", "unknown-task", "step-index-past-route", "negative-step-index",
+         "negative-masked-index", "gold-index-past-options", "nine-options", "one-option"],
 )
 def test_eval_refuses_a_malformed_question_naming_its_row(tmp_path, capsys, edit, message):
     path = _edited(tmp_path, "bench", edit)

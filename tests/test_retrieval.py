@@ -728,19 +728,19 @@ def test_query_from_item_visible_context():
     a2_item = by_task["A2_missing_step"]
     a2 = rt.query_from_item(a2_item)
     assert "?" not in a2.summary.route
-    assert len(a2.summary.route) == len(a2_item.question["route_with_mask"]) - 1
+    assert len(a2.summary.route) == len(a2_item.question.route_with_mask) - 1
 
     a3_item = by_task["A3_next_activity"]
     a3 = rt.query_from_item(a3_item)
-    assert a3.summary.route == list(a3_item.question["prefix"])
+    assert a3.summary.route == list(a3_item.question.prefix)
 
     b1_item = by_task["B1_condition_prediction"]
     b1 = rt.query_from_item(b1_item)
-    assert b1.summary.route == list(b1_item.question["route"])
+    assert b1.summary.route == list(b1_item.question.route)
 
     d_item = by_task["D_process_ordering"]
     d = rt.query_from_item(d_item)
-    assert d.summary.route == sorted(s["label"] for s in d_item.question["steps"])
+    assert d.summary.route == sorted(s.label for s in d_item.question.steps)
 
     for q in (a1, a2, a3, b1, d):
         assert q.summary.graph_id.startswith("query:")
@@ -760,12 +760,12 @@ def test_query_context_graph_d_task_mirrors_payload():
     by_task, _ = bench_by_task()
     item = by_task["D_process_ordering"]
     g = rt.query_from_item(item).context_graph
-    assert [a.label for a in g.activities] == [s["label"] for s in item.question["steps"]]
+    assert [a.label for a in g.activities] == [s.label for s in item.question.steps]
     by_id = g.entity_by_id()
-    for pos, step in enumerate(item.question["steps"]):
+    for pos, step in enumerate(item.question.steps):
         act = g.activities[pos]
-        assert sorted(by_id[e].label for e in g.used_by(act.id)) == sorted(set(step["inputs"]))
-        assert sorted(by_id[e].label for e in g.generated_by(act.id)) == sorted(set(step["outputs"]))
+        assert sorted(by_id[e].label for e in g.used_by(act.id)) == sorted(set(step.inputs))
+        assert sorted(by_id[e].label for e in g.generated_by(act.id)) == sorted(set(step.outputs))
 
 
 def test_query_retrieval_end_to_end_over_items():

@@ -9,7 +9,7 @@ import pytest
 
 from matproc import retrieval as rt
 from matproc import scoring as sc
-from matproc.errors import ArityMismatch, InvalidParams, UnknownTask
+from matproc.errors import ArityMismatch, InvalidParams, MalformedDocument
 from matproc.memory import build_memory, linearize_process
 from matproc.provgraph import SynthParams, generate_synthetic_corpus
 from matproc.taskgen import BenchItem, generate_benchmark
@@ -342,12 +342,9 @@ def test_c1_tool_frequency():
 
 
 def test_unknown_task_rejected():
-    memory, _ = two_route_memory()
-    item = make_item("Z_bogus", {"route": []}, ["a", "b"])
-    with pytest.raises(UnknownTask):
-        sc.score_options_symbolic(item, [], memory)
-    with pytest.raises(UnknownTask):
-        sc.option_completed_text(item, "a")
+    # no scorer, renderer or prompt meets such an item: it cannot be built
+    with pytest.raises(MalformedDocument, match=r"task 'Z_bogus' is not one of A1_route_retrieval, "):
+        make_item("Z_bogus", {"route": []}, ["a", "b"])
 
 
 # --- neural lane ----------------------------------------------------------------------------
@@ -441,14 +438,14 @@ def test_option_completed_text_slots():
         "B1_condition_prediction",
         {"route": ["mix", "sinter"], "step_index": 1, "activity": "sinter",
          "step_inputs": [], "step_input_forms": [], "condition_key": "temperature"},
-        ["900 c"],
+        ["900 c", "1000 c"],
     )
     assert sc.option_completed_text(b1, "900 c") == "route: mix -> sinter(temperature=900 c)"
     b2 = make_item(
         "B2_full_condition_set",
         {"route": ["mix"], "step_index": 0, "activity": "mix",
          "step_inputs": [], "step_input_forms": []},
-        ["temperature=900 c; duration=2 h; atmosphere=argon"],
+        ["temperature=900 c; duration=2 h; atmosphere=argon", "temperature=80 c; duration=1 h; atmosphere=air"],
     )
     text = sc.option_completed_text(b2, b2.options[0])
     assert text == "route: mix(temperature=900 c; duration=2 h; atmosphere=argon)"
@@ -456,13 +453,13 @@ def test_option_completed_text_slots():
         "C1_tool_selection",
         {"route": ["mix"], "step_index": 0, "activity": "mix",
          "step_inputs": [], "step_input_forms": []},
-        ["ball mill"],
+        ["ball mill", "furnace"],
     )
     assert sc.option_completed_text(c1, "ball mill") == "route: mix | tools: ball mill"
     a2 = make_item(
         "A2_missing_step",
         {"product": "p", "precursors": ["x"], "route_with_mask": ["mix", "?"], "masked_index": 1},
-        ["sinter"],
+        ["sinter", "anneal"],
     )
     assert sc.option_completed_text(a2, "sinter") == (
         "precursors: x | route: mix -> sinter | product: p"

@@ -34,7 +34,7 @@ def make_item(i, year=2018, material_class="thermoelectric", doi=None):
     return BenchItem(
         item_id=f"it{i}",
         task="A3_next_activity",
-        question={},
+        question={"product": "p", "precursors": ["a"], "prefix": ["mix"]},
         options=["a", "b", "c", "d"],
         gold_index=0,
         graph_id=f"g{i}",

@@ -32,6 +32,8 @@ from matproc.taskgen import (
     write_benchmark,
 )
 
+from matproc.taskgen.model import QUESTION_TYPES
+
 from helpers import chain_graph, compiled
 
 
@@ -125,7 +127,8 @@ def test_pools_degenerate_key_absent():
     pools = build_candidate_pools(corpus)
     assert "atmosphere" not in pools.condition_values
     items, _ = generate_benchmark(corpus, seed=1)
-    assert all(it.question.get("condition_key") != "atmosphere" for it in items)
+    assert all(it.question.condition_key != "atmosphere"
+               for it in items if it.task == "B1_condition_prediction")
 
 
 # --- instantiation ------------------------------------------------------------
@@ -193,11 +196,11 @@ def test_distractors_observed_in_pools():
             elif it.task == "C1_tool_selection":
                 assert option in pools.tool_labels
             elif it.task == "B1_condition_prediction":
-                assert option in pools.condition_values[it.question["condition_key"]]
+                assert option in pools.condition_values[it.question.condition_key]
             elif it.task == "A1_route_retrieval":
                 assert option in rendered_routes
             elif it.task == "D_process_ordering":
-                assert sorted(option.split(" -> ")) == sorted(it.question["route"] if "route" in it.question else [s["label"] for s in it.question["steps"]])
+                assert sorted(option.split(" -> ")) == sorted(s.label for s in it.question.steps)
 
 
 def test_pool_exhausted_skips_not_fatal():
@@ -242,7 +245,7 @@ def test_b1_subpool_conditioning():
                                        conditions={"quenching": {"temperature": "10 c"}})))
     items, _ = generate_benchmark(corpus, seed=3, caps=GenCaps(b1=8))
     b1_sinter = [it for it in items
-                 if it.task == "B1_condition_prediction" and it.question["activity"] == "sintering"]
+                 if it.task == "B1_condition_prediction" and it.question.activity == "sintering"]
     assert b1_sinter
     for it in b1_sinter:
         for idx, option in enumerate(it.options):
@@ -257,12 +260,12 @@ def test_a2_mask_payload_consistent():
         if it.task != "A2_missing_step":
             continue
         q = it.question
-        assert q["route_with_mask"][q["masked_index"]] == "?"
+        assert q.route_with_mask[q.masked_index] == "?"
         route = route_labels(graphs[it.graph_id])
-        for i, label in enumerate(q["route_with_mask"]):
-            if i != q["masked_index"]:
+        for i, label in enumerate(q.route_with_mask):
+            if i != q.masked_index:
                 assert label == route[i]
-        assert it.gold_option() == route[q["masked_index"]]
+        assert it.gold_option() == route[q.masked_index]
 
 
 def test_a3_prefix_is_true_prefix():
@@ -273,7 +276,7 @@ def test_a3_prefix_is_true_prefix():
         if it.task != "A3_next_activity":
             continue
         route = route_labels(graphs[it.graph_id])
-        prefix = it.question["prefix"]
+        prefix = it.question.prefix
         assert route[: len(prefix)] == prefix
         assert it.gold_option() == route[len(prefix)]
 
@@ -286,7 +289,7 @@ def test_d_gold_satisfies_and_distractors_violate():
     d_items = [it for it in items if it.task == "D_process_ordering"]
     assert d_items
     for it in d_items:
-        constraints = payload_constraints(it.question["steps"])
+        constraints = payload_constraints(it.question.steps)
         assert constraints  # material flow is visible in the payload
         assert order_satisfies(it.gold_option().split(" -> "), constraints)
         for idx, option in enumerate(it.options):
@@ -387,4 +390,9 @@ def test_benchmark_store_round_trip(tmp_path):
     assert header["config_hash"] == "abc"
     assert header["count"] == len(items)
     assert [x.to_dict() for x in back] == [x.to_dict() for x in items]
+    assert all(type(x.question) is QUESTION_TYPES[x.task] for x in back)
+    assert {x.task for x in back} == set(QUESTION_TYPES)
+    again = tmp_path / "again.ndjson"
+    write_benchmark(again, back, seed=13, k_options=4, config_hash="abc")
+    assert again.read_bytes() == path.read_bytes()
     assert load_items(path)[0].item_id == items[0].item_id

@@ -175,7 +175,7 @@ def test_violating_permutations_match_exhaustive_filter(corpus):
     [
         (100, 4, set()),
         (6, 7, {"A1_route_retrieval", "D_process_ordering"}),
-        (6, 20, {"A1_route_retrieval", "B2_full_condition_set", "D_process_ordering"}),
+        (2, 8, {"A1_route_retrieval", "B2_full_condition_set", "D_process_ordering"}),
     ],
 )
 def test_benchmark_matches_reference_sampling(corpus, monkeypatch, n_graphs, k_options, exhausted):
