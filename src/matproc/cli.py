@@ -26,6 +26,7 @@ from .errors import (
     MalformedDocument,
     MatprocError,
     UnknownCommand,
+    UnknownItemId,
     UsageError,
 )
 from .jsonio import (
@@ -67,7 +68,7 @@ from .splits import (
     split_report,
     write_assignment,
 )
-from .taskgen import GenCaps, generate_benchmark
+from .taskgen import BenchItem, GenCaps, generate_benchmark
 from .taskgen.store import load_items, write_benchmark
 
 RAW_FORMAT = "matproc-raw-prov"
@@ -221,7 +222,7 @@ def cmd_build_memory(cfg: RunConfig) -> int:
         embedder = get_text_embedder(
             cfg.endpoints.embed_url or None, cfg.endpoints.embed_token or None
         )
-        attach_embeddings(
+        memory = attach_embeddings(
             memory, selected, struct_seed=cfg.struct_seed, text_embedder=embedder
         )
     save_memory(cfg.path("memory"), memory, cfg.config_hash())
@@ -240,7 +241,9 @@ def _chat_client(cfg: RunConfig):
     )
 
 
-def _load_predictions(path: str) -> dict[str, int]:
+def _load_predictions(path: str, items: list[BenchItem]) -> dict[str, int]:
+    """The item_id -> option index mapping at ``path``; every id must name
+    one of ``items``, the whole bench, so ids of other partitions are valid."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -253,6 +256,10 @@ def _load_predictions(path: str) -> dict[str, int]:
             raise MalformedDocument(
                 f"{path}: item {item_id!r} has option index {index!r}, not an integer"
             )
+    strangers = sorted(raw.keys() - {it.item_id for it in items})
+    if strangers:
+        raise UnknownItemId(f"{path}: predicted items not in the bench ({len(strangers)} in all):"
+                            f" {strangers[:3]}")
     return raw
 
 
@@ -278,7 +285,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     train_items = (
         assignment.items_in(items, "train") if cfg.policy == "few_shot" else None
     )
-    predictions = _load_predictions(cfg.paths["predictions"]) if has_predictions else None
+    predictions = _load_predictions(cfg.paths["predictions"], items) if has_predictions else None
     report, rows = evaluate(
         part_items,
         memory,

@@ -104,7 +104,7 @@ class MissingContext(DataError):
 
 
 class UnknownItemId(DataError):
-    """External predictions reference an item not in the partition."""
+    """External predictions name an item the bench does not hold."""
 
 
 class InvalidGridAxis(UsageError):

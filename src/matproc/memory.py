@@ -12,9 +12,9 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .provgraph import (
     step_material_outputs,
     step_tool_labels,
 )
+
+if TYPE_CHECKING:
+    from .retrieval import DenseIndex
 
 MEMORY_FORMAT = "matproc-memory"
 DEFAULT_MAX_PREFIX_LEN = 4
@@ -158,8 +161,13 @@ class StepIndex:
         )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ProcessMemory:
+    """The train partition's processes and their statistics. A memory never
+    changes once built: each view below is computed on first use and kept
+    for the memory's life, and a variant is a new memory
+    (``dataclasses.replace``). ``==`` is identity."""
+
     split_id: str = ""
     max_prefix_len: int = DEFAULT_MAX_PREFIX_LEN
     processes: list[ProcessSummary] = field(default_factory=list)
@@ -169,80 +177,51 @@ class ProcessMemory:
     # kind ("text", "struct") -> read-only float64 (len(processes), d) matrix,
     # row i for processes[i]; a kind is stored for every process or for none
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def derived(self, key: str, build: Callable[[], object], *sources):
-        """``build()``, computed once and reused while every one of ``sources``
-        (fields of this memory) is the same object at the same size.
+    @cached_property
+    def by_graph_id(self) -> dict[str, ProcessSummary]:
+        return {p.graph_id: p for p in self.processes}
 
-        A built memory is read-only; code that edits a field in place without
-        changing its size must assign a new container to drop derived views.
-        Concurrent first calls may each build the value; the builds are equal.
-        """
-        hit = self._derived.get(key)
-        if hit is not None and all(
-            src is old and len(src) == size for src, (old, size) in zip(sources, hit[0])
-        ):
-            return hit[1]
-        value = build()
-        self._derived[key] = ([(src, len(src)) for src in sources], value)
-        return value
-
-    def __getstate__(self):
-        return {**self.__dict__, "_derived": {}}  # copies and pickles rebuild their views
-
-    def graph_ids(self) -> frozenset[str]:
-        return self.derived(
-            "graph_ids", lambda: frozenset(p.graph_id for p in self.processes), self.processes
-        )
-
-    def by_graph_id(self) -> Mapping[str, ProcessSummary]:
-        return self.derived(
-            "by_graph_id",
-            lambda: MappingProxyType({p.graph_id: p for p in self.processes}),
-            self.processes,
-        )
-
+    @cached_property
     def vocab(self) -> frozenset[str]:
-        return self.derived(
-            "vocab",
-            lambda: frozenset(label for p in self.processes for label in p.route),
-            self.processes,
-        )
+        return frozenset(label for p in self.processes for label in p.route)
 
+    @cached_property
     def _transition_totals(self) -> tuple[Counter, Counter]:
         """Transition counts summed per source label and per target label."""
-
-        def build():
-            out, into = Counter(), Counter()
-            for (a, b), c in self.transition_table.items():
-                out[a] += c
-                into[b] += c
-            return out, into
-
-        return self.derived("transition_totals", build, self.transition_table)
+        out, into = Counter(), Counter()
+        for (a, b), c in self.transition_table.items():
+            out[a] += c
+            into[b] += c
+        return out, into
 
     def total_out(self, label: str) -> int:
-        return self._transition_totals()[0].get(label, 0)
+        return self._transition_totals[0].get(label, 0)
 
     def total_in(self, label: str) -> int:
-        return self._transition_totals()[1].get(label, 0)
+        return self._transition_totals[1].get(label, 0)
+
+    @cached_property
+    def _steps_by_graph(self) -> dict[str, tuple[StepEntry, ...]]:
+        grouped: dict[str, list[StepEntry]] = {}
+        for e in self.step_library:
+            grouped.setdefault(e.graph_id, []).append(e)
+        return {gid: tuple(sorted(es, key=lambda e: e.position)) for gid, es in grouped.items()}
 
     def steps_of(self, graph_id: str) -> tuple[StepEntry, ...]:
         """One process's step-library entries, by position."""
+        return self._steps_by_graph.get(graph_id, ())
 
-        def build():
-            grouped: dict[str, list[StepEntry]] = {}
-            for e in self.step_library:
-                grouped.setdefault(e.graph_id, []).append(e)
-            return {gid: tuple(sorted(es, key=lambda e: e.position)) for gid, es in grouped.items()}
-
-        return self.derived("steps_of", build, self.step_library).get(graph_id, ())
-
+    @cached_property
     def step_index(self) -> StepIndex:
-        return self.derived(
-            "step_index", lambda: StepIndex.build(self.step_library), self.step_library
-        )
+        return StepIndex.build(self.step_library)
+
+    @cached_property
+    def dense_index(self) -> DenseIndex:
+        """See :func:`matproc.retrieval.build_dense_index`."""
+        from .retrieval import build_dense_index  # retrieval imports this module
+
+        return build_dense_index(self)
 
 
 def build_memory(
@@ -262,10 +241,10 @@ def build_memory(
         strangers = [g.record_id for g in train_graphs if g.record_id not in allowed_graph_ids]
         if strangers:
             raise MalformedDocument(f"graphs outside the train partition: {strangers[:3]}")
-    memory = ProcessMemory(split_id=split_id, max_prefix_len=max_prefix_len)
+    processes, step_library, transition_table, prefix_index = [], [], {}, {}
     for g in train_graphs:
         route = route_labels(g)
-        memory.processes.append(
+        processes.append(
             ProcessSummary(
                 graph_id=g.record_id,
                 route=route,
@@ -278,7 +257,7 @@ def build_memory(
         for pos, act in enumerate(g.ordered_activities()):
             in_labels, in_forms = step_material_inputs(g, act.id)
             out_labels, out_forms = step_material_outputs(g, act.id)
-            memory.step_library.append(
+            step_library.append(
                 StepEntry(
                     graph_id=g.record_id,
                     activity=route[pos],
@@ -295,12 +274,14 @@ def build_memory(
                 )
             )
         for a, b in zip(route, route[1:]):
-            memory.transition_table[(a, b)] = memory.transition_table.get((a, b), 0) + 1
+            transition_table[(a, b)] = transition_table.get((a, b), 0) + 1
         for width in range(1, max_prefix_len + 1):
             for start in range(0, length - width):
                 window = tuple(route[start : start + width])
-                memory.prefix_index.setdefault(window, Counter())[route[start + width]] += 1
-    return memory
+                prefix_index.setdefault(window, Counter())[route[start + width]] += 1
+    return ProcessMemory(split_id=split_id, max_prefix_len=max_prefix_len, processes=processes,
+                         step_library=step_library, transition_table=transition_table,
+                         prefix_index=prefix_index)
 
 
 def next_distribution(memory: ProcessMemory, prefix) -> NextDistribution:
@@ -310,7 +291,7 @@ def next_distribution(memory: ProcessMemory, prefix) -> NextDistribution:
     total miss falls back to the unigram successor marginal (backoff -1);
     a memory with no transitions at all yields uniform over known labels.
     """
-    vocab = memory.vocab()
+    vocab = memory.vocab
     query = tuple(canon_label(x) for x in prefix)[-memory.max_prefix_len :]
     for hop in range(len(query)):
         window = query[hop:]
@@ -323,7 +304,7 @@ def next_distribution(memory: ProcessMemory, prefix) -> NextDistribution:
                 total=total,
                 vocab_size=len(vocab),
             )
-    unigram = memory._transition_totals()[1]
+    unigram = memory._transition_totals[1]
     if unigram:
         total = sum(unigram.values())
         return NextDistribution(
@@ -355,7 +336,7 @@ def match_steps(
     if not memory.step_library:
         raise EmptyLibrary("step matching requested against an empty library")
     w1, w2, w3, w4 = weights
-    index = memory.step_index()
+    index = memory.step_index
     # the terms are added in the order of the formula, so every score is the
     # float a per-entry sum would give
     score = np.zeros(len(memory.step_library))
@@ -402,7 +383,7 @@ def linearize_parts(
 
 def linearize_process(memory: ProcessMemory, graph_id: str) -> str:
     """Deterministic text rendering of one stored process."""
-    summary = memory.by_graph_id()[graph_id]
+    summary = memory.by_graph_id[graph_id]
     steps = memory.steps_of(graph_id)
     route_text = linearize_steps(summary.route, [e.conditions for e in steps])
     return linearize_parts(

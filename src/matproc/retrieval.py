@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -382,10 +382,10 @@ def attach_embeddings(
     struct_seed: int = DEFAULT_STRUCT_SEED,
     text_embedder=None,
 ) -> ProcessMemory:
-    """Store the text and struct vectors of every stored process in
-    ``memory.vectors``: one read-only matrix per kind, row i for process i,
-    which the dense index scores as it is. Raises :class:`DataError` when a
-    process has no graph in ``graphs``."""
+    """A copy of ``memory`` that stores the text and struct vectors of every
+    process in ``vectors``: one read-only matrix per kind, row i for process
+    i, which the dense index scores as it is. ``memory`` is left as it is.
+    Raises :class:`DataError` when a process has no graph in ``graphs``."""
     graphs_by_id = {g.record_id: g for g in graphs}
     ids = [p.graph_id for p in memory.processes]
     missing = [gid for gid in ids if gid not in graphs_by_id]
@@ -398,8 +398,7 @@ def attach_embeddings(
     for row, gid in enumerate(ids):
         struct[row] = embed_structure(graphs_by_id[gid], seed=struct_seed)
     struct.setflags(write=False)
-    memory.vectors = {"text": text, "struct": struct}  # a new dict drops the old index
-    return memory
+    return replace(memory, vectors={"text": text, "struct": struct})
 
 
 def text_vector(memory: ProcessMemory, graph_id: str) -> np.ndarray:
@@ -460,7 +459,17 @@ def _vectors(memory: ProcessMemory, kind: str) -> np.ndarray | None:
     return matrix
 
 
-def _build_index(memory: ProcessMemory) -> DenseIndex:
+def build_dense_index(memory: ProcessMemory) -> DenseIndex:
+    """The memory's dense index; read it as ``memory.dense_index``, which
+    builds it once.
+
+    Without stored text vectors each process gets the row
+    :func:`text_vector` derives for it, and without stored struct vectors a
+    zero row. Building raises
+    :class:`EmbeddingDimensionMismatch` for stored vectors whose width is
+    not ``EMBED_DIM``, and :class:`DataError` for a stored matrix without
+    one row per process.
+    """
     ids = [p.graph_id for p in memory.processes]
     text = _vectors(memory, "text")
     if text is None:
@@ -483,25 +492,6 @@ def _build_index(memory: ProcessMemory) -> DenseIndex:
     )
 
 
-def dense_index(memory: ProcessMemory) -> DenseIndex:
-    """The memory's dense index, built on first use.
-
-    Without stored text vectors each process gets the row
-    :func:`text_vector` derives for it, and without stored struct vectors a
-    zero row; the memory is not written to. Building raises
-    :class:`EmbeddingDimensionMismatch` for stored vectors whose width is
-    not ``EMBED_DIM``, and :class:`DataError` for a stored matrix without
-    one row per process.
-    """
-    return memory.derived(
-        "dense_index",
-        lambda: _build_index(memory),
-        memory.processes,
-        memory.step_library,
-        memory.vectors,
-    )
-
-
 # --- fusion -----------------------------------------------------------------------
 
 def retrieve(
@@ -521,7 +511,7 @@ def retrieve(
         raise EmptyMemory("retrieval requested against an empty memory")
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    index = dense_index(memory)
+    index = memory.dense_index
 
     def view(name, score):
         hit = query.view_scores.get(name)

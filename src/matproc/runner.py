@@ -23,12 +23,11 @@ from .errors import (
     InvalidGridAxis,
     InvalidParams,
     MatprocError,
-    UnknownItemId,
 )
 from .jsonio import TRANSIENT, Record
 from .memory import ProcessMemory
 from .prompts import build_prompt, parse_answer
-from .retrieval import DEFAULT_TOP_K, RetrievalWeights, dense_index, retrieve
+from .retrieval import DEFAULT_TOP_K, RetrievalWeights, retrieve
 from .scoring import (
     DEFAULT_LAMBDA,
     ItemInputs,
@@ -417,7 +416,7 @@ def answer_items(
     if any(config.policy in _NEEDS_MEMORY for config in configs):
         # built (and its vectors checked) once, before any worker starts;
         # a bad memory fails the run instead of flagging every item
-        dense_index(memory)
+        memory.dense_index
 
     def work(item):
         context = ItemInputs(item, memory)
@@ -478,21 +477,6 @@ def evaluate(
     for row in rows:
         _tally(per_task, row)
     return _report(config, memory, per_task, time.monotonic() - started), rows
-
-
-def score_external_predictions(
-    items: list[BenchItem], predictions: dict[str, int]
-) -> tuple[EvalReport, list[dict]]:
-    """Score an externally produced item_id -> option index mapping."""
-    known = {it.item_id for it in items}
-    strangers = sorted(set(predictions) - known)
-    if strangers:
-        raise UnknownItemId(f"predictions reference unknown items: {strangers[:3]}")
-    return evaluate(
-        items,
-        config=PolicyConfig(policy="external_predictions"),
-        predictions=predictions,
-    )
 
 
 # --- ablation grid ----------------------------------------------------------------------

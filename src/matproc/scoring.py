@@ -24,8 +24,8 @@ from .canon import canon_label
 from .errors import ArityMismatch, InvalidParams
 from .jsonio import Record
 from .memory import ProcessMemory, StepQuery, match_steps, next_distribution
-from .retrieval import (BuiltinTextEmbedder, RetrievalQuery, RetrievedPrecedent, dense_index,
-                        query_from_item, unit_cosines)
+from .retrieval import (BuiltinTextEmbedder, RetrievalQuery, RetrievedPrecedent, query_from_item,
+                        unit_cosines)
 from .taskgen import (
     MASK_TOKEN,
     TUPLE_KEYS,
@@ -85,7 +85,7 @@ def minmax_normalize(values) -> list[float]:
 
 
 def _transition_prob(memory: ProcessMemory, a: str, b: str, uniform: bool) -> float:
-    vocab_size = len(memory.vocab())
+    vocab_size = len(memory.vocab)
     if vocab_size == 0:
         return 0.0
     if uniform:
@@ -116,7 +116,7 @@ def sequence_similarity(a: list[str], b: list[str]) -> float:
 
 
 def _precedent_routes(memory: ProcessMemory, precedents) -> list[list[str]]:
-    by_id = memory.by_graph_id()
+    by_id = memory.by_graph_id
     return [by_id[p.graph_id].route for p in precedents if p.graph_id in by_id]
 
 
@@ -142,10 +142,10 @@ def _split_route(option: str) -> list[str]:
 def _positional_frequencies(memory: ProcessMemory, labels, norm_pos: float, window: float) -> list[float]:
     """Add-one share of library steps within ``window`` of ``norm_pos`` that
     carry each label."""
-    vocab_size = len(memory.vocab())
+    vocab_size = len(memory.vocab)
     if vocab_size == 0:
         return [0.0] * len(labels)
-    index = memory.step_index()
+    index = memory.step_index
     near = np.abs(index.norm_position - norm_pos) <= window
     activity = index.activity[near]
     denominator = len(activity) + vocab_size
@@ -282,7 +282,7 @@ def score_options_symbolic(
         right_labels = q.route_with_mask[q.masked_index + 1 :]
         right = right_labels[0] if right_labels else None
         dist = next_distribution(memory, left)
-        vocab_size = len(memory.vocab())
+        vocab_size = len(memory.vocab)
         denominator = (memory.total_in(right) if right else 0) + vocab_size
         w1, w2, w3 = config.three_way
         positional = inputs.positional(config.position_window)
@@ -301,7 +301,7 @@ def score_options_symbolic(
     elif item.task == "A3_next_activity":
         prefix = q.prefix
         dist = next_distribution(memory, prefix)
-        vocab_size = len(memory.vocab())
+        vocab_size = len(memory.vocab)
         last = prefix[-1] if prefix else None
         successor_counts: dict[str, int] = {}
         successor_total = 0
@@ -391,7 +391,7 @@ def score_options_neural(
     """raw_neu per option: the highest cosine (mapped onto [0, 1]) between
     its option-completed text and the stored texts of the precedents."""
     vectors = _inputs_for(item, memory, inputs).option_vectors()
-    index = dense_index(memory)
+    index = memory.dense_index
     rows = [index.rows[p.graph_id] for p in precedents if p.graph_id in index.rows]
     sims = unit_cosines(vectors, index.text[rows], index.text_norm[rows])
     raw = [float(best) for best in sims.max(axis=1, initial=0.0)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..canon import derive_seed
-from ..errors import ConfigConflict, PoolExhausted, RetentionFilterFailed
+from ..errors import ConfigConflict, InvalidParams, PoolExhausted, RetentionFilterFailed
 from ..jsonio import Record
 from ..provgraph import (
     ProcessGraph,
@@ -29,9 +29,9 @@ from ..provgraph import (
     step_material_outputs,
     step_tool_labels,
 )
-from .model import (MASK_TOKEN, TUPLE_KEYS, BenchItem, ConditionQuestion, MaskedQuestion, OrderingQuestion,
-                    OrderingStep, PrefixQuestion, Question, RouteQuestion, StepQuestion,
-                    render_condition_tuple, render_route)
+from .model import (MASK_TOKEN, OPTION_COUNTS, TUPLE_KEYS, BenchItem, ConditionQuestion,
+                    MaskedQuestion, OrderingQuestion, OrderingStep, PrefixQuestion, Question,
+                    RouteQuestion, StepQuestion, render_condition_tuple, render_route)
 from .pools import DistractorPools, build_candidate_pools, weighted_distinct_sample
 
 DEFAULT_K = 4
@@ -99,6 +99,9 @@ def instantiate_tasks(
     caps: GenCaps | None = None,
     skip_log: list | None = None,
 ) -> list[BenchItem]:
+    if k_options not in OPTION_COUNTS:
+        raise InvalidParams(
+            f"k_options must lie in {OPTION_COUNTS[0]}..{OPTION_COUNTS[-1]}, got {k_options}")
     caps = caps or GenCaps()
     route = route_labels(g)
     acts = g.ordered_activities()

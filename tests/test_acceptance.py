@@ -136,7 +136,7 @@ def synthetic_world():
     train_ids = {it.graph_id for it in assignment.items_in(items, "train")}
     train_graphs = [g for g in corpus if g.record_id in train_ids]
     memory = build_memory(train_graphs, split_id="year")
-    attach_embeddings(memory, train_graphs)
+    memory = attach_embeddings(memory, train_graphs)
     test_items = assignment.items_in(items, "test")
     return corpus, items, memory, test_items
 
@@ -225,17 +225,17 @@ def test_criterion_5_oracle_equivalence_suite():
         v[i] = 1.0
         return v.tolist()
 
-    memory = ProcessMemory(split_id="hand")
-    memory.processes.append(
-        ProcessSummary(graph_id="p1", route=["mill"], precursors=["x"], products=["u"], tools=[])
+    memory = ProcessMemory(
+        split_id="hand",
+        processes=[
+            ProcessSummary(graph_id="p1", route=["mill"], precursors=["x"], products=["u"], tools=[]),
+            ProcessSummary(
+                graph_id="p2", route=["anneal", "sinter"], precursors=["y"], products=["v"], tools=[]
+            ),
+        ],
+        vectors={"text": np.array([one_hot(0), one_hot(1)]),
+                 "struct": np.array([one_hot(2), one_hot(3)])},
     )
-    memory.processes.append(
-        ProcessSummary(
-            graph_id="p2", route=["anneal", "sinter"], precursors=["y"], products=["v"], tools=[]
-        )
-    )
-    memory.vectors = {"text": np.array([one_hot(0), one_hot(1)]),
-                      "struct": np.array([one_hot(2), one_hot(3)])}
     query = RetrievalQuery(
         summary=ProcessSummary(
             graph_id="q", route=["mill"], precursors=["x"], products=["u"], tools=[]

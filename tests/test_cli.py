@@ -530,6 +530,35 @@ def test_external_predictions_via_cli(tmp_path, capsys):
     assert "100.00%" in capsys.readouterr().out
 
 
+def test_external_predictions_naming_unknown_items_exit_3(tmp_path, capsys):
+    paths = pipeline()
+    _, split_rows = read_ndjson(paths["split"])
+    # ids of any partition of the bench are valid, whatever --partition says
+    known = {row["item_id"]: 0 for row in split_rows if row["partition"] != "test"}
+    strangers = [f"nowhere:A1_route_retrieval:{i}" for i in range(5)]
+    preds_path = tmp_path / "preds.json"
+
+    def run(predictions):
+        preds_path.write_text(json.dumps(predictions))
+        return cli.dispatch(
+            [
+                "eval",
+                "--bench", str(paths["bench"]),
+                "--split", str(paths["split"]),
+                "--partition", "test",
+                "--policy", "external_predictions",
+                "--predictions", str(preds_path),
+            ]
+        )
+
+    assert known and run(known) == 0
+    capsys.readouterr()
+    assert run({**known, **dict.fromkeys(strangers, 0)}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(preds_path) in err
+    assert all(s in err for s in strangers[:3]) and strangers[3] not in err
+
+
 @pytest.mark.parametrize("index", ["a", "3", True, 3.7], ids=["letter", "digit-string", "bool", "float"])
 def test_external_predictions_need_exact_integer_indexes(tmp_path, capsys, index):
     paths = pipeline()

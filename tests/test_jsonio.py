@@ -144,7 +144,7 @@ def run_objects() -> dict[type, list]:
     graphs = [compile_graph(parse_record(doc)) for doc in docs]
     items, _ = generate_benchmark(graphs, seed=3)
     memory = build_memory(graphs, split_id="jsonio-tests")
-    attach_embeddings(memory, graphs)
+    memory = attach_embeddings(memory, graphs)
     precedents = retrieve(query_from_item(items[0]), memory, k=3)
     sym = score_options_symbolic(items[0], precedents, memory)
     neu = score_options_neural(items[0], precedents, memory)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -63,7 +65,7 @@ def test_train_only_guard():
     graphs = [compiled(chain_graph(["mill"], record_id="r1"))]
     with pytest.raises(MalformedDocument):
         build_memory(graphs, allowed_graph_ids={"other"})
-    assert build_memory(graphs, allowed_graph_ids={"r1"}).graph_ids() == {"r1"}
+    assert build_memory(graphs, allowed_graph_ids={"r1"}).by_graph_id.keys() == {"r1"}
 
 
 def test_step_library_size_matches_route_lengths():
@@ -118,7 +120,7 @@ def test_next_distribution_no_transitions():
 
 def test_next_distribution_sums_to_one():
     memory, corpus = synth_memory()
-    vocab = sorted(memory.vocab())
+    vocab = sorted(memory.vocab)
     prefixes = [(v,) for v in vocab] + [tuple(route_labels(g)[:3]) for g in corpus[:10]]
     for prefix in prefixes:
         dist = next_distribution(memory, prefix)
@@ -170,13 +172,12 @@ def test_match_steps_self_match_first():
 
 
 def test_match_steps_activity_dominance():
-    memory = ProcessMemory()
-    memory.step_library = [
+    memory = ProcessMemory(step_library=[
         entry("g1", "sinter", prev="mill", nxt="anneal", forms=("powder",)),
         entry("g2", "sinter"),
         entry("g3", "press", norm=0.5, forms=("pellet",)),
         entry("g4", "dry", prev="mix", forms=("solution",)),
-    ]
+    ])
     ranked = match_steps(memory, StepQuery(activity="sinter"), top_m=4)
     labels = [e.activity for _, e in ranked]
     assert labels[:2] == ["sinter", "sinter"]
@@ -184,14 +185,13 @@ def test_match_steps_activity_dominance():
 
 
 def test_match_steps_hand_fixture():
-    memory = ProcessMemory()
-    memory.step_library = [
+    memory = ProcessMemory(step_library=[
         entry("g1", "sinter", norm=0.5, prev="mill", nxt="anneal", forms=("powder",)),
         entry("g2", "sinter", norm=1.0, prev="press", forms=("pellet",)),
         entry("g3", "anneal", norm=0.5, prev="mill", forms=("powder",)),
         entry("g4", "sinter", norm=0.4, forms=()),
         entry("g5", "mill", norm=0.0, nxt="sinter", forms=("powder", "flake")),
-    ]
+    ])
     query = StepQuery(
         activity="sinter",
         prev_activity="mill",
@@ -214,12 +214,11 @@ def test_match_steps_hand_fixture():
 
 
 def test_match_steps_tie_break():
-    memory = ProcessMemory()
-    memory.step_library = [
+    memory = ProcessMemory(step_library=[
         entry("gb", "sinter", position=1),
         entry("ga", "sinter", position=0),
         entry("ga", "sinter", position=2),
-    ]
+    ])
     ranked = match_steps(memory, StepQuery(activity="sinter"), top_m=3)
     assert [(e.graph_id, e.position) for _, e in ranked] == [("ga", 0), ("ga", 2), ("gb", 1)]
 
@@ -267,19 +266,32 @@ def test_match_steps_equals_per_entry_reference():
             ]
 
 
-def test_derived_views_follow_replaced_fields():
+def test_a_memory_never_changes_and_a_variant_has_its_own_views():
     memory = two_route_memory()
-    assert memory.vocab() == {"mill", "sinter", "anneal"}
+    assert memory.vocab == {"mill", "sinter", "anneal"}
     assert memory.total_out("mill") == 2
-    memory.processes.append(memory.processes[0].__class__(
-        graph_id="r3", route=["quench"], precursors=[], products=[], tools=[]
-    ))
-    assert "quench" in memory.vocab() and "r3" in memory.graph_ids()
-    memory.transition_table = {("mill", "sinter"): 5}
-    assert memory.total_out("mill") == 5 and memory.total_in("anneal") == 0
-    clone = copy.deepcopy(memory)
-    assert clone.by_graph_id().keys() == memory.by_graph_id().keys()
-    assert clone.total_out("mill") == 5
+    for name, value in [("processes", []), ("transition_table", {}), ("vectors", {}),
+                        ("split_id", "other")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(memory, name, value)
+    extra = dataclasses.replace(memory.processes[0], graph_id="r3", route=["quench"])
+    variant = dataclasses.replace(memory, processes=[*memory.processes, extra],
+                                  transition_table={("mill", "sinter"): 5})
+    assert "quench" in variant.vocab and "r3" in variant.by_graph_id
+    assert variant.total_out("mill") == 5 and variant.total_in("anneal") == 0
+    assert memory.vocab == {"mill", "sinter", "anneal"} and "r3" not in memory.by_graph_id
+    assert memory.total_out("mill") == 2 and memory.total_in("anneal") == 1
+    clone = copy.deepcopy(variant)
+    assert clone.by_graph_id.keys() == variant.by_graph_id.keys()
+    assert clone.vocab == variant.vocab and clone.total_out("mill") == 5
+    assert clone.steps_of("r1") == variant.steps_of("r1")
+
+
+def test_memories_compare_by_identity():
+    memory, corpus = synth_memory(6)
+    memory = attach_embeddings(memory, corpus)
+    for copied in (copy.deepcopy(memory), pickle.loads(pickle.dumps(memory))):
+        assert memory == memory and memory != copied
 
 
 def test_match_steps_empty_library():
@@ -318,8 +330,9 @@ def test_linearize_process_contains_context():
 def test_memory_round_trip(tmp_path):
     memory, _ = synth_memory(12)
     n = len(memory.processes)
-    memory.vectors = {"text": frozen_array(np.arange(2 * n).reshape(n, 2) / 7),
-                      "struct": frozen_array(np.arange(2 * n).reshape(n, 2) / -3)}
+    memory = dataclasses.replace(memory, vectors={
+        "text": frozen_array(np.arange(2 * n).reshape(n, 2) / 7),
+        "struct": frozen_array(np.arange(2 * n).reshape(n, 2) / -3)})
     path = tmp_path / "memory.ndjson"
     save_memory(path, memory, config_hash="h")
     back = load_memory(path)
@@ -350,11 +363,10 @@ def _load_with_peak(path):
 
 def test_stored_vectors_load_as_read_only_arrays_of_their_own_size(tmp_path):
     memory, corpus = synth_memory(60)
-    attach_embeddings(memory, corpus)
+    memory = attach_embeddings(memory, corpus)
     with_vectors, without = tmp_path / "with.ndjson", tmp_path / "without.ndjson"
     save_memory(with_vectors, memory)
-    memory.vectors = {}
-    save_memory(without, memory)
+    save_memory(without, dataclasses.replace(memory, vectors={}))
     loaded, peak = _load_with_peak(with_vectors)
     _, base_peak = _load_with_peak(without)
     assert set(loaded.vectors) == {"text", "struct"}

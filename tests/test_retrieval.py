@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import itertools
+import pickle
 import time
 
 import numpy as np
@@ -343,10 +345,10 @@ def three_process_memory():
         compiled(chain_graph(["mill", "anneal"], record_id="pb", precursors=("x",))),
         compiled(chain_graph(["sinter"], record_id="pc", precursors=("y",))),
     ]
-    memory = build_memory(graphs)
     # orthogonal hand-chosen view vectors make every cosine either 0 or 1
-    memory.vectors = {"text": np.array([one_hot(0), one_hot(1), one_hot(2)]),
-                      "struct": np.array([one_hot(3), one_hot(4), one_hot(5)])}
+    memory = dataclasses.replace(build_memory(graphs), vectors={
+        "text": np.array([one_hot(0), one_hot(1), one_hot(2)]),
+        "struct": np.array([one_hot(3), one_hot(4), one_hot(5)])})
     query = rt.RetrievalQuery(
         summary=summary(["mill"], ["x"]),
         text_vec=np.asarray(one_hot(1)),
@@ -387,7 +389,7 @@ def test_retrieve_fusion_invariant_and_ranges():
     memory = rt.attach_embeddings(build_memory(corpus), corpus)
     anchor = corpus[0]
     query = rt.RetrievalQuery(
-        summary=memory.by_graph_id()[anchor.record_id],
+        summary=memory.by_graph_id[anchor.record_id],
         text=linearize_process(memory, anchor.record_id),
         context_graph=anchor,
     )
@@ -407,7 +409,7 @@ def test_retrieve_self_match_heuristic_only():
     corpus = [compiled(chain_graph([f"op{i}", "sinter"], record_id=f"g{i}",
                                    precursors=(f"pre{i}",))) for i in range(4)]
     memory = build_memory(corpus)
-    query = rt.RetrievalQuery(summary=memory.by_graph_id()["g2"])
+    query = rt.RetrievalQuery(summary=memory.by_graph_id["g2"])
     results = rt.retrieve(query, memory, weights=rt.RetrievalWeights(0.0, 0.0, 1.0), k=2)
     assert results[0].graph_id == "g2"
     assert results[0].s_ret == pytest.approx(1.0, abs=1e-12)
@@ -418,7 +420,7 @@ def test_retrieve_self_match_default_weights_builtin_embedders():
     memory = rt.attach_embeddings(build_memory(corpus), corpus)
     for anchor in corpus[:3]:
         query = rt.RetrievalQuery(
-            summary=memory.by_graph_id()[anchor.record_id],
+            summary=memory.by_graph_id[anchor.record_id],
             text=linearize_process(memory, anchor.record_id),
             context_graph=anchor,
         )
@@ -431,7 +433,7 @@ def test_retrieve_returns_min_k_and_memory_size():
     corpus = small_corpus(n=12)
     memory = rt.attach_embeddings(build_memory(corpus), corpus)
     query = rt.RetrievalQuery(
-        summary=memory.by_graph_id()[corpus[0].record_id],
+        summary=memory.by_graph_id[corpus[0].record_id],
         text=linearize_process(memory, corpus[0].record_id),
         context_graph=corpus[0],
     )
@@ -457,8 +459,7 @@ def test_retrieve_ties_break_by_graph_id():
 
 
 def test_retrieve_empty_memory_raises():
-    memory = build_memory(small_corpus(n=2))
-    memory.processes = []
+    memory = dataclasses.replace(build_memory(small_corpus(n=2)), processes=[])
     with pytest.raises(EmptyMemory):
         rt.retrieve(rt.RetrievalQuery(summary=summary([], [])), memory)
 
@@ -473,7 +474,7 @@ def test_retrieve_deterministic():
     corpus = small_corpus(n=9)
     memory = rt.attach_embeddings(build_memory(corpus), corpus)
     query = rt.RetrievalQuery(
-        summary=memory.by_graph_id()[corpus[3].record_id],
+        summary=memory.by_graph_id[corpus[3].record_id],
         text=linearize_process(memory, corpus[3].record_id),
         context_graph=corpus[3],
     )
@@ -490,7 +491,7 @@ def test_retrieve_derives_missing_text_vectors_without_storing_them():
                               text=linearize_process(memory, "ga"))
     results = rt.retrieve(query, memory, k=2)
     assert results[0].graph_id == "ga"
-    index = rt.dense_index(memory)
+    index = memory.dense_index
     for gid in ("ga", "gb"):
         derived = rt.BuiltinTextEmbedder().embed([linearize_process(memory, gid)])[0]
         assert np.array_equal(rt.text_vector(memory, gid), derived)
@@ -549,7 +550,7 @@ def memory_variant(corpus, variant):
         return memory
     memory = rt.attach_embeddings(memory, corpus)
     if variant == "text_only":
-        memory.vectors = {"text": memory.vectors["text"]}
+        memory = dataclasses.replace(memory, vectors={"text": memory.vectors["text"]})
     return memory
 
 
@@ -604,15 +605,32 @@ def test_reused_query_scores_each_view_once_per_index(monkeypatch):
     assert len(scored) == 6
 
 
-def test_dense_index_rebuilds_when_the_memory_changes():
+def test_attach_embeddings_returns_a_new_memory_with_its_own_index():
     corpus = small_corpus(n=8)
     memory = build_memory(corpus)
-    first = rt.dense_index(memory)
-    assert rt.dense_index(memory) is first
-    rt.attach_embeddings(memory, corpus)
-    second = rt.dense_index(memory)
+    first = memory.dense_index
+    assert memory.dense_index is first
+    embedded = rt.attach_embeddings(memory, corpus)
+    assert memory.dense_index is first and memory.vectors == {}
+    second = embedded.dense_index
     assert second is not first
-    assert np.array_equal(second.struct, memory.vectors["struct"])
+    for kind, matrix in (("text", second.text), ("struct", second.struct)):
+        assert np.shares_memory(matrix, embedded.vectors[kind])
+
+
+@pytest.mark.parametrize("copier", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_memory_retrieves_as_the_original(copier):
+    corpus = small_corpus(n=9)
+    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    query = rt.RetrievalQuery(
+        summary=memory.by_graph_id[corpus[3].record_id],
+        text=linearize_process(memory, corpus[3].record_id),
+        context_graph=corpus[3],
+    )
+    want = [r.to_dict() for r in rt.retrieve(query, memory)]  # builds the index
+    copied = copier(memory)
+    assert [r.to_dict() for r in rt.retrieve(copy.deepcopy(query), copied)] == want
 
 
 def _built_and_loaded(tmp_path):
@@ -627,7 +645,7 @@ def _built_and_loaded(tmp_path):
 def test_the_dense_index_scores_the_stored_vectors_in_place(tmp_path):
     built, loaded = _built_and_loaded(tmp_path)
     for memory in (built, loaded):
-        index = rt.dense_index(memory)
+        index = memory.dense_index
         for kind, matrix in (("text", index.text), ("struct", index.struct)):
             assert not matrix.flags.writeable
             assert np.shares_memory(matrix, memory.vectors[kind])
@@ -640,18 +658,18 @@ def test_stored_vectors_without_one_row_per_process_fail_at_index_build(tmp_path
     _, loaded = _built_and_loaded(tmp_path)
     stored = loaded.vectors[kind]
     matrix = stored[:rows] if rows < 0 else np.vstack([stored, stored[:rows]])
-    loaded.vectors = {**loaded.vectors, kind: matrix}
+    loaded = dataclasses.replace(loaded, vectors={**loaded.vectors, kind: matrix})
     with pytest.raises(DataError, match=f"stored {kind} vectors of shape"):
-        rt.dense_index(loaded)
+        loaded.dense_index
 
 
 def test_a_loaded_memory_of_another_dimension_fails_at_index_build(tmp_path):
-    memory = build_memory(small_corpus(n=3))
-    memory.vectors = {"text": np.full((3, 2), 0.5), "struct": np.full((3, 2), 1.0)}
+    memory = dataclasses.replace(build_memory(small_corpus(n=3)), vectors={
+        "text": np.full((3, 2), 0.5), "struct": np.full((3, 2), 1.0)})
     save_memory(tmp_path / "memory.ndjson", memory)
     loaded = load_memory(tmp_path / "memory.ndjson")
     with pytest.raises(EmbeddingDimensionMismatch, match="has 2 dimensions"):
-        rt.dense_index(loaded)
+        loaded.dense_index
 
 
 def test_frozen_projection_is_cached_and_read_only():
@@ -666,7 +684,7 @@ def test_frozen_projection_is_cached_and_read_only():
 @pytest.mark.parametrize("kind", ["text", "struct"])
 def test_index_rejects_stored_vectors_of_another_dimension(kind):
     memory, query = three_process_memory()
-    memory.vectors = {**memory.vectors, kind: np.full((3, 768), 0.1)}
+    memory = dataclasses.replace(memory, vectors={**memory.vectors, kind: np.full((3, 768), 0.1)})
     with pytest.raises(EmbeddingDimensionMismatch, match=f"{kind} vector has 768") as info:
         rt.retrieve(query, memory, k=3)
     assert isinstance(info.value, DataError)
@@ -687,7 +705,7 @@ def test_attach_embeddings_round_trip(tmp_path):
     save_memory(path, memory)
     reloaded = load_memory(path)
     query = rt.RetrievalQuery(
-        summary=memory.by_graph_id()[corpus[1].record_id],
+        summary=memory.by_graph_id[corpus[1].record_id],
         text=linearize_process(memory, corpus[1].record_id),
         context_graph=corpus[1],
     )

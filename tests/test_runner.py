@@ -17,7 +17,6 @@ from matproc.errors import (
     InvalidGridAxis,
     InvalidParams,
     MissingContext,
-    UnknownItemId,
 )
 from matproc.memory import build_memory, linearize_process
 from matproc.provgraph import SynthParams, generate_synthetic_corpus
@@ -48,8 +47,7 @@ def bench():
 @functools.lru_cache(maxsize=None)
 def mem():
     memory = build_memory(list(corpus()), split_id="runner-tests")
-    attach_embeddings(memory, list(corpus()))
-    return memory
+    return attach_embeddings(memory, list(corpus()))
 
 
 def per_task_sample(n):
@@ -640,10 +638,15 @@ def test_rag_and_graphrag_cite_their_precedents():
 # --- external predictions -----------------------------------------------------------------
 
 
+def score_predictions(items, predictions):
+    return rn.evaluate(items, config=rn.PolicyConfig(policy="external_predictions"),
+                       predictions=predictions)
+
+
 def test_external_predictions_scores_a_gold_mapping():
     items = list(bench()[:30])
     predictions = {it.item_id: it.gold_index for it in items}
-    report, rows = rn.score_external_predictions(items, predictions)
+    report, rows = score_predictions(items, predictions)
     assert report.accuracy == 1.0
     assert all(not row["flags"] for row in rows)
 
@@ -654,17 +657,11 @@ def test_external_predictions_flags_gaps_and_range_errors():
         items[0].item_id: items[0].gold_index,
         items[1].item_id: 99,
     }
-    report, rows = rn.score_external_predictions(items, predictions)
+    report, rows = score_predictions(items, predictions)
     assert rows[0]["correct"] is True
     assert "prediction_out_of_range" in rows[1]["flags"] and not rows[1]["correct"]
     assert "missing_prediction" in rows[2]["flags"] and not rows[2]["correct"]
     assert report.overall.correct == 1
-
-
-def test_external_predictions_reject_unknown_ids():
-    items = list(bench()[:3])
-    with pytest.raises(UnknownItemId):
-        rn.score_external_predictions(items, {"nowhere:A1_route_retrieval:0": 0})
 
 
 def test_external_predictions_require_a_mapping():

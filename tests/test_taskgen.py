@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from matproc.canon import canon_label, canonical_json
-from matproc.errors import EmptyCorpus, RetentionFilterFailed
+from matproc.errors import EmptyCorpus, InvalidParams, RetentionFilterFailed
 from matproc.provgraph import (
     ActivityNode,
     EntityNode,
@@ -32,6 +32,7 @@ from matproc.taskgen import (
     write_benchmark,
 )
 
+from matproc.taskgen import generate
 from matproc.taskgen.model import QUESTION_TYPES
 
 from helpers import chain_graph, compiled
@@ -156,6 +157,19 @@ def test_retention_filter():
         instantiate_tasks(g, pools, seed=0)
     _, skips = generate_benchmark(toy_corpus() + [g], seed=0)
     assert {"graph_id": "nopre", "task": "*", "reason": "retention_filter"} in skips
+
+
+@pytest.mark.parametrize("k_options", [0, 1, 9])
+def test_an_option_count_no_prompt_can_letter_is_refused_before_any_item(monkeypatch, k_options):
+    corpus = toy_corpus()
+    pools = build_candidate_pools(corpus)
+    built = []
+    monkeypatch.setattr(generate, "BenchItem", lambda *args, **kwargs: built.append(kwargs))
+    with pytest.raises(InvalidParams, match=f"k_options must lie in 2..8, got {k_options}"):
+        instantiate_tasks(corpus[0], pools, k_options=k_options, seed=0)
+    with pytest.raises(InvalidParams):
+        generate_benchmark(corpus, k_options=k_options, seed=0)
+    assert built == []
 
 
 def test_gold_exactly_once_and_distinct_options():
