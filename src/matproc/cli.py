@@ -57,6 +57,7 @@ from .runner import (
     run_ablation,
 )
 from .splits import (
+    PROTOCOLS,
     SPLIT_FORMAT,
     AuditRow,
     contamination_matrix,
@@ -179,6 +180,10 @@ def _parse_pairs(pairs: str) -> list[tuple[str, str]]:
         left, sep, right = chunk.partition(":")
         if not sep or not left or not right:
             raise ConfigConflict(f"audit pair {chunk!r} must look like train_of:test_of")
+        for name in (left, right):
+            if name not in PROTOCOLS:
+                raise ConfigConflict(
+                    f"audit pair {chunk!r}: protocol {name!r} is not one of {', '.join(PROTOCOLS)}")
         out.append((left, right))
     if not out:
         raise ConfigConflict("audit needs at least one train_of:test_of pair")
@@ -417,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--bench", dest="path_bench", help="question set file")
     p.add_argument("--out", dest="path_split", help="assignment file to write")
-    p.add_argument("--protocol", dest="protocol", choices=["random", "year", "type", "dual"])
+    p.add_argument("--protocol", dest="protocol", choices=PROTOCOLS)
     p.add_argument("--ratios", type=_csv_floats, dest="ratios", help="train,dev,test")
     p.add_argument("--held-out-class", dest="held_out_class")
     p.add_argument("--dev-ratio", type=float, dest="dev_ratio")

@@ -21,6 +21,7 @@ from .provgraph import FieldMap
 from .retrieval import DEFAULT_STRUCT_SEED, RetrievalWeights
 from .runner import PolicyConfig
 from .scoring import ScoringConfig
+from .splits import PARTITIONS, PROTOCOLS
 from .taskgen import DEFAULT_K, GenCaps
 from .taskgen.model import OPTION_COUNTS
 
@@ -78,6 +79,10 @@ class RunConfig(Record):
 
     def __post_init__(self):
         self.ratios = tuple(float(r) for r in self.ratios)
+        for name, allowed in (("protocol", PROTOCOLS), ("partition", PARTITIONS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigConflict(
+                    f"{name} {getattr(self, name)!r} is not one of {', '.join(allowed)}")
         if self.k_options not in OPTION_COUNTS:
             raise ConfigConflict(
                 f"k_options must lie in {OPTION_COUNTS[0]}..{OPTION_COUNTS[-1]}, got {self.k_options}")

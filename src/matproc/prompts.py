@@ -1,6 +1,6 @@
 """Prompt templates and answer parsing.
 
-Each mode renders a deterministic, versioned message list. Answer-style
+Each mode renders a deterministic message list. Answer-style
 prompts instruct a single option letter; evidence lines render each
 option's fused score to three decimals so an evidence-following reader
 (human, model, or the test mock) can act on them.
@@ -17,7 +17,6 @@ from .scoring import OptionScores
 from .taskgen import MASK_TOKEN, BenchItem
 from .taskgen.model import OPTION_LETTERS
 
-PROMPT_VERSION = "prompts-1"
 PROMPT_MODES = ("plan", "answer", "zero_shot", "few_shot", "rag", "graphrag")
 
 SYSTEM_TEXT = (

@@ -14,7 +14,6 @@ from ..errors import MalformedDocument
 from ..jsonio import TRANSIENT, Record
 
 MATERIAL_CLASSES = ("battery", "thermoelectric", "magnetic", "other")
-ROLES = ("precursor", "intermediate", "product", "tool", "unconnected")
 
 
 @dataclass

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from ..canon import canon_label
 from ..errors import EmptyRecord, MalformedDocument
 from ..jsonio import Record
-from .model import ActivityNode, EntityNode, ProcessGraph, validate_graph
+from .model import MATERIAL_CLASSES, ActivityNode, EntityNode, ProcessGraph, validate_graph
 
 
 @dataclass
@@ -253,7 +253,7 @@ def _build_graph(doc: dict, nodes: dict, relations: list, fm: FieldMap) -> Proce
         except (ValueError, OverflowError):
             year = None  # unparseable optional field: dropped
     raw_class = (_as_text(_first(meta, fm.class_keys)) or "other").strip().lower()
-    material_class = raw_class if raw_class in ("battery", "thermoelectric", "magnetic") else "other"
+    material_class = raw_class if raw_class in MATERIAL_CLASSES else "other"
     if not record_id:
         record_id = doi or "record"
 

@@ -401,15 +401,6 @@ def attach_embeddings(
     return replace(memory, vectors={"text": text, "struct": struct})
 
 
-def text_vector(memory: ProcessMemory, graph_id: str) -> np.ndarray:
-    """Stored text vector for one process; the built-in embedding of its
-    linearized text when none is stored. Never writes to the memory."""
-    stored = memory.vectors.get("text")
-    if stored is None:
-        return BuiltinTextEmbedder().embed([linearize_process(memory, graph_id)])[0]
-    return stored[[p.graph_id for p in memory.processes].index(graph_id)]
-
-
 # --- dense index -----------------------------------------------------------------------
 
 
@@ -463,9 +454,9 @@ def build_dense_index(memory: ProcessMemory) -> DenseIndex:
     """The memory's dense index; read it as ``memory.dense_index``, which
     builds it once.
 
-    Without stored text vectors each process gets the row
-    :func:`text_vector` derives for it, and without stored struct vectors a
-    zero row. Building raises
+    Without stored text vectors each process gets the built-in embedding
+    of its linearized text, and without stored struct vectors a zero row.
+    Building raises
     :class:`EmbeddingDimensionMismatch` for stored vectors whose width is
     not ``EMBED_DIM``, and :class:`DataError` for a stored matrix without
     one row per process.

@@ -55,7 +55,8 @@ POLICIES = (
 )
 _NEEDS_MEMORY = ("argmax_symbolic", "argmax_neural", "argmax_hybrid",
                  "provmind_llm", "rag", "graphrag")
-_LLM_POLICIES = ("provmind_llm", "zero_shot", "few_shot", "rag", "graphrag")
+_BASELINES = ("zero_shot", "few_shot", "rag", "graphrag")  # one prompt, one chat call
+_LLM_POLICIES = ("provmind_llm", *_BASELINES)
 
 DEFAULT_BUDGETS = {"planning": 96, "answer": 48, "baseline": 16}
 
@@ -144,18 +145,14 @@ def answer_argmax(scores: OptionScores) -> int:
 # --- per-item machinery ---------------------------------------------------------------
 
 
-def _effective_lambda(config: PolicyConfig) -> float:
-    if config.policy == "argmax_symbolic":
-        return 1.0
-    if config.policy == "argmax_neural":
-        return 0.0
-    return config.lam
+# the lambda an argmax policy fixes; every other scored policy takes ``config.lam``
+_FIXED_LAMBDA = {"argmax_symbolic": 1.0, "argmax_neural": 0.0}
 
 
 def _score_item(item, memory, config, context):
     """Retrieve precedents and fuse the lanes the policy needs."""
     precedents = retrieve(context.query, memory, config.weights, config.top_k)
-    lam = _effective_lambda(config)
+    lam = _FIXED_LAMBDA.get(config.policy, config.lam)
     key = (tuple(p.graph_id for p in precedents), config.scoring)  # the lanes read only ids
     sym = neu = None
     if lam > 0:
@@ -209,12 +206,13 @@ def llm_answer(
     memory: ProcessMemory,
     precedents,
     evidence_scores: OptionScores,
-    fallback_scores: OptionScores | None,
+    fallback_scores: OptionScores,
     client,
     config: PolicyConfig,
-) -> tuple[int | None, dict]:
-    """Optional plan call, answer call, parse; symbolic fallback on residue."""
-    trace = {"exchanges": [], "fallback_used": False, "flags": []}
+    trace: dict,
+) -> int | None:
+    """Optional plan call, answer call, parse, each recorded on ``trace``;
+    ``fallback_scores`` answer an unparsed or timed-out reply."""
     plan_text = None
     if config.planning:
         plan_messages = build_prompt(
@@ -224,21 +222,14 @@ def llm_answer(
         if plan is not None:
             plan_text = plan.response_text
 
-    answer_messages = build_prompt(
-        item,
-        "answer",
-        precedents=precedents,
-        scores=evidence_scores,
-        memory=memory,
-        plan_text=plan_text,
-    )
+    answer_messages = build_prompt(item, "answer", precedents=precedents,
+                                   scores=evidence_scores, memory=memory, plan_text=plan_text)
     answer = _ask(client, answer_messages, "answer", config.budgets["answer"], trace, config)
     index = _parse(answer, item, trace)
-
-    if index is None and config.fallback and fallback_scores is not None:
+    if index is None and config.fallback:
         index = answer_argmax(fallback_scores)
         trace["fallback_used"] = True
-    return index, trace
+    return index
 
 
 def _sample_exemplars(train_items, task, config: PolicyConfig) -> list[BenchItem]:
@@ -252,88 +243,68 @@ def _sample_exemplars(train_items, task, config: PolicyConfig) -> list[BenchItem
     return pool + fill
 
 
-def _baseline_answer(item, mode, client, config, memory=None, precedents=None,
-                     exemplars=None, graph_ids=None) -> tuple[int | None, dict]:
-    trace = {"exchanges": [], "fallback_used": False, "flags": []}
-    messages = build_prompt(
-        item,
-        mode,
-        precedents=precedents,
-        memory=memory,
-        exemplars=exemplars,
-        graph_ids=graph_ids,
-        few_shot_count=config.few_shot_count,
-        rag_k=config.rag_k,
-        graph_k=config.graph_k,
-        graph_hops=config.graph_hops,
-    )
-    exchange = _ask(client, messages, mode, config.budgets["baseline"], trace, config)
-    return _parse(exchange, item, trace), trace
-
-
 def _answer_item(item, memory, config, client, exemplars_by_task, predictions, context):
-    """One item under one config -> (answer index or None, trace dict), with
+    """One item under one config -> (answer index or None, trace), with
     ``context`` the item's :class:`ItemInputs`, shared by every config
-    answering it. Never raises."""
-    trace: dict = {"exchanges": [], "fallback_used": False, "flags": []}
+    answering it. The trace holds the log row's ``exchanges``,
+    ``fallback_used``, ``flags``, ``precedents`` and ``scores``; the last two
+    are set once the item is answered, so an ``item_error`` row names none.
+    Never raises."""
+    trace: dict = {"exchanges": [], "fallback_used": False, "flags": [],
+                   "precedents": [], "scores": None}
+    policy = config.policy
     try:
-        policy = config.policy
         if policy == "gold_oracle":
             return item.gold_index, trace
         if policy == "uniform_random":
             rng = random.Random(derive_seed(config.seed, item.item_id))
             return rng.randrange(len(item.options)), trace
         if policy == "external_predictions":
-            if item.item_id not in predictions:
+            index = predictions.get(item.item_id)
+            if index is None:
                 trace["flags"].append("missing_prediction")
-                return None, trace
-            index = predictions[item.item_id]
-            if not 0 <= index < len(item.options):
+            elif not 0 <= index < len(item.options):
                 trace["flags"].append("prediction_out_of_range")
-                return None, trace
+                index = None
             return index, trace
 
-        if policy in ("argmax_symbolic", "argmax_neural", "argmax_hybrid"):
-            precedents, _, fused = _score_item(item, memory, config, context)
-            trace["precedents"] = [p.graph_id for p in precedents]
-            trace["scores"] = fused.to_dict()
-            return answer_argmax(fused), trace
+        if policy in _BASELINES:  # gather the prompt's context, then one chat call
+            exemplars = precedents = graph_ids = None
+            if policy == "few_shot":
+                exemplars = exemplars_by_task[item.task]
+            elif policy == "rag":
+                precedents = retrieve(context.query, memory, config.weights, config.rag_k)
+            elif policy == "graphrag":
+                structure_only = RetrievalWeights.for_views(["structure"])
+                graph_ids = [p.graph_id for p in retrieve(
+                    context.query, memory, structure_only, config.graph_k)]
+            messages = build_prompt(
+                item,
+                policy,
+                precedents=precedents,
+                memory=memory,
+                exemplars=exemplars,
+                graph_ids=graph_ids,
+                few_shot_count=config.few_shot_count,
+                rag_k=config.rag_k,
+                graph_k=config.graph_k,
+                graph_hops=config.graph_hops,
+            )
+            exchange = _ask(client, messages, policy, config.budgets["baseline"], trace, config)
+            index = _parse(exchange, item, trace)
+            trace["precedents"] = graph_ids or [p.graph_id for p in precedents or ()]
+            return index, trace
 
+        # argmax_* and provmind_llm: option scores from retrieved precedents
+        precedents, sym, fused = _score_item(item, memory, config, context)
         if policy == "provmind_llm":
-            precedents, sym, fused = _score_item(item, memory, config, context)
             fallback = fuse_scores(sym, None, 1.0) if sym is not None else fused
-            index, trace = llm_answer(item, memory, precedents, fused, fallback, client, config)
-            trace["precedents"] = [p.graph_id for p in precedents]
-            trace["scores"] = fused.to_dict()
-            return index, trace
-
-        if policy == "zero_shot":
-            return _baseline_answer(item, "zero_shot", client, config)
-        if policy == "few_shot":
-            return _baseline_answer(
-                item, "few_shot", client, config, exemplars=exemplars_by_task[item.task]
-            )
-        if policy == "rag":
-            precedents = retrieve(context.query, memory, config.weights, config.rag_k)
-            trace_index, trace = _baseline_answer(
-                item, "rag", client, config, memory=memory, precedents=precedents
-            )
-            trace["precedents"] = [p.graph_id for p in precedents]
-            return trace_index, trace
-        if policy == "graphrag":
-            structural = retrieve(
-                context.query,
-                memory,
-                RetrievalWeights.for_views(["structure"]),
-                config.graph_k,
-            )
-            graph_ids = [p.graph_id for p in structural]
-            trace_index, trace = _baseline_answer(
-                item, "graphrag", client, config, memory=memory, graph_ids=graph_ids
-            )
-            trace["precedents"] = graph_ids
-            return trace_index, trace
-        raise InvalidParams(f"unhandled policy {policy!r}")
+            index = llm_answer(item, memory, precedents, fused, fallback, client, config, trace)
+        else:
+            index = answer_argmax(fused)
+        trace["precedents"] = [p.graph_id for p in precedents]
+        trace["scores"] = fused.to_dict()
+        return index, trace
     except MatprocError as exc:
         trace["flags"].append(f"item_error:{type(exc).__name__}")
         return None, trace
@@ -352,23 +323,18 @@ def _check_policy_inputs(config, memory, train_items, predictions) -> None:
 
 
 def _exemplars_by_task(items, train_items, config, partition) -> dict[str, list[BenchItem]]:
-    """Few-shot exemplars per task, checked against the evaluated partition."""
+    """Few-shot exemplars per task, drawn from a pool checked against the
+    evaluated partition."""
     if config.policy != "few_shot":
         return {}
-    eval_ids = {it.item_id for it in items}
     if partition in ("dev", "test"):
-        overlap = eval_ids & {it.item_id for it in train_items}
+        overlap = {it.item_id for it in items} & {it.item_id for it in train_items}
         if overlap:
             raise InvalidParams(
                 f"exemplar pool overlaps the evaluated {partition} partition: "
                 f"{sorted(overlap)[:3]}"
             )
-    exemplars_by_task = {task: _sample_exemplars(train_items, task, config) for task in TASKS}
-    for exemplar_list in exemplars_by_task.values():
-        leaked = [ex.item_id for ex in exemplar_list if ex.item_id in eval_ids]
-        if leaked and partition in ("dev", "test"):
-            raise InvalidParams(f"exemplars leak into {partition}: {leaked[:3]}")
-    return exemplars_by_task
+    return {task: _sample_exemplars(train_items, task, config) for task in TASKS}
 
 
 def _log_row(item: BenchItem, config: PolicyConfig, index: int | None, trace: dict) -> dict:
@@ -379,11 +345,7 @@ def _log_row(item: BenchItem, config: PolicyConfig, index: int | None, trace: di
         "answer_index": index,
         "gold_index": item.gold_index,
         "correct": index is not None and index == item.gold_index,
-        "fallback_used": trace.get("fallback_used", False),
-        "flags": trace.get("flags", []),
-        "exchanges": trace.get("exchanges", []),
-        "precedents": trace.get("precedents", []),
-        "scores": trace.get("scores"),
+        **trace,
     }
 
 

@@ -11,7 +11,7 @@ leakage the contamination audit is built to expose.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import EmptyTestPartition, InvalidParams, MalformedDocument, UncoveredItem
@@ -104,6 +104,8 @@ def split_random(items: list[BenchItem], ratios=(0.8, 0.1, 0.1), seed: int = 0) 
 
 
 def split_by_year(items: list[BenchItem]) -> SplitAssignment:
+    """The year rule: up to 2019 train, 2020 dev, from 2021 test; an item
+    with no year is excluded, with a warning."""
     assignment = SplitAssignment(protocol="year", mapping={})
     for it in items:
         if it.year is None:
@@ -145,19 +147,11 @@ def split_by_type(
 
 
 def split_dual(items: list[BenchItem], held_out_class: str = "battery") -> SplitAssignment:
-    assignment = SplitAssignment(protocol="dual", mapping={})
+    """The year rule, with the held-out class kept only in test and every
+    other class kept out of it; what either gate refuses is excluded."""
+    assignment = replace(split_by_year(items), protocol="dual")
     for it in items:
-        held = it.material_class == held_out_class
-        if it.year is None:
-            assignment.mapping[it.item_id] = "excluded"
-            assignment.warnings.append(f"{it.item_id}: no year, excluded")
-        elif not held and it.year <= 2019:
-            assignment.mapping[it.item_id] = "train"
-        elif not held and it.year == 2020:
-            assignment.mapping[it.item_id] = "dev"
-        elif held and it.year >= 2021:
-            assignment.mapping[it.item_id] = "test"
-        else:
+        if (assignment.mapping[it.item_id] == "test") != (it.material_class == held_out_class):
             assignment.mapping[it.item_id] = "excluded"
     return assignment
 

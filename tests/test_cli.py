@@ -20,7 +20,7 @@ from matproc.config import PATH_KEYS, RunConfig, load_config_file
 from matproc.errors import ConfigConflict
 from matproc.jsonio import read_ndjson, write_ndjson
 from matproc.provgraph import SynthParams, generate_synthetic_corpus, to_prov_document
-from matproc.runner import DEFAULT_BUDGETS
+from matproc.runner import DEFAULT_BUDGETS, POLICIES
 
 from helpers import LoopbackEndpoint, closed_port_url
 
@@ -428,6 +428,36 @@ def test_permuted_bench_items_change_no_item_log_row(tmp_path, policy, monkeypat
     assert logs[0] == logs[1] == logs[2]
 
 
+LOG_ROW_FIELDS = {"item_id", "task", "policy", "answer_index", "gold_index", "correct",
+                  "fallback_used", "flags", "exchanges", "precedents", "scores"}
+CHAT_BOUND = {"provmind_llm", "zero_shot", "few_shot", "rag", "graphrag"}
+MEMORY_BOUND = {"argmax_symbolic", "argmax_neural", "argmax_hybrid", "provmind_llm", "rag",
+                "graphrag"}
+SCORED = {"argmax_symbolic", "argmax_neural", "argmax_hybrid", "provmind_llm"}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_every_policy_writes_the_documented_log_row(tmp_path, policy, monkeypatch, capsys):
+    monkeypatch.delenv("MATPROC_CHAT_URL", raising=False)  # chat-bound policies use the mock
+    paths = pipeline()
+    log = tmp_path / "log.ndjson"
+    argv = eval_argv(paths, policy, log)
+    if policy == "external_predictions":
+        _, items = read_ndjson(paths["bench"])
+        predictions = tmp_path / "predictions.json"
+        predictions.write_text(json.dumps({it["item_id"]: 0 for it in items}))
+        argv += ["--predictions", str(predictions)]
+    assert cli.dispatch(argv) == 0
+    rows = read_ndjson(log)[1]
+    assert rows
+    for row in rows:
+        assert set(row) == LOG_ROW_FIELDS, row
+        assert row["policy"] == policy
+        assert bool(row["exchanges"]) == (policy in CHAT_BOUND), row
+        assert bool(row["precedents"]) == (policy in MEMORY_BOUND), row
+        assert (row["scores"] is not None) == (policy in SCORED), row
+
+
 @pytest.mark.parametrize("axes", ["", ","])
 def test_ablate_without_an_axis_exits_2_and_writes_nothing(tmp_path, capsys, axes):
     report = tmp_path / "ablation.ndjson"
@@ -681,6 +711,49 @@ def test_audit_rejects_malformed_pairs(capsys):
     paths = pipeline()
     assert cli.dispatch(["audit", "--bench", str(paths["bench"]), "--pairs", "dual"]) == 2
     assert cli.dispatch(["audit", "--bench", str(paths["bench"]), "--pairs", ""]) == 2
+
+
+@pytest.mark.parametrize("pairs", ["random:lotto", "lotto:year", "dual:dual,type:bogus"])
+def test_audit_refuses_an_unknown_protocol_and_writes_nothing(tmp_path, capsys, pairs):
+    out = tmp_path / "audit.ndjson"
+    argv = ["audit", "--bench", str(pipeline()["bench"]), "--pairs", pairs, "--out", str(out)]
+    assert cli.dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "is not one of random, year, type, dual" in err
+    assert not out.exists()
+
+
+def test_split_refuses_an_unknown_protocol_and_writes_nothing(tmp_path, capsys):
+    cfg_path, out = tmp_path / "run.json", tmp_path / "split.ndjson"
+    cfg_path.write_text(json.dumps({"protocol": "lotto"}))
+    argv = ["split", "--config", str(cfg_path), "--bench", str(pipeline()["bench"]),
+            "--out", str(out)]
+    assert cli.dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "protocol 'lotto' is not one of random, year, type, dual" in err
+    assert not out.exists()
+    # the flag takes its choices from the same list
+    assert cli.dispatch(["split", "--protocol", "lotto", "--bench", str(pipeline()["bench"]),
+                         "--out", str(out)]) == 2
+    assert "invalid choice: 'lotto'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_an_unknown_partition_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    paths = pipeline()
+    cfg_path, report = tmp_path / "run.json", tmp_path / "report.ndjson"
+    cfg_path.write_text(json.dumps({"partition": "bogus"}))
+    argv = [command, "--config", str(cfg_path), "--bench", str(paths["bench"]),
+            "--split", str(paths["split"]), "--memory", str(paths["memory"]),
+            "--report", str(report)]
+    assert cli.dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "partition 'bogus' is not one of train, dev, test, excluded" in err
+    assert not report.exists()
 
 
 def test_config_file_merges_under_explicit_flags(tmp_path, capsys):

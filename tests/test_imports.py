@@ -51,3 +51,57 @@ def test_every_module_level_import_is_used():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def _constants(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level upper-case names an assignment binds, with their lines."""
+    out = []
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and node.id.isupper():
+                    out.append((node.id, stmt.lineno))
+    return out
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name the module reads, bare or as an attribute."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+    return reads
+
+
+def unused_constants(sources: dict[str, str]) -> list[str]:
+    """Upper-case module-level names, outside ``__init__.py``, that no
+    source reads; ``sources`` maps a module's path to its text."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = set().union(*map(_reads, trees.values()))
+    return [
+        f"{path}: {name} (line {lineno})"
+        for path, tree in trees.items()
+        if not path.endswith("__init__.py")
+        for name, lineno in _constants(tree)
+        if name not in read
+    ]
+
+
+def test_the_check_sees_unread_and_read_constants():
+    sources = {
+        "a.py": "LIMIT = 3\nUNUSED: int = 4\nPAIR_A, PAIR_B = 1, 2\nlower = 5\n",
+        "b.py": "from a import LIMIT, UNUSED\nimport a\nx = LIMIT + a.PAIR_A\n",
+        "__init__.py": "EXPORTED = 1\n",
+    }
+    assert unused_constants(sources) == ["a.py: UNUSED (line 2)", "a.py: PAIR_B (line 3)"]
+
+
+def test_every_module_level_constant_is_read():
+    root = Path(matproc.__file__).parent
+    sources = {str(path.relative_to(root)): path.read_text(encoding="utf-8")
+               for path in sorted(root.rglob("*.py"))}
+    assert unused_constants(sources) == []

@@ -494,7 +494,6 @@ def test_retrieve_derives_missing_text_vectors_without_storing_them():
     index = memory.dense_index
     for gid in ("ga", "gb"):
         derived = rt.BuiltinTextEmbedder().embed([linearize_process(memory, gid)])[0]
-        assert np.array_equal(rt.text_vector(memory, gid), derived)
         assert np.array_equal(index.text[index.rows[gid]], derived)
     assert memory.vectors == {}  # retrieval never writes to the memory
 
@@ -509,12 +508,15 @@ def reference_retrieve(query, memory, weights, k):
     if query.struct_vec is None and query.context_graph is not None:
         query.struct_vec = rt.embed_structure(query.context_graph)
     results = []
-    for p in memory.processes:
-        s_text = rt.cos_to_unit(rt.cosine(query.text_vec, rt.text_vector(memory, p.graph_id)))
-        stored = memory.vectors.get("struct")
-        if stored is not None and query.struct_vec is not None:
-            row = [q.graph_id for q in memory.processes].index(p.graph_id)
-            s_struct = rt.cos_to_unit(rt.cosine(query.struct_vec, stored[row]))
+    stored_text, stored_struct = memory.vectors.get("text"), memory.vectors.get("struct")
+    for row, p in enumerate(memory.processes):
+        if stored_text is not None:
+            text_vec = stored_text[row]
+        else:
+            text_vec = rt.BuiltinTextEmbedder().embed([linearize_process(memory, p.graph_id)])[0]
+        s_text = rt.cos_to_unit(rt.cosine(query.text_vec, text_vec))
+        if stored_struct is not None and query.struct_vec is not None:
+            s_struct = rt.cos_to_unit(rt.cosine(query.struct_vec, stored_struct[row]))
         else:
             s_struct = 0.5
         s_heur = rt.score_heuristic(query.summary, p)
