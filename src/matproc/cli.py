@@ -57,6 +57,7 @@ from .runner import (
     run_ablation,
 )
 from .splits import (
+    PARTITIONS,
     PROTOCOLS,
     SPLIT_FORMAT,
     AuditRow,
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bench", dest="path_bench", help="question set file")
         p.add_argument("--split", dest="path_split", help="assignment file")
         p.add_argument("--memory", dest="path_memory", help="memory file")
-        p.add_argument("--partition", dest="partition", choices=["train", "dev", "test"])
+        p.add_argument("--partition", dest="partition", choices=PARTITIONS)
         p.add_argument("--report", dest="path_report", help="report file to write")
         p.add_argument("--log", dest="path_log", help="per-item log to write")
         p.add_argument("--chat-url", dest="endpoint_chat_url")

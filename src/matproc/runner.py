@@ -20,6 +20,7 @@ from .canon import derive_seed, stable_hash
 from .chat import MockChatClient
 from .errors import (
     ClientTimeout,
+    ConfigConflict,
     InvalidGridAxis,
     InvalidParams,
     MatprocError,
@@ -27,7 +28,7 @@ from .errors import (
 from .jsonio import TRANSIENT, Record
 from .memory import ProcessMemory
 from .prompts import build_prompt, parse_answer
-from .retrieval import DEFAULT_TOP_K, RetrievalWeights, retrieve
+from .retrieval import DEFAULT_TOP_K, RetrievalWeights, queries_from_items, retrieve
 from .scoring import (
     DEFAULT_LAMBDA,
     ItemInputs,
@@ -59,6 +60,9 @@ _BASELINES = ("zero_shot", "few_shot", "rag", "graphrag")  # one prompt, one cha
 _LLM_POLICIES = ("provmind_llm", *_BASELINES)
 
 DEFAULT_BUDGETS = {"planning": 96, "answer": 48, "baseline": 16}
+
+# items whose retrieval queries are built and embedded together, then answered
+_BLOCK_ITEMS = 8
 
 
 @dataclass
@@ -318,6 +322,10 @@ def _check_policy_inputs(config, memory, train_items, predictions) -> None:
         raise InvalidParams(f"policy {config.policy!r} needs a process memory")
     if config.policy == "few_shot" and not train_items:
         raise InvalidParams("few_shot policy needs train_items as the exemplar pool")
+    if config.policy == "few_shot" and len(train_items) < config.few_shot_count:
+        # else every prompt lacks exemplars and every item fails
+        raise ConfigConflict(f"few_shot needs an exemplar pool of at least few_shot_count ="
+                             f" {config.few_shot_count} train items; got {len(train_items)}")
     if config.policy == "external_predictions" and predictions is None:
         raise InvalidParams("external_predictions policy needs a predictions mapping")
 
@@ -362,11 +370,15 @@ def answer_items(
     """Answer every item under every config, item by item: yields, in item
     order, each item's log rows, one per config in config order.
 
-    The configs answering one item share its query, view scores, lane inputs
-    and lane scores, so a config costs only what it does not share with an
-    earlier one; that shared work is dropped before the next item. A row is
-    the one ``evaluate`` of its config alone would give. Inputs are checked
-    before this returns.
+    Items go in blocks of ``_BLOCK_ITEMS``. When a config retrieves, the
+    block's queries are built as one batch (:func:`queries_from_items`),
+    which the block's first retrieval embeds in one call for the texts and
+    one for the context graphs; then the block is answered. The configs
+    answering one item share its query, view scores, lane inputs and lane
+    scores, so a config costs only what it does not share with an earlier
+    one; that shared work is dropped with its block. A row is the one
+    ``evaluate`` of its config alone would give. Inputs are checked before
+    this returns.
     """
     configs = list(configs)
     for config in configs:
@@ -375,30 +387,37 @@ def answer_items(
     if client is None and chat_bound:
         client = MockChatClient()
     exemplars = [_exemplars_by_task(items, train_items, c, partition) for c in configs]
-    if any(config.policy in _NEEDS_MEMORY for config in configs):
+    retrieves = any(config.policy in _NEEDS_MEMORY for config in configs)
+    if retrieves:
         # built (and its vectors checked) once, before any worker starts;
         # a bad memory fails the run instead of flagging every item
         memory.dense_index
 
-    def work(item):
-        context = ItemInputs(item, memory)
+    def with_queries(block):
+        return block, (queries_from_items(block) if retrieves else [None] * len(block))
+
+    def work(item, query):
+        context = ItemInputs(item, memory, query)
         return [
             _log_row(item, config, *_answer_item(
                 item, memory, config, client, by_task, predictions, context))
             for config, by_task in zip(configs, exemplars)
         ]
 
+    blocks = (with_queries(items[start : start + _BLOCK_ITEMS])
+              for start in range(0, len(items), _BLOCK_ITEMS))
     # Threads only overlap waiting on a chat endpoint; CPU-bound configs
     # hold the GIL, so without a chat-bound one every item runs in-process
     # whatever ``jobs`` says. A thread answers all configs of its item.
     if jobs > 1 and chat_bound:
-        return _in_threads(work, items, jobs)
-    return map(work, items)
+        return _in_threads(work, blocks, jobs)
+    return (rows for block in blocks for rows in map(work, *block))
 
 
-def _in_threads(work, items, jobs):
+def _in_threads(work, blocks, jobs):
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(work, items)
+        for block in blocks:
+            yield from pool.map(work, *block)
 
 
 def _tally(per_task: dict[str, dict], row: dict) -> None:

@@ -171,15 +171,18 @@ class ItemInputs:
     A caller answering the item under several configs keeps its retrieval
     query here too, and any other per-item value under :meth:`once`."""
 
-    def __init__(self, item: BenchItem, memory: ProcessMemory | None):
+    def __init__(self, item: BenchItem, memory: ProcessMemory | None,
+                 query: RetrievalQuery | None = None):
         self.item = item
         self.memory = memory
+        self._query = query
         self._memo: dict = {}
 
     @functools.cached_property
     def query(self) -> RetrievalQuery:
-        """The item's retrieval query, which caches its view scores."""
-        return query_from_item(self.item)
+        """The item's retrieval query, which caches its view scores: the
+        one given, else one built from the item."""
+        return self._query if self._query is not None else query_from_item(self.item)
 
     def once(self, key, build):
         """``build()``, computed on the first call with ``key`` and reused."""

@@ -756,6 +756,56 @@ def test_an_unknown_partition_exits_2_and_writes_nothing(tmp_path, capsys, comma
     assert not report.exists()
 
 
+def test_few_shot_with_a_train_pool_below_few_shot_count_exits_2(tmp_path, capsys):
+    paths = pipeline()
+    _, assigned = read_ndjson(paths["split"])
+    n_train = sum(row["partition"] == "train" for row in assigned)
+    cfg_path, log = tmp_path / "run.json", tmp_path / "log.ndjson"
+    cfg_path.write_text(json.dumps({"runner": {"few_shot_count": n_train + 1}}))
+    argv = [*eval_argv(paths, "few_shot", log), "--config", str(cfg_path)]
+    assert cli.dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"at least few_shot_count = {n_train + 1} train items; got {n_train}" in err
+    assert not log.exists()
+
+
+@functools.lru_cache(maxsize=None)
+def dual_pipeline() -> dict[str, Path]:
+    """The pipeline's bench split under ``dual``, which leaves some items
+    ``excluded``, and the memory of that split."""
+    paths = dict(pipeline())
+    root = Path(tempfile.mkdtemp(prefix="matproc-cli-dual-"))
+    paths["split"], paths["memory"] = root / "split.ndjson", root / "memory.ndjson"
+    for argv in (
+        ["split", "--bench", str(paths["bench"]), "--out", str(paths["split"]), "--protocol", "dual"],
+        ["build-memory", "--graphs", str(paths["graphs"]), "--bench", str(paths["bench"]),
+         "--split", str(paths["split"]), "--out", str(paths["memory"])],
+    ):
+        assert cli.dispatch(argv) == 0, argv
+    return paths
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_the_excluded_partition_is_a_partition_flag_choice(tmp_path, capsys, command):
+    paths = dual_pipeline()
+    _, assigned = read_ndjson(paths["split"])
+    excluded = {row["item_id"] for row in assigned if row["partition"] == "excluded"}
+    assert excluded
+    out = tmp_path / "out.ndjson"
+    if command == "eval":
+        argv = [*eval_argv(paths, "argmax_hybrid", out), "--partition", "excluded"]
+    else:
+        argv = [*ablate_argv(paths, out, axes="top_k"), "--partition", "excluded"]
+    assert cli.dispatch(argv) == 0
+    capsys.readouterr()
+    _, rows = read_ndjson(out)
+    if command == "eval":
+        assert {row["item_id"] for row in rows} == excluded
+    else:
+        assert [row["report"]["overall"]["total"] for row in rows] == [len(excluded)] * len(rows)
+
+
 def test_config_file_merges_under_explicit_flags(tmp_path, capsys):
     paths = pipeline()
     cfg_path = tmp_path / "run.json"

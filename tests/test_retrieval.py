@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
+import functools
 import hashlib
+import io
 import itertools
 import pickle
+import sys
+import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +36,7 @@ from matproc.memory import (
     save_memory,
 )
 from matproc.provgraph import (
+    ActivityNode,
     EntityNode,
     ProcessGraph,
     SynthParams,
@@ -263,6 +271,182 @@ def test_embed_structure_structure_sensitive():
     a = chain_graph(["mixing", "sintering"], precursors=("x", "y"))
     b = chain_graph(["sintering", "mixing"], precursors=("x", "y"))
     assert not np.allclose(rt.embed_structure(a), rt.embed_structure(b))
+
+
+# --- batched embedding -------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def quickstart():
+    """The README quickstart (``synth --n 200 --seed 11``, genbench seed 4, the
+    ``year`` split): its graphs and its test items."""
+    from matproc import cli
+    from matproc.provgraph.store import load_graphs
+    from matproc.splits import read_assignment
+    from matproc.taskgen.store import load_items
+
+    with tempfile.TemporaryDirectory(prefix="matproc-quickstart-") as tmp:
+        root = Path(tmp)
+        raw, graphs, bench, split = (str(root / f"{name}.ndjson")
+                                     for name in ("raw", "graphs", "bench", "split"))
+        steps = [
+            ["synth", "--out", raw, "--n", "200", "--seed", "11"],
+            ["compile", "--in", raw, "--out", graphs, "--warnings", str(root / "warn.ndjson")],
+            ["genbench", "--graphs", graphs, "--out", bench, "--skips", str(root / "skips.ndjson"),
+             "--seed", "4"],
+            ["split", "--bench", bench, "--out", split, "--protocol", "year"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in steps:
+                assert cli.dispatch(argv) == 0, argv
+        return load_graphs(graphs), read_assignment(split).items_in(load_items(bench), "test")
+
+
+def node_count(g: ProcessGraph) -> int:
+    return len(g.entities()) + len(g.activities)
+
+
+def assert_batch_equals_reference(graphs):
+    got = rt.embed_structures(graphs)
+    assert got.shape == (len(graphs), rt.EMBED_DIM) and got.dtype == np.float64
+    for row, g in zip(got, graphs):
+        assert np.array_equal(row, rt.embed_structure(g)), g.record_id
+
+
+def test_embed_structures_equals_embed_structure_on_every_quickstart_graph():
+    graphs, _ = quickstart()
+    assert len(graphs) == 200
+    assert_batch_equals_reference(graphs)
+
+
+def test_embed_structures_equals_embed_structure_on_every_quickstart_test_query():
+    _, items = quickstart()
+    assert len(items) == 1090
+    graphs = [rt.query_from_item(item).context_graph for item in items]
+    assert any(node_count(g) < 3 for g in graphs)  # the per-graph path runs too
+    assert_batch_equals_reference(graphs)
+
+
+def graph_of(labels, record_id):
+    """Material nodes with ``labels`` and no edge."""
+    g = ProcessGraph(record_id=record_id)
+    for i, label in enumerate(labels):
+        g.material_entities.append(EntityNode(id=f"m{i}", label=label, kind="material"))
+    return g
+
+
+def test_embed_structures_equals_embed_structure_on_small_and_degenerate_graphs():
+    _, items = quickstart()
+    two_node_a1 = next(q.context_graph for q in map(rt.query_from_item, items)
+                       if q.context_graph.record_id.endswith(":A1_route_retrieval:0")
+                       and node_count(q.context_graph) == 2)
+    few_labels = graph_of(["lithium", "lithium", "cobalt"], "two-labels")
+    few_labels.activities.append(ActivityNode(id="a0", label="cobalt", source_position=0))
+    few_labels.usage_edges += [("m0", "a0"), ("m1", "a0")]
+    few_labels.generation_edges.append(("a0", "m2"))
+    odd = [
+        graph_of(["lithium"], "one"),
+        two_node_a1,
+        graph_of(["x", "x", "x"], "one-label"),
+        few_labels,
+        ProcessGraph(record_id="void"),
+    ]
+    assert_batch_equals_reference(odd)
+    assert_batch_equals_reference([*small_corpus(n=4), *odd, *small_corpus(n=3, seed=2)])
+    for g in odd:  # each on its own, so the label table is padded or skipped
+        assert_batch_equals_reference([g])
+    assert np.all(rt.embed_structures([ProcessGraph(record_id="void")]) == 0.0)
+    assert rt.embed_structures([]).shape == (0, rt.EMBED_DIM)
+
+
+def test_embed_structures_equals_embed_structure_across_chunk_boundaries(monkeypatch):
+    graphs = [chain_graph(["mill", "sinter", "anneal"][: 1 + i % 3], record_id=f"g{i}",
+                          precursors=("lithium carbonate", "cobalt oxide")[: 1 + i % 2])
+              for i in range(12)]
+    graphs.append(max(small_corpus(n=5), key=node_count))  # more nodes than a chunk holds
+    chunks = []
+    embed_chunk = rt._embed_chunk
+
+    def recorded(chunk, *args):
+        chunks.append([row for row, _, _ in chunk])
+        return embed_chunk(chunk, *args)
+
+    monkeypatch.setattr(rt, "_CHUNK_ROWS", 12)
+    monkeypatch.setattr(rt, "_embed_chunk", recorded)
+    assert node_count(graphs[-1]) > 12
+    assert_batch_equals_reference(graphs)
+    assert len(chunks) > 3 and sum(len(rows) > 1 for rows in chunks) >= 2
+    assert sorted(row for rows in chunks for row in rows) == [
+        row for row, g in enumerate(graphs) if node_count(g) >= 3]
+
+
+def embed_text_by_loop(text: str) -> np.ndarray:
+    """The builtin embedding of one text, one n-gram at a time: the reference."""
+    counts = np.zeros(rt.EMBED_DIM)
+    for n in rt.NGRAM_SIZES:
+        for i in range(len(text) - n + 1):
+            digest = hashlib.blake2b(text[i : i + n].encode("utf-8"), digest_size=4).digest()
+            counts[int.from_bytes(digest, "big") % rt.EMBED_DIM] += 1
+    norm = np.linalg.norm(counts[None, :], axis=1, keepdims=True)[0]
+    return counts / norm if norm[0] > 0 else counts
+
+
+def test_builtin_embedder_embeds_a_batch_as_its_texts_one_by_one():
+    _, items = quickstart()
+    texts = [rt.query_from_item(item).text for item in items[:200]]
+    texts += ["", "a", "ab", "abc", "abc", "ab", "", "lithium carbonate", "µm-scale Ø 3 mm",
+              "x" * 400]
+    batch = rt.BuiltinTextEmbedder().embed(texts)
+    assert batch.shape == (len(texts), rt.EMBED_DIM)
+    for row, text in zip(batch, texts):
+        assert np.array_equal(row, rt.BuiltinTextEmbedder().embed([text])[0]), text
+        assert np.array_equal(row, embed_text_by_loop(text)), text
+    assert rt.BuiltinTextEmbedder().embed([]).shape == (0, rt.EMBED_DIM)
+
+
+def test_a_batch_of_queries_is_embedded_together_by_its_first_retrieval():
+    corpus = small_corpus(n=25, seed=9)
+    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    items, _ = generate_benchmark(corpus, seed=5)
+    batch = rt.queries_from_items(items[:30])
+    assert all(q.text_vec is None and q.struct_vec is None for q in batch)
+    got = rt.retrieve(batch[3], memory)
+    assert all(q.text_vec is not None and q.struct_vec is not None for q in batch)
+    assert all(q.batch == [] for q in batch)  # no references left between them
+    for item, query in zip(items[:30], batch):
+        alone = rt.query_from_item(item)
+        want = rt.retrieve(alone, memory)
+        assert np.array_equal(query.text_vec, rt.BuiltinTextEmbedder().embed([alone.text])[0])
+        assert np.array_equal(query.struct_vec, rt.embed_structure(alone.context_graph))
+        assert rt.retrieve(query, memory) == want
+    assert got == rt.retrieve(rt.query_from_item(items[3]), memory)
+
+
+def test_threads_retrieving_from_one_batch_embed_it_once(monkeypatch):
+    corpus = small_corpus(n=25, seed=9)
+    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    items = generate_benchmark(corpus, seed=5)[0][:24]
+    want = [rt.retrieve(rt.query_from_item(item), memory) for item in items]
+    embedded = []
+    embed_structures = rt.embed_structures
+
+    def counted(graphs, *args):
+        embedded.append(len(graphs))
+        return embed_structures(graphs, *args)
+
+    monkeypatch.setattr(rt, "embed_structures", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            batch = rt.queries_from_items(items)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda q: rt.retrieve(q, memory), batch, timeout=120))
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
+    # each batch once, by whichever thread came first; the others find nothing left
+    assert [n for n in embedded if n] == [len(items)] * 5
 
 
 # --- heuristic view ---------------------------------------------------------------

@@ -471,6 +471,22 @@ def test_evaluate_is_reproducible_and_parallel_safe():
     assert rows_a == rows_b == rows_p
 
 
+def test_threaded_chat_bound_rows_equal_in_process_rows_over_several_blocks():
+    items = list(bench()[: 3 * rn._BLOCK_ITEMS + 5])  # three full blocks and a partial one
+    configs = [rn.PolicyConfig(policy="provmind_llm"), rn.PolicyConfig(policy="rag"),
+               rn.PolicyConfig(policy="argmax_hybrid")]
+
+    def rows(jobs):
+        answers = rn.answer_items(items, mem(), configs, client=ch.MockChatClient(), jobs=jobs)
+        return list(answers)
+
+    in_process, threaded = rows(1), rows(4)
+    assert [[row["item_id"] for row in item_rows] for item_rows in threaded] == [
+        [item.item_id] * len(configs) for item in items]
+    assert threaded == in_process
+    assert all(row["precedents"] for item_rows in threaded for row in item_rows)
+
+
 def test_report_round_trip_excludes_wall_clock():
     report, _ = rn.evaluate(list(bench()[:10]), mem(), rn.PolicyConfig(policy="argmax_symbolic"))
     d = report.to_dict()
@@ -738,20 +754,40 @@ def test_every_grid_row_equals_a_fresh_evaluate_of_its_config():
 def test_grid_embeds_and_matches_once_per_item(monkeypatch):
     items = per_task_sample(2)
     memory = mem()
-    calls = {"embed_structure": 0, "match_steps": 0}
+    # structure rows embedded: every row of a batch, plus every per-graph
+    # call made outside one (a batch embeds its small graphs one by one)
+    calls = {"struct_rows": 0, "struct_batches": 0, "match_steps": 0}
+    batching = []
+    per_graph, batched = rt.embed_structure, rt.embed_structures
 
-    def counted(name, fn):
+    def embed_structure(*args, **kwargs):
+        calls["struct_rows"] += not batching
+        return per_graph(*args, **kwargs)
+
+    def embed_structures(graphs, *args, **kwargs):
+        batching.append(True)
+        try:
+            out = batched(graphs, *args, **kwargs)
+        finally:
+            batching.pop()
+        calls["struct_rows"] += len(out)
+        calls["struct_batches"] += bool(len(out))
+        return out
+
+    def counted(fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls["match_steps"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(rt, "embed_structure", counted("embed_structure", rt.embed_structure))
+    monkeypatch.setattr(rt, "embed_structure", embed_structure)
+    monkeypatch.setattr(rt, "embed_structures", embed_structures)
     # the symbolic lane calls match_steps through its own module's binding
-    monkeypatch.setattr(sc, "match_steps", counted("match_steps", sc.match_steps))
+    monkeypatch.setattr(sc, "match_steps", counted(sc.match_steps))
     rn.run_ablation(items, memory)
     step_tasks = ("B1_condition_prediction", "B2_full_condition_set", "C1_tool_selection")
-    assert calls["embed_structure"] == len(items)
+    assert calls["struct_rows"] == len(items)
+    assert calls["struct_batches"] == -(-len(items) // rn._BLOCK_ITEMS)  # one per block
     assert calls["match_steps"] == sum(item.task in step_tasks for item in items)
 
 
