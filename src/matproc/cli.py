@@ -20,6 +20,7 @@ from . import __version__
 from .config import RunConfig, load_config_file
 from .errors import (
     ConfigConflict,
+    DataError,
     EmptyCorpus,
     EmptyTestPartition,
     EndpointError,
@@ -44,6 +45,7 @@ from .provgraph import (
     compile_graph,
     generate_synthetic_corpus,
     parse_record,
+    record_id_of,
     to_prov_document,
 )
 from .provgraph.store import load_graphs, write_graph_store
@@ -104,9 +106,7 @@ def cmd_compile(cfg: RunConfig) -> int:
     field_map = FieldMap.from_dict(cfg.field_map) if cfg.field_map else None
     graphs, warning_rows = [], []
     for row in rows:
-        record_id = "?"
-        if isinstance(row, dict):
-            record_id = str(row.get("@id") or row.get("record_id") or row.get("id") or "?")
+        record_id = (record_id_of(row, field_map) if isinstance(row, dict) else "") or "?"
         try:
             g = compile_graph(parse_record(row, field_map))
         except MatprocError as exc:
@@ -228,9 +228,7 @@ def cmd_build_memory(cfg: RunConfig) -> int:
         embedder = get_text_embedder(
             cfg.endpoints.embed_url or None, cfg.endpoints.embed_token or None
         )
-        memory = attach_embeddings(
-            memory, selected, struct_seed=cfg.struct_seed, text_embedder=embedder
-        )
+        memory = attach_embeddings(memory, selected, text_embedder=embedder)
     save_memory(cfg.path("memory"), memory, cfg.config_hash())
     print(
         f"memory over {len(selected)} train graphs "
@@ -276,7 +274,24 @@ def _eval_inputs(cfg: RunConfig):
     if not part_items:
         raise EmptyTestPartition(f"partition {cfg.partition!r} holds no items")
     memory = load_memory(cfg.path("memory")) if cfg.paths.get("memory") else None
+    if memory is not None:
+        _check_memory_fits_split(cfg, items, assignment, memory)
     return items, assignment, part_items, memory
+
+
+def _check_memory_fits_split(cfg: RunConfig, items, assignment, memory) -> None:
+    """Raise :class:`DataError` when the memory holds a *stranger*: a process
+    whose graph has items in the split but none in its train partition, so
+    that it remembers what the split holds out."""
+    train = {it.graph_id for it in assignment.items_in(items, "train")}
+    split = {it.graph_id for it in items}  # items_in checked every item is assigned
+    strangers = sorted(p.graph_id for p in memory.processes
+                       if p.graph_id in split and p.graph_id not in train)
+    if strangers:
+        raise DataError(
+            f"{cfg.path('memory')} holds {len(strangers)} of {len(memory.processes)} processes whose"
+            f" graphs have items in {cfg.path('split')} but none in its train partition, e.g."
+            f" {strangers[:3]}; build the memory from this split")
 
 
 def cmd_eval(cfg: RunConfig) -> int:
@@ -443,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", dest="path_split", help="assignment file")
     p.add_argument("--out", dest="path_memory", help="memory file to write")
     p.add_argument("--max-prefix-len", type=int, dest="max_prefix_len")
-    p.add_argument("--struct-seed", type=int, dest="struct_seed")
     p.add_argument(
         "--skip-embeddings",
         action="store_const",

@@ -83,6 +83,12 @@ class RunConfig(Record):
             if getattr(self, name) not in allowed:
                 raise ConfigConflict(
                     f"{name} {getattr(self, name)!r} is not one of {', '.join(allowed)}")
+        if self.struct_seed != DEFAULT_STRUCT_SEED:
+            # the field stays because config_hash covers it
+            raise ConfigConflict(
+                f"struct_seed must be {DEFAULT_STRUCT_SEED}: queries embed their structure under"
+                f" that seed and a memory does not record its own, so a memory embedded under"
+                f" {self.struct_seed} would be compared with them silently")
         if self.k_options not in OPTION_COUNTS:
             raise ConfigConflict(
                 f"k_options must lie in {OPTION_COUNTS[0]}..{OPTION_COUNTS[-1]}, got {self.k_options}")

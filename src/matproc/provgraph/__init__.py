@@ -1,7 +1,7 @@
 """Typed provenance process graphs: parsing, roles, precedence, ordering."""
 
 from .model import ActivityNode, EntityNode, ProcessGraph, validate_graph
-from .parse import FieldMap, parse_record
+from .parse import FieldMap, parse_record, record_id_of
 from .analyze import assign_roles, compile_graph, infer_precedence, order_activities
 from .synth import SynthParams, generate_synthetic_corpus, to_prov_document
 from .store import load_graphs, read_graph_store, write_graph_store
@@ -32,6 +32,7 @@ __all__ = [
     "precursor_labels",
     "product_labels",
     "read_graph_store",
+    "record_id_of",
     "route_labels",
     "step_material_inputs",
     "step_material_outputs",

@@ -80,6 +80,15 @@ def _as_text(value) -> str | None:
     return None
 
 
+def record_id_of(doc: dict, field_map: FieldMap | None = None) -> str:
+    """The document's record id under ``field_map.record_id_keys``, looked
+    up on the document and then on its ``metadata`` object; "" when neither
+    names one."""
+    fm = field_map or FieldMap()
+    meta = doc.get("metadata") if isinstance(doc.get("metadata"), dict) else doc
+    return _as_text(_first(doc, fm.record_id_keys)) or _as_text(_first(meta, fm.record_id_keys)) or ""
+
+
 def _type_list(node: dict) -> list[str]:
     t = node.get("@type", node.get("type"))
     if t is None:
@@ -243,7 +252,7 @@ def _objects(value) -> list[tuple[str, dict]]:
 
 def _build_graph(doc: dict, nodes: dict, relations: list, fm: FieldMap) -> ProcessGraph:
     meta = doc.get("metadata") if isinstance(doc.get("metadata"), dict) else doc
-    record_id = _as_text(_first(doc, fm.record_id_keys)) or _as_text(_first(meta, fm.record_id_keys)) or ""
+    record_id = record_id_of(doc, fm)
     doi = _as_text(_first(meta, fm.doi_keys)) or ""
     year_text = _as_text(_first(meta, fm.year_keys))
     year: int | None = None

@@ -341,23 +341,21 @@ def score_heuristic(q: ProcessSummary, p: ProcessSummary) -> float:
 
 # --- queries ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RetrievalQuery:
-    """One query process. :func:`retrieve` fills the vector fields left None
-    and ``view_scores`` on first use, so a query answered under several
-    weight settings scores each view once; treat a query as read-only after
-    that. The queries of one ``batch`` are embedded together: the first
-    retrieve of any of them embeds all (see :func:`queries_from_items`)."""
+    """One query process, a value: nothing writes to it once built. Alone,
+    it is embedded (but for the vectors it is given) and scored afresh by
+    every :func:`retrieve`; as row ``row`` of a :class:`QueryBlock`, it takes
+    its vectors and view scores from the block, and cannot be deep-copied
+    or pickled, as the block's lock cannot."""
 
     summary: ProcessSummary
     text: str = ""
     context_graph: ProcessGraph | None = None
     text_vec: np.ndarray | None = None
     struct_vec: np.ndarray | None = None
-    # view name -> (the DenseIndex it was scored on, the score of every process)
-    view_scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the queries embedded with this one, itself included; emptied once embedded
-    batch: list = field(default_factory=list, repr=False, compare=False)
+    block: QueryBlock | None = field(default=None, repr=False, compare=False)
+    row: int = field(default=0, repr=False, compare=False)
 
 
 def query_from_item(item: BenchItem) -> RetrievalQuery:
@@ -392,32 +390,38 @@ def query_from_item(item: BenchItem) -> RetrievalQuery:
 
 
 def queries_from_items(items: list[BenchItem]) -> list[RetrievalQuery]:
-    """:func:`query_from_item` of each item, all in one batch, so the first
-    :func:`retrieve` of any of them embeds the texts of all in one call and
-    their context graphs in another. Each vector equals the one the query
-    embedded alone would get."""
-    batch = [query_from_item(item) for item in items]
-    for query in batch:
-        query.batch = batch
-    return list(batch)
+    """:func:`query_from_item` of each item, as the rows of one :class:`QueryBlock`."""
+    alone = [query_from_item(item) for item in items]
+    block = QueryBlock([q.text for q in alone], [q.context_graph for q in alone])
+    return [replace(q, block=block, row=row) for row, q in enumerate(alone)]
 
 
-# held while a batch is embedded, so a thread retrieving one of its queries
-# waits for the vectors instead of embedding them again
-_EMBEDDING = threading.Lock()
+class QueryBlock:
+    """The work the queries of one block share (:func:`queries_from_items`).
+    The first retrieval of any of them embeds the block's texts in one call
+    and its context graphs in another, each vector the one its query alone
+    gets, and each query's view scores are kept for the last index it was
+    scored on. It holds texts and graphs, not queries, and a lock, so
+    threads retrieving its queries embed it once."""
 
+    def __init__(self, texts: list[str], graphs: list[ProcessGraph]):
+        self.texts = texts
+        self.graphs = graphs
+        self.vectors: tuple[np.ndarray, np.ndarray] | None = None  # text rows, struct rows
+        self.scores: dict[int, tuple] = {}  # row -> (index, its three view scores)
+        self.lock = threading.Lock()
 
-def _embed_batch(query: RetrievalQuery) -> None:
-    """Fill the missing vectors of ``query`` and of every query in its batch."""
-    with _EMBEDDING:
-        queries = query.batch or [query]
-        texts = [q for q in queries if q.text_vec is None]
-        graphs = [q for q in queries if q.struct_vec is None and q.context_graph is not None]
-        for q, vec in zip(texts, BuiltinTextEmbedder().embed([q.text for q in texts])):
-            q.text_vec = vec
-        for q, vec in zip(graphs, embed_structures([q.context_graph for q in graphs])):
-            q.struct_vec = vec
-        query.batch.clear()  # drops the references between the batch's queries
+    def views(self, query: RetrievalQuery, index: DenseIndex) -> tuple:
+        """:func:`_score_views` of ``query``, this block's row ``query.row``, on ``index``."""
+        with self.lock:
+            if self.vectors is None:
+                self.vectors = BuiltinTextEmbedder().embed(self.texts), embed_structures(self.graphs)
+            hit = self.scores.get(query.row)
+            if hit is None or hit[0] is not index:
+                text, struct = self.vectors
+                views = _score_views(query.summary, text[query.row], struct[query.row], index)
+                hit = self.scores[query.row] = (index, views)
+            return hit[1]
 
 
 def _context_graph(item: BenchItem, visible: list[str], precursors: list[str], product: str) -> ProcessGraph:
@@ -495,7 +499,6 @@ def _context_graph(item: BenchItem, visible: list[str], precursors: list[str], p
 def attach_embeddings(
     memory: ProcessMemory,
     graphs: list[ProcessGraph],
-    struct_seed: int = DEFAULT_STRUCT_SEED,
     text_embedder=None,
 ) -> ProcessMemory:
     """A copy of ``memory`` that stores the text and struct vectors of every
@@ -510,7 +513,7 @@ def attach_embeddings(
                         f" ({len(missing)} of {len(ids)} processes lack one)")
     embedder = text_embedder or BuiltinTextEmbedder()
     text = frozen_array(embedder.embed([linearize_process(memory, gid) for gid in ids]))
-    struct = embed_structures([graphs_by_id[gid] for gid in ids], struct_seed)
+    struct = embed_structures([graphs_by_id[gid] for gid in ids])
     struct.setflags(write=False)
     return replace(memory, vectors={"text": text, "struct": struct})
 
@@ -597,6 +600,19 @@ def build_dense_index(memory: ProcessMemory) -> DenseIndex:
     )
 
 
+def _score_views(summary: ProcessSummary, text_vec: np.ndarray, struct_vec: np.ndarray | None,
+                index: DenseIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The text, structure and heuristic score of every process of ``index``
+    for a query of this summary and these vectors."""
+    if struct_vec is None:
+        # neutral 0.5 when the query has no structure view; a process
+        # without one is a zero row, whose cosine maps to 0.5 as well
+        s_struct = np.full(len(index.graph_ids), 0.5)
+    else:
+        s_struct = unit_cosines(struct_vec, index.struct, index.struct_norm)
+    return unit_cosines(text_vec, index.text, index.text_norm), s_struct, index.heuristic(summary)
+
+
 # --- fusion -----------------------------------------------------------------------
 
 def retrieve(
@@ -609,37 +625,24 @@ def retrieve(
 
     Every process is scored in one pass over the memory's :class:`DenseIndex`;
     each score is the float the per-process formula gives. Every view is
-    scored once per query and index, whatever its weight, so a query
-    retrieved again under other weights or another ``k`` only re-fuses.
+    scored, whatever its weight: once per index for a query of a
+    :class:`QueryBlock`, on every call for a query built alone. Writes
+    nothing into the query or the memory.
     """
     if not memory.processes:
         raise EmptyMemory("retrieval requested against an empty memory")
     if k < 1:
         raise InvalidParams("k must be >= 1")
     index = memory.dense_index
-
-    def view(name, score):
-        hit = query.view_scores.get(name)
-        if hit is None or hit[0] is not index:
-            hit = query.view_scores[name] = (index, score())
-        return hit[1]
-
-    if query.text_vec is None or (query.struct_vec is None and query.context_graph is not None):
-        _embed_batch(query)
-
-    def text_view():
-        return unit_cosines(query.text_vec, index.text, index.text_norm)
-
-    def struct_view():
-        if query.struct_vec is None:
-            # neutral 0.5 when the query has no structure view; a process
-            # without one is a zero row, whose cosine maps to 0.5 as well
-            return np.full(len(index.graph_ids), 0.5)
-        return unit_cosines(query.struct_vec, index.struct, index.struct_norm)
-
-    s_text = view("text", text_view)
-    s_struct = view("structure", struct_view)
-    s_heur = view("heuristic", lambda: index.heuristic(query.summary))
+    if query.block is not None:
+        s_text, s_struct, s_heur = query.block.views(query, index)
+    else:
+        text_vec, struct_vec = query.text_vec, query.struct_vec
+        if text_vec is None:
+            text_vec = BuiltinTextEmbedder().embed([query.text])[0]
+        if struct_vec is None and query.context_graph is not None:
+            struct_vec = embed_structure(query.context_graph)
+        s_text, s_struct, s_heur = _score_views(query.summary, text_vec, struct_vec, index)
     s_ret = weights.alpha * s_text + weights.beta * s_struct + weights.gamma * s_heur
     top = np.lexsort((index.id_rank, -s_ret))[:k]
     return [

@@ -371,14 +371,14 @@ def answer_items(
     order, each item's log rows, one per config in config order.
 
     Items go in blocks of ``_BLOCK_ITEMS``. When a config retrieves, the
-    block's queries are built as one batch (:func:`queries_from_items`),
-    which the block's first retrieval embeds in one call for the texts and
-    one for the context graphs; then the block is answered. The configs
+    block's queries are the rows of one query block (:func:`queries_from_items`),
+    whose first retrieval embeds their texts in one call and their context
+    graphs in another, and which keeps each query's view scores. The configs
     answering one item share its query, view scores, lane inputs and lane
-    scores, so a config costs only what it does not share with an earlier
-    one; that shared work is dropped with its block. A row is the one
-    ``evaluate`` of its config alone would give. Inputs are checked before
-    this returns.
+    scores (its :class:`ItemInputs`), so a config costs only what it does not
+    share with an earlier one; that shared work is dropped with its block. A
+    row is the one ``evaluate`` of its config alone would give. Inputs are
+    checked before this returns.
     """
     configs = list(configs)
     for config in configs:

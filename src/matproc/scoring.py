@@ -14,7 +14,6 @@ precedent lists can build once and pass to every call.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -24,8 +23,7 @@ from .canon import canon_label
 from .errors import ArityMismatch, InvalidParams
 from .jsonio import Record
 from .memory import ProcessMemory, StepQuery, match_steps, next_distribution
-from .retrieval import (BuiltinTextEmbedder, RetrievalQuery, RetrievedPrecedent, query_from_item,
-                        unit_cosines)
+from .retrieval import BuiltinTextEmbedder, RetrievalQuery, RetrievedPrecedent, unit_cosines
 from .taskgen import (
     MASK_TOKEN,
     TUPLE_KEYS,
@@ -168,21 +166,16 @@ def _step_query(question: StepQuestion) -> StepQuery:
 class ItemInputs:
     """The precedent-independent inputs of one item's lanes, each computed
     on first use and then reused by every scorer call given this object.
-    A caller answering the item under several configs keeps its retrieval
-    query here too, and any other per-item value under :meth:`once`."""
+    A caller answering the item under several configs keeps the item's
+    retrieval query here too, as ``query`` (None when no config
+    retrieves), and any other per-item value under :meth:`once`."""
 
     def __init__(self, item: BenchItem, memory: ProcessMemory | None,
                  query: RetrievalQuery | None = None):
         self.item = item
         self.memory = memory
-        self._query = query
+        self.query = query
         self._memo: dict = {}
-
-    @functools.cached_property
-    def query(self) -> RetrievalQuery:
-        """The item's retrieval query, which caches its view scores: the
-        one given, else one built from the item."""
-        return self._query if self._query is not None else query_from_item(self.item)
 
     def once(self, key, build):
         """``build()``, computed on the first call with ``key`` and reused."""

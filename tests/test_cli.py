@@ -806,6 +806,75 @@ def test_the_excluded_partition_is_a_partition_flag_choice(tmp_path, capsys, com
         assert [row["report"]["overall"]["total"] for row in rows] == [len(excluded)] * len(rows)
 
 
+def _split_and_memory(root: Path, *protocol: str) -> tuple[Path, Path]:
+    """The pipeline's bench split under ``protocol`` (its flags), and the
+    memory built from that split."""
+    paths = pipeline()
+    split, memory = root / f"split-{'-'.join(protocol)}.ndjson", root / f"memory-{'-'.join(protocol)}.ndjson"
+    for argv in (
+        ["split", "--bench", str(paths["bench"]), "--out", str(split), *protocol],
+        ["build-memory", "--graphs", str(paths["graphs"]), "--bench", str(paths["bench"]),
+         "--split", str(split), "--out", str(memory)],
+    ):
+        assert cli.dispatch(argv) == 0, argv
+    return split, memory
+
+
+@pytest.mark.parametrize("memory_protocol, split_protocol", [
+    (("--protocol", "random", "--seed", "5"), ("--protocol", "year")),
+    (("--protocol", "type", "--held-out-class", "battery"),
+     ("--protocol", "type", "--held-out-class", "magnetic")),
+], ids=["random-memory-on-year", "battery-memory-on-magnetic"])
+def test_a_memory_of_graphs_the_split_holds_out_exits_3(tmp_path, capsys, memory_protocol,
+                                                        split_protocol):
+    from matproc.memory import load_memory
+    from matproc.splits import read_assignment
+    from matproc.taskgen.store import load_items
+
+    paths = dict(pipeline())
+    own_split, paths["memory"] = _split_and_memory(tmp_path, *memory_protocol)
+    paths["split"], _ = _split_and_memory(tmp_path, *split_protocol)
+    capsys.readouterr()
+    # strangers: memory graphs with items in the split but none in its train partition
+    mapping = read_assignment(paths["split"]).mapping
+    train = {it.graph_id for it in load_items(paths["bench"]) if mapping[it.item_id] == "train"}
+    memory = load_memory(paths["memory"])
+    strangers = sorted({p.graph_id for p in memory.processes} - train)
+    assert strangers
+    out = tmp_path / "out.ndjson"
+    for argv in (eval_argv(paths, "argmax_hybrid", out), ablate_argv(paths, out, axes="top_k")):
+        assert cli.dispatch(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert (f"{paths['memory']} holds {len(strangers)} of {len(memory.processes)} processes"
+                in err)
+        assert str(paths["split"]) in err and str(strangers[:3]) in err
+        assert not out.exists()
+    # the same memory on the split it was built from is answered
+    paths["split"] = own_split
+    assert cli.dispatch(eval_argv(paths, "argmax_hybrid", out)) == 0
+    capsys.readouterr()
+
+
+def test_a_struct_seed_other_than_the_query_side_one_exits_2(tmp_path, capsys):
+    paths = pipeline()
+    out, cfg_path = tmp_path / "memory.ndjson", tmp_path / "run.json"
+    argv = ["build-memory", "--graphs", str(paths["graphs"]), "--bench", str(paths["bench"]),
+            "--split", str(paths["split"]), "--out", str(out)]
+    cfg_path.write_text(json.dumps({"struct_seed": 5}))
+    assert cli.dispatch([*argv, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "struct_seed must be 13" in err
+    assert not out.exists()
+    assert cli.dispatch([*argv, "--struct-seed", "13"]) == 2  # no such flag
+    assert not out.exists()
+    cfg_path.write_text(json.dumps({"struct_seed": 13}))
+    assert cli.dispatch([*argv, "--config", str(cfg_path)]) == 0
+    assert out.read_bytes() == paths["memory"].read_bytes()
+    capsys.readouterr()
+
+
 def test_config_file_merges_under_explicit_flags(tmp_path, capsys):
     paths = pipeline()
     cfg_path = tmp_path / "run.json"
@@ -1019,6 +1088,22 @@ def test_compile_logs_excluded_records(tmp_path, capsys):
     assert any(
         w["record_id"] == "loop1" and "CyclicPrecedence" in w["warning"] for w in warn_rows
     )
+
+
+def test_compile_names_an_excluded_record_by_the_field_maps_id_key(tmp_path, capsys):
+    raw, graphs, warnings = (tmp_path / f"{name}.ndjson" for name in ("raw", "graphs", "warn"))
+    lines = ['{"format": "matproc-raw-prov"}', json.dumps({"uid": "rec-A", "@graph": []}),
+             json.dumps({"@id": "rec-B", "@graph": []})]
+    raw.write_text("\n".join(lines) + "\n")
+    field_map = tmp_path / "field_map.json"
+    field_map.write_text(json.dumps({"record_id_keys": ["uid"]}))
+    argv = ["compile", "--in", str(raw), "--out", str(graphs), "--warnings", str(warnings),
+            "--field-map", str(field_map)]
+    assert cli.dispatch(argv) == 0
+    assert "2 records excluded" in capsys.readouterr().out
+    _, warn_rows = read_ndjson(warnings)
+    assert [w["record_id"] for w in warn_rows] == ["rec-A", "?"]
+    assert all(w["warning"].startswith("excluded: EmptyRecord") for w in warn_rows)
 
 
 @pytest.mark.parametrize(

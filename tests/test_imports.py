@@ -105,3 +105,51 @@ def test_every_module_level_constant_is_read():
     sources = {str(path.relative_to(root)): path.read_text(encoding="utf-8")
                for path in sorted(root.rglob("*.py"))}
     assert unused_constants(sources) == []
+
+
+_LOCKS = ("Lock", "RLock")
+
+
+def module_level_locks(source: str) -> list[str]:
+    """Every ``threading.Lock()``/``RLock()`` (or the bare name) called
+    outside a function, where it would be one lock shared by every caller."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _LOCKS:
+                found.append(f"{name} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_the_check_sees_module_level_locks_only():
+    source = (
+        "import threading\n"
+        "from threading import RLock\n"
+        "_GUARD = threading.Lock()\n"
+        "class Holder:\n"
+        "    shared = RLock()\n"
+        "    def __init__(self):\n"
+        "        self.lock = threading.Lock()\n"
+        "def make():\n"
+        "    return threading.RLock()\n"
+    )
+    assert module_level_locks(source) == ["Lock (line 3)", "RLock (line 5)"]
+
+
+def test_no_module_level_lock():
+    root = Path(matproc.__file__).parent
+    locks = [
+        f"{path.relative_to(root)}: {lock}"
+        for path in sorted(root.rglob("*.py"))
+        for lock in module_level_locks(path.read_text(encoding="utf-8"))
+    ]
+    assert locks == []

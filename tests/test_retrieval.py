@@ -404,22 +404,40 @@ def test_builtin_embedder_embeds_a_batch_as_its_texts_one_by_one():
     assert rt.BuiltinTextEmbedder().embed([]).shape == (0, rt.EMBED_DIM)
 
 
-def test_a_batch_of_queries_is_embedded_together_by_its_first_retrieval():
+def test_a_batch_of_queries_is_embedded_together_by_its_first_retrieval(monkeypatch):
     corpus = small_corpus(n=25, seed=9)
     memory = rt.attach_embeddings(build_memory(corpus), corpus)
-    items, _ = generate_benchmark(corpus, seed=5)
-    batch = rt.queries_from_items(items[:30])
-    assert all(q.text_vec is None and q.struct_vec is None for q in batch)
-    got = rt.retrieve(batch[3], memory)
-    assert all(q.text_vec is not None and q.struct_vec is not None for q in batch)
-    assert all(q.batch == [] for q in batch)  # no references left between them
-    for item, query in zip(items[:30], batch):
+    items = generate_benchmark(corpus, seed=5)[0][:30]
+    calls = {"text": 0, "structure": 0}
+    batching = []
+    embed, embed_structures = rt.BuiltinTextEmbedder.embed, rt.embed_structures
+
+    def counted_embed(self, texts):
+        calls["text"] += not batching  # a structure batch embeds its labels too
+        return embed(self, texts)
+
+    def counted_structures(graphs, *args):
+        calls["structure"] += 1
+        batching.append(True)
+        try:
+            return embed_structures(graphs, *args)
+        finally:
+            batching.pop()
+
+    monkeypatch.setattr(rt.BuiltinTextEmbedder, "embed", counted_embed)
+    monkeypatch.setattr(rt, "embed_structures", counted_structures)
+    block = rt.queries_from_items(items)
+    order = [*range(3, len(block)), 3, *range(3)]  # the first retrieval is row 3's
+    got = {row: rt.retrieve(block[row], memory) for row in order}
+    assert calls == {"text": 1, "structure": 1}  # one of each for the whole block
+    monkeypatch.undo()
+    text_rows, struct_rows = block[0].block.vectors
+    for row, (item, query) in enumerate(zip(items, block)):
         alone = rt.query_from_item(item)
-        want = rt.retrieve(alone, memory)
-        assert np.array_equal(query.text_vec, rt.BuiltinTextEmbedder().embed([alone.text])[0])
-        assert np.array_equal(query.struct_vec, rt.embed_structure(alone.context_graph))
-        assert rt.retrieve(query, memory) == want
-    assert got == rt.retrieve(rt.query_from_item(items[3]), memory)
+        assert query.row == row and query.text_vec is None and query.struct_vec is None
+        assert np.array_equal(text_rows[row], rt.BuiltinTextEmbedder().embed([alone.text])[0])
+        assert np.array_equal(struct_rows[row], rt.embed_structure(alone.context_graph))
+        assert got[row] == rt.retrieve(alone, memory)  # == on every float
 
 
 def test_threads_retrieving_from_one_batch_embed_it_once(monkeypatch):
@@ -687,10 +705,11 @@ def test_retrieve_derives_missing_text_vectors_without_storing_them():
 
 def reference_retrieve(query, memory, weights, k):
     """The per-process scoring loop the dense index replaced, kept as the oracle."""
-    if query.text_vec is None:
-        query.text_vec = rt.BuiltinTextEmbedder().embed([query.text])[0]
-    if query.struct_vec is None and query.context_graph is not None:
-        query.struct_vec = rt.embed_structure(query.context_graph)
+    query_text, query_struct = query.text_vec, query.struct_vec
+    if query_text is None:
+        query_text = rt.BuiltinTextEmbedder().embed([query.text])[0]
+    if query_struct is None and query.context_graph is not None:
+        query_struct = rt.embed_structure(query.context_graph)
     results = []
     stored_text, stored_struct = memory.vectors.get("text"), memory.vectors.get("struct")
     for row, p in enumerate(memory.processes):
@@ -698,9 +717,9 @@ def reference_retrieve(query, memory, weights, k):
             text_vec = stored_text[row]
         else:
             text_vec = rt.BuiltinTextEmbedder().embed([linearize_process(memory, p.graph_id)])[0]
-        s_text = rt.cos_to_unit(rt.cosine(query.text_vec, text_vec))
-        if stored_struct is not None and query.struct_vec is not None:
-            s_struct = rt.cos_to_unit(rt.cosine(query.struct_vec, stored_struct[row]))
+        s_text = rt.cos_to_unit(rt.cosine(query_text, text_vec))
+        if stored_struct is not None and query_struct is not None:
+            s_struct = rt.cos_to_unit(rt.cosine(query_struct, stored_struct[row]))
         else:
             s_struct = 0.5
         s_heur = rt.score_heuristic(query.summary, p)
@@ -749,11 +768,10 @@ def equivalence_queries(corpus):
         per_task.setdefault(item.task, []).append(item)
     queries = [rt.query_from_item(it) for task in sorted(per_task) for it in per_task[task][:2]]
     queries.append(rt.RetrievalQuery(summary=summary(["mill"], ["x"]), text="route: mill"))
-    for q in queries:
-        q.text_vec = rt.BuiltinTextEmbedder().embed([q.text])[0]
-        if q.context_graph is not None:
-            q.struct_vec = rt.embed_structure(q.context_graph)
-    return queries
+    return [dataclasses.replace(
+        q, text_vec=rt.BuiltinTextEmbedder().embed([q.text])[0],
+        struct_vec=None if q.context_graph is None else rt.embed_structure(q.context_graph))
+        for q in queries]
 
 
 @pytest.mark.parametrize("variant", ["full", "text_only", "no_vectors"])
@@ -776,8 +794,9 @@ def test_reused_query_scores_each_view_once_per_index(monkeypatch):
     corpus = equivalence_corpus()
     memory = memory_variant(corpus, "full")
     smaller = memory_variant(corpus[:12], "full")
-    query = equivalence_queries(corpus)[0]
-    fresh = copy.deepcopy(query)
+    item = generate_benchmark(corpus, seed=5)[0][0]
+    query = rt.queries_from_items([item])[0]
+    fresh = rt.query_from_item(item)
     scored = []
     unit_cosines = rt.unit_cosines
     monkeypatch.setattr(rt, "unit_cosines", lambda *args: scored.append(1) or unit_cosines(*args))
@@ -789,6 +808,33 @@ def test_reused_query_scores_each_view_once_per_index(monkeypatch):
     assert ([r.to_dict() for r in rt.retrieve(query, smaller)]
             == [r.to_dict() for r in rt.retrieve(fresh, smaller)])
     assert len(scored) == 6
+
+
+def test_a_block_query_retrieved_against_two_memories_in_turn_matches_a_fresh_query():
+    corpus = equivalence_corpus()
+    memories = [memory_variant(corpus, "full"), memory_variant(corpus[:12], "full"),
+                memory_variant(corpus[5:], "text_only")]
+    items = generate_benchmark(corpus, seed=5)[0][:10]
+    block = rt.queries_from_items(items)
+    for memory in [*memories, memories[0], *memories]:
+        for weights in (rt.RetrievalWeights(), ALL_WEIGHTS[1]):
+            for item, query in zip(items, block):
+                want = rt.retrieve(rt.query_from_item(item), memory, weights, k=5)
+                assert rt.retrieve(query, memory, weights, k=5) == want  # == on every float
+
+
+@pytest.mark.parametrize("in_block", [False, True], ids=["alone", "block"])
+def test_no_field_of_a_built_query_can_be_written(in_block):
+    corpus = small_corpus(n=9)
+    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    item = generate_benchmark(corpus, seed=5)[0][0]
+    query = rt.queries_from_items([item])[0] if in_block else rt.query_from_item(item)
+    before = rt.retrieve(query, memory)
+    for f in dataclasses.fields(rt.RetrievalQuery):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(query, f.name, None)
+    assert query.text_vec is None and query.struct_vec is None  # retrieval filled in nothing
+    assert rt.retrieve(query, memory) == before
 
 
 def test_attach_embeddings_returns_a_new_memory_with_its_own_index():
