@@ -206,7 +206,9 @@ def cmd_audit(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_build_memory(cfg: RunConfig) -> int:
+def _train_graphs(cfg: RunConfig):
+    """The graphs of the split's train items, their ids and the split; the
+    bench and every other graph are freed on return."""
     graphs = load_graphs(cfg.path("graphs"))
     items = load_items(cfg.path("bench"))
     assignment = read_assignment(cfg.path("split"))
@@ -216,11 +218,14 @@ def cmd_build_memory(cfg: RunConfig) -> int:
     # level, and its same-graph overlap is a property the audit reports,
     # not one this stage hides.
     train_ids = {it.graph_id for it in assignment.items_in(items, "train")}
-    selected = [g for g in graphs if g.record_id in train_ids]
-    seed_tag = f"-seed{assignment.seed}" if assignment.seed is not None else ""
+    return [g for g in graphs if g.record_id in train_ids], train_ids, assignment
+
+
+def cmd_build_memory(cfg: RunConfig) -> int:
+    selected, train_ids, assignment = _train_graphs(cfg)
     memory = build_memory(
         selected,
-        split_id=f"{assignment.protocol}{seed_tag}",
+        split_id=assignment.split_id,
         max_prefix_len=cfg.max_prefix_len,
         allowed_graph_ids=train_ids,
     )
@@ -316,6 +321,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         predictions=predictions,
         partition=cfg.partition,
         jobs=cfg.jobs,
+        split_id=assignment.split_id,
     )
     if cfg.paths.get("log"):
         write_ndjson(
@@ -331,7 +337,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
-    _, _, part_items, memory = _eval_inputs(cfg)
+    _, assignment, part_items, memory = _eval_inputs(cfg)
     if memory is None:
         raise ConfigConflict("ablate needs a --memory file")
     results = run_ablation(
@@ -341,6 +347,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
         client=_chat_client(cfg),
         axes=cfg.axes,
         jobs=cfg.jobs,
+        split_id=assignment.split_id,
     )
     if cfg.paths.get("report"):
         write_ndjson(cfg.paths["report"], _header(ABLATION_FORMAT, cfg), results)

@@ -100,6 +100,11 @@ def _gram_bucket(gram: str, dim: int) -> int:
     return int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=4).digest(), "big") % dim
 
 
+# n-grams per ``bincount`` of the builtin embedder, which bounds the n-gram
+# strings a call holds at once however many texts it embeds
+_BATCH_GRAMS = 1 << 11
+
+
 class BuiltinTextEmbedder:
     """Hashed character n-gram frequencies; deterministic, no network."""
 
@@ -107,17 +112,45 @@ class BuiltinTextEmbedder:
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """One unit row per text (a zero row for a text shorter than every
-        n-gram). The whole batch is one ``bincount`` over (row, bucket) cells,
-        with each distinct n-gram hashed once; counts are integers, so every
-        row is the row of its text embedded alone."""
-        grams = [[text[i : i + n] for n in NGRAM_SIZES for i in range(len(text) - n + 1)]
-                 for text in texts]
-        flat = list(itertools.chain.from_iterable(grams))
-        bucket = {gram: _gram_bucket(gram, self.dim) for gram in dict.fromkeys(flat)}
-        rows = np.repeat(np.arange(len(texts), dtype=np.int64), [len(g) for g in grams])
-        cells = rows * self.dim + np.fromiter(map(bucket.__getitem__, flat), np.int64, len(flat))
-        counts = np.bincount(cells, minlength=len(texts) * self.dim).astype(np.float64)
-        return _normalize_rows(counts.reshape(len(texts), self.dim))
+        n-gram). Each distinct text is embedded once and its row copied to
+        its duplicates. The distinct texts go in batches of at most
+        ``_BATCH_GRAMS`` n-grams (a longer text alone), each one ``bincount``
+        over (row, bucket) cells with each distinct n-gram hashed once;
+        counts are integers, so every row is the row of its text embedded
+        alone."""
+        distinct = list(dict.fromkeys(texts))
+        out = np.empty((len(distinct), self.dim), dtype=np.float64)
+        sizes = [sum(max(0, len(text) - n + 1) for n in NGRAM_SIZES) for text in distinct]
+        for start, stop in _batches(sizes, _BATCH_GRAMS):
+            self._embed_into(distinct[start:stop], sizes[start:stop], out[start:stop])
+        if len(distinct) == len(texts):
+            return out
+        row = {text: i for i, text in enumerate(distinct)}
+        return out[[row[text] for text in texts]]
+
+    def _embed_into(self, texts: list[str], sizes: list[int], out: np.ndarray) -> None:
+        """Write the rows of ``texts``, of ``sizes`` n-grams each, into ``out``."""
+        grams = [text[i : i + n] for text in texts for n in NGRAM_SIZES
+                 for i in range(len(text) - n + 1)]
+        distinct = dict.fromkeys(grams)
+        bucket = dict(zip(distinct, map(_gram_bucket, distinct, itertools.repeat(self.dim))))
+        rows = np.repeat(np.arange(len(texts), dtype=np.int64), sizes)
+        cells = rows * self.dim + np.fromiter(map(bucket.__getitem__, grams), np.int64, len(grams))
+        out[:] = np.bincount(cells, minlength=len(texts) * self.dim).reshape(out.shape)
+        _normalize_rows(out)
+
+
+def _batches(sizes: list[int], bound: int):
+    """``(start, stop)`` runs of consecutive items whose sizes sum to at most
+    ``bound``, an item larger than ``bound`` alone."""
+    start = total = 0
+    for i, size in enumerate(sizes):
+        if total + size > bound and i > start:
+            yield start, i
+            start, total = i, 0
+        total += size
+    if start < len(sizes):
+        yield start, len(sizes)
 
 
 class EndpointTextEmbedder:
@@ -275,57 +308,114 @@ def embed_structure(g: ProcessGraph, seed: int = DEFAULT_STRUCT_SEED) -> np.ndar
 _CHUNK_ROWS = 24
 # a product of fewer rows takes another BLAS path, whose row bits differ
 _MIN_STACKED_ROWS = 3
+# rows a label table first holds; pages of rows not yet written cost no memory
+_TABLE_ROWS = 256
+
+
+class StructureEncoder:
+    """The frozen encoder of :func:`embed_structure` under one seed, with a
+    table of projected round-0 rows, one per distinct canonical label it has
+    met: a run builds one and embeds all its graphs with it, so each label is
+    embedded and projected once per run. Its lock lets threads share it.
+
+    :meth:`embed` gives each graph the vector :func:`embed_structure` gives
+    it, float for float (``==``). Graphs go in chunks of about
+    ``_CHUNK_ROWS`` node rows; round 1 projects all the node rows of a chunk
+    in one product, and each round attends over all of them at once
+    (:func:`_attend_all`). The equality rests on BLAS computing each row of a
+    product the same way whatever the number of rows, which holds from
+    ``_MIN_STACKED_ROWS`` rows up: a one- or two-row product takes another
+    path, whose row bits differ. So a graph with fewer nodes is embedded by
+    :func:`embed_structure` itself, and a batch of fewer new labels is padded
+    with zero rows. The tests check the equality with ``==``.
+    """
+
+    def __init__(self, seed: int = DEFAULT_STRUCT_SEED):
+        self.seed = seed
+        self.rows: dict[str, int] = {}  # canonical label -> its row in ``table``
+        self.table = np.empty((0, EMBED_DIM), dtype=np.float64)  # rows past len(rows) unused
+        self.lock = threading.Lock()
+
+    def embed(self, graphs: list[ProcessGraph]) -> np.ndarray:
+        """The structure vector of each graph, one row per graph."""
+        out = np.empty((len(graphs), EMBED_DIM), dtype=np.float64)
+        stacked = []  # (row, labels, neighbours) of each graph with enough nodes
+        for row, g in enumerate(graphs):
+            nodes, neighbours = _neighbourhoods(g)
+            if len(nodes) < _MIN_STACKED_ROWS:
+                out[row] = embed_structure(g, self.seed)
+            else:
+                stacked.append((row, [canon_label(n.label) for n in nodes], neighbours))
+        with self.lock:
+            self._add_labels([label for _, labels, _ in stacked for label in labels])
+            chunk: list[tuple[int, list[int], list[list[int]]]] = []  # (row, table rows, neighbours)
+            size = 0
+            for row, labels, neighbours in stacked:
+                if chunk and size + len(labels) > _CHUNK_ROWS:
+                    _embed_chunk(chunk, self, out)
+                    chunk, size = [], 0
+                chunk.append((row, [self.rows[label] for label in labels], neighbours))
+                size += len(labels)
+            if chunk:
+                _embed_chunk(chunk, self, out)
+        return out
+
+    def _add_labels(self, labels: list[str]) -> None:
+        """Embed and project, as one batch, each of ``labels`` the table lacks."""
+        new = [label for label in dict.fromkeys(labels) if label not in self.rows]
+        if not new:
+            return
+        batch = [*new, *[""] * (_MIN_STACKED_ROWS - len(new))]  # "" embeds to a zero row
+        used = len(self.rows)
+        if used + len(batch) > len(self.table):  # grow the one buffer geometrically
+            grown = np.empty((max(used + len(batch), 2 * len(self.table), _TABLE_ROWS), EMBED_DIM))
+            grown[:used] = self.table[:used]
+            self.table = grown
+        # the product lands in the table; padding rows land past the labels'
+        np.matmul(BuiltinTextEmbedder().embed(batch), _frozen_projection(self.seed, 0).T,
+                  out=self.table[used : used + len(batch)])
+        self.rows.update((label, used + i) for i, label in enumerate(new))
 
 
 def embed_structures(graphs: list[ProcessGraph], seed: int = DEFAULT_STRUCT_SEED) -> np.ndarray:
     """``embed_structure(g, seed)`` of each graph, one row per graph, equal
-    to it float for float (``==``).
-
-    Graphs go in chunks of about ``_CHUNK_ROWS`` node rows. In each chunk,
-    every distinct canonical label is embedded and projected once, as one
-    label table, and round 1 projects all the chunk's node rows in one
-    product; the per-node attention is the reference's. The equality rests
-    on BLAS computing each row of a product the same way whatever the
-    number of rows, which holds from ``_MIN_STACKED_ROWS`` rows up: a one-
-    or two-row product takes another path, whose row bits differ. So a
-    graph with fewer nodes is embedded by :func:`embed_structure` itself,
-    and a label table with fewer rows is padded with zero rows. The tests
-    check the equality with ``==``.
-    """
-    out = np.empty((len(graphs), EMBED_DIM), dtype=np.float64)
-    chunk: list[tuple[int, list, list[list[int]]]] = []  # (row, nodes, neighbours)
-    rows = 0
-    for row, g in enumerate(graphs):
-        nodes, neighbours = _neighbourhoods(g)
-        if len(nodes) < _MIN_STACKED_ROWS:
-            out[row] = embed_structure(g, seed)
-            continue
-        if chunk and rows + len(nodes) > _CHUNK_ROWS:
-            _embed_chunk(chunk, seed, out)
-            chunk, rows = [], 0
-        chunk.append((row, nodes, neighbours))
-        rows += len(nodes)
-    if chunk:
-        _embed_chunk(chunk, seed, out)
-    return out
+    to it float for float (``==``), by a fresh :class:`StructureEncoder`."""
+    return StructureEncoder(seed).embed(graphs)
 
 
-def _embed_chunk(chunk, seed: int, out: np.ndarray) -> None:
-    """Write the embedding of each ``(row, nodes, neighbours)`` graph of
+def _embed_chunk(chunk, encoder: StructureEncoder, out: np.ndarray) -> None:
+    """Write the embedding of each ``(row, table rows, neighbours)`` graph of
     ``chunk``, each with at least ``_MIN_STACKED_ROWS`` nodes, into ``out[row]``."""
-    labels: dict[str, int] = {}  # canonical label -> its row in the table
-    label_rows = [[labels.setdefault(canon_label(n.label), len(labels)) for n in nodes]
-                  for _, nodes, _ in chunk]
-    padding = [""] * (_MIN_STACKED_ROWS - len(labels))  # "" embeds to a zero row
-    table = BuiltinTextEmbedder().embed([*labels, *padding]) @ _frozen_projection(seed, 0).T
-    spans = np.cumsum([0, *(len(nodes) for _, nodes, _ in chunk)])
-    hidden = np.empty((spans[-1], EMBED_DIM), dtype=np.float64)
-    for ids, (_, _, neighbours), start, stop in zip(label_rows, chunk, spans, spans[1:]):
-        _attend(table[ids], neighbours, out=hidden[start:stop])
-    del table
-    z = hidden @ _frozen_projection(seed, 1).T
-    for (row, _, neighbours), start, stop in zip(chunk, spans, spans[1:]):
-        out[row] = _pool(_attend(z[start:stop], neighbours))
+    spans = np.cumsum([0, *(len(ids) for _, ids, _ in chunk)])
+    neighbours = [[start + j for j in idx]
+                  for (_, _, graph_neighbours), start in zip(chunk, spans)
+                  for idx in graph_neighbours]
+    hidden = _attend_all(encoder.table[[i for _, ids, _ in chunk for i in ids]], neighbours)
+    z = hidden @ _frozen_projection(encoder.seed, 1).T
+    del hidden  # one chunk-sized array fewer while round 1 attends
+    h = _attend_all(z, neighbours)
+    for (row, _, _), start, stop in zip(chunk, spans, spans[1:]):
+        out[row] = _pool(h[start:stop])
+
+
+def _attend_all(z: np.ndarray, neighbours: list[list[int]]) -> np.ndarray:
+    """``_attend(z, neighbours)``, equal to it float for float (``==``): the
+    nodes of each neighbourhood size attend at once, in stacked products
+    whose every slice is the gemv (or dot) that :func:`_attend` runs for
+    one node, on operands of the same shape and strides."""
+    out = np.empty_like(z)
+    by_size: dict[int, list[int]] = {}
+    for i, idx in enumerate(neighbours):
+        by_size.setdefault(len(idx), []).append(i)
+    scale = np.sqrt(EMBED_DIM)
+    for nodes in by_size.values():
+        near = z[np.array([neighbours[i] for i in nodes])]  # (nodes, size, EMBED_DIM)
+        scores = np.matmul(near, z[nodes][:, :, None])[:, :, 0] / scale
+        scores -= scores.max(axis=1, keepdims=True)
+        att = np.exp(scores)
+        att /= att.sum(axis=1, keepdims=True)
+        out[nodes] = np.tanh(np.matmul(att[:, None, :], near)[:, 0, :])
+    return out
 
 
 # --- heuristic view ---------------------------------------------------------------
@@ -389,39 +479,63 @@ def query_from_item(item: BenchItem) -> RetrievalQuery:
     return RetrievalQuery(summary=summary, text=text, context_graph=context_graph)
 
 
-def queries_from_items(items: list[BenchItem]) -> list[RetrievalQuery]:
-    """:func:`query_from_item` of each item, as the rows of one :class:`QueryBlock`."""
+def queries_from_items(items: list[BenchItem], option_texts: list[list[str]] | None = None,
+                       encoder: StructureEncoder | None = None) -> list[RetrievalQuery]:
+    """:func:`query_from_item` of each item, as the rows of one :class:`QueryBlock`
+    that embeds, with the queries' texts, ``option_texts`` (one list per item,
+    when given) and whose context graphs ``encoder`` embeds (a fresh one when
+    None)."""
     alone = [query_from_item(item) for item in items]
-    block = QueryBlock([q.text for q in alone], [q.context_graph for q in alone])
+    block = QueryBlock([q.text for q in alone], [q.context_graph for q in alone],
+                       option_texts, encoder or StructureEncoder())
     return [replace(q, block=block, row=row) for row, q in enumerate(alone)]
 
 
 class QueryBlock:
     """The work the queries of one block share (:func:`queries_from_items`).
-    The first retrieval of any of them embeds the block's texts in one call
-    and its context graphs in another, each vector the one its query alone
-    gets, and each query's view scores are kept for the last index it was
-    scored on. It holds texts and graphs, not queries, and a lock, so
-    threads retrieving its queries embed it once."""
+    The first retrieval of any of them embeds the block's texts in one call,
+    each query's text and then each of its option texts, and its context
+    graphs with the block's encoder; each vector is the one its text or graph
+    alone gets. Each query's view scores are kept for the last index it was
+    scored on. It holds texts and graphs, not queries, and a lock, so threads
+    retrieving its queries embed it once."""
 
-    def __init__(self, texts: list[str], graphs: list[ProcessGraph]):
-        self.texts = texts
+    def __init__(self, texts: list[str], graphs: list[ProcessGraph],
+                 option_texts: list[list[str]] | None, encoder: StructureEncoder):
+        self.texts = [*texts, *itertools.chain.from_iterable(option_texts or ())]
+        bounds = list(itertools.accumulate(map(len, option_texts or ()), initial=len(texts)))
+        # row -> the span of its option texts in ``texts``; None without them
+        self.options = list(zip(bounds, bounds[1:])) if option_texts is not None else None
         self.graphs = graphs
+        self.encoder = encoder
         self.vectors: tuple[np.ndarray, np.ndarray] | None = None  # text rows, struct rows
         self.scores: dict[int, tuple] = {}  # row -> (index, its three view scores)
         self.lock = threading.Lock()
 
+    def _embedded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The block's vectors, embedded by the first call; call it holding the lock."""
+        if self.vectors is None:
+            self.vectors = BuiltinTextEmbedder().embed(self.texts), self.encoder.embed(self.graphs)
+        return self.vectors
+
     def views(self, query: RetrievalQuery, index: DenseIndex) -> tuple:
         """:func:`_score_views` of ``query``, this block's row ``query.row``, on ``index``."""
         with self.lock:
-            if self.vectors is None:
-                self.vectors = BuiltinTextEmbedder().embed(self.texts), embed_structures(self.graphs)
             hit = self.scores.get(query.row)
             if hit is None or hit[0] is not index:
-                text, struct = self.vectors
+                text, struct = self._embedded()
                 views = _score_views(query.summary, text[query.row], struct[query.row], index)
                 hit = self.scores[query.row] = (index, views)
             return hit[1]
+
+    def option_vectors(self, row: int) -> np.ndarray | None:
+        """The text vectors of row ``row``'s option texts; None when the block
+        was built without them."""
+        if self.options is None:
+            return None
+        start, stop = self.options[row]
+        with self.lock:
+            return self._embedded()[0][start:stop]
 
 
 def _context_graph(item: BenchItem, visible: list[str], precursors: list[str], product: str) -> ProcessGraph:

@@ -28,7 +28,8 @@ from .errors import (
 from .jsonio import TRANSIENT, Record
 from .memory import ProcessMemory
 from .prompts import build_prompt, parse_answer
-from .retrieval import DEFAULT_TOP_K, RetrievalWeights, queries_from_items, retrieve
+from .retrieval import (DEFAULT_TOP_K, RetrievalWeights, StructureEncoder, queries_from_items,
+                        retrieve)
 from .scoring import (
     DEFAULT_LAMBDA,
     ItemInputs,
@@ -36,6 +37,7 @@ from .scoring import (
     ScoringConfig,
     argmax_index,
     fuse_scores,
+    option_texts,
     score_options_neural,
     score_options_symbolic,
 )
@@ -54,8 +56,8 @@ POLICIES = (
     "uniform_random",
     "gold_oracle",
 )
-_NEEDS_MEMORY = ("argmax_symbolic", "argmax_neural", "argmax_hybrid",
-                 "provmind_llm", "rag", "graphrag")
+_SCORED = ("argmax_symbolic", "argmax_neural", "argmax_hybrid", "provmind_llm")
+_NEEDS_MEMORY = (*_SCORED, "rag", "graphrag")
 _BASELINES = ("zero_shot", "few_shot", "rag", "graphrag")  # one prompt, one chat call
 _LLM_POLICIES = ("provmind_llm", *_BASELINES)
 
@@ -153,10 +155,15 @@ def answer_argmax(scores: OptionScores) -> int:
 _FIXED_LAMBDA = {"argmax_symbolic": 1.0, "argmax_neural": 0.0}
 
 
+def _lam(config: PolicyConfig) -> float:
+    """The symbolic lane's weight under a scored policy."""
+    return _FIXED_LAMBDA.get(config.policy, config.lam)
+
+
 def _score_item(item, memory, config, context):
     """Retrieve precedents and fuse the lanes the policy needs."""
     precedents = retrieve(context.query, memory, config.weights, config.top_k)
-    lam = _FIXED_LAMBDA.get(config.policy, config.lam)
+    lam = _lam(config)
     key = (tuple(p.graph_id for p in precedents), config.scoring)  # the lanes read only ids
     sym = neu = None
     if lam > 0:
@@ -372,13 +379,14 @@ def answer_items(
 
     Items go in blocks of ``_BLOCK_ITEMS``. When a config retrieves, the
     block's queries are the rows of one query block (:func:`queries_from_items`),
-    whose first retrieval embeds their texts in one call and their context
-    graphs in another, and which keeps each query's view scores. The configs
-    answering one item share its query, view scores, lane inputs and lane
-    scores (its :class:`ItemInputs`), so a config costs only what it does not
-    share with an earlier one; that shared work is dropped with its block. A
-    row is the one ``evaluate`` of its config alone would give. Inputs are
-    checked before this returns.
+    whose first retrieval embeds their texts, with their option-completed
+    texts when a config scores the neural lane, in one call and their context
+    graphs with the run's one :class:`StructureEncoder`, and which keeps each
+    query's view scores. The configs answering one item share its query,
+    view scores, lane inputs and lane scores (its :class:`ItemInputs`), so a
+    config costs only what it does not share with an earlier one; that
+    shared work is dropped with its block. A row is the one ``evaluate`` of
+    its config alone would give. Inputs are checked before this returns.
     """
     configs = list(configs)
     for config in configs:
@@ -393,8 +401,14 @@ def answer_items(
         # a bad memory fails the run instead of flagging every item
         memory.dense_index
 
+    neural = any(config.policy in _SCORED and _lam(config) < 1 for config in configs)
+    encoder = StructureEncoder() if retrieves else None
+
     def with_queries(block):
-        return block, (queries_from_items(block) if retrieves else [None] * len(block))
+        if not retrieves:
+            return block, [None] * len(block)
+        options = [option_texts(item) for item in block] if neural else None
+        return block, queries_from_items(block, options, encoder)
 
     def work(item, query):
         context = ItemInputs(item, memory, query)
@@ -426,10 +440,17 @@ def _tally(per_task: dict[str, dict], row: dict) -> None:
     bucket["correct"] += int(row["correct"])
 
 
-def _report(config, memory, per_task: dict[str, dict], wall_clock_s: float) -> EvalReport:
+def _split_id(split_id: str | None, memory) -> str:
+    """``split_id`` when given, else the memory's, else ""."""
+    if split_id is not None:
+        return split_id
+    return memory.split_id if memory is not None else ""
+
+
+def _report(config, split_id: str, per_task: dict[str, dict], wall_clock_s: float) -> EvalReport:
     tallies = {task: Tally.of(b["correct"], b["total"]) for task, b in sorted(per_task.items())}
     return EvalReport(
-        split_id=memory.split_id if memory is not None else "",
+        split_id=split_id,
         policy=config.to_dict(),
         per_task=tallies,
         overall=Tally.of(sum(t.correct for t in tallies.values()),
@@ -447,8 +468,11 @@ def evaluate(
     predictions: dict[str, int] | None = None,
     partition: str = "",
     jobs: int = 1,
+    split_id: str | None = None,
 ) -> tuple[EvalReport, list[dict]]:
-    """Answer every item once; return the report and the per-item log rows."""
+    """Answer every item once; return the report and the per-item log rows.
+    The report names ``split_id``, the id of the split the items come from,
+    or when None the memory's."""
     started = time.monotonic()
     answers = answer_items(
         items, memory, [config], client, train_items, predictions, partition, jobs
@@ -457,7 +481,7 @@ def evaluate(
     per_task: dict[str, dict] = {}
     for row in rows:
         _tally(per_task, row)
-    return _report(config, memory, per_task, time.monotonic() - started), rows
+    return _report(config, _split_id(split_id, memory), per_task, time.monotonic() - started), rows
 
 
 # --- ablation grid ----------------------------------------------------------------------
@@ -543,9 +567,11 @@ def run_ablation(
     client=None,
     axes=None,
     jobs: int = 1,
+    split_id: str | None = None,
 ) -> list[AblationRow]:
     """One EvalReport per lattice point, each equal to ``evaluate`` of its
-    config; the rows answer the items together (see :func:`answer_items`)."""
+    config and ``split_id``; the rows answer the items together (see
+    :func:`answer_items`)."""
     grid = ablation_grid(base, axes)
     started = time.monotonic()
     tallies: list[dict[str, dict]] = [{} for _ in grid]
@@ -555,7 +581,8 @@ def run_ablation(
             _tally(per_task, row)
     wall_clock_s = time.monotonic() - started  # the whole grid's, on every row
     return [
-        AblationRow(block, label, _report(config, memory, per_task, wall_clock_s))
+        AblationRow(block, label, _report(config, _split_id(split_id, memory), per_task,
+                                          wall_clock_s))
         for (block, label, config), per_task in zip(grid, tallies)
     ]
 

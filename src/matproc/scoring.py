@@ -184,11 +184,16 @@ class ItemInputs:
         return self._memo[key]
 
     def option_vectors(self) -> np.ndarray:
-        """Embedded option-completed texts, one row per option."""
+        """Embedded option-completed texts, one row per option: the rows its
+        query's block embedded with it when the block holds them (see
+        :func:`option_texts`), else embedded here; the floats are the same."""
 
         def build():
-            texts = [option_completed_text(self.item, o) for o in self.item.options]
-            return BuiltinTextEmbedder().embed(texts)
+            block = self.query.block if self.query is not None else None
+            vectors = block.option_vectors(self.query.row) if block is not None else None
+            if vectors is None:
+                vectors = BuiltinTextEmbedder().embed(option_texts(self.item))
+            return vectors
 
         return self.once("option_vectors", build)
 
@@ -375,6 +380,11 @@ def option_completed_text(item: BenchItem, option: str) -> str:
         route_text=route_text,
         products=[q.product] if q.product else [],
     )
+
+
+def option_texts(item: BenchItem) -> list[str]:
+    """:func:`option_completed_text` of each of the item's options."""
+    return [option_completed_text(item, option) for option in item.options]
 
 
 def score_options_neural(

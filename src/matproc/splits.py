@@ -41,6 +41,12 @@ class SplitAssignment:
             where = self.source or f"split {self.protocol!r}"
             raise UncoveredItem(f"{where}: no partition for item {exc.args[0]!r}") from None
 
+    @property
+    def split_id(self) -> str:
+        """The protocol, tagged ``-seed<seed>`` when the split has a seed: the
+        id of a memory built from this split and of every report on it."""
+        return self.protocol if self.seed is None else f"{self.protocol}-seed{self.seed}"
+
     def counts(self) -> dict[str, int]:
         out = {p: 0 for p in PARTITIONS}
         for p in self.mapping.values():

@@ -251,6 +251,19 @@ def test_eval_report_artifact_shape():
     assert all(row["policy"] == "argmax_hybrid" for row in log_rows)
 
 
+def test_every_report_names_the_split_a_memory_less_one_too(tmp_path):
+    paths = pipeline()
+    report = tmp_path / "report.ndjson"
+    code = cli.dispatch(["eval", "--bench", str(paths["bench"]), "--split", str(paths["split"]),
+                         "--partition", "test", "--policy", "zero_shot", "--report", str(report)])
+    assert code == 0
+    split_id = "random-seed5"  # the pipeline's split
+    assert read_ndjson(paths["memory"])[0]["split_id"] == split_id
+    assert [row["split_id"] for row in read_ndjson(report)[1]] == [split_id]
+    assert [row["split_id"] for row in read_ndjson(paths["report"])[1]] == [split_id]
+    assert {row["report"]["split_id"] for row in read_ndjson(paths["ablation"])[1]} == {split_id}
+
+
 def test_audit_artifact_lists_requested_pairs():
     paths = pipeline()
     header, rows = read_ndjson(paths["audit"])

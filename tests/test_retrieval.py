@@ -13,11 +13,15 @@ import pickle
 import sys
 import tempfile
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matproc import retrieval as rt
 from matproc.canon import canon_label, derive_seed
@@ -404,28 +408,109 @@ def test_builtin_embedder_embeds_a_batch_as_its_texts_one_by_one():
     assert rt.BuiltinTextEmbedder().embed([]).shape == (0, rt.EMBED_DIM)
 
 
+@functools.lru_cache(maxsize=None)
+def quickstart_structures():
+    """The quickstart's graphs, then the context graphs of its test queries,
+    each with its :func:`embed_structure` vector: the reference rows."""
+    graphs, items = quickstart()
+    graphs = [*graphs, *(rt.query_from_item(item).context_graph for item in items)]
+    return graphs, [rt.embed_structure(g) for g in graphs]
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 24, 200])
+def test_one_encoder_shared_by_every_block_equals_embed_structure(monkeypatch, chunk_rows):
+    graphs, want = quickstart_structures()
+    assert len(graphs) == 200 + 1090
+    monkeypatch.setattr(rt, "_CHUNK_ROWS", chunk_rows)
+    encoder = rt.StructureEncoder()
+    for start in range(0, len(graphs), 8):  # blocks of 8, graphs then queries
+        got = encoder.embed(graphs[start : start + 8])
+        for row, reference in zip(got, want[start : start + 8]):
+            assert np.array_equal(row, reference)
+    # every distinct label of a stacked graph has one row, in one buffer
+    labels = {canon_label(n.label) for g in graphs if node_count(g) >= rt._MIN_STACKED_ROWS
+              for n in [*g.entities(), *g.activities]}
+    assert encoder.rows.keys() == labels
+    assert sorted(encoder.rows.values()) == list(range(len(labels)))
+    assert len(encoder.table) >= len(labels)
+
+
+def random_neighbourhoods(rng, n, widest):
+    """A closed neighbourhood for each of ``n`` nodes: the node and up to
+    ``widest - 1`` others, ascending."""
+    return [sorted({i, *rng.choice(n, size=rng.integers(0, min(n, widest)), replace=False).tolist()})
+            for i in range(n)]
+
+
+def test_batched_attention_equals_the_per_node_reference():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5, 24, 61):
+        for widest in (1, 3, 12):
+            z = rng.normal(0.0, 1.0, size=(n, rt.EMBED_DIM))
+            neighbours = random_neighbourhoods(rng, n, widest)
+            assert np.array_equal(rt._attend_all(z, neighbours), rt._attend(z, neighbours)), (n, widest)
+
+
+TEXTS = st.lists(
+    st.sampled_from(["", "a", "ab", "abc", "Ø", "µm", "x" * 40, "lithium carbonate"])
+    | st.text(max_size=3)
+    | st.text(alphabet="ab -", max_size=30)
+    | st.text(max_size=60),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(texts=TEXTS, duplicates=st.integers(0, 4), bound=st.sampled_from([1, 6, 50, rt._BATCH_GRAMS]))
+def test_builtin_embedder_gives_each_text_its_row_alone(texts, duplicates, bound):
+    texts = [*texts, *texts[:duplicates]]
+    with mock.patch.object(rt, "_BATCH_GRAMS", bound):  # small bounds split the call
+        batch = rt.BuiltinTextEmbedder().embed(texts)
+    assert batch.shape == (len(texts), rt.EMBED_DIM)
+    for row, text in zip(batch, texts):
+        assert np.array_equal(row, rt.BuiltinTextEmbedder().embed([text])[0]), text
+        assert np.array_equal(row, embed_text_by_loop(text)), text
+
+
+def test_builtin_embedder_holds_one_batch_of_n_grams_at_a_time():
+    graphs, _ = quickstart()
+    memory = build_memory(graphs)
+    texts = [linearize_process(memory, g.record_id) for g in graphs]
+    embedder = rt.BuiltinTextEmbedder()
+    embedder.embed(texts)  # fills the n-gram bucket cache, which outlives a call
+    tracemalloc.start()
+    try:
+        out = embedder.embed(texts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(texts) == 200
+    # about 1.3x here; all of the call's n-grams at once take about 26x
+    assert peak < 2 * out.nbytes
+
+
 def test_a_batch_of_queries_is_embedded_together_by_its_first_retrieval(monkeypatch):
     corpus = small_corpus(n=25, seed=9)
     memory = rt.attach_embeddings(build_memory(corpus), corpus)
     items = generate_benchmark(corpus, seed=5)[0][:30]
     calls = {"text": 0, "structure": 0}
     batching = []
-    embed, embed_structures = rt.BuiltinTextEmbedder.embed, rt.embed_structures
+    embed, encode = rt.BuiltinTextEmbedder.embed, rt.StructureEncoder.embed
 
     def counted_embed(self, texts):
         calls["text"] += not batching  # a structure batch embeds its labels too
         return embed(self, texts)
 
-    def counted_structures(graphs, *args):
+    def counted_structures(self, graphs):
         calls["structure"] += 1
         batching.append(True)
         try:
-            return embed_structures(graphs, *args)
+            return encode(self, graphs)
         finally:
             batching.pop()
 
     monkeypatch.setattr(rt.BuiltinTextEmbedder, "embed", counted_embed)
-    monkeypatch.setattr(rt, "embed_structures", counted_structures)
+    monkeypatch.setattr(rt.StructureEncoder, "embed", counted_structures)
     block = rt.queries_from_items(items)
     order = [*range(3, len(block)), 3, *range(3)]  # the first retrieval is row 3's
     got = {row: rt.retrieve(block[row], memory) for row in order}
@@ -446,13 +531,13 @@ def test_threads_retrieving_from_one_batch_embed_it_once(monkeypatch):
     items = generate_benchmark(corpus, seed=5)[0][:24]
     want = [rt.retrieve(rt.query_from_item(item), memory) for item in items]
     embedded = []
-    embed_structures = rt.embed_structures
+    encode = rt.StructureEncoder.embed
 
-    def counted(graphs, *args):
+    def counted(self, graphs):
         embedded.append(len(graphs))
-        return embed_structures(graphs, *args)
+        return encode(self, graphs)
 
-    monkeypatch.setattr(rt, "embed_structures", counted)
+    monkeypatch.setattr(rt.StructureEncoder, "embed", counted)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import time
 
+import numpy as np
 import pytest
 
 from matproc import chat as ch
@@ -12,6 +13,7 @@ from matproc import prompts as pr
 from matproc import retrieval as rt
 from matproc import runner as rn
 from matproc import scoring as sc
+from matproc.canon import canon_label
 from matproc.errors import (
     ClientTimeout,
     InvalidGridAxis,
@@ -758,16 +760,16 @@ def test_grid_embeds_and_matches_once_per_item(monkeypatch):
     # call made outside one (a batch embeds its small graphs one by one)
     calls = {"struct_rows": 0, "struct_batches": 0, "match_steps": 0}
     batching = []
-    per_graph, batched = rt.embed_structure, rt.embed_structures
+    per_graph, batched = rt.embed_structure, rt.StructureEncoder.embed
 
     def embed_structure(*args, **kwargs):
         calls["struct_rows"] += not batching
         return per_graph(*args, **kwargs)
 
-    def embed_structures(graphs, *args, **kwargs):
+    def embed_structures(self, graphs):
         batching.append(True)
         try:
-            out = batched(graphs, *args, **kwargs)
+            out = batched(self, graphs)
         finally:
             batching.pop()
         calls["struct_rows"] += len(out)
@@ -781,7 +783,7 @@ def test_grid_embeds_and_matches_once_per_item(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(rt, "embed_structure", embed_structure)
-    monkeypatch.setattr(rt, "embed_structures", embed_structures)
+    monkeypatch.setattr(rt.StructureEncoder, "embed", embed_structures)
     # the symbolic lane calls match_steps through its own module's binding
     monkeypatch.setattr(sc, "match_steps", counted(sc.match_steps))
     rn.run_ablation(items, memory)
@@ -789,6 +791,76 @@ def test_grid_embeds_and_matches_once_per_item(monkeypatch):
     assert calls["struct_rows"] == len(items)
     assert calls["struct_batches"] == -(-len(items) // rn._BLOCK_ITEMS)  # one per block
     assert calls["match_steps"] == sum(item.task in step_tasks for item in items)
+
+
+def test_a_run_embeds_and_projects_each_distinct_label_once(monkeypatch):
+    items, memory = per_task_sample(6), mem()
+    batches = []  # the labels of each batch the run's encoder embeds and projects
+    embed, add_labels = rt.BuiltinTextEmbedder.embed, rt.StructureEncoder._add_labels
+    adding = []
+
+    def recorded_embed(self, texts):
+        if adding:
+            batches.append([text for text in texts if text])  # "" pads a short batch
+        return embed(self, texts)
+
+    def recorded_add_labels(self, labels):
+        adding.append(True)
+        try:
+            return add_labels(self, labels)
+        finally:
+            adding.pop()
+
+    monkeypatch.setattr(rt.BuiltinTextEmbedder, "embed", recorded_embed)
+    monkeypatch.setattr(rt.StructureEncoder, "_add_labels", recorded_add_labels)
+    list(rn.answer_items(items, memory, [rn.PolicyConfig(policy="argmax_hybrid")]))
+    stacked = [g for g in (query_from_item(item).context_graph for item in items)
+               if len(g.entities()) + len(g.activities) >= rt._MIN_STACKED_ROWS]
+    labels = {canon_label(n.label) for g in stacked for n in [*g.entities(), *g.activities]}
+    embedded = [label for batch in batches for label in batch]
+    assert sorted(embedded) == sorted(labels)  # each distinct label once in the run
+    assert len(batches) <= -(-len(items) // rn._BLOCK_ITEMS)  # at most one batch per block
+
+
+def test_a_block_embeds_its_option_texts_with_its_query_texts(monkeypatch):
+    items, memory = per_task_sample(3), mem()
+    texts = []  # the texts of each call outside structure embedding
+    embed, encode, per_graph = rt.BuiltinTextEmbedder.embed, rt.StructureEncoder.embed, rt.embed_structure
+    encoding = []
+
+    def recorded_embed(self, batch):
+        if not encoding:
+            texts.append(list(batch))
+        return embed(self, batch)
+
+    def marked(fn):
+        def wrapper(*args, **kwargs):
+            encoding.append(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                encoding.pop()
+        return wrapper
+
+    monkeypatch.setattr(rt.BuiltinTextEmbedder, "embed", recorded_embed)
+    monkeypatch.setattr(rt.StructureEncoder, "embed", marked(encode))
+    monkeypatch.setattr(rt, "embed_structure", marked(per_graph))
+    config = rn.PolicyConfig(policy="argmax_neural")
+    rows = [row for (row,) in rn.answer_items(items, memory, [config])]
+    monkeypatch.undo()
+    blocks = [items[start : start + rn._BLOCK_ITEMS] for start in range(0, len(items), rn._BLOCK_ITEMS)]
+    assert texts == [[*(query_from_item(item).text for item in block),
+                      *(text for item in block for text in sc.option_texts(item))]
+                     for block in blocks]  # one call per block: its queries', then their options'
+    for item, row in zip(items, rows):  # as an item scored alone scores
+        precedents = retrieve(query_from_item(item), memory, config.weights, config.top_k)
+        alone = sc.score_options_neural(item, precedents, memory)
+        assert row["scores"]["raw_neu"] == alone.raw_neu  # == on every float
+    for block in blocks:
+        for query, item in zip(rt.queries_from_items(block, [sc.option_texts(it) for it in block]),
+                               block):
+            given = sc.ItemInputs(item, memory, query).option_vectors()
+            assert np.array_equal(given, sc.ItemInputs(item, memory).option_vectors())
 
 
 def test_retrieval_axis_covers_all_view_subsets():

@@ -49,6 +49,13 @@ def assert_total_and_disjoint(assignment, items):
     assert set(assignment.mapping.values()) <= set(PARTITIONS)
 
 
+def test_split_id_names_the_protocol_and_any_seed():
+    items = [make_item(i, year=2010 + i % 12) for i in range(40)]
+    assert split_items(items, "year").split_id == "year"
+    assert split_items(items, "random", seed=3).split_id == "random-seed3"
+    assert split_items(items, "type", held_out_class="x", seed=0).split_id == "type-seed0"
+
+
 # --- random -------------------------------------------------------------------
 
 def test_random_sizes_n10():
