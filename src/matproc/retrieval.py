@@ -100,9 +100,9 @@ def _gram_bucket(gram: str, dim: int) -> int:
     return int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=4).digest(), "big") % dim
 
 
-# n-grams per ``bincount`` of the builtin embedder, which bounds the n-gram
-# strings a call holds at once however many texts it embeds
-_BATCH_GRAMS = 1 << 11
+# n-grams per batch of the builtin embedder, which bounds the memory a call
+# holds at once however many texts it embeds
+_BATCH_GRAMS = 1 << 14
 
 
 class BuiltinTextEmbedder:
@@ -112,31 +112,39 @@ class BuiltinTextEmbedder:
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """One unit row per text (a zero row for a text shorter than every
-        n-gram). Each distinct text is embedded once and its row copied to
-        its duplicates. The distinct texts go in batches of at most
-        ``_BATCH_GRAMS`` n-grams (a longer text alone), each one ``bincount``
-        over (row, bucket) cells with each distinct n-gram hashed once;
+        n-gram). The texts go in batches of at most ``_BATCH_GRAMS``
+        n-grams (a longer text alone), counted by (row, bucket) cell;
         counts are integers, so every row is the row of its text embedded
         alone."""
-        distinct = list(dict.fromkeys(texts))
-        out = np.empty((len(distinct), self.dim), dtype=np.float64)
-        sizes = [sum(max(0, len(text) - n + 1) for n in NGRAM_SIZES) for text in distinct]
+        out = np.empty((len(texts), self.dim), dtype=np.float64)
+        sizes = [sum(max(0, len(text) - n + 1) for n in NGRAM_SIZES) for text in texts]
         for start, stop in _batches(sizes, _BATCH_GRAMS):
-            self._embed_into(distinct[start:stop], sizes[start:stop], out[start:stop])
-        if len(distinct) == len(texts):
-            return out
-        row = {text: i for i, text in enumerate(distinct)}
-        return out[[row[text] for text in texts]]
+            self._embed_into(texts[start:stop], out[start:stop])
+        return out
 
-    def _embed_into(self, texts: list[str], sizes: list[int], out: np.ndarray) -> None:
-        """Write the rows of ``texts``, of ``sizes`` n-grams each, into ``out``."""
-        grams = [text[i : i + n] for text in texts for n in NGRAM_SIZES
-                 for i in range(len(text) - n + 1)]
-        distinct = dict.fromkeys(grams)
-        bucket = dict(zip(distinct, map(_gram_bucket, distinct, itertools.repeat(self.dim))))
-        rows = np.repeat(np.arange(len(texts), dtype=np.int64), sizes)
-        cells = rows * self.dim + np.fromiter(map(bucket.__getitem__, grams), np.int64, len(grams))
-        out[:] = np.bincount(cells, minlength=len(texts) * self.dim).reshape(out.shape)
+    def _embed_into(self, texts: list[str], out: np.ndarray) -> None:
+        """Write the rows of ``texts`` into ``out``. Each n-gram gets an
+        integer id, the rank of its (n-1)-gram's id and its last code
+        point, so the distinct n-grams of a size come from one sort and
+        only they are sliced out and hashed."""
+        joined = "".join(texts)
+        codes = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), "<u4").astype(np.int64)
+        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+        rows = np.repeat(np.arange(len(texts)), lengths)  # the text of each character
+        stops = np.repeat(np.cumsum(lengths), lengths)  # where that text ends
+        out[:] = 0.0
+        flat = out.reshape(-1)  # a view: ``out`` is a run of rows of a C-ordered array
+        start, ids = np.arange(len(codes)), codes  # a 1-gram's id is its code point
+        for n in range(2, max(NGRAM_SIZES) + 1):
+            inside = start + n <= stops[start]  # the n-gram ends in its text
+            start = start[inside]
+            # ids and code points stay below 2**42 and 2**21, so keys fit in 63 bits
+            keys = ids[inside] << 21 | codes[start + n - 1]
+            _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+            if n in NGRAM_SIZES:
+                grams = (joined[i : i + n] for i in start[first].tolist())
+                bucket = np.fromiter((_gram_bucket(gram, self.dim) for gram in grams), np.int64, len(first))
+                flat += np.bincount(rows[start] * self.dim + bucket[ids], minlength=out.size)
         _normalize_rows(out)
 
 
@@ -259,10 +267,9 @@ def _neighbourhoods(g: ProcessGraph) -> tuple[list, list[list[int]]]:
     return nodes, [sorted(nbrs) for nbrs in neighbours]
 
 
-def _attend(z: np.ndarray, neighbours: list[list[int]], out: np.ndarray | None = None) -> np.ndarray:
-    """One round's attention over each node's closed neighbourhood, squashed,
-    written into ``out`` when given."""
-    nxt = np.empty_like(z) if out is None else out
+def _attend(z: np.ndarray, neighbours: list[list[int]]) -> np.ndarray:
+    """One round's attention over each node's closed neighbourhood, squashed."""
+    nxt = np.empty_like(z)
     scale = np.sqrt(EMBED_DIM)
     for i, idx in enumerate(neighbours):
         near = z[idx]

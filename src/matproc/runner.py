@@ -160,6 +160,11 @@ def _lam(config: PolicyConfig) -> float:
     return _FIXED_LAMBDA.get(config.policy, config.lam)
 
 
+def _scores_neural(config: PolicyConfig) -> bool:
+    """Whether ``config`` scores the neural lane, which embeds option texts."""
+    return config.policy in _SCORED and _lam(config) < 1
+
+
 def _score_item(item, memory, config, context):
     """Retrieve precedents and fuse the lanes the policy needs."""
     precedents = retrieve(context.query, memory, config.weights, config.top_k)
@@ -169,7 +174,7 @@ def _score_item(item, memory, config, context):
     if lam > 0:
         sym = context.once(("symbolic", *key), lambda: score_options_symbolic(
             item, precedents, memory, config.scoring, inputs=context))
-    if lam < 1:
+    if _scores_neural(config):
         neu = context.once(("neural", *key), lambda: score_options_neural(
             item, precedents, memory, config.scoring, inputs=context))
     return precedents, sym, fuse_scores(sym, neu, lam)
@@ -401,7 +406,7 @@ def answer_items(
         # a bad memory fails the run instead of flagging every item
         memory.dense_index
 
-    neural = any(config.policy in _SCORED and _lam(config) < 1 for config in configs)
+    neural = any(map(_scores_neural, configs))
     encoder = StructureEncoder() if retrieves else None
 
     def with_queries(block):

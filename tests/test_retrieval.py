@@ -452,7 +452,9 @@ def test_batched_attention_equals_the_per_node_reference():
 
 
 TEXTS = st.lists(
-    st.sampled_from(["", "a", "ab", "abc", "Ø", "µm", "x" * 40, "lithium carbonate"])
+    # non-Latin scripts, and a code point above 2**16
+    st.sampled_from(["", "a", "ab", "abc", "Ø", "µm", "x" * 40, "lithium carbonate",
+                     "酸化鉄の焼成", "\U0001F525 sinter \U0001F525"])
     | st.text(max_size=3)
     | st.text(alphabet="ab -", max_size=30)
     | st.text(max_size=60),
@@ -485,7 +487,7 @@ def test_builtin_embedder_holds_one_batch_of_n_grams_at_a_time():
     finally:
         tracemalloc.stop()
     assert len(texts) == 200
-    # about 1.3x here; all of the call's n-grams at once take about 26x
+    # about 1.6x here; all of the call's n-grams at once as strings take about 26x
     assert peak < 2 * out.nbytes
 
 

@@ -863,6 +863,33 @@ def test_a_block_embeds_its_option_texts_with_its_query_texts(monkeypatch):
             assert np.array_equal(given, sc.ItemInputs(item, memory).option_vectors())
 
 
+@pytest.mark.parametrize("config, neural", [
+    (rn.PolicyConfig(policy="argmax_symbolic"), False),
+    (rn.PolicyConfig(policy="argmax_hybrid", lam=1.0), False),
+    (rn.PolicyConfig(policy="argmax_hybrid"), True),
+    (rn.PolicyConfig(policy="argmax_neural", lam=1.0), True),
+    (rn.PolicyConfig(policy="rag"), False),
+])
+def test_a_block_holds_option_texts_only_when_a_config_scores_the_neural_lane(
+        monkeypatch, config, neural):
+    items, memory = per_task_sample(1), mem()
+    given = []
+    build = rn.queries_from_items
+
+    def recorded(block, option_texts=None, encoder=None):
+        given.append(option_texts)
+        return build(block, option_texts, encoder)
+
+    monkeypatch.setattr(rn, "queries_from_items", recorded)
+    scored = []
+    neural_lane = rn.score_options_neural
+    monkeypatch.setattr(rn, "score_options_neural",
+                        lambda *a, **k: scored.append(True) or neural_lane(*a, **k))
+    list(rn.answer_items(items, memory, [config], client=ch.MockChatClient()))
+    assert given and all((texts is not None) is neural for texts in given)
+    assert bool(scored) is neural
+
+
 def test_retrieval_axis_covers_all_view_subsets():
     rows = rn.ablation_grid(rn.PolicyConfig(), axes=["retrieval"])
     weights = {label: config.weights for _, label, config in rows}
