@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 from .endpoint import post_json
 from .errors import ClientTimeout
 from .jsonio import Record
+from .prompts import ANSWER_INSTRUCTION, EVIDENCE_LINE, PLAN_INSTRUCTION
+from .taskgen.model import OPTION_LETTERS
 
 CHAT_URL_VAR = "MATPROC_CHAT_URL"
 CHAT_TOKEN_VAR = "MATPROC_CHAT_TOKEN"
-
-_EVIDENCE_LINE = re.compile(r"^([A-H])\) .*\[compatibility (\d+\.\d{3})\]\s*$", re.MULTILINE)
-_ANSWER_INSTRUCTION = "Respond with a single option letter"
-_PLAN_INSTRUCTION = "Write a brief plan"
 
 
 @dataclass
@@ -100,21 +98,21 @@ class MockChatClient:
         for pattern, response in self.rules:
             if re.search(pattern, prompt, re.MULTILINE):
                 return response
-        if _PLAN_INSTRUCTION in prompt:
+        if PLAN_INSTRUCTION in prompt:
             return (
                 "Compare each option against the retrieved precedent routes, "
                 "their conditions and tools, then prefer the option with the "
                 "strongest compatibility evidence."
             )
-        if self.follow_evidence and _ANSWER_INSTRUCTION in prompt:
+        if self.follow_evidence and ANSWER_INSTRUCTION in prompt:
             best_letter, best_score = None, -1.0
-            for letter, rendered in _EVIDENCE_LINE.findall(prompt):
+            for letter, rendered in EVIDENCE_LINE.findall(prompt):
                 score = float(rendered)
                 if score > best_score:
                     best_letter, best_score = letter, score
             if best_letter is not None:
                 return f"Answer: {best_letter}"
-        return "Answer: A"
+        return f"Answer: {OPTION_LETTERS[0]}"
 
 
 def get_chat_client(url: str | None = None, token: str | None = None):

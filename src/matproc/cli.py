@@ -49,7 +49,7 @@ from .provgraph import (
     to_prov_document,
 )
 from .provgraph.store import load_graphs, write_graph_store
-from .retrieval import attach_embeddings, get_text_embedder
+from .retrieval import attach_embeddings
 from .runner import (
     AblationRow,
     EvalReport,
@@ -149,23 +149,12 @@ def cmd_genbench(cfg: RunConfig) -> int:
     return 0
 
 
-def _split_kwargs(cfg: RunConfig, protocol: str) -> dict:
-    if protocol == "random":
-        return {"ratios": cfg.ratios}
-    if protocol == "type":
-        return {"held_out_class": cfg.held_out_class, "dev_ratio": cfg.dev_ratio}
-    if protocol == "dual":
-        return {"held_out_class": cfg.held_out_class}
-    return {}
-
-
 def cmd_split(cfg: RunConfig) -> int:
     items = load_items(cfg.path("bench"))
     if not items:  # an assignment of no items would leave nothing to evaluate or render
         raise EmptyCorpus(f"{cfg.path('bench')}: no items to split")
-    assignment = split_items(
-        items, cfg.protocol, seed=cfg.seed, **_split_kwargs(cfg, cfg.protocol)
-    )
+    assignment = split_items(items, cfg.protocol, seed=cfg.seed, ratios=cfg.ratios,
+                             held_out_class=cfg.held_out_class, dev_ratio=cfg.dev_ratio)
     write_assignment(cfg.path("split"), assignment, cfg.config_hash())
     print(render_split_report(split_report(assignment, items)))
     print(f"assignment -> {cfg.path('split')}")
@@ -195,9 +184,9 @@ def cmd_audit(cfg: RunConfig) -> int:
     items = load_items(cfg.path("bench"))
     pairs = _parse_pairs(cfg.pairs)
     protocols = sorted({name for pair in pairs for name in pair})
-    assignments = [
-        split_items(items, p, seed=cfg.seed, **_split_kwargs(cfg, p)) for p in protocols
-    ]
+    assignments = [split_items(items, p, seed=cfg.seed, ratios=cfg.ratios,
+                               held_out_class=cfg.held_out_class, dev_ratio=cfg.dev_ratio)
+                   for p in protocols]
     matrix = contamination_matrix(assignments, items)
     rows = [AuditRow(a, b, matrix.entries[(a, b)]) for a, b in pairs]
     if cfg.paths.get("report"):
@@ -230,10 +219,7 @@ def cmd_build_memory(cfg: RunConfig) -> int:
         allowed_graph_ids=train_ids,
     )
     if cfg.embeddings:
-        embedder = get_text_embedder(
-            cfg.endpoints.embed_url or None, cfg.endpoints.embed_token or None
-        )
-        memory = attach_embeddings(memory, selected, text_embedder=embedder)
+        memory = attach_embeddings(memory, selected)
     save_memory(cfg.path("memory"), memory, cfg.config_hash())
     print(
         f"memory over {len(selected)} train graphs "
@@ -472,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="embeddings",
         help="store no text/structure vectors",
     )
-    p.add_argument("--embed-url", dest="endpoint_embed_url")
-    p.add_argument("--embed-token", dest="endpoint_embed_token")
 
     def eval_flags(p):
         p.add_argument("--bench", dest="path_bench", help="question set file")

@@ -18,10 +18,10 @@ from .errors import ConfigConflict, DataError, MalformedDocument
 from .jsonio import Record, check_fields
 from .memory import DEFAULT_MAX_PREFIX_LEN
 from .provgraph import FieldMap
-from .retrieval import DEFAULT_STRUCT_SEED, RetrievalWeights
+from .retrieval import STRUCT_SEED, RetrievalWeights
 from .runner import PolicyConfig
 from .scoring import ScoringConfig
-from .splits import PARTITIONS, PROTOCOLS
+from .splits import DEFAULT_DEV_RATIO, DEFAULT_HELD_OUT_CLASS, DEFAULT_RATIOS, PARTITIONS, PROTOCOLS
 from .taskgen import DEFAULT_K, GenCaps
 from .taskgen.model import OPTION_COUNTS
 
@@ -41,8 +41,7 @@ PATH_KEYS = (
 
 @dataclass
 class Endpoints:
-    embed_url: str = ""
-    embed_token: str = ""
+    embed_url: str = ""  # only "" is accepted; kept because config_hash covers it
     chat_url: str = ""
     chat_token: str = ""
 
@@ -56,12 +55,12 @@ class RunConfig(Record):
     k_options: int = DEFAULT_K
     n_records: int = 200
     protocol: str = "random"
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    held_out_class: str = "battery"
-    dev_ratio: float = 0.1
+    ratios: tuple[float, float, float] = DEFAULT_RATIOS
+    held_out_class: str = DEFAULT_HELD_OUT_CLASS
+    dev_ratio: float = DEFAULT_DEV_RATIO
     partition: str = "test"
     max_prefix_len: int = DEFAULT_MAX_PREFIX_LEN
-    struct_seed: int = DEFAULT_STRUCT_SEED
+    struct_seed: int = STRUCT_SEED
     embeddings: bool = True
     field_map: dict | None = None
     caps: dict | None = None
@@ -83,12 +82,16 @@ class RunConfig(Record):
             if getattr(self, name) not in allowed:
                 raise ConfigConflict(
                     f"{name} {getattr(self, name)!r} is not one of {', '.join(allowed)}")
-        if self.struct_seed != DEFAULT_STRUCT_SEED:
-            # the field stays because config_hash covers it
+        # struct_seed and endpoints.embed_url stay because config_hash covers them
+        if self.struct_seed != STRUCT_SEED:
             raise ConfigConflict(
-                f"struct_seed must be {DEFAULT_STRUCT_SEED}: queries embed their structure under"
+                f"struct_seed must be {STRUCT_SEED}: queries embed their structure under"
                 f" that seed and a memory does not record its own, so a memory embedded under"
                 f" {self.struct_seed} would be compared with them silently")
+        if self.endpoints.embed_url:
+            raise ConfigConflict(
+                f"endpoints.embed_url must be empty, got {self.endpoints.embed_url!r}: texts are"
+                f" embedded by the builtin embedder on both the memory and the query side")
         if self.k_options not in OPTION_COUNTS:
             raise ConfigConflict(
                 f"k_options must lie in {OPTION_COUNTS[0]}..{OPTION_COUNTS[-1]}, got {self.k_options}")

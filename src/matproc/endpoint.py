@@ -1,7 +1,6 @@
 """The one HTTP call of the toolkit: a JSON POST to a configured endpoint.
 
-Both endpoint clients (chat completion and text embedding) go through
-:func:`post_json`. ``urllib.request`` is imported on first call, so
+The chat-completion client goes through :func:`post_json`. ``urllib.request`` is imported on first call, so
 commands that reach no endpoint never load the HTTP stack.
 """
 

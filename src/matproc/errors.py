@@ -81,10 +81,6 @@ class EmptyMemory(DataError):
 
 # --- retrieval / scoring -----------------------------------------------------
 
-class EmbedderUnavailable(EndpointError):
-    """The configured embedding endpoint could not be reached."""
-
-
 class EmbeddingDimensionMismatch(DataError):
     """A stored memory vector does not have the query side's dimension."""
 

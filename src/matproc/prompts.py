@@ -82,6 +82,11 @@ def options_block(item: BenchItem) -> str:
     )
 
 
+# one line of evidence_block: the option's letter and text, then its fused score
+EVIDENCE_LINE = re.compile(rf"^([{OPTION_LETTERS}])\) .*\[compatibility (\d+\.\d{{3}})\]\s*$",
+                           re.MULTILINE)
+
+
 def evidence_block(item: BenchItem, scores: OptionScores) -> str:
     lines = ["Compatibility evidence:"]
     for i, option in enumerate(item.options):

@@ -2,10 +2,10 @@
 
 s_ret(q, p) = alpha * s_text + beta * s_struct + gamma * s_heur, with
 cosine views affinely mapped from [-1, 1] onto [0, 1] so the weights act
-on commensurate ranges. The text view embeds linearized process
-descriptions (built-in hashed character n-grams, or an external endpoint
-when configured); the structure view propagates label features through a
-frozen, seed-derived attention encoder over the provenance graph; the
+on commensurate ranges. Memory and query embed in one space: the text
+view embeds linearized process descriptions as built-in hashed character
+n-grams; the structure view propagates label features through a frozen
+attention encoder of one seed (``STRUCT_SEED``) over the provenance graph; the
 heuristic view averages activity overlap, route-length agreement and
 precursor correspondence. Retrieval scores every stored process in one
 pass over a per-memory dense index whose values equal the per-pair
@@ -17,16 +17,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import os
 import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .canon import canon_label, derive_seed
-from .endpoint import post_json
-from .errors import (DataError, EmbedderUnavailable, EmbeddingDimensionMismatch, EmptyMemory,
-                     InvalidParams)
+from .errors import DataError, EmbeddingDimensionMismatch, EmptyMemory, InvalidParams
 from .jsonio import Record
 from .memory import (
     LabelSets,
@@ -43,11 +40,8 @@ from .taskgen.model import RouteQuestion, StepQuestion
 
 EMBED_DIM = 512
 NGRAM_SIZES = (3, 4, 5)
-DEFAULT_STRUCT_SEED = 13
+STRUCT_SEED = 13  # the structure encoder's one seed, on the build and the query side
 DEFAULT_TOP_K = 8
-
-EMBED_URL_VAR = "MATPROC_EMBED_URL"
-EMBED_TOKEN_VAR = "MATPROC_EMBED_TOKEN"
 
 
 # --- weights ---------------------------------------------------------------------
@@ -161,48 +155,6 @@ def _batches(sizes: list[int], bound: int):
         yield start, len(sizes)
 
 
-class EndpointTextEmbedder:
-    """POST {"texts": [...]} -> {"vectors": [[...], ...]}."""
-
-    def __init__(self, url: str, token: str | None = None, timeout: float = 30.0):
-        self.url = url
-        self.token = token
-        self.timeout = timeout
-
-    def embed(self, texts: list[str]) -> np.ndarray:
-        vectors = post_json(
-            self.url, {"texts": texts}, self.token, self.timeout, 1, EmbedderUnavailable,
-            lambda body: _endpoint_vectors(body, len(texts)),
-        )
-        return _normalize_rows(vectors)
-
-
-def _endpoint_vectors(body: dict, n_texts: int) -> np.ndarray:
-    """The body's ``vectors`` as an (n_texts, d) array of finite floats, d > 0."""
-    rows = body.get("vectors")
-    if not (
-        isinstance(rows, list)
-        and len(rows) == n_texts
-        and all(isinstance(row, list) and row and len(row) == len(rows[0]) for row in rows)
-        and all(type(x) in (int, float) for row in rows for x in row)
-    ):
-        raise ValueError(f"'vectors' must be {n_texts} numeric rows of one non-zero length")
-    try:
-        array = np.array(rows, dtype=np.float64).reshape(n_texts, -1)
-    except OverflowError as exc:  # an int beyond the float range
-        raise ValueError(f"'vectors': {exc}") from exc
-    if not np.isfinite(array).all():
-        raise ValueError("'vectors' holds a non-finite value")
-    return array
-
-
-def get_text_embedder(url: str | None = None, token: str | None = None):
-    """Endpoint embedder when configured, built-in otherwise."""
-    url = url if url is not None else os.environ.get(EMBED_URL_VAR, "")
-    token = token if token is not None else os.environ.get(EMBED_TOKEN_VAR) or None
-    return EndpointTextEmbedder(url, token) if url else BuiltinTextEmbedder()
-
-
 def _normalize_rows(array: np.ndarray) -> np.ndarray:
     """``array`` with each non-zero row scaled to unit norm, in place."""
     norms = np.linalg.norm(array, axis=1, keepdims=True)
@@ -245,9 +197,9 @@ def unit_cosines(vecs: np.ndarray, matrix: np.ndarray, norms: np.ndarray) -> np.
 
 # --- structure embedding -------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _frozen_projection(seed: int, round_index: int) -> np.ndarray:
-    rng = np.random.default_rng(derive_seed(seed, "round", round_index))
+@functools.lru_cache(maxsize=2)
+def _frozen_projection(round_index: int) -> np.ndarray:
+    rng = np.random.default_rng(derive_seed(STRUCT_SEED, "round", round_index))
     w = rng.normal(0.0, 1.0 / np.sqrt(EMBED_DIM), size=(EMBED_DIM, EMBED_DIM))
     w.setflags(write=False)  # shared by every caller
     return w
@@ -287,7 +239,7 @@ def _pool(h: np.ndarray) -> np.ndarray:
     return pooled / norm if norm > 0 else pooled
 
 
-def embed_structure(g: ProcessGraph, seed: int = DEFAULT_STRUCT_SEED) -> np.ndarray:
+def embed_structure(g: ProcessGraph) -> np.ndarray:
     """Two rounds of attention-weighted aggregation with frozen weights.
 
     Node features are built-in text embeddings of canonical node labels;
@@ -299,14 +251,14 @@ def embed_structure(g: ProcessGraph, seed: int = DEFAULT_STRUCT_SEED) -> np.ndar
     up to rounding, not to the last bit (shuffling the node lists of the
     ``synth --n 200 --seed 11`` graphs moved 197 of 200 vectors, each
     coordinate by at most 8.3e-17). This is the per-graph reference of
-    :func:`embed_structures`.
+    :meth:`StructureEncoder.embed`.
     """
     nodes, neighbours = _neighbourhoods(g)
     if not nodes:
         return np.zeros(EMBED_DIM, dtype=np.float64)
     h = BuiltinTextEmbedder().embed([canon_label(n.label) for n in nodes])
     for round_index in range(2):
-        h = _attend(h @ _frozen_projection(seed, round_index).T, neighbours)
+        h = _attend(h @ _frozen_projection(round_index).T, neighbours)
     return _pool(h)
 
 
@@ -320,7 +272,7 @@ _TABLE_ROWS = 256
 
 
 class StructureEncoder:
-    """The frozen encoder of :func:`embed_structure` under one seed, with a
+    """The frozen encoder of :func:`embed_structure`, with a
     table of projected round-0 rows, one per distinct canonical label it has
     met: a run builds one and embeds all its graphs with it, so each label is
     embedded and projected once per run. Its lock lets threads share it.
@@ -337,8 +289,7 @@ class StructureEncoder:
     with zero rows. The tests check the equality with ``==``.
     """
 
-    def __init__(self, seed: int = DEFAULT_STRUCT_SEED):
-        self.seed = seed
+    def __init__(self):
         self.rows: dict[str, int] = {}  # canonical label -> its row in ``table``
         self.table = np.empty((0, EMBED_DIM), dtype=np.float64)  # rows past len(rows) unused
         self.lock = threading.Lock()
@@ -350,7 +301,7 @@ class StructureEncoder:
         for row, g in enumerate(graphs):
             nodes, neighbours = _neighbourhoods(g)
             if len(nodes) < _MIN_STACKED_ROWS:
-                out[row] = embed_structure(g, self.seed)
+                out[row] = embed_structure(g)
             else:
                 stacked.append((row, [canon_label(n.label) for n in nodes], neighbours))
         with self.lock:
@@ -379,15 +330,9 @@ class StructureEncoder:
             grown[:used] = self.table[:used]
             self.table = grown
         # the product lands in the table; padding rows land past the labels'
-        np.matmul(BuiltinTextEmbedder().embed(batch), _frozen_projection(self.seed, 0).T,
+        np.matmul(BuiltinTextEmbedder().embed(batch), _frozen_projection(0).T,
                   out=self.table[used : used + len(batch)])
         self.rows.update((label, used + i) for i, label in enumerate(new))
-
-
-def embed_structures(graphs: list[ProcessGraph], seed: int = DEFAULT_STRUCT_SEED) -> np.ndarray:
-    """``embed_structure(g, seed)`` of each graph, one row per graph, equal
-    to it float for float (``==``), by a fresh :class:`StructureEncoder`."""
-    return StructureEncoder(seed).embed(graphs)
 
 
 def _embed_chunk(chunk, encoder: StructureEncoder, out: np.ndarray) -> None:
@@ -398,7 +343,7 @@ def _embed_chunk(chunk, encoder: StructureEncoder, out: np.ndarray) -> None:
                   for (_, _, graph_neighbours), start in zip(chunk, spans)
                   for idx in graph_neighbours]
     hidden = _attend_all(encoder.table[[i for _, ids, _ in chunk for i in ids]], neighbours)
-    z = hidden @ _frozen_projection(encoder.seed, 1).T
+    z = hidden @ _frozen_projection(1).T
     del hidden  # one chunk-sized array fewer while round 1 attends
     h = _attend_all(z, neighbours)
     for (row, _, _), start, stop in zip(chunk, spans, spans[1:]):
@@ -617,24 +562,21 @@ def _context_graph(item: BenchItem, visible: list[str], precursors: list[str], p
 
 # --- memory-side embeddings -----------------------------------------------------------
 
-def attach_embeddings(
-    memory: ProcessMemory,
-    graphs: list[ProcessGraph],
-    text_embedder=None,
-) -> ProcessMemory:
+def attach_embeddings(memory: ProcessMemory, graphs: list[ProcessGraph]) -> ProcessMemory:
     """A copy of ``memory`` that stores the text and struct vectors of every
     process in ``vectors``: one read-only matrix per kind, row i for process
-    i, which the dense index scores as it is. ``memory`` is left as it is.
-    Raises :class:`DataError` when a process has no graph in ``graphs``."""
+    i, which the dense index scores as it is. The vectors are the ones the
+    query side embeds in: builtin n-gram text vectors and the structure
+    encoder's. ``memory`` is left as it is. Raises :class:`DataError` when a
+    process has no graph in ``graphs``."""
     graphs_by_id = {g.record_id: g for g in graphs}
     ids = [p.graph_id for p in memory.processes]
     missing = [gid for gid in ids if gid not in graphs_by_id]
     if missing:
         raise DataError(f"no graph given for memory process {missing[0]!r}"
                         f" ({len(missing)} of {len(ids)} processes lack one)")
-    embedder = text_embedder or BuiltinTextEmbedder()
-    text = frozen_array(embedder.embed([linearize_process(memory, gid) for gid in ids]))
-    struct = embed_structures([graphs_by_id[gid] for gid in ids])
+    text = frozen_array(BuiltinTextEmbedder().embed([linearize_process(memory, gid) for gid in ids]))
+    struct = StructureEncoder().embed([graphs_by_id[gid] for gid in ids])
     struct.setflags(write=False)
     return replace(memory, vectors={"text": text, "struct": struct})
 

@@ -21,6 +21,7 @@ from .chat import MockChatClient
 from .errors import (
     ClientTimeout,
     ConfigConflict,
+    EmptyMemory,
     InvalidGridAxis,
     InvalidParams,
     MatprocError,
@@ -330,8 +331,17 @@ def _answer_item(item, memory, config, client, exemplars_by_task, predictions, c
 
 
 def _check_policy_inputs(config, memory, train_items, predictions) -> None:
-    if config.policy in _NEEDS_MEMORY and memory is None:
-        raise InvalidParams(f"policy {config.policy!r} needs a process memory")
+    """Refuse a config under which every item would fail."""
+    if config.policy in _NEEDS_MEMORY:
+        if memory is None:
+            raise InvalidParams(f"policy {config.policy!r} needs a process memory")
+        if not memory.processes:
+            raise EmptyMemory(f"policy {config.policy!r} retrieves from a memory with no processes")
+        k_name = {"rag": "rag_k", "graphrag": "graph_k"}.get(config.policy)
+        if k_name and getattr(config, k_name) > len(memory.processes):
+            # else every prompt lacks precedents and every item fails
+            raise ConfigConflict(f"{config.policy} needs {k_name} = {getattr(config, k_name)}"
+                                 f" precedents; the memory holds {len(memory.processes)} processes")
     if config.policy == "few_shot" and not train_items:
         raise InvalidParams("few_shot policy needs train_items as the exemplar pool")
     if config.policy == "few_shot" and len(train_items) < config.few_shot_count:
@@ -425,10 +435,11 @@ def answer_items(
 
     blocks = (with_queries(items[start : start + _BLOCK_ITEMS])
               for start in range(0, len(items), _BLOCK_ITEMS))
-    # Threads only overlap waiting on a chat endpoint; CPU-bound configs
-    # hold the GIL, so without a chat-bound one every item runs in-process
-    # whatever ``jobs`` says. A thread answers all configs of its item.
-    if jobs > 1 and chat_bound:
+    # Threads only overlap waiting on a chat endpoint; CPU-bound configs and
+    # the in-process mock client hold the GIL, so without a chat-bound config
+    # answered by another client every item runs in-process whatever
+    # ``jobs`` says. A thread answers all configs of its item.
+    if jobs > 1 and chat_bound and not isinstance(client, MockChatClient):
         return _in_threads(work, blocks, jobs)
     return (rows for block in blocks for rows in map(work, *block))
 

@@ -21,6 +21,11 @@ from .taskgen import BenchItem
 PARTITIONS = ("train", "dev", "test", "excluded")
 PROTOCOLS = ("random", "year", "type", "dual")
 
+# the protocol parameters' defaults, which RunConfig takes as its own
+DEFAULT_RATIOS = (0.8, 0.1, 0.1)  # random: train, dev, test
+DEFAULT_HELD_OUT_CLASS = "battery"  # type and dual: the class only test holds
+DEFAULT_DEV_RATIO = 0.1  # type: the share of the other DOIs in dev
+
 SPLIT_FORMAT = "matproc-split"
 
 
@@ -89,7 +94,7 @@ def render_audit(rows: list[AuditRow]) -> str:
     )
 
 
-def split_random(items: list[BenchItem], ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitAssignment:
+def split_random(items: list[BenchItem], ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitAssignment:
     if abs(sum(ratios) - 1.0) > 1e-9 or len(ratios) != 3:
         raise InvalidParams("ratios must be three values summing to 1")
     ids = [it.item_id for it in items]
@@ -128,8 +133,8 @@ def split_by_year(items: list[BenchItem]) -> SplitAssignment:
 
 def split_by_type(
     items: list[BenchItem],
-    held_out_class: str = "battery",
-    dev_ratio: float = 0.1,
+    held_out_class: str = DEFAULT_HELD_OUT_CLASS,
+    dev_ratio: float = DEFAULT_DEV_RATIO,
     seed: int = 0,
 ) -> SplitAssignment:
     """Held-out class goes to test; the rest is split train/dev by DOI."""
@@ -152,7 +157,7 @@ def split_by_type(
     return SplitAssignment(protocol="type", mapping=mapping, seed=seed)
 
 
-def split_dual(items: list[BenchItem], held_out_class: str = "battery") -> SplitAssignment:
+def split_dual(items: list[BenchItem], held_out_class: str = DEFAULT_HELD_OUT_CLASS) -> SplitAssignment:
     """The year rule, with the held-out class kept only in test and every
     other class kept out of it; what either gate refuses is excluded."""
     assignment = replace(split_by_year(items), protocol="dual")
@@ -162,15 +167,23 @@ def split_dual(items: list[BenchItem], held_out_class: str = "battery") -> Split
     return assignment
 
 
-def split_items(items: list[BenchItem], protocol: str, seed: int = 0, **kwargs) -> SplitAssignment:
+def split_items(
+    items: list[BenchItem],
+    protocol: str,
+    seed: int = 0,
+    ratios=DEFAULT_RATIOS,
+    held_out_class: str = DEFAULT_HELD_OUT_CLASS,
+    dev_ratio: float = DEFAULT_DEV_RATIO,
+) -> SplitAssignment:
+    """``items`` split under ``protocol``, which reads the parameters it uses."""
     if protocol == "random":
-        return split_random(items, seed=seed, **kwargs)
+        return split_random(items, ratios, seed)
     if protocol == "year":
         return split_by_year(items)
     if protocol == "type":
-        return split_by_type(items, seed=seed, **kwargs)
+        return split_by_type(items, held_out_class, dev_ratio, seed)
     if protocol == "dual":
-        return split_dual(items, **kwargs)
+        return split_dual(items, held_out_class)
     raise InvalidParams(f"unknown split protocol {protocol!r}")
 
 

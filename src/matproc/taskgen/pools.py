@@ -30,21 +30,25 @@ class DistractorPools:
     # every pool route rendered once, in pool order: (text, route length, count)
     rendered_routes: list[tuple[str, int, int]] = field(default_factory=list)
     rendered_tuples: Counter = field(default_factory=Counter)  # rendered condition tuple -> count
-    _routes_by_length: dict[int, Counter] = field(default_factory=dict, repr=False, compare=False)
+    # route length -> routes_near(length), for every route length of the corpus
+    routes_by_length: dict[int, Counter] = field(default_factory=dict)
 
     def routes_near(self, length: int) -> Counter:
         """Rendered routes, each weighted ``count / (1 + |len(r) - length|)``.
 
         Summed per text in pool order, so every weight is the float a
-        per-graph pass would compute; built on first use of each length.
+        per-graph pass would compute. The pool of a corpus route length is
+        the one built with the pools; another length's is built afresh.
         """
-        pool = self._routes_by_length.get(length)
-        if pool is None:
-            pool = Counter()
-            for text, route_len, count in self.rendered_routes:
-                pool[text] += count / (1 + abs(route_len - length))
-            self._routes_by_length[length] = pool
-        return pool
+        pool = self.routes_by_length.get(length)
+        return pool if pool is not None else _routes_near(self.rendered_routes, length)
+
+
+def _routes_near(rendered_routes: list[tuple[str, int, int]], length: int) -> Counter:
+    pool: Counter = Counter()
+    for text, route_len, count in rendered_routes:
+        pool[text] += count / (1 + abs(route_len - length))
+    return pool
 
 
 def build_candidate_pools(corpus: list[ProcessGraph]) -> DistractorPools:
@@ -68,6 +72,8 @@ def build_candidate_pools(corpus: list[ProcessGraph]) -> DistractorPools:
             if all(k in act.conditions for k in TUPLE_KEYS):
                 pools.condition_tuples[tuple(act.conditions[k] for k in TUPLE_KEYS)] += 1
     pools.rendered_routes = [(render_route(r), len(r), count) for r, count in pools.routes.items()]
+    pools.routes_by_length = {length: _routes_near(pools.rendered_routes, length)
+                              for length in {len(r) for r in pools.routes}}
     for values, count in pools.condition_tuples.items():
         pools.rendered_tuples[render_condition_tuple(dict(zip(TUPLE_KEYS, values)))] += count
     return pools

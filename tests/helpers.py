@@ -1,5 +1,5 @@
-"""Tiny graph builders, a stored-vector comparison and a loopback JSON
-endpoint shared across test modules."""
+"""Tiny graph builders, a stored-vector comparison, a loopback JSON
+endpoint and a thread-pool counter shared across test modules."""
 
 from __future__ import annotations
 
@@ -138,6 +138,21 @@ class LoopbackEndpoint:
         self._release.set()
         self._server.shutdown()
         self._server.server_close()
+
+
+def count_thread_pools(monkeypatch) -> list[int]:
+    """A list that grows by the worker count of each thread pool the runner starts."""
+    from matproc import runner
+
+    started: list[int] = []
+    pool = runner.ThreadPoolExecutor
+
+    def counted(max_workers):
+        started.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", counted)
+    return started
 
 
 def closed_port_url() -> str:

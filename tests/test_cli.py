@@ -19,10 +19,11 @@ from matproc import cli
 from matproc.config import PATH_KEYS, RunConfig, load_config_file
 from matproc.errors import ConfigConflict
 from matproc.jsonio import read_ndjson, write_ndjson
+from matproc.memory import load_memory
 from matproc.provgraph import SynthParams, generate_synthetic_corpus, to_prov_document
 from matproc.runner import DEFAULT_BUDGETS, POLICIES
 
-from helpers import LoopbackEndpoint, closed_port_url
+from helpers import LoopbackEndpoint, count_thread_pools
 
 
 # --- run configuration ------------------------------------------------------------------
@@ -369,14 +370,17 @@ def eval_argv(paths, policy, log, jobs=1, memory=None):
 
 @pytest.mark.parametrize("policy", ["argmax_hybrid", "provmind_llm"])
 def test_jobs_never_change_eval_logs(tmp_path, policy, monkeypatch, capsys):
-    monkeypatch.delenv("MATPROC_CHAT_URL", raising=False)  # provmind_llm uses the mock client
+    # provmind_llm asks a chat endpoint, so --jobs 4 answers its items in threads
+    pools = count_thread_pools(monkeypatch)
     paths = pipeline()
     logs = []
-    for jobs in (1, 4):
-        log = tmp_path / f"log-jobs{jobs}.ndjson"
-        assert cli.dispatch(eval_argv(paths, policy, log, jobs)) == 0
-        logs.append(log.read_bytes())
+    with LoopbackEndpoint({"text": "Answer: B"}) as server:
+        for jobs in (1, 4):
+            log = tmp_path / f"log-jobs{jobs}.ndjson"
+            assert cli.dispatch([*eval_argv(paths, policy, log, jobs), "--chat-url", server.url]) == 0
+            logs.append(log.read_bytes())
     assert logs[0] == logs[1]
+    assert pools == ([4] if policy == "provmind_llm" else [])
 
 
 def ablate_argv(paths, report, axes=None, jobs=1):
@@ -393,15 +397,18 @@ def ablate_argv(paths, report, axes=None, jobs=1):
 
 
 def test_jobs_never_change_the_ablation_artifact(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("MATPROC_CHAT_URL", raising=False)  # the module rows use the mock client
+    # the module rows ask a chat endpoint, so --jobs 4 answers the items in threads
+    pools = count_thread_pools(monkeypatch)
     paths = pipeline()
     artifacts = []
-    for jobs in (1, 4):
-        report = tmp_path / f"ablation-jobs{jobs}.ndjson"
-        assert cli.dispatch(ablate_argv(paths, report, jobs=jobs)) == 0
-        artifacts.append(report.read_bytes())
+    with LoopbackEndpoint({"text": "Answer: B"}) as server:
+        for jobs in (1, 4):
+            report = tmp_path / f"ablation-jobs{jobs}.ndjson"
+            assert cli.dispatch([*ablate_argv(paths, report, jobs=jobs), "--chat-url", server.url]) == 0
+            artifacts.append(report.read_bytes())
     assert len(read_ndjson(tmp_path / "ablation-jobs1.ndjson")[1]) == 25
     assert artifacts[0] == artifacts[1]
+    assert pools == [4]
 
 
 def test_shuffled_memory_rows_change_no_eval_log_or_ablation_byte(tmp_path, monkeypatch, capsys):
@@ -641,45 +648,36 @@ def test_external_predictions_that_are_not_json_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize(
-    "body",
-    [{"vectors": [[1.0], [1.0, 2.0]]}, {"vectors": [[1.0]]}, {"texts": []}, [1]],
-    ids=["ragged", "too-few-rows", "no-vectors", "list-body"],
-)
-def test_build_memory_exits_4_on_a_malformed_embedding_reply(tmp_path, capsys, body):
+@pytest.mark.parametrize("flag", ["--embed-url", "--embed-token"])
+def test_build_memory_has_no_embedding_endpoint_flags(tmp_path, capsys, flag):
     paths = pipeline()
     out = tmp_path / "memory.ndjson"
-    with LoopbackEndpoint(body) as server:
-        code = cli.dispatch(
-            [
-                "build-memory",
-                "--graphs", str(paths["graphs"]),
-                "--bench", str(paths["bench"]),
-                "--split", str(paths["split"]),
-                "--out", str(out),
-                "--embed-url", server.url,
-            ]
-        )
-    assert code == 4
-    assert capsys.readouterr().err.startswith("error:")
+    argv = ["build-memory", "--graphs", str(paths["graphs"]), "--bench", str(paths["bench"]),
+            "--split", str(paths["split"]), "--out", str(out), flag, "http://127.0.0.1:9/v1"]
+    assert cli.dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
     assert not out.exists()
-    assert len(server.received) == 1  # the embedder makes one attempt
 
 
-def test_build_memory_exits_4_when_the_embedding_endpoint_is_down(tmp_path, capsys):
+def test_a_configured_embedding_endpoint_exits_2(tmp_path, capsys):
     paths = pipeline()
-    code = cli.dispatch(
-        [
-            "build-memory",
-            "--graphs", str(paths["graphs"]),
-            "--bench", str(paths["bench"]),
-            "--split", str(paths["split"]),
-            "--out", str(tmp_path / "memory.ndjson"),
-            "--embed-url", closed_port_url(),
-        ]
-    )
-    assert code == 4
-    assert capsys.readouterr().err.startswith("error:")
+    out, cfg_path = tmp_path / "memory.ndjson", tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"endpoints": {"embed_url": "http://127.0.0.1:9/v1"}}))
+    argv = ["build-memory", "--graphs", str(paths["graphs"]), "--bench", str(paths["bench"]),
+            "--split", str(paths["split"]), "--out", str(out), "--config", str(cfg_path)]
+    assert cli.dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "texts are embedded by the builtin embedder on both the memory and the query side" in err
+    assert not out.exists()
+    cfg_path.write_text(json.dumps({"endpoints": {"embed_token": "secret"}}))  # no such field
+    assert cli.dispatch(argv) == 2
+    assert not out.exists()
+    cfg_path.write_text(json.dumps({"endpoints": {"embed_url": ""}}))
+    assert cli.dispatch(argv) == 0
+    assert out.read_bytes() == paths["memory"].read_bytes()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("body", [{"text": 5}, [1]], ids=["int-text", "list-body"])
@@ -783,6 +781,43 @@ def test_few_shot_with_a_train_pool_below_few_shot_count_exits_2(tmp_path, capsy
     assert not log.exists()
 
 
+@pytest.mark.parametrize("policy, knob", [("rag", "rag_k"), ("graphrag", "graph_k")])
+def test_a_baseline_asking_for_more_precedents_than_the_memory_holds_exits_2(
+        tmp_path, monkeypatch, capsys, policy, knob):
+    monkeypatch.delenv("MATPROC_CHAT_URL", raising=False)  # the baselines use the mock client
+    paths = pipeline()
+    n = len(load_memory(paths["memory"]).processes)
+    cfg_path, log = tmp_path / "run.json", tmp_path / "log.ndjson"
+    argv = [*eval_argv(paths, policy, log), "--config", str(cfg_path)]
+    cfg_path.write_text(json.dumps({"runner": {knob: n + 1}}))
+    assert cli.dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{policy} needs {knob} = {n + 1} precedents; the memory holds {n} processes" in err
+    assert not log.exists()
+    cfg_path.write_text(json.dumps({"runner": {knob: n}}))  # k equal to the process count runs
+    assert cli.dispatch(argv) == 0
+    rows = read_ndjson(log)[1]
+    assert rows and all(len(row["precedents"]) == n and not row["flags"] for row in rows)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_a_memory_with_no_processes_exits_3(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.delenv("MATPROC_CHAT_URL", raising=False)  # the module rows use the mock client
+    paths = dict(pipeline())
+    paths["memory"] = tmp_path / "memory.ndjson"
+    paths["memory"].write_text(pipeline()["memory"].read_text().splitlines(keepends=True)[0])
+    out = tmp_path / "out.ndjson"
+    argv = (eval_argv(paths, "argmax_hybrid", out) if command == "eval"
+            else ablate_argv(paths, out))
+    assert cli.dispatch(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "memory with no processes" in err
+    assert not out.exists()
+
+
 @functools.lru_cache(maxsize=None)
 def dual_pipeline() -> dict[str, Path]:
     """The pipeline's bench split under ``dual``, which leaves some items
@@ -840,7 +875,6 @@ def _split_and_memory(root: Path, *protocol: str) -> tuple[Path, Path]:
 ], ids=["random-memory-on-year", "battery-memory-on-magnetic"])
 def test_a_memory_of_graphs_the_split_holds_out_exits_3(tmp_path, capsys, memory_protocol,
                                                         split_protocol):
-    from matproc.memory import load_memory
     from matproc.splits import read_assignment
     from matproc.taskgen.store import load_items
 

@@ -12,7 +12,6 @@ import itertools
 import pickle
 import sys
 import tempfile
-import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -27,7 +26,6 @@ from matproc import retrieval as rt
 from matproc.canon import canon_label, derive_seed
 from matproc.errors import (
     DataError,
-    EmbedderUnavailable,
     EmbeddingDimensionMismatch,
     EmptyMemory,
     InvalidParams,
@@ -50,7 +48,7 @@ from matproc.provgraph import (
 from matproc.runner import _FUSION_ROWS
 from matproc.taskgen import generate_benchmark
 
-from helpers import LoopbackEndpoint, Reply, chain_graph, closed_port_url, compiled
+from helpers import chain_graph, compiled
 
 
 def small_corpus(n=20, seed=7):
@@ -110,100 +108,6 @@ def test_builtin_embedder_distinguishes_texts():
     assert rt.cosine(vecs[0], vecs[1]) < 1.0 - 1e-6
 
 
-# --- endpoint text embedder ---------------------------------------------------------
-
-
-def test_endpoint_embedder_normalizes_and_posts():
-    with LoopbackEndpoint({"vectors": [[3.0, 4.0], [0.0, 2.0]]}) as server:
-        out = rt.EndpointTextEmbedder(server.url, token="tok").embed(["a", "b"])
-    [(path, headers, body)] = server.received
-    assert path == "/v1"
-    assert body == {"texts": ["a", "b"]}
-    assert headers["Authorization"] == "Bearer tok"
-    assert headers["Content-Type"] == "application/json"
-    assert np.allclose(out, [[0.6, 0.8], [0.0, 1.0]])
-
-
-def test_endpoint_embedder_sends_no_authorization_without_token():
-    with LoopbackEndpoint({"vectors": [[1.0]]}) as server:
-        rt.EndpointTextEmbedder(server.url).embed(["a"])
-    assert "Authorization" not in server.received[0][1]
-
-
-def test_endpoint_embedder_connection_error():
-    with pytest.raises(EmbedderUnavailable):
-        rt.EndpointTextEmbedder(closed_port_url()).embed(["a"])
-
-
-@pytest.mark.parametrize(
-    "url", ['data:,{"vectors": [[1.0]]}', "file:///dev/null", "embed.local/v1"]
-)
-def test_endpoint_embedder_refuses_urls_that_are_not_http(url):
-    with pytest.raises(EmbedderUnavailable):
-        rt.EndpointTextEmbedder(url).embed(["a"])
-
-
-def test_endpoint_embedder_bad_payload():
-    with LoopbackEndpoint({"wrong_key": []}) as server:
-        with pytest.raises(EmbedderUnavailable):
-            rt.EndpointTextEmbedder(server.url).embed(["a"])
-
-
-def test_endpoint_embedder_wrong_row_count():
-    with LoopbackEndpoint({"vectors": [[1.0, 0.0]]}) as server:
-        with pytest.raises(EmbedderUnavailable):
-            rt.EndpointTextEmbedder(server.url).embed(["a", "b"])
-
-
-@pytest.mark.parametrize(
-    "reply",
-    [
-        Reply({"vectors": [[1.0], [1.0, 2.0]]}),  # ragged
-        Reply({"vectors": [[1.0, "2"], [1.0, 2.0]]}),
-        Reply({"vectors": [[True, 2.0], [1.0, 2.0]]}),
-        Reply({"vectors": [[], []]}),
-        Reply({"vectors": [1.0, 2.0]}),
-        Reply({"vectors": "[[1.0], [2.0]]"}),
-        Reply({"vectors": [[10**400], [1.0]]}),
-        Reply(b'{"vectors": [[NaN], [1.0]]}'),
-        Reply(b'{"vectors": [[1e400], [1.0]]}'),
-        Reply([[1.0], [2.0]]),  # not an object
-        Reply(b"not json"),
-        Reply(b'{"vectors": [[1.0], [2.0]]'),  # truncated
-        Reply(b'\xff{"vectors": [[1.0], [2.0]]}'),  # not UTF-8
-        Reply({"vectors": [[1.0], [2.0]]}, status=500),
-    ],
-    ids=[
-        "ragged", "string", "bool", "empty-rows", "flat", "string-vectors", "huge-int",
-        "nan", "overflow", "list-body", "not-json", "truncated", "bad-utf8", "http-500",
-    ],
-)
-def test_endpoint_embedder_rejects_malformed_replies_in_one_attempt(reply):
-    with LoopbackEndpoint(reply) as server:
-        with pytest.raises(EmbedderUnavailable):
-            rt.EndpointTextEmbedder(server.url).embed(["a", "b"])
-    assert len(server.received) == 1
-
-
-def test_endpoint_embedder_gives_up_at_its_timeout():
-    with LoopbackEndpoint(Reply({"vectors": [[1.0]]}, delay=5.0)) as server:
-        started = time.perf_counter()
-        with pytest.raises(EmbedderUnavailable):
-            rt.EndpointTextEmbedder(server.url, timeout=0.2).embed(["a"])
-        assert time.perf_counter() - started < 4.0
-
-
-def test_get_text_embedder_env_selection(monkeypatch):
-    monkeypatch.delenv(rt.EMBED_URL_VAR, raising=False)
-    assert isinstance(rt.get_text_embedder(), rt.BuiltinTextEmbedder)
-    monkeypatch.setenv(rt.EMBED_URL_VAR, "http://embed.local/v1")
-    monkeypatch.setenv(rt.EMBED_TOKEN_VAR, "sekrit")
-    embedder = rt.get_text_embedder()
-    assert isinstance(embedder, rt.EndpointTextEmbedder)
-    assert embedder.url == "http://embed.local/v1"
-    assert embedder.token == "sekrit"
-
-
 # --- structure embedding -------------------------------------------------------------
 
 
@@ -212,7 +116,7 @@ def test_embed_structure_single_node_matches_plain_projection():
     # collapse and the result is just two projected/squashed rounds, normalized
     g = ProcessGraph(record_id="solo")
     g.material_entities.append(EntityNode(id="m0", label="lithium", kind="material"))
-    got = rt.embed_structure(g, seed=13)
+    got = rt.embed_structure(g)
 
     h = rt.BuiltinTextEmbedder().embed([canon_label("lithium")])[0]
     for round_index in range(2):
@@ -261,11 +165,6 @@ def test_embed_structure_deterministic_and_unit_norm():
         assert np.linalg.norm(first) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_embed_structure_seed_changes_vector():
-    g = chain_graph(["ball milling", "sintering"])
-    assert not np.allclose(rt.embed_structure(g, seed=13), rt.embed_structure(g, seed=14))
-
-
 def test_embed_structure_empty_graph_is_zero():
     assert np.all(rt.embed_structure(ProcessGraph(record_id="void")) == 0.0)
 
@@ -311,7 +210,7 @@ def node_count(g: ProcessGraph) -> int:
 
 
 def assert_batch_equals_reference(graphs):
-    got = rt.embed_structures(graphs)
+    got = rt.StructureEncoder().embed(graphs)
     assert got.shape == (len(graphs), rt.EMBED_DIM) and got.dtype == np.float64
     for row, g in zip(got, graphs):
         assert np.array_equal(row, rt.embed_structure(g)), g.record_id
@@ -359,8 +258,8 @@ def test_embed_structures_equals_embed_structure_on_small_and_degenerate_graphs(
     assert_batch_equals_reference([*small_corpus(n=4), *odd, *small_corpus(n=3, seed=2)])
     for g in odd:  # each on its own, so the label table is padded or skipped
         assert_batch_equals_reference([g])
-    assert np.all(rt.embed_structures([ProcessGraph(record_id="void")]) == 0.0)
-    assert rt.embed_structures([]).shape == (0, rt.EMBED_DIM)
+    assert np.all(rt.StructureEncoder().embed([ProcessGraph(record_id="void")]) == 0.0)
+    assert rt.StructureEncoder().embed([]).shape == (0, rt.EMBED_DIM)
 
 
 def test_embed_structures_equals_embed_structure_across_chunk_boundaries(monkeypatch):
@@ -992,9 +891,9 @@ def test_a_loaded_memory_of_another_dimension_fails_at_index_build(tmp_path):
 
 
 def test_frozen_projection_is_cached_and_read_only():
-    w = rt._frozen_projection(13, 0)
-    assert rt._frozen_projection(13, 0) is w
-    assert rt._frozen_projection(13, 1) is not w
+    w = rt._frozen_projection(0)
+    assert rt._frozen_projection(0) is w
+    assert rt._frozen_projection(1) is not w
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[0, 0] = 1.0

@@ -30,7 +30,8 @@ from matproc.scoring import (
     score_options_symbolic,
 )
 
-from helpers import LoopbackEndpoint, Reply, chain_graph, closed_port_url, compiled
+from helpers import (LoopbackEndpoint, Reply, chain_graph, closed_port_url, compiled,
+                     count_thread_pools)
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,11 +105,27 @@ def test_mock_evidence_following_can_be_disabled():
 def test_mock_plan_prompts_get_a_plan_not_an_answer():
     client = ch.MockChatClient()
     exchange = client.complete(
-        [{"role": "user", "content": "stuff\nWrite a brief plan for picking the answer."}],
+        [{"role": "user", "content": f"stuff\n{pr.PLAN_INSTRUCTION}"}],
         max_new_tokens=96,
     )
     assert "Answer:" not in exchange.response_text
     assert "precedent" in exchange.response_text
+
+
+def test_the_mock_reads_the_prompts_that_prompts_renders():
+    from matproc.taskgen import generate_benchmark
+
+    items, _ = generate_benchmark(list(corpus()), k_options=8, seed=3)
+    item = next(it for it in items if len(it.options) == 8)
+    precedents = retrieve(query_from_item(item), mem(), k=2)
+    scores = scored([0.5] * 7 + [0.9], item.item_id)  # H, the last of eight, is strongest
+    client = ch.MockChatClient()
+    answer = pr.build_prompt(item, "answer", precedents=precedents, scores=scores, memory=mem())
+    assert client.complete(answer, 48).response_text == "Answer: H"
+    assert pr.parse_answer("Answer: H", len(item.options)) == 7
+    plan = pr.build_prompt(item, "plan", precedents=precedents, scores=scores, memory=mem())
+    reply = client.complete(plan, 96).response_text
+    assert "Answer:" not in reply and "precedent" in reply
 
 
 def test_mock_default_is_answer_a():
@@ -333,7 +350,7 @@ def test_plan_and_answer_prompts_carry_evidence_lines():
     assert body.endswith(pr.PLAN_INSTRUCTION)
     assert f"B) {item.options[1]} [compatibility 0.900]" in body
     # The mock's evidence scanner reads exactly what the template renders.
-    assert ch._EVIDENCE_LINE.search(body).group(1) == "A"
+    assert pr.EVIDENCE_LINE.search(body).group(1) == "A"
     answer = pr.build_prompt(
         item, "answer", precedents=precedents, scores=scores, memory=mem(),
         plan_text="lean on precedent two",
@@ -473,20 +490,46 @@ def test_evaluate_is_reproducible_and_parallel_safe():
     assert rows_a == rows_b == rows_p
 
 
-def test_threaded_chat_bound_rows_equal_in_process_rows_over_several_blocks():
+class _DelegatingClient:
+    """Answers as the mock client does, but is not one, so runs thread it."""
+
+    def __init__(self):
+        self.mock = ch.MockChatClient()
+
+    def complete(self, messages, max_new_tokens, temperature=0.0):
+        return self.mock.complete(messages, max_new_tokens, temperature)
+
+
+def test_threaded_chat_bound_rows_equal_in_process_rows_over_several_blocks(monkeypatch):
     items = list(bench()[: 3 * rn._BLOCK_ITEMS + 5])  # three full blocks and a partial one
     configs = [rn.PolicyConfig(policy="provmind_llm"), rn.PolicyConfig(policy="rag"),
                rn.PolicyConfig(policy="argmax_hybrid")]
+    pools = count_thread_pools(monkeypatch)
 
     def rows(jobs):
-        answers = rn.answer_items(items, mem(), configs, client=ch.MockChatClient(), jobs=jobs)
+        answers = rn.answer_items(items, mem(), configs, client=_DelegatingClient(), jobs=jobs)
         return list(answers)
 
-    in_process, threaded = rows(1), rows(4)
+    in_process = rows(1)
+    assert pools == []
+    threaded = rows(4)
+    assert pools == [4]  # the pool answered the threaded rows
     assert [[row["item_id"] for row in item_rows] for item_rows in threaded] == [
         [item.item_id] * len(configs) for item in items]
     assert threaded == in_process
     assert all(row["precedents"] for item_rows in threaded for row in item_rows)
+
+
+def test_the_mock_client_answers_in_process_whatever_jobs_says(monkeypatch):
+    items = list(bench()[: 2 * rn._BLOCK_ITEMS + 3])
+    configs = [rn.PolicyConfig(policy="provmind_llm"), rn.PolicyConfig(policy="rag"),
+               rn.PolicyConfig(policy="argmax_hybrid")]
+    pools = count_thread_pools(monkeypatch)
+    in_process = list(rn.answer_items(items, mem(), configs, client=ch.MockChatClient()))
+    assert list(rn.answer_items(items, mem(), configs, client=ch.MockChatClient(), jobs=4)) == in_process
+    assert list(rn.answer_items(items, mem(), configs, jobs=4)) == in_process  # the default mock
+    assert list(rn.answer_items(items, mem(), configs, client=_DelegatingClient())) == in_process
+    assert pools == []
 
 
 def test_report_round_trip_excludes_wall_clock():
@@ -766,7 +809,7 @@ def test_grid_embeds_and_matches_once_per_item(monkeypatch):
         calls["struct_rows"] += not batching
         return per_graph(*args, **kwargs)
 
-    def embed_structures(self, graphs):
+    def encoder_embed(self, graphs):
         batching.append(True)
         try:
             out = batched(self, graphs)
@@ -783,7 +826,7 @@ def test_grid_embeds_and_matches_once_per_item(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(rt, "embed_structure", embed_structure)
-    monkeypatch.setattr(rt.StructureEncoder, "embed", embed_structures)
+    monkeypatch.setattr(rt.StructureEncoder, "embed", encoder_embed)
     # the symbolic lane calls match_steps through its own module's binding
     monkeypatch.setattr(sc, "match_steps", counted(sc.match_steps))
     rn.run_ablation(items, memory)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import pytest
@@ -133,6 +134,22 @@ def test_pools_degenerate_key_absent():
 
 
 # --- instantiation ------------------------------------------------------------
+
+def test_instantiating_tasks_leaves_the_pools_as_built():
+    corpus = synth_corpus(30)
+    pools = build_candidate_pools(corpus)
+    built = copy.deepcopy(vars(pools))
+    assert pools.routes_by_length.keys() == {len(r) for r in pools.routes}
+    for g in corpus:
+        instantiate_tasks(g, pools, seed=4)
+    longer = chain_graph(["mill"] * (max(pools.routes_by_length) + 2))  # a length no route has
+    assert instantiate_tasks(compiled(longer), pools, seed=4)
+    assert vars(pools) == built
+    own = Counter()  # the pool of that length, summed per text in pool order
+    for r, count in pools.routes.items():
+        own[render_route(r)] += count / (1 + abs(len(r) - len(route_labels(longer))))
+    assert list(pools.routes_near(len(route_labels(longer))).items()) == list(own.items())
+
 
 def test_single_activity_graph_task_mix():
     corpus = toy_corpus()
