@@ -10,11 +10,11 @@ offline runs exercise the full prompt/parse/fallback machinery.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from dataclasses import dataclass, field
 
-from .endpoint import post_json
 from .errors import ClientTimeout
 from .jsonio import Record
 from .prompts import ANSWER_INSTRUCTION, EVIDENCE_LINE, PLAN_INSTRUCTION
@@ -43,14 +43,43 @@ class HttpChatClient:
         self.retries = retries
 
     def complete(self, messages: list[dict], max_new_tokens: int, temperature: float = 0.0) -> ChatExchange:
-        payload = {
+        """POST the request and read its reply. An attempt fails on any
+        transport error, timeout or HTTP error status, and on a body that is
+        not a JSON object or not a valid reply (see :func:`_reply`); after
+        ``retries + 1`` failed attempts :class:`ClientTimeout` is raised,
+        naming the last failure. A URL that is not http(s) raises it at once
+        (``urllib`` would otherwise read ``file:`` and ``data:`` URLs).
+        ``urllib`` is imported on the first call, so a run that reaches no
+        endpoint never loads the HTTP stack."""
+        import http.client
+        import urllib.error
+        import urllib.parse
+        import urllib.request
+
+        if urllib.parse.urlsplit(self.url).scheme not in ("http", "https"):
+            raise ClientTimeout(f"endpoint {self.url!r} is not an http(s) URL")
+        headers = {"Content-Type": "application/json"}
+        if self.token:
+            headers["Authorization"] = f"Bearer {self.token}"
+        data = json.dumps({
             "messages": messages,
             "max_new_tokens": max_new_tokens,
             "temperature": temperature,
-        }
-        text, finish_reason = post_json(
-            self.url, payload, self.token, self.timeout, self.retries + 1, ClientTimeout, _reply
-        )
+        }).encode("utf-8")
+        attempts, last = self.retries + 1, None
+        for _ in range(attempts):
+            request = urllib.request.Request(self.url, data=data, headers=headers, method="POST")
+            try:
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    text, finish_reason = _reply(json.loads(response.read().decode("utf-8")))
+                break
+            except urllib.error.HTTPError as exc:
+                exc.close()  # an error status arrives as the still-open response
+                last = exc
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                last = exc
+        else:
+            raise ClientTimeout(f"endpoint {self.url} failed after {attempts} attempt(s): {last}")
         return ChatExchange(
             messages=messages,
             max_new_tokens=max_new_tokens,
@@ -60,7 +89,11 @@ class HttpChatClient:
         )
 
 
-def _reply(body: dict) -> tuple[str, str]:
+def _reply(body) -> tuple[str, str]:
+    """The text and finish reason of a reply body; ValueError unless it is a
+    JSON object with a string ``text`` and, if given, a string ``finish_reason``."""
+    if not isinstance(body, dict):
+        raise ValueError("body is not a JSON object")
     text, finish_reason = body.get("text"), body.get("finish_reason", "stop")
     if not isinstance(text, str) or not isinstance(finish_reason, str):
         raise ValueError("reply needs a string 'text' and, if given, a string 'finish_reason'")

@@ -49,7 +49,6 @@ from .provgraph import (
     to_prov_document,
 )
 from .provgraph.store import load_graphs, write_graph_store
-from .retrieval import attach_embeddings
 from .runner import (
     AblationRow,
     EvalReport,
@@ -218,8 +217,6 @@ def cmd_build_memory(cfg: RunConfig) -> int:
         max_prefix_len=cfg.max_prefix_len,
         allowed_graph_ids=train_ids,
     )
-    if cfg.embeddings:
-        memory = attach_embeddings(memory, selected)
     save_memory(cfg.path("memory"), memory, cfg.config_hash())
     print(
         f"memory over {len(selected)} train graphs "
@@ -324,8 +321,6 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_ablate(cfg: RunConfig) -> int:
     _, assignment, part_items, memory = _eval_inputs(cfg)
-    if memory is None:
-        raise ConfigConflict("ablate needs a --memory file")
     results = run_ablation(
         part_items,
         memory,
@@ -451,13 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", dest="path_split", help="assignment file")
     p.add_argument("--out", dest="path_memory", help="memory file to write")
     p.add_argument("--max-prefix-len", type=int, dest="max_prefix_len")
-    p.add_argument(
-        "--skip-embeddings",
-        action="store_const",
-        const=False,
-        dest="embeddings",
-        help="store no text/structure vectors",
-    )
 
     def eval_flags(p):
         p.add_argument("--bench", dest="path_bench", help="question set file")

@@ -37,11 +37,13 @@ PATH_KEYS = (
     "report",
     "predictions",
 )
+# retired fields, each hashed at the one value it could take, so that every
+# config_hash stays as it was
+RETIRED_HASH_KEYS = {"struct_seed": STRUCT_SEED, "embeddings": True, "endpoints": {"embed_url": ""}}
 
 
 @dataclass
 class Endpoints:
-    embed_url: str = ""  # only "" is accepted; kept because config_hash covers it
     chat_url: str = ""
     chat_token: str = ""
 
@@ -60,8 +62,6 @@ class RunConfig(Record):
     dev_ratio: float = DEFAULT_DEV_RATIO
     partition: str = "test"
     max_prefix_len: int = DEFAULT_MAX_PREFIX_LEN
-    struct_seed: int = STRUCT_SEED
-    embeddings: bool = True
     field_map: dict | None = None
     caps: dict | None = None
     weights: RetrievalWeights = field(default_factory=RetrievalWeights)
@@ -82,16 +82,8 @@ class RunConfig(Record):
             if getattr(self, name) not in allowed:
                 raise ConfigConflict(
                     f"{name} {getattr(self, name)!r} is not one of {', '.join(allowed)}")
-        # struct_seed and endpoints.embed_url stay because config_hash covers them
-        if self.struct_seed != STRUCT_SEED:
-            raise ConfigConflict(
-                f"struct_seed must be {STRUCT_SEED}: queries embed their structure under"
-                f" that seed and a memory does not record its own, so a memory embedded under"
-                f" {self.struct_seed} would be compared with them silently")
-        if self.endpoints.embed_url:
-            raise ConfigConflict(
-                f"endpoints.embed_url must be empty, got {self.endpoints.embed_url!r}: texts are"
-                f" embedded by the builtin embedder on both the memory and the query side")
+        if self.jobs < 1:
+            raise ConfigConflict(f"jobs must be >= 1, got {self.jobs}")
         if self.k_options not in OPTION_COUNTS:
             raise ConfigConflict(
                 f"k_options must lie in {OPTION_COUNTS[0]}..{OPTION_COUNTS[-1]}, got {self.k_options}")
@@ -139,10 +131,9 @@ class RunConfig(Record):
         d = self.to_dict()
         del d["paths"]
         del d["jobs"]
-        d["endpoints"] = {
-            k: v for k, v in d["endpoints"].items() if not k.endswith("_token")
-        }
-        return stable_hash(d)
+        endpoints = {k: v for k, v in d["endpoints"].items() if not k.endswith("_token")}
+        return stable_hash({**d, **RETIRED_HASH_KEYS,
+                            "endpoints": {**endpoints, **RETIRED_HASH_KEYS["endpoints"]}})
 
     def policy_config(self) -> PolicyConfig:
         """The runner knobs, with the policy fields this config holds itself."""

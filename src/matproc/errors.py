@@ -23,6 +23,11 @@ class EndpointError(MatprocError):
     """A configured external endpoint failed or is unreachable."""
 
 
+class InvalidParams(UsageError):
+    """A knob out of range or naming nothing (a weight, ratio, count, lambda
+    or policy), or a policy run without an input it needs."""
+
+
 # --- provenance parsing / compilation ---------------------------------------
 
 class MalformedDocument(DataError):
@@ -35,10 +40,6 @@ class EmptyRecord(DataError):
 
 class CyclicPrecedence(DataError):
     """Inferred activity precedence contains a cycle."""
-
-
-class InvalidParams(DataError):
-    """Synthetic-corpus parameters are out of range."""
 
 
 # --- benchmark generation ----------------------------------------------------

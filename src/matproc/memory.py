@@ -175,7 +175,7 @@ class ProcessMemory:
     transition_table: dict[tuple[str, str], int] = field(default_factory=dict)
     prefix_index: dict[tuple[str, ...], Counter] = field(default_factory=dict)
     # kind ("text", "struct") -> read-only float64 (len(processes), d) matrix,
-    # row i for processes[i]; a kind is stored for every process or for none
+    # row i for processes[i]; a built or loaded memory stores both kinds
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
 
     @cached_property
@@ -230,7 +230,9 @@ def build_memory(
     max_prefix_len: int = DEFAULT_MAX_PREFIX_LEN,
     allowed_graph_ids: set[str] | None = None,
 ) -> ProcessMemory:
-    """Fold the training graphs into an immutable memory.
+    """Fold the training graphs into an immutable memory that stores the
+    text and struct vectors of every process (see
+    :func:`matproc.retrieval.attach_embeddings`).
 
     ``allowed_graph_ids`` is the train-only provenance guard: when given,
     any graph outside it is a hard error, not a silent inclusion.
@@ -279,9 +281,12 @@ def build_memory(
             for start in range(0, length - width):
                 window = tuple(route[start : start + width])
                 prefix_index.setdefault(window, Counter())[route[start + width]] += 1
-    return ProcessMemory(split_id=split_id, max_prefix_len=max_prefix_len, processes=processes,
-                         step_library=step_library, transition_table=transition_table,
-                         prefix_index=prefix_index)
+    from .retrieval import attach_embeddings  # retrieval imports this module
+
+    memory = ProcessMemory(split_id=split_id, max_prefix_len=max_prefix_len, processes=processes,
+                           step_library=step_library, transition_table=transition_table,
+                           prefix_index=prefix_index)
+    return attach_embeddings(memory, train_graphs)
 
 
 def next_distribution(memory: ProcessMemory, prefix) -> NextDistribution:
@@ -426,7 +431,7 @@ class ProcessRow(ProcessSummary):
     """A process as the memory file stores it: its summary and, per kind,
     its vector as a JSON list, which :class:`StoredVectors` checks and packs."""
 
-    embeddings: dict[str, list] | None = None
+    embeddings: dict[str, list]
 
 
 @dataclass
@@ -441,6 +446,10 @@ class PrefixRow(Record):
     prefix: tuple[str, ...]
     next: dict[str, int]
 
+
+# the vector kinds every stored process holds, sorted
+VECTOR_KINDS = ("struct", "text")
+_REBUILD = "a memory stores a text and a struct vector for every process; rebuild with build-memory"
 
 # the record type of each kind of memory-file row
 MEMORY_ROWS = {"process": ProcessRow, "step": StepEntry, "transition": TransitionRow,
@@ -458,10 +467,8 @@ def save_memory(path: str | Path, memory: ProcessMemory, config_hash: str = "") 
 
     def rows():
         for i, p in enumerate(memory.processes):
-            row = {"kind": "process", **record_fields(p)}
-            if memory.vectors:
-                row["embeddings"] = {kind: m[i] for kind, m in memory.vectors.items()}
-            yield row
+            yield {"kind": "process", **record_fields(p),
+                   "embeddings": {kind: m[i] for kind, m in memory.vectors.items()}}
         for e in memory.step_library:
             yield {"kind": "step", **record_fields(e)}
         for (a, b), c in sorted(memory.transition_table.items()):
@@ -480,23 +487,22 @@ class StoredVectors:
     def __init__(self):
         self._buffers: dict[str, array] = {}
         self._widths: dict[str, tuple[int, str]] = {}  # kind -> width, first graph_id
-        self._kinds: tuple[list[str], str] | None = None  # the first process's kinds and id
         self._count = 0
 
     def read(self, row) -> ProcessSummary:
         """A process row of the file as its summary, checked as a
-        :class:`ProcessRow`, with its vectors appended to the buffers."""
-        kwargs = check_fields(ProcessRow, row)
-        vectors = kwargs.pop("embeddings", None) or {}
-        summary = ProcessSummary(**kwargs)
-        kinds = sorted(vectors)
-        self._kinds = self._kinds or (kinds, summary.graph_id)
-        if kinds != self._kinds[0]:
+        :class:`ProcessRow` that stores a vector of each kind, with its
+        vectors appended to the buffers."""
+        if type(row) is dict and "embeddings" not in row:
             raise MalformedDocument(
-                f"memory process {summary.graph_id!r}: stored vector kinds {kinds}, the first"
-                f" process ({self._kinds[1]!r}) has {self._kinds[0]}; a memory stores each kind"
-                " for every process or for none"
-            )
+                f"memory process {row.get('graph_id')!r} stores no vectors; {_REBUILD}")
+        kwargs = check_fields(ProcessRow, row)
+        vectors = kwargs.pop("embeddings")
+        summary = ProcessSummary(**kwargs)
+        if sorted(vectors) != list(VECTOR_KINDS):
+            raise MalformedDocument(
+                f"memory process {summary.graph_id!r}: stored vector kinds {sorted(vectors)},"
+                f" expected {list(VECTOR_KINDS)}; {_REBUILD}")
         for kind, values in vectors.items():
             self._append(summary.graph_id, kind, values)
         self._count += 1

@@ -7,8 +7,8 @@ provenance documents:
   (``prov:Entity`` / ``prov:Activity``) whose usage/generation links appear
   either as node properties (``used``, ``wasGeneratedBy``) or as standalone
   qualified relation objects.
-* Flat PROV-JSON: top-level ``entity`` / ``activity`` / ``used`` /
-  ``wasGeneratedBy`` maps.
+* Flat PROV-JSON: top-level ``entity`` / ``activity`` maps and relation
+  maps under the usage and generation keys (``used``, ``wasGeneratedBy``).
 
 The concrete key vocabulary is not hardcoded: a FieldMap declares which keys
 carry labels, conditions, tool markers, DOI, year and material class, so
@@ -225,14 +225,14 @@ def _ref_list(value) -> list[str]:
 
 
 def _collect_flat(doc: dict, fm: FieldMap):
-    """PROV-JSON: entity/activity maps plus used/wasGeneratedBy relation maps."""
+    """PROV-JSON: entity/activity maps plus relation maps under the field
+    map's usage and generation keys."""
     nodes: dict[str, dict] = {}
     relations: list[tuple[str, str, str]] = []
     for kind in ("entity", "activity"):
         for node_id, obj in _objects(doc.get(kind)):
             nodes[node_id] = {"kind": kind, "obj": obj}
-    for kind, keys in (("usage", ("used", "prov:used")),
-                       ("generation", ("wasGeneratedBy", "prov:wasGeneratedBy"))):
+    for kind, keys in (("usage", fm.usage_keys), ("generation", fm.generation_keys)):
         for key in keys:
             for _, rel in _objects(doc.get(key)):
                 ent = _ref_id(_first(rel, fm.relation_entity_keys))

@@ -595,7 +595,7 @@ class DenseIndex:
     id_rank: np.ndarray  # rank of each graph_id in sorted order, for tie-breaks
     text: np.ndarray  # (N, EMBED_DIM)
     text_norm: np.ndarray
-    struct: np.ndarray  # (N, EMBED_DIM), all zero when the memory stores none
+    struct: np.ndarray  # (N, EMBED_DIM)
     struct_norm: np.ndarray
     routes: LabelSets
     precursors: LabelSets
@@ -612,12 +612,12 @@ class DenseIndex:
         return (activity + length + precursor) / 3.0
 
 
-def _vectors(memory: ProcessMemory, kind: str) -> np.ndarray | None:
+def _vectors(memory: ProcessMemory, kind: str) -> np.ndarray:
     """The memory's stored ``kind`` matrix as float64 (not copied when it
     is float64 already), checked to hold one ``EMBED_DIM``-wide row per
-    process; None when the kind is not stored."""
+    process."""
     if kind not in memory.vectors:
-        return None
+        raise DataError(f"the memory stores no {kind} vectors; rebuild it with build-memory")
     matrix = np.asarray(memory.vectors[kind], dtype=np.float64)
     if matrix.ndim != 2 or len(matrix) != len(memory.processes):
         raise DataError(f"stored {kind} vectors of shape {matrix.shape} for"
@@ -634,20 +634,13 @@ def build_dense_index(memory: ProcessMemory) -> DenseIndex:
     """The memory's dense index; read it as ``memory.dense_index``, which
     builds it once.
 
-    Without stored text vectors each process gets the built-in embedding
-    of its linearized text, and without stored struct vectors a zero row.
-    Building raises
+    Building raises :class:`DataError` for a kind the memory does not
+    store and for a stored matrix without one row per process, and
     :class:`EmbeddingDimensionMismatch` for stored vectors whose width is
-    not ``EMBED_DIM``, and :class:`DataError` for a stored matrix without
-    one row per process.
+    not ``EMBED_DIM``.
     """
     ids = [p.graph_id for p in memory.processes]
-    text = _vectors(memory, "text")
-    if text is None:
-        text = BuiltinTextEmbedder().embed([linearize_process(memory, gid) for gid in ids])
-    struct = _vectors(memory, "struct")
-    if struct is None:
-        struct = np.zeros((len(ids), EMBED_DIM), dtype=np.float64)
+    text, struct = _vectors(memory, "text"), _vectors(memory, "struct")
     rank = {gid: i for i, gid in enumerate(sorted(set(ids)))}
     return DenseIndex(
         graph_ids=ids,
@@ -667,9 +660,7 @@ def _score_views(summary: ProcessSummary, text_vec: np.ndarray, struct_vec: np.n
                 index: DenseIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The text, structure and heuristic score of every process of ``index``
     for a query of this summary and these vectors."""
-    if struct_vec is None:
-        # neutral 0.5 when the query has no structure view; a process
-        # without one is a zero row, whose cosine maps to 0.5 as well
+    if struct_vec is None:  # neutral 0.5 when the query has no context graph
         s_struct = np.full(len(index.graph_ids), 0.5)
     else:
         s_struct = unit_cosines(struct_vec, index.struct, index.struct_norm)

@@ -33,7 +33,6 @@ from matproc.provgraph import (
 from matproc.retrieval import (
     RetrievalQuery,
     RetrievalWeights,
-    attach_embeddings,
     retrieve,
 )
 from matproc.runner import PolicyConfig, ablation_grid, evaluate, run_ablation
@@ -136,7 +135,6 @@ def synthetic_world():
     train_ids = {it.graph_id for it in assignment.items_in(items, "train")}
     train_graphs = [g for g in corpus if g.record_id in train_ids]
     memory = build_memory(train_graphs, split_id="year")
-    memory = attach_embeddings(memory, train_graphs)
     test_items = assignment.items_in(items, "test")
     return corpus, items, memory, test_items
 

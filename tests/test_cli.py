@@ -511,6 +511,47 @@ def test_no_command_prints_help(capsys):
     assert "COMMAND" in capsys.readouterr().out
 
 
+def _without_memory(argv):
+    at = argv.index("--memory")
+    return argv[:at] + argv[at + 2:]
+
+
+# case -> its argv, given the pipeline's paths, the file it would write and
+# a function that writes a config file and returns its path
+USAGE_ERRORS = {
+    "eval-lam-2": lambda p, out, cfg: [*eval_argv(p, "argmax_hybrid", out), "--lam", "2"],
+    "eval-top-k-0": lambda p, out, cfg: [*eval_argv(p, "argmax_hybrid", out), "--top-k", "0"],
+    "eval-policy-nope": lambda p, out, cfg: eval_argv(p, "nope", out),
+    "weights-not-summing-to-1": lambda p, out, cfg: [
+        *eval_argv(p, "argmax_hybrid", out),
+        "--config", cfg({"weights": {"alpha": 0.5, "beta": 0.5, "gamma": 0.5}})],
+    "runner-rag_k-0": lambda p, out, cfg: [*eval_argv(p, "rag", out),
+                                           "--config", cfg({"runner": {"rag_k": 0}})],
+    "split-ratios": lambda p, out, cfg: ["split", "--bench", str(p["bench"]), "--out", str(out),
+                                         "--ratios", "0.5,0.5,0.5"],
+    "synth-n-minus-1": lambda p, out, cfg: ["synth", "--out", str(out), "--n", "-1"],
+    "eval-without-memory": lambda p, out, cfg: _without_memory(eval_argv(p, "argmax_hybrid", out)),
+    "ablate-without-memory": lambda p, out, cfg: _without_memory(ablate_argv(p, out, axes="scoring")),
+    "eval-jobs-0": lambda p, out, cfg: eval_argv(p, "argmax_hybrid", out, jobs=0),
+    "ablate-jobs-0": lambda p, out, cfg: ablate_argv(p, out, axes="scoring", jobs=0),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_a_bad_knob_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    cfg_path = tmp_path / "run.json"
+
+    def cfg(content):
+        cfg_path.write_text(json.dumps(content))
+        return str(cfg_path)
+
+    out = tmp_path / "out.ndjson"
+    assert cli.dispatch(USAGE_ERRORS[case](pipeline(), out, cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_input_exits_3(tmp_path, capsys):
     missing = tmp_path / "nope.ndjson"
     out = tmp_path / "out.ndjson"
@@ -660,24 +701,32 @@ def test_build_memory_has_no_embedding_endpoint_flags(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-def test_a_configured_embedding_endpoint_exits_2(tmp_path, capsys):
+def test_build_memory_has_no_skip_embeddings_flag(tmp_path, capsys):
+    paths = pipeline()
+    out = tmp_path / "memory.ndjson"
+    argv = ["build-memory", "--graphs", str(paths["graphs"]), "--bench", str(paths["bench"]),
+            "--split", str(paths["split"]), "--out", str(out), "--skip-embeddings"]
+    assert cli.dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --skip-embeddings" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("retired", [{"struct_seed": 13}, {"struct_seed": 5}, {"embeddings": True},
+                                     {"embeddings": False}, {"endpoints": {"embed_url": ""}}],
+                         ids=["struct_seed-13", "struct_seed-5", "embeddings-true", "embeddings-false",
+                              "embed_url"])
+def test_a_config_naming_a_retired_key_exits_2(tmp_path, capsys, retired):
     paths = pipeline()
     out, cfg_path = tmp_path / "memory.ndjson", tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"endpoints": {"embed_url": "http://127.0.0.1:9/v1"}}))
+    cfg_path.write_text(json.dumps(retired))
     argv = ["build-memory", "--graphs", str(paths["graphs"]), "--bench", str(paths["bench"]),
             "--split", str(paths["split"]), "--out", str(out), "--config", str(cfg_path)]
     assert cli.dispatch(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    assert "texts are embedded by the builtin embedder on both the memory and the query side" in err
+    assert err.startswith("error:") and "unknown" in err and "Traceback" not in err
+    assert ("embed_url" if "endpoints" in retired else next(iter(retired))) in err
     assert not out.exists()
-    cfg_path.write_text(json.dumps({"endpoints": {"embed_token": "secret"}}))  # no such field
-    assert cli.dispatch(argv) == 2
-    assert not out.exists()
-    cfg_path.write_text(json.dumps({"endpoints": {"embed_url": ""}}))
-    assert cli.dispatch(argv) == 0
-    assert out.read_bytes() == paths["memory"].read_bytes()
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("body", [{"text": 5}, [1]], ids=["int-text", "list-body"])
@@ -900,25 +949,6 @@ def test_a_memory_of_graphs_the_split_holds_out_exits_3(tmp_path, capsys, memory
     # the same memory on the split it was built from is answered
     paths["split"] = own_split
     assert cli.dispatch(eval_argv(paths, "argmax_hybrid", out)) == 0
-    capsys.readouterr()
-
-
-def test_a_struct_seed_other_than_the_query_side_one_exits_2(tmp_path, capsys):
-    paths = pipeline()
-    out, cfg_path = tmp_path / "memory.ndjson", tmp_path / "run.json"
-    argv = ["build-memory", "--graphs", str(paths["graphs"]), "--bench", str(paths["bench"]),
-            "--split", str(paths["split"]), "--out", str(out)]
-    cfg_path.write_text(json.dumps({"struct_seed": 5}))
-    assert cli.dispatch([*argv, "--config", str(cfg_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    assert "struct_seed must be 13" in err
-    assert not out.exists()
-    assert cli.dispatch([*argv, "--struct-seed", "13"]) == 2  # no such flag
-    assert not out.exists()
-    cfg_path.write_text(json.dumps({"struct_seed": 13}))
-    assert cli.dispatch([*argv, "--config", str(cfg_path)]) == 0
-    assert out.read_bytes() == paths["memory"].read_bytes()
     capsys.readouterr()
 
 
@@ -1338,14 +1368,49 @@ def test_a_process_row_with_other_vector_kinds_exits_3_naming_the_file_row_and_g
             del process["embeddings"]["struct"]
         else:
             process["embeddings"]["extra"] = process["embeddings"]["text"]
-        named.extend([f"row {n}:", repr(process["graph_id"]), repr(processes[0][1]["graph_id"])])
+        named.extend([f"row {n}:", repr(process["graph_id"])])
 
     path = _edited(tmp_path, "memory", change)
     code = cli.dispatch(eval_argv(pipeline(), "argmax_hybrid", tmp_path / "log.ndjson", memory=path))
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and str(path) in err and all(name in err for name in named)
-    assert "for every process or for none" in err and "Traceback" not in err
+    assert "expected ['struct', 'text']" in err and "rebuild with build-memory" in err
+    assert "Traceback" not in err
+
+
+def _memory_argv(command, path, out):
+    """The argv of ``command`` (eval or ablate) on the pipeline with the
+    memory at ``path``, writing to ``out``."""
+    if command == "eval":
+        return eval_argv(pipeline(), "argmax_hybrid", out, memory=path)
+    argv = ablate_argv(pipeline(), out, axes="scoring")
+    argv[argv.index("--memory") + 1] = str(path)
+    return argv
+
+
+def _strip_vectors(keep):
+    def edit(header, rows):
+        for row in rows:
+            if row.get("kind") == "process":
+                row["embeddings"] = {k: v for k, v in row["embeddings"].items() if k in keep}
+                if not keep:
+                    del row["embeddings"]
+
+    return edit
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+@pytest.mark.parametrize("keep", [(), ("text",), ("struct",)], ids=["no-vectors", "text-only",
+                                                                     "struct-only"])
+def test_a_memory_without_both_vector_kinds_exits_3_naming_the_file(tmp_path, capsys, command, keep):
+    path = _edited(tmp_path, "memory", _strip_vectors(keep))
+    out = tmp_path / "out.ndjson"
+    assert cli.dispatch(_memory_argv(command, path, out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{path}: row 1:" in err
+    assert "rebuild with build-memory" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def _eval_reading(flag):

@@ -40,7 +40,6 @@ from matproc.provgraph import (
 from matproc.retrieval import (
     RetrievalWeights,
     RetrievedPrecedent,
-    attach_embeddings,
     query_from_item,
     retrieve,
 )
@@ -144,7 +143,6 @@ def run_objects() -> dict[type, list]:
     graphs = [compile_graph(parse_record(doc)) for doc in docs]
     items, _ = generate_benchmark(graphs, seed=3)
     memory = build_memory(graphs, split_id="jsonio-tests")
-    memory = attach_embeddings(memory, graphs)
     precedents = retrieve(query_from_item(items[0]), memory, k=3)
     sym = score_options_symbolic(items[0], precedents, memory)
     neu = score_options_neural(items[0], precedents, memory)
@@ -177,8 +175,7 @@ def run_objects() -> dict[type, list]:
         AuditRow: [AuditRow("dual", "year", 0.25), AuditRow("random", "random", 1)],
         ProcessRow: [ProcessRow(**p.to_dict(),
                                 embeddings={kind: m[i].tolist() for kind, m in memory.vectors.items()})
-                     for i, p in enumerate(memory.processes)]
-                    + [ProcessRow(**memory.processes[0].to_dict())],
+                     for i, p in enumerate(memory.processes)],
         TransitionRow: [TransitionRow(a, b, c) for (a, b), c in memory.transition_table.items()],
         PrefixRow: [PrefixRow(window, dict(counts)) for window, counts in memory.prefix_index.items()],
     }

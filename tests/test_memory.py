@@ -28,7 +28,7 @@ from matproc.memory import (
     save_memory,
 )
 from matproc.provgraph import SynthParams, generate_synthetic_corpus, route_labels
-from matproc.retrieval import EMBED_DIM, attach_embeddings
+from matproc.retrieval import EMBED_DIM
 
 from helpers import assert_same_vectors, chain_graph, compiled
 
@@ -288,8 +288,7 @@ def test_a_memory_never_changes_and_a_variant_has_its_own_views():
 
 
 def test_memories_compare_by_identity():
-    memory, corpus = synth_memory(6)
-    memory = attach_embeddings(memory, corpus)
+    memory, _ = synth_memory(6)
     for copied in (copy.deepcopy(memory), pickle.loads(pickle.dumps(memory))):
         assert memory == memory and memory != copied
 
@@ -362,13 +361,14 @@ def _load_with_peak(path):
 
 
 def test_stored_vectors_load_as_read_only_arrays_of_their_own_size(tmp_path):
-    memory, corpus = synth_memory(60)
-    memory = attach_embeddings(memory, corpus)
-    with_vectors, without = tmp_path / "with.ndjson", tmp_path / "without.ndjson"
+    memory, _ = synth_memory(60)
+    with_vectors, narrow = tmp_path / "with.ndjson", tmp_path / "narrow.ndjson"
     save_memory(with_vectors, memory)
-    save_memory(without, dataclasses.replace(memory, vectors={}))
+    # the same memory with vectors one number wide: its load is the baseline
+    save_memory(narrow, dataclasses.replace(
+        memory, vectors={kind: m[:, :1] for kind, m in memory.vectors.items()}))
     loaded, peak = _load_with_peak(with_vectors)
-    _, base_peak = _load_with_peak(without)
+    _, base_peak = _load_with_peak(narrow)
     assert set(loaded.vectors) == {"text", "struct"}
     for m in loaded.vectors.values():
         assert type(m) is np.ndarray and m.dtype == np.float64

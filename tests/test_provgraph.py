@@ -13,6 +13,7 @@ from matproc.errors import CyclicPrecedence, EmptyRecord, InvalidParams, Malform
 from matproc.provgraph import (
     ActivityNode,
     EntityNode,
+    FieldMap,
     ProcessGraph,
     SynthParams,
     assign_roles,
@@ -126,6 +127,28 @@ def test_parse_flat_prov_json():
     assert g.usage_edges == [("e1", "a1")]
     assert g.generation_edges == [("a1", "e2")]
     assert g.activities[0].conditions["duration"] == "2 h"
+
+
+def test_a_field_map_names_the_relation_keys_of_flat_and_json_ld_records():
+    fm = FieldMap(usage_keys=("consumed",), generation_keys=("made",))
+    flat = {
+        "entity": {"e1": {"prov:label": "precursor"}, "e2": {"prov:label": "product"}},
+        "activity": {"a1": {"prov:label": "sintering"}},
+        "consumed": {"_:u1": {"prov:entity": "e1", "prov:activity": "a1"}},
+        "made": {"_:g1": {"prov:entity": "e2", "prov:activity": "a1"}},
+        # the default keys are not the field map's, so these relations are ignored
+        "used": {"_:u2": {"prov:entity": "e2", "prov:activity": "a1"}},
+        "wasGeneratedBy": {"_:g2": {"prov:entity": "e1", "prov:activity": "a1"}},
+    }
+    json_ld = {"@graph": [
+        {"@id": "e1", "@type": "prov:Entity", "prov:label": "precursor"},
+        {"@id": "e2", "@type": "prov:Entity", "prov:label": "product", "made": "a1"},
+        {"@id": "a1", "@type": "prov:Activity", "prov:label": "sintering", "consumed": "e1"},
+    ]}
+    for doc in (flat, json_ld):
+        g = compile_graph(parse_record(doc, fm))
+        assert g.usage_edges == [("e1", "a1")] and g.generation_edges == [("a1", "e2")]
+        assert g.warnings == []
 
 
 def test_parse_rejects_malformed():

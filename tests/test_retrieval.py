@@ -392,7 +392,7 @@ def test_builtin_embedder_holds_one_batch_of_n_grams_at_a_time():
 
 def test_a_batch_of_queries_is_embedded_together_by_its_first_retrieval(monkeypatch):
     corpus = small_corpus(n=25, seed=9)
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     items = generate_benchmark(corpus, seed=5)[0][:30]
     calls = {"text": 0, "structure": 0}
     batching = []
@@ -428,7 +428,7 @@ def test_a_batch_of_queries_is_embedded_together_by_its_first_retrieval(monkeypa
 
 def test_threads_retrieving_from_one_batch_embed_it_once(monkeypatch):
     corpus = small_corpus(n=25, seed=9)
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     items = generate_benchmark(corpus, seed=5)[0][:24]
     want = [rt.retrieve(rt.query_from_item(item), memory) for item in items]
     embedded = []
@@ -574,7 +574,7 @@ def test_retrieve_degenerate_weights_match_single_views():
 
 def test_retrieve_fusion_invariant_and_ranges():
     corpus = small_corpus()
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     anchor = corpus[0]
     query = rt.RetrievalQuery(
         summary=memory.by_graph_id[anchor.record_id],
@@ -605,7 +605,7 @@ def test_retrieve_self_match_heuristic_only():
 
 def test_retrieve_self_match_default_weights_builtin_embedders():
     corpus = small_corpus(n=10)
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     for anchor in corpus[:3]:
         query = rt.RetrievalQuery(
             summary=memory.by_graph_id[anchor.record_id],
@@ -619,14 +619,14 @@ def test_retrieve_self_match_default_weights_builtin_embedders():
 
 def test_retrieve_returns_min_k_and_memory_size():
     corpus = small_corpus(n=12)
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     query = rt.RetrievalQuery(
         summary=memory.by_graph_id[corpus[0].record_id],
         text=linearize_process(memory, corpus[0].record_id),
         context_graph=corpus[0],
     )
     assert len(rt.retrieve(query, memory)) == 8  # default k over 12 candidates
-    small = rt.attach_embeddings(build_memory(corpus[:3]), corpus[:3])
+    small = build_memory(corpus[:3])
     assert len(rt.retrieve(query, small)) == 3
 
 
@@ -635,7 +635,7 @@ def test_retrieve_ties_break_by_graph_id():
         compiled(chain_graph(["mill", "sinter"], record_id="gb")),
         compiled(chain_graph(["mill", "sinter"], record_id="ga")),
     ]
-    memory = rt.attach_embeddings(build_memory(graphs), graphs)
+    memory = build_memory(graphs)
     query = rt.RetrievalQuery(
         summary=summary(["mill", "sinter"], ["lithium carbonate"]),
         text=linearize_process(memory, "ga"),
@@ -660,7 +660,7 @@ def test_retrieve_invalid_k():
 
 def test_retrieve_deterministic():
     corpus = small_corpus(n=9)
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     query = rt.RetrievalQuery(
         summary=memory.by_graph_id[corpus[3].record_id],
         text=linearize_process(memory, corpus[3].record_id),
@@ -671,19 +671,22 @@ def test_retrieve_deterministic():
     assert first == second
 
 
-def test_retrieve_derives_missing_text_vectors_without_storing_them():
-    graphs = [compiled(chain_graph(["mill"], record_id="ga")),
-              compiled(chain_graph(["sinter"], record_id="gb"))]
-    memory = build_memory(graphs)  # no attach_embeddings on purpose
-    query = rt.RetrievalQuery(summary=summary(["mill"], ["lithium carbonate"]),
-                              text=linearize_process(memory, "ga"))
-    results = rt.retrieve(query, memory, k=2)
-    assert results[0].graph_id == "ga"
-    index = memory.dense_index
-    for gid in ("ga", "gb"):
-        derived = rt.BuiltinTextEmbedder().embed([linearize_process(memory, gid)])[0]
-        assert np.array_equal(index.text[index.rows[gid]], derived)
-    assert memory.vectors == {}  # retrieval never writes to the memory
+def test_build_memory_stores_the_vectors_attach_embeddings_gives():
+    corpus = small_corpus(n=6)
+    memory = build_memory(corpus)
+    assert set(memory.vectors) == {"text", "struct"}
+    again = rt.attach_embeddings(memory, corpus)
+    for kind, matrix in memory.vectors.items():
+        assert not matrix.flags.writeable
+        assert np.array_equal(matrix, again.vectors[kind])
+
+
+@pytest.mark.parametrize("kind", ["text", "struct"])
+def test_a_memory_without_a_vector_kind_fails_at_index_build(kind):
+    memory = build_memory(small_corpus(n=3))
+    memory = dataclasses.replace(memory, vectors={k: m for k, m in memory.vectors.items() if k != kind})
+    with pytest.raises(DataError, match=f"stores no {kind} vectors"):
+        memory.dense_index
 
 
 # --- dense index against the per-pair reference ------------------------------------------
@@ -697,15 +700,10 @@ def reference_retrieve(query, memory, weights, k):
     if query_struct is None and query.context_graph is not None:
         query_struct = rt.embed_structure(query.context_graph)
     results = []
-    stored_text, stored_struct = memory.vectors.get("text"), memory.vectors.get("struct")
     for row, p in enumerate(memory.processes):
-        if stored_text is not None:
-            text_vec = stored_text[row]
-        else:
-            text_vec = rt.BuiltinTextEmbedder().embed([linearize_process(memory, p.graph_id)])[0]
-        s_text = rt.cos_to_unit(rt.cosine(query_text, text_vec))
-        if stored_struct is not None and query_struct is not None:
-            s_struct = rt.cos_to_unit(rt.cosine(query_struct, stored_struct[row]))
+        s_text = rt.cos_to_unit(rt.cosine(query_text, memory.vectors["text"][row]))
+        if query_struct is not None:
+            s_struct = rt.cos_to_unit(rt.cosine(query_struct, memory.vectors["struct"][row]))
         else:
             s_struct = 0.5
         s_heur = rt.score_heuristic(query.summary, p)
@@ -735,16 +733,6 @@ def equivalence_corpus():
     return corpus + twins
 
 
-def memory_variant(corpus, variant):
-    memory = build_memory(corpus)
-    if variant == "no_vectors":
-        return memory
-    memory = rt.attach_embeddings(memory, corpus)
-    if variant == "text_only":
-        memory = dataclasses.replace(memory, vectors={"text": memory.vectors["text"]})
-    return memory
-
-
 def equivalence_queries(corpus):
     """Two items of every task, plus one query without a context graph (its
     structure view is neutral), with their vectors computed once."""
@@ -760,10 +748,13 @@ def equivalence_queries(corpus):
         for q in queries]
 
 
-@pytest.mark.parametrize("variant", ["full", "text_only", "no_vectors"])
-def test_dense_retrieve_equals_per_pair_reference(variant):
+@pytest.mark.parametrize("variant", ["full", "loaded"])
+def test_dense_retrieve_equals_per_pair_reference(variant, tmp_path):
     corpus = equivalence_corpus()
-    memory = memory_variant(corpus, variant)
+    memory = build_memory(corpus)
+    if variant == "loaded":  # its vectors are read-only matrices over the file's numbers
+        save_memory(tmp_path / "memory.ndjson", memory)
+        memory = load_memory(tmp_path / "memory.ndjson")
     oracle_memory = copy.deepcopy(memory)
     n = len(memory.processes)
     for query in equivalence_queries(corpus):
@@ -772,14 +763,12 @@ def test_dense_retrieve_equals_per_pair_reference(variant):
             for k in (1, 8, n + 3):
                 got = [r.to_dict() for r in rt.retrieve(query, memory, weights, k=k)]
                 assert got == want[:k], (variant, weights, k)  # == on every float
-    if variant == "no_vectors":  # neither side stored the vectors it derived
-        assert memory.vectors == oracle_memory.vectors == {}
 
 
 def test_reused_query_scores_each_view_once_per_index(monkeypatch):
     corpus = equivalence_corpus()
-    memory = memory_variant(corpus, "full")
-    smaller = memory_variant(corpus[:12], "full")
+    memory = build_memory(corpus)
+    smaller = build_memory(corpus[:12])
     item = generate_benchmark(corpus, seed=5)[0][0]
     query = rt.queries_from_items([item])[0]
     fresh = rt.query_from_item(item)
@@ -798,8 +787,7 @@ def test_reused_query_scores_each_view_once_per_index(monkeypatch):
 
 def test_a_block_query_retrieved_against_two_memories_in_turn_matches_a_fresh_query():
     corpus = equivalence_corpus()
-    memories = [memory_variant(corpus, "full"), memory_variant(corpus[:12], "full"),
-                memory_variant(corpus[5:], "text_only")]
+    memories = [build_memory(corpus), build_memory(corpus[:12]), build_memory(corpus[5:])]
     items = generate_benchmark(corpus, seed=5)[0][:10]
     block = rt.queries_from_items(items)
     for memory in [*memories, memories[0], *memories]:
@@ -812,7 +800,7 @@ def test_a_block_query_retrieved_against_two_memories_in_turn_matches_a_fresh_qu
 @pytest.mark.parametrize("in_block", [False, True], ids=["alone", "block"])
 def test_no_field_of_a_built_query_can_be_written(in_block):
     corpus = small_corpus(n=9)
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     item = generate_benchmark(corpus, seed=5)[0][0]
     query = rt.queries_from_items([item])[0] if in_block else rt.query_from_item(item)
     before = rt.retrieve(query, memory)
@@ -826,10 +814,11 @@ def test_no_field_of_a_built_query_can_be_written(in_block):
 def test_attach_embeddings_returns_a_new_memory_with_its_own_index():
     corpus = small_corpus(n=8)
     memory = build_memory(corpus)
+    vectors = dict(memory.vectors)
     first = memory.dense_index
     assert memory.dense_index is first
     embedded = rt.attach_embeddings(memory, corpus)
-    assert memory.dense_index is first and memory.vectors == {}
+    assert memory.dense_index is first and memory.vectors == vectors  # the same matrices
     second = embedded.dense_index
     assert second is not first
     for kind, matrix in (("text", second.text), ("struct", second.struct)):
@@ -840,7 +829,7 @@ def test_attach_embeddings_returns_a_new_memory_with_its_own_index():
                          ids=["deepcopy", "pickle"])
 def test_a_copied_memory_retrieves_as_the_original(copier):
     corpus = small_corpus(n=9)
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     query = rt.RetrievalQuery(
         summary=memory.by_graph_id[corpus[3].record_id],
         text=linearize_process(memory, corpus[3].record_id),
@@ -852,10 +841,10 @@ def test_a_copied_memory_retrieves_as_the_original(copier):
 
 
 def _built_and_loaded(tmp_path):
-    """A memory with vectors from attach_embeddings, and the same memory
+    """A built memory, and the same memory
     saved and loaded."""
     corpus = small_corpus(n=12)
-    built = rt.attach_embeddings(build_memory(corpus), corpus)
+    built = build_memory(corpus)
     save_memory(tmp_path / "memory.ndjson", built)
     return built, load_memory(tmp_path / "memory.ndjson")
 
@@ -913,7 +902,7 @@ def test_index_rejects_stored_vectors_of_another_dimension(kind):
 
 def test_attach_embeddings_round_trip(tmp_path):
     corpus = small_corpus(n=6)
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     assert set(memory.vectors) == {"text", "struct"}
     for matrix in memory.vectors.values():
         assert matrix.shape == (len(memory.processes), rt.EMBED_DIM)
@@ -935,9 +924,10 @@ def test_attach_embeddings_round_trip(tmp_path):
 def test_attach_embeddings_names_a_process_without_a_graph():
     corpus = small_corpus(n=6)
     memory = build_memory(corpus)
+    vectors = dict(memory.vectors)
     with pytest.raises(DataError, match=repr(corpus[2].record_id)):
         rt.attach_embeddings(memory, corpus[:2] + corpus[3:])
-    assert memory.vectors == {}
+    assert memory.vectors == vectors  # the same matrices
 
 
 # --- query construction --------------------------------------------------------------
@@ -1006,7 +996,7 @@ def test_query_context_graph_d_task_mirrors_payload():
 
 def test_query_retrieval_end_to_end_over_items():
     corpus = small_corpus(n=25, seed=9)
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     items, _ = generate_benchmark(corpus, seed=5)
     for item in items[:40]:
         results = rt.retrieve(rt.query_from_item(item), memory)

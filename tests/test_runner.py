@@ -22,7 +22,7 @@ from matproc.errors import (
 )
 from matproc.memory import build_memory, linearize_process
 from matproc.provgraph import SynthParams, generate_synthetic_corpus
-from matproc.retrieval import RetrievalWeights, attach_embeddings, retrieve, query_from_item
+from matproc.retrieval import RetrievalWeights, retrieve, query_from_item
 from matproc.scoring import (
     OptionScores,
     fuse_scores,
@@ -49,8 +49,7 @@ def bench():
 
 @functools.lru_cache(maxsize=None)
 def mem():
-    memory = build_memory(list(corpus()), split_id="runner-tests")
-    return attach_embeddings(memory, list(corpus()))
+    return build_memory(list(corpus()), split_id="runner-tests")
 
 
 def per_task_sample(n):

@@ -352,7 +352,7 @@ def test_unknown_task_rejected():
 
 def test_neural_identical_linearization_scores_one():
     graphs = [compiled(chain_graph(["mix", "sinter"], record_id="g1"))]
-    memory = rt.attach_embeddings(build_memory(graphs), graphs)
+    memory = build_memory(graphs)
     item = make_item(
         "A1_route_retrieval",
         {"product": "stage 1", "precursors": ["lithium carbonate"]},
@@ -375,7 +375,7 @@ def stored_text_vector(memory, graph_id):
 
 def test_neural_matches_brute_force_cosines():
     corpus = [compiled(g) for g in generate_synthetic_corpus(SynthParams(n_records=8), seed=3)]
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     items, _ = generate_benchmark(corpus, seed=5)
     embedder = rt.BuiltinTextEmbedder()
     for item in items[:25]:
@@ -392,7 +392,7 @@ def test_neural_matches_brute_force_cosines():
 
 def test_neural_is_exactly_the_per_pair_maximum():
     corpus = [compiled(g) for g in generate_synthetic_corpus(SynthParams(n_records=12), seed=4)]
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     items, _ = generate_benchmark(corpus, seed=5)
     embedder = rt.BuiltinTextEmbedder()
     for item in items[:40]:
@@ -409,7 +409,7 @@ def test_neural_is_exactly_the_per_pair_maximum():
 
 def test_shared_item_inputs_score_like_fresh_ones():
     corpus = [compiled(g) for g in generate_synthetic_corpus(SynthParams(n_records=12), seed=4)]
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     items, _ = generate_benchmark(corpus, seed=5)
     first_per_task = {}
     for item in items:
@@ -551,7 +551,7 @@ def test_argmax_ties_take_lowest_index():
 
 def test_scoring_pipeline_ranges_and_determinism():
     corpus = [compiled(g) for g in generate_synthetic_corpus(SynthParams(n_records=15), seed=6)]
-    memory = rt.attach_embeddings(build_memory(corpus), corpus)
+    memory = build_memory(corpus)
     items, _ = generate_benchmark(corpus, seed=5)
 
     def run(item):
