@@ -453,13 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--memory", dest="path_memory", help="memory file")
         p.add_argument("--partition", dest="partition", choices=PARTITIONS)
         p.add_argument("--report", dest="path_report", help="report file to write")
-        p.add_argument("--log", dest="path_log", help="per-item log to write")
         p.add_argument("--chat-url", dest="endpoint_chat_url")
         p.add_argument("--chat-token", dest="endpoint_chat_token")
 
     p = sub.add_parser("eval", help="answer one partition under one policy")
     common(p)
     eval_flags(p)
+    p.add_argument("--log", dest="path_log", help="per-item log to write")
     p.add_argument("--policy", dest="policy")
     p.add_argument("--lam", type=float, dest="lam", help="symbolic weight in [0,1]")
     p.add_argument("--top-k", type=int, dest="top_k")

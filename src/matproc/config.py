@@ -15,9 +15,9 @@ from pathlib import Path
 
 from .canon import stable_hash
 from .errors import ConfigConflict, DataError, MalformedDocument
-from .jsonio import Record, check_fields
+from .jsonio import Record, check_ranges, knob
 from .memory import DEFAULT_MAX_PREFIX_LEN
-from .provgraph import FieldMap
+from .provgraph import FieldMap, SynthParams
 from .retrieval import STRUCT_SEED, RetrievalWeights
 from .runner import PolicyConfig
 from .scoring import ScoringConfig
@@ -53,19 +53,19 @@ class RunConfig(Record):
     load_error = ConfigConflict
 
     paths: dict[str, str] = field(default_factory=dict)
-    seed: int = 0
-    k_options: int = DEFAULT_K
-    n_records: int = 200
+    seed: int = knob(0)
+    k_options: int = knob(DEFAULT_K, f"[{OPTION_COUNTS[0]}, {OPTION_COUNTS[-1]}]")
+    n_records: int = SynthParams.n_records  # its range is SynthParams'
     protocol: str = "random"
-    ratios: tuple[float, float, float] = DEFAULT_RATIOS
+    ratios: tuple[float, float, float] = knob(DEFAULT_RATIOS, "[0, 1]")
     held_out_class: str = DEFAULT_HELD_OUT_CLASS
-    dev_ratio: float = DEFAULT_DEV_RATIO
+    dev_ratio: float = knob(DEFAULT_DEV_RATIO, "[0, 1)")
     partition: str = "test"
-    max_prefix_len: int = DEFAULT_MAX_PREFIX_LEN
+    max_prefix_len: int = knob(DEFAULT_MAX_PREFIX_LEN, "[1, inf)")
     field_map: dict | None = None
     caps: dict | None = None
     weights: RetrievalWeights = field(default_factory=RetrievalWeights)
-    top_k: int = PolicyConfig.top_k
+    top_k: int = PolicyConfig.top_k  # ranged by PolicyConfig, like lam and the runner knobs
     lam: float = PolicyConfig.lam
     policy: str = PolicyConfig.policy
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
@@ -74,7 +74,7 @@ class RunConfig(Record):
     endpoints: Endpoints = field(default_factory=Endpoints)
     pairs: str = ""
     axes: list[str] | None = None
-    jobs: int = 1
+    jobs: int = knob(1, "[1, inf)")
 
     def __post_init__(self):
         self.ratios = tuple(float(r) for r in self.ratios)
@@ -82,11 +82,8 @@ class RunConfig(Record):
             if getattr(self, name) not in allowed:
                 raise ConfigConflict(
                     f"{name} {getattr(self, name)!r} is not one of {', '.join(allowed)}")
-        if self.jobs < 1:
-            raise ConfigConflict(f"jobs must be >= 1, got {self.jobs}")
-        if self.k_options not in OPTION_COUNTS:
-            raise ConfigConflict(
-                f"k_options must lie in {OPTION_COUNTS[0]}..{OPTION_COUNTS[-1]}, got {self.k_options}")
+        check_ranges(self)
+        check_ranges(SynthParams, n_records=self.n_records)
         # caps and field_map stay plain dicts, so that a partial one keeps its hash
         if self.caps:
             GenCaps.from_dict(self.caps)  # a usage error, like every other knob
@@ -104,10 +101,7 @@ class RunConfig(Record):
         if strangers:
             raise ConfigConflict(f"unknown runner keys: {sorted(strangers)}")
         self.runner = {**defaults, **self.runner}
-        try:
-            check_fields(PolicyConfig, self.runner)
-        except MalformedDocument as exc:
-            raise ConfigConflict(f"runner: {exc}") from exc
+        self.policy_config()
 
     def merged(self, overrides: dict) -> "RunConfig":
         """A copy with ``overrides`` applied; nested dicts merge per key."""

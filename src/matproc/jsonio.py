@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .errors import MalformedDocument
+from .errors import InvalidParams, MalformedDocument
 
 FORMAT_VERSION = 1
 
@@ -165,6 +165,34 @@ def check_fields(cls, row) -> dict:
             got = "null" if value is None else type(value).__name__
             raise MalformedDocument(f"{where}.{key}: expected {expected}, got {got}") from None
     return kwargs
+
+
+def knob(default, bounds: str = "(-inf, inf)"):
+    """A dataclass field of a number, or of a tuple or dict of numbers, that
+    declares the interval each of them must lie in, such as ``"[0, 1)"``."""
+    if type(default) is dict:  # every instance gets its own copy
+        return dataclasses.field(default_factory=lambda: dict(default), metadata={"range": bounds})
+    return dataclasses.field(default=default, metadata={"range": bounds})
+
+
+@functools.cache
+def _ranges(cls) -> dict[str, tuple[float, float, str]]:
+    return {f.name: (*map(float, f.metadata["range"][1:-1].split(",")), f.metadata["range"])
+            for f in dataclasses.fields(cls) if "range" in f.metadata}
+
+
+def check_ranges(obj, **values) -> None:
+    """Raise :class:`InvalidParams`, naming the class, field and range, unless each number in
+    every :func:`knob` of ``obj`` (or in ``values``, for the class ``obj``) lies in its range."""
+    cls = obj if isinstance(obj, type) else type(obj)
+    for name, value in (values or {name: getattr(obj, name) for name in _ranges(cls)}).items():
+        lo, hi, bounds = _ranges(cls)[name]
+        numbers = (value.items() if isinstance(value, dict) else
+                   enumerate(value) if isinstance(value, (tuple, list)) else [(None, value)])
+        for key, v in numbers:
+            if not lo <= v <= hi or v == lo and bounds[0] == "(" or v == hi and bounds[-1] == ")":
+                at = "" if key is None else f"[{key!r}]"
+                raise InvalidParams(f"{cls.__name__}.{name}{at}: {v!r} is outside {bounds}")
 
 
 # --- NDJSON files ------------------------------------------------------------------

@@ -535,6 +535,8 @@ def load_memory(path: str | Path) -> ProcessMemory:
     vectors = StoredVectors()
     header, rows = read_artifact(path, MEMORY_FORMAT, {**MEMORY_ROWS, "process": vectors.read},
                                  split_id=str, max_prefix_len=int)
+    if header.get("max_prefix_len", DEFAULT_MAX_PREFIX_LEN) < 1:  # next_distribution slices by it
+        raise MalformedDocument(f"{path}: header max_prefix_len {header['max_prefix_len']} is below 1")
     return ProcessMemory(
         split_id=header.get("split_id", ""),
         max_prefix_len=header.get("max_prefix_len", DEFAULT_MAX_PREFIX_LEN),

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from ..canon import derive_seed
 from ..errors import InvalidParams
+from ..jsonio import check_ranges, knob
 from .analyze import compile_graph
 from .model import ActivityNode, EntityNode, ProcessGraph
 
@@ -68,44 +69,32 @@ FORMS = ("powder", "pellet", "solution", "flake")
 
 @dataclass
 class SynthParams:
-    n_records: int = 200
+    n_records: int = knob(200, "[0, inf)")
     activity_vocab: tuple[str, ...] = DEFAULT_ACTIVITIES
     tool_vocab: tuple[str, ...] = DEFAULT_TOOLS
-    condition_vocab: dict[str, tuple[str, ...]] = field(
-        default_factory=lambda: {k: tuple(v) for k, v in DEFAULT_CONDITIONS.items()}
-    )
-    route_length_range: tuple[int, int] = (2, 6)
-    class_mix: dict[str, float] = field(
-        default_factory=lambda: {"battery": 0.3, "thermoelectric": 0.4, "magnetic": 0.3}
-    )
-    year_range: tuple[int, int] = (2014, 2024)
+    condition_vocab: dict[str, tuple[str, ...]] = field(default_factory=lambda: dict(DEFAULT_CONDITIONS))
+    route_length_range: tuple[int, int] = knob((2, 6), "[1, inf)")
+    class_mix: dict[str, float] = knob({"battery": 0.3, "thermoelectric": 0.4, "magnetic": 0.3}, "[0, inf)")
+    year_range: tuple[int, int] = knob((2014, 2024))
     # regularity strengths; the benchmark is learnable because these are high
-    p_preferred_successor: float = 0.8
-    p_preferred_condition: float = 0.85
-    p_preferred_tool: float = 0.8
-    p_condition_present: float = 0.9
-    p_tool_present: float = 0.85
-    p_branch: float = 0.2
-    p_extra_precursor: float = 0.3
-    p_unconnected: float = 0.05
+    p_preferred_successor: float = knob(0.8, "[0, 1]")
+    p_preferred_condition: float = knob(0.85, "[0, 1]")
+    p_preferred_tool: float = knob(0.8, "[0, 1]")
+    p_condition_present: float = knob(0.9, "[0, 1]")
+    p_tool_present: float = knob(0.85, "[0, 1]")
+    p_branch: float = knob(0.2, "[0, 1]")
+    p_extra_precursor: float = knob(0.3, "[0, 1]")
+    p_unconnected: float = knob(0.05, "[0, 1]")
 
-    def validate(self) -> None:
-        if self.n_records < 0:
-            raise InvalidParams("n_records must be >= 0")
-        if not self.activity_vocab or not self.tool_vocab:
-            raise InvalidParams("activity and tool vocabularies must be non-empty")
-        if not self.condition_vocab or any(not v for v in self.condition_vocab.values()):
-            raise InvalidParams("condition vocabulary must be non-empty")
-        lo, hi = self.route_length_range
-        if lo < 1 or hi < lo:
-            raise InvalidParams("route_length_range must satisfy 1 <= lo <= hi")
-        if not self.class_mix or any(w < 0 for w in self.class_mix.values()):
-            raise InvalidParams("class_mix weights must be non-negative")
+    def __post_init__(self):
+        check_ranges(self)
+        if not all((self.activity_vocab, self.tool_vocab, self.condition_vocab, *self.condition_vocab.values())):
+            raise InvalidParams("activity, tool and condition vocabularies must be non-empty")
         if sum(self.class_mix.values()) <= 0:
             raise InvalidParams("class_mix weights must sum to a positive value")
-        y0, y1 = self.year_range
-        if y1 < y0:
-            raise InvalidParams("year_range must be ordered")
+        for name in ("route_length_range", "year_range"):
+            if getattr(self, name)[1] < getattr(self, name)[0]:
+                raise InvalidParams(f"{name} must be ordered")
 
 
 class _Preferences:
@@ -132,7 +121,6 @@ class _Preferences:
 
 def generate_synthetic_corpus(params: SynthParams, seed: int) -> list[ProcessGraph]:
     """Deterministic corpus of compiled graphs (roles + ordering filled)."""
-    params.validate()
     prefs = _Preferences(params, seed)
     classes = sorted(params.class_mix)
     weights = [params.class_mix[c] for c in classes]

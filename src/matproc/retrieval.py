@@ -24,7 +24,7 @@ import numpy as np
 
 from .canon import canon_label, derive_seed
 from .errors import DataError, EmbeddingDimensionMismatch, EmptyMemory, InvalidParams
-from .jsonio import Record
+from .jsonio import Record, check_ranges, knob
 from .memory import (
     LabelSets,
     ProcessMemory,
@@ -48,14 +48,12 @@ DEFAULT_TOP_K = 8
 
 @dataclass(frozen=True)
 class RetrievalWeights(Record):
-    alpha: float = 0.4  # text
-    beta: float = 0.3  # structure
-    gamma: float = 0.3  # heuristic
+    alpha: float = knob(0.4, "[0, inf)")  # text
+    beta: float = knob(0.3, "[0, inf)")  # structure
+    gamma: float = knob(0.3, "[0, inf)")  # heuristic
 
     def __post_init__(self):
-        for w in (self.alpha, self.beta, self.gamma):
-            if w < 0:
-                raise InvalidParams("retrieval weights must be non-negative")
+        check_ranges(self)
         if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
             raise InvalidParams("retrieval weights must sum to 1")
 
@@ -685,8 +683,8 @@ def retrieve(
     """
     if not memory.processes:
         raise EmptyMemory("retrieval requested against an empty memory")
-    if k < 1:
-        raise InvalidParams("k must be >= 1")
+    from .runner import PolicyConfig  # runner imports this module
+    check_ranges(PolicyConfig, top_k=k)
     index = memory.dense_index
     if query.block is not None:
         s_text, s_struct, s_heur = query.block.views(query, index)

@@ -26,7 +26,7 @@ from .errors import (
     InvalidParams,
     MatprocError,
 )
-from .jsonio import TRANSIENT, Record
+from .jsonio import TRANSIENT, Record, check_ranges, knob
 from .memory import ProcessMemory
 from .prompts import build_prompt, parse_answer
 from .retrieval import (DEFAULT_TOP_K, RetrievalWeights, StructureEncoder, queries_from_items,
@@ -70,38 +70,29 @@ _BLOCK_ITEMS = 8
 
 @dataclass
 class PolicyConfig(Record):
+    load_error = ConfigConflict  # policy knobs come from the run configuration
+
     policy: str = "argmax_hybrid"
-    lam: float = DEFAULT_LAMBDA
-    top_k: int = DEFAULT_TOP_K
+    lam: float = knob(DEFAULT_LAMBDA, "[0, 1]")
+    top_k: int = knob(DEFAULT_TOP_K, "[1, inf)")
     weights: RetrievalWeights = field(default_factory=RetrievalWeights)
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
     planning: bool = True
     fallback: bool = True
-    budgets: dict[str, int] = field(default_factory=dict)  # missing names take DEFAULT_BUDGETS
-    few_shot_count: int = 3
-    few_shot_seed: int = 42
-    rag_k: int = 3
-    graph_k: int = 3
-    graph_hops: int = 1
-    seed: int = 0
+    budgets: dict[str, int] = knob({}, "[1, inf)")  # missing names take DEFAULT_BUDGETS
+    few_shot_count: int = knob(3, "[1, inf)")
+    few_shot_seed: int = knob(42)
+    rag_k: int = knob(3, "[1, inf)")
+    graph_k: int = knob(3, "[1, inf)")
+    graph_hops: int = knob(1, "[1, inf)")
+    seed: int = knob(0)
     log_full_prompts: bool = False
 
     def __post_init__(self):
         self.budgets = {**DEFAULT_BUDGETS, **self.budgets}
         if self.policy not in POLICIES:
             raise InvalidParams(f"unknown policy {self.policy!r}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise InvalidParams("lambda must lie in [0, 1]")
-        if self.top_k < 1:
-            raise InvalidParams("top_k must be >= 1")
-        for name in ("planning", "answer", "baseline"):
-            if self.budgets.get(name, 0) < 1:
-                raise InvalidParams(f"token budget {name!r} must be positive")
-        for name, value in (("few_shot_count", self.few_shot_count),
-                            ("rag_k", self.rag_k), ("graph_k", self.graph_k),
-                            ("graph_hops", self.graph_hops)):
-            if value < 1:
-                raise InvalidParams(f"{name} must be >= 1")
+        check_ranges(self)
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 
 from .canon import canon_label
 from .errors import ArityMismatch, InvalidParams
-from .jsonio import Record
+from .jsonio import Record, check_ranges, knob
 from .memory import ProcessMemory, StepQuery, match_steps, next_distribution
 from .retrieval import BuiltinTextEmbedder, RetrievalQuery, RetrievedPrecedent, unit_cosines
 from .taskgen import (
@@ -39,17 +39,18 @@ DEFAULT_LAMBDA = 0.5
 
 @dataclass(frozen=True)
 class ScoringConfig(Record):
-    two_way: tuple[float, float] = (0.5, 0.5)
-    three_way: tuple[float, float, float] = (0.4, 0.3, 0.3)
-    top_m: int = 8
-    position_window: float = 0.25
-    ordering_bonus: float = 1.0
+    two_way: tuple[float, float] = knob((0.5, 0.5), "[0, inf)")
+    three_way: tuple[float, float, float] = knob((0.4, 0.3, 0.3), "[0, inf)")
+    top_m: int = knob(8, "[1, inf)")
+    position_window: float = knob(0.25, "[0, inf)")
+    ordering_bonus: float = knob(1.0, "[0, inf)")
     uniform_transitions: bool = False  # ablation: flatten all transition statistics
 
     def __post_init__(self):
         # tuples keep the config hashable, so lane scores can be keyed by it
         object.__setattr__(self, "two_way", tuple(self.two_way))
         object.__setattr__(self, "three_way", tuple(self.three_way))
+        check_ranges(self)
 
 
 @dataclass
@@ -417,8 +418,8 @@ def fuse_scores(
     A lane may be omitted only when its weight is zero (lam=1 drops the
     neural lane, lam=0 drops the symbolic lane).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidParams("lambda must lie in [0, 1]")
+    from .runner import PolicyConfig  # runner imports this module
+    check_ranges(PolicyConfig, lam=lam)
     if sym is None and neu is None:
         raise InvalidParams("fusion needs at least one scored lane")
     if sym is None and lam > 0.0:

@@ -5,7 +5,6 @@ from .model import (
     TASKS,
     TUPLE_KEYS,
     BenchItem,
-    ValidityReport,
     render_condition_tuple,
     render_route,
 )
@@ -18,7 +17,6 @@ from .generate import (
     order_satisfies,
     payload_constraints,
 )
-from .validate import expected_gold, validate_item
 from .store import BENCH_FORMAT, load_items, read_benchmark, write_benchmark
 
 __all__ = [
@@ -30,9 +28,7 @@ __all__ = [
     "MASK_TOKEN",
     "TASKS",
     "TUPLE_KEYS",
-    "ValidityReport",
     "build_candidate_pools",
-    "expected_gold",
     "generate_benchmark",
     "instantiate_tasks",
     "load_items",
@@ -41,7 +37,6 @@ __all__ = [
     "read_benchmark",
     "render_condition_tuple",
     "render_route",
-    "validate_item",
     "weighted_distinct_sample",
     "write_benchmark",
 ]

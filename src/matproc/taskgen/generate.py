@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..canon import derive_seed
-from ..errors import ConfigConflict, InvalidParams, PoolExhausted, RetentionFilterFailed
-from ..jsonio import Record
+from ..errors import ConfigConflict, PoolExhausted, RetentionFilterFailed
+from ..jsonio import Record, check_ranges, knob
 from ..provgraph import (
     ProcessGraph,
     final_product_label,
@@ -29,9 +29,9 @@ from ..provgraph import (
     step_material_outputs,
     step_tool_labels,
 )
-from .model import (MASK_TOKEN, OPTION_COUNTS, TUPLE_KEYS, BenchItem, ConditionQuestion,
-                    MaskedQuestion, OrderingQuestion, OrderingStep, PrefixQuestion, Question,
-                    RouteQuestion, StepQuestion, render_condition_tuple, render_route)
+from .model import (MASK_TOKEN, TUPLE_KEYS, BenchItem, ConditionQuestion, MaskedQuestion,
+                    OrderingQuestion, OrderingStep, PrefixQuestion, Question, RouteQuestion,
+                    StepQuestion, render_condition_tuple, render_route)
 from .pools import DistractorPools, build_candidate_pools, weighted_distinct_sample
 
 DEFAULT_K = 4
@@ -43,13 +43,14 @@ class GenCaps(Record):
 
     load_error = ConfigConflict  # caps come from the run configuration
 
-    a1: int = 1
-    a2: int = 3
-    a3: int = 3
-    b1: int = 4
-    b2: int = 2
-    c1: int = 3
-    d: int = 1
+    a1: int = knob(1, "[0, inf)")
+    a2: int = knob(3, "[0, inf)")
+    a3: int = knob(3, "[0, inf)")
+    b1: int = knob(4, "[0, inf)")
+    b2: int = knob(2, "[0, inf)")
+    c1: int = knob(3, "[0, inf)")
+    d: int = knob(1, "[0, inf)")
+    __post_init__ = check_ranges
 
 
 def payload_constraints(steps: list[OrderingStep]) -> set[tuple[str, str]]:
@@ -99,9 +100,8 @@ def instantiate_tasks(
     caps: GenCaps | None = None,
     skip_log: list | None = None,
 ) -> list[BenchItem]:
-    if k_options not in OPTION_COUNTS:
-        raise InvalidParams(
-            f"k_options must lie in {OPTION_COUNTS[0]}..{OPTION_COUNTS[-1]}, got {k_options}")
+    from ..config import RunConfig  # config imports this package
+    check_ranges(RunConfig, k_options=k_options)
     caps = caps or GenCaps()
     route = route_labels(g)
     acts = g.ordered_activities()

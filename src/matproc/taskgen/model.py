@@ -8,7 +8,7 @@ condition sets render the three fields in a fixed key order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..canon import canon_label
 from ..errors import MalformedDocument
@@ -129,14 +129,3 @@ class BenchItem(Record):
 
     def gold_option(self) -> str:
         return self.options[self.gold_index]
-
-
-@dataclass
-class ValidityReport:
-    item_id: str
-    ok: bool = True
-    problems: list[str] = field(default_factory=list)
-
-    def flag(self, code: str, detail: str) -> None:
-        self.ok = False
-        self.problems.append(f"{code}: {detail}")

@@ -1,11 +1,25 @@
-"""Round-trip validity check: the gold answer must be recomputable from
-the source graph, and ordering distractors must visibly violate the flow."""
+"""The test oracle of question generation, a round-trip validity check:
+the gold answer must be recomputable from the source graph, and ordering
+distractors must visibly violate the flow."""
 
 from __future__ import annotations
 
-from ..provgraph import ProcessGraph, route_labels, step_tool_labels
-from .generate import order_satisfies, payload_constraints
-from .model import TUPLE_KEYS, BenchItem, ValidityReport, render_condition_tuple, render_route
+from dataclasses import dataclass, field
+
+from matproc.provgraph import ProcessGraph, route_labels, step_tool_labels
+from matproc.taskgen import (TUPLE_KEYS, BenchItem, order_satisfies, payload_constraints,
+                             render_condition_tuple, render_route)
+
+
+@dataclass
+class ValidityReport:
+    item_id: str
+    ok: bool = True
+    problems: list[str] = field(default_factory=list)
+
+    def flag(self, code: str, detail: str) -> None:
+        self.ok = False
+        self.problems.append(f"{code}: {detail}")
 
 
 def expected_gold(item: BenchItem, g: ProcessGraph) -> str | None:

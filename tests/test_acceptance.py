@@ -38,10 +38,11 @@ from matproc.retrieval import (
 from matproc.runner import PolicyConfig, ablation_grid, evaluate, run_ablation
 from matproc.scoring import ScoringConfig, fuse_scores, OptionScores
 from matproc.splits import contamination_matrix, split_items, split_report
-from matproc.taskgen import generate_benchmark, validate_item
+from matproc.taskgen import generate_benchmark
 from matproc.taskgen.store import load_items
 from matproc.memory import ProcessMemory, ProcessSummary
 
+from gold_oracle import validate_item
 from helpers import random_graph
 
 REAL_BENCH = os.environ.get("MATPROC_REAL_BENCH", "")

@@ -5,11 +5,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import tempfile
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,10 @@ from matproc.errors import ConfigConflict
 from matproc.jsonio import read_ndjson, write_ndjson
 from matproc.memory import load_memory
 from matproc.provgraph import SynthParams, generate_synthetic_corpus, to_prov_document
-from matproc.runner import DEFAULT_BUDGETS, POLICIES
+from matproc.retrieval import RetrievalWeights
+from matproc.runner import DEFAULT_BUDGETS, POLICIES, PolicyConfig
+from matproc.scoring import ScoringConfig
+from matproc.taskgen import GenCaps
 
 from helpers import LoopbackEndpoint, count_thread_pools
 
@@ -534,6 +540,19 @@ USAGE_ERRORS = {
     "ablate-without-memory": lambda p, out, cfg: _without_memory(ablate_argv(p, out, axes="scoring")),
     "eval-jobs-0": lambda p, out, cfg: eval_argv(p, "argmax_hybrid", out, jobs=0),
     "ablate-jobs-0": lambda p, out, cfg: ablate_argv(p, out, axes="scoring", jobs=0),
+    "split-ratios-outside-0-1": lambda p, out, cfg: [
+        "split", "--bench", str(p["bench"]), "--out", str(out), "--ratios", "1.5,-0.5,0"],
+    "split-dev-ratio-2": lambda p, out, cfg: [
+        "split", "--bench", str(p["bench"]), "--out", str(out), "--protocol", "type",
+        "--dev-ratio", "2"],
+    "build-memory-max-prefix-len-minus-1": lambda p, out, cfg: [
+        "build-memory", "--graphs", str(p["graphs"]), "--bench", str(p["bench"]),
+        "--split", str(p["split"]), "--out", str(out), "--max-prefix-len", "-1"],
+    "eval-scoring-top-m-0": lambda p, out, cfg: [
+        *eval_argv(p, "argmax_symbolic", out), "--config", cfg({"scoring": {"top_m": 0}})],
+    # ablate writes no per-item log, so it takes no --log
+    "ablate-log": lambda p, out, cfg: [*ablate_argv(p, out.with_suffix(".report"), axes="scoring"),
+                                       "--log", str(out)],
 }
 
 
@@ -548,8 +567,114 @@ def test_a_bad_knob_exits_2_and_writes_nothing(tmp_path, capsys, case):
     out = tmp_path / "out.ndjson"
     assert cli.dispatch(USAGE_ERRORS[case](pipeline(), out, cfg)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    assert not out.exists()
+    if case == "ablate-log":  # argparse refuses the flag, after its usage line
+        assert err.startswith("usage: matproc") and "error: unrecognized arguments: --log" in err
+    else:
+        assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) in ([], ["run.json"])
+
+
+# Every class whose numbers a run configuration holds, and the key under which
+# it holds them. SynthParams lends RunConfig its n_records range, and
+# PolicyConfig its lam and top_k ranges: those three sit at the top level.
+KNOB_CLASSES = {RunConfig: None, SynthParams: None, PolicyConfig: "runner",
+                RetrievalWeights: "weights", ScoringConfig: "scoring", GenCaps: "caps"}
+_RUN_FIELDS = {f.name for f in fields(RunConfig)}
+
+
+def _number_type(annotation):
+    """int or float when ``annotation`` is a number, or a tuple or dict of
+    numbers; None otherwise."""
+    args = typing.get_args(annotation)
+    if typing.get_origin(annotation) in (tuple, dict):
+        annotation = args[0] if args[-1] is Ellipsis else args[-1]
+    return annotation if annotation in (int, float) else None
+
+
+def _just_outside():
+    """(id, flag, its value, the error line) for a value just outside each
+    bounded end of every declared range a run configuration reaches."""
+    cases = []
+    for cls, under in KNOB_CLASSES.items():
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if cls is SynthParams and f.name not in _RUN_FIELDS:
+                continue  # synth builds its other parameters itself
+            bounds = f.metadata.get("range", "(-inf, inf)")
+            lo, hi = map(float, bounds[1:-1].split(","))
+            kind = _number_type(hints[f.name])
+            ends = []  # an open end is itself outside
+            if lo > -math.inf:
+                ends.append(("below", lo if bounds[0] == "(" else int(lo) - 1 if kind is int
+                             else math.nextafter(lo, -math.inf)))
+            if hi < math.inf:
+                ends.append(("above", hi if bounds[-1] == ")" else int(hi) + 1 if kind is int
+                             else math.nextafter(hi, math.inf)))
+            default = getattr(cls(), f.name)
+            for end, bad in ends:
+                if isinstance(default, dict):
+                    key = next(iter(default))
+                    value, at = {key: bad}, f"[{key!r}]"
+                elif isinstance(default, tuple):
+                    value, at = [bad, *default[1:]], "[0]"
+                else:
+                    value, at = bad, ""
+                message = f"error: {cls.__name__}.{f.name}{at}: {bad!r} is outside {bounds}"
+                if cls is GenCaps:
+                    flag, payload = "--caps", {f.name: value}
+                elif f.name in _RUN_FIELDS:
+                    flag, payload = "--config", {f.name: value}
+                else:
+                    flag, payload = "--config", {under: {f.name: value}}
+                cases.append((f"{cls.__name__}.{f.name}-{end}", flag, payload, message))
+    return cases
+
+
+JUST_OUTSIDE = _just_outside()
+
+
+@pytest.mark.parametrize("flag, payload, message", [case[1:] for case in JUST_OUTSIDE],
+                         ids=[case[0] for case in JUST_OUTSIDE])
+def test_a_knob_just_outside_its_declared_range_exits_2_naming_it(tmp_path, capsys, flag, payload,
+                                                                  message):
+    out = tmp_path / "bench.ndjson"
+    argv = ["genbench", "--graphs", str(pipeline()["graphs"]), "--out", str(out)]
+    if flag == "--config":
+        (tmp_path / "run.json").write_text(json.dumps(payload))
+        argv += ["--config", str(tmp_path / "run.json")]
+    else:
+        argv += [flag, json.dumps(payload)]
+    assert cli.dispatch(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [message]  # one line, no traceback
+    assert sorted(path.name for path in tmp_path.iterdir()) in ([], ["run.json"])
+
+
+def test_the_range_cases_cover_every_bounded_field_and_the_caps_example():
+    bounded = {f"{cls.__name__}.{f.name}" for cls in KNOB_CLASSES for f in fields(cls)
+               if f.metadata.get("range", "(-inf, inf)") != "(-inf, inf)"
+               and (cls is not SynthParams or f.name in _RUN_FIELDS)}
+    assert {case[0].rsplit("-", 1)[0] for case in JUST_OUTSIDE} == bounded
+    caps_example = ("GenCaps.a2-below", "--caps", {"a2": -1}, "error: GenCaps.a2: -1 is outside [0, inf)")
+    assert caps_example in JUST_OUTSIDE
+
+
+def test_every_numeric_knob_declares_its_range():
+    """A number of a run configuration, or of the synthetic corpus, with no
+    declared range runs at any value; seeds declare theirs unbounded. A
+    RunConfig field may instead lend its range from a same-named field of
+    PolicyConfig or SynthParams, which the run checks it through."""
+    undeclared = []
+    for cls in KNOB_CLASSES:
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if _number_type(hints[f.name]) is None or "range" in f.metadata:
+                continue
+            lenders = [g for owner in (PolicyConfig, SynthParams) for g in fields(owner)
+                       if cls is RunConfig and g.name == f.name and "range" in g.metadata]
+            if not lenders:
+                undeclared.append(f"{cls.__name__}.{f.name}")
+    assert undeclared == []
 
 
 def test_missing_input_exits_3(tmp_path, capsys):
@@ -1034,7 +1159,7 @@ def test_genbench_refuses_an_option_count_no_prompt_can_letter(tmp_path, capsys,
     code = cli.dispatch(["genbench", "--graphs", str(pipeline()["graphs"]), "--out", str(out), "--k", k])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: k_options must lie in 2..8, got {k}") and "Traceback" not in err
+    assert err == f"error: RunConfig.k_options: {k} is outside [2, 8]\n"
     assert not out.exists()
 
 
@@ -1243,6 +1368,41 @@ def test_python_dash_m_matproc_runs_the_cli():
     assert "usage: matproc" in done.stdout
 
 
+# one pipeline, from a synthetic corpus to an ablation, in one directory {d}
+HASH_SEED_STAGES = [
+    "synth --out {d}/raw.ndjson --n 60 --seed 11",
+    "compile --in {d}/raw.ndjson --out {d}/graphs.ndjson",
+    "genbench --graphs {d}/graphs.ndjson --out {d}/bench.ndjson",
+    "split --bench {d}/bench.ndjson --out {d}/split.ndjson --protocol year",
+    "build-memory --graphs {d}/graphs.ndjson --bench {d}/bench.ndjson --split {d}/split.ndjson"
+    " --out {d}/memory.ndjson",
+    "eval --bench {d}/bench.ndjson --split {d}/split.ndjson --memory {d}/memory.ndjson"
+    " --policy argmax_hybrid --log {d}/log.ndjson",
+    "ablate --bench {d}/bench.ndjson --split {d}/split.ndjson --memory {d}/memory.ndjson"
+    " --axes module --report {d}/ablation.ndjson",
+]
+
+
+def test_no_artifact_depends_on_the_hash_seed(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    )}
+    env.pop("MATPROC_CHAT_URL", None)  # the module rows answer with the mock client
+    run_all = ("import json, sys\nfrom matproc import cli\n"
+               "for argv in json.loads(sys.argv[1]):\n    assert cli.dispatch(argv) == 0, argv\n")
+    for seed in ("0", "12345"):
+        (tmp_path / seed).mkdir()
+        stages = [stage.format(d=tmp_path / seed).split(" ") for stage in HASH_SEED_STAGES]
+        done = subprocess.run([sys.executable, "-c", run_all, json.dumps(stages)], capture_output=True,
+                              text=True, env={**env, "PYTHONHASHSEED": seed}, timeout=300)
+        assert done.returncode == 0, done.stderr
+    names = sorted(path.name for path in (tmp_path / "0").iterdir())
+    assert names == ["ablation.ndjson", "bench.ndjson", "graphs.ndjson", "log.ndjson",
+                     "memory.ndjson", "raw.ndjson", "split.ndjson"]
+    for name in names:
+        assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "12345" / name).read_bytes(), name
+
+
 # --- artifact readers ---------------------------------------------------------------------
 
 
@@ -1275,6 +1435,10 @@ def _text_prefix_len(header, rows):
     header["max_prefix_len"] = "4"
 
 
+def _prefix_len(n):
+    return lambda header, rows: header.__setitem__("max_prefix_len", n)
+
+
 def _drop_last_item(header, rows):
     del rows[-1]
 
@@ -1294,12 +1458,15 @@ def _text_seed(header, rows):
         ("memory", _drop_kind, "kind None is not one of"),
         ("memory", _text_vector_as_string, "ProcessRow.embeddings"),
         ("memory", _text_prefix_len, "header max_prefix_len: expected int, got str"),
+        ("memory", _prefix_len(0), "header max_prefix_len 0 is below 1"),
+        ("memory", _prefix_len(-1), "header max_prefix_len -1 is below 1"),
         ("split", _drop_last_item, "no partition for item"),
         ("split", _numeric_protocol, "header protocol: expected str, got int"),
         ("split", _text_seed, "header seed: expected int | None, got str"),
     ],
     ids=["transition-no-count", "row-no-kind", "string-vector", "text-max-prefix-len",
-         "split-misses-an-item", "numeric-protocol", "text-seed"],
+         "zero-max-prefix-len", "negative-max-prefix-len", "split-misses-an-item",
+         "numeric-protocol", "text-seed"],
 )
 def test_eval_on_a_malformed_artifact_exits_3_naming_it(tmp_path, capsys, name, edit, message):
     path = _edited(tmp_path, name, edit)

@@ -15,7 +15,7 @@ import pytest
 import matproc
 from matproc.chat import ChatExchange, MockChatClient
 from matproc.config import RunConfig
-from matproc.errors import ConfigConflict, MalformedDocument
+from matproc.errors import ConfigConflict, InvalidParams, MalformedDocument
 from matproc.jsonio import (
     Record,
     check_fields,
@@ -294,6 +294,40 @@ def test_configuration_classes_raise_a_usage_error():
         RunConfig.from_dict({"scoring": {"top_m": "x"}})
     with pytest.raises(ConfigConflict, match=r"GenCaps: unknown keys \['z'\]"):
         GenCaps.from_dict({"z": 1})
+
+
+def test_a_declared_range_is_checked_however_the_record_is_built():
+    outside = r"^ScoringConfig\.top_m: 0 is outside \[1, inf\)$"
+    with pytest.raises(InvalidParams, match=outside):
+        ScoringConfig(top_m=0)
+    with pytest.raises(InvalidParams, match=outside):
+        dataclasses.replace(ScoringConfig(), top_m=0)
+    with pytest.raises(InvalidParams, match=outside):
+        ScoringConfig.from_dict({"top_m": 0})
+    with pytest.raises(InvalidParams, match=outside):
+        RunConfig().merged({"scoring": {"top_m": 0}})
+    with pytest.raises(InvalidParams, match=r"^SynthParams\.p_branch: 1\.5 is outside \[0, 1\]$"):
+        SynthParams(p_branch=1.5)
+    with pytest.raises(InvalidParams, match=r"^SynthParams\.class_mix\['battery'\]: -0\.1 is outside"):
+        SynthParams(class_mix={"battery": -0.1, "magnetic": 1.0})
+    with pytest.raises(InvalidParams, match=r"^GenCaps\.d: -1 is outside \[0, inf\)$"):
+        GenCaps(d=-1)
+    with pytest.raises(InvalidParams, match=r"^PolicyConfig\.lam: nan is outside \[0, 1\]$"):
+        PolicyConfig(lam=float("nan"))
+
+
+def test_the_ends_of_a_range_are_in_it_and_an_open_end_is_not():
+    assert RunConfig(dev_ratio=0.0, k_options=2).k_options == 2
+    assert RunConfig(k_options=8, ratios=(1, 0, 0)).ratios == (1.0, 0.0, 0.0)
+    assert PolicyConfig(lam=0).lam == 0 and PolicyConfig(lam=1.0).lam == 1.0
+    with pytest.raises(InvalidParams, match=r"^RunConfig\.dev_ratio: 1\.0 is outside \[0, 1\)$"):
+        RunConfig(dev_ratio=1.0)
+    assert SynthParams(year_range=(-5, 10**6), route_length_range=(1, 1)).year_range == (-5, 10**6)
+
+
+def test_public_functions_check_raw_values_against_the_declared_ranges():
+    with pytest.raises(InvalidParams, match=r"^PolicyConfig\.lam: 1\.5 is outside \[0, 1\]$"):
+        fuse_scores(None, None, lam=1.5)
 
 
 def _src_trees() -> dict[Path, ast.Module]:

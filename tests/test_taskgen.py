@@ -29,13 +29,13 @@ from matproc.taskgen import (
     payload_constraints,
     read_benchmark,
     render_route,
-    validate_item,
     write_benchmark,
 )
 
 from matproc.taskgen import generate
 from matproc.taskgen.model import QUESTION_TYPES
 
+from gold_oracle import validate_item
 from helpers import chain_graph, compiled
 
 
@@ -182,7 +182,7 @@ def test_an_option_count_no_prompt_can_letter_is_refused_before_any_item(monkeyp
     pools = build_candidate_pools(corpus)
     built = []
     monkeypatch.setattr(generate, "BenchItem", lambda *args, **kwargs: built.append(kwargs))
-    with pytest.raises(InvalidParams, match=f"k_options must lie in 2..8, got {k_options}"):
+    with pytest.raises(InvalidParams, match=fr"^RunConfig\.k_options: {k_options} is outside \[2, 8\]$"):
         instantiate_tasks(corpus[0], pools, k_options=k_options, seed=0)
     with pytest.raises(InvalidParams):
         generate_benchmark(corpus, k_options=k_options, seed=0)
