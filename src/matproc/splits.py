@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import EmptyTestPartition, InvalidParams, MalformedDocument, UncoveredItem
-from .jsonio import Record, artifact_header, read_artifact, write_ndjson
+from .jsonio import Record, artifact_header, check_ranges, read_artifact, write_ndjson
 from .taskgen import BenchItem
 
 PARTITIONS = ("train", "dev", "test", "excluded")
@@ -95,8 +95,10 @@ def render_audit(rows: list[AuditRow]) -> str:
 
 
 def split_random(items: list[BenchItem], ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitAssignment:
+    from .config import RunConfig  # config imports this module
     if abs(sum(ratios) - 1.0) > 1e-9 or len(ratios) != 3:
         raise InvalidParams("ratios must be three values summing to 1")
+    check_ranges(RunConfig, ratios=ratios)
     ids = [it.item_id for it in items]
     rng = random.Random(seed)
     rng.shuffle(ids)
@@ -138,6 +140,8 @@ def split_by_type(
     seed: int = 0,
 ) -> SplitAssignment:
     """Held-out class goes to test; the rest is split train/dev by DOI."""
+    from .config import RunConfig  # config imports this module
+    check_ranges(RunConfig, dev_ratio=dev_ratio)
     mapping: dict[str, str] = {}
     rest_dois: list[str] = []
     seen = set()

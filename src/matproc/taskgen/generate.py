@@ -13,6 +13,7 @@ import functools
 import itertools
 import random
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +81,12 @@ def _place_gold(rng: random.Random, gold: str, distractors: list[str]) -> tuple[
     return options, gold_index
 
 
-def _select_positions(rng: random.Random, candidates: list, cap: int) -> list:
+def _select_positions(candidates: list, cap: int, make_rng) -> list:
+    """At most ``cap`` of ``candidates``, in their order; the selection RNG,
+    ``make_rng()``, is built only when there are more candidates than that."""
     if len(candidates) <= cap:
         return list(candidates)
-    return sorted(rng.sample(candidates, cap), key=candidates.index)
+    return sorted(make_rng().sample(candidates, cap), key=candidates.index)
 
 
 def _conditioned_or_global(sub: Counter, global_pool: Counter, gold: str, need: int) -> Counter:
@@ -121,8 +124,9 @@ def instantiate_tasks(
     def item_rng(task: str, ordinal: int) -> random.Random:
         return random.Random(derive_seed(seed, gid, task, ordinal))
 
-    def select_rng(task: str) -> random.Random:
-        return random.Random(derive_seed(seed, gid, task, "select"))
+    def select(task: str, candidates: list, cap: int) -> list:
+        return _select_positions(
+            candidates, cap, lambda: random.Random(derive_seed(seed, gid, task, "select")))
 
     def emit(task: str, ordinal: int, question: Question, gold: str, distractors: list[str]) -> None:
         place_rng = random.Random(derive_seed(seed, gid, task, ordinal, "gold"))
@@ -141,7 +145,7 @@ def instantiate_tasks(
             )
         )
 
-    def sample_labels(task: str, ordinal: int, pool: Counter, gold: str, exclude=()) -> list[str] | None:
+    def sample_labels(task: str, ordinal: int, pool: Mapping, gold: str, exclude=()) -> list[str] | None:
         try:
             return weighted_distinct_sample(
                 item_rng(task, ordinal), pool, need, exclude=set(exclude) | {gold}
@@ -161,7 +165,7 @@ def instantiate_tasks(
 
     # A2: identify one masked activity from its neighbours
     task = "A2_missing_step"
-    for ordinal, pos in enumerate(_select_positions(select_rng(task), list(range(len(route))), caps.a2)):
+    for ordinal, pos in enumerate(select(task, list(range(len(route))), caps.a2)):
         gold = route[pos]
         neighbour_pool: Counter = Counter()
         if pos > 0:
@@ -179,7 +183,7 @@ def instantiate_tasks(
     # A3: continue a route prefix with the next activity
     task = "A3_next_activity"
     prefix_lengths = list(range(1, len(route)))
-    for ordinal, plen in enumerate(_select_positions(select_rng(task), prefix_lengths, caps.a3)):
+    for ordinal, plen in enumerate(select(task, prefix_lengths, caps.a3)):
         gold = route[plen]
         pool = _conditioned_or_global(
             pools.successors.get(route[plen - 1], Counter()), pools.activity_labels, gold, need
@@ -197,7 +201,7 @@ def instantiate_tasks(
     # B1: predict one condition value on a target step
     task = "B1_condition_prediction"
     slots = [(i, key) for i, act in enumerate(acts) for key in sorted(act.conditions)]
-    for ordinal, (i, key) in enumerate(_select_positions(select_rng(task), slots, caps.b1)):
+    for ordinal, (i, key) in enumerate(select(task, slots, caps.b1)):
         gold = acts[i].conditions[key]
         pool = _conditioned_or_global(
             pools.values_by_activity.get((route[i], key), Counter()),
@@ -213,7 +217,7 @@ def instantiate_tasks(
     # B2: predict the step's complete condition tuple
     task = "B2_full_condition_set"
     complete = [i for i, act in enumerate(acts) if all(k in act.conditions for k in TUPLE_KEYS)]
-    for ordinal, i in enumerate(_select_positions(select_rng(task), complete, caps.b2)):
+    for ordinal, i in enumerate(select(task, complete, caps.b2)):
         gold = render_condition_tuple(acts[i].conditions)
         distractors = sample_labels(task, ordinal, pools.rendered_tuples, gold)
         if distractors is None:
@@ -223,7 +227,7 @@ def instantiate_tasks(
     # C1: pick the tool the target step used
     task = "C1_tool_selection"
     with_tools = [i for i, act in enumerate(acts) if step_tool_labels(g, act.id)]
-    for ordinal, i in enumerate(_select_positions(select_rng(task), with_tools, caps.c1)):
+    for ordinal, i in enumerate(select(task, with_tools, caps.c1)):
         step_tools = step_tool_labels(g, acts[i].id)
         gold = step_tools[0]
         distractors = sample_labels(task, ordinal, pools.tool_labels, gold, exclude=step_tools)

@@ -283,6 +283,32 @@ def test_embed_structures_equals_embed_structure_across_chunk_boundaries(monkeyp
         row for row, g in enumerate(graphs) if node_count(g) >= 3]
 
 
+def test_embed_structures_equals_embed_structure_at_the_default_chunk_bound(monkeypatch):
+    bound = rt._CHUNK_ROWS  # as shipped, not patched
+    ops = ["mill", "sinter", "anneal", "press", "calcine"]
+    big = chain_graph([ops[i % 5] for i in range(bound // 2 + 1)], record_id="big",
+                      tools={"press": ["die"], "mill": ["ball mill"]},
+                      precursors=("lithium carbonate", "cobalt oxide"))
+    graphs = [*small_corpus(n=10), graph_of(["lithium"], "one"), big,
+              graph_of(["lithium", "cobalt"], "two"), *small_corpus(n=8, seed=2),
+              ProcessGraph(record_id="void")]
+    chunks = []
+    embed_chunk = rt._embed_chunk
+
+    def recorded(chunk, *args):
+        chunks.append([row for row, _, _ in chunk])
+        return embed_chunk(chunk, *args)
+
+    monkeypatch.setattr(rt, "_embed_chunk", recorded)
+    assert node_count(big) > bound
+    assert sum(node_count(g) for g in graphs if node_count(g) >= 3) > 2 * bound
+    assert_batch_equals_reference(graphs)
+    assert [rows for rows in chunks if graphs.index(big) in rows] == [[graphs.index(big)]]
+    assert len(chunks) >= 3 and sum(len(rows) > 1 for rows in chunks) >= 2
+    assert sorted(row for rows in chunks for row in rows) == [
+        row for row, g in enumerate(graphs) if node_count(g) >= 3]
+
+
 def embed_text_by_loop(text: str) -> np.ndarray:
     """The builtin embedding of one text, one n-gram at a time: the reference."""
     counts = np.zeros(rt.EMBED_DIM)

@@ -77,6 +77,33 @@ def test_random_rejects_bad_ratios():
         split_random([make_item(0)], ratios=(0.5, 0.2, 0.2), seed=0)
 
 
+@pytest.mark.parametrize("ratios, message", [
+    ((1.5, -0.5, 0.0), r"RunConfig\.ratios\[0\]: 1\.5 is outside \[0, 1\]"),
+    ((0.5, 1.5, -1.0), r"RunConfig\.ratios\[1\]: 1\.5 is outside \[0, 1\]"),
+    ((0.6, 0.6, -0.2), r"RunConfig\.ratios\[2\]: -0\.2 is outside \[0, 1\]"),
+])
+def test_random_refuses_ratios_outside_their_declared_range(ratios, message):
+    items = bench_items(15)
+    assert abs(sum(ratios) - 1.0) <= 1e-9  # the sum rule alone lets each through
+    with pytest.raises(InvalidParams, match=message):
+        split_random(items, ratios=ratios, seed=0)
+    with pytest.raises(InvalidParams, match=message):
+        split_items(items, "random", ratios=ratios)
+
+
+@pytest.mark.parametrize("dev_ratio, message", [
+    (-0.5, r"RunConfig\.dev_ratio: -0\.5 is outside \[0, 1\)"),
+    (1.0, r"RunConfig\.dev_ratio: 1\.0 is outside \[0, 1\)"),
+    (2, r"RunConfig\.dev_ratio: 2 is outside \[0, 1\)"),
+])
+def test_type_refuses_a_dev_ratio_outside_its_declared_range(dev_ratio, message):
+    items = bench_items(15)
+    with pytest.raises(InvalidParams, match=message):
+        split_by_type(items, dev_ratio=dev_ratio, seed=0)
+    with pytest.raises(InvalidParams, match=message):
+        split_items(items, "type", dev_ratio=dev_ratio)
+
+
 # --- year ---------------------------------------------------------------------
 
 def test_year_boundaries():

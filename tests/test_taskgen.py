@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import copy
+import random
+import types
 from collections import Counter
 
 import pytest
 
-from matproc.canon import canon_label, canonical_json
+from matproc.canon import canon_label, canonical_json, derive_seed
 from matproc.errors import EmptyCorpus, InvalidParams, RetentionFilterFailed
 from matproc.provgraph import (
     ActivityNode,
@@ -149,6 +151,41 @@ def test_instantiating_tasks_leaves_the_pools_as_built():
     for r, count in pools.routes.items():
         own[render_route(r)] += count / (1 + abs(len(r) - len(route_labels(longer))))
     assert list(pools.routes_near(len(route_labels(longer))).items()) == list(own.items())
+
+
+def test_a_task_within_its_cap_builds_no_selection_rng(monkeypatch):
+    corpus = synth_corpus(30)
+    pools = build_candidate_pools(corpus)
+    seeds = []
+
+    class Recorded(random.Random):
+        def __init__(self, x=None):
+            seeds.append(x)
+            super().__init__(x)
+
+    def select_seeds(caps):
+        seeds.clear()
+        items = [it.to_dict() for g in corpus for it in instantiate_tasks(g, pools, seed=4, caps=caps)]
+        selected = {derive_seed(4, g.record_id, task, "select") for g in corpus for task in QUESTION_TYPES}
+        return items, len(selected & set(seeds))
+
+    select_positions = generate._select_positions
+
+    def eager(candidates, cap, make_rng):
+        rng = make_rng()
+        return select_positions(candidates, cap, lambda: rng)
+
+    monkeypatch.setattr(generate, "random", types.SimpleNamespace(Random=Recorded))
+    roomy = GenCaps(a2=99, a3=99, b1=99, b2=99, c1=99)  # no graph has more candidates
+    lazy_items, lazy_selected = select_seeds(roomy)
+    assert seeds and lazy_selected == 0  # item and placement RNGs only
+    capped_items, capped_selected = select_seeds(GenCaps())
+    assert 0 < capped_selected < 5 * len(corpus)  # one per task over its cap
+    monkeypatch.setattr(generate, "_select_positions", eager)
+    eager_items, eager_selected = select_seeds(roomy)
+    assert eager_selected == 5 * len(corpus)  # A2, A3, B1, B2 and C1 on every graph
+    assert lazy_items and lazy_items == eager_items
+    assert capped_items == select_seeds(GenCaps())[0]
 
 
 def test_single_activity_graph_task_mix():

@@ -13,6 +13,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matproc.errors import PoolExhausted
 from matproc.provgraph import SynthParams, generate_synthetic_corpus, route_labels
@@ -26,6 +28,7 @@ from matproc.taskgen import (
     weighted_distinct_sample,
 )
 from matproc.taskgen import generate, model, pools as pools_module
+from matproc.taskgen.pools import PreparedPool
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +149,60 @@ def test_sampler_matches_per_draw_weights(n):
                 weighted_distinct_sample(random.Random(trial), pool, n, exclude)
             continue
         assert weighted_distinct_sample(random.Random(trial), pool, n, exclude) == expected
+
+
+def sampled(sample, seed, pool, n, exclude):
+    """What ``sample`` returns or raises, and the next float of its RNG."""
+    rng = random.Random(seed)
+    try:
+        got = sample(rng, pool, n, exclude)
+    except (PoolExhausted, ValueError) as exc:
+        got = (type(exc), str(exc))
+    return got, rng.random()
+
+
+# the keys an item leaves out, picked from the pool's sorted keys
+EXCLUSIONS = {
+    "none": lambda keys: [],
+    "first": lambda keys: keys[:1],
+    "middle": lambda keys: keys[len(keys) // 2 : len(keys) // 2 + 1],
+    "last": lambda keys: keys[-1:],
+    "absent": lambda keys: ["~absent"],
+    "several": lambda keys: [*keys[1::3], "~absent", *keys[:1]],  # C1 leaves out a step's tools
+}
+WEIGHTS = st.one_of(st.integers(0, 7), st.floats(0.0, 5.0), st.sampled_from([1 / 3, 0.1, 2.5, 1e-9]))
+
+
+@pytest.mark.parametrize("where", EXCLUSIONS)
+@settings(max_examples=80, deadline=None)
+@given(pool=st.dictionaries(st.text("abcde", min_size=1, max_size=3), WEIGHTS, min_size=1, max_size=14),
+       n=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+@example(pool={"a": 2, "b": 1, "c": 4, "d": 1}, n=2, seed=0)  # int weights
+@example(pool={"a": 0.25, "b": 1 / 3, "c": 2.5, "d": 0.1}, n=3, seed=1)  # float weights
+@example(pool={"a": 1e12, "b": 1, "c": 2, "d": 1, "e": 3}, n=3, seed=2)  # fills from the fallback
+@example(pool={"a": 1, "b": 2}, n=5, seed=3)  # PoolExhausted
+@example(pool={"a": 0, "b": 0, "c": 0.0}, n=1, seed=4)  # zero total: ValueError
+@example(pool={"a": 1, "b": -3, "c": 1}, n=1, seed=5)  # negative total: ValueError
+@example(pool={"a": 1.0, "b": float("inf")}, n=1, seed=6)  # infinite total: ValueError
+def test_prepared_sampler_equals_the_choices_reference(where, pool, n, seed):
+    pool = Counter(pool)
+    exclude = EXCLUSIONS[where](sorted(pool))
+    want = sampled(reference_sample, seed, pool, n, exclude)
+    prepared = PreparedPool(pool)
+    assert sampled(weighted_distinct_sample, seed, pool, n, exclude) == want
+    assert sampled(weighted_distinct_sample, seed, prepared, n, exclude) == want
+    assert prepared == pool and list(prepared) == list(pool)  # pool order, left as built
+
+
+def test_shared_pools_are_prepared_once(corpus):
+    pools = build_candidate_pools(corpus)
+    shared = [*pools.routes_by_length.values(), pools.rendered_tuples, pools.tool_labels]
+    assert all(isinstance(pool, PreparedPool) for pool in shared)
+    for pool in shared:
+        assert pool.ordered == tuple(sorted(pool))
+        assert pool.cum_weights == tuple(itertools.accumulate(pool[k] for k in pool.ordered))
+        with pytest.raises(TypeError):
+            pool["new"] = 1  # read-only
 
 
 def test_violating_permutations_match_exhaustive_filter(corpus):
