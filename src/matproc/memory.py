@@ -22,15 +22,7 @@ from .canon import canon_label
 from .errors import EmptyLibrary, EmptyTrainSet, MalformedDocument
 from .jsonio import (Record, artifact_header, check_fields, read_artifact, record_fields,
                      write_ndjson)
-from .provgraph import (
-    ProcessGraph,
-    precursor_labels,
-    product_labels,
-    route_labels,
-    step_material_inputs,
-    step_material_outputs,
-    step_tool_labels,
-)
+from .provgraph import ProcessGraph, graph_view
 
 if TYPE_CHECKING:
     from .retrieval import DenseIndex
@@ -245,34 +237,33 @@ def build_memory(
             raise MalformedDocument(f"graphs outside the train partition: {strangers[:3]}")
     processes, step_library, transition_table, prefix_index = [], [], {}, {}
     for g in train_graphs:
-        route = route_labels(g)
+        view = graph_view(g)
+        route = list(view.route)
         processes.append(
             ProcessSummary(
                 graph_id=g.record_id,
                 route=route,
-                precursors=precursor_labels(g),
-                products=product_labels(g),
-                tools=sorted({canon_label(t.label) for t in g.tool_entities}),
+                precursors=list(view.precursors),
+                products=list(view.products),
+                tools=list(view.tools),
             )
         )
         length = len(route)
-        for pos, act in enumerate(g.ordered_activities()):
-            in_labels, in_forms = step_material_inputs(g, act.id)
-            out_labels, out_forms = step_material_outputs(g, act.id)
+        for pos, step in enumerate(view.steps):
             step_library.append(
                 StepEntry(
                     graph_id=g.record_id,
-                    activity=route[pos],
+                    activity=step.label,
                     position=pos,
                     norm_position=pos / (length - 1) if length > 1 else 0.0,
                     prev_activity=route[pos - 1] if pos > 0 else None,
                     next_activity=route[pos + 1] if pos < length - 1 else None,
-                    tools=step_tool_labels(g, act.id),
-                    conditions=dict(act.conditions),
-                    input_labels=in_labels,
-                    input_forms=in_forms,
-                    output_labels=out_labels,
-                    output_forms=out_forms,
+                    tools=list(step.tools),
+                    conditions=dict(step.activity.conditions),
+                    input_labels=list(step.inputs),
+                    input_forms=list(step.input_forms),
+                    output_labels=list(step.outputs),
+                    output_forms=list(step.output_forms),
                 )
             )
         for a, b in zip(route, route[1:]):

@@ -47,12 +47,12 @@ def infer_precedence(g: ProcessGraph) -> set[tuple[str, str]]:
 
 def _precedence_pairs(g: ProcessGraph) -> set[tuple[str, str]]:
     """The pairs of :func:`infer_precedence`, not checked for cycles."""
-    generated_by_entity: dict[str, list[str]] = {}
+    producers_of: dict[str, list[str]] = {}
     for act, ent in g.generation_edges:
-        generated_by_entity.setdefault(ent, []).append(act)
+        producers_of.setdefault(ent, []).append(act)
     pairs: set[tuple[str, str]] = set()
     for ent, act in g.usage_edges:
-        for producer in generated_by_entity.get(ent, []):
+        for producer in producers_of.get(ent, []):
             if producer != act:
                 pairs.add((producer, act))
     return pairs

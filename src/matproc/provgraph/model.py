@@ -54,22 +54,8 @@ class ProcessGraph(Record):
     def entities(self) -> list[EntityNode]:
         return self.material_entities + self.tool_entities
 
-    def entity_by_id(self) -> dict[str, EntityNode]:
-        return {e.id: e for e in self.entities()}
-
-    def activity_by_id(self) -> dict[str, ActivityNode]:
-        return {a.id: a for a in self.activities}
-
-    def used_by(self, activity_id: str) -> list[str]:
-        """Entity ids consumed by the activity, in edge order."""
-        return [e for (e, a) in self.usage_edges if a == activity_id]
-
-    def generated_by(self, activity_id: str) -> list[str]:
-        """Entity ids produced by the activity, in edge order."""
-        return [e for (a, e) in self.generation_edges if a == activity_id]
-
     def ordered_activities(self) -> list[ActivityNode]:
-        by_id = self.activity_by_id()
+        by_id = {a.id: a for a in self.activities}
         return [by_id[i] for i in self.ordered_activity_ids]
 
 

@@ -1,57 +1,53 @@
-"""Read-only projections of a compiled graph used by downstream stages.
+"""The one read-only view of a compiled graph that downstream stages read.
 
-Everything here returns canonical (lowercased, whitespace-collapsed)
-labels so that pools, memories and benchmark options agree on string
-identity regardless of source formatting.
+:func:`graph_view` builds one entity map, groups the usage and generation
+edges by activity in edge order, and returns plain tuples. Benchmark
+generation, its candidate pools and the process memory all read it. Every
+label is canonical (lowercased, whitespace-collapsed), so pools, memories
+and benchmark options agree on string identity regardless of source
+formatting.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from ..canon import canon_label
-from .model import ProcessGraph
+from .model import ActivityNode, ProcessGraph
 
 
-def route_labels(g: ProcessGraph) -> list[str]:
-    """Canonical activity labels in derived topological order."""
-    return [canon_label(a.label) for a in g.ordered_activities()]
+class StepView(NamedTuple):
+    """One ordered activity: the labels of its tools, sorted and distinct;
+    its material inputs and outputs, and the forms of those that have one,
+    in edge order."""
+
+    activity: ActivityNode
+    label: str
+    tools: tuple[str, ...]
+    inputs: tuple[str, ...]
+    input_forms: tuple[str, ...]
+    outputs: tuple[str, ...]
+    output_forms: tuple[str, ...]
 
 
-def precursor_labels(g: ProcessGraph) -> list[str]:
-    return sorted({canon_label(e.label) for e in g.material_entities if e.role == "precursor"})
+class GraphView(NamedTuple):
+    """The route in derived topological order; the sorted, distinct labels
+    of the precursor-role and product-role materials; the target product
+    (see :func:`graph_view`); the labels of every tool; the steps."""
+
+    route: tuple[str, ...]
+    precursors: tuple[str, ...]
+    products: tuple[str, ...]
+    product: str
+    tools: tuple[str, ...]
+    steps: tuple[StepView, ...]
 
 
-def product_labels(g: ProcessGraph) -> list[str]:
-    return sorted({canon_label(e.label) for e in g.material_entities if e.role == "product"})
+def _labels(entities) -> tuple[str, ...]:
+    return tuple(sorted({canon_label(e.label) for e in entities}))
 
 
-def final_product_label(g: ProcessGraph) -> str:
-    """The target product: what the last ordered activity generates.
-
-    Falls back to any product-role label when the last step generates
-    nothing (possible in noisy records), then to the empty string.
-    """
-    by_id = g.entity_by_id()
-    if g.ordered_activity_ids:
-        for ent_id in g.generated_by(g.ordered_activity_ids[-1]):
-            node = by_id.get(ent_id)
-            if node is not None and node.kind == "material":
-                return canon_label(node.label)
-    products = product_labels(g)
-    return products[0] if products else ""
-
-
-def step_tool_labels(g: ProcessGraph, activity_id: str) -> list[str]:
-    by_id = g.entity_by_id()
-    labels = {
-        canon_label(by_id[eid].label)
-        for eid in g.used_by(activity_id)
-        if eid in by_id and by_id[eid].kind == "tool"
-    }
-    return sorted(labels)
-
-
-def _step_materials(g: ProcessGraph, entity_ids: list[str]) -> tuple[list[str], list[str]]:
-    by_id = g.entity_by_id()
+def _materials(by_id: dict, entity_ids) -> tuple[tuple[str, ...], tuple[str, ...]]:
     labels, forms = [], []
     for eid in entity_ids:
         node = by_id.get(eid)
@@ -61,14 +57,33 @@ def _step_materials(g: ProcessGraph, entity_ids: list[str]) -> tuple[list[str], 
         form = node.attributes.get("form")
         if form:
             forms.append(canon_label(form))
-    return labels, forms
+    return tuple(labels), tuple(forms)
 
 
-def step_material_inputs(g: ProcessGraph, activity_id: str) -> tuple[list[str], list[str]]:
-    """(labels, forms) of material entities the activity consumes, edge order."""
-    return _step_materials(g, g.used_by(activity_id))
-
-
-def step_material_outputs(g: ProcessGraph, activity_id: str) -> tuple[list[str], list[str]]:
-    """(labels, forms) of material entities the activity generates, edge order."""
-    return _step_materials(g, g.generated_by(activity_id))
+def graph_view(g: ProcessGraph) -> GraphView:
+    """The view of ``g``. Its target product is what the last step makes:
+    its first output material, else (a noisy record may end in a step that
+    makes none) the first product-role label, else ``""``."""
+    by_id = {e.id: e for e in g.entities()}
+    used: dict[str, list[str]] = {}
+    generated: dict[str, list[str]] = {}
+    for eid, aid in g.usage_edges:
+        used.setdefault(aid, []).append(eid)
+    for aid, eid in g.generation_edges:
+        generated.setdefault(aid, []).append(eid)
+    steps = []
+    for act in g.ordered_activities():
+        consumed = used.get(act.id, ())
+        tools = _labels([by_id[e] for e in consumed if e in by_id and by_id[e].kind == "tool"])
+        steps.append(StepView(act, canon_label(act.label), tools, *_materials(by_id, consumed),
+                              *_materials(by_id, generated.get(act.id, ()))))
+    products = _labels([e for e in g.material_entities if e.role == "product"])
+    last_outputs = steps[-1].outputs if steps else ()
+    return GraphView(
+        route=tuple(step.label for step in steps),
+        precursors=_labels([e for e in g.material_entities if e.role == "precursor"]),
+        products=products,
+        product=(last_outputs or products or ("",))[0],
+        tools=_labels(g.tool_entities),
+        steps=tuple(steps),
+    )

@@ -21,15 +21,7 @@ import numpy as np
 from ..canon import derive_seed
 from ..errors import ConfigConflict, PoolExhausted, RetentionFilterFailed
 from ..jsonio import Record, check_ranges, knob
-from ..provgraph import (
-    ProcessGraph,
-    final_product_label,
-    precursor_labels,
-    route_labels,
-    step_material_inputs,
-    step_material_outputs,
-    step_tool_labels,
-)
+from ..provgraph import ProcessGraph, graph_view
 from .model import (MASK_TOKEN, TUPLE_KEYS, BenchItem, ConditionQuestion, MaskedQuestion,
                     OrderingQuestion, OrderingStep, PrefixQuestion, Question, RouteQuestion,
                     StepQuestion, render_condition_tuple, render_route)
@@ -106,15 +98,14 @@ def instantiate_tasks(
     from ..config import RunConfig  # config imports this package
     check_ranges(RunConfig, k_options=k_options)
     caps = caps or GenCaps()
-    route = route_labels(g)
-    acts = g.ordered_activities()
-    if not acts or not any(e.role == "precursor" for e in g.material_entities):
+    view = graph_view(g)
+    steps, acts = view.steps, [step.activity for step in view.steps]
+    if not acts or not view.precursors:
         raise RetentionFilterFailed(f"{g.record_id}: needs >=1 activity and >=1 precursor")
 
     gid = g.record_id
     need = k_options - 1
-    product = final_product_label(g)
-    precursors = precursor_labels(g)
+    route, product, precursors = list(view.route), view.product, list(view.precursors)
     items: list[BenchItem] = []
 
     def log_skip(task: str, reason: str) -> None:
@@ -194,9 +185,9 @@ def instantiate_tasks(
         emit(task, ordinal, PrefixQuestion(product, precursors, route[:plen]), gold, distractors)
 
     def step_question(index: int, cls=StepQuestion, **more) -> StepQuestion:
-        labels, forms = step_material_inputs(g, acts[index].id)
-        return cls(route=route, step_index=index, activity=route[index], step_inputs=labels,
-                   step_input_forms=forms, **more)
+        step = steps[index]
+        return cls(route=route, step_index=index, activity=step.label, step_inputs=list(step.inputs),
+                   step_input_forms=list(step.input_forms), **more)
 
     # B1: predict one condition value on a target step
     task = "B1_condition_prediction"
@@ -226,9 +217,9 @@ def instantiate_tasks(
 
     # C1: pick the tool the target step used
     task = "C1_tool_selection"
-    with_tools = [i for i, act in enumerate(acts) if step_tool_labels(g, act.id)]
+    with_tools = [i for i, step in enumerate(steps) if step.tools]
     for ordinal, i in enumerate(select(task, with_tools, caps.c1)):
-        step_tools = step_tool_labels(g, acts[i].id)
+        step_tools = steps[i].tools
         gold = step_tools[0]
         distractors = sample_labels(task, ordinal, pools.tool_labels, gold, exclude=step_tools)
         if distractors is None:
@@ -239,12 +230,7 @@ def instantiate_tasks(
     task = "D_process_ordering"
     if caps.d >= 1 and len(route) >= 2 and len(set(route)) == len(route):
         rng = item_rng(task, 0)
-        steps = []
-        for act, label in zip(acts, route):
-            in_labels, _ = step_material_inputs(g, act.id)
-            out_labels, _ = step_material_outputs(g, act.id)
-            steps.append(OrderingStep(label, in_labels, out_labels))
-        shuffled = list(steps)
+        shuffled = [OrderingStep(step.label, list(step.inputs), list(step.outputs)) for step in steps]
         rng.shuffle(shuffled)
         constraints = payload_constraints(shuffled)
         gold = render_route(route)

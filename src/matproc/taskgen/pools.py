@@ -24,7 +24,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ..errors import EmptyCorpus, PoolExhausted
-from ..provgraph import ProcessGraph, route_labels, step_tool_labels
+from ..provgraph import ProcessGraph, graph_view
 from .model import TUPLE_KEYS, render_condition_tuple, render_route
 
 
@@ -114,15 +114,16 @@ def build_candidate_pools(corpus: list[ProcessGraph]) -> DistractorPools:
         raise EmptyCorpus("candidate pools need at least one graph")
     pools = DistractorPools()
     for g in corpus:
-        route = route_labels(g)
-        pools.routes[tuple(route)] += 1
+        view = graph_view(g)
+        route = view.route
+        pools.routes[route] += 1
         for left, right in zip(route, route[1:]):
             pools.successors.setdefault(left, Counter())[right] += 1
             pools.predecessors.setdefault(right, Counter())[left] += 1
-        for act, label in zip(g.ordered_activities(), route):
+        for step in view.steps:
+            act, label = step.activity, step.label
             pools.activity_labels[label] += 1
-            for tool in step_tool_labels(g, act.id):
-                pools.tool_labels[tool] += 1
+            pools.tool_labels.update(step.tools)
             for key, value in act.conditions.items():
                 pools.condition_values.setdefault(key, Counter())[value] += 1
                 pools.values_by_activity.setdefault((label, key), Counter())[value] += 1

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from matproc.provgraph import ProcessGraph, route_labels, step_tool_labels
+from matproc.canon import canon_label
+from matproc.provgraph import ProcessGraph
 from matproc.taskgen import (TUPLE_KEYS, BenchItem, order_satisfies, payload_constraints,
                              render_condition_tuple, render_route)
 
@@ -23,9 +24,11 @@ class ValidityReport:
 
 
 def expected_gold(item: BenchItem, g: ProcessGraph) -> str | None:
-    """Recompute the gold option string by rule; None when the graph has none."""
-    route = route_labels(g)
+    """Recompute the gold option string by rule; None when the graph has none.
+    The route and a step's tools are derived here from the graph itself, not
+    through ``graph_view``, so the generator is never checked against itself."""
     acts = g.ordered_activities()
+    route = [canon_label(a.label) for a in acts]
     q = item.question
     if item.task == "A2_missing_step":
         return route[q.masked_index]
@@ -39,7 +42,9 @@ def expected_gold(item: BenchItem, g: ProcessGraph) -> str | None:
             return None
         return render_condition_tuple(conditions)
     if item.task == "C1_tool_selection":
-        tools = step_tool_labels(g, acts[q.step_index].id)
+        act_id = acts[q.step_index].id
+        used = {eid for eid, aid in g.usage_edges if aid == act_id}
+        tools = sorted({canon_label(t.label) for t in g.tool_entities if t.id in used})
         return tools[0] if tools else None
     return render_route(route)  # A1_route_retrieval, D_process_ordering
 

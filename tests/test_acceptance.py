@@ -211,11 +211,11 @@ def test_criterion_5_oracle_equivalence_suite():
         assert validate_item(it, by_id[it.graph_id]).ok, it.item_id
 
     # Transition-count conservation against route lengths.
-    from matproc.provgraph import route_labels
+    from matproc.provgraph import graph_view
 
     memory = build_memory(corpus, split_id="oracle")
     assert sum(memory.transition_table.values()) == sum(
-        max(len(route_labels(g)) - 1, 0) for g in corpus
+        max(len(graph_view(g).route) - 1, 0) for g in corpus
     )
 
     # Retrieval fusion hand fixture with injected one-hot embeddings.

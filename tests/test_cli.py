@@ -216,21 +216,39 @@ def test_pipeline_stages_produce_artifacts():
         assert path.exists(), name
 
 
-# SHA-256 of the pipeline's artifacts that hold no stored vector. The memory,
-# eval and ablation files stay out: their floats depend on the BLAS build.
-# Every header carries the tool version, so a version bump changes these too.
+# SHA-256 of the pipeline's artifacts without their stored vectors: the memory
+# is pinned with each process row's ``embeddings`` removed, the eval and
+# ablation files stay out. Those floats depend on the BLAS build. Every header
+# carries the tool version, so a version bump changes these too.
 PINNED_DIGESTS = {
     "graphs": "61f1014be0fe3d6485c1e41e100c264c53f5a48543932b72ae94a1b845999925",
     "bench": "34173bd42285ced50dbeeff226ffe81e1c940d57e94e40b5be1d7bd42d6163a5",
     "skips": "7792dde37b0f6b2f7ffe09f51313374b83fc4877b4e26739eaed798c88d018c5",
     "split": "96b42d8423dc01cbefa349d2076361b926e553b05dc3676ead874455466e5e9a",
     "audit": "3e2a6be11c3f9c6d79b4c7e216bf58b24d1430c4c9d4ce1b5a1cb459ce113d69",
+    "memory": "1deaf7a19ca7fa4a6a2c516154dbf814718ee97ff29ba48833d887718eac306b",
 }
+
+
+def _vector_free_bytes(name: str, path: Path) -> bytes:
+    """The artifact's bytes; for the memory, its lines with each process row
+    written again without ``embeddings`` (rows are compact, sorted JSON)."""
+    if name != "memory":
+        return path.read_bytes()
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        if row.get("kind") == "process":
+            del row["embeddings"]
+            line = json.dumps(row, sort_keys=True, separators=(",", ":"))
+        lines.append(line)
+    return "\n".join(lines).encode()
 
 
 def test_vector_free_artifacts_keep_their_pinned_bytes():
     paths = pipeline()
-    digests = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in PINNED_DIGESTS}
+    digests = {name: hashlib.sha256(_vector_free_bytes(name, paths[name])).hexdigest()
+               for name in PINNED_DIGESTS}
     assert digests == PINNED_DIGESTS
 
 
@@ -1478,6 +1496,48 @@ def test_eval_on_a_malformed_artifact_exits_3_naming_it(tmp_path, capsys, name, 
     assert code == 3
     assert err.startswith("error:") and str(path) in err and message in err
     assert "Traceback" not in err
+
+
+def _unknown_ordered_id(g):
+    g["ordered_activity_ids"][0] = "nowhere"
+
+
+def _usage_from_unknown_entity(g):
+    g["usage_edges"].append(["ghost", g["activities"][0]["id"]])
+
+
+def _weird_material_kind(g):
+    g["material_entities"][0]["kind"] = "weird"
+
+
+@pytest.mark.parametrize("command", ["genbench", "build-memory"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_unknown_ordered_id, "ordered_activity_ids is not a permutation"),
+        (_usage_from_unknown_entity, "usage edge ('ghost',"),
+        (_weird_material_kind, "has kind 'weird'"),
+    ],
+    ids=["unknown-ordered-id", "usage-from-unknown-entity", "weird-material-kind"],
+)
+def test_a_malformed_graph_store_exits_3_naming_the_graph(tmp_path, capsys, command, edit, message):
+    named = []
+
+    def edit_third(header, rows):
+        edit(rows[2])
+        named.append(rows[2]["record_id"])
+
+    paths = pipeline()
+    graphs = _edited(tmp_path, "graphs", edit_third)
+    argv = {
+        "genbench": ["genbench", "--graphs", str(graphs), "--out", str(tmp_path / "bench.ndjson")],
+        "build-memory": ["build-memory", "--graphs", str(graphs), "--bench", str(paths["bench"]),
+                         "--split", str(paths["split"]), "--out", str(tmp_path / "memory.ndjson")],
+    }[command]
+    assert cli.dispatch(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(graphs) in err and named[0] in err and message in err
 
 
 def test_eval_with_the_question_set_as_its_split_exits_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module.
 
-A package ``__init__.py`` imports to re-export, so it is left out.
+A package ``__init__.py`` imports to re-export, so it is left out; every
+name its ``__all__`` exports must be bound in it instead.
 """
 
 from __future__ import annotations
@@ -51,6 +52,44 @@ def test_every_module_level_import_is_used():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in the module's ``__all__`` that no module-level import,
+    assignment, function or class binds."""
+    bound, exported = set(), []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            bound.update(_bound_names(stmt))
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            bound.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(stmt.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_the_check_sees_unbound_exports():
+    source = (
+        "from .views import graph_view, GraphView as View\n"
+        "import json\n"
+        "LIMIT = 3\n"
+        "def helper(): pass\n"
+        "__all__ = ['graph_view', 'GraphView', 'View', 'json', 'LIMIT', 'helper', 'route_labels']\n"
+    )
+    assert unbound_exports(source) == ["GraphView", "route_labels"]
+
+
+def test_every_exported_name_is_bound():
+    root = Path(matproc.__file__).parent
+    unbound = [
+        f"{path.relative_to(root)}: {name}"
+        for path in sorted(root.rglob("__init__.py"))
+        for name in unbound_exports(path.read_text(encoding="utf-8"))
+    ]
+    assert unbound == []
 
 
 def _constants(tree: ast.Module) -> list[tuple[str, int]]:

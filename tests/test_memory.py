@@ -27,7 +27,7 @@ from matproc.memory import (
     next_distribution,
     save_memory,
 )
-from matproc.provgraph import SynthParams, generate_synthetic_corpus, route_labels
+from matproc.provgraph import SynthParams, generate_synthetic_corpus, graph_view
 from matproc.retrieval import EMBED_DIM
 
 from helpers import assert_same_vectors, chain_graph, compiled
@@ -70,19 +70,19 @@ def test_train_only_guard():
 
 def test_step_library_size_matches_route_lengths():
     memory, corpus = synth_memory()
-    assert len(memory.step_library) == sum(len(route_labels(g)) for g in corpus)
+    assert len(memory.step_library) == sum(len(graph_view(g).route) for g in corpus)
 
 
 def test_transition_count_conservation():
     memory, corpus = synth_memory()
     assert sum(memory.transition_table.values()) == sum(
-        len(route_labels(g)) - 1 for g in corpus
+        len(graph_view(g).route) - 1 for g in corpus
     )
 
 
 def test_step_positions_valid():
     memory, corpus = synth_memory(20)
-    lengths = {g.record_id: len(route_labels(g)) for g in corpus}
+    lengths = {g.record_id: len(graph_view(g).route) for g in corpus}
     for entry in memory.step_library:
         assert 0 <= entry.position < lengths[entry.graph_id]
         assert 0.0 <= entry.norm_position <= 1.0
@@ -121,7 +121,7 @@ def test_next_distribution_no_transitions():
 def test_next_distribution_sums_to_one():
     memory, corpus = synth_memory()
     vocab = sorted(memory.vocab)
-    prefixes = [(v,) for v in vocab] + [tuple(route_labels(g)[:3]) for g in corpus[:10]]
+    prefixes = [(v,) for v in vocab] + [tuple(graph_view(g).route[:3]) for g in corpus[:10]]
     for prefix in prefixes:
         dist = next_distribution(memory, prefix)
         assert math.isclose(sum(dist.probs.values()), 1.0, abs_tol=1e-9)

@@ -1013,11 +1013,13 @@ def test_query_context_graph_d_task_mirrors_payload():
     item = by_task["D_process_ordering"]
     g = rt.query_from_item(item).context_graph
     assert [a.label for a in g.activities] == [s.label for s in item.question.steps]
-    by_id = g.entity_by_id()
+    by_id = {e.id: e for e in g.entities()}
     for pos, step in enumerate(item.question.steps):
         act = g.activities[pos]
-        assert sorted(by_id[e].label for e in g.used_by(act.id)) == sorted(set(step.inputs))
-        assert sorted(by_id[e].label for e in g.generated_by(act.id)) == sorted(set(step.outputs))
+        used = [e for e, a in g.usage_edges if a == act.id]
+        generated = [e for a, e in g.generation_edges if a == act.id]
+        assert sorted(by_id[e].label for e in used) == sorted(set(step.inputs))
+        assert sorted(by_id[e].label for e in generated) == sorted(set(step.outputs))
 
 
 def test_query_retrieval_end_to_end_over_items():

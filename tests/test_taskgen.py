@@ -18,7 +18,7 @@ from matproc.provgraph import (
     SynthParams,
     compile_graph,
     generate_synthetic_corpus,
-    route_labels,
+    graph_view,
 )
 from matproc.taskgen import (
     BenchItem,
@@ -103,7 +103,7 @@ def test_pools_counts_match_brute_force():
     values: dict[str, Counter] = {}
     succ: dict[str, Counter] = {}
     for g in corpus:
-        by_id = g.entity_by_id()
+        by_id = {e.id: e for e in g.entities()}
         labels = [canon_label(a.label) for a in g.ordered_activities()]
         routes[tuple(labels)] += 1
         for a, b in zip(labels, labels[1:]):
@@ -149,8 +149,8 @@ def test_instantiating_tasks_leaves_the_pools_as_built():
     assert vars(pools) == built
     own = Counter()  # the pool of that length, summed per text in pool order
     for r, count in pools.routes.items():
-        own[render_route(r)] += count / (1 + abs(len(r) - len(route_labels(longer))))
-    assert list(pools.routes_near(len(route_labels(longer))).items()) == list(own.items())
+        own[render_route(r)] += count / (1 + abs(len(r) - len(graph_view(longer).route)))
+    assert list(pools.routes_near(len(graph_view(longer).route)).items()) == list(own.items())
 
 
 def test_a_task_within_its_cap_builds_no_selection_rng(monkeypatch):
@@ -329,7 +329,7 @@ def test_a2_mask_payload_consistent():
             continue
         q = it.question
         assert q.route_with_mask[q.masked_index] == "?"
-        route = route_labels(graphs[it.graph_id])
+        route = graph_view(graphs[it.graph_id]).route
         for i, label in enumerate(q.route_with_mask):
             if i != q.masked_index:
                 assert label == route[i]
@@ -343,7 +343,7 @@ def test_a3_prefix_is_true_prefix():
     for it in items:
         if it.task != "A3_next_activity":
             continue
-        route = route_labels(graphs[it.graph_id])
+        route = list(graph_view(graphs[it.graph_id]).route)
         prefix = it.question.prefix
         assert route[: len(prefix)] == prefix
         assert it.gold_option() == route[len(prefix)]

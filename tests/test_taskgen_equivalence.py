@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matproc.errors import PoolExhausted
-from matproc.provgraph import SynthParams, generate_synthetic_corpus, route_labels
+from matproc.provgraph import SynthParams, generate_synthetic_corpus, graph_view
 from matproc.taskgen import (
     TUPLE_KEYS,
     build_candidate_pools,
@@ -96,7 +96,7 @@ def test_a1_route_pool_matches_per_graph_rendering(corpus):
     pools = build_candidate_pools(corpus)
     floats = 0
     for g in corpus:
-        route = route_labels(g)
+        route = graph_view(g).route
         gold = render_route(route)
         shared = pools.routes_near(len(route))
         assert shared is pools.routes_near(len(route))  # built once per length
@@ -121,7 +121,7 @@ def test_shared_pools_sample_like_per_graph_pools(corpus):
     pools = build_candidate_pools(corpus)
     cases = 0
     for g in corpus[:40]:
-        route = route_labels(g)
+        route = graph_view(g).route
         gold = render_route(route)
         targets = [(pools.routes_near(len(route)), reference_a1_pool(pools, route, gold), gold)]
         targets += [
@@ -208,7 +208,7 @@ def test_shared_pools_are_prepared_once(corpus):
 def test_violating_permutations_match_exhaustive_filter(corpus):
     rng = random.Random(0)
     checked = nones = 0
-    routes = [route_labels(g) for g in corpus]
+    routes = [graph_view(g).route for g in corpus]
     routes = [r for r in routes if len(set(r)) == len(r)]
     routes += [[f"s{i}" for i in range(n)] for n in range(1, 8)]
     for route in routes:
