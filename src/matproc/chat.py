@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ClientTimeout
-from .jsonio import Record
+from .jsonio import Record, loads
 from .prompts import ANSWER_INSTRUCTION, EVIDENCE_LINE, PLAN_INSTRUCTION
 from .taskgen.model import OPTION_LETTERS
 
@@ -71,7 +71,7 @@ class HttpChatClient:
             request = urllib.request.Request(self.url, data=data, headers=headers, method="POST")
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    text, finish_reason = _reply(json.loads(response.read().decode("utf-8")))
+                    text, finish_reason = _reply(loads(response.read()))
                 break
             except urllib.error.HTTPError as exc:
                 exc.close()  # an error status arrives as the still-open response

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 endpoint error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -33,6 +32,7 @@ from .errors import (
 from .jsonio import (
     artifact_header,
     check_format,
+    loads,
     read_artifact,
     read_header,
     read_ndjson,
@@ -236,9 +236,9 @@ def _chat_client(cfg: RunConfig):
 def _load_predictions(path: str, items: list[BenchItem]) -> dict[str, int]:
     """The item_id -> option index mapping at ``path``; every id must name
     one of ``items``, the whole bench, so ids of other partitions are valid."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
-            raw = json.load(fh)
+            raw = loads(fh.read())
         except ValueError as exc:
             raise MalformedDocument(f"{path}: predictions are not JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="path_bench", help="question set to write")
     p.add_argument("--skips", dest="path_skips", help="skip log to write")
     p.add_argument("--k", type=int, dest="k_options", help="options per question")
-    p.add_argument("--caps", type=json.loads, dest="caps", help="per-graph caps JSON")
+    p.add_argument("--caps", type=loads, dest="caps", help="per-graph caps JSON")
 
     p = sub.add_parser("split", help="assign questions to train/dev/test partitions")
     common(p)

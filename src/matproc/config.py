@@ -9,13 +9,12 @@ are deliberately excluded from the hash — neither changes output bytes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .canon import stable_hash
 from .errors import ConfigConflict, DataError, MalformedDocument
-from .jsonio import Record, check_ranges, knob
+from .jsonio import Record, check_ranges, knob, loads
 from .memory import DEFAULT_MAX_PREFIX_LEN
 from .provgraph import FieldMap, SynthParams
 from .retrieval import STRUCT_SEED, RetrievalWeights
@@ -146,8 +145,10 @@ class RunConfig(Record):
 
 def load_config_file(path: str | Path) -> dict:
     """Raw dict from a JSON config file (validated on merge)."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        content = json.load(fh)
+    try:
+        content = loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ConfigConflict(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(content, dict):
         raise ConfigConflict(f"config file {path} must hold a JSON object")
     return content

@@ -8,10 +8,13 @@ Every artifact file the pipeline emits uses this layout:
     {...record...}
 
 Writers are deterministic (sorted keys) so identical inputs produce
-byte-identical files. A :class:`Record` dataclass is written as its
-persisted fields and read back by ``from_dict``, which checks every value
-against the field's annotation; :func:`read_artifact` reads every
-artifact that way, after checking its header.
+byte-identical files. Every line is strict RFC 8259 JSON: the writer
+refuses NaN and infinities, and :func:`loads`, the one decoder, refuses
+them too, as it does lone surrogates and bytes that are not UTF-8. A
+:class:`Record` dataclass is written as its persisted fields and read back
+by ``from_dict``, which checks every value against the field's annotation;
+:func:`read_artifact` reads every artifact that way, after checking its
+header.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from sys import intern
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .errors import InvalidParams, MalformedDocument
@@ -53,13 +57,44 @@ def _encode_default(obj) -> dict | list:
     return obj.tolist() if type(obj) is np.ndarray else record_fields(obj)
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_encode_default)
+# the stdlib encoder: its float reprs and \uXXXX escapes are the bytes every artifact holds
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                            default=_encode_default)
 
 
 def dumps_line(obj: Any) -> str:
     """Compact, sorted-key JSON; dataclasses are written as their persisted
-    fields and arrays as lists."""
+    fields and arrays as lists. Raises ValueError on a NaN or an infinity."""
     return _ENCODER.encode(obj)
+
+
+# How deep arrays and objects may nest in a decoded value. The decoder
+# recurses on the C stack, so a line nesting some 40 000 deep would crash
+# the process; no artifact or record comes near this bound.
+MAX_DEPTH = 1024
+_NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[]{}")))
+_DEPTH_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+
+
+def _nesting(text: bytes) -> int:
+    """How deep arrays and objects nest in the JSON text ``text``: its
+    brackets outside strings, once escaped backslashes and quotes are gone."""
+    outside = text.replace(b"\\\\", b"").replace(b'\\"', b"").split(b'"')[::2]
+    steps = b"".join(outside).translate(_DEPTH_STEPS, _NOT_BRACKETS)
+    return int(np.frombuffer(steps, np.int8).cumsum().max(initial=0))
+
+
+def loads(text: bytes | str) -> Any:
+    """The value of one JSON text, read as :func:`dumps_line` wrote it (every
+    float to the same bits). Raises ValueError, a :class:`json.JSONDecodeError`
+    for invalid JSON, unless ``text`` is strict RFC 8259 JSON in UTF-8 that
+    nests arrays and objects at most :data:`MAX_DEPTH` deep."""
+    if type(text) is str:
+        text = text.encode("utf-8", "surrogatepass")  # a lone surrogate stays invalid
+    if (len(text) > MAX_DEPTH and text.count(b"[") + text.count(b"{") > MAX_DEPTH
+            and _nesting(text) > MAX_DEPTH):
+        raise ValueError(f"arrays and objects nest deeper than {MAX_DEPTH}")
+    return orjson.loads(text)
 
 
 class Record:
@@ -70,7 +105,7 @@ class Record:
 
     def to_dict(self) -> dict:
         """The row :func:`write_ndjson` writes, as plain JSON values."""
-        return json.loads(dumps_line(self))
+        return loads(dumps_line(self))
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -217,13 +252,14 @@ def write_ndjson(path: str | Path, header: dict, rows: Iterable) -> int:
 
 
 def _records(path: Path, fh) -> Iterator[dict]:
-    """Header, then rows, parsed one line at a time; blank lines skipped."""
+    """Header, then rows, parsed one line at a time from the binary file
+    ``fh``; blank lines skipped."""
     for lineno, line in enumerate(fh, start=1):
-        if not line.strip():
+        if line.isspace():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = loads(line)
+        except ValueError as exc:
             raise MalformedDocument(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
         yield record
 
@@ -246,7 +282,7 @@ def read_ndjson(path: str | Path, build: Callable[[dict], Callable[[dict], Any]]
     naming the line on a non-JSON line, and naming the row when building
     it raises one."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         records = _records(path, fh)
         header = _header(path, records)
         if build is None:
@@ -264,7 +300,7 @@ def read_ndjson(path: str | Path, build: Callable[[dict], Callable[[dict], Any]]
 def read_header(path: str | Path) -> dict:
     """The header line alone."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         return _header(path, _records(path, fh))
 
 

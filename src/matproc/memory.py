@@ -405,13 +405,10 @@ def frozen_array(values) -> np.ndarray:
 
 def _stored(graph_id: str, kind: str, convert: Callable[[list], object], values):
     """``convert(values)`` for a list of JSON numbers. A JSON bool would
-    convert to 1.0 or 0.0 and an int past float range would overflow:
-    neither is a stored number, and both raise MalformedDocument."""
-    try:
-        if _NUMBERS.issuperset(map(type, values)):
-            return convert(values)
-    except OverflowError:
-        pass
+    convert to 1.0 or 0.0: it is not a stored number, and raises
+    MalformedDocument. (The decoder refuses a number past float range.)"""
+    if _NUMBERS.issuperset(map(type, values)):
+        return convert(values)
     raise MalformedDocument(
         f"memory process {graph_id!r}: stored {kind} vector is not a list of numbers"
     )

@@ -22,12 +22,11 @@ warning list (dangling edge references, generation edges targeting tools).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ..canon import canon_label
 from ..errors import EmptyRecord, MalformedDocument
-from ..jsonio import Record
+from ..jsonio import Record, loads
 from .model import MATERIAL_CLASSES, ActivityNode, EntityNode, ProcessGraph, validate_graph
 
 
@@ -154,11 +153,9 @@ def _load_document(raw: bytes | str | dict) -> dict:
         return raw
     if not isinstance(raw, (bytes, str)):
         raise MalformedDocument(f"document must be a JSON object, not {type(raw).__name__}")
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8", errors="strict")
     try:
-        doc = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = loads(raw)
+    except ValueError as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocument("top-level JSON value must be an object")

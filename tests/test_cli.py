@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,7 +22,7 @@ from matproc import __version__
 from matproc import cli
 from matproc.config import PATH_KEYS, RunConfig, load_config_file
 from matproc.errors import ConfigConflict
-from matproc.jsonio import read_ndjson, write_ndjson
+from matproc.jsonio import loads, read_ndjson, write_ndjson
 from matproc.memory import load_memory
 from matproc.provgraph import SynthParams, generate_synthetic_corpus, to_prov_document
 from matproc.retrieval import RetrievalWeights
@@ -1374,14 +1375,18 @@ def test_compile_excludes_rows_that_are_not_objects(tmp_path, capsys):
     assert all("MalformedDocument" in w["warning"] for w in excluded)
 
 
-def test_python_dash_m_matproc_runs_the_cli():
+def _matproc(*argv) -> subprocess.CompletedProcess:
+    """``python -m matproc *argv`` in a child process, so a reader that crashed
+    the interpreter would fail the test instead of ending the run."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     )}
-    done = subprocess.run(
-        [sys.executable, "-m", "matproc", "--help"], capture_output=True, text=True, env=env,
-        timeout=60,
-    )
+    return subprocess.run([sys.executable, "-m", "matproc", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_matproc_runs_the_cli():
+    done = _matproc("--help")
     assert done.returncode == 0, done.stderr
     assert "usage: matproc" in done.stdout
 
@@ -1762,4 +1767,93 @@ def test_compile_refuses_an_artifact_that_is_not_raw_records(tmp_path, capsys, n
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: format ") and "expected 'matproc-raw-prov'" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# --- strict JSON on every read -------------------------------------------------------------
+
+
+UNDECODABLE_LINES = {
+    "invalid-utf8": b'{"item_id": "\xff"}',
+    "5000-digit-int": b'{"n": 1' + b"0" * 5000 + b"}",
+    "100000-deep-array": b"[" * 100_000 + b"]" * 100_000,
+    "1000000-deep-array": b"[" * 1_000_000 + b"]" * 1_000_000,
+}
+
+
+@pytest.mark.parametrize("line", UNDECODABLE_LINES.values(), ids=UNDECODABLE_LINES)
+def test_an_undecodable_line_exits_3_naming_the_file_and_line(tmp_path, line):
+    bench = tmp_path / "bench.ndjson"
+    header_and_first_row = pipeline()["bench"].read_bytes().splitlines(keepends=True)[:2]
+    bench.write_bytes(b"".join(header_and_first_row) + line + b"\n")
+    out = tmp_path / "split.ndjson"
+    done = _matproc("split", "--bench", bench, "--out", out)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith(f"error: {bench}: line 3: invalid JSON")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+NON_RFC_8259_LINES = {
+    "nan": b'{"@graph": [], "x": NaN}',
+    "infinity": b'{"@graph": [Infinity]}',
+    "minus-infinity": b'{"x": -Infinity}',
+    "lone-surrogate": b'{"@id": "\\ud800"}',
+}
+
+
+@pytest.mark.parametrize("line", NON_RFC_8259_LINES.values(), ids=NON_RFC_8259_LINES)
+def test_compile_refuses_a_raw_line_that_is_not_strict_json_naming_it(tmp_path, capsys, line):
+    raw = tmp_path / "raw.ndjson"
+    good = to_prov_document(generate_synthetic_corpus(SynthParams(n_records=1), seed=3)[0])
+    raw.write_bytes(b'{"format": "matproc-raw-prov"}\n' + json.dumps(good).encode() + b"\n"
+                    + line + b"\n")
+    out = tmp_path / "graphs.ndjson"
+    assert cli.dispatch(["compile", "--in", str(raw), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {raw}: line 3: invalid JSON") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_stored_number_past_float_range_exits_3_naming_the_line(tmp_path, capsys):
+    lines = pipeline()["memory"].read_bytes().splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if b'"kind":"process"' in line)
+    lines[n], edits = re.subn(rb'("struct":\[)[^,\]]+', rb"\g<1>1e400", lines[n], count=1)
+    assert edits == 1
+    path = tmp_path / "memory.ndjson"
+    path.write_bytes(b"".join(lines))
+    log = tmp_path / "log.ndjson"
+    code = cli.dispatch(eval_argv(pipeline(), "argmax_hybrid", log, memory=path))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: {path}: line {n + 1}: invalid JSON") and "Traceback" not in err
+    assert not log.exists()
+
+
+def _typed(value):
+    """``value`` with every scalar paired with its type, and floats as their bits."""
+    if type(value) is dict:
+        return {key: _typed(v) for key, v in value.items()}
+    if type(value) is list:
+        return [_typed(v) for v in value]
+    return type(value), value.hex() if type(value) is float else value
+
+
+def test_every_pipeline_artifact_line_decodes_as_the_stdlib_decoder_reads_it():
+    for name, path in pipeline().items():
+        for n, line in enumerate(path.read_bytes().splitlines(), start=1):
+            assert _typed(loads(line)) == _typed(json.loads(line)), f"{name} line {n}"
+
+
+@pytest.mark.parametrize("content", [b"{not json", b'{"seed": NaN}', b'{"seed": "\xff"}'],
+                         ids=["not-json", "nan", "invalid-utf8"])
+def test_a_config_file_that_is_not_strict_json_exits_2_naming_it(tmp_path, capsys, content):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_bytes(content)
+    out = tmp_path / "split.ndjson"
+    code = cli.dispatch(["split", "--config", str(cfg_path), "--bench", str(pipeline()["bench"]),
+                         "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: config file {cfg_path} is not JSON") and "Traceback" not in err
     assert not out.exists()

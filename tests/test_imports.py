@@ -1,13 +1,18 @@
 """Every module-level import in the package is used by its module.
 
 A package ``__init__.py`` imports to re-export, so it is left out; every
-name its ``__all__`` exports must be bound in it instead.
+name its ``__all__`` exports must be bound in it instead. The third-party
+modules the package imports are the dependencies ``pyproject.toml`` declares.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import matproc
 
@@ -192,3 +197,38 @@ def test_no_module_level_lock():
         for lock in module_level_locks(path.read_text(encoding="utf-8"))
     ]
     assert locks == []
+
+
+def third_party_imports(source: str) -> set[str]:
+    """The top-level names of every absolute import in ``source``, at any
+    depth, that is neither the standard library nor the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "matproc"}
+
+
+def test_the_check_sees_third_party_imports_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, os.path\n"
+        "import numpy as np\n"
+        "from . import jsonio\n"
+        "from matproc.errors import DataError\n"
+        "def f():\n"
+        "    from orjson import loads\n"
+    )
+    assert third_party_imports(source) == {"numpy", "orjson"}
+
+
+def test_the_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    root = Path(matproc.__file__).parent
+    imported = set().union(*(third_party_imports(path.read_text(encoding="utf-8"))
+                             for path in root.rglob("*.py")))
+    assert {re.match(r"[\w.-]+", spec)[0] for spec in declared} == imported

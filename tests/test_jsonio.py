@@ -7,19 +7,27 @@ import ast
 import dataclasses
 import functools
 import json
+import math
+import struct
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matproc
 from matproc.chat import ChatExchange, MockChatClient
 from matproc.config import RunConfig
 from matproc.errors import ConfigConflict, InvalidParams, MalformedDocument
 from matproc.jsonio import (
+    MAX_DEPTH,
     Record,
+    _nesting,
     check_fields,
     dumps_line,
+    loads,
     read_artifact,
     read_header,
     read_ndjson,
@@ -80,6 +88,72 @@ def test_read_ndjson_builds_rows_before_reading_further(tmp_path):
         read_ndjson(path, lambda header: built.append)
     assert built == [{"a": 1}]  # built before the bad line is parsed
 
+
+
+# --- the decoder -------------------------------------------------------------------
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+     1.7976931348623157e308, 1e-05, 1e16, 0.1 + 0.2])
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(FINITE_FLOATS, min_size=1, max_size=20))
+def test_every_finite_float_reads_back_to_the_bits_it_was_written_from(values):
+    back = loads(dumps_line(values))
+    assert [struct.pack("<d", x) for x in back] == [struct.pack("<d", x) for x in values]
+    assert all(type(x) is float for x in back)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_the_writer_refuses_a_non_finite_float_instead_of_writing_it(tmp_path, value):
+    for row in ({"x": value}, {"x": [1.0, value]}, np.array([0.5, value])):
+        with pytest.raises(ValueError, match="Out of range float"):
+            dumps_line(row)
+    path = tmp_path / "store.ndjson"
+    with pytest.raises(ValueError, match="Out of range float"):
+        write_ndjson(path, {"format": "demo"}, [{"x": 1.0}, {"x": value}])
+    written = path.read_bytes()
+    assert b"NaN" not in written and b"Infinity" not in written
+
+
+def test_the_decoder_keeps_64_bit_ints_and_reads_wider_ones_as_floats():
+    for n in (0, -1, -2**63, 2**63 - 1, 2**64 - 1):
+        assert type(loads(str(n))) is int and loads(str(n)) == n
+    assert type(loads(str(2**64))) is float
+    with pytest.raises(ValueError):
+        loads("1" + "0" * 400)  # past float range
+
+
+def _depth(value) -> int:
+    if type(value) in (list, dict):
+        return 1 + max(map(_depth, value.values() if type(value) is dict else value), default=0)
+    return 0
+
+
+BRACKETY_TEXT = st.text(alphabet='[]{}"\\,:ab\u00e9', max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.integers() | FINITE_FLOATS | BRACKETY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(BRACKETY_TEXT, inner, max_size=3),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(JSON_VALUES, st.booleans())
+def test_the_nesting_bound_counts_no_bracket_inside_a_string(value, ensure_ascii):
+    assert _nesting(json.dumps(value, ensure_ascii=ensure_ascii).encode()) == _depth(value)
+
+
+def test_the_decoder_refuses_nesting_past_its_bound():
+    assert loads(b"[" * MAX_DEPTH + b"]" * MAX_DEPTH)
+    assert loads(json.dumps(["[" * 5000, "{" * 5000]))  # brackets in strings do not nest
+    for deep in (b"[" * (MAX_DEPTH + 1) + b"]" * (MAX_DEPTH + 1),
+                 b'{"a":' * (MAX_DEPTH + 1) + b"1" + b"}" * (MAX_DEPTH + 1),
+                 b"[" * 1_000_000):
+        with pytest.raises(ValueError, match=f"nest deeper than {MAX_DEPTH}"):
+            loads(deep)
 
 @pytest.mark.parametrize(
     "text, message",
