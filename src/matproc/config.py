@@ -83,6 +83,8 @@ class RunConfig(Record):
                     f"{name} {getattr(self, name)!r} is not one of {', '.join(allowed)}")
         check_ranges(self)
         check_ranges(SynthParams, n_records=self.n_records)
+        # here, before policy_config's round trip reads an integer too wide as a float
+        check_ranges(PolicyConfig, top_k=self.top_k, lam=self.lam)
         # caps and field_map stay plain dicts, so that a partial one keeps its hash
         if self.caps:
             GenCaps.from_dict(self.caps)  # a usage error, like every other knob

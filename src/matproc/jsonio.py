@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
+import os
+import secrets
 import types
 import typing
 from pathlib import Path
@@ -216,18 +219,28 @@ def _ranges(cls) -> dict[str, tuple[float, float, str]]:
             for f in dataclasses.fields(cls) if "range" in f.metadata}
 
 
+# the integers the decoder reads back as integers; it reads wider ones as floats
+INT_WINDOW = "[-2**63, 2**64)"
+
+
 def check_ranges(obj, **values) -> None:
     """Raise :class:`InvalidParams`, naming the class, field and range, unless each number in
-    every :func:`knob` of ``obj`` (or in ``values``, for the class ``obj``) lies in its range."""
+    every :func:`knob` of ``obj`` (or in ``values``, for the class ``obj``) lies in its range,
+    and each integer among them also in :data:`INT_WINDOW`."""
     cls = obj if isinstance(obj, type) else type(obj)
     for name, value in (values or {name: getattr(obj, name) for name in _ranges(cls)}).items():
         lo, hi, bounds = _ranges(cls)[name]
         numbers = (value.items() if isinstance(value, dict) else
                    enumerate(value) if isinstance(value, (tuple, list)) else [(None, value)])
         for key, v in numbers:
-            if not lo <= v <= hi or v == lo and bounds[0] == "(" or v == hi and bounds[-1] == ")":
-                at = "" if key is None else f"[{key!r}]"
-                raise InvalidParams(f"{cls.__name__}.{name}{at}: {v!r} is outside {bounds}")
+            if type(v) is int and not -2**63 <= v < 2**64:
+                outside = INT_WINDOW
+            elif not lo <= v <= hi or v == lo and bounds[0] == "(" or v == hi and bounds[-1] == ")":
+                outside = bounds
+            else:
+                continue
+            at = "" if key is None else f"[{key!r}]"
+            raise InvalidParams(f"{cls.__name__}.{name}{at}: {v!r} is outside {outside}")
 
 
 # --- NDJSON files ------------------------------------------------------------------
@@ -239,15 +252,26 @@ def artifact_header(fmt: str, **fields) -> dict:
 
 
 def write_ndjson(path: str | Path, header: dict, rows: Iterable) -> int:
-    """Write header + rows (dicts or dataclasses); returns the number of rows written."""
+    """Write header + rows (dicts or dataclasses); returns the number of rows
+    written. A new file beside ``path`` replaces it once every line is
+    written, so a failed write leaves the earlier file or none. Raises
+    :class:`MalformedDocument` naming the row the encoder refuses."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    n = 0
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(dumps_line(header) + "\n")
-        for row in rows:
-            fh.write(dumps_line(row) + "\n")
-            n += 1
+    part = path.with_name(f".{path.name}.{secrets.token_hex(8)}.part")
+    fh = part.open("x", encoding="utf-8")  # created as open() creates any file
+    try:
+        with fh:
+            for n, row in enumerate(itertools.chain([header], rows)):
+                try:
+                    line = dumps_line(row)
+                except ValueError as exc:
+                    raise MalformedDocument(f"{path}: {f'row {n}' if n else 'header'}: {exc}") from None
+                fh.write(line + "\n")
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     return n
 
 
@@ -279,22 +303,27 @@ def read_ndjson(path: str | Path, build: Callable[[dict], Callable[[dict], Any]]
     With ``build``, ``build(header)`` is called once the header is read and
     returns the function that turns each row into what is kept, so every
     row is built before the next line is parsed. Raises MalformedDocument
-    naming the line on a non-JSON line, and naming the row when building
-    it raises one."""
+    naming the line on a non-JSON line, naming the row when building it
+    raises one, and naming both numbers when the header's ``count`` is not
+    the number of rows (a truncated file)."""
     path = Path(path)
     with path.open("rb") as fh:
         records = _records(path, fh)
         header = _header(path, records)
         if build is None:
-            return header, list(records)
-        build_row = build(header)
-        rows = []
-        for n, row in enumerate(records, start=1):
-            try:
-                rows.append(build_row(row))
-            except MalformedDocument as exc:
-                raise MalformedDocument(f"{path}: row {n}: {exc}") from None
-        return header, rows
+            rows = list(records)
+        else:
+            build_row = build(header)
+            rows = []
+            for n, row in enumerate(records, start=1):
+                try:
+                    rows.append(build_row(row))
+                except MalformedDocument as exc:
+                    raise MalformedDocument(f"{path}: row {n}: {exc}") from None
+    count = header.get("count", len(rows))
+    if type(count) is not int or count != len(rows):
+        raise MalformedDocument(f"{path}: the header counts {count!r} rows, the file holds {len(rows)}")
+    return header, rows
 
 
 def read_header(path: str | Path) -> dict:

@@ -5,7 +5,8 @@ cosine views affinely mapped from [-1, 1] onto [0, 1] so the weights act
 on commensurate ranges. Memory and query embed in one space: the text
 view embeds linearized process descriptions as built-in hashed character
 n-grams; the structure view propagates label features through a frozen
-attention encoder of one seed (``STRUCT_SEED``) over the provenance graph; the
+attention encoder of one seed (``STRUCT_SEED``) over the provenance graph,
+one batched path for graphs of every size (short products padded); the
 heuristic view averages activity overlap, route-length agreement and
 precursor correspondence. Retrieval scores every stored process in one
 pass over a per-memory dense index whose values equal the per-pair
@@ -217,49 +218,6 @@ def _neighbourhoods(g: ProcessGraph) -> tuple[list, list[list[int]]]:
     return nodes, [sorted(nbrs) for nbrs in neighbours]
 
 
-def _attend(z: np.ndarray, neighbours: list[list[int]]) -> np.ndarray:
-    """One round's attention over each node's closed neighbourhood, squashed."""
-    nxt = np.empty_like(z)
-    scale = np.sqrt(EMBED_DIM)
-    for i, idx in enumerate(neighbours):
-        near = z[idx]
-        scores = near @ z[i] / scale
-        scores -= scores.max()
-        att = np.exp(scores)
-        att /= att.sum()
-        nxt[i] = np.tanh(att @ near)
-    return nxt
-
-
-def _pool(h: np.ndarray) -> np.ndarray:
-    pooled = h.mean(axis=0)
-    norm = np.linalg.norm(pooled)
-    return pooled / norm if norm > 0 else pooled
-
-
-def embed_structure(g: ProcessGraph) -> np.ndarray:
-    """Two rounds of attention-weighted aggregation with frozen weights.
-
-    Node features are built-in text embeddings of canonical node labels;
-    edges are the undirected union of usage and generation links; each
-    round projects, attends over the closed neighbourhood, and squashes.
-    Node ids never enter the arithmetic: renaming them leaves every float
-    as it is. The sums run in the order the graph lists its nodes, so the
-    same labelled structure listed in another order gives the same vector
-    up to rounding, not to the last bit (shuffling the node lists of the
-    ``synth --n 200 --seed 11`` graphs moved 197 of 200 vectors, each
-    coordinate by at most 8.3e-17). This is the per-graph reference of
-    :meth:`StructureEncoder.embed`.
-    """
-    nodes, neighbours = _neighbourhoods(g)
-    if not nodes:
-        return np.zeros(EMBED_DIM, dtype=np.float64)
-    h = BuiltinTextEmbedder().embed([canon_label(n.label) for n in nodes])
-    for round_index in range(2):
-        h = _attend(h @ _frozen_projection(round_index).T, neighbours)
-    return _pool(h)
-
-
 # node rows per round-1 product; a chunk holds at most this many rows
 # unless one graph alone has more
 _CHUNK_ROWS = 96
@@ -270,60 +228,15 @@ _TABLE_ROWS = 256
 
 
 class StructureEncoder:
-    """The frozen encoder of :func:`embed_structure`, with a
-    table of projected round-0 rows, one per distinct canonical label it has
-    met: a run builds one and embeds all its graphs with it, so each label is
-    embedded and projected once per run. Its lock lets threads share it.
-
-    :meth:`embed` gives each graph the vector :func:`embed_structure` gives
-    it, float for float (``==``). Graphs go in chunks of at most
-    ``_CHUNK_ROWS`` (96) node rows, or of one graph that alone has more;
-    round 1 projects all the node rows of a chunk in one product, and each
-    round attends over all of them at once (:func:`_attend_all`). A chunk's
-    two attention passes cost a fixed number of numpy calls per
-    neighbourhood size, so fewer, larger chunks cost less, while a larger
-    chunk holds larger arrays at once. On 2 CPUs with one BLAS thread,
-    embedding the 500 graphs of ``synth --n 500 --seed 12`` took 0.22 s at
-    24 rows and 0.14 s at 96; ``build-memory`` on that corpus peaked at
-    66 MB either way, and the ``eval_n200`` benchmark (105 quickstart
-    items) peaked at 47.7 MB against 46.6 MB.
-
-    The equality rests on BLAS computing each row of a product the same way
-    whatever the number of rows, which holds from ``_MIN_STACKED_ROWS`` rows
-    up: a one- or two-row product takes another path, whose row bits differ.
-    So a graph with fewer nodes is embedded by :func:`embed_structure`
-    itself, and a batch of fewer new labels is padded with zero rows. The
-    tests check the equality with ``==``.
-    """
+    """The table of projected round-0 rows of :func:`embed_structure`, one
+    per distinct canonical label it has met: a run builds one and embeds all
+    its graphs with it, so each label is embedded and projected once per
+    run. Its lock lets threads share it."""
 
     def __init__(self):
         self.rows: dict[str, int] = {}  # canonical label -> its row in ``table``
         self.table = np.empty((0, EMBED_DIM), dtype=np.float64)  # rows past len(rows) unused
         self.lock = threading.Lock()
-
-    def embed(self, graphs: list[ProcessGraph]) -> np.ndarray:
-        """The structure vector of each graph, one row per graph."""
-        out = np.empty((len(graphs), EMBED_DIM), dtype=np.float64)
-        stacked = []  # (row, labels, neighbours) of each graph with enough nodes
-        for row, g in enumerate(graphs):
-            nodes, neighbours = _neighbourhoods(g)
-            if len(nodes) < _MIN_STACKED_ROWS:
-                out[row] = embed_structure(g)
-            else:
-                stacked.append((row, [canon_label(n.label) for n in nodes], neighbours))
-        with self.lock:
-            self._add_labels([label for _, labels, _ in stacked for label in labels])
-            chunk: list[tuple[int, list[int], list[list[int]]]] = []  # (row, table rows, neighbours)
-            size = 0
-            for row, labels, neighbours in stacked:
-                if chunk and size + len(labels) > _CHUNK_ROWS:
-                    _embed_chunk(chunk, self, out)
-                    chunk, size = [], 0
-                chunk.append((row, [self.rows[label] for label in labels], neighbours))
-                size += len(labels)
-            if chunk:
-                _embed_chunk(chunk, self, out)
-        return out
 
     def _add_labels(self, labels: list[str]) -> None:
         """Embed and project, as one batch, each of ``labels`` the table lacks."""
@@ -342,26 +255,81 @@ class StructureEncoder:
         self.rows.update((label, used + i) for i, label in enumerate(new))
 
 
+def embed_structure(graphs: list[ProcessGraph], encoder: StructureEncoder | None = None) -> np.ndarray:
+    """The structure vector of each graph, one row per graph, embedded with
+    ``encoder``'s label table (a fresh one when None).
+
+    Two rounds of attention-weighted aggregation with frozen weights: node
+    features are built-in text embeddings of canonical node labels; each
+    round projects, attends over each node's closed neighbourhood in the
+    undirected union of usage and generation links, and squashes; the node
+    rows are mean-pooled to a unit vector (a zero row for a graph without
+    nodes). Node ids never enter the arithmetic. The sums run in the order
+    the graph lists its nodes, so listing the same structure in another
+    order moves the vector by rounding only (at most 8.3e-17 per
+    coordinate over the ``synth --n 200 --seed 11`` graphs).
+
+    Graphs go in chunks of at most ``_CHUNK_ROWS`` node rows (or of one
+    graph that alone has more): round 1 projects a chunk's rows in one
+    product, and each round attends over them at once (:func:`_attend_all`).
+    Fewer, larger chunks cost fewer numpy calls: at 96 rows rather than 24,
+    the 500 graphs of ``synth --n 500 --seed 12`` took 0.14 s against
+    0.22 s (2 CPUs, one BLAS thread), at the same 66 MB ``build-memory`` peak.
+
+    Each graph gets the row it gets alone, whatever else the call or the
+    table holds (``==``): BLAS computes each row of a product the same way
+    whatever the number of rows, from ``_MIN_STACKED_ROWS`` rows up, so a
+    product of fewer rows (a batch of few new labels, a chunk of one- and
+    two-node graphs) is padded with zero rows.
+    """
+    encoder = encoder or StructureEncoder()
+    out = np.zeros((len(graphs), EMBED_DIM), dtype=np.float64)
+    embedded = []  # (row, labels, neighbours) of each graph with a node
+    for row, g in enumerate(graphs):
+        nodes, neighbours = _neighbourhoods(g)
+        if nodes:
+            embedded.append((row, [canon_label(n.label) for n in nodes], neighbours))
+    with encoder.lock:
+        encoder._add_labels([label for _, labels, _ in embedded for label in labels])
+        chunk: list[tuple[int, list[int], list[list[int]]]] = []  # (row, table rows, neighbours)
+        size = 0
+        for row, labels, neighbours in embedded:
+            if chunk and size + len(labels) > _CHUNK_ROWS:
+                _embed_chunk(chunk, encoder, out)
+                chunk, size = [], 0
+            chunk.append((row, [encoder.rows[label] for label in labels], neighbours))
+            size += len(labels)
+        if chunk:
+            _embed_chunk(chunk, encoder, out)
+    return out
+
+
 def _embed_chunk(chunk, encoder: StructureEncoder, out: np.ndarray) -> None:
     """Write the embedding of each ``(row, table rows, neighbours)`` graph of
-    ``chunk``, each with at least ``_MIN_STACKED_ROWS`` nodes, into ``out[row]``."""
+    ``chunk`` into ``out[row]``."""
     spans = np.cumsum([0, *(len(ids) for _, ids, _ in chunk)])
     neighbours = [[start + j for j in idx]
                   for (_, _, graph_neighbours), start in zip(chunk, spans)
                   for idx in graph_neighbours]
     hidden = _attend_all(encoder.table[[i for _, ids, _ in chunk for i in ids]], neighbours)
-    z = hidden @ _frozen_projection(1).T
+    rows = len(hidden)
+    if rows < _MIN_STACKED_ROWS:
+        hidden = np.concatenate([hidden, np.zeros((_MIN_STACKED_ROWS - rows, EMBED_DIM))])
+    z = (hidden @ _frozen_projection(1).T)[:rows]
     del hidden  # one chunk-sized array fewer while round 1 attends
     h = _attend_all(z, neighbours)
-    for (row, _, _), start, stop in zip(chunk, spans, spans[1:]):
-        out[row] = _pool(h[start:stop])
+    for (row, _, _), start, stop in zip(chunk, spans, spans[1:]):  # mean-pool to a unit row
+        pooled = h[start:stop].mean(axis=0)
+        norm = np.linalg.norm(pooled)
+        out[row] = pooled / norm if norm > 0 else pooled
 
 
 def _attend_all(z: np.ndarray, neighbours: list[list[int]]) -> np.ndarray:
-    """``_attend(z, neighbours)``, equal to it float for float (``==``): the
-    nodes of each neighbourhood size attend at once, in stacked products
-    whose every slice is the gemv (or dot) that :func:`_attend` runs for
-    one node, on operands of the same shape and strides."""
+    """One round's attention over each node's closed neighbourhood,
+    squashed. The nodes of each neighbourhood size attend at once, in
+    stacked products whose every slice is the gemv (or dot) that one node
+    attending alone runs, on operands of the same shape and strides; so each
+    node's row is the one it gets alone (``==``)."""
     out = np.empty_like(z)
     by_size: dict[int, list[int]] = {}
     for i, idx in enumerate(neighbours):
@@ -446,7 +414,7 @@ def queries_from_items(items: list[BenchItem], option_texts: list[list[str]] | N
     None)."""
     alone = [query_from_item(item) for item in items]
     block = QueryBlock([q.text for q in alone], [q.context_graph for q in alone],
-                       option_texts, encoder or StructureEncoder())
+                       option_texts, encoder)
     return [replace(q, block=block, row=row) for row, q in enumerate(alone)]
 
 
@@ -460,7 +428,7 @@ class QueryBlock:
     retrieving its queries embed it once."""
 
     def __init__(self, texts: list[str], graphs: list[ProcessGraph],
-                 option_texts: list[list[str]] | None, encoder: StructureEncoder):
+                 option_texts: list[list[str]] | None, encoder: StructureEncoder | None):
         self.texts = [*texts, *itertools.chain.from_iterable(option_texts or ())]
         bounds = list(itertools.accumulate(map(len, option_texts or ()), initial=len(texts)))
         # row -> the span of its option texts in ``texts``; None without them
@@ -474,7 +442,7 @@ class QueryBlock:
     def _embedded(self) -> tuple[np.ndarray, np.ndarray]:
         """The block's vectors, embedded by the first call; call it holding the lock."""
         if self.vectors is None:
-            self.vectors = BuiltinTextEmbedder().embed(self.texts), self.encoder.embed(self.graphs)
+            self.vectors = BuiltinTextEmbedder().embed(self.texts), embed_structure(self.graphs, self.encoder)
         return self.vectors
 
     def views(self, query: RetrievalQuery, index: DenseIndex) -> tuple:
@@ -583,7 +551,7 @@ def attach_embeddings(memory: ProcessMemory, graphs: list[ProcessGraph]) -> Proc
         raise DataError(f"no graph given for memory process {missing[0]!r}"
                         f" ({len(missing)} of {len(ids)} processes lack one)")
     text = frozen_array(BuiltinTextEmbedder().embed([linearize_process(memory, gid) for gid in ids]))
-    struct = StructureEncoder().embed([graphs_by_id[gid] for gid in ids])
+    struct = embed_structure([graphs_by_id[gid] for gid in ids])
     struct.setflags(write=False)
     return replace(memory, vectors={"text": text, "struct": struct})
 
@@ -702,7 +670,7 @@ def retrieve(
         if text_vec is None:
             text_vec = BuiltinTextEmbedder().embed([query.text])[0]
         if struct_vec is None and query.context_graph is not None:
-            struct_vec = embed_structure(query.context_graph)
+            struct_vec = embed_structure([query.context_graph])[0]
         s_text, s_struct, s_heur = _score_views(query.summary, text_vec, struct_vec, index)
     s_ret = weights.alpha * s_text + weights.beta * s_struct + weights.gamma * s_heur
     top = np.lexsort((index.id_rank, -s_ret))[:k]

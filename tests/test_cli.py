@@ -1503,6 +1503,60 @@ def test_eval_on_a_malformed_artifact_exits_3_naming_it(tmp_path, capsys, name, 
     assert "Traceback" not in err
 
 
+# each artifact whose header counts its rows -> the stage that reads it, writing ``out``
+COUNTED_READERS = {
+    "raw": lambda path, out: ["compile", "--in", str(path), "--out", str(out)],
+    "graphs": lambda path, out: ["genbench", "--graphs", str(path), "--out", str(out)],
+    "bench": lambda path, out: ["split", "--bench", str(path), "--out", str(out), "--protocol", "year"],
+}
+# header count edit -> (the count the header then holds, the rows the file holds), given the rows
+COUNT_EDITS = {
+    "truncated": lambda header, rows: rows.__delitem__(slice(len(rows) // 2 + 1, None)),
+    "one-row-more": lambda header, rows: header.__setitem__("count", len(rows) + 1),
+    "text-count": lambda header, rows: header.__setitem__("count", str(len(rows))),
+}
+
+
+@pytest.mark.parametrize("edit", COUNT_EDITS)
+@pytest.mark.parametrize("name", COUNTED_READERS)
+def test_an_artifact_its_header_does_not_count_exits_3_naming_both_numbers(tmp_path, capsys, name, edit):
+    rows_held = []
+    path = _edited(tmp_path, name, lambda header, rows: (COUNT_EDITS[edit](header, rows),
+                                                         rows_held.append((header["count"], len(rows)))))
+    count, held = rows_held[0]
+    assert count != held
+    out = tmp_path / "out.ndjson"
+    assert cli.dispatch(COUNTED_READERS[name](path, out)) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {path}: the header counts {count!r} rows, the file holds {held}"]
+    assert not out.exists()
+
+
+def _synth_argv(seed):
+    return lambda out: ["synth", "--seed", str(seed), "--out", str(out), "--n", "5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_synth_argv(2**70), f"RunConfig.seed: {2**70} is outside [-2**63, 2**64)"),
+    (_synth_argv(2**64), f"RunConfig.seed: {2**64} is outside [-2**63, 2**64)"),
+    (_synth_argv(-2**63 - 1), f"RunConfig.seed: {-2**63 - 1} is outside [-2**63, 2**64)"),
+    (lambda out: [*eval_argv(pipeline(), "argmax_hybrid", out), "--top-k", str(2**64)],
+     f"PolicyConfig.top_k: {2**64} is outside [-2**63, 2**64)"),
+], ids=["seed-2**70", "seed-2**64", "seed-below-2**63", "top-k-2**64"])
+def test_an_integer_the_decoder_cannot_read_back_exits_2_naming_its_knob(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.ndjson"
+    assert cli.dispatch(argv(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-2**63, 2**64 - 1])
+def test_the_widest_integers_the_decoder_reads_back_are_accepted(tmp_path, seed):
+    out = tmp_path / "raw.ndjson"
+    assert cli.dispatch(_synth_argv(seed)(out)) == 0
+    assert read_ndjson(out)[0]["seed"] == seed
+
+
 def _unknown_ordered_id(g):
     g["ordered_activity_ids"][0] = "nowhere"
 

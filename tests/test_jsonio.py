@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import struct
 import sys
 from pathlib import Path
@@ -112,10 +113,43 @@ def test_the_writer_refuses_a_non_finite_float_instead_of_writing_it(tmp_path, v
         with pytest.raises(ValueError, match="Out of range float"):
             dumps_line(row)
     path = tmp_path / "store.ndjson"
-    with pytest.raises(ValueError, match="Out of range float"):
+    with pytest.raises(MalformedDocument, match=f"{re.escape(str(path))}: row 2: Out of range float"):
         write_ndjson(path, {"format": "demo"}, [{"x": 1.0}, {"x": value}])
-    written = path.read_bytes()
-    assert b"NaN" not in written and b"Infinity" not in written
+    assert list(tmp_path.iterdir()) == []  # no file, and no partial one
+    write_ndjson(path, {"format": "demo"}, [{"x": 2.0}])
+    earlier = path.read_bytes()
+    with pytest.raises(MalformedDocument, match=f"{re.escape(str(path))}: row 2: Out of range float"):
+        write_ndjson(path, {"format": "demo"}, [{"x": 1.0}, {"x": value}])
+    with pytest.raises(MalformedDocument, match=f"{re.escape(str(path))}: header: Out of range float"):
+        write_ndjson(path, {"format": "demo", "x": value}, [])
+    assert path.read_bytes() == earlier  # the earlier file, whole
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_write_that_fails_part_way_leaves_the_earlier_file_and_no_other(tmp_path):
+    path = tmp_path / "out" / "store.ndjson"
+    write_ndjson(path, {"format": "demo"}, [{"x": 1}])
+    earlier = path.read_bytes()
+
+    def rows():
+        yield {"x": 2}
+        raise KeyboardInterrupt  # an interrupt between rows
+
+    with pytest.raises(KeyboardInterrupt):
+        write_ndjson(path, {"format": "demo"}, rows())
+    assert path.read_bytes() == earlier
+    assert list(path.parent.iterdir()) == [path]
+    assert write_ndjson(path, {"format": "demo"}, [{"x": 3}, {"x": 4}]) == 2
+    assert read_ndjson(path) == ({"format": "demo"}, [{"x": 3}, {"x": 4}])
+    assert list(path.parent.iterdir()) == [path]
+
+
+def test_an_artifact_is_written_with_the_mode_open_gives_a_new_file(tmp_path):
+    path = tmp_path / "store.ndjson"
+    write_ndjson(path, {"format": "demo"}, [])
+    with open(tmp_path / "plain.ndjson", "w"):
+        pass
+    assert path.stat().st_mode == (tmp_path / "plain.ndjson").stat().st_mode
 
 
 def test_the_decoder_keeps_64_bit_ints_and_reads_wider_ones_as_floats():

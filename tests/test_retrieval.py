@@ -49,6 +49,7 @@ from matproc.runner import _FUSION_ROWS
 from matproc.taskgen import generate_benchmark
 
 from helpers import chain_graph, compiled
+from structure_oracle import attend, embed_structure_oracle
 
 
 def small_corpus(n=20, seed=7):
@@ -111,12 +112,17 @@ def test_builtin_embedder_distinguishes_texts():
 # --- structure embedding -------------------------------------------------------------
 
 
+def embed_one(g: ProcessGraph) -> np.ndarray:
+    """The structure vector of ``g`` embedded alone, with a fresh encoder."""
+    return rt.embed_structure([g])[0]
+
+
 def test_embed_structure_single_node_matches_plain_projection():
     # with one node the neighbourhood is the node itself, so attention must
     # collapse and the result is just two projected/squashed rounds, normalized
     g = ProcessGraph(record_id="solo")
     g.material_entities.append(EntityNode(id="m0", label="lithium", kind="material"))
-    got = rt.embed_structure(g)
+    got = embed_one(g)
 
     h = rt.BuiltinTextEmbedder().embed([canon_label("lithium")])[0]
     for round_index in range(2):
@@ -154,26 +160,26 @@ def test_embed_structure_isomorphism_invariant():
         precursors=("lithium carbonate", "cobalt oxide"),
     )
     twin = _relabelled_copy(g)
-    assert np.allclose(rt.embed_structure(g), rt.embed_structure(twin), atol=1e-9)
+    assert np.allclose(embed_one(g), embed_one(twin), atol=1e-9)
 
 
 def test_embed_structure_deterministic_and_unit_norm():
     for g in small_corpus(n=6):
-        first = rt.embed_structure(g)
-        second = rt.embed_structure(g)
+        first = embed_one(g)
+        second = embed_one(g)
         assert np.array_equal(first, second)
         assert np.linalg.norm(first) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_embed_structure_empty_graph_is_zero():
-    assert np.all(rt.embed_structure(ProcessGraph(record_id="void")) == 0.0)
+    assert np.all(embed_one(ProcessGraph(record_id="void")) == 0.0)
 
 
 def test_embed_structure_structure_sensitive():
     # same node labels, different wiring -> different embedding
     a = chain_graph(["mixing", "sintering"], precursors=("x", "y"))
     b = chain_graph(["sintering", "mixing"], precursors=("x", "y"))
-    assert not np.allclose(rt.embed_structure(a), rt.embed_structure(b))
+    assert not np.allclose(embed_one(a), embed_one(b))
 
 
 # --- batched embedding -------------------------------------------------------------
@@ -209,11 +215,13 @@ def node_count(g: ProcessGraph) -> int:
     return len(g.entities()) + len(g.activities)
 
 
-def assert_batch_equals_reference(graphs):
-    got = rt.StructureEncoder().embed(graphs)
+def assert_batch_equals_reference(graphs, encoder=None):
+    """Each row of the batch is the graph's row alone and the oracle's, to the bit."""
+    got = rt.embed_structure(graphs, encoder)
     assert got.shape == (len(graphs), rt.EMBED_DIM) and got.dtype == np.float64
     for row, g in zip(got, graphs):
-        assert np.array_equal(row, rt.embed_structure(g)), g.record_id
+        assert np.array_equal(row, embed_one(g)), g.record_id
+        assert np.array_equal(row, embed_structure_oracle(g)), g.record_id
 
 
 def test_embed_structures_equals_embed_structure_on_every_quickstart_graph():
@@ -226,7 +234,7 @@ def test_embed_structures_equals_embed_structure_on_every_quickstart_test_query(
     _, items = quickstart()
     assert len(items) == 1090
     graphs = [rt.query_from_item(item).context_graph for item in items]
-    assert any(node_count(g) < 3 for g in graphs)  # the per-graph path runs too
+    assert any(node_count(g) < 3 for g in graphs)  # one- and two-node graphs join the chunks
     assert_batch_equals_reference(graphs)
 
 
@@ -258,15 +266,12 @@ def test_embed_structures_equals_embed_structure_on_small_and_degenerate_graphs(
     assert_batch_equals_reference([*small_corpus(n=4), *odd, *small_corpus(n=3, seed=2)])
     for g in odd:  # each on its own, so the label table is padded or skipped
         assert_batch_equals_reference([g])
-    assert np.all(rt.StructureEncoder().embed([ProcessGraph(record_id="void")]) == 0.0)
-    assert rt.StructureEncoder().embed([]).shape == (0, rt.EMBED_DIM)
+    assert np.all(rt.embed_structure([ProcessGraph(record_id="void")]) == 0.0)
+    assert rt.embed_structure([]).shape == (0, rt.EMBED_DIM)
 
 
-def test_embed_structures_equals_embed_structure_across_chunk_boundaries(monkeypatch):
-    graphs = [chain_graph(["mill", "sinter", "anneal"][: 1 + i % 3], record_id=f"g{i}",
-                          precursors=("lithium carbonate", "cobalt oxide")[: 1 + i % 2])
-              for i in range(12)]
-    graphs.append(max(small_corpus(n=5), key=node_count))  # more nodes than a chunk holds
+def recorded_chunks(monkeypatch) -> list[list[int]]:
+    """The output rows of each chunk the encoder embeds, in order."""
     chunks = []
     embed_chunk = rt._embed_chunk
 
@@ -274,13 +279,30 @@ def test_embed_structures_equals_embed_structure_across_chunk_boundaries(monkeyp
         chunks.append([row for row, _, _ in chunk])
         return embed_chunk(chunk, *args)
 
-    monkeypatch.setattr(rt, "_CHUNK_ROWS", 12)
     monkeypatch.setattr(rt, "_embed_chunk", recorded)
-    assert node_count(graphs[-1]) > 12
+    return chunks
+
+
+def test_embed_structures_equals_embed_structure_across_chunk_boundaries(monkeypatch):
+    chains = [chain_graph(["mill", "sinter", "anneal"][: 1 + i % 3], record_id=f"g{i}",
+                          precursors=("lithium carbonate", "cobalt oxide")[: 1 + i % 2])
+              for i in range(12)]
+    big = max(small_corpus(n=5), key=node_count)  # more nodes than a chunk holds
+    two = graph_of(["lithium", "cobalt"], "two")
+    # the one-node graph ahead of the big one makes a chunk of one row
+    graphs = [graph_of(["lithium"], "one"), big, *chains[:6], two,
+              ProcessGraph(record_id="void"), *chains[6:]]
+    monkeypatch.setattr(rt, "_CHUNK_ROWS", 12)
+    chunks = recorded_chunks(monkeypatch)
+    assert node_count(big) > 12
+    rt.embed_structure(graphs)
+    chunks = chunks[:]  # the batch's; the reference embeds each graph alone too
     assert_batch_equals_reference(graphs)
     assert len(chunks) > 3 and sum(len(rows) > 1 for rows in chunks) >= 2
+    assert [0] in chunks and [1] in chunks  # the one-node graph alone, padded; the big one alone
+    assert any(len(rows) > 1 for rows in chunks if graphs.index(two) in rows)
     assert sorted(row for rows in chunks for row in rows) == [
-        row for row, g in enumerate(graphs) if node_count(g) >= 3]
+        row for row, g in enumerate(graphs) if node_count(g) > 0]
 
 
 def test_embed_structures_equals_embed_structure_at_the_default_chunk_bound(monkeypatch):
@@ -289,24 +311,21 @@ def test_embed_structures_equals_embed_structure_at_the_default_chunk_bound(monk
     big = chain_graph([ops[i % 5] for i in range(bound // 2 + 1)], record_id="big",
                       tools={"press": ["die"], "mill": ["ball mill"]},
                       precursors=("lithium carbonate", "cobalt oxide"))
-    graphs = [*small_corpus(n=10), graph_of(["lithium"], "one"), big,
-              graph_of(["lithium", "cobalt"], "two"), *small_corpus(n=8, seed=2),
+    tiny = [graph_of(["lithium"], "one"), graph_of(["lithium", "cobalt"], "two")]
+    graphs = [*small_corpus(n=10), tiny[0], big, tiny[1], *small_corpus(n=8, seed=2),
               ProcessGraph(record_id="void")]
-    chunks = []
-    embed_chunk = rt._embed_chunk
-
-    def recorded(chunk, *args):
-        chunks.append([row for row, _, _ in chunk])
-        return embed_chunk(chunk, *args)
-
-    monkeypatch.setattr(rt, "_embed_chunk", recorded)
+    chunks = recorded_chunks(monkeypatch)
     assert node_count(big) > bound
-    assert sum(node_count(g) for g in graphs if node_count(g) >= 3) > 2 * bound
+    assert sum(node_count(g) for g in graphs) > 2 * bound
+    rt.embed_structure(graphs)
+    chunks = chunks[:]  # the batch's; the reference embeds each graph alone too
     assert_batch_equals_reference(graphs)
     assert [rows for rows in chunks if graphs.index(big) in rows] == [[graphs.index(big)]]
     assert len(chunks) >= 3 and sum(len(rows) > 1 for rows in chunks) >= 2
+    for g in tiny:  # each shares a chunk with larger graphs
+        assert [len(rows) > 1 for rows in chunks if graphs.index(g) in rows] == [True]
     assert sorted(row for rows in chunks for row in rows) == [
-        row for row, g in enumerate(graphs) if node_count(g) >= 3]
+        row for row, g in enumerate(graphs) if node_count(g) > 0]
 
 
 def embed_text_by_loop(text: str) -> np.ndarray:
@@ -336,10 +355,10 @@ def test_builtin_embedder_embeds_a_batch_as_its_texts_one_by_one():
 @functools.lru_cache(maxsize=None)
 def quickstart_structures():
     """The quickstart's graphs, then the context graphs of its test queries,
-    each with its :func:`embed_structure` vector: the reference rows."""
+    each with its oracle vector: the reference rows."""
     graphs, items = quickstart()
     graphs = [*graphs, *(rt.query_from_item(item).context_graph for item in items)]
-    return graphs, [rt.embed_structure(g) for g in graphs]
+    return graphs, [embed_structure_oracle(g) for g in graphs]
 
 
 @pytest.mark.parametrize("chunk_rows", [3, 24, 200])
@@ -349,12 +368,11 @@ def test_one_encoder_shared_by_every_block_equals_embed_structure(monkeypatch, c
     monkeypatch.setattr(rt, "_CHUNK_ROWS", chunk_rows)
     encoder = rt.StructureEncoder()
     for start in range(0, len(graphs), 8):  # blocks of 8, graphs then queries
-        got = encoder.embed(graphs[start : start + 8])
+        got = rt.embed_structure(graphs[start : start + 8], encoder)
         for row, reference in zip(got, want[start : start + 8]):
             assert np.array_equal(row, reference)
-    # every distinct label of a stacked graph has one row, in one buffer
-    labels = {canon_label(n.label) for g in graphs if node_count(g) >= rt._MIN_STACKED_ROWS
-              for n in [*g.entities(), *g.activities]}
+    # every distinct label of every graph has one row, in one buffer
+    labels = {canon_label(n.label) for g in graphs for n in [*g.entities(), *g.activities]}
     assert encoder.rows.keys() == labels
     assert sorted(encoder.rows.values()) == list(range(len(labels)))
     assert len(encoder.table) >= len(labels)
@@ -373,7 +391,41 @@ def test_batched_attention_equals_the_per_node_reference():
         for widest in (1, 3, 12):
             z = rng.normal(0.0, 1.0, size=(n, rt.EMBED_DIM))
             neighbours = random_neighbourhoods(rng, n, widest)
-            assert np.array_equal(rt._attend_all(z, neighbours), rt._attend(z, neighbours)), (n, widest)
+            assert np.array_equal(rt._attend_all(z, neighbours), attend(z, neighbours)), (n, widest)
+
+
+NODE_LABELS = ["lithium", "Lithium ", "cobalt oxide", "mill", "sinter", "x", "Ø 3 mm", ""]
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph of 0 to 7 nodes with random labels, some shared, and random
+    usage and generation links."""
+    g = ProcessGraph(record_id="random")
+    for i in range(draw(st.integers(0, 4))):
+        g.material_entities.append(EntityNode(id=f"m{i}", label=draw(st.sampled_from(NODE_LABELS)),
+                                              kind="material"))
+    for i in range(draw(st.integers(0, 3))):
+        g.activities.append(ActivityNode(id=f"a{i}", label=draw(st.sampled_from(NODE_LABELS)),
+                                         source_position=i))
+    if g.material_entities and g.activities:
+        links = st.tuples(st.sampled_from(g.material_entities), st.sampled_from(g.activities), st.booleans())
+        for m, a, used in draw(st.lists(links, max_size=6)):
+            if used:
+                g.usage_edges.append((m.id, a.id))
+            else:
+                g.generation_edges.append((a.id, m.id))
+    return g
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(graphs=st.lists(small_graphs(), max_size=10), warm=st.lists(small_graphs(), max_size=3),
+       chunk_rows=st.integers(1, 12) | st.just(rt._CHUNK_ROWS))
+def test_every_graph_gets_its_row_alone_in_any_batch_and_chunking(graphs, warm, chunk_rows):
+    encoder = rt.StructureEncoder()
+    with mock.patch.object(rt, "_CHUNK_ROWS", chunk_rows):  # small bounds make one-row chunks
+        rt.embed_structure(warm, encoder)  # a table that already holds some labels
+        assert_batch_equals_reference(graphs, encoder)
 
 
 TEXTS = st.lists(
@@ -422,22 +474,22 @@ def test_a_batch_of_queries_is_embedded_together_by_its_first_retrieval(monkeypa
     items = generate_benchmark(corpus, seed=5)[0][:30]
     calls = {"text": 0, "structure": 0}
     batching = []
-    embed, encode = rt.BuiltinTextEmbedder.embed, rt.StructureEncoder.embed
+    embed, encode = rt.BuiltinTextEmbedder.embed, rt.embed_structure
 
     def counted_embed(self, texts):
         calls["text"] += not batching  # a structure batch embeds its labels too
         return embed(self, texts)
 
-    def counted_structures(self, graphs):
+    def counted_structures(graphs, encoder=None):
         calls["structure"] += 1
         batching.append(True)
         try:
-            return encode(self, graphs)
+            return encode(graphs, encoder)
         finally:
             batching.pop()
 
     monkeypatch.setattr(rt.BuiltinTextEmbedder, "embed", counted_embed)
-    monkeypatch.setattr(rt.StructureEncoder, "embed", counted_structures)
+    monkeypatch.setattr(rt, "embed_structure", counted_structures)
     block = rt.queries_from_items(items)
     order = [*range(3, len(block)), 3, *range(3)]  # the first retrieval is row 3's
     got = {row: rt.retrieve(block[row], memory) for row in order}
@@ -448,7 +500,7 @@ def test_a_batch_of_queries_is_embedded_together_by_its_first_retrieval(monkeypa
         alone = rt.query_from_item(item)
         assert query.row == row and query.text_vec is None and query.struct_vec is None
         assert np.array_equal(text_rows[row], rt.BuiltinTextEmbedder().embed([alone.text])[0])
-        assert np.array_equal(struct_rows[row], rt.embed_structure(alone.context_graph))
+        assert np.array_equal(struct_rows[row], embed_one(alone.context_graph))
         assert got[row] == rt.retrieve(alone, memory)  # == on every float
 
 
@@ -458,13 +510,13 @@ def test_threads_retrieving_from_one_batch_embed_it_once(monkeypatch):
     items = generate_benchmark(corpus, seed=5)[0][:24]
     want = [rt.retrieve(rt.query_from_item(item), memory) for item in items]
     embedded = []
-    encode = rt.StructureEncoder.embed
+    encode = rt.embed_structure
 
-    def counted(self, graphs):
+    def counted(graphs, encoder=None):
         embedded.append(len(graphs))
-        return encode(self, graphs)
+        return encode(graphs, encoder)
 
-    monkeypatch.setattr(rt.StructureEncoder, "embed", counted)
+    monkeypatch.setattr(rt, "embed_structure", counted)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -724,7 +776,7 @@ def reference_retrieve(query, memory, weights, k):
     if query_text is None:
         query_text = rt.BuiltinTextEmbedder().embed([query.text])[0]
     if query_struct is None and query.context_graph is not None:
-        query_struct = rt.embed_structure(query.context_graph)
+        query_struct = embed_one(query.context_graph)
     results = []
     for row, p in enumerate(memory.processes):
         s_text = rt.cos_to_unit(rt.cosine(query_text, memory.vectors["text"][row]))
@@ -770,7 +822,7 @@ def equivalence_queries(corpus):
     queries.append(rt.RetrievalQuery(summary=summary(["mill"], ["x"]), text="route: mill"))
     return [dataclasses.replace(
         q, text_vec=rt.BuiltinTextEmbedder().embed([q.text])[0],
-        struct_vec=None if q.context_graph is None else rt.embed_structure(q.context_graph))
+        struct_vec=None if q.context_graph is None else embed_one(q.context_graph))
         for q in queries]
 
 

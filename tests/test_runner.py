@@ -798,22 +798,12 @@ def test_every_grid_row_equals_a_fresh_evaluate_of_its_config():
 def test_grid_embeds_and_matches_once_per_item(monkeypatch):
     items = per_task_sample(2)
     memory = mem()
-    # structure rows embedded: every row of a batch, plus every per-graph
-    # call made outside one (a batch embeds its small graphs one by one)
+    # structure rows embedded, and the batches they came in
     calls = {"struct_rows": 0, "struct_batches": 0, "match_steps": 0}
-    batching = []
-    per_graph, batched = rt.embed_structure, rt.StructureEncoder.embed
+    batched = rt.embed_structure
 
-    def embed_structure(*args, **kwargs):
-        calls["struct_rows"] += not batching
-        return per_graph(*args, **kwargs)
-
-    def encoder_embed(self, graphs):
-        batching.append(True)
-        try:
-            out = batched(self, graphs)
-        finally:
-            batching.pop()
+    def embed_structure(graphs, encoder=None):
+        out = batched(graphs, encoder)
         calls["struct_rows"] += len(out)
         calls["struct_batches"] += bool(len(out))
         return out
@@ -825,7 +815,6 @@ def test_grid_embeds_and_matches_once_per_item(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(rt, "embed_structure", embed_structure)
-    monkeypatch.setattr(rt.StructureEncoder, "embed", encoder_embed)
     # the symbolic lane calls match_steps through its own module's binding
     monkeypatch.setattr(sc, "match_steps", counted(sc.match_steps))
     rn.run_ablation(items, memory)
@@ -856,9 +845,8 @@ def test_a_run_embeds_and_projects_each_distinct_label_once(monkeypatch):
     monkeypatch.setattr(rt.BuiltinTextEmbedder, "embed", recorded_embed)
     monkeypatch.setattr(rt.StructureEncoder, "_add_labels", recorded_add_labels)
     list(rn.answer_items(items, memory, [rn.PolicyConfig(policy="argmax_hybrid")]))
-    stacked = [g for g in (query_from_item(item).context_graph for item in items)
-               if len(g.entities()) + len(g.activities) >= rt._MIN_STACKED_ROWS]
-    labels = {canon_label(n.label) for g in stacked for n in [*g.entities(), *g.activities]}
+    graphs = [query_from_item(item).context_graph for item in items]
+    labels = {canon_label(n.label) for g in graphs for n in [*g.entities(), *g.activities]}
     embedded = [label for batch in batches for label in batch]
     assert sorted(embedded) == sorted(labels)  # each distinct label once in the run
     assert len(batches) <= -(-len(items) // rn._BLOCK_ITEMS)  # at most one batch per block
@@ -867,7 +855,7 @@ def test_a_run_embeds_and_projects_each_distinct_label_once(monkeypatch):
 def test_a_block_embeds_its_option_texts_with_its_query_texts(monkeypatch):
     items, memory = per_task_sample(3), mem()
     texts = []  # the texts of each call outside structure embedding
-    embed, encode, per_graph = rt.BuiltinTextEmbedder.embed, rt.StructureEncoder.embed, rt.embed_structure
+    embed, encode = rt.BuiltinTextEmbedder.embed, rt.embed_structure
     encoding = []
 
     def recorded_embed(self, batch):
@@ -885,8 +873,7 @@ def test_a_block_embeds_its_option_texts_with_its_query_texts(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(rt.BuiltinTextEmbedder, "embed", recorded_embed)
-    monkeypatch.setattr(rt.StructureEncoder, "embed", marked(encode))
-    monkeypatch.setattr(rt, "embed_structure", marked(per_graph))
+    monkeypatch.setattr(rt, "embed_structure", marked(encode))
     config = rn.PolicyConfig(policy="argmax_neural")
     rows = [row for (row,) in rn.answer_items(items, memory, [config])]
     monkeypatch.undo()
