@@ -158,17 +158,22 @@ class ProcessMemory:
     """The train partition's processes and their statistics. A memory never
     changes once built: each view below is computed on first use and kept
     for the memory's life, and a variant is a new memory
-    (``dataclasses.replace``). ``==`` is identity."""
+    (``dataclasses.replace``). ``==`` is identity. The process and step
+    lists are held as tuples, so no view goes stale under an append."""
 
     split_id: str = ""
     max_prefix_len: int = DEFAULT_MAX_PREFIX_LEN
-    processes: list[ProcessSummary] = field(default_factory=list)
-    step_library: list[StepEntry] = field(default_factory=list)
+    processes: tuple[ProcessSummary, ...] = ()
+    step_library: tuple[StepEntry, ...] = ()
     transition_table: dict[tuple[str, str], int] = field(default_factory=dict)
     prefix_index: dict[tuple[str, ...], Counter] = field(default_factory=dict)
     # kind ("text", "struct") -> read-only float64 (len(processes), d) matrix,
     # row i for processes[i]; a built or loaded memory stores both kinds
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "processes", tuple(self.processes))
+        object.__setattr__(self, "step_library", tuple(self.step_library))
 
     @cached_property
     def by_graph_id(self) -> dict[str, ProcessSummary]:
@@ -318,20 +323,16 @@ def next_distribution(memory: ProcessMemory, prefix) -> NextDistribution:
     )
 
 
-def match_steps(
-    memory: ProcessMemory,
-    query: StepQuery,
-    top_m: int = 8,
-    weights: tuple[float, float, float, float] = DEFAULT_MATCH_WEIGHTS,
-) -> list[tuple[float, StepEntry]]:
-    """Rank step-library entries by additive context compatibility.
+def match_steps(memory: ProcessMemory, query: StepQuery, top_m: int) -> list[tuple[float, StepEntry]]:
+    """The ``top_m`` step-library entries of highest additive context
+    compatibility, under ``DEFAULT_MATCH_WEIGHTS`` (w1, w2, w3, w4):
 
     score = w1*[same activity] + w2*J(neighbours) + w3*(1-|d norm position|)
           + w4*J(input forms); ties broken by (graph_id, position).
     """
     if not memory.step_library:
         raise EmptyLibrary("step matching requested against an empty library")
-    w1, w2, w3, w4 = weights
+    w1, w2, w3, w4 = DEFAULT_MATCH_WEIGHTS
     index = memory.step_index
     # the terms are added in the order of the formula, so every score is the
     # float a per-entry sum would give

@@ -10,7 +10,10 @@ one batched path for graphs of every size (short products padded); the
 heuristic view averages activity overlap, route-length agreement and
 precursor correspondence. Retrieval scores every stored process in one
 pass over a per-memory dense index whose values equal the per-pair
-formulas to the last bit.
+formulas to the last bit. Every query is scored on one path, as a row of
+a query block: a query built alone is a block of one, and a query
+without a context graph enters it as the empty graph, whose zero
+structure vector scores 0.5 on every process.
 """
 
 from __future__ import annotations
@@ -360,17 +363,18 @@ def score_heuristic(q: ProcessSummary, p: ProcessSummary) -> float:
 
 @dataclass(frozen=True)
 class RetrievalQuery:
-    """One query process, a value: nothing writes to it once built. Alone,
-    it is embedded (but for the vectors it is given) and scored afresh by
-    every :func:`retrieve`; as row ``row`` of a :class:`QueryBlock`, it takes
-    its vectors and view scores from the block, and cannot be deep-copied
-    or pickled, as the block's lock cannot."""
+    """One query process, a value: nothing writes to it once built. As row
+    ``row`` of a :class:`QueryBlock`, it takes its vectors and view scores
+    from the block, and cannot be deep-copied or pickled, as the block's
+    lock cannot. Built alone (:func:`query_from_item`, or by hand), every
+    :func:`retrieve` scores it as the one row of a block of its own, so it
+    is embedded afresh on each call; without a context graph it enters that
+    block as the empty graph, whose zero structure vector scores 0.5 on
+    every process."""
 
     summary: ProcessSummary
     text: str = ""
     context_graph: ProcessGraph | None = None
-    text_vec: np.ndarray | None = None
-    struct_vec: np.ndarray | None = None
     block: QueryBlock | None = field(default=None, repr=False, compare=False)
     row: int = field(default=0, repr=False, compare=False)
 
@@ -419,7 +423,8 @@ def queries_from_items(items: list[BenchItem], option_texts: list[list[str]] | N
 
 
 class QueryBlock:
-    """The work the queries of one block share (:func:`queries_from_items`).
+    """The work the queries of one block share (:func:`queries_from_items`;
+    :func:`retrieve` scores a query built alone as a block of one).
     The first retrieval of any of them embeds the block's texts in one call,
     each query's text and then each of its option texts, and its context
     graphs with the block's encoder; each vector is the one its text or graph
@@ -446,12 +451,15 @@ class QueryBlock:
         return self.vectors
 
     def views(self, query: RetrievalQuery, index: DenseIndex) -> tuple:
-        """:func:`_score_views` of ``query``, this block's row ``query.row``, on ``index``."""
+        """The text, structure and heuristic score of every process of
+        ``index`` for ``query``, this block's row ``query.row``."""
         with self.lock:
             hit = self.scores.get(query.row)
             if hit is None or hit[0] is not index:
                 text, struct = self._embedded()
-                views = _score_views(query.summary, text[query.row], struct[query.row], index)
+                views = (unit_cosines(text[query.row], index.text, index.text_norm),
+                         unit_cosines(struct[query.row], index.struct, index.struct_norm),
+                         index.heuristic(query.summary))
                 hit = self.scores[query.row] = (index, views)
             return hit[1]
 
@@ -631,17 +639,6 @@ def build_dense_index(memory: ProcessMemory) -> DenseIndex:
     )
 
 
-def _score_views(summary: ProcessSummary, text_vec: np.ndarray, struct_vec: np.ndarray | None,
-                index: DenseIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The text, structure and heuristic score of every process of ``index``
-    for a query of this summary and these vectors."""
-    if struct_vec is None:  # neutral 0.5 when the query has no context graph
-        s_struct = np.full(len(index.graph_ids), 0.5)
-    else:
-        s_struct = unit_cosines(struct_vec, index.struct, index.struct_norm)
-    return unit_cosines(text_vec, index.text, index.text_norm), s_struct, index.heuristic(summary)
-
-
 # --- fusion -----------------------------------------------------------------------
 
 def retrieve(
@@ -652,26 +649,22 @@ def retrieve(
 ) -> list[RetrievedPrecedent]:
     """Exhaustive scan, descending s_ret, ties by ascending graph_id.
 
-    Every process is scored in one pass over the memory's :class:`DenseIndex`;
-    each score is the float the per-process formula gives. Every view is
-    scored, whatever its weight: once per index for a query of a
-    :class:`QueryBlock`, on every call for a query built alone. Writes
-    nothing into the query or the memory.
+    Every process is scored in one pass over the memory's :class:`DenseIndex`
+    by :meth:`QueryBlock.views`; each score is the float the per-process
+    formula gives. Every view is scored, whatever its weight: once per index
+    for a query of a block, on every call for a query built alone, which is
+    scored as the one row of a block of its own. Writes nothing into the
+    query or the memory.
     """
     if not memory.processes:
         raise EmptyMemory("retrieval requested against an empty memory")
     from .runner import PolicyConfig  # runner imports this module
     check_ranges(PolicyConfig, top_k=k)
     index = memory.dense_index
-    if query.block is not None:
-        s_text, s_struct, s_heur = query.block.views(query, index)
-    else:
-        text_vec, struct_vec = query.text_vec, query.struct_vec
-        if text_vec is None:
-            text_vec = BuiltinTextEmbedder().embed([query.text])[0]
-        if struct_vec is None and query.context_graph is not None:
-            struct_vec = embed_structure([query.context_graph])[0]
-        s_text, s_struct, s_heur = _score_views(query.summary, text_vec, struct_vec, index)
+    if query.block is None:
+        graph = ProcessGraph("") if query.context_graph is None else query.context_graph
+        query = replace(query, block=QueryBlock([query.text], [graph], None, None), row=0)
+    s_text, s_struct, s_heur = query.block.views(query, index)
     s_ret = weights.alpha * s_text + weights.beta * s_struct + weights.gamma * s_heur
     top = np.lexsort((index.id_rank, -s_ret))[:k]
     return [

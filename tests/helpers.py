@@ -1,5 +1,6 @@
-"""Tiny graph builders, a stored-vector comparison, a loopback JSON
-endpoint and a thread-pool counter shared across test modules."""
+"""Tiny graph builders, a stored-vector comparison, an orthogonal vector,
+a loopback JSON endpoint and a thread-pool counter shared across test
+modules."""
 
 from __future__ import annotations
 
@@ -26,6 +27,17 @@ def assert_same_vectors(got, want):
         return
     assert type(got) is np.ndarray and got.dtype == np.float64 and not got.flags.writeable
     assert np.array_equal(got, want)
+
+
+def orthogonal_to(v):
+    """A vector orthogonal to the non-zero ``v``: its two largest coordinates
+    swapped, one of them negated, every other coordinate 0. The two products
+    of the dot cancel to within one rounding, so its cosine with ``v`` maps
+    onto exactly 0.5."""
+    i, j = np.argsort(-np.abs(v), kind="stable")[:2]
+    w = np.zeros_like(v)
+    w[i], w[j] = v[j], -v[i]
+    return w
 
 
 def chain_graph(labels, record_id="g0", doi="10.1/x", year=2018, material_class="thermoelectric",

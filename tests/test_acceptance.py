@@ -31,8 +31,10 @@ from matproc.provgraph import (
     parse_record,
 )
 from matproc.retrieval import (
+    BuiltinTextEmbedder,
     RetrievalQuery,
     RetrievalWeights,
+    embed_structure,
     retrieve,
 )
 from matproc.runner import PolicyConfig, ablation_grid, evaluate, run_ablation
@@ -43,7 +45,7 @@ from matproc.taskgen.store import load_items
 from matproc.memory import ProcessMemory, ProcessSummary
 
 from gold_oracle import validate_item
-from helpers import random_graph
+from helpers import chain_graph, compiled, orthogonal_to, random_graph
 
 REAL_BENCH = os.environ.get("MATPROC_REAL_BENCH", "")
 REAL_RAW = os.environ.get("MATPROC_REAL_RAW", "")
@@ -218,12 +220,18 @@ def test_criterion_5_oracle_equivalence_suite():
         max(len(graph_view(g).route) - 1, 0) for g in corpus
     )
 
-    # Retrieval fusion hand fixture with injected one-hot embeddings.
-    def one_hot(i):
-        v = np.zeros(512)
-        v[i] = 1.0
-        return v.tolist()
-
+    # Retrieval fusion hand fixture: the stored rows are built around the
+    # query's own vectors, so every cosine is 1 or 0. p1's text row and p2's
+    # struct row are the query's vectors; the other two are orthogonal to them.
+    query = RetrievalQuery(
+        summary=ProcessSummary(
+            graph_id="q", route=["mill"], precursors=["x"], products=["u"], tools=[]
+        ),
+        text="precursors: x | route: mill | product: u",
+        context_graph=compiled(chain_graph(["mill"], record_id="q", precursors=("x",))),
+    )
+    text = BuiltinTextEmbedder().embed([query.text])[0]
+    struct = embed_structure([query.context_graph])[0]
     memory = ProcessMemory(
         split_id="hand",
         processes=[
@@ -232,15 +240,8 @@ def test_criterion_5_oracle_equivalence_suite():
                 graph_id="p2", route=["anneal", "sinter"], precursors=["y"], products=["v"], tools=[]
             ),
         ],
-        vectors={"text": np.array([one_hot(0), one_hot(1)]),
-                 "struct": np.array([one_hot(2), one_hot(3)])},
-    )
-    query = RetrievalQuery(
-        summary=ProcessSummary(
-            graph_id="q", route=["mill"], precursors=["x"], products=["u"], tools=[]
-        ),
-        text_vec=np.array(one_hot(0)),
-        struct_vec=np.array(one_hot(3)),
+        vectors={"text": np.array([text, orthogonal_to(text)]),
+                 "struct": np.array([orthogonal_to(struct), struct])},
     )
     ranked = retrieve(query, memory, RetrievalWeights(), k=2)
     # p1: 0.4*1.0 + 0.3*0.5 + 0.3*1.0 = 0.85   (text hit, neutral struct cos 0, heuristic 1)

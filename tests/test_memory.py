@@ -287,6 +287,23 @@ def test_a_memory_never_changes_and_a_variant_has_its_own_views():
     assert clone.steps_of("r1") == variant.steps_of("r1")
 
 
+@pytest.mark.parametrize("variant", ["built", "loaded"])
+@pytest.mark.parametrize("name", ["processes", "step_library"])
+def test_a_memory_process_and_step_list_cannot_be_appended_to(name, variant, tmp_path):
+    memory, _ = synth_memory(8)
+    if variant == "loaded":
+        save_memory(tmp_path / "memory.ndjson", memory)
+        memory = load_memory(tmp_path / "memory.ndjson")
+    index, steps = memory.dense_index, memory.step_index  # views built before the attempt
+    held = getattr(memory, name)
+    assert type(held) is tuple
+    with pytest.raises(AttributeError):
+        held.append(held[0])
+    assert len(memory.processes) == len(index.graph_ids)
+    assert len(memory.step_library) == len(steps.position)
+    assert type(getattr(dataclasses.replace(memory, **{name: list(held)}), name)) is tuple
+
+
 def test_memories_compare_by_identity():
     memory, _ = synth_memory(6)
     for copied in (copy.deepcopy(memory), pickle.loads(pickle.dumps(memory))):

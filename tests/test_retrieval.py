@@ -48,18 +48,12 @@ from matproc.provgraph import (
 from matproc.runner import _FUSION_ROWS
 from matproc.taskgen import generate_benchmark
 
-from helpers import chain_graph, compiled
+from helpers import chain_graph, compiled, orthogonal_to
 from structure_oracle import attend, embed_structure_oracle
 
 
 def small_corpus(n=20, seed=7):
     return [compiled(g) for g in generate_synthetic_corpus(SynthParams(n_records=n), seed=seed)]
-
-
-def one_hot(bucket: int) -> list[float]:
-    vec = np.zeros(rt.EMBED_DIM)
-    vec[bucket] = 1.0
-    return [float(x) for x in vec]
 
 
 # --- built-in text embedder ---------------------------------------------------------
@@ -498,7 +492,7 @@ def test_a_batch_of_queries_is_embedded_together_by_its_first_retrieval(monkeypa
     text_rows, struct_rows = block[0].block.vectors
     for row, (item, query) in enumerate(zip(items, block)):
         alone = rt.query_from_item(item)
-        assert query.row == row and query.text_vec is None and query.struct_vec is None
+        assert query.row == row
         assert np.array_equal(text_rows[row], rt.BuiltinTextEmbedder().embed([alone.text])[0])
         assert np.array_equal(struct_rows[row], embed_one(alone.context_graph))
         assert got[row] == rt.retrieve(alone, memory)  # == on every float
@@ -611,15 +605,18 @@ def three_process_memory():
         compiled(chain_graph(["mill", "anneal"], record_id="pb", precursors=("x",))),
         compiled(chain_graph(["sinter"], record_id="pc", precursors=("y",))),
     ]
-    # orthogonal hand-chosen view vectors make every cosine either 0 or 1
-    memory = dataclasses.replace(build_memory(graphs), vectors={
-        "text": np.array([one_hot(0), one_hot(1), one_hot(2)]),
-        "struct": np.array([one_hot(3), one_hot(4), one_hot(5)])})
     query = rt.RetrievalQuery(
         summary=summary(["mill"], ["x"]),
-        text_vec=np.asarray(one_hot(1)),
-        struct_vec=np.asarray(one_hot(5)),
+        text="precursors: x | route: mill",
+        context_graph=compiled(chain_graph(["mill"], record_id="q", precursors=("x",))),
     )
+    # the stored rows are built around the query's own vectors, so every
+    # cosine is 1 or 0: pb's text row and pc's struct row are the query's
+    # vectors, every other row is orthogonal to them
+    text, struct = rt.BuiltinTextEmbedder().embed([query.text])[0], embed_one(query.context_graph)
+    memory = dataclasses.replace(build_memory(graphs), vectors={
+        "text": np.array([orthogonal_to(text), text, orthogonal_to(text)]),
+        "struct": np.array([orthogonal_to(struct), orthogonal_to(struct), struct])})
     return memory, query
 
 
@@ -675,10 +672,14 @@ def test_retrieve_self_match_heuristic_only():
     corpus = [compiled(chain_graph([f"op{i}", "sinter"], record_id=f"g{i}",
                                    precursors=(f"pre{i}",))) for i in range(4)]
     memory = build_memory(corpus)
-    query = rt.RetrievalQuery(summary=memory.by_graph_id["g2"])
+    query = rt.RetrievalQuery(summary=memory.by_graph_id["g2"])  # no text, no context graph
     results = rt.retrieve(query, memory, weights=rt.RetrievalWeights(0.0, 0.0, 1.0), k=2)
     assert results[0].graph_id == "g2"
     assert results[0].s_ret == pytest.approx(1.0, abs=1e-12)
+    everyone = rt.retrieve(query, memory, k=len(corpus))
+    assert [r.s_struct for r in everyone] == [0.5] * len(corpus)
+    empty = dataclasses.replace(query, context_graph=ProcessGraph(""))
+    assert everyone == rt.retrieve(empty, memory, k=len(corpus))  # == on every float
 
 
 def test_retrieve_self_match_default_weights_builtin_embedders():
@@ -771,19 +772,18 @@ def test_a_memory_without_a_vector_kind_fails_at_index_build(kind):
 
 
 def reference_retrieve(query, memory, weights, k):
-    """The per-process scoring loop the dense index replaced, kept as the oracle."""
-    query_text, query_struct = query.text_vec, query.struct_vec
-    if query_text is None:
-        query_text = rt.BuiltinTextEmbedder().embed([query.text])[0]
-    if query_struct is None and query.context_graph is not None:
+    """The per-process scoring loop the dense index replaced, kept as the
+    oracle. A query without a context graph has a zero structure vector,
+    whose cosine with every row is 0."""
+    query_text = rt.BuiltinTextEmbedder().embed([query.text])[0]
+    if query.context_graph is None:
+        query_struct = np.zeros(rt.EMBED_DIM)
+    else:
         query_struct = embed_one(query.context_graph)
     results = []
     for row, p in enumerate(memory.processes):
         s_text = rt.cos_to_unit(rt.cosine(query_text, memory.vectors["text"][row]))
-        if query_struct is not None:
-            s_struct = rt.cos_to_unit(rt.cosine(query_struct, memory.vectors["struct"][row]))
-        else:
-            s_struct = 0.5
+        s_struct = rt.cos_to_unit(rt.cosine(query_struct, memory.vectors["struct"][row]))
         s_heur = rt.score_heuristic(query.summary, p)
         s_ret = weights.alpha * s_text + weights.beta * s_struct + weights.gamma * s_heur
         results.append(rt.RetrievedPrecedent(p.graph_id, s_text, s_struct, s_heur, s_ret))
@@ -813,17 +813,14 @@ def equivalence_corpus():
 
 def equivalence_queries(corpus):
     """Two items of every task, plus one query without a context graph (its
-    structure view is neutral), with their vectors computed once."""
+    structure view is neutral)."""
     items, _ = generate_benchmark(corpus, seed=5)
     per_task = {}
     for item in items:
         per_task.setdefault(item.task, []).append(item)
     queries = [rt.query_from_item(it) for task in sorted(per_task) for it in per_task[task][:2]]
     queries.append(rt.RetrievalQuery(summary=summary(["mill"], ["x"]), text="route: mill"))
-    return [dataclasses.replace(
-        q, text_vec=rt.BuiltinTextEmbedder().embed([q.text])[0],
-        struct_vec=None if q.context_graph is None else embed_one(q.context_graph))
-        for q in queries]
+    return queries
 
 
 @pytest.mark.parametrize("variant", ["full", "loaded"])
@@ -885,7 +882,7 @@ def test_no_field_of_a_built_query_can_be_written(in_block):
     for f in dataclasses.fields(rt.RetrievalQuery):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(query, f.name, None)
-    assert query.text_vec is None and query.struct_vec is None  # retrieval filled in nothing
+    assert (query.block is None) is not in_block  # retrieval filled in nothing
     assert rt.retrieve(query, memory) == before
 
 
