@@ -31,11 +31,9 @@ from .errors import (
 )
 from .jsonio import (
     artifact_header,
-    check_format,
     loads,
     read_artifact,
     read_header,
-    read_ndjson,
     write_ndjson,
 )
 from .memory import build_memory, load_memory, save_memory
@@ -100,22 +98,23 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_compile(cfg: RunConfig) -> int:
-    header, rows = read_ndjson(cfg.path("raw"))
-    check_format(cfg.path("raw"), header, RAW_FORMAT)
+    _, rows = read_artifact(cfg.path("raw"), RAW_FORMAT, lambda row: row)
     field_map = FieldMap.from_dict(cfg.field_map) if cfg.field_map else None
-    graphs, warning_rows = [], []
+    graphs, warning_rows = {}, []  # record id -> its graph
     for row in rows:
         record_id = (record_id_of(row, field_map) if isinstance(row, dict) else "") or "?"
         try:
             g = compile_graph(parse_record(row, field_map))
+            if g.record_id in graphs:
+                raise MalformedDocument(f"record id {g.record_id!r} is taken by an earlier record")
         except MatprocError as exc:
             warning_rows.append(
                 {"record_id": record_id, "warning": f"excluded: {type(exc).__name__}: {exc}"}
             )
             continue
-        graphs.append(g)
+        graphs[g.record_id] = g
         warning_rows.extend({"record_id": g.record_id, "warning": w} for w in g.warnings)
-    write_graph_store(cfg.path("graphs"), graphs, cfg.config_hash())
+    write_graph_store(cfg.path("graphs"), list(graphs.values()), cfg.config_hash())
     if cfg.paths.get("warnings"):
         write_ndjson(cfg.paths["warnings"], _header(WARNINGS_FORMAT, cfg), warning_rows)
     excluded = len(rows) - len(graphs)
@@ -338,7 +337,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 def _rows(fmt: str, row_type):
     """The reader of the rows of an artifact of format ``fmt``."""
-    return lambda path: read_artifact(path, fmt, row_type)[1]
+    return lambda path: read_artifact(path, fmt, row_type.from_dict)[1]
 
 
 # artifact format -> (reader of the file, renderer of what it read)

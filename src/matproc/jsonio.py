@@ -333,40 +333,22 @@ def read_header(path: str | Path) -> dict:
         return _header(path, _records(path, fh))
 
 
-def check_format(path: str | Path, header: dict, fmt: str) -> None:
-    """Raise :class:`MalformedDocument`, naming the file, unless the header's
-    ``format`` is ``fmt``."""
-    if header["format"] != fmt:
-        raise MalformedDocument(f"{path}: format {header['format']!r}, expected {fmt!r}")
-
-
-def read_artifact(path: str | Path, fmt: str, row_type, **header_types) -> tuple[dict, list | dict]:
+def read_artifact(path: str | Path, fmt: str, read_row, **header_types) -> tuple[dict, list]:
     """Header and records of the artifact at ``path``: its ``format`` must be
     ``fmt``, each header field in ``header_types`` must have that type where
-    present, and each row is built by ``row_type.from_dict`` as it is read.
-    In a file of several row types, ``row_type`` maps each row's ``kind`` to
-    the type of its other fields (or to the function that builds its record
-    from them), and the records come back as one list per kind. Raises
-    :class:`MalformedDocument` naming the file and the row."""
-    kinds = row_type if isinstance(row_type, dict) else None
-    from_row = {kind: t.from_dict if isinstance(t, type) else t for kind, t in (kinds or {}).items()}
-    grouped = {kind: [] for kind in kinds or ()}
+    present, and ``read_row`` builds the record of each row as it is read
+    (a :class:`Record`'s ``from_dict``). Raises :class:`MalformedDocument`
+    naming the file and the row."""
 
     def build(header):
-        check_format(path, header, fmt)
+        if header["format"] != fmt:
+            raise MalformedDocument(f"{path}: format {header['format']!r}, expected {fmt!r}")
         for key, tp in header_types.items():
             if key in header and type(header[key]) not in _plan(tp)[0]:
                 raise MalformedDocument(
                     f"{path}: header {key}: expected {getattr(tp, '__name__', tp)}, "
                     f"got {type(header[key]).__name__}"
                 )
-        return row_type.from_dict if kinds is None else add_kind
+        return read_row
 
-    def add_kind(row):
-        kind = row.pop("kind", None) if type(row) is dict else None
-        if type(kind) is not str or kind not in kinds:
-            raise MalformedDocument(f"kind {kind!r} is not one of {', '.join(kinds)}")
-        grouped[kind].append(from_row[kind](row))
-
-    header, records = read_ndjson(path, build)
-    return header, records if kinds is None else grouped  # add_kind keeps nothing in records
+    return read_ndjson(path, build)

@@ -1,10 +1,10 @@
-"""Train-partition process memory: summaries, transition statistics,
-prefix-continuation index, and a step library for context matching.
+"""Train-partition process memory: summaries, a step library, and two views
+of the routes that never disagree with them, transition counts and prefix index.
 
-The prefix index stores every contiguous activity window up to
-``max_prefix_len`` labels mapped to its immediate successor, which makes
-the longest-stored-suffix backoff in :func:`next_distribution` effective
-on routes the memory has never seen from the start.
+The prefix index maps every contiguous activity window up to
+``max_prefix_len`` labels to its immediate successor, which makes the
+longest-stored-suffix backoff in :func:`next_distribution` effective on
+routes the memory has never seen from the start.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -30,6 +30,12 @@ if TYPE_CHECKING:
 MEMORY_FORMAT = "matproc-memory"
 DEFAULT_MAX_PREFIX_LEN = 4
 DEFAULT_MATCH_WEIGHTS = (1.0, 0.5, 0.25, 0.25)
+
+
+def sorted_ranks(ids: list[str]) -> np.ndarray:
+    """The rank of each id among the distinct ids in sorted order."""
+    rank = {x: i for i, x in enumerate(sorted(set(ids)))}
+    return np.array([rank[x] for x in ids], dtype=np.int64)
 
 
 def jaccard(a, b) -> float:
@@ -139,12 +145,10 @@ class StepIndex:
 
     @classmethod
     def build(cls, library: list[StepEntry]) -> "StepIndex":
-        gids = [e.graph_id for e in library]
-        rank = {gid: i for i, gid in enumerate(sorted(set(gids)))}
         return cls(
             activity=np.array([e.activity for e in library], dtype=object),
             norm_position=np.array([e.norm_position for e in library], dtype=np.float64),
-            graph_rank=np.array([rank[gid] for gid in gids], dtype=np.int64),
+            graph_rank=sorted_ranks([e.graph_id for e in library]),
             position=np.array([e.position for e in library], dtype=np.int64),
             neighbours=LabelSets(
                 [x for x in (e.prev_activity, e.next_activity) if x] for e in library
@@ -156,17 +160,16 @@ class StepIndex:
 @dataclass(frozen=True, eq=False)
 class ProcessMemory:
     """The train partition's processes and their statistics. A memory never
-    changes once built: each view below is computed on first use and kept
-    for the memory's life, and a variant is a new memory
-    (``dataclasses.replace``). ``==`` is identity. The process and step
-    lists are held as tuples, so no view goes stale under an append."""
+    changes once built: each view below, the transition table and the prefix
+    index among them, is computed from the fields on first use and kept for
+    the memory's life, and a variant is a new memory (``dataclasses.replace``).
+    ``==`` is identity. The process and step lists are held as tuples, so no
+    view goes stale under an append."""
 
     split_id: str = ""
     max_prefix_len: int = DEFAULT_MAX_PREFIX_LEN
     processes: tuple[ProcessSummary, ...] = ()
     step_library: tuple[StepEntry, ...] = ()
-    transition_table: dict[tuple[str, str], int] = field(default_factory=dict)
-    prefix_index: dict[tuple[str, ...], Counter] = field(default_factory=dict)
     # kind ("text", "struct") -> read-only float64 (len(processes), d) matrix,
     # row i for processes[i]; a built or loaded memory stores both kinds
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
@@ -184,13 +187,27 @@ class ProcessMemory:
         return frozenset(label for p in self.processes for label in p.route)
 
     @cached_property
+    def transition_table(self) -> dict[tuple[str, str], int]:
+        """How often label b follows label a, over every route."""
+        return dict(Counter(pair for p in self.processes for pair in zip(p.route, p.route[1:])))
+
+    @cached_property
+    def prefix_index(self) -> dict[tuple[str, ...], Counter]:
+        """Each window of 1 to ``max_prefix_len`` consecutive route labels
+        -> how often each label follows it, over every route."""
+        index: dict[tuple[str, ...], Counter] = {}
+        for route in (p.route for p in self.processes):
+            for width in range(1, self.max_prefix_len + 1):
+                for start in range(len(route) - width):
+                    window = tuple(route[start:start + width])
+                    index.setdefault(window, Counter())[route[start + width]] += 1
+        return index
+
+    @cached_property
     def _transition_totals(self) -> tuple[Counter, Counter]:
         """Transition counts summed per source label and per target label."""
-        out, into = Counter(), Counter()
-        for (a, b), c in self.transition_table.items():
-            out[a] += c
-            into[b] += c
-        return out, into
+        return (Counter(a for p in self.processes for a in p.route[:-1]),
+                Counter(b for p in self.processes for b in p.route[1:]))
 
     def total_out(self, label: str) -> int:
         return self._transition_totals[0].get(label, 0)
@@ -240,7 +257,7 @@ def build_memory(
         strangers = [g.record_id for g in train_graphs if g.record_id not in allowed_graph_ids]
         if strangers:
             raise MalformedDocument(f"graphs outside the train partition: {strangers[:3]}")
-    processes, step_library, transition_table, prefix_index = [], [], {}, {}
+    processes, step_library = [], []
     for g in train_graphs:
         view = graph_view(g)
         route = list(view.route)
@@ -271,17 +288,10 @@ def build_memory(
                     output_forms=list(step.output_forms),
                 )
             )
-        for a, b in zip(route, route[1:]):
-            transition_table[(a, b)] = transition_table.get((a, b), 0) + 1
-        for width in range(1, max_prefix_len + 1):
-            for start in range(0, length - width):
-                window = tuple(route[start : start + width])
-                prefix_index.setdefault(window, Counter())[route[start + width]] += 1
     from .retrieval import attach_embeddings  # retrieval imports this module
 
     memory = ProcessMemory(split_id=split_id, max_prefix_len=max_prefix_len, processes=processes,
-                           step_library=step_library, transition_table=transition_table,
-                           prefix_index=prefix_index)
+                           step_library=step_library)
     return attach_embeddings(memory, train_graphs)
 
 
@@ -404,17 +414,6 @@ def frozen_array(values) -> np.ndarray:
     return out
 
 
-def _stored(graph_id: str, kind: str, convert: Callable[[list], object], values):
-    """``convert(values)`` for a list of JSON numbers. A JSON bool would
-    convert to 1.0 or 0.0: it is not a stored number, and raises
-    MalformedDocument. (The decoder refuses a number past float range.)"""
-    if _NUMBERS.issuperset(map(type, values)):
-        return convert(values)
-    raise MalformedDocument(
-        f"memory process {graph_id!r}: stored {kind} vector is not a list of numbers"
-    )
-
-
 @dataclass
 class ProcessRow(ProcessSummary):
     """A process as the memory file stores it: its summary and, per kind,
@@ -440,9 +439,12 @@ class PrefixRow(Record):
 VECTOR_KINDS = ("struct", "text")
 _REBUILD = "a memory stores a text and a struct vector for every process; rebuild with build-memory"
 
-# the record type of each kind of memory-file row
-MEMORY_ROWS = {"process": ProcessRow, "step": StepEntry, "transition": TransitionRow,
-               "prefix": PrefixRow}
+
+def _table_rows(memory: ProcessMemory) -> dict[str, list]:
+    """The transition and prefix rows of ``memory``'s file, by kind, sorted."""
+    table, index = sorted(memory.transition_table.items()), sorted(memory.prefix_index.items())
+    return {"transition": [TransitionRow(a, b, c) for (a, b), c in table],
+            "prefix": [PrefixRow(window, dict(counts)) for window, counts in index]}
 
 
 def save_memory(path: str | Path, memory: ProcessMemory, config_hash: str = "") -> int:
@@ -460,10 +462,8 @@ def save_memory(path: str | Path, memory: ProcessMemory, config_hash: str = "") 
                    "embeddings": {kind: m[i] for kind, m in memory.vectors.items()}}
         for e in memory.step_library:
             yield {"kind": "step", **record_fields(e)}
-        for (a, b), c in sorted(memory.transition_table.items()):
-            yield {"kind": "transition", **record_fields(TransitionRow(a, b, c))}
-        for window, counts in sorted(memory.prefix_index.items()):
-            yield {"kind": "prefix", **record_fields(PrefixRow(window, dict(counts)))}
+        for kind, records in _table_rows(memory).items():
+            yield from ({"kind": kind, **record_fields(r)} for r in records)
 
     return write_ndjson(path, header, rows())
 
@@ -505,7 +505,11 @@ class StoredVectors:
                 f"memory process {graph_id!r}: stored {kind} vector has {len(values)} numbers,"
                 f" the first one (process {first!r}) has {width}"
             )
-        _stored(graph_id, kind, buffer.fromlist, values)
+        # a JSON bool would convert to 1.0 or 0.0, but it is not a stored number
+        if not _NUMBERS.issuperset(map(type, values)):
+            raise MalformedDocument(
+                f"memory process {graph_id!r}: stored {kind} vector is not a list of numbers")
+        buffer.fromlist(values)
 
     def store(self) -> dict[str, np.ndarray]:
         """Every kind's vectors as one read-only matrix, in process order."""
@@ -520,18 +524,29 @@ class StoredVectors:
 def load_memory(path: str | Path) -> ProcessMemory:
     """The memory saved at ``path``. Its stored vectors of each kind are one
     read-only float64 matrix, which the dense index scores as it is (see
-    :class:`StoredVectors`)."""
+    :class:`StoredVectors`). Its transition and prefix rows must be, in any
+    order, the ones its process routes give."""
     vectors = StoredVectors()
-    header, rows = read_artifact(path, MEMORY_FORMAT, {**MEMORY_ROWS, "process": vectors.read},
-                                 split_id=str, max_prefix_len=int)
-    if header.get("max_prefix_len", DEFAULT_MAX_PREFIX_LEN) < 1:  # next_distribution slices by it
-        raise MalformedDocument(f"{path}: header max_prefix_len {header['max_prefix_len']} is below 1")
-    return ProcessMemory(
-        split_id=header.get("split_id", ""),
-        max_prefix_len=header.get("max_prefix_len", DEFAULT_MAX_PREFIX_LEN),
-        processes=rows["process"],
-        step_library=rows["step"],
-        transition_table={(t.a, t.b): t.count for t in rows["transition"]},
-        prefix_index={p.prefix: Counter(p.next) for p in rows["prefix"]},
-        vectors=vectors.store(),
-    )
+    readers = {"process": vectors.read, "step": StepEntry.from_dict,
+               "transition": TransitionRow.from_dict, "prefix": PrefixRow.from_dict}
+    rows = {kind: [] for kind in readers}
+
+    def read_row(row):
+        kind = row.pop("kind", None) if type(row) is dict else None
+        if type(kind) is not str or kind not in readers:
+            raise MalformedDocument(f"kind {kind!r} is not one of {', '.join(readers)}")
+        rows[kind].append(readers[kind](row))
+
+    header, _ = read_artifact(path, MEMORY_FORMAT, read_row, split_id=str, max_prefix_len=int)
+    max_prefix_len = header.get("max_prefix_len", DEFAULT_MAX_PREFIX_LEN)
+    if max_prefix_len < 1:  # next_distribution slices by it
+        raise MalformedDocument(f"{path}: header max_prefix_len {max_prefix_len} is below 1")
+    memory = ProcessMemory(split_id=header.get("split_id", ""), max_prefix_len=max_prefix_len,
+                           processes=rows["process"], step_library=rows["step"],
+                           vectors=vectors.store())
+    derived = _table_rows(memory)
+    if (sorted(rows["transition"], key=lambda t: (t.a, t.b)) != derived["transition"]
+            or sorted(rows["prefix"], key=lambda p: p.prefix) != derived["prefix"]):
+        raise MalformedDocument(f"{path}: the transition and prefix rows are not the ones the"
+                                " process routes give; rebuild with build-memory")
+    return memory

@@ -30,13 +30,17 @@ def _check_compiled(g: ProcessGraph) -> None:
 
 def read_graph_store(path: str | Path) -> tuple[dict, list[ProcessGraph]]:
     """Raises MalformedDocument naming the file and the graph for a graph
-    ``compile`` would not have written."""
-    header, graphs = read_artifact(path, GRAPH_FORMAT, ProcessGraph)
+    ``compile`` would not have written, and for a record id two graphs hold."""
+    header, graphs = read_artifact(path, GRAPH_FORMAT, ProcessGraph.from_dict)
+    seen = set()
     for g in graphs:
         try:
             _check_compiled(g)
+            if g.record_id in seen:
+                raise MalformedDocument(f"{g.record_id}: the record id of an earlier graph")
         except MalformedDocument as exc:
             raise MalformedDocument(f"{path}: graph {exc}") from None
+        seen.add(g.record_id)
     return header, graphs
 
 

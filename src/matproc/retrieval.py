@@ -37,6 +37,7 @@ from .memory import (
     jaccard,
     linearize_parts,
     linearize_process,
+    sorted_ranks,
 )
 from .provgraph import ProcessGraph
 from .taskgen import MASK_TOKEN, BenchItem
@@ -624,11 +625,10 @@ def build_dense_index(memory: ProcessMemory) -> DenseIndex:
     """
     ids = [p.graph_id for p in memory.processes]
     text, struct = _vectors(memory, "text"), _vectors(memory, "struct")
-    rank = {gid: i for i, gid in enumerate(sorted(set(ids)))}
     return DenseIndex(
         graph_ids=ids,
         rows={gid: row for row, gid in enumerate(ids)},
-        id_rank=np.array([rank[gid] for gid in ids], dtype=np.int64),
+        id_rank=sorted_ranks(ids),
         text=text,
         text_norm=_row_norms(text),
         struct=struct,

@@ -272,7 +272,7 @@ def write_assignment(
 def read_assignment(path: str | Path) -> SplitAssignment:
     """The assignment a split file holds; a file that assigns no item is
     malformed (``split`` refuses an empty question set)."""
-    header, rows = read_artifact(path, SPLIT_FORMAT, SplitRow, protocol=str, seed=int | None)
+    header, rows = read_artifact(path, SPLIT_FORMAT, SplitRow.from_dict, protocol=str, seed=int | None)
     if not rows:
         raise MalformedDocument(f"{path}: no items assigned")
     return SplitAssignment(

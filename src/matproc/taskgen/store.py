@@ -31,7 +31,7 @@ def write_benchmark(
 
 def read_benchmark(path: str | Path) -> tuple[dict, list[BenchItem]]:
     """Header and items; each item's question is built as its task's type."""
-    return read_artifact(path, BENCH_FORMAT, BenchItem)
+    return read_artifact(path, BENCH_FORMAT, BenchItem.from_dict)
 
 
 def load_items(path: str | Path) -> list[BenchItem]:

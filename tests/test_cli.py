@@ -1375,6 +1375,26 @@ def test_compile_excludes_rows_that_are_not_objects(tmp_path, capsys):
     assert all("MalformedDocument" in w["warning"] for w in excluded)
 
 
+def test_compile_excludes_a_record_whose_id_an_earlier_record_took(tmp_path, capsys):
+    raw, graphs, warnings = (tmp_path / f"{name}.ndjson" for name in ("raw", "graphs", "warn"))
+    assert cli.dispatch(["synth", "--out", str(raw), "--n", "20", "--seed", "11"]) == 0
+    header, rows = read_ndjson(raw)
+    taken = rows[4]["@id"]
+    rows[5]["@id"] = taken
+    write_ndjson(raw, header, rows)
+    capsys.readouterr()
+    assert cli.dispatch(["compile", "--in", str(raw), "--out", str(graphs),
+                         "--warnings", str(warnings)]) == 0
+    assert "compiled 19 graphs (1 records excluded)" in capsys.readouterr().out
+    _, graph_rows = read_ndjson(graphs)
+    assert [g["record_id"] for g in graph_rows] == [r["@id"] for n, r in enumerate(rows) if n != 5]
+    _, warn_rows = read_ndjson(warnings)
+    assert [w for w in warn_rows if w["warning"].startswith("excluded:")] == [
+        {"record_id": taken,
+         "warning": f"excluded: MalformedDocument: record id {taken!r} is taken by an earlier record"}
+    ]
+
+
 def _matproc(*argv) -> subprocess.CompletedProcess:
     """``python -m matproc *argv`` in a child process, so a reader that crashed
     the interpreter would fail the test instead of ending the run."""
@@ -1462,6 +1482,33 @@ def _prefix_len(n):
     return lambda header, rows: header.__setitem__("max_prefix_len", n)
 
 
+def _row_kind(kind):
+    def edit(header, rows):
+        _first("step")(rows)["kind"] = kind
+
+    return edit
+
+
+def _non_object_row(header, rows):
+    rows.append([1])
+
+
+def _add_to_a_count(header, rows):
+    _first("transition")(rows)["count"] += 39
+
+
+def _drop_a_prefix_row(header, rows):
+    rows.remove(_first("prefix")(rows))
+
+
+def _repeat_a_transition_row(header, rows):
+    rows.append(dict(_first("transition")(rows)))
+
+
+ROUTES_DISAGREE = ("the transition and prefix rows are not the ones the process routes give;"
+                   " rebuild with build-memory")
+
+
 def _drop_last_item(header, rows):
     del rows[-1]
 
@@ -1483,12 +1530,22 @@ def _text_seed(header, rows):
         ("memory", _text_prefix_len, "header max_prefix_len: expected int, got str"),
         ("memory", _prefix_len(0), "header max_prefix_len 0 is below 1"),
         ("memory", _prefix_len(-1), "header max_prefix_len -1 is below 1"),
+        ("memory", _row_kind("nope"), "kind 'nope' is not one of process, step, transition, prefix"),
+        ("memory", _row_kind(["step"]), "kind ['step'] is not one of process, step, transition"),
+        ("memory", _non_object_row, "kind None is not one of process, step, transition, prefix"),
+        # well-formed rows that are not the ones the process routes give
+        ("memory", _add_to_a_count, ROUTES_DISAGREE),
+        ("memory", _drop_a_prefix_row, ROUTES_DISAGREE),
+        ("memory", _repeat_a_transition_row, ROUTES_DISAGREE),
+        ("memory", _prefix_len(2), ROUTES_DISAGREE),  # the pipeline's memory has 4
         ("split", _drop_last_item, "no partition for item"),
         ("split", _numeric_protocol, "header protocol: expected str, got int"),
         ("split", _text_seed, "header seed: expected int | None, got str"),
     ],
     ids=["transition-no-count", "row-no-kind", "string-vector", "text-max-prefix-len",
-         "zero-max-prefix-len", "negative-max-prefix-len", "split-misses-an-item",
+         "zero-max-prefix-len", "negative-max-prefix-len", "unknown-kind", "list-kind",
+         "non-object-row", "a-transition-count", "a-prefix-row-dropped", "a-transition-row-twice",
+         "max-prefix-len-4-to-2", "split-misses-an-item",
          "numeric-protocol", "text-seed"],
 )
 def test_eval_on_a_malformed_artifact_exits_3_naming_it(tmp_path, capsys, name, edit, message):
@@ -1569,6 +1626,10 @@ def _weird_material_kind(g):
     g["material_entities"][0]["kind"] = "weird"
 
 
+def _an_earlier_graphs_id(g):
+    g["record_id"] = read_ndjson(pipeline()["graphs"])[1][0]["record_id"]
+
+
 @pytest.mark.parametrize("command", ["genbench", "build-memory"])
 @pytest.mark.parametrize(
     "edit, message",
@@ -1576,8 +1637,10 @@ def _weird_material_kind(g):
         (_unknown_ordered_id, "ordered_activity_ids is not a permutation"),
         (_usage_from_unknown_entity, "usage edge ('ghost',"),
         (_weird_material_kind, "has kind 'weird'"),
+        (_an_earlier_graphs_id, ": the record id of an earlier graph"),
     ],
-    ids=["unknown-ordered-id", "usage-from-unknown-entity", "weird-material-kind"],
+    ids=["unknown-ordered-id", "usage-from-unknown-entity", "weird-material-kind",
+         "an-earlier-graphs-id"],
 )
 def test_a_malformed_graph_store_exits_3_naming_the_graph(tmp_path, capsys, command, edit, message):
     named = []

@@ -207,32 +207,17 @@ def test_read_artifact_checks_the_format_the_header_and_every_row(tmp_path):
     rows = [{"alpha": 1, "beta": 0, "gamma": 0}, {"alpha": 0.5, "beta": 0.5, "gamma": 0}]
     write_ndjson(path, {"format": "demo", "seed": 3}, rows)
     assert read_header(path) == {"format": "demo", "seed": 3}
-    header, records = read_artifact(path, "demo", RetrievalWeights, seed=int | None, protocol=str)
+    header, records = read_artifact(path, "demo", RetrievalWeights.from_dict, seed=int | None,
+                                    protocol=str)
     assert header["seed"] == 3 and records == [RetrievalWeights(1, 0, 0), RetrievalWeights(0.5, 0.5, 0)]
     with pytest.raises(MalformedDocument, match=r"store\.ndjson: format 'demo', expected 'other'"):
-        read_artifact(path, "other", RetrievalWeights)
+        read_artifact(path, "other", RetrievalWeights.from_dict)
     with pytest.raises(MalformedDocument, match=r"store\.ndjson: header seed: expected str, got int"):
-        read_artifact(path, "demo", RetrievalWeights, seed=str)
+        read_artifact(path, "demo", RetrievalWeights.from_dict, seed=str)
     write_ndjson(path, {"format": "demo"}, [*rows, {"alpha": True, "beta": 0, "gamma": 0}])
     with pytest.raises(MalformedDocument,
                        match=r"store\.ndjson: row 3: RetrievalWeights\.alpha: expected float, got bool"):
-        read_artifact(path, "demo", RetrievalWeights)
-
-
-def test_read_artifact_groups_tagged_rows_by_kind(tmp_path):
-    def tagged(kind, record):
-        return {"kind": kind, **record.to_dict()}
-
-    path = tmp_path / "store.ndjson"
-    kinds = {"weights": RetrievalWeights, "caps": GenCaps}
-    write_ndjson(path, {"format": "demo"},
-                 [tagged("caps", GenCaps(b1=8)), tagged("weights", RetrievalWeights()), tagged("caps", GenCaps())])
-    _, records = read_artifact(path, "demo", kinds)
-    assert records == {"weights": [RetrievalWeights()], "caps": [GenCaps(b1=8), GenCaps()]}
-    for bad in ({"alpha": 1}, {"kind": "nope"}, {"kind": ["caps"]}, [1]):
-        write_ndjson(path, {"format": "demo"}, [tagged("caps", GenCaps()), bad])
-        with pytest.raises(MalformedDocument, match=r"store\.ndjson: row 2: kind .* is not one of weights, caps"):
-            read_artifact(path, "demo", kinds)
+        read_artifact(path, "demo", RetrievalWeights.from_dict)
 
 
 # --- the encoder and the typed loader -------------------------------------------------

@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matproc.errors import EmptyLibrary, EmptyTrainSet, MalformedDocument
 from matproc.memory import (
     LabelSets,
     ProcessMemory,
+    ProcessSummary,
     StepEntry,
     StepQuery,
     build_memory,
@@ -26,6 +31,7 @@ from matproc.memory import (
     match_steps,
     next_distribution,
     save_memory,
+    sorted_ranks,
 )
 from matproc.provgraph import SynthParams, generate_synthetic_corpus, graph_view
 from matproc.retrieval import EMBED_DIM
@@ -71,6 +77,38 @@ def test_train_only_guard():
 def test_step_library_size_matches_route_lengths():
     memory, corpus = synth_memory()
     assert len(memory.step_library) == sum(len(graph_view(g).route) for g in corpus)
+
+
+def oracle_tables(routes, max_prefix_len):
+    """The transition table and prefix index as ``build_memory`` once built
+    them, one loop each over the routes in order."""
+    transition_table, prefix_index = {}, {}
+    for route in routes:
+        length = len(route)
+        for a, b in zip(route, route[1:]):
+            transition_table[(a, b)] = transition_table.get((a, b), 0) + 1
+        for width in range(1, max_prefix_len + 1):
+            for start in range(0, length - width):
+                window = tuple(route[start : start + width])
+                prefix_index.setdefault(window, Counter())[route[start + width]] += 1
+    return transition_table, prefix_index
+
+
+ROUTES = st.lists(st.lists(st.sampled_from(["mill", "sinter", "anneal", "dry"]), max_size=9),
+                  max_size=10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(routes=ROUTES, max_prefix_len=st.integers(1, 6), data=st.data())
+def test_the_transition_table_and_prefix_index_are_views_of_the_routes(routes, max_prefix_len, data):
+    processes = [ProcessSummary(f"g{i}", route, [], [], []) for i, route in enumerate(routes)]
+    table, index = oracle_tables(routes, max_prefix_len)
+    memory = ProcessMemory(max_prefix_len=max_prefix_len, processes=processes)
+    assert memory.transition_table == table and memory.prefix_index == index
+    assert list(memory.transition_table) == list(table) and list(memory.prefix_index) == list(index)
+    permuted = ProcessMemory(max_prefix_len=max_prefix_len,
+                             processes=data.draw(st.permutations(processes)))
+    assert permuted.transition_table == table and permuted.prefix_index == index
 
 
 def test_transition_count_conservation():
@@ -274,16 +312,22 @@ def test_a_memory_never_changes_and_a_variant_has_its_own_views():
                         ("split_id", "other")]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(memory, name, value)
-    extra = dataclasses.replace(memory.processes[0], graph_id="r3", route=["quench"])
-    variant = dataclasses.replace(memory, processes=[*memory.processes, extra],
-                                  transition_table={("mill", "sinter"): 5})
+    for build in (ProcessMemory, functools.partial(dataclasses.replace, memory)):
+        with pytest.raises(TypeError):  # the tables are views of the routes, not fields
+            build(transition_table={("mill", "sinter"): 5})
+    extra = dataclasses.replace(memory.processes[0], graph_id="r3",
+                                route=["mill", "quench", "mill", "sinter"])
+    variant = dataclasses.replace(memory, processes=[*memory.processes, extra])
     assert "quench" in variant.vocab and "r3" in variant.by_graph_id
-    assert variant.total_out("mill") == 5 and variant.total_in("anneal") == 0
+    assert variant.total_out("mill") == 4 and variant.total_in("quench") == 1
+    assert variant.transition_table[("mill", "sinter")] == 2
+    assert variant.prefix_index[("quench",)] == {"mill": 1}
     assert memory.vocab == {"mill", "sinter", "anneal"} and "r3" not in memory.by_graph_id
     assert memory.total_out("mill") == 2 and memory.total_in("anneal") == 1
+    assert memory.transition_table == {("mill", "sinter"): 1, ("mill", "anneal"): 1}
     clone = copy.deepcopy(variant)
     assert clone.by_graph_id.keys() == variant.by_graph_id.keys()
-    assert clone.vocab == variant.vocab and clone.total_out("mill") == 5
+    assert clone.vocab == variant.vocab and clone.total_out("mill") == 4
     assert clone.steps_of("r1") == variant.steps_of("r1")
 
 
@@ -302,6 +346,15 @@ def test_a_memory_process_and_step_list_cannot_be_appended_to(name, variant, tmp
     assert len(memory.processes) == len(index.graph_ids)
     assert len(memory.step_library) == len(steps.position)
     assert type(getattr(dataclasses.replace(memory, **{name: list(held)}), name)) is tuple
+
+
+def test_graph_ranks_are_the_sorted_order_of_the_distinct_ids():
+    assert sorted_ranks(["b", "a", "b", "c"]).tolist() == [1, 0, 1, 2]
+    assert sorted_ranks([]).dtype == np.int64
+    memory, _ = synth_memory(10)
+    ids = sorted({p.graph_id for p in memory.processes})
+    assert memory.step_index.graph_rank.tolist() == [ids.index(e.graph_id) for e in memory.step_library]
+    assert memory.dense_index.id_rank.tolist() == [ids.index(p.graph_id) for p in memory.processes]
 
 
 def test_memories_compare_by_identity():
