@@ -1,5 +1,7 @@
 """Train-partition process memory: summaries, a step library, and two views
 of the routes that never disagree with them, transition counts and prefix index.
+Loading checks each step row against :meth:`StepQuery.at` on its route and
+refuses a process stored twice.
 
 The prefix index maps every contiguous activity window up to
 ``max_prefix_len`` labels to its immediate successor, which makes the
@@ -13,6 +15,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -106,13 +109,22 @@ class StepEntry(Record):
 
 @dataclass
 class StepQuery:
-    """The visible context of a target step, shaped like a StepEntry."""
+    """The visible context of a target step, shaped like a StepEntry. Built step
+    entries and scorer queries take it from :meth:`at`; loaded step rows are checked against it."""
 
     activity: str | None = None
     prev_activity: str | None = None
     next_activity: str | None = None
     norm_position: float | None = None
     input_forms: list[str] = field(default_factory=list)
+
+    @classmethod
+    def at(cls, route, i: int, input_forms=()) -> StepQuery:
+        """Position ``i`` of ``route``; ``norm_position`` is 0.0 on a one-label route."""
+        last = len(route) - 1
+        return cls(activity=route[i], prev_activity=route[i - 1] if i > 0 else None,
+                   next_activity=route[i + 1] if i < last else None,
+                   norm_position=i / last if last > 0 else 0.0, input_forms=list(input_forms))
 
     def neighbour_labels(self) -> set[str]:
         return {x for x in (self.prev_activity, self.next_activity) if x}
@@ -270,16 +282,16 @@ def build_memory(
                 tools=list(view.tools),
             )
         )
-        length = len(route)
         for pos, step in enumerate(view.steps):
+            at = StepQuery.at(route, pos)
             step_library.append(
                 StepEntry(
                     graph_id=g.record_id,
-                    activity=step.label,
+                    activity=at.activity,
                     position=pos,
-                    norm_position=pos / (length - 1) if length > 1 else 0.0,
-                    prev_activity=route[pos - 1] if pos > 0 else None,
-                    next_activity=route[pos + 1] if pos < length - 1 else None,
+                    norm_position=at.norm_position,
+                    prev_activity=at.prev_activity,
+                    next_activity=at.next_activity,
                     tools=list(step.tools),
                     conditions=dict(step.activity.conditions),
                     input_labels=list(step.inputs),
@@ -524,8 +536,8 @@ class StoredVectors:
 def load_memory(path: str | Path) -> ProcessMemory:
     """The memory saved at ``path``. Its stored vectors of each kind are one
     read-only float64 matrix, which the dense index scores as it is (see
-    :class:`StoredVectors`). Its transition and prefix rows must be, in any
-    order, the ones its process routes give."""
+    :class:`StoredVectors`). It stores each process once, and its transition,
+    prefix and step rows must be, in any order, the ones its routes give."""
     vectors = StoredVectors()
     readers = {"process": vectors.read, "step": StepEntry.from_dict,
                "transition": TransitionRow.from_dict, "prefix": PrefixRow.from_dict}
@@ -544,9 +556,21 @@ def load_memory(path: str | Path) -> ProcessMemory:
     memory = ProcessMemory(split_id=header.get("split_id", ""), max_prefix_len=max_prefix_len,
                            processes=rows["process"], step_library=rows["step"],
                            vectors=vectors.store())
+    repeated = [gid for gid, n in Counter(p.graph_id for p in memory.processes).items() if n > 1]
+    if repeated:
+        raise MalformedDocument(f"{path}: process {repeated[0]!r} is stored more than once;"
+                                " rebuild with build-memory")
     derived = _table_rows(memory)
     if (sorted(rows["transition"], key=lambda t: (t.a, t.b)) != derived["transition"]
             or sorted(rows["prefix"], key=lambda p: p.prefix) != derived["prefix"]):
         raise MalformedDocument(f"{path}: the transition and prefix rows are not the ones the"
                                 " process routes give; rebuild with build-memory")
+    # as many rows as route positions, each (graph_id, position) with its context
+    context = attrgetter("activity", "prev_activity", "next_activity", "norm_position")
+    contexts = {(p.graph_id, i): context(StepQuery.at(p.route, i))
+                for p in memory.processes for i in range(len(p.route))}
+    if (len(memory.step_library) != len(contexts)
+            or {(e.graph_id, e.position): context(e) for e in memory.step_library} != contexts):
+        raise MalformedDocument(f"{path}: the step rows are not one per route position with the"
+                                " context its route gives; rebuild with build-memory")
     return memory

@@ -32,7 +32,6 @@ from .taskgen import (
     payload_constraints,
     render_condition_tuple,
 )
-from .taskgen.model import StepQuestion
 
 DEFAULT_LAMBDA = 0.5
 
@@ -138,32 +137,6 @@ def _split_route(option: str) -> list[str]:
     return [part for part in option.split(" -> ") if part]
 
 
-def _positional_frequencies(memory: ProcessMemory, labels, norm_pos: float, window: float) -> list[float]:
-    """Add-one share of library steps within ``window`` of ``norm_pos`` that
-    carry each label."""
-    vocab_size = len(memory.vocab)
-    if vocab_size == 0:
-        return [0.0] * len(labels)
-    index = memory.step_index
-    near = np.abs(index.norm_position - norm_pos) <= window
-    activity = index.activity[near]
-    denominator = len(activity) + vocab_size
-    return [(int(np.count_nonzero(activity == label)) + 1.0) / denominator for label in labels]
-
-
-def _step_query(question: StepQuestion) -> StepQuery:
-    route = question.route
-    i = question.step_index
-    last = len(route) - 1
-    return StepQuery(
-        activity=route[i],
-        prev_activity=route[i - 1] if i > 0 else None,
-        next_activity=route[i + 1] if i < last else None,
-        norm_position=i / last if last > 0 else 0.0,
-        input_forms=list(question.step_input_forms),
-    )
-
-
 class ItemInputs:
     """The precedent-independent inputs of one item's lanes, each computed
     on first use and then reused by every scorer call given this object.
@@ -200,19 +173,24 @@ class ItemInputs:
 
     def step_matches(self, top_m: int) -> list:
         """:func:`match_steps` of the item's target step (B1/B2/C1 items)."""
-        return self.once(
-            ("step_matches", top_m),
-            lambda: match_steps(self.memory, _step_query(self.item.question), top_m=top_m),
-        )
+        q = self.item.question
+        return self.once(("step_matches", top_m), lambda: match_steps(
+            self.memory, StepQuery.at(q.route, q.step_index, q.step_input_forms), top_m=top_m))
 
     def positional(self, window: float) -> list[float]:
-        """Positional frequency of every option at the masked step (A2 items)."""
+        """Positional frequency of every option at the masked step (A2 items):
+        the add-one share of library steps within ``window`` of its normalised
+        position that carry the option."""
 
         def build():
-            q = self.item.question
-            span = len(q.route_with_mask) - 1
-            norm_pos = q.masked_index / span if span > 0 else 0.0
-            return _positional_frequencies(self.memory, self.item.options, norm_pos, window)
+            vocab_size, options = len(self.memory.vocab), self.item.options
+            if vocab_size == 0:
+                return [0.0] * len(options)
+            q, index = self.item.question, self.memory.step_index
+            norm_pos = StepQuery.at(q.route_with_mask, q.masked_index).norm_position
+            activity = index.activity[np.abs(index.norm_position - norm_pos) <= window]
+            denominator = len(activity) + vocab_size
+            return [(int(np.count_nonzero(activity == label)) + 1.0) / denominator for label in options]
 
         return self.once(("positional", window), build)
 

@@ -21,6 +21,7 @@ import numpy as np
 from ..canon import derive_seed
 from ..errors import ConfigConflict, PoolExhausted, RetentionFilterFailed
 from ..jsonio import Record, check_ranges, knob
+from ..memory import StepQuery
 from ..provgraph import ProcessGraph, graph_view
 from .model import (MASK_TOKEN, TUPLE_KEYS, BenchItem, ConditionQuestion, MaskedQuestion,
                     OrderingQuestion, OrderingStep, PrefixQuestion, Question, RouteQuestion,
@@ -157,12 +158,9 @@ def instantiate_tasks(
     # A2: identify one masked activity from its neighbours
     task = "A2_missing_step"
     for ordinal, pos in enumerate(select(task, list(range(len(route))), caps.a2)):
-        gold = route[pos]
-        neighbour_pool: Counter = Counter()
-        if pos > 0:
-            neighbour_pool.update(pools.successors.get(route[pos - 1], Counter()))
-        if pos < len(route) - 1:
-            neighbour_pool.update(pools.predecessors.get(route[pos + 1], Counter()))
+        gold, at = route[pos], StepQuery.at(route, pos)
+        neighbour_pool = Counter(pools.successors.get(at.prev_activity, {}))
+        neighbour_pool.update(pools.predecessors.get(at.next_activity, {}))
         pool = _conditioned_or_global(neighbour_pool, pools.activity_labels, gold, need)
         distractors = sample_labels(task, ordinal, pool, gold)
         if distractors is None:

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import tempfile
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -1509,6 +1509,57 @@ ROUTES_DISAGREE = ("the transition and prefix rows are not the ones the process 
                    " rebuild with build-memory")
 
 
+def _steps(rows):
+    return [r for r in rows if r.get("kind") == "step"]
+
+
+def _each_step(key, value, where=lambda row: True):
+    """Set ``key`` to ``value`` in every step row ``where`` holds for."""
+    def edit(header, rows):
+        for row in _steps(rows):
+            if where(row):
+                row[key] = value
+
+    return edit
+
+
+def _drop_a_process_steps(header, rows):
+    graph_id = _first("step")(rows)["graph_id"]
+    rows[:] = [r for r in rows if r.get("kind") != "step" or r["graph_id"] != graph_id]
+
+
+def _repeat_a_step_row(header, rows):
+    rows.extend(dict(_first("step")(rows)) for _ in range(10))
+
+
+def _a_step_of_no_process(header, rows):
+    rows.append({**_first("step")(rows), "graph_id": "no such process"})
+
+
+def _a_position_past_the_route(header, rows):
+    process = _first("process")(rows)
+    own = [r for r in _steps(rows) if r["graph_id"] == process["graph_id"]]
+    max(own, key=lambda r: r["position"])["position"] = len(process["route"])
+
+
+def _repeat_a_process(header, rows):
+    """The first process and its step rows stored twice, with the transition
+    and prefix rows its routes then give."""
+    memory = load_memory(pipeline()["memory"])
+    first = memory.processes[0]
+    rows[:] = [r for r in rows if r["kind"] not in ("transition", "prefix")]
+    rows.extend([dict(r) for r in rows if r["graph_id"] == first.graph_id])
+    twice = replace(memory, processes=[*memory.processes, first])
+    rows.extend({"kind": "transition", "a": a, "b": b, "count": n}
+                for (a, b), n in twice.transition_table.items())
+    rows.extend({"kind": "prefix", "prefix": list(window), "next": dict(counts)}
+                for window, counts in twice.prefix_index.items())
+
+
+STEPS_DISAGREE = ("the step rows are not one per route position with the context its route gives;"
+                  " rebuild with build-memory")
+
+
 def _drop_last_item(header, rows):
     del rows[-1]
 
@@ -1538,6 +1589,15 @@ def _text_seed(header, rows):
         ("memory", _drop_a_prefix_row, ROUTES_DISAGREE),
         ("memory", _repeat_a_transition_row, ROUTES_DISAGREE),
         ("memory", _prefix_len(2), ROUTES_DISAGREE),  # the pipeline's memory has 4
+        # well-formed step rows that are not one per route position with its context
+        ("memory", _each_step("prev_activity", "quench", lambda row: row["position"] > 0), STEPS_DISAGREE),
+        ("memory", _each_step("norm_position", 0.5), STEPS_DISAGREE),
+        ("memory", _each_step("activity", "quench", lambda row: row["position"] == 0), STEPS_DISAGREE),
+        ("memory", _drop_a_process_steps, STEPS_DISAGREE),
+        ("memory", _repeat_a_step_row, STEPS_DISAGREE),
+        ("memory", _a_step_of_no_process, STEPS_DISAGREE),
+        ("memory", _a_position_past_the_route, STEPS_DISAGREE),
+        ("memory", _repeat_a_process, "is stored more than once; rebuild with build-memory"),
         ("split", _drop_last_item, "no partition for item"),
         ("split", _numeric_protocol, "header protocol: expected str, got int"),
         ("split", _text_seed, "header seed: expected int | None, got str"),
@@ -1545,7 +1605,9 @@ def _text_seed(header, rows):
     ids=["transition-no-count", "row-no-kind", "string-vector", "text-max-prefix-len",
          "zero-max-prefix-len", "negative-max-prefix-len", "unknown-kind", "list-kind",
          "non-object-row", "a-transition-count", "a-prefix-row-dropped", "a-transition-row-twice",
-         "max-prefix-len-4-to-2", "split-misses-an-item",
+         "max-prefix-len-4-to-2", "prev-activity-quench", "norm-position-half",
+         "position-0-activity", "a-process-steps-dropped", "a-step-row-11-times",
+         "a-step-of-no-process", "a-position-past-the-route", "a-process-twice", "split-misses-an-item",
          "numeric-protocol", "text-seed"],
 )
 def test_eval_on_a_malformed_artifact_exits_3_naming_it(tmp_path, capsys, name, edit, message):

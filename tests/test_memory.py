@@ -126,6 +126,42 @@ def test_step_positions_valid():
         assert 0.0 <= entry.norm_position <= 1.0
 
 
+# independent copies of the step-context formulas that build_memory, the
+# scorers' step query and the A2 positional term each used to write out
+def built_entry_context(route, pos):
+    length = len(route)
+    return StepQuery(activity=route[pos],
+                     prev_activity=route[pos - 1] if pos > 0 else None,
+                     next_activity=route[pos + 1] if pos < length - 1 else None,
+                     norm_position=pos / (length - 1) if length > 1 else 0.0)
+
+
+def scorer_step_query(route, i, input_forms):
+    last = len(route) - 1
+    return StepQuery(activity=route[i],
+                     prev_activity=route[i - 1] if i > 0 else None,
+                     next_activity=route[i + 1] if i < last else None,
+                     norm_position=i / last if last > 0 else 0.0,
+                     input_forms=list(input_forms))
+
+
+def masked_norm_pos(route_with_mask, masked_index):
+    span = len(route_with_mask) - 1
+    return masked_index / span if span > 0 else 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(route=st.lists(st.sampled_from(["mill", "sinter", "anneal", "dry"]), min_size=1, max_size=8),
+       input_forms=st.lists(st.sampled_from(["powder", "pellet"]), max_size=2))
+def test_step_query_at_is_the_three_formulas_it_replaced(route, input_forms):
+    for i in range(len(route)):
+        at = StepQuery.at(route, i)
+        assert at == built_entry_context(route, i)
+        assert StepQuery.at(route, i, input_forms) == scorer_step_query(route, i, input_forms)
+        assert at.norm_position == masked_norm_pos(route, i)
+        assert type(at.norm_position) is float
+
+
 # --- next_distribution ------------------------------------------------------------
 
 def test_next_distribution_exact():
@@ -411,6 +447,21 @@ def test_memory_round_trip(tmp_path):
     assert [p.to_dict() for p in back.processes] == [p.to_dict() for p in memory.processes]
     assert [e.to_dict() for e in back.step_library] == [e.to_dict() for e in memory.step_library]
     assert_same_vectors(back.vectors, memory.vectors)
+
+
+def test_a_memory_file_that_stores_a_process_twice_is_refused_naming_it(tmp_path):
+    memory, _ = synth_memory(8)
+    first = memory.processes[0]
+    twice = dataclasses.replace(
+        memory, processes=[*memory.processes, first],
+        step_library=[*memory.step_library, *memory.steps_of(first.graph_id)],
+        vectors={kind: m[[*range(len(m)), 0]] for kind, m in memory.vectors.items()})
+    path = tmp_path / "memory.ndjson"
+    save_memory(path, twice)  # its transition and prefix rows are the ones its routes give
+    with pytest.raises(MalformedDocument) as refused:
+        load_memory(path)
+    assert str(refused.value) == (f"{path}: process {first.graph_id!r} is stored more than once;"
+                                  " rebuild with build-memory")
 
 
 def test_memory_serialization_deterministic(tmp_path):
