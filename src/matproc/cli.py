@@ -7,12 +7,16 @@ partition into a process memory, and eval/ablate/report consume all of
 the above. Re-running any stage with identical inputs and configuration
 overwrites its outputs with byte-identical files.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 endpoint error.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 endpoint error. A
+command whose standard output is closed early (``matproc audit ... | head``)
+stops quietly with 0: it prints only after writing its artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import select
 import sys
 
 from . import __version__
@@ -546,12 +550,37 @@ def dispatch(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and _stdout_closed():
+            return 0
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
 
+def _stdout_closed() -> bool:
+    """Whether standard output is a pipe or socket whose reader has gone. If
+    so, it then writes to the null device, so that nothing is left for the
+    interpreter's own flush at exit to fail on."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):  # no descriptor, as under redirect_stdout
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    if not any(events & select.POLLERR for _, events in poller.poll(0)):
+        return False
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+    return True
+
+
 def main() -> None:
-    sys.exit(dispatch())
+    code = dispatch()
+    try:
+        sys.stdout.flush()  # here rather than at exit, where a reader that has gone fails loudly
+    except BrokenPipeError:
+        _stdout_closed()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

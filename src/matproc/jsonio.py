@@ -7,14 +7,23 @@ Every artifact file the pipeline emits uses this layout:
     {...record...}
     {...record...}
 
-Writers are deterministic (sorted keys) so identical inputs produce
-byte-identical files. Every line is strict RFC 8259 JSON: the writer
-refuses NaN and infinities, and :func:`loads`, the one decoder, refuses
-them too, as it does lone surrogates and bytes that are not UTF-8. A
-:class:`Record` dataclass is written as its persisted fields and read back
-by ``from_dict``, which checks every value against the field's annotation;
-:func:`read_artifact` reads every artifact that way, after checking its
-header.
+orjson writes every file (:func:`write_ndjson`) and reads it back
+(:func:`loads`). Writers are deterministic (sorted keys) so identical
+inputs produce byte-identical files. Every line is strict RFC 8259 JSON in
+UTF-8: the writer refuses NaN and infinities, and :func:`loads`, the one
+decoder, refuses them too, as it does lone surrogates and bytes that are
+not UTF-8. A :class:`Record` dataclass is written as its persisted fields
+and read back by ``from_dict``, which checks every value against the
+field's annotation; :func:`read_artifact` reads every artifact that way,
+after checking its header.
+
+:func:`dumps_line`, the stdlib encoder, is the canonical spelling that
+hashes are taken over (``canon.stable_hash``: every ``config_hash``,
+``prompt_sha`` and ``response_sha``). Its spelling differs from the
+files' in two ways, and both read back to equal values: it writes
+exponent-form floats as Python prints them (``1e-05`` where a file holds
+``0.00001``) and non-ASCII text as ``\\uXXXX`` escapes where a file holds
+UTF-8. It also writes the rows orjson refuses (see :func:`_file_line`).
 """
 
 from __future__ import annotations
@@ -60,15 +69,35 @@ def _encode_default(obj) -> dict | list:
     return obj.tolist() if type(obj) is np.ndarray else record_fields(obj)
 
 
-# the stdlib encoder: its float reprs and \uXXXX escapes are the bytes every artifact holds
+# the stdlib encoder: the canonical spelling hashes are taken over
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
                             default=_encode_default)
 
 
 def dumps_line(obj: Any) -> str:
-    """Compact, sorted-key JSON; dataclasses are written as their persisted
-    fields and arrays as lists. Raises ValueError on a NaN or an infinity."""
+    """Compact, sorted-key, ASCII JSON; dataclasses are written as their
+    persisted fields and arrays as lists. Raises ValueError on a NaN or an
+    infinity."""
     return _ENCODER.encode(obj)
+
+
+_ORJSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_APPEND_NEWLINE
+
+
+def _file_line(obj: Any) -> bytes:
+    """One line of an artifact file: ``obj`` encoded by orjson, as
+    :func:`dumps_line` would encode it up to the spelling of exponent-form
+    floats and non-ASCII text. A value orjson refuses (an integer past 64
+    bits, a key that is not a string, a lone surrogate) and a line holding
+    ``null``, which is how orjson writes NaN and infinities, are encoded by
+    :func:`dumps_line` instead, which writes them or raises as it always has."""
+    try:
+        line = orjson.dumps(obj, default=_encode_default, option=_ORJSON_OPTIONS)
+        if b"null" not in line:
+            return line
+    except TypeError:
+        pass
+    return (dumps_line(obj) + "\n").encode("ascii")
 
 
 # How deep arrays and objects may nest in a decoded value. The decoder
@@ -88,10 +117,11 @@ def _nesting(text: bytes) -> int:
 
 
 def loads(text: bytes | str) -> Any:
-    """The value of one JSON text, read as :func:`dumps_line` wrote it (every
-    float to the same bits). Raises ValueError, a :class:`json.JSONDecodeError`
-    for invalid JSON, unless ``text`` is strict RFC 8259 JSON in UTF-8 that
-    nests arrays and objects at most :data:`MAX_DEPTH` deep."""
+    """The value of one JSON text, read as :func:`write_ndjson` or
+    :func:`dumps_line` wrote it (every float to the same bits). Raises
+    ValueError, a :class:`json.JSONDecodeError` for invalid JSON, unless
+    ``text`` is strict RFC 8259 JSON in UTF-8 that nests arrays and objects
+    at most :data:`MAX_DEPTH` deep."""
     if type(text) is str:
         text = text.encode("utf-8", "surrogatepass")  # a lone surrogate stays invalid
     if (len(text) > MAX_DEPTH and text.count(b"[") + text.count(b"{") > MAX_DEPTH
@@ -108,7 +138,7 @@ class Record:
 
     def to_dict(self) -> dict:
         """The row :func:`write_ndjson` writes, as plain JSON values."""
-        return loads(dumps_line(self))
+        return loads(_file_line(self))
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -252,22 +282,23 @@ def artifact_header(fmt: str, **fields) -> dict:
 
 
 def write_ndjson(path: str | Path, header: dict, rows: Iterable) -> int:
-    """Write header + rows (dicts or dataclasses); returns the number of rows
-    written. A new file beside ``path`` replaces it once every line is
-    written, so a failed write leaves the earlier file or none. Raises
-    :class:`MalformedDocument` naming the row the encoder refuses."""
+    """Write header + rows (dicts or dataclasses), one :func:`_file_line`
+    each; returns the number of rows written. A new file beside ``path``
+    replaces it once every line is written, so a failed write leaves the
+    earlier file or none. Raises :class:`MalformedDocument` naming the row
+    the encoder refuses."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     part = path.with_name(f".{path.name}.{secrets.token_hex(8)}.part")
-    fh = part.open("x", encoding="utf-8")  # created as open() creates any file
+    fh = part.open("xb")  # created as open() creates any file
     try:
         with fh:
             for n, row in enumerate(itertools.chain([header], rows)):
                 try:
-                    line = dumps_line(row)
+                    line = _file_line(row)
                 except ValueError as exc:
                     raise MalformedDocument(f"{path}: {f'row {n}' if n else 'header'}: {exc}") from None
-                fh.write(line + "\n")
+                fh.write(line)
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)

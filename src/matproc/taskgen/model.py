@@ -61,6 +61,9 @@ class StepQuestion:
 
     def __post_init__(self):
         _check_index(self, "step_index", self.route)
+        if self.activity != self.route[self.step_index]:
+            raise MalformedDocument(f"{type(self).__name__}.activity: {self.activity!r} is not "
+                                    f"route[{self.step_index}], {self.route[self.step_index]!r}")
 
 
 @dataclass
@@ -117,15 +120,21 @@ class BenchItem(Record):
     material_class: str = "other"
 
     def __post_init__(self):
-        cls = QUESTION_TYPES.get(self.task)
-        if cls is None:
-            raise MalformedDocument(f"task {self.task!r} is not one of {', '.join(TASKS)}")
-        if type(self.question) is not cls:
-            self.question = cls(**check_fields(cls, self.question))
-        if len(self.options) not in OPTION_COUNTS:
-            raise MalformedDocument(f"BenchItem.options: {len(self.options)} options, "
-                                    f"expected {OPTION_COUNTS[0]} to {OPTION_COUNTS[-1]}")
-        _check_index(self, "gold_index", self.options)
+        try:
+            cls = QUESTION_TYPES.get(self.task)
+            if cls is None:
+                raise MalformedDocument(f"task {self.task!r} is not one of {', '.join(TASKS)}")
+            if type(self.question) is not cls:
+                self.question = cls(**check_fields(cls, self.question))
+            if len(self.options) not in OPTION_COUNTS:
+                raise MalformedDocument(f"BenchItem.options: {len(self.options)} options, "
+                                        f"expected {OPTION_COUNTS[0]} to {OPTION_COUNTS[-1]}")
+            if len(set(self.options)) < len(self.options):
+                repeated = next(o for i, o in enumerate(self.options) if o in self.options[:i])
+                raise MalformedDocument(f"BenchItem.options: {repeated!r} is repeated")
+            _check_index(self, "gold_index", self.options)
+        except MalformedDocument as exc:
+            raise MalformedDocument(f"item {self.item_id!r}: {exc}") from None
 
     def gold_option(self) -> str:
         return self.options[self.gold_index]

@@ -1,15 +1,22 @@
 """Tiny graph builders, a stored-vector comparison, an orthogonal vector,
-a loopback JSON endpoint and a thread-pool counter shared across test
-modules."""
+a loopback JSON endpoint, a thread-pool counter and the README quickstart
+build shared across test modules."""
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import functools
+import io
 import json
 import random
+import shutil
 import socket
+import tempfile
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 
@@ -173,3 +180,29 @@ def closed_port_url() -> str:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
     return f"http://127.0.0.1:{port}/v1"
+
+
+@functools.lru_cache(maxsize=None)
+def quickstart_dir() -> Path:
+    """A directory holding the README quickstart's build up to its split
+    (``synth --n 200 --seed 11``, genbench seed 4, the ``year`` protocol):
+    ``raw``, ``graphs``, ``warn``, ``bench``, ``skips`` and ``split``, each
+    ``<name>.ndjson``. Built once per test process and removed at its exit;
+    tests write beside it only in directories of their own."""
+    from matproc import cli
+
+    root = Path(tempfile.mkdtemp(prefix="matproc-quickstart-"))
+    atexit.register(shutil.rmtree, root, ignore_errors=True)
+    raw, graphs, bench, split = (str(root / f"{name}.ndjson")
+                                 for name in ("raw", "graphs", "bench", "split"))
+    steps = [
+        ["synth", "--out", raw, "--n", "200", "--seed", "11"],
+        ["compile", "--in", raw, "--out", graphs, "--warnings", str(root / "warn.ndjson")],
+        ["genbench", "--graphs", graphs, "--out", bench, "--skips", str(root / "skips.ndjson"),
+         "--seed", "4"],
+        ["split", "--bench", bench, "--out", split, "--protocol", "year"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in steps:
+            assert cli.dispatch(argv) == 0, argv
+    return root

@@ -1395,20 +1395,44 @@ def test_compile_excludes_a_record_whose_id_an_earlier_record_took(tmp_path, cap
     ]
 
 
-def _matproc(*argv) -> subprocess.CompletedProcess:
+def _matproc(*argv, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
     """``python -m matproc *argv`` in a child process, so a reader that crashed
-    the interpreter would fail the test instead of ending the run."""
+    the interpreter would fail the test instead of ending the run. ``env``
+    adds to the child's environment."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    )}
+    ), **env}
     return subprocess.run([sys.executable, "-m", "matproc", *map(str, argv)],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
 
 
 def test_python_dash_m_matproc_runs_the_cli():
     done = _matproc("--help")
     assert done.returncode == 0, done.stderr
     assert "usage: matproc" in done.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_ends_a_command_quietly_once_its_artifact_is_written(tmp_path, unbuffered):
+    out = tmp_path / "audit.ndjson"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the command prints
+    try:
+        done = _matproc("audit", "--bench", pipeline()["bench"], "--pairs", "dual:dual,dual:type,dual:year",
+                        "--out", out, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert out.read_bytes() == pipeline()["audit"].read_bytes()
+
+
+def test_a_broken_pipe_that_is_not_stdout_is_still_a_data_error(monkeypatch, capsys):
+    def broken(cfg):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setitem(cli.HANDLERS, "report", broken)
+    assert cli.dispatch(["report", "--in", str(pipeline()["report"])]) == 3
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 # one pipeline, from a synthetic corpus to an ablation, in one directory {d}
@@ -1880,11 +1904,12 @@ def test_caps_and_field_map_are_checked_on_every_command(tmp_path, capsys, conte
 
 
 def _question_edit(task, edit):
-    """An edit of the first ``task`` item's row; records the row's number."""
+    """An edit of the first ``task`` item's row; records the row's number
+    and the item's id."""
     def apply(header, rows):
         n, row = next((n, r) for n, r in enumerate(rows, start=1) if r["task"] == task)
         edit(row)
-        apply.row = n
+        apply.row, apply.item = n, row["item_id"]
 
     return apply
 
@@ -1921,10 +1946,19 @@ def _set(key, value):
          "BenchItem.options: 9 options, expected 2 to 8"),
         (_question_edit("A3_next_activity", lambda row: row["options"].__delitem__(slice(1, None))),
          "BenchItem.options: 1 options, expected 2 to 8"),
+        (_question_edit("A3_next_activity",
+                        lambda row: row["options"].__setitem__(row["gold_index"] - 1,
+                                                               row["options"][row["gold_index"]])),
+         "BenchItem.options: "),
+        (_question_edit("C1_tool_selection", _set("activity", "not an activity")),
+         "StepQuestion.activity: 'not an activity' is not route["),
+        (_question_edit("B1_condition_prediction", _set("activity", "not an activity")),
+         "ConditionQuestion.activity: 'not an activity' is not route["),
     ],
     ids=["empty-question", "missing-key", "text-step-index", "text-step-inputs",
          "key-of-another-task", "unknown-task", "step-index-past-route", "negative-step-index",
-         "negative-masked-index", "gold-index-past-options", "nine-options", "one-option"],
+         "negative-masked-index", "gold-index-past-options", "nine-options", "one-option",
+         "repeated-option", "activity-off-the-route", "condition-activity-off-the-route"],
 )
 def test_eval_refuses_a_malformed_question_naming_its_row(tmp_path, capsys, edit, message):
     path = _edited(tmp_path, "bench", edit)
@@ -1933,8 +1967,8 @@ def test_eval_refuses_a_malformed_question_naming_its_row(tmp_path, capsys, edit
     code = cli.dispatch(argv)
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith(f"error: {path}: row {edit.row}: ") and message in err
-    assert "Traceback" not in err
+    assert err.startswith(f"error: {path}: row {edit.row}: item {edit.item!r}: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "log.ndjson").exists()
 
 

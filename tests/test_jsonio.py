@@ -11,6 +11,7 @@ import math
 import re
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,95 @@ def test_an_artifact_is_written_with_the_mode_open_gives_a_new_file(tmp_path):
     with open(tmp_path / "plain.ndjson", "w"):
         pass
     assert path.stat().st_mode == (tmp_path / "plain.ndjson").stat().st_mode
+
+
+# --- the writer --------------------------------------------------------------------
+
+
+ASCII_TEXT = st.text(st.characters(max_codepoint=0x7F), max_size=6)
+ANY_TEXT = ASCII_TEXT | st.text(max_size=6)  # no lone surrogate
+SCORES = st.lists(FINITE_FLOATS, max_size=4)
+SAMPLES = st.builds(OptionScores, ANY_TEXT, SCORES, SCORES, SCORES, SCORES, SCORES, FINITE_FLOATS)
+WRITTEN_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**63, 2**64 - 1) | FINITE_FLOATS | ANY_TEXT | SAMPLES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(ANY_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+WRITTEN_ROWS = st.dictionaries(ANY_TEXT, WRITTEN_VALUES, max_size=5) | SAMPLES
+
+
+def _bits(value):
+    """The decoded ``value`` with each float replaced by its IEEE bytes, so
+    ``==`` tells floats apart to the bit and never equates 1 with 1.0."""
+    if type(value) is float:
+        return struct.pack("<d", value)
+    if type(value) is list:
+        return list(map(_bits, value))
+    if type(value) is dict:
+        return {key: _bits(v) for key, v in value.items()}
+    return value
+
+
+def _spelled_alike(value) -> bool:
+    """Whether both encoders spell the decoded ``value`` alike: all its text
+    is ASCII and no float in it prints in exponent form."""
+    if type(value) is float:
+        return "e" not in repr(value)
+    if type(value) is str:
+        return value.isascii()
+    if type(value) is list:
+        return all(map(_spelled_alike, value))
+    if type(value) is dict:
+        return all(key.isascii() and _spelled_alike(v) for key, v in value.items())
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(WRITTEN_ROWS, max_size=4))
+def test_every_written_line_reads_back_as_its_canonical_encoding(rows):
+    header = {"format": "demo", "note": "°"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.ndjson"
+        assert write_ndjson(path, header, rows) == len(rows)
+        lines = path.read_bytes().split(b"\n")
+    assert lines.pop() == b"" and len(lines) == len(rows) + 1
+    for row, line in zip([header, *rows], lines):
+        canonical = dumps_line(row)
+        assert _bits(loads(line)) == _bits(loads(canonical))
+        if _spelled_alike(loads(canonical)):
+            assert line == canonical.encode("ascii")
+
+
+def test_the_file_spells_exponent_floats_and_non_ascii_text_as_orjson_does(tmp_path):
+    row = {"t": "800 \u00b0C", "x": [1e-05, 1e16, 5e-324, 0.5]}
+    path = tmp_path / "store.ndjson"
+    write_ndjson(path, {"format": "demo"}, [row])
+    line = path.read_bytes().splitlines()[1]
+    assert line == '{"t":"800 °C","x":[0.00001,1e16,5e-324,0.5]}'.encode("utf-8")
+    assert dumps_line(row) == '{"t":"800 \\u00b0C","x":[1e-05,1e+16,5e-324,0.5]}'
+    assert loads(line) == loads(dumps_line(row)) == row  # both spellings read back alike
+
+
+@pytest.mark.parametrize(
+    "row, line",
+    [({"s": "a\ud800"}, b'{"s":"a\\ud800"}'),
+     ({"n": 2**64}, b'{"n":18446744073709551616}'),
+     ({"n": -2**63 - 1}, b'{"n":-9223372036854775809}'),
+     ({1: "a", "b": None}, None),  # the stdlib cannot sort an int key among strings
+     ({1: "a", 2: [0.5]}, b'{"1":"a","2":[0.5]}'),
+     ({(1, 2): 0}, None)],
+    ids=["lone-surrogate", "int-past-64-bits", "int-below-64-bits", "mixed-keys", "int-keys",
+         "tuple-key"],
+)
+def test_a_row_orjson_refuses_is_written_or_refused_as_the_stdlib_encoder_does(tmp_path, row, line):
+    path = tmp_path / "store.ndjson"
+    if line is None:
+        with pytest.raises(TypeError):
+            write_ndjson(path, {"format": "demo"}, [row])
+        assert list(tmp_path.iterdir()) == []
+    else:
+        write_ndjson(path, {"format": "demo"}, [row])
+        assert path.read_bytes() == b'{"format":"demo"}\n' + line + b"\n"
 
 
 def test_the_decoder_keeps_64_bit_ints_and_reads_wider_ones_as_floats():

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import dataclasses
 import functools
 import hashlib
-import io
 import itertools
 import pickle
 import sys
-import tempfile
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -48,7 +45,7 @@ from matproc.provgraph import (
 from matproc.runner import _FUSION_ROWS
 from matproc.taskgen import generate_benchmark
 
-from helpers import chain_graph, compiled, orthogonal_to
+from helpers import chain_graph, compiled, orthogonal_to, quickstart_dir
 from structure_oracle import attend, embed_structure_oracle
 
 
@@ -181,28 +178,15 @@ def test_embed_structure_structure_sensitive():
 
 @functools.lru_cache(maxsize=None)
 def quickstart():
-    """The README quickstart (``synth --n 200 --seed 11``, genbench seed 4, the
-    ``year`` split): its graphs and its test items."""
-    from matproc import cli
+    """The README quickstart's graphs and its test items (see
+    :func:`helpers.quickstart_dir`)."""
     from matproc.provgraph.store import load_graphs
     from matproc.splits import read_assignment
     from matproc.taskgen.store import load_items
 
-    with tempfile.TemporaryDirectory(prefix="matproc-quickstart-") as tmp:
-        root = Path(tmp)
-        raw, graphs, bench, split = (str(root / f"{name}.ndjson")
-                                     for name in ("raw", "graphs", "bench", "split"))
-        steps = [
-            ["synth", "--out", raw, "--n", "200", "--seed", "11"],
-            ["compile", "--in", raw, "--out", graphs, "--warnings", str(root / "warn.ndjson")],
-            ["genbench", "--graphs", graphs, "--out", bench, "--skips", str(root / "skips.ndjson"),
-             "--seed", "4"],
-            ["split", "--bench", bench, "--out", split, "--protocol", "year"],
-        ]
-        with contextlib.redirect_stdout(io.StringIO()):
-            for argv in steps:
-                assert cli.dispatch(argv) == 0, argv
-        return load_graphs(graphs), read_assignment(split).items_in(load_items(bench), "test")
+    root = quickstart_dir()
+    items = load_items(root / "bench.ndjson")
+    return load_graphs(root / "graphs.ndjson"), read_assignment(root / "split.ndjson").items_in(items, "test")
 
 
 def node_count(g: ProcessGraph) -> int:
