@@ -204,10 +204,11 @@ def _train_graphs(cfg: RunConfig):
     items = load_items(cfg.path("bench"))
     assignment = read_assignment(cfg.path("split"))
     # The memory is the train partition's process set. Graph-aligned
-    # protocols (year/type/dual) put a graph's items in one partition, so
-    # this is exactly the train graphs; the random protocol splits at item
-    # level, and its same-graph overlap is a property the audit reports,
-    # not one this stage hides.
+    # protocols (year/type/dual) put a graph's items in one partition (the
+    # bench reader refuses a graph whose items disagree on the facts they
+    # assign by), so this is exactly the train graphs; the random protocol
+    # splits at item level, and its same-graph overlap is a property the
+    # audit reports, not one this stage hides.
     train_ids = {it.graph_id for it in assignment.items_in(items, "train")}
     return [g for g in graphs if g.record_id in train_ids], train_ids, assignment
 
@@ -266,14 +267,16 @@ def _eval_inputs(cfg: RunConfig):
         raise EmptyTestPartition(f"partition {cfg.partition!r} holds no items")
     memory = load_memory(cfg.path("memory")) if cfg.paths.get("memory") else None
     if memory is not None:
-        _check_memory_fits_split(cfg, items, assignment, memory)
+        _check_memory_fits_split(cfg, items, assignment, part_items, memory)
     return items, assignment, part_items, memory
 
 
-def _check_memory_fits_split(cfg: RunConfig, items, assignment, memory) -> None:
+def _check_memory_fits_split(cfg: RunConfig, items, assignment, part_items, memory) -> None:
     """Raise :class:`DataError` when the memory holds a *stranger*: a process
     whose graph has items in the split but none in its train partition, so
-    that it remembers what the split holds out."""
+    that it remembers what the split holds out. Under a protocol other than
+    ``random``, which splits by item, a process whose graph has an item in
+    the evaluated partition is a stranger too."""
     train = {it.graph_id for it in assignment.items_in(items, "train")}
     split = {it.graph_id for it in items}  # items_in checked every item is assigned
     strangers = sorted(p.graph_id for p in memory.processes
@@ -283,6 +286,16 @@ def _check_memory_fits_split(cfg: RunConfig, items, assignment, memory) -> None:
             f"{cfg.path('memory')} holds {len(strangers)} of {len(memory.processes)} processes whose"
             f" graphs have items in {cfg.path('split')} but none in its train partition, e.g."
             f" {strangers[:3]}; build the memory from this split")
+    if assignment.protocol == "random":
+        return
+    evaluated = {it.graph_id for it in part_items}
+    held = sorted(p.graph_id for p in memory.processes if p.graph_id in evaluated)
+    if held:
+        raise DataError(
+            f"{cfg.path('memory')} holds {len(held)} of {len(memory.processes)} processes whose"
+            f" graphs have items in partition {cfg.partition!r} of {cfg.path('split')}, e.g."
+            f" {held[:3]}; a {assignment.protocol!r} split puts each graph's items in one"
+            " partition, so re-run split and build-memory")
 
 
 def cmd_eval(cfg: RunConfig) -> int:

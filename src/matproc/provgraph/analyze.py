@@ -41,7 +41,7 @@ def infer_precedence(g: ProcessGraph) -> set[tuple[str, str]]:
     relation contains a cycle; the record gets flagged, never repaired.
     """
     pairs = _precedence_pairs(g)
-    _topological_order(g, pairs)
+    order_activities(g, pairs)
     return pairs
 
 
@@ -58,8 +58,13 @@ def _precedence_pairs(g: ProcessGraph) -> set[tuple[str, str]]:
     return pairs
 
 
-def _topological_order(g: ProcessGraph, prec: set[tuple[str, str]]) -> list[str]:
-    """Kahn's algorithm with source_position priority; raises CyclicPrecedence."""
+def order_activities(g: ProcessGraph, prec: set[tuple[str, str]]) -> list[str]:
+    """Kahn's algorithm with source_position priority; raises CyclicPrecedence.
+
+    Output is a permutation of all activity ids honouring every precedence
+    pair; among unconstrained peers the earliest source position wins, so the
+    order is unique and deterministic.
+    """
     position = {a.id: a.source_position for a in g.activities}
     indegree = {a.id: 0 for a in g.activities}
     succ: dict[str, list[str]] = {a.id: [] for a in g.activities}
@@ -81,21 +86,10 @@ def _topological_order(g: ProcessGraph, prec: set[tuple[str, str]]) -> list[str]
     return order
 
 
-def order_activities(g: ProcessGraph, prec: set[tuple[str, str]]) -> list[str]:
-    """Kahn's algorithm with source_position priority.
-
-    Output is a permutation of all activity ids honouring every precedence
-    pair; among unconstrained peers the earliest source position wins, so the
-    order is unique and deterministic.
-    """
-    g.ordered_activity_ids = _topological_order(g, prec)
-    return g.ordered_activity_ids
-
-
 def compile_graph(g: ProcessGraph) -> ProcessGraph:
     """validate -> roles -> precedence -> ordering; returns the same graph.
     The ordering walk is the cycle check, so the precedence is walked once."""
     validate_graph(g)
     assign_roles(g)
-    order_activities(g, _precedence_pairs(g))
+    g.ordered_activity_ids = order_activities(g, _precedence_pairs(g))
     return g

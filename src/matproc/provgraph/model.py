@@ -22,7 +22,7 @@ class EntityNode(Record):
     label: str
     kind: str  # "material" | "tool"
     attributes: dict[str, str] = field(default_factory=dict)
-    role: str | None = None  # filled by assign_roles
+    role: str | None = field(default=None, metadata=TRANSIENT)  # filled by assign_roles
 
 
 @dataclass
@@ -46,7 +46,7 @@ class ProcessGraph(Record):
     activities: list[ActivityNode] = field(default_factory=list)
     usage_edges: list[tuple[str, str]] = field(default_factory=list)  # (entity, activity)
     generation_edges: list[tuple[str, str]] = field(default_factory=list)  # (activity, entity)
-    ordered_activity_ids: list[str] = field(default_factory=list)
+    ordered_activity_ids: list[str] = field(default_factory=list, metadata=TRANSIENT)
     warnings: list[str] = field(default_factory=list, metadata=TRANSIENT)  # parse-time diagnostics
 
     # --- lookups -------------------------------------------------------------

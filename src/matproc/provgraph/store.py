@@ -1,14 +1,24 @@
-"""Compiled-graph store: newline-delimited graphs with a version header."""
+"""Compiled-graph store: newline-delimited graphs with a version header.
+
+A row holds what ``compile`` parsed: the record's facts, nodes and edges.
+Material roles and the activity order follow from the edges, so no row
+holds them: :func:`read_graph_store` derives them again with
+:func:`~.analyze.compile_graph`, the derivation ``compile`` ran. A row that
+holds either (a store an older version wrote) is refused; re-running
+``compile`` rewrites the store.
+"""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from ..errors import MalformedDocument
+from ..errors import DataError, MalformedDocument
 from ..jsonio import artifact_header, read_artifact, write_ndjson
-from .model import ProcessGraph, validate_graph
+from .analyze import compile_graph
+from .model import ProcessGraph
 
 GRAPH_FORMAT = "matproc-graphs"
+_RERUN = "re-run compile to rewrite the graph store"
 
 
 def write_graph_store(path: str | Path, graphs: list[ProcessGraph], config_hash: str = "") -> int:
@@ -16,30 +26,31 @@ def write_graph_store(path: str | Path, graphs: list[ProcessGraph], config_hash:
     return write_ndjson(path, header, graphs)
 
 
-def _check_compiled(g: ProcessGraph) -> None:
-    """What ``compile`` guarantees of a graph: the structural invariants,
-    entity kinds it knows, and an ordering of all the graph's activities."""
-    validate_graph(g)
-    for e in g.entities():
-        if e.kind not in ("material", "tool"):
-            raise MalformedDocument(f"{g.record_id}: entity {e.id!r} has kind {e.kind!r}")
-    if sorted(g.ordered_activity_ids) != sorted(a.id for a in g.activities):
-        raise MalformedDocument(f"{g.record_id}: ordered_activity_ids is not a permutation"
-                                " of the activity ids")
+def _read_graph(row: dict) -> ProcessGraph:
+    try:
+        return ProcessGraph.from_dict(row)
+    except MalformedDocument as exc:
+        graph = f"graph {row['record_id']!r}: " if type(row) is dict and "record_id" in row else ""
+        raise MalformedDocument(f"{graph}{exc}; {_RERUN}") from None
 
 
 def read_graph_store(path: str | Path) -> tuple[dict, list[ProcessGraph]]:
-    """Raises MalformedDocument naming the file and the graph for a graph
-    ``compile`` would not have written, and for a record id two graphs hold."""
-    header, graphs = read_artifact(path, GRAPH_FORMAT, ProcessGraph.from_dict)
+    """Header and graphs, each given its roles and order by ``compile_graph``.
+    Raises :class:`DataError` naming the file and the graph for a graph
+    ``compile`` would not have written (a cyclic one among them), and for a
+    record id two graphs hold."""
+    header, graphs = read_artifact(path, GRAPH_FORMAT, _read_graph)
     seen = set()
     for g in graphs:
         try:
-            _check_compiled(g)
+            compile_graph(g)
+            for e in g.entities():
+                if e.kind not in ("material", "tool"):
+                    raise MalformedDocument(f"{g.record_id}: entity {e.id!r} has kind {e.kind!r}")
             if g.record_id in seen:
                 raise MalformedDocument(f"{g.record_id}: the record id of an earlier graph")
-        except MalformedDocument as exc:
-            raise MalformedDocument(f"{path}: graph {exc}") from None
+        except DataError as exc:
+            raise type(exc)(f"{path}: graph {exc}; {_RERUN}") from None
         seen.add(g.record_id)
     return header, graphs
 

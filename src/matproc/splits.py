@@ -2,10 +2,17 @@
 
 Four protocols: random (item-level 80/10/10), year (temporal holdout),
 type (held-out material class), dual (temporal and class separation at
-once, violators excluded). Non-random protocols group by DOI, so one
-source paper never straddles partitions there; the random protocol is
-deliberately item-level — its DOI overlap across partitions is the
-leakage the contamination audit is built to expose.
+once, violators excluded). ``year`` and ``dual`` assign each item by its
+own year (``dual`` by its class too); ``type`` sends the held-out class
+to test and splits the other items train/dev by DOI. A question set
+gives every item of a graph one DOI, year and class (``read_benchmark``
+refuses one that does not), so under these three a graph's items share
+one partition. One source paper (a DOI) stays in one partition only
+while its graphs share a year and a class: ``type`` keeps a DOI out of
+train and dev at once, but a DOI whose graphs differ in class can
+straddle test and the rest. The random protocol is deliberately
+item-level — its DOI overlap across partitions is the leakage the
+contamination audit is built to expose.
 """
 
 from __future__ import annotations

@@ -155,9 +155,13 @@ def instantiate_tasks(
         if distractors is not None:
             emit(task, 0, RouteQuestion(product, precursors), gold, distractors)
 
-    # A2: identify one masked activity from its neighbours
+    # A2: identify one masked activity from its neighbours; a route that
+    # already holds the mask token as a label has no one masked position
     task = "A2_missing_step"
-    for ordinal, pos in enumerate(select(task, list(range(len(route))), caps.a2)):
+    if MASK_TOKEN in route:
+        log_skip(task, "mask_token_in_route")
+    positions = [] if MASK_TOKEN in route else list(range(len(route)))
+    for ordinal, pos in enumerate(select(task, positions, caps.a2)):
         gold, at = route[pos], StepQuery.at(route, pos)
         neighbour_pool = Counter(pools.successors.get(at.prev_activity, {}))
         neighbour_pool.update(pools.predecessors.get(at.next_activity, {}))
@@ -167,7 +171,7 @@ def instantiate_tasks(
             continue
         masked = list(route)
         masked[pos] = MASK_TOKEN
-        emit(task, ordinal, MaskedQuestion(product, precursors, masked, pos), gold, distractors)
+        emit(task, ordinal, MaskedQuestion(product, precursors, masked), gold, distractors)
 
     # A3: continue a route prefix with the next activity
     task = "A3_next_activity"
@@ -184,7 +188,7 @@ def instantiate_tasks(
 
     def step_question(index: int, cls=StepQuestion, **more) -> StepQuestion:
         step = steps[index]
-        return cls(route=route, step_index=index, activity=step.label, step_inputs=list(step.inputs),
+        return cls(route=route, step_index=index, step_inputs=list(step.inputs),
                    step_input_forms=list(step.input_forms), **more)
 
     # B1: predict one condition value on a target step

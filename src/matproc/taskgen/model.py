@@ -4,6 +4,12 @@ Option strings are canonical renderings so the gold answer can be
 recomputed from the source graph without touching the generator's RNG:
 routes and orderings join canonical activity labels with " -> ", full
 condition sets render the three fields in a fixed key order.
+
+A question stores what it shows and nothing its other fields already
+give: a step question's ``activity`` is ``route[step_index]`` and a masked
+question's ``masked_index`` is where the one ``MASK_TOKEN`` stands in
+``route_with_mask``, each derived when read. A row that holds either (a
+question set an older version wrote) is refused as an unknown key.
 """
 
 from __future__ import annotations
@@ -39,11 +45,17 @@ class RouteQuestion:
 
 @dataclass
 class MaskedQuestion(RouteQuestion):
-    route_with_mask: list[str]
-    masked_index: int
+    route_with_mask: list[str]  # the route with one label replaced by MASK_TOKEN
 
     def __post_init__(self):
-        _check_index(self, "masked_index", self.route_with_mask)
+        masks = self.route_with_mask.count(MASK_TOKEN)
+        if masks != 1:
+            raise MalformedDocument(f"MaskedQuestion.route_with_mask: holds {masks} {MASK_TOKEN!r},"
+                                    " expected 1")
+
+    @property
+    def masked_index(self) -> int:
+        return self.route_with_mask.index(MASK_TOKEN)
 
 
 @dataclass
@@ -55,15 +67,15 @@ class PrefixQuestion(RouteQuestion):
 class StepQuestion:
     route: list[str]
     step_index: int
-    activity: str
     step_inputs: list[str]
     step_input_forms: list[str]
 
     def __post_init__(self):
         _check_index(self, "step_index", self.route)
-        if self.activity != self.route[self.step_index]:
-            raise MalformedDocument(f"{type(self).__name__}.activity: {self.activity!r} is not "
-                                    f"route[{self.step_index}], {self.route[self.step_index]!r}")
+
+    @property
+    def activity(self) -> str:
+        return self.route[self.step_index]
 
 
 @dataclass

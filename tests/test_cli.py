@@ -222,8 +222,8 @@ def test_pipeline_stages_produce_artifacts():
 # ablation files stay out. Those floats depend on the BLAS build. Every header
 # carries the tool version, so a version bump changes these too.
 PINNED_DIGESTS = {
-    "graphs": "61f1014be0fe3d6485c1e41e100c264c53f5a48543932b72ae94a1b845999925",
-    "bench": "34173bd42285ced50dbeeff226ffe81e1c940d57e94e40b5be1d7bd42d6163a5",
+    "graphs": "996cce9e6e4a59742e350ebb74f7799ee42989750285bc9f742a78eb345fee52",
+    "bench": "5f530d553d0ae2a09a53da77dd19a94a351583784e70ad6e4c281e358e9caf9e",
     "skips": "7792dde37b0f6b2f7ffe09f51313374b83fc4877b4e26739eaed798c88d018c5",
     "split": "96b42d8423dc01cbefa349d2076361b926e553b05dc3676ead874455466e5e9a",
     "audit": "3e2a6be11c3f9c6d79b4c7e216bf58b24d1430c4c9d4ce1b5a1cb459ce113d69",
@@ -1701,7 +1701,19 @@ def test_the_widest_integers_the_decoder_reads_back_are_accepted(tmp_path, seed)
 
 
 def _unknown_ordered_id(g):
-    g["ordered_activity_ids"][0] = "nowhere"
+    g["ordered_activity_ids"] = ["nowhere"]
+
+
+def _stale_role(g):
+    g["material_entities"][0]["role"] = "precursor"
+
+
+def _a_cycle(g):
+    """Two activities that each make what the other uses."""
+    made_by = {ent: act for act, ent in g["generation_edges"]}
+    ent, user = next((e, a) for e, a in g["usage_edges"] if e in made_by and made_by[e] != a)
+    g["generation_edges"].append([user, ent])
+    g["usage_edges"].append([ent, made_by[ent]])
 
 
 def _usage_from_unknown_entity(g):
@@ -1720,13 +1732,15 @@ def _an_earlier_graphs_id(g):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_unknown_ordered_id, "ordered_activity_ids is not a permutation"),
+        (_unknown_ordered_id, "ProcessGraph: unknown keys ['ordered_activity_ids']; re-run compile"),
         (_usage_from_unknown_entity, "usage edge ('ghost',"),
         (_weird_material_kind, "has kind 'weird'"),
         (_an_earlier_graphs_id, ": the record id of an earlier graph"),
+        (_stale_role, "EntityNode: unknown keys ['role']; re-run compile"),
+        (_a_cycle, ": precedence relation contains a cycle; re-run compile"),
     ],
     ids=["unknown-ordered-id", "usage-from-unknown-entity", "weird-material-kind",
-         "an-earlier-graphs-id"],
+         "an-earlier-graphs-id", "stale-role", "a-cycle"],
 )
 def test_a_malformed_graph_store_exits_3_naming_the_graph(tmp_path, capsys, command, edit, message):
     named = []
@@ -1923,8 +1937,8 @@ def _set(key, value):
     [
         (_question_edit("A3_next_activity", lambda row: row["question"].clear()),
          "PrefixQuestion: missing keys ['precursors', 'prefix', 'product']"),
-        (_question_edit("A2_missing_step", lambda row: row["question"].pop("masked_index")),
-         "MaskedQuestion: missing keys ['masked_index']"),
+        (_question_edit("A2_missing_step", lambda row: row["question"].pop("route_with_mask")),
+         "MaskedQuestion: missing keys ['route_with_mask']"),
         (_question_edit("B1_condition_prediction", _set("step_index", "0")),
          "ConditionQuestion.step_index: expected int, got str"),
         (_question_edit("D_process_ordering",
@@ -1939,7 +1953,7 @@ def _set(key, value):
         (_question_edit("C1_tool_selection", _set("step_index", -1)),
          "StepQuestion.step_index: -1 is outside [0, "),
         (_question_edit("A2_missing_step", _set("masked_index", -1)),
-         "MaskedQuestion.masked_index: -1 is outside [0, "),
+         "MaskedQuestion: unknown keys ['masked_index']; re-run genbench"),
         (_question_edit("A3_next_activity", lambda row: row.__setitem__("gold_index", 4)),
          "BenchItem.gold_index: 4 is outside [0, 4)"),
         (_question_edit("A3_next_activity", lambda row: row["options"].extend("efghi")),
@@ -1951,14 +1965,21 @@ def _set(key, value):
                                                                row["options"][row["gold_index"]])),
          "BenchItem.options: "),
         (_question_edit("C1_tool_selection", _set("activity", "not an activity")),
-         "StepQuestion.activity: 'not an activity' is not route["),
+         "StepQuestion: unknown keys ['activity']; re-run genbench"),
         (_question_edit("B1_condition_prediction", _set("activity", "not an activity")),
-         "ConditionQuestion.activity: 'not an activity' is not route["),
+         "ConditionQuestion: unknown keys ['activity']; re-run genbench"),
+        (_question_edit("A2_missing_step",
+                        lambda row: row["question"]["route_with_mask"].__setitem__(
+                            row["question"]["route_with_mask"].index("?"), "mix")),
+         "MaskedQuestion.route_with_mask: holds 0 '?', expected 1"),
+        (_question_edit("A2_missing_step", lambda row: row["question"]["route_with_mask"].append("?")),
+         "MaskedQuestion.route_with_mask: holds 2 '?', expected 1"),
     ],
     ids=["empty-question", "missing-key", "text-step-index", "text-step-inputs",
          "key-of-another-task", "unknown-task", "step-index-past-route", "negative-step-index",
          "negative-masked-index", "gold-index-past-options", "nine-options", "one-option",
-         "repeated-option", "activity-off-the-route", "condition-activity-off-the-route"],
+         "repeated-option", "activity-off-the-route", "condition-activity-off-the-route",
+         "no-mask", "two-masks"],
 )
 def test_eval_refuses_a_malformed_question_naming_its_row(tmp_path, capsys, edit, message):
     path = _edited(tmp_path, "bench", edit)
@@ -1970,6 +1991,70 @@ def test_eval_refuses_a_malformed_question_naming_its_row(tmp_path, capsys, edit
     assert err.startswith(f"error: {path}: row {edit.row}: item {edit.item!r}: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "log.ndjson").exists()
+
+
+FACT_EDITS = {"doi": lambda v: v + "-other", "year": lambda v: (v or 2019) + 3,
+              "material_class": lambda v: "magnetic" if v != "magnetic" else "battery"}
+
+
+def _disagreeing(fact):
+    """Every second item of the first graph with two or more items gets
+    another ``fact``; records the graph id."""
+    def edit(header, rows):
+        graph_ids = [row["graph_id"] for row in rows]
+        edit.graph = next(gid for gid in graph_ids if graph_ids.count(gid) > 1)
+        for row in [r for r in rows if r["graph_id"] == edit.graph][1::2]:
+            row[fact] = FACT_EDITS[fact](row[fact])
+
+    return edit
+
+
+@pytest.mark.parametrize("fact", sorted(FACT_EDITS))
+@pytest.mark.parametrize("command", ["split", "build-memory", "eval"])
+def test_a_graph_whose_items_disagree_on_a_fact_exits_3_naming_the_graph(tmp_path, capsys, command,
+                                                                         fact):
+    paths, edit = pipeline(), _disagreeing(fact)
+    bench, out = _edited(tmp_path, "bench", edit), tmp_path / "out.ndjson"
+    argv = {
+        "split": ["split", "--bench", str(bench), "--out", str(out), "--protocol", "year"],
+        "build-memory": ["build-memory", "--graphs", str(paths["graphs"]), "--bench", str(bench),
+                         "--split", str(paths["split"]), "--out", str(out)],
+        "eval": eval_argv(paths, "argmax_hybrid", out),
+    }[command]
+    if command == "eval":
+        argv[argv.index("--bench") + 1] = str(bench)
+    assert cli.dispatch(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bench}: graph {edit.graph!r}: item ") and "re-run genbench" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_a_graph_aligned_split_refuses_a_memory_of_an_evaluated_graph(tmp_path, capsys, command):
+    # a year split in which one train item of a graph with other train items
+    # is moved to test, and a memory built from it
+    paths = pipeline()
+    split, memory, out = (tmp_path / f"{name}.ndjson" for name in ("split", "memory", "out"))
+    assert cli.dispatch(["split", "--bench", str(paths["bench"]), "--out", str(split),
+                         "--protocol", "year"]) == 0
+    header, rows = read_ndjson(split)
+    graph_of = {row["item_id"]: row["item_id"].split(":")[0] for row in rows}
+    train = [row for row in rows if row["partition"] == "train"]
+    moved = next(row for row in train
+                 if sum(graph_of[r["item_id"]] == graph_of[row["item_id"]] for r in train) > 1)
+    moved["partition"] = "test"
+    write_ndjson(split, header, rows)
+    assert cli.dispatch(["build-memory", "--graphs", str(paths["graphs"]), "--bench",
+                         str(paths["bench"]), "--split", str(split), "--out", str(memory)]) == 0
+    argv = _memory_argv(command, memory, out)
+    argv[argv.index("--split") + 1] = str(split)
+    assert cli.dispatch(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {memory} holds 1 of ") and repr(graph_of[moved["item_id"]]) in err
+    assert f"items in partition 'test' of {split}" in err and "'year' split" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["graphs", "bench"])

@@ -366,8 +366,12 @@ def run_objects() -> dict[type, list]:
 
 def _persisted_only(x):
     """``x`` as a round trip returns it: transient fields back at their defaults."""
+    if isinstance(x, EntityNode):
+        return dataclasses.replace(x, role=None)
     if isinstance(x, ProcessGraph):
-        return dataclasses.replace(x, warnings=[])
+        return dataclasses.replace(x, warnings=[], ordered_activity_ids=[],
+                                   material_entities=list(map(_persisted_only, x.material_entities)),
+                                   tool_entities=list(map(_persisted_only, x.tool_entities)))
     if isinstance(x, EvalReport):
         return dataclasses.replace(x, wall_clock_s=0.0)
     return x

@@ -148,7 +148,6 @@ def test_a2_hand_fixture_five_entry_library():
             "product": "stage 2",
             "precursors": ["lithium carbonate"],
             "route_with_mask": ["mix", "?", "sinter"],
-            "masked_index": 1,
         },
         ["mill", "sinter", "mix", "quench"],
     )
@@ -171,7 +170,6 @@ def test_a2_mask_at_route_start_uses_unigram_left_context():
             "product": "stage 2",
             "precursors": ["x"],
             "route_with_mask": ["?", "sinter"],
-            "masked_index": 0,
         },
         ["mix", "mill", "sinter", "quench"],
     )
@@ -254,7 +252,6 @@ def b1_item():
         {
             "route": ["sinter"],
             "step_index": 0,
-            "activity": "sinter",
             "step_inputs": ["lithium carbonate"],
             "step_input_forms": ["powder"],
             "condition_key": "temperature",
@@ -301,7 +298,6 @@ def test_b2_tuple_frequency_requires_complete_conditions():
         {
             "route": ["sinter"],
             "step_index": 0,
-            "activity": "sinter",
             "step_inputs": ["lithium carbonate"],
             "step_input_forms": ["powder"],
         },
@@ -329,7 +325,6 @@ def test_c1_tool_frequency():
         {
             "route": ["mill"],
             "step_index": 0,
-            "activity": "mill",
             "step_inputs": ["lithium carbonate"],
             "step_input_forms": ["powder"],
         },
@@ -445,29 +440,26 @@ def test_neural_range_and_no_precedents():
 def test_option_completed_text_slots():
     b1 = make_item(
         "B1_condition_prediction",
-        {"route": ["mix", "sinter"], "step_index": 1, "activity": "sinter",
-         "step_inputs": [], "step_input_forms": [], "condition_key": "temperature"},
+        {"route": ["mix", "sinter"], "step_index": 1, "step_inputs": [], "step_input_forms": [], "condition_key": "temperature"},
         ["900 c", "1000 c"],
     )
     assert sc.option_completed_text(b1, "900 c") == "route: mix -> sinter(temperature=900 c)"
     b2 = make_item(
         "B2_full_condition_set",
-        {"route": ["mix"], "step_index": 0, "activity": "mix",
-         "step_inputs": [], "step_input_forms": []},
+        {"route": ["mix"], "step_index": 0, "step_inputs": [], "step_input_forms": []},
         ["temperature=900 c; duration=2 h; atmosphere=argon", "temperature=80 c; duration=1 h; atmosphere=air"],
     )
     text = sc.option_completed_text(b2, b2.options[0])
     assert text == "route: mix(temperature=900 c; duration=2 h; atmosphere=argon)"
     c1 = make_item(
         "C1_tool_selection",
-        {"route": ["mix"], "step_index": 0, "activity": "mix",
-         "step_inputs": [], "step_input_forms": []},
+        {"route": ["mix"], "step_index": 0, "step_inputs": [], "step_input_forms": []},
         ["ball mill", "furnace"],
     )
     assert sc.option_completed_text(c1, "ball mill") == "route: mix | tools: ball mill"
     a2 = make_item(
         "A2_missing_step",
-        {"product": "p", "precursors": ["x"], "route_with_mask": ["mix", "?"], "masked_index": 1},
+        {"product": "p", "precursors": ["x"], "route_with_mask": ["mix", "?"]},
         ["sinter", "anneal"],
     )
     assert sc.option_completed_text(a2, "sinter") == (
