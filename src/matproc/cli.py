@@ -64,6 +64,7 @@ from .splits import (
     PROTOCOLS,
     SPLIT_FORMAT,
     AuditRow,
+    check_assignment,
     contamination_matrix,
     read_assignment,
     render_audit,
@@ -74,6 +75,7 @@ from .splits import (
     write_assignment,
 )
 from .taskgen import BenchItem, GenCaps, generate_benchmark
+from .taskgen.model import StepQuestion
 from .taskgen.store import load_items, write_benchmark
 
 RAW_FORMAT = "matproc-raw-prov"
@@ -203,6 +205,7 @@ def _train_graphs(cfg: RunConfig):
     graphs = load_graphs(cfg.path("graphs"))
     items = load_items(cfg.path("bench"))
     assignment = read_assignment(cfg.path("split"))
+    check_assignment(assignment, items)
     # The memory is the train partition's process set. Graph-aligned
     # protocols (year/type/dual) put a graph's items in one partition (the
     # bench reader refuses a graph whose items disagree on the facts they
@@ -262,13 +265,33 @@ def _load_predictions(path: str, items: list[BenchItem]) -> dict[str, int]:
 def _eval_inputs(cfg: RunConfig):
     items = load_items(cfg.path("bench"))
     assignment = read_assignment(cfg.path("split"))
+    check_assignment(assignment, items)
     part_items = assignment.items_in(items, cfg.partition)
     if not part_items:
         raise EmptyTestPartition(f"partition {cfg.partition!r} holds no items")
     memory = load_memory(cfg.path("memory")) if cfg.paths.get("memory") else None
     if memory is not None:
+        _check_memory_routes(cfg, items, memory)
         _check_memory_fits_split(cfg, items, assignment, part_items, memory)
     return items, assignment, part_items, memory
+
+
+def _check_memory_routes(cfg: RunConfig, items, memory) -> None:
+    """Raise :class:`DataError` when a memory process's route differs from
+    the route a step question (B1, B2, C1) of its graph shows: the memory
+    and the question set then come from different graphs that share ids."""
+    differing = {}  # graph id -> the first item whose route differs
+    for it in items:
+        p = memory.by_graph_id.get(it.graph_id)
+        if p is not None and isinstance(it.question, StepQuestion) and it.question.route != p.route:
+            differing.setdefault(it.graph_id, it.item_id)
+    if differing:
+        graph_id, item_id = next(iter(differing.items()))
+        raise DataError(
+            f"{cfg.path('memory')} holds {len(differing)} of {len(memory.processes)} processes whose"
+            f" route differs from the one items of {cfg.path('bench')} show, e.g. process"
+            f" {graph_id!r} against item {item_id!r}; build the memory from this question set's"
+            " graphs")
 
 
 def _check_memory_fits_split(cfg: RunConfig, items, assignment, part_items, memory) -> None:

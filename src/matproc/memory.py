@@ -1,7 +1,14 @@
 """Train-partition process memory: summaries, a step library, and two views
 of the routes that never disagree with them, transition counts and prefix index.
-Loading checks each step row against :meth:`StepQuery.at` on its route and
-refuses a process stored twice.
+
+A memory stores only what its routes do not give. A step row holds a route
+position's payload (tools, conditions, inputs and outputs); the position's
+activity, neighbours and normalised position are read off the route with
+:meth:`StepQuery.at` when the memory is built and when it is loaded. The
+prefix index is never stored. The transition rows the file still holds must
+be the ones the routes give. A file that stores a process twice, or that an
+older version wrote (a step row holding route context, a ``prefix`` row),
+is refused with a hint to rebuild it.
 
 The prefix index maps every contiguous activity window up to
 ``max_prefix_len`` labels to its immediate successor, which makes the
@@ -13,9 +20,9 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -23,8 +30,8 @@ import numpy as np
 
 from .canon import canon_label
 from .errors import EmptyLibrary, EmptyTrainSet, MalformedDocument
-from .jsonio import (Record, artifact_header, check_fields, read_artifact, record_fields,
-                     write_ndjson)
+from .jsonio import (TRANSIENT, Record, artifact_header, check_fields, read_artifact,
+                     record_fields, write_ndjson)
 from .provgraph import ProcessGraph, graph_view
 
 if TYPE_CHECKING:
@@ -93,24 +100,35 @@ class ProcessSummary(Record):
 
 @dataclass
 class StepEntry(Record):
+    """One position of a stored process's route. A memory file stores its
+    payload; its route context is transient, filled by :meth:`place` (hand-built
+    entries may pass it instead)."""
+
     graph_id: str
-    activity: str
     position: int
-    norm_position: float
-    prev_activity: str | None = None
-    next_activity: str | None = None
     tools: list[str] = field(default_factory=list)
     conditions: dict[str, str] = field(default_factory=dict)
     input_labels: list[str] = field(default_factory=list)
     input_forms: list[str] = field(default_factory=list)
     output_labels: list[str] = field(default_factory=list)
     output_forms: list[str] = field(default_factory=list)
+    activity: str | None = field(default=None, metadata=TRANSIENT)
+    norm_position: float | None = field(default=None, metadata=TRANSIENT)
+    prev_activity: str | None = field(default=None, metadata=TRANSIENT)
+    next_activity: str | None = field(default=None, metadata=TRANSIENT)
+
+    def place(self, route) -> StepEntry:
+        """This entry, given the context of its position on ``route``."""
+        at = StepQuery.at(route, self.position)
+        self.activity, self.norm_position = at.activity, at.norm_position
+        self.prev_activity, self.next_activity = at.prev_activity, at.next_activity
+        return self
 
 
 @dataclass
 class StepQuery:
-    """The visible context of a target step, shaped like a StepEntry. Built step
-    entries and scorer queries take it from :meth:`at`; loaded step rows are checked against it."""
+    """The visible context of a target step, shaped like a StepEntry. Step
+    entries (:meth:`StepEntry.place`) and scorer queries take it from :meth:`at`."""
 
     activity: str | None = None
     prev_activity: str | None = None
@@ -169,14 +187,32 @@ class StepIndex:
         )
 
 
+class ReadOnlyMapping(Mapping):
+    """A copy of a mapping that refuses item assignment. Unlike
+    :class:`types.MappingProxyType` it survives ``deepcopy`` and ``pickle``."""
+
+    def __init__(self, items=()):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
 @dataclass(frozen=True, eq=False)
 class ProcessMemory:
     """The train partition's processes and their statistics. A memory never
     changes once built: each view below, the transition table and the prefix
     index among them, is computed from the fields on first use and kept for
     the memory's life, and a variant is a new memory (``dataclasses.replace``).
-    ``==`` is identity. The process and step lists are held as tuples, so no
-    view goes stale under an append."""
+    ``==`` is identity. The process and step lists are held as tuples and the
+    vectors as a :class:`ReadOnlyMapping`, so no view goes stale under an
+    append or an assignment."""
 
     split_id: str = ""
     max_prefix_len: int = DEFAULT_MAX_PREFIX_LEN
@@ -184,11 +220,12 @@ class ProcessMemory:
     step_library: tuple[StepEntry, ...] = ()
     # kind ("text", "struct") -> read-only float64 (len(processes), d) matrix,
     # row i for processes[i]; a built or loaded memory stores both kinds
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    vectors: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "processes", tuple(self.processes))
         object.__setattr__(self, "step_library", tuple(self.step_library))
+        object.__setattr__(self, "vectors", ReadOnlyMapping(self.vectors))
 
     @cached_property
     def by_graph_id(self) -> dict[str, ProcessSummary]:
@@ -283,22 +320,17 @@ def build_memory(
             )
         )
         for pos, step in enumerate(view.steps):
-            at = StepQuery.at(route, pos)
             step_library.append(
                 StepEntry(
                     graph_id=g.record_id,
-                    activity=at.activity,
                     position=pos,
-                    norm_position=at.norm_position,
-                    prev_activity=at.prev_activity,
-                    next_activity=at.next_activity,
                     tools=list(step.tools),
                     conditions=dict(step.activity.conditions),
                     input_labels=list(step.inputs),
                     input_forms=list(step.input_forms),
                     output_labels=list(step.outputs),
                     output_forms=list(step.output_forms),
-                )
+                ).place(route)
             )
     from .retrieval import attach_embeddings  # retrieval imports this module
 
@@ -441,22 +473,15 @@ class TransitionRow(Record):
     count: int
 
 
-@dataclass
-class PrefixRow(Record):
-    prefix: tuple[str, ...]
-    next: dict[str, int]
-
-
 # the vector kinds every stored process holds, sorted
 VECTOR_KINDS = ("struct", "text")
-_REBUILD = "a memory stores a text and a struct vector for every process; rebuild with build-memory"
+_RERUN = "rebuild with build-memory"
+_REBUILD = f"a memory stores a text and a struct vector for every process; {_RERUN}"
 
 
-def _table_rows(memory: ProcessMemory) -> dict[str, list]:
-    """The transition and prefix rows of ``memory``'s file, by kind, sorted."""
-    table, index = sorted(memory.transition_table.items()), sorted(memory.prefix_index.items())
-    return {"transition": [TransitionRow(a, b, c) for (a, b), c in table],
-            "prefix": [PrefixRow(window, dict(counts)) for window, counts in index]}
+def _transition_rows(memory: ProcessMemory) -> list[TransitionRow]:
+    """The transition rows of ``memory``'s file, sorted."""
+    return [TransitionRow(a, b, c) for (a, b), c in sorted(memory.transition_table.items())]
 
 
 def save_memory(path: str | Path, memory: ProcessMemory, config_hash: str = "") -> int:
@@ -474,8 +499,8 @@ def save_memory(path: str | Path, memory: ProcessMemory, config_hash: str = "") 
                    "embeddings": {kind: m[i] for kind, m in memory.vectors.items()}}
         for e in memory.step_library:
             yield {"kind": "step", **record_fields(e)}
-        for kind, records in _table_rows(memory).items():
-            yield from ({"kind": kind, **record_fields(r)} for r in records)
+        for r in _transition_rows(memory):
+            yield {"kind": "transition", **record_fields(r)}
 
     return write_ndjson(path, header, rows())
 
@@ -533,44 +558,45 @@ class StoredVectors:
         return matrices
 
 
+def _read_step(row) -> StepEntry:
+    try:
+        return StepEntry.from_dict(row)
+    except MalformedDocument as exc:  # a row holding route context is an older version's
+        raise MalformedDocument(f"{exc}; {_RERUN}") from None
+
+
 def load_memory(path: str | Path) -> ProcessMemory:
     """The memory saved at ``path``. Its stored vectors of each kind are one
     read-only float64 matrix, which the dense index scores as it is (see
-    :class:`StoredVectors`). It stores each process once, and its transition,
-    prefix and step rows must be, in any order, the ones its routes give."""
+    :class:`StoredVectors`). It stores each process once, one step row per
+    route position, which is given its context by :meth:`StepEntry.place`,
+    and, in any order, the transition rows its routes give."""
     vectors = StoredVectors()
-    readers = {"process": vectors.read, "step": StepEntry.from_dict,
-               "transition": TransitionRow.from_dict, "prefix": PrefixRow.from_dict}
+    readers = {"process": vectors.read, "step": _read_step, "transition": TransitionRow.from_dict}
     rows = {kind: [] for kind in readers}
 
     def read_row(row):
         kind = row.pop("kind", None) if type(row) is dict else None
         if type(kind) is not str or kind not in readers:
-            raise MalformedDocument(f"kind {kind!r} is not one of {', '.join(readers)}")
+            raise MalformedDocument(f"kind {kind!r} is not one of {', '.join(readers)}; {_RERUN}")
         rows[kind].append(readers[kind](row))
 
     header, _ = read_artifact(path, MEMORY_FORMAT, read_row, split_id=str, max_prefix_len=int)
     max_prefix_len = header.get("max_prefix_len", DEFAULT_MAX_PREFIX_LEN)
     if max_prefix_len < 1:  # next_distribution slices by it
         raise MalformedDocument(f"{path}: header max_prefix_len {max_prefix_len} is below 1")
-    memory = ProcessMemory(split_id=header.get("split_id", ""), max_prefix_len=max_prefix_len,
-                           processes=rows["process"], step_library=rows["step"],
-                           vectors=vectors.store())
-    repeated = [gid for gid, n in Counter(p.graph_id for p in memory.processes).items() if n > 1]
+    repeated = [gid for gid, n in Counter(p.graph_id for p in rows["process"]).items() if n > 1]
     if repeated:
-        raise MalformedDocument(f"{path}: process {repeated[0]!r} is stored more than once;"
-                                " rebuild with build-memory")
-    derived = _table_rows(memory)
-    if (sorted(rows["transition"], key=lambda t: (t.a, t.b)) != derived["transition"]
-            or sorted(rows["prefix"], key=lambda p: p.prefix) != derived["prefix"]):
-        raise MalformedDocument(f"{path}: the transition and prefix rows are not the ones the"
-                                " process routes give; rebuild with build-memory")
-    # as many rows as route positions, each (graph_id, position) with its context
-    context = attrgetter("activity", "prev_activity", "next_activity", "norm_position")
-    contexts = {(p.graph_id, i): context(StepQuery.at(p.route, i))
-                for p in memory.processes for i in range(len(p.route))}
-    if (len(memory.step_library) != len(contexts)
-            or {(e.graph_id, e.position): context(e) for e in memory.step_library} != contexts):
-        raise MalformedDocument(f"{path}: the step rows are not one per route position with the"
-                                " context its route gives; rebuild with build-memory")
+        raise MalformedDocument(f"{path}: process {repeated[0]!r} is stored more than once; {_RERUN}")
+    routes = {p.graph_id: p.route for p in rows["process"]}
+    if (Counter((e.graph_id, e.position) for e in rows["step"])
+            != Counter((gid, i) for gid, route in routes.items() for i in range(len(route)))):
+        raise MalformedDocument(f"{path}: the step rows are not one per route position; {_RERUN}")
+    memory = ProcessMemory(split_id=header.get("split_id", ""), max_prefix_len=max_prefix_len,
+                           processes=rows["process"],
+                           step_library=[e.place(routes[e.graph_id]) for e in rows["step"]],
+                           vectors=vectors.store())
+    if sorted(rows["transition"], key=lambda t: (t.a, t.b)) != _transition_rows(memory):
+        raise MalformedDocument(f"{path}: the transition rows are not the ones the process routes"
+                                f" give; {_RERUN}")
     return memory

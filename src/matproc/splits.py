@@ -198,6 +198,30 @@ def split_items(
     raise InvalidParams(f"unknown split protocol {protocol!r}")
 
 
+def check_assignment(assignment: SplitAssignment, items: list[BenchItem]) -> None:
+    """Raise :class:`MalformedDocument`, naming the split file and the first
+    items, when a ``year`` or ``dual`` split puts an item it assigns in
+    another partition than its protocol gives. A ``dual`` file does not name
+    its held-out class, so it is compared with the ``dual`` split of the class
+    (or of no class in ``items``) that moves the fewest items. ``random``
+    and ``type`` splits are not re-derived: their file holds the seed but not
+    the ratios, held-out class or dev ratio."""
+    if assignment.protocol == "year":
+        expected = [split_by_year(items).mapping]
+    elif assignment.protocol == "dual":
+        classes = sorted({it.material_class for it in items})
+        expected = [split_dual(items, held_out).mapping for held_out in [*classes, None]]
+    else:
+        return
+    mapping = assignment.mapping
+    moved = min(([it.item_id for it in items if mapping.get(it.item_id, gives[it.item_id])
+                  != gives[it.item_id]] for gives in expected), key=len)
+    if moved:
+        raise MalformedDocument(
+            f"{assignment.source}: {len(moved)} items are not in the partition a"
+            f" {assignment.protocol!r} split gives them, e.g. {moved[:3]}; re-run split")
+
+
 def _partition_dois(assignment: SplitAssignment, items: list[BenchItem], partition: str) -> set[str]:
     return {
         it.doi

@@ -1,6 +1,6 @@
-"""Tiny graph builders, a stored-vector comparison, an orthogonal vector,
-a loopback JSON endpoint, a thread-pool counter and the README quickstart
-build shared across test modules."""
+"""Tiny graph builders, stored-vector and memory comparisons, an
+orthogonal vector, a loopback JSON endpoint, a thread-pool counter and the
+README quickstart build shared across test modules."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import shutil
 import socket
 import tempfile
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -24,16 +25,26 @@ from matproc.provgraph import ActivityNode, EntityNode, ProcessGraph, compile_gr
 
 
 def assert_same_vectors(got, want):
-    """``got == want`` for loaded stored vectors, nested in dicts or None:
+    """``got == want`` for loaded stored vectors, nested in mappings or None:
     the same keys, and every vector a read-only float64 array equal to the
     wanted one to the last bit."""
-    if want is None or isinstance(want, dict):
+    if want is None or isinstance(want, Mapping):
         assert type(got) is type(want) and (want is None or got.keys() == want.keys())
         for key in want or ():
             assert_same_vectors(got[key], want[key])
         return
     assert type(got) is np.ndarray and got.dtype == np.float64 and not got.flags.writeable
     assert np.array_equal(got, want)
+
+
+def assert_same_memory(got, want):
+    """``got == want`` for two memories, which ``==`` compares by identity:
+    the same header fields, processes, step library (route context
+    included), views and vectors."""
+    assert (got.split_id, got.max_prefix_len) == (want.split_id, want.max_prefix_len)
+    assert got.processes == want.processes and got.step_library == want.step_library
+    assert got.transition_table == want.transition_table and got.prefix_index == want.prefix_index
+    assert_same_vectors(got.vectors, want.vectors)
 
 
 def orthogonal_to(v):

@@ -30,7 +30,7 @@ from matproc.runner import DEFAULT_BUDGETS, POLICIES, PolicyConfig
 from matproc.scoring import ScoringConfig
 from matproc.taskgen import GenCaps
 
-from helpers import LoopbackEndpoint, count_thread_pools
+from helpers import LoopbackEndpoint, assert_same_memory, count_thread_pools
 
 
 # --- run configuration ------------------------------------------------------------------
@@ -227,7 +227,7 @@ PINNED_DIGESTS = {
     "skips": "7792dde37b0f6b2f7ffe09f51313374b83fc4877b4e26739eaed798c88d018c5",
     "split": "96b42d8423dc01cbefa349d2076361b926e553b05dc3676ead874455466e5e9a",
     "audit": "3e2a6be11c3f9c6d79b4c7e216bf58b24d1430c4c9d4ce1b5a1cb459ce113d69",
-    "memory": "1deaf7a19ca7fa4a6a2c516154dbf814718ee97ff29ba48833d887718eac306b",
+    "memory": "f85c79f2be2922a26a414a8707304b9ce56789f8b001bd85377858050ba5f720",
 }
 
 
@@ -1521,16 +1521,17 @@ def _add_to_a_count(header, rows):
     _first("transition")(rows)["count"] += 39
 
 
-def _drop_a_prefix_row(header, rows):
-    rows.remove(_first("prefix")(rows))
+def _a_prefix_row(header, rows):
+    """A row of the prefix index, which a memory derives from its routes."""
+    route = _first("process")(rows)["route"]
+    rows.append({"kind": "prefix", "prefix": route[:1], "next": {route[1]: 1}})
 
 
 def _repeat_a_transition_row(header, rows):
     rows.append(dict(_first("transition")(rows)))
 
 
-ROUTES_DISAGREE = ("the transition and prefix rows are not the ones the process routes give;"
-                   " rebuild with build-memory")
+ROUTES_DISAGREE = "the transition rows are not the ones the process routes give; rebuild with build-memory"
 
 
 def _steps(rows):
@@ -1568,20 +1569,22 @@ def _a_position_past_the_route(header, rows):
 
 def _repeat_a_process(header, rows):
     """The first process and its step rows stored twice, with the transition
-    and prefix rows its routes then give."""
+    rows its routes then give."""
     memory = load_memory(pipeline()["memory"])
     first = memory.processes[0]
-    rows[:] = [r for r in rows if r["kind"] not in ("transition", "prefix")]
+    rows[:] = [r for r in rows if r["kind"] != "transition"]
     rows.extend([dict(r) for r in rows if r["graph_id"] == first.graph_id])
     twice = replace(memory, processes=[*memory.processes, first])
     rows.extend({"kind": "transition", "a": a, "b": b, "count": n}
                 for (a, b), n in twice.transition_table.items())
-    rows.extend({"kind": "prefix", "prefix": list(window), "next": dict(counts)}
-                for window, counts in twice.prefix_index.items())
 
 
-STEPS_DISAGREE = ("the step rows are not one per route position with the context its route gives;"
-                  " rebuild with build-memory")
+STEPS_DISAGREE = "the step rows are not one per route position; rebuild with build-memory"
+
+
+def _stale(*keys):
+    """The refusal of a step row holding ``keys``, which a memory derives from the route."""
+    return f"StepEntry: unknown keys {sorted(keys)}; rebuild with build-memory"
 
 
 def _drop_last_item(header, rows):
@@ -1605,18 +1608,22 @@ def _text_seed(header, rows):
         ("memory", _text_prefix_len, "header max_prefix_len: expected int, got str"),
         ("memory", _prefix_len(0), "header max_prefix_len 0 is below 1"),
         ("memory", _prefix_len(-1), "header max_prefix_len -1 is below 1"),
-        ("memory", _row_kind("nope"), "kind 'nope' is not one of process, step, transition, prefix"),
+        ("memory", _row_kind("nope"), "kind 'nope' is not one of process, step, transition;"
+                                      " rebuild with build-memory"),
         ("memory", _row_kind(["step"]), "kind ['step'] is not one of process, step, transition"),
-        ("memory", _non_object_row, "kind None is not one of process, step, transition, prefix"),
+        ("memory", _non_object_row, "kind None is not one of process, step, transition;"),
         # well-formed rows that are not the ones the process routes give
         ("memory", _add_to_a_count, ROUTES_DISAGREE),
-        ("memory", _drop_a_prefix_row, ROUTES_DISAGREE),
+        ("memory", _a_prefix_row, "kind 'prefix' is not one of process, step, transition;"
+                                  " rebuild with build-memory"),
         ("memory", _repeat_a_transition_row, ROUTES_DISAGREE),
-        ("memory", _prefix_len(2), ROUTES_DISAGREE),  # the pipeline's memory has 4
-        # well-formed step rows that are not one per route position with its context
-        ("memory", _each_step("prev_activity", "quench", lambda row: row["position"] > 0), STEPS_DISAGREE),
-        ("memory", _each_step("norm_position", 0.5), STEPS_DISAGREE),
-        ("memory", _each_step("activity", "quench", lambda row: row["position"] == 0), STEPS_DISAGREE),
+        # step rows holding what the route gives, as an older version wrote them
+        ("memory", _each_step("prev_activity", "quench", lambda row: row["position"] > 0),
+         _stale("prev_activity")),
+        ("memory", _each_step("norm_position", 0.5), _stale("norm_position")),
+        ("memory", _each_step("activity", "quench", lambda row: row["position"] == 0),
+         _stale("activity")),
+        # well-formed step rows that are not one per route position
         ("memory", _drop_a_process_steps, STEPS_DISAGREE),
         ("memory", _repeat_a_step_row, STEPS_DISAGREE),
         ("memory", _a_step_of_no_process, STEPS_DISAGREE),
@@ -1628,8 +1635,8 @@ def _text_seed(header, rows):
     ],
     ids=["transition-no-count", "row-no-kind", "string-vector", "text-max-prefix-len",
          "zero-max-prefix-len", "negative-max-prefix-len", "unknown-kind", "list-kind",
-         "non-object-row", "a-transition-count", "a-prefix-row-dropped", "a-transition-row-twice",
-         "max-prefix-len-4-to-2", "prev-activity-quench", "norm-position-half",
+         "non-object-row", "a-transition-count", "a-prefix-row", "a-transition-row-twice",
+         "prev-activity-quench", "norm-position-half",
          "position-0-activity", "a-process-steps-dropped", "a-step-row-11-times",
          "a-step-of-no-process", "a-position-past-the-route", "a-process-twice", "split-misses-an-item",
          "numeric-protocol", "text-seed"],
@@ -1644,6 +1651,21 @@ def test_eval_on_a_malformed_artifact_exits_3_naming_it(tmp_path, capsys, name, 
     assert code == 3
     assert err.startswith("error:") and str(path) in err and message in err
     assert "Traceback" not in err
+
+
+def test_a_max_prefix_len_edit_loads_as_the_memory_build_memory_writes_for_it(tmp_path, capsys):
+    # the prefix index is a view of the routes, so the header's max_prefix_len
+    # is all a file holds of it
+    paths = pipeline()
+    edited = _edited(tmp_path, "memory", _prefix_len(2))  # the pipeline's memory has 4
+    built = tmp_path / "built.ndjson"
+    assert cli.dispatch(["build-memory", "--graphs", str(paths["graphs"]), "--bench",
+                         str(paths["bench"]), "--split", str(paths["split"]), "--out", str(built),
+                         "--max-prefix-len", "2"]) == 0
+    capsys.readouterr()
+    assert_same_memory(load_memory(edited), load_memory(built))
+    assert load_memory(edited).prefix_index != load_memory(paths["memory"]).prefix_index
+    assert cli.dispatch(eval_argv(paths, "argmax_hybrid", tmp_path / "log.ndjson", memory=edited)) == 0
 
 
 # each artifact whose header counts its rows -> the stage that reads it, writing ``out``
@@ -2032,12 +2054,13 @@ def test_a_graph_whose_items_disagree_on_a_fact_exits_3_naming_the_graph(tmp_pat
 
 @pytest.mark.parametrize("command", ["eval", "ablate"])
 def test_a_graph_aligned_split_refuses_a_memory_of_an_evaluated_graph(tmp_path, capsys, command):
-    # a year split in which one train item of a graph with other train items
-    # is moved to test, and a memory built from it
+    # a type split in which one train item of a graph with other train items
+    # is moved to test, and a memory built from it (a type split is not
+    # re-derived when read: its file lacks the held-out class and dev ratio)
     paths = pipeline()
     split, memory, out = (tmp_path / f"{name}.ndjson" for name in ("split", "memory", "out"))
     assert cli.dispatch(["split", "--bench", str(paths["bench"]), "--out", str(split),
-                         "--protocol", "year"]) == 0
+                         "--protocol", "type"]) == 0
     header, rows = read_ndjson(split)
     graph_of = {row["item_id"]: row["item_id"].split(":")[0] for row in rows}
     train = [row for row in rows if row["partition"] == "train"]
@@ -2052,8 +2075,128 @@ def test_a_graph_aligned_split_refuses_a_memory_of_an_evaluated_graph(tmp_path, 
     assert cli.dispatch(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {memory} holds 1 of ") and repr(graph_of[moved["item_id"]]) in err
-    assert f"items in partition 'test' of {split}" in err and "'year' split" in err
+    assert f"items in partition 'test' of {split}" in err and "'type' split" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def _moved_train_items(split: Path, n: int) -> list[str]:
+    """Moves ``n`` train items of the first graph holding that many to dev
+    in the split file at ``split``; returns their ids, in bench order."""
+    header, rows = read_ndjson(split)
+    train = [row for row in rows if row["partition"] == "train"]
+    graph_ids = [row["item_id"].split(":")[0] for row in train]
+    graph_id = next(gid for gid in graph_ids if graph_ids.count(gid) >= n)
+    moved = [row for row in train if row["item_id"].split(":")[0] == graph_id][:n]
+    for row in moved:
+        row["partition"] = "dev"
+    write_ndjson(split, header, rows)
+    ids = {row["item_id"] for row in moved}
+    return [row["item_id"] for row in read_ndjson(pipeline()["bench"])[1] if row["item_id"] in ids]
+
+
+@pytest.mark.parametrize("command", ["build-memory", "eval", "ablate"])
+@pytest.mark.parametrize("protocol", ["year", "dual"])
+def test_a_split_its_protocol_does_not_give_exits_3_naming_it(tmp_path, capsys, command, protocol):
+    # the memory is the one of the split before the edit, which keeps the moved
+    # items' graph in train and out of test
+    paths = dict(pipeline())
+    paths["split"], paths["memory"] = _split_and_memory(tmp_path, "--protocol", protocol)
+    moved = _moved_train_items(paths["split"], 3)
+    split, out = paths["split"], tmp_path / "out.ndjson"
+    argv = {"build-memory": ["build-memory", "--graphs", str(paths["graphs"]), "--bench",
+                             str(paths["bench"]), "--split", str(split), "--out", str(out)],
+            "eval": _without_memory(eval_argv(paths, "zero_shot", out)),
+            "ablate": ablate_argv(paths, out, axes="scoring")}[command]
+    assert cli.dispatch(argv) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: {split}: 3 items are not in the partition a {protocol!r} split gives"
+                   f" them, e.g. {moved}; re-run split\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("held_out_class", ["battery", "magnetic", "no-such-class"])
+def test_a_dual_split_of_any_held_out_class_is_its_protocol_s(tmp_path, capsys, held_out_class):
+    # the file does not name its held-out class: build-memory and eval read it as
+    # the dual split of the class it agrees with
+    paths = dict(pipeline())
+    paths["split"], paths["memory"] = _split_and_memory(
+        tmp_path, "--protocol", "dual", "--held-out-class", held_out_class)
+    out = tmp_path / "report.ndjson"
+    code = cli.dispatch([*eval_argv(paths, "argmax_hybrid", out), "--partition", "dev"])
+    capsys.readouterr()
+    assert code == 0
+
+
+def _other_corpus_memory(root: Path) -> Path:
+    """The pipeline's stages on the synth corpus of another seed, whose graphs
+    take the same ids, up to a memory of its ``random`` split."""
+    paths = {name: root / f"{name}.ndjson" for name in ("raw", "graphs", "bench", "split", "memory")}
+    for argv in (
+        ["synth", "--out", str(paths["raw"]), "--n", "16", "--seed", "8"],
+        ["compile", "--in", str(paths["raw"]), "--out", str(paths["graphs"])],
+        ["genbench", "--graphs", str(paths["graphs"]), "--out", str(paths["bench"]), "--seed", "3"],
+        ["split", "--bench", str(paths["bench"]), "--out", str(paths["split"]), "--protocol",
+         "random", "--seed", "5"],
+        ["build-memory", "--graphs", str(paths["graphs"]), "--bench", str(paths["bench"]),
+         "--split", str(paths["split"]), "--out", str(paths["memory"])],
+    ):
+        assert cli.dispatch(argv) == 0, argv
+    return paths["memory"]
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_a_memory_of_another_corpus_exits_3_naming_a_graph_and_an_item(tmp_path, capsys, command):
+    memory, out = _other_corpus_memory(tmp_path), tmp_path / "out.ndjson"
+    capsys.readouterr()
+    routes = {p.graph_id: p.route for p in load_memory(memory).processes}
+    differing = {}
+    for row in read_ndjson(pipeline()["bench"])[1]:
+        graph_id = row["graph_id"]
+        if (row["task"][:2] in ("B1", "B2", "C1") and graph_id in routes
+                and row["question"]["route"] != routes[graph_id]):
+            differing.setdefault(graph_id, row["item_id"])
+    assert differing
+    graph_id, item_id = next(iter(differing.items()))
+    assert cli.dispatch(_memory_argv(command, memory, out)) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: {memory} holds {len(differing)} of {len(routes)} processes whose route"
+                   f" differs from the one items of {pipeline()['bench']} show, e.g. process"
+                   f" {graph_id!r} against item {item_id!r}; build the memory from this question"
+                   " set's graphs\n")
+    assert not out.exists()
+
+
+def _older_memory(header, rows):
+    """The pipeline's memory as an older version wrote it: each step row with
+    its route context, and the prefix index stored as rows."""
+    memory = load_memory(pipeline()["memory"])
+    steps = {(e.graph_id, e.position): e for e in memory.step_library}
+    for row in _steps(rows):
+        e = steps[row["graph_id"], row["position"]]
+        row.update(activity=e.activity, norm_position=e.norm_position,
+                   prev_activity=e.prev_activity, next_activity=e.next_activity)
+    rows.extend({"kind": "prefix", "prefix": list(window), "next": dict(counts)}
+                for window, counts in sorted(memory.prefix_index.items()))
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+@pytest.mark.parametrize("rows_kept", ["every-row", "without-step-rows"])
+def test_a_memory_an_older_version_wrote_exits_3_saying_to_rebuild(tmp_path, capsys, command,
+                                                                    rows_kept):
+    def edit(header, rows):
+        _older_memory(header, rows)
+        if rows_kept == "without-step-rows":  # then the first prefix row is refused
+            rows[:] = [row for row in rows if row["kind"] != "step"]
+        edit.row = 1 + next(n for n, row in enumerate(rows) if row["kind"] in ("step", "prefix"))
+
+    path, out = _edited(tmp_path, "memory", edit), tmp_path / "out.ndjson"
+    assert cli.dispatch(_memory_argv(command, path, out)) == 3
+    refusal = {"every-row": "StepEntry: unknown keys ['activity', 'next_activity', 'norm_position',"
+                            " 'prev_activity']",
+               "without-step-rows": "kind 'prefix' is not one of process, step, transition"}
+    assert capsys.readouterr().err == (f"error: {path}: row {edit.row}: {refusal[rows_kept]};"
+                                       " rebuild with build-memory\n")
     assert not out.exists()
 
 

@@ -4,7 +4,9 @@ The graph store holds no material role and no activity order: the reader
 derives them with ``compile_graph``, as ``compile`` did, whatever order the
 node and edge lists are in. A question set holds no step question's
 ``activity`` and no masked question's ``masked_index``: each is read off
-the route it already holds.
+the route it already holds. A process memory holds no step's route context
+and no prefix index: the loader places each step on its route, whatever
+order the rows are in, and the index is a view of the routes.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chain_graph
-from matproc.jsonio import read_ndjson
+from helpers import assert_same_memory, chain_graph
+from matproc.jsonio import read_ndjson, write_ndjson
+from matproc.memory import build_memory, load_memory, save_memory
 from matproc.provgraph import (ProcessGraph, SynthParams, compile_graph, generate_synthetic_corpus,
                                graph_view, parse_record, to_prov_document)
 from matproc.provgraph.store import read_graph_store, write_graph_store
@@ -106,3 +110,32 @@ def test_a_route_holding_the_mask_token_gets_no_masked_question():
     masked = [it.graph_id for it in items if it.task == "A2_missing_step"]
     assert "g0" not in masked and "g1" in masked
     assert {"graph_id": "g0", "task": "A2_missing_step", "reason": "mask_token_in_route"} in skips
+
+
+@PROPERTY
+@given(n=st.integers(1, 12), seed=SEEDS, max_prefix_len=st.integers(1, 6), shuffle_seed=SEEDS)
+def test_a_memory_reads_back_equal_whatever_the_order_of_its_rows(n, seed, max_prefix_len,
+                                                                  shuffle_seed):
+    memory = build_memory(_compiled(n, seed), split_id="s", max_prefix_len=max_prefix_len)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, shuffled = Path(tmp) / "memory.ndjson", Path(tmp) / "shuffled.ndjson"
+        save_memory(path, memory)
+        header, rows = read_ndjson(path)
+        random.Random(shuffle_seed).shuffle(rows)
+        write_ndjson(shuffled, header, rows)
+        back, moved = load_memory(path), load_memory(shuffled)
+    assert {row["kind"] for row in rows} <= {"process", "step", "transition"}
+    assert not any(key in row for row in rows for key in
+                   ("activity", "norm_position", "prev_activity", "next_activity"))
+    assert_same_memory(back, memory)
+    assert sorted(moved.processes, key=lambda p: p.graph_id) == sorted(
+        memory.processes, key=lambda p: p.graph_id)
+    assert sorted(moved.step_library, key=lambda e: (e.graph_id, e.position)) == sorted(
+        memory.step_library, key=lambda e: (e.graph_id, e.position))
+    assert moved.transition_table == memory.transition_table
+    assert moved.prefix_index == memory.prefix_index and moved.vocab == memory.vocab
+    at, moved_at = ({p.graph_id: i for i, p in enumerate(m.processes)} for m in (memory, moved))
+    for graph_id, i in at.items():
+        assert moved.steps_of(graph_id) == memory.steps_of(graph_id)
+        for kind, vectors in memory.vectors.items():
+            assert np.array_equal(moved.vectors[kind][moved_at[graph_id]], vectors[i])

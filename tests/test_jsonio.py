@@ -35,7 +35,7 @@ from matproc.jsonio import (
     read_ndjson,
     write_ndjson,
 )
-from matproc.memory import PrefixRow, ProcessRow, ProcessSummary, StepEntry, TransitionRow, build_memory
+from matproc.memory import ProcessRow, ProcessSummary, StepEntry, TransitionRow, build_memory
 from matproc.provgraph import (
     ActivityNode,
     EntityNode,
@@ -316,7 +316,7 @@ def test_read_artifact_checks_the_format_the_header_and_every_row(tmp_path):
 PERSISTED = (EntityNode, ActivityNode, ProcessGraph, ProcessSummary, StepEntry, BenchItem, GenCaps,
              FieldMap, RetrievalWeights, RetrievedPrecedent, ScoringConfig, OptionScores,
              PolicyConfig, EvalReport, ChatExchange, RunConfig, Tally, AblationRow, SplitRow,
-             AuditRow, ProcessRow, TransitionRow, PrefixRow)
+             AuditRow, ProcessRow, TransitionRow)
 
 
 @functools.lru_cache(maxsize=None)
@@ -360,7 +360,6 @@ def run_objects() -> dict[type, list]:
                                 embeddings={kind: m[i].tolist() for kind, m in memory.vectors.items()})
                      for i, p in enumerate(memory.processes)],
         TransitionRow: [TransitionRow(a, b, c) for (a, b), c in memory.transition_table.items()],
-        PrefixRow: [PrefixRow(window, dict(counts)) for window, counts in memory.prefix_index.items()],
     }
 
 
@@ -372,6 +371,9 @@ def _persisted_only(x):
         return dataclasses.replace(x, warnings=[], ordered_activity_ids=[],
                                    material_entities=list(map(_persisted_only, x.material_entities)),
                                    tool_entities=list(map(_persisted_only, x.tool_entities)))
+    if isinstance(x, StepEntry):
+        return dataclasses.replace(x, activity=None, norm_position=None, prev_activity=None,
+                                   next_activity=None)
     if isinstance(x, EvalReport):
         return dataclasses.replace(x, wall_clock_s=0.0)
     return x
@@ -420,8 +422,7 @@ def test_loader_keeps_ints_for_floats_and_never_takes_bools_for_numbers():
     with pytest.raises(MalformedDocument, match=r"RetrievalWeights\.alpha: expected float, got bool"):
         RetrievalWeights.from_dict({"alpha": True, "beta": 0, "gamma": 0})
     with pytest.raises(MalformedDocument, match=r"StepEntry\.position: expected int, got float"):
-        StepEntry.from_dict({"graph_id": "g", "activity": "a", "position": 1.0,
-                             "norm_position": 0.0})
+        StepEntry.from_dict({"graph_id": "g", "position": 1.0})
 
 
 def test_loader_converts_only_lists_to_tuples_and_objects_to_dataclasses():
@@ -442,16 +443,16 @@ def test_loader_interns_every_string_and_dict_key():
         return "".join(list(text))
 
     row = json.loads(json.dumps({
-        "graph_id": "g1", "activity": "mill", "position": 0, "norm_position": 0.0,
-        "prev_activity": "weigh", "tools": ["ball mill"], "conditions": {"speed": "300 rpm"},
+        "graph_id": "g1", "position": 0, "tools": ["ball mill"], "conditions": {"speed": "300 rpm"},
+        "input_forms": ["powder"],
     }))
     entry = StepEntry.from_dict(row)
-    strings = [entry.graph_id, entry.activity, entry.prev_activity, *entry.tools,
-               *entry.conditions, *entry.conditions.values()]
-    assert strings == ["g1", "mill", "weigh", "ball mill", "speed", "300 rpm"]
+    strings = [entry.graph_id, *entry.tools, *entry.conditions, *entry.conditions.values(),
+               *entry.input_forms]
+    assert strings == ["g1", "ball mill", "speed", "300 rpm", "powder"]
     assert all(s is sys.intern(fresh(s)) for s in strings)
-    prefix = PrefixRow.from_dict(json.loads('{"prefix": ["mill", "sinter"], "next": {"anneal": 2}}'))
-    assert all(s is sys.intern(fresh(s)) for s in [*prefix.prefix, *prefix.next])
+    field_map = FieldMap.from_dict(json.loads('{"label_keys": ["name", "rdfs:label"]}'))
+    assert all(s is sys.intern(fresh(s)) for s in field_map.label_keys)
 
 
 @pytest.mark.parametrize(

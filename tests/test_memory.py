@@ -393,6 +393,25 @@ def test_graph_ranks_are_the_sorted_order_of_the_distinct_ids():
     assert memory.dense_index.id_rank.tolist() == [ids.index(p.graph_id) for p in memory.processes]
 
 
+@pytest.mark.parametrize("variant", ["built", "loaded", "deep-copied", "unpickled"])
+def test_a_memory_s_vectors_cannot_be_assigned(variant, tmp_path):
+    memory, _ = synth_memory(6)
+    if variant == "loaded":
+        save_memory(tmp_path / "memory.ndjson", memory)
+        memory = load_memory(tmp_path / "memory.ndjson")
+    elif variant == "deep-copied":
+        memory = copy.deepcopy(memory)
+    elif variant == "unpickled":
+        memory = pickle.loads(pickle.dumps(memory))
+    text = memory.vectors["text"]
+    with pytest.raises(TypeError):
+        memory.vectors["text"] = text[:1]
+    with pytest.raises(TypeError):
+        del memory.vectors["struct"]
+    assert sorted(memory.vectors) == ["struct", "text"] and memory.vectors["text"] is text
+    assert memory.dense_index.graph_ids == [p.graph_id for p in memory.processes]
+
+
 def test_memories_compare_by_identity():
     memory, _ = synth_memory(6)
     for copied in (copy.deepcopy(memory), pickle.loads(pickle.dumps(memory))):
@@ -446,6 +465,7 @@ def test_memory_round_trip(tmp_path):
     assert back.prefix_index == memory.prefix_index
     assert [p.to_dict() for p in back.processes] == [p.to_dict() for p in memory.processes]
     assert [e.to_dict() for e in back.step_library] == [e.to_dict() for e in memory.step_library]
+    assert back.step_library == memory.step_library  # the route context the file does not hold
     assert_same_vectors(back.vectors, memory.vectors)
 
 
@@ -457,7 +477,7 @@ def test_a_memory_file_that_stores_a_process_twice_is_refused_naming_it(tmp_path
         step_library=[*memory.step_library, *memory.steps_of(first.graph_id)],
         vectors={kind: m[[*range(len(m)), 0]] for kind, m in memory.vectors.items()})
     path = tmp_path / "memory.ndjson"
-    save_memory(path, twice)  # its transition and prefix rows are the ones its routes give
+    save_memory(path, twice)  # its transition rows are the ones its routes give
     with pytest.raises(MalformedDocument) as refused:
         load_memory(path)
     assert str(refused.value) == (f"{path}: process {first.graph_id!r} is stored more than once;"
