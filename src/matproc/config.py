@@ -149,6 +149,8 @@ def load_config_file(path: str | Path) -> dict:
     """Raw dict from a JSON config file (validated on merge)."""
     try:
         content = loads(Path(path).read_bytes())
+    except OSError as exc:
+        raise ConfigConflict(f"config file {path} cannot be read: {exc.strerror}") from None
     except ValueError as exc:
         raise ConfigConflict(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(content, dict):

@@ -1,14 +1,15 @@
 """Train-partition process memory: summaries, a step library, and two views
 of the routes that never disagree with them, transition counts and prefix index.
 
-A memory stores only what its routes do not give. A step row holds a route
+A memory stores only what its routes do not give. A step entry holds a route
 position's payload (tools, conditions, inputs and outputs); the position's
 activity, neighbours and normalised position are read off the route with
-:meth:`StepQuery.at` when the memory is built and when it is loaded. The
-prefix index is never stored. The transition rows the file still holds must
-be the ones the routes give. A file that stores a process twice, or that an
-older version wrote (a step row holding route context, a ``prefix`` row),
-is refused with a hint to rebuild it.
+:meth:`StepQuery.at` wherever they are used, by the step index and by the
+prompts. The prefix index is never stored. The transition rows the file
+still holds must be the ones the routes give. A file that stores a process
+twice, or that an older version wrote (a step row holding route context, a
+``prefix`` row), is refused with a hint to rebuild it. Processes and step
+entries are frozen, like the memory that holds them.
 
 The prefix index maps every contiguous activity window up to
 ``max_prefix_len`` labels to its immediate successor, which makes the
@@ -30,8 +31,8 @@ import numpy as np
 
 from .canon import canon_label
 from .errors import EmptyLibrary, EmptyTrainSet, MalformedDocument
-from .jsonio import (TRANSIENT, Record, artifact_header, check_fields, read_artifact,
-                     record_fields, write_ndjson)
+from .jsonio import (Record, artifact_header, check_fields, read_artifact, record_fields,
+                     write_ndjson)
 from .provgraph import ProcessGraph, graph_view
 
 if TYPE_CHECKING:
@@ -85,7 +86,7 @@ class LabelSets:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessSummary(Record):
     graph_id: str
     route: list[str]
@@ -98,11 +99,11 @@ class ProcessSummary(Record):
         return len(self.route)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepEntry(Record):
-    """One position of a stored process's route. A memory file stores its
-    payload; its route context is transient, filled by :meth:`place` (hand-built
-    entries may pass it instead)."""
+    """One position of a stored process's route: its payload, as a memory file
+    stores it. Its context (activity, neighbours, normalised position) is the
+    route's, read with :meth:`StepQuery.at`."""
 
     graph_id: str
     position: int
@@ -112,23 +113,13 @@ class StepEntry(Record):
     input_forms: list[str] = field(default_factory=list)
     output_labels: list[str] = field(default_factory=list)
     output_forms: list[str] = field(default_factory=list)
-    activity: str | None = field(default=None, metadata=TRANSIENT)
-    norm_position: float | None = field(default=None, metadata=TRANSIENT)
-    prev_activity: str | None = field(default=None, metadata=TRANSIENT)
-    next_activity: str | None = field(default=None, metadata=TRANSIENT)
-
-    def place(self, route) -> StepEntry:
-        """This entry, given the context of its position on ``route``."""
-        at = StepQuery.at(route, self.position)
-        self.activity, self.norm_position = at.activity, at.norm_position
-        self.prev_activity, self.next_activity = at.prev_activity, at.next_activity
-        return self
 
 
 @dataclass
 class StepQuery:
-    """The visible context of a target step, shaped like a StepEntry. Step
-    entries (:meth:`StepEntry.place`) and scorer queries take it from :meth:`at`."""
+    """The visible context of a route position, and its step's input forms.
+    The step index, the prompts and the scorers' queries all take it from
+    :meth:`at`."""
 
     activity: str | None = None
     prev_activity: str | None = None
@@ -164,7 +155,8 @@ class NextDistribution:
 
 @dataclass(frozen=True)
 class StepIndex:
-    """The step library as arrays, in library order, for :func:`match_steps`."""
+    """The step library as arrays, in library order, for :func:`match_steps`;
+    each entry's context is read off its process's route."""
 
     activity: np.ndarray
     norm_position: np.ndarray
@@ -174,15 +166,15 @@ class StepIndex:
     input_forms: LabelSets
 
     @classmethod
-    def build(cls, library: list[StepEntry]) -> "StepIndex":
+    def build(cls, library: tuple[StepEntry, ...],
+              processes: Mapping[str, ProcessSummary]) -> "StepIndex":
+        at = [StepQuery.at(processes[e.graph_id].route, e.position) for e in library]
         return cls(
-            activity=np.array([e.activity for e in library], dtype=object),
-            norm_position=np.array([e.norm_position for e in library], dtype=np.float64),
+            activity=np.array([q.activity for q in at], dtype=object),
+            norm_position=np.array([q.norm_position for q in at], dtype=np.float64),
             graph_rank=sorted_ranks([e.graph_id for e in library]),
             position=np.array([e.position for e in library], dtype=np.int64),
-            neighbours=LabelSets(
-                [x for x in (e.prev_activity, e.next_activity) if x] for e in library
-            ),
+            neighbours=LabelSets(q.neighbour_labels() for q in at),
             input_forms=LabelSets(e.input_forms for e in library),
         )
 
@@ -254,9 +246,12 @@ class ProcessMemory:
 
     @cached_property
     def _transition_totals(self) -> tuple[Counter, Counter]:
-        """Transition counts summed per source label and per target label."""
-        return (Counter(a for p in self.processes for a in p.route[:-1]),
-                Counter(b for p in self.processes for b in p.route[1:]))
+        """The transition table's counts summed per source label and per target label."""
+        out, into = Counter(), Counter()
+        for (a, b), count in self.transition_table.items():
+            out[a] += count
+            into[b] += count
+        return out, into
 
     def total_out(self, label: str) -> int:
         return self._transition_totals[0].get(label, 0)
@@ -277,7 +272,7 @@ class ProcessMemory:
 
     @cached_property
     def step_index(self) -> StepIndex:
-        return StepIndex.build(self.step_library)
+        return StepIndex.build(self.step_library, self.by_graph_id)
 
     @cached_property
     def dense_index(self) -> DenseIndex:
@@ -309,11 +304,10 @@ def build_memory(
     processes, step_library = [], []
     for g in train_graphs:
         view = graph_view(g)
-        route = list(view.route)
         processes.append(
             ProcessSummary(
                 graph_id=g.record_id,
-                route=route,
+                route=list(view.route),
                 precursors=list(view.precursors),
                 products=list(view.products),
                 tools=list(view.tools),
@@ -330,7 +324,7 @@ def build_memory(
                     input_forms=list(step.input_forms),
                     output_labels=list(step.outputs),
                     output_forms=list(step.output_forms),
-                ).place(route)
+                )
             )
     from .retrieval import attach_embeddings  # retrieval imports this module
 
@@ -458,7 +452,7 @@ def frozen_array(values) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessRow(ProcessSummary):
     """A process as the memory file stores it: its summary and, per kind,
     its vector as a JSON list, which :class:`StoredVectors` checks and packs."""
@@ -569,8 +563,8 @@ def load_memory(path: str | Path) -> ProcessMemory:
     """The memory saved at ``path``. Its stored vectors of each kind are one
     read-only float64 matrix, which the dense index scores as it is (see
     :class:`StoredVectors`). It stores each process once, one step row per
-    route position, which is given its context by :meth:`StepEntry.place`,
-    and, in any order, the transition rows its routes give."""
+    route position, holding that step's payload alone, and, in any order, the
+    transition rows its routes give."""
     vectors = StoredVectors()
     readers = {"process": vectors.read, "step": _read_step, "transition": TransitionRow.from_dict}
     rows = {kind: [] for kind in readers}
@@ -588,13 +582,11 @@ def load_memory(path: str | Path) -> ProcessMemory:
     repeated = [gid for gid, n in Counter(p.graph_id for p in rows["process"]).items() if n > 1]
     if repeated:
         raise MalformedDocument(f"{path}: process {repeated[0]!r} is stored more than once; {_RERUN}")
-    routes = {p.graph_id: p.route for p in rows["process"]}
     if (Counter((e.graph_id, e.position) for e in rows["step"])
-            != Counter((gid, i) for gid, route in routes.items() for i in range(len(route)))):
+            != Counter((p.graph_id, i) for p in rows["process"] for i in range(p.route_length))):
         raise MalformedDocument(f"{path}: the step rows are not one per route position; {_RERUN}")
     memory = ProcessMemory(split_id=header.get("split_id", ""), max_prefix_len=max_prefix_len,
-                           processes=rows["process"],
-                           step_library=[e.place(routes[e.graph_id]) for e in rows["step"]],
+                           processes=rows["process"], step_library=rows["step"],
                            vectors=vectors.store())
     if sorted(rows["transition"], key=lambda t: (t.a, t.b)) != _transition_rows(memory):
         raise MalformedDocument(f"{path}: the transition rows are not the ones the process routes"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import MissingContext
-from .memory import ProcessMemory, linearize_process
+from .memory import ProcessMemory, StepQuery, linearize_process
 from .retrieval import RetrievedPrecedent
 from .scoring import OptionScores
 from .taskgen import MASK_TOKEN, BenchItem
@@ -109,7 +109,8 @@ def neighbourhood_block(memory: ProcessMemory, graph_ids: list[str], hops: int =
     for gid in graph_ids:
         lines.append(f"process {gid}:")
         for entry in memory.steps_of(gid):
-            parts = [f"step {entry.position + 1} {entry.activity}:"]
+            at = StepQuery.at(memory.by_graph_id[gid].route, entry.position)
+            parts = [f"step {entry.position + 1} {at.activity}:"]
             clauses = []
             if entry.input_labels:
                 clauses.append("uses " + ", ".join(entry.input_labels))
@@ -118,10 +119,10 @@ def neighbourhood_block(memory: ProcessMemory, graph_ids: list[str], hops: int =
             if entry.tools:
                 clauses.append("tools " + ", ".join(entry.tools))
             if hops >= 2:
-                if entry.prev_activity:
-                    clauses.append(f"after {entry.prev_activity}")
-                if entry.next_activity:
-                    clauses.append(f"before {entry.next_activity}")
+                if at.prev_activity:
+                    clauses.append(f"after {at.prev_activity}")
+                if at.next_activity:
+                    clauses.append(f"before {at.next_activity}")
             parts.append("; ".join(clauses) if clauses else "no recorded links")
             lines.append("  " + " ".join(parts))
     return "\n".join(lines)

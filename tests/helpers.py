@@ -39,8 +39,7 @@ def assert_same_vectors(got, want):
 
 def assert_same_memory(got, want):
     """``got == want`` for two memories, which ``==`` compares by identity:
-    the same header fields, processes, step library (route context
-    included), views and vectors."""
+    the same header fields, processes, step library, views and vectors."""
     assert (got.split_id, got.max_prefix_len) == (want.split_id, want.max_prefix_len)
     assert got.processes == want.processes and got.step_library == want.step_library
     assert got.transition_table == want.transition_table and got.prefix_index == want.prefix_index

@@ -23,7 +23,7 @@ from matproc import cli
 from matproc.config import PATH_KEYS, RunConfig, load_config_file
 from matproc.errors import ConfigConflict
 from matproc.jsonio import loads, read_ndjson, write_ndjson
-from matproc.memory import load_memory
+from matproc.memory import StepQuery, load_memory
 from matproc.provgraph import SynthParams, generate_synthetic_corpus, to_prov_document
 from matproc.retrieval import RetrievalWeights
 from matproc.runner import DEFAULT_BUDGETS, POLICIES, PolicyConfig
@@ -2171,11 +2171,10 @@ def _older_memory(header, rows):
     """The pipeline's memory as an older version wrote it: each step row with
     its route context, and the prefix index stored as rows."""
     memory = load_memory(pipeline()["memory"])
-    steps = {(e.graph_id, e.position): e for e in memory.step_library}
     for row in _steps(rows):
-        e = steps[row["graph_id"], row["position"]]
-        row.update(activity=e.activity, norm_position=e.norm_position,
-                   prev_activity=e.prev_activity, next_activity=e.next_activity)
+        at = StepQuery.at(memory.by_graph_id[row["graph_id"]].route, row["position"])
+        row.update(activity=at.activity, norm_position=at.norm_position,
+                   prev_activity=at.prev_activity, next_activity=at.next_activity)
     rows.extend({"kind": "prefix", "prefix": list(window), "next": dict(counts)}
                 for window, counts in sorted(memory.prefix_index.items()))
 
@@ -2284,6 +2283,18 @@ def test_every_pipeline_artifact_line_decodes_as_the_stdlib_decoder_reads_it():
     for name, path in pipeline().items():
         for n, line in enumerate(path.read_bytes().splitlines(), start=1):
             assert _typed(loads(line)) == _typed(json.loads(line)), f"{name} line {n}"
+
+
+@pytest.mark.parametrize("argv", [["eval", "--config"], ["compile", "--field-map"]],
+                         ids=["eval-config", "compile-field-map"])
+def test_a_config_file_that_cannot_be_read_exits_2_naming_it(tmp_path, capsys, argv):
+    missing, out = tmp_path / "missing.json", tmp_path / "out.ndjson"
+    extra = {"eval": ["--report", str(out)], "compile": ["--in", str(pipeline()["raw"]),
+                                                           "--out", str(out)]}[argv[0]]
+    assert cli.dispatch([*argv, str(missing), *extra]) == 2
+    assert capsys.readouterr().err == (f"error: config file {missing} cannot be read:"
+                                       " No such file or directory\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", [b"{not json", b'{"seed": NaN}', b'{"seed": "\xff"}'],

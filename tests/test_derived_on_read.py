@@ -5,8 +5,8 @@ derives them with ``compile_graph``, as ``compile`` did, whatever order the
 node and edge lists are in. A question set holds no step question's
 ``activity`` and no masked question's ``masked_index``: each is read off
 the route it already holds. A process memory holds no step's route context
-and no prefix index: the loader places each step on its route, whatever
-order the rows are in, and the index is a view of the routes.
+and no prefix index: the step index reads each step's context off its route,
+whatever order the rows were in, and the prefix index is a view of the routes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from helpers import assert_same_memory, chain_graph
 from matproc.jsonio import read_ndjson, write_ndjson
-from matproc.memory import build_memory, load_memory, save_memory
+from matproc.memory import StepQuery, build_memory, load_memory, save_memory, sorted_ranks
 from matproc.provgraph import (ProcessGraph, SynthParams, compile_graph, generate_synthetic_corpus,
                                graph_view, parse_record, to_prov_document)
 from matproc.provgraph.store import read_graph_store, write_graph_store
@@ -112,18 +112,48 @@ def test_a_route_holding_the_mask_token_gets_no_masked_question():
     assert {"graph_id": "g0", "task": "A2_missing_step", "reason": "mask_token_in_route"} in skips
 
 
-@PROPERTY
-@given(n=st.integers(1, 12), seed=SEEDS, max_prefix_len=st.integers(1, 6), shuffle_seed=SEEDS)
-def test_a_memory_reads_back_equal_whatever_the_order_of_its_rows(n, seed, max_prefix_len,
-                                                                  shuffle_seed):
-    memory = build_memory(_compiled(n, seed), split_id="s", max_prefix_len=max_prefix_len)
+def _saved_and_loaded(memory, shuffle_seed):
+    """``memory``'s saved rows, and the memory loaded from them as saved and
+    with the rows shuffled."""
     with tempfile.TemporaryDirectory() as tmp:
         path, shuffled = Path(tmp) / "memory.ndjson", Path(tmp) / "shuffled.ndjson"
         save_memory(path, memory)
         header, rows = read_ndjson(path)
         random.Random(shuffle_seed).shuffle(rows)
         write_ndjson(shuffled, header, rows)
-        back, moved = load_memory(path), load_memory(shuffled)
+        return rows, load_memory(path), load_memory(shuffled)
+
+
+def _label_sets(sets):
+    """Each row of a :class:`matproc.memory.LabelSets` as the set it holds."""
+    labels = sorted(sets.columns, key=sets.columns.get)
+    return [{labels[j] for j in np.flatnonzero(row)} for row in sets.incidence]
+
+
+@PROPERTY
+@given(n=st.integers(1, 12), seed=SEEDS, shuffle_seed=SEEDS)
+def test_a_memory_s_step_index_is_each_entry_read_off_its_route(n, seed, shuffle_seed):
+    graphs = _compiled(n, seed)
+    routes = {g.record_id: list(graph_view(g).route) for g in graphs}
+    memory = build_memory(graphs, split_id="s")
+    _, back, moved = _saved_and_loaded(memory, shuffle_seed)
+    for m in (memory, back, moved):
+        index, library = m.step_index, m.step_library
+        at = [StepQuery.at(routes[e.graph_id], e.position) for e in library]
+        assert index.activity.tolist() == [q.activity for q in at]
+        assert index.norm_position.tolist() == [q.norm_position for q in at]
+        assert _label_sets(index.neighbours) == [q.neighbour_labels() for q in at]
+        assert _label_sets(index.input_forms) == [set(e.input_forms) for e in library]
+        assert index.position.tolist() == [e.position for e in library]
+        assert index.graph_rank.tolist() == sorted_ranks([e.graph_id for e in library]).tolist()
+
+
+@PROPERTY
+@given(n=st.integers(1, 12), seed=SEEDS, max_prefix_len=st.integers(1, 6), shuffle_seed=SEEDS)
+def test_a_memory_reads_back_equal_whatever_the_order_of_its_rows(n, seed, max_prefix_len,
+                                                                  shuffle_seed):
+    memory = build_memory(_compiled(n, seed), split_id="s", max_prefix_len=max_prefix_len)
+    rows, back, moved = _saved_and_loaded(memory, shuffle_seed)
     assert {row["kind"] for row in rows} <= {"process", "step", "transition"}
     assert not any(key in row for row in rows for key in
                    ("activity", "norm_position", "prev_activity", "next_activity"))

@@ -371,9 +371,6 @@ def _persisted_only(x):
         return dataclasses.replace(x, warnings=[], ordered_activity_ids=[],
                                    material_entities=list(map(_persisted_only, x.material_entities)),
                                    tool_entities=list(map(_persisted_only, x.tool_entities)))
-    if isinstance(x, StepEntry):
-        return dataclasses.replace(x, activity=None, norm_position=None, prev_activity=None,
-                                   next_activity=None)
     if isinstance(x, EvalReport):
         return dataclasses.replace(x, wall_clock_s=0.0)
     return x

@@ -20,6 +20,7 @@ from matproc.errors import EmptyLibrary, EmptyTrainSet, MalformedDocument
 from matproc.memory import (
     LabelSets,
     ProcessMemory,
+    ProcessRow,
     ProcessSummary,
     StepEntry,
     StepQuery,
@@ -123,7 +124,8 @@ def test_step_positions_valid():
     lengths = {g.record_id: len(graph_view(g).route) for g in corpus}
     for entry in memory.step_library:
         assert 0 <= entry.position < lengths[entry.graph_id]
-        assert 0.0 <= entry.norm_position <= 1.0
+    norm = memory.step_index.norm_position
+    assert ((0.0 <= norm) & (norm <= 1.0)).all()
 
 
 # independent copies of the step-context formulas that build_memory, the
@@ -212,60 +214,54 @@ def test_smoothing_floor_below_observed_mass():
 
 # --- match_steps -------------------------------------------------------------------
 
-def entry(graph_id, activity, position=0, norm=0.0, prev=None, nxt=None, forms=(), **kw):
-    return StepEntry(
-        graph_id=graph_id,
-        activity=activity,
-        position=position,
-        norm_position=norm,
-        prev_activity=prev,
-        next_activity=nxt,
-        input_forms=list(forms),
-        **kw,
-    )
+def routed_memory(routes, *library):
+    """A memory of the processes ``graph_id -> route`` whose step library is
+    ``library``: each entry's context is the one its process's route gives."""
+    processes = [ProcessSummary(gid, list(route), [], [], []) for gid, route in routes.items()]
+    return ProcessMemory(processes=processes, step_library=library)
+
+
+def step(graph_id, position, *forms):
+    return StepEntry(graph_id=graph_id, position=position, input_forms=list(forms))
+
+
+def context(memory, e):
+    """``e``'s place on its process's route."""
+    return StepQuery.at(memory.by_graph_id[e.graph_id].route, e.position, e.input_forms)
 
 
 def test_match_steps_self_match_first():
     memory, _ = synth_memory(10)
     target = memory.step_library[5]
-    query = StepQuery(
-        activity=target.activity,
-        prev_activity=target.prev_activity,
-        next_activity=target.next_activity,
-        norm_position=target.norm_position,
-        input_forms=target.input_forms,
-    )
-    ranked = match_steps(memory, query, top_m=3)
+    ranked = match_steps(memory, context(memory, target), top_m=3)
     top_score, top_entry = ranked[0]
     assert top_score == max(s for s, _ in ranked)
-    assert (
-        top_entry.activity == target.activity
-        and top_entry.norm_position == target.norm_position
-    )
+    top, want = context(memory, top_entry), context(memory, target)
+    assert top.activity == want.activity and top.norm_position == want.norm_position
     assert top_score == pytest.approx(1.0 + 0.5 + 0.25 + 0.25)
 
 
 def test_match_steps_activity_dominance():
-    memory = ProcessMemory(step_library=[
-        entry("g1", "sinter", prev="mill", nxt="anneal", forms=("powder",)),
-        entry("g2", "sinter"),
-        entry("g3", "press", norm=0.5, forms=("pellet",)),
-        entry("g4", "dry", prev="mix", forms=("solution",)),
-    ])
+    memory = routed_memory(
+        {"g1": ["mill", "sinter", "anneal"], "g2": ["sinter"], "g3": ["press"], "g4": ["mix", "dry"]},
+        step("g1", 1, "powder"), step("g2", 0), step("g3", 0, "pellet"), step("g4", 1, "solution"),
+    )
     ranked = match_steps(memory, StepQuery(activity="sinter"), top_m=4)
-    labels = [e.activity for _, e in ranked]
+    labels = [context(memory, e).activity for _, e in ranked]
     assert labels[:2] == ["sinter", "sinter"]
     assert set(labels[2:]) == {"press", "dry"}
 
 
 def test_match_steps_hand_fixture():
-    memory = ProcessMemory(step_library=[
-        entry("g1", "sinter", norm=0.5, prev="mill", nxt="anneal", forms=("powder",)),
-        entry("g2", "sinter", norm=1.0, prev="press", forms=("pellet",)),
-        entry("g3", "anneal", norm=0.5, prev="mill", forms=("powder",)),
-        entry("g4", "sinter", norm=0.4, forms=()),
-        entry("g5", "mill", norm=0.0, nxt="sinter", forms=("powder", "flake")),
-    ])
+    memory = routed_memory(
+        {"g1": ["mill", "sinter", "anneal"],  # sinter at 0.5, after mill, before anneal
+         "g2": ["press", "sinter"],  # sinter at 1.0, after press
+         "g3": ["mill", "anneal", "dry"],  # anneal at 0.5, after mill, before dry
+         "g4": ["mix", "press", "sinter", "cool", "dry", "grind"],  # sinter at 0.4
+         "g5": ["mill", "sinter"]},  # mill at 0.0, before sinter
+        step("g1", 1, "powder"), step("g2", 1, "pellet"), step("g3", 1, "powder"), step("g4", 2),
+        step("g5", 0, "powder", "flake"),
+    )
     query = StepQuery(
         activity="sinter",
         prev_activity="mill",
@@ -278,7 +274,7 @@ def test_match_steps_hand_fixture():
     expected = {
         "g1": 1.0 + 0.5 * 1.0 + 0.25 * 1.0 + 0.25 * 1.0,          # 2.0
         "g2": 1.0 + 0.5 * 0.0 + 0.25 * 0.5 + 0.25 * 0.0,          # 1.125
-        "g3": 0.0 + 0.5 * (1 / 2) + 0.25 * 1.0 + 0.25 * 1.0,      # 0.75
+        "g3": 0.0 + 0.5 * (1 / 3) + 0.25 * 1.0 + 0.25 * 1.0,      # 0.667
         "g4": 1.0 + 0.5 * 0.0 + 0.25 * 0.9 + 0.25 * 0.0,          # 1.225
         "g5": 0.0 + 0.5 * 0.0 + 0.25 * 0.5 + 0.25 * (1 / 2),      # 0.25
     }
@@ -288,12 +284,10 @@ def test_match_steps_hand_fixture():
 
 
 def test_match_steps_tie_break():
-    memory = ProcessMemory(step_library=[
-        entry("gb", "sinter", position=1),
-        entry("ga", "sinter", position=0),
-        entry("ga", "sinter", position=2),
-    ])
+    memory = routed_memory({"gb": ["mill", "sinter"], "ga": ["sinter", "mill", "sinter"]},
+                           step("gb", 1), step("ga", 0), step("ga", 2))
     ranked = match_steps(memory, StepQuery(activity="sinter"), top_m=3)
+    assert len({score for score, _ in ranked}) == 1
     assert [(e.graph_id, e.position) for _, e in ranked] == [("ga", 0), ("ga", 2), ("gb", 1)]
 
 
@@ -302,12 +296,13 @@ def reference_match_steps(memory, query, top_m, weights=(1.0, 0.5, 0.25, 0.25)):
     w1, w2, w3, w4 = weights
     scored = []
     for e in memory.step_library:
+        at = context(memory, e)
         score = 0.0
-        if query.activity is not None and e.activity == query.activity:
+        if query.activity is not None and at.activity == query.activity:
             score += w1
-        score += w2 * jaccard(query.neighbour_labels(), {x for x in (e.prev_activity, e.next_activity) if x})
+        score += w2 * jaccard(query.neighbour_labels(), {x for x in (at.prev_activity, at.next_activity) if x})
         if query.norm_position is not None:
-            score += w3 * (1.0 - abs(query.norm_position - e.norm_position))
+            score += w3 * (1.0 - abs(query.norm_position - at.norm_position))
         score += w4 * jaccard(query.input_forms, e.input_forms)
         scored.append((score, e))
     scored.sort(key=lambda pair: (-pair[0], pair[1].graph_id, pair[1].position))
@@ -316,20 +311,11 @@ def reference_match_steps(memory, query, top_m, weights=(1.0, 0.5, 0.25, 0.25)):
 
 def test_match_steps_equals_per_entry_reference():
     memory, _ = synth_memory(20)
-    queries = [
-        StepQuery(
-            activity=e.activity,
-            prev_activity=e.prev_activity,
-            next_activity=e.next_activity,
-            norm_position=e.norm_position,
-            input_forms=list(e.input_forms),
-        )
-        for e in memory.step_library[::7]
-    ]
+    queries = [context(memory, e) for e in memory.step_library[::7]]
     queries += [
         StepQuery(),
         StepQuery(activity="never seen", input_forms=["powder", "never seen"]),
-        StepQuery(prev_activity=memory.step_library[0].activity, norm_position=0.5),
+        StepQuery(prev_activity=context(memory, memory.step_library[0]).activity, norm_position=0.5),
     ]
     for query in queries:
         for top_m in (1, 8, len(memory.step_library) + 1):
@@ -393,8 +379,8 @@ def test_graph_ranks_are_the_sorted_order_of_the_distinct_ids():
     assert memory.dense_index.id_rank.tolist() == [ids.index(p.graph_id) for p in memory.processes]
 
 
-@pytest.mark.parametrize("variant", ["built", "loaded", "deep-copied", "unpickled"])
-def test_a_memory_s_vectors_cannot_be_assigned(variant, tmp_path):
+def memory_variant(variant, tmp_path):
+    """A small synth memory as built, loaded, deep-copied or unpickled."""
     memory, _ = synth_memory(6)
     if variant == "loaded":
         save_memory(tmp_path / "memory.ndjson", memory)
@@ -403,6 +389,15 @@ def test_a_memory_s_vectors_cannot_be_assigned(variant, tmp_path):
         memory = copy.deepcopy(memory)
     elif variant == "unpickled":
         memory = pickle.loads(pickle.dumps(memory))
+    return memory
+
+
+VARIANTS = ["built", "loaded", "deep-copied", "unpickled"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_memory_s_vectors_cannot_be_assigned(variant, tmp_path):
+    memory = memory_variant(variant, tmp_path)
     text = memory.vectors["text"]
     with pytest.raises(TypeError):
         memory.vectors["text"] = text[:1]
@@ -410,6 +405,24 @@ def test_a_memory_s_vectors_cannot_be_assigned(variant, tmp_path):
         del memory.vectors["struct"]
     assert sorted(memory.vectors) == ["struct", "text"] and memory.vectors["text"] is text
     assert memory.dense_index.graph_ids == [p.graph_id for p in memory.processes]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_memory_s_processes_and_step_entries_cannot_be_assigned(variant, tmp_path):
+    memory = memory_variant(variant, tmp_path)
+    index = memory.step_index  # built before the attempts
+    first, entry = memory.processes[0], memory.step_library[0]
+    row = ProcessRow(**first.to_dict(), embeddings={})
+    for record, name, value in [(entry, "activity", "quench"), (entry, "position", 1),
+                                (entry, "tools", []), (first, "route", ["quench"]),
+                                (first, "graph_id", "other"), (row, "embeddings", {"text": []})]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del entry.conditions
+    route = memory.by_graph_id[entry.graph_id].route
+    assert memory.step_index is index and index.activity[0] == route[entry.position]
+    assert "quench" not in index.activity and "activity" not in vars(entry)
 
 
 def test_memories_compare_by_identity():
@@ -465,7 +478,7 @@ def test_memory_round_trip(tmp_path):
     assert back.prefix_index == memory.prefix_index
     assert [p.to_dict() for p in back.processes] == [p.to_dict() for p in memory.processes]
     assert [e.to_dict() for e in back.step_library] == [e.to_dict() for e in memory.step_library]
-    assert back.step_library == memory.step_library  # the route context the file does not hold
+    assert back.step_library == memory.step_library
     assert_same_vectors(back.vectors, memory.vectors)
 
 
