@@ -283,7 +283,8 @@ def _check_memory_routes(cfg: RunConfig, items, memory) -> None:
     differing = {}  # graph id -> the first item whose route differs
     for it in items:
         p = memory.by_graph_id.get(it.graph_id)
-        if p is not None and isinstance(it.question, StepQuestion) and it.question.route != p.route:
+        if (p is not None and isinstance(it.question, StepQuestion)
+                and tuple(it.question.route) != p.route):
             differing.setdefault(it.graph_id, it.item_id)
     if differing:
         graph_id, item_id = next(iter(differing.items()))

@@ -89,10 +89,10 @@ class LabelSets:
 @dataclass(frozen=True)
 class ProcessSummary(Record):
     graph_id: str
-    route: list[str]
-    precursors: list[str]
-    products: list[str]
-    tools: list[str]
+    route: tuple[str, ...]
+    precursors: tuple[str, ...]
+    products: tuple[str, ...]
+    tools: tuple[str, ...]
 
     @property
     def route_length(self) -> int:
@@ -107,12 +107,12 @@ class StepEntry(Record):
 
     graph_id: str
     position: int
-    tools: list[str] = field(default_factory=list)
+    tools: tuple[str, ...] = ()
     conditions: dict[str, str] = field(default_factory=dict)
-    input_labels: list[str] = field(default_factory=list)
-    input_forms: list[str] = field(default_factory=list)
-    output_labels: list[str] = field(default_factory=list)
-    output_forms: list[str] = field(default_factory=list)
+    input_labels: tuple[str, ...] = ()
+    input_forms: tuple[str, ...] = ()
+    output_labels: tuple[str, ...] = ()
+    output_forms: tuple[str, ...] = ()
 
 
 @dataclass
@@ -305,25 +305,20 @@ def build_memory(
     for g in train_graphs:
         view = graph_view(g)
         processes.append(
-            ProcessSummary(
-                graph_id=g.record_id,
-                route=list(view.route),
-                precursors=list(view.precursors),
-                products=list(view.products),
-                tools=list(view.tools),
-            )
+            ProcessSummary(graph_id=g.record_id, route=view.route, precursors=view.precursors,
+                           products=view.products, tools=view.tools)
         )
         for pos, step in enumerate(view.steps):
             step_library.append(
                 StepEntry(
                     graph_id=g.record_id,
                     position=pos,
-                    tools=list(step.tools),
+                    tools=step.tools,
                     conditions=dict(step.activity.conditions),
-                    input_labels=list(step.inputs),
-                    input_forms=list(step.input_forms),
-                    output_labels=list(step.outputs),
-                    output_forms=list(step.output_forms),
+                    input_labels=step.inputs,
+                    input_forms=step.input_forms,
+                    output_labels=step.outputs,
+                    output_forms=step.output_forms,
                 )
             )
     from .retrieval import attach_embeddings  # retrieval imports this module

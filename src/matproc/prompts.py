@@ -18,6 +18,11 @@ from .taskgen import MASK_TOKEN, BenchItem
 from .taskgen.model import OPTION_LETTERS
 
 PROMPT_MODES = ("plan", "answer", "zero_shot", "few_shot", "rag", "graphrag")
+# exemplars and retrieved records a prompt shows; graphrag neighbourhood hops
+DEFAULT_FEW_SHOT_COUNT = 3
+DEFAULT_RAG_K = 3
+DEFAULT_GRAPH_K = 3
+DEFAULT_GRAPH_HOPS = 1
 
 SYSTEM_TEXT = (
     "You answer multiple-choice questions about inorganic materials "
@@ -147,10 +152,10 @@ def build_prompt(
     exemplars: list[BenchItem] | None = None,
     plan_text: str | None = None,
     graph_ids: list[str] | None = None,
-    few_shot_count: int = 3,
-    rag_k: int = 3,
-    graph_k: int = 3,
-    graph_hops: int = 1,
+    few_shot_count: int = DEFAULT_FEW_SHOT_COUNT,
+    rag_k: int = DEFAULT_RAG_K,
+    graph_k: int = DEFAULT_GRAPH_K,
+    graph_hops: int = DEFAULT_GRAPH_HOPS,
 ) -> list[dict]:
     """Render the ordered message list for one item under one mode."""
     if mode not in PROMPT_MODES:

@@ -1,4 +1,5 @@
-"""Role inference, causal precedence, and deterministic topological ordering."""
+"""Role inference, causal precedence, and deterministic topological ordering,
+each a pure function of a graph's edges."""
 
 from __future__ import annotations
 
@@ -8,30 +9,23 @@ from ..errors import CyclicPrecedence
 from .model import ProcessGraph, validate_graph
 
 
-def assign_roles(g: ProcessGraph) -> ProcessGraph:
-    """Fill material roles from connectivity; total over valid graphs.
+# (generation-in, usage-out) -> material role
+_ROLES = {(False, True): "precursor", (True, True): "intermediate", (True, False): "product",
+          (False, False): "unconnected"}
+
+
+def material_roles(g: ProcessGraph) -> dict[str, str]:
+    """Node id -> role, from connectivity; total over valid graphs.
 
     usage-out only -> precursor; generation-in and usage-out -> intermediate;
     generation-in only -> product; no incident edges -> unconnected. Tool
-    nodes are always role=tool, even when a noisy generation edge targets
+    nodes are always role tool, even when a noisy generation edge targets
     them.
     """
     used_out = {src for (src, _) in g.usage_edges}
     generated_in = {dst for (_, dst) in g.generation_edges}
-    for node in g.material_entities:
-        has_out = node.id in used_out
-        has_in = node.id in generated_in
-        if has_in and has_out:
-            node.role = "intermediate"
-        elif has_out:
-            node.role = "precursor"
-        elif has_in:
-            node.role = "product"
-        else:
-            node.role = "unconnected"
-    for node in g.tool_entities:
-        node.role = "tool"
-    return g
+    roles = {e.id: _ROLES[e.id in generated_in, e.id in used_out] for e in g.material_entities}
+    return {**roles, **{e.id: "tool" for e in g.tool_entities}}
 
 
 def infer_precedence(g: ProcessGraph) -> set[tuple[str, str]]:
@@ -87,9 +81,9 @@ def order_activities(g: ProcessGraph, prec: set[tuple[str, str]]) -> list[str]:
 
 
 def compile_graph(g: ProcessGraph) -> ProcessGraph:
-    """validate -> roles -> precedence -> ordering; returns the same graph.
-    The ordering walk is the cycle check, so the precedence is walked once."""
+    """Check ``g``: :func:`validate_graph`, then the precedence, whose
+    ordering walk is the cycle check. Returns ``g`` unchanged; raises
+    MalformedDocument or CyclicPrecedence."""
     validate_graph(g)
-    assign_roles(g)
-    g.ordered_activity_ids = order_activities(g, _precedence_pairs(g))
+    infer_precedence(g)
     return g

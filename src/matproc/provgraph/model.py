@@ -2,8 +2,8 @@
 
 A record is a directed graph over material entities, tool entities and
 activities. Usage edges run entity -> activity (consumption); generation
-edges run activity -> entity (production). Roles and the activity ordering
-are derived, not parsed.
+edges run activity -> entity (production). Nothing writes to a graph once
+built: roles and the activity order are derived from the edges, not held.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class EntityNode(Record):
     label: str
     kind: str  # "material" | "tool"
     attributes: dict[str, str] = field(default_factory=dict)
-    role: str | None = field(default=None, metadata=TRANSIENT)  # filled by assign_roles
 
 
 @dataclass
@@ -46,7 +45,6 @@ class ProcessGraph(Record):
     activities: list[ActivityNode] = field(default_factory=list)
     usage_edges: list[tuple[str, str]] = field(default_factory=list)  # (entity, activity)
     generation_edges: list[tuple[str, str]] = field(default_factory=list)  # (activity, entity)
-    ordered_activity_ids: list[str] = field(default_factory=list, metadata=TRANSIENT)
     warnings: list[str] = field(default_factory=list, metadata=TRANSIENT)  # parse-time diagnostics
 
     # --- lookups -------------------------------------------------------------
@@ -54,15 +52,12 @@ class ProcessGraph(Record):
     def entities(self) -> list[EntityNode]:
         return self.material_entities + self.tool_entities
 
-    def ordered_activities(self) -> list[ActivityNode]:
-        by_id = {a.id: a for a in self.activities}
-        return [by_id[i] for i in self.ordered_activity_ids]
-
 
 def validate_graph(g: ProcessGraph) -> None:
     """Check the structural invariants; raises MalformedDocument on violation.
 
     - node ids unique across materials, tools and activities
+    - a material entity has kind "material" and a tool entity kind "tool"
     - usage edges run (material|tool) -> activity
     - generation edges run activity -> (material|tool)
     - every edge endpoint resolves to an existing node
@@ -72,6 +67,10 @@ def validate_graph(g: ProcessGraph) -> None:
         if node.id in ids:
             raise MalformedDocument(f"{g.record_id}: duplicate node id {node.id!r}")
         ids.add(node.id)
+    for kind, nodes in (("material", g.material_entities), ("tool", g.tool_entities)):
+        for e in nodes:
+            if e.kind != kind:
+                raise MalformedDocument(f"{g.record_id}: {kind} entity {e.id!r} has kind {e.kind!r}")
     entity_ids = {e.id for e in g.entities()}
     activity_ids = {a.id for a in g.activities}
     for src, dst in g.usage_edges:

@@ -128,8 +128,8 @@ def parse_record(raw_document: bytes | str | dict, field_map: FieldMap | None = 
 
     Node and edge counts equal the counts of parseable entities, activities
     and relations. Raises MalformedDocument when the envelope is not valid,
-    EmptyRecord when no activity survives parsing. Roles and ordering are
-    left unassigned; run compile_graph for the full pipeline.
+    EmptyRecord when no activity survives parsing. The graph holds no roles
+    and no order, which follow from its edges; compile_graph checks it.
     """
     fm = field_map or FieldMap()
     doc = _load_document(raw_document)

@@ -1,9 +1,9 @@
 """Compiled-graph store: newline-delimited graphs with a version header.
 
 A row holds what ``compile`` parsed: the record's facts, nodes and edges.
-Material roles and the activity order follow from the edges, so no row
-holds them: :func:`read_graph_store` derives them again with
-:func:`~.analyze.compile_graph`, the derivation ``compile`` ran. A row that
+Material roles and the activity order follow from the edges, so no row or
+graph holds them. :func:`read_graph_store` checks each graph with
+:func:`~.analyze.compile_graph`, the check ``compile`` ran. A row that
 holds either (a store an older version wrote) is refused; re-running
 ``compile`` rewrites the store.
 """
@@ -35,18 +35,15 @@ def _read_graph(row: dict) -> ProcessGraph:
 
 
 def read_graph_store(path: str | Path) -> tuple[dict, list[ProcessGraph]]:
-    """Header and graphs, each given its roles and order by ``compile_graph``.
-    Raises :class:`DataError` naming the file and the graph for a graph
-    ``compile`` would not have written (a cyclic one among them), and for a
-    record id two graphs hold."""
+    """Header and graphs, each checked by ``compile_graph``. Raises
+    :class:`DataError` naming the file and the graph for a graph ``compile``
+    would not have written (a cyclic one, or one whose node kind contradicts
+    its list, among them), and for a record id two graphs hold."""
     header, graphs = read_artifact(path, GRAPH_FORMAT, _read_graph)
     seen = set()
     for g in graphs:
         try:
             compile_graph(g)
-            for e in g.entities():
-                if e.kind not in ("material", "tool"):
-                    raise MalformedDocument(f"{g.record_id}: entity {e.id!r} has kind {e.kind!r}")
             if g.record_id in seen:
                 raise MalformedDocument(f"{g.record_id}: the record id of an earlier graph")
         except DataError as exc:

@@ -120,7 +120,7 @@ class _Preferences:
 
 
 def generate_synthetic_corpus(params: SynthParams, seed: int) -> list[ProcessGraph]:
-    """Deterministic corpus of compiled graphs (roles + ordering filled)."""
+    """Deterministic corpus of graphs, each checked by compile_graph."""
     prefs = _Preferences(params, seed)
     classes = sorted(params.class_mix)
     weights = [params.class_mix[c] for c in classes]

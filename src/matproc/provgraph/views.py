@@ -1,11 +1,11 @@
 """The one read-only view of a compiled graph that downstream stages read.
 
-:func:`graph_view` builds one entity map, groups the usage and generation
-edges by activity in edge order, and returns plain tuples. Benchmark
-generation, its candidate pools and the process memory all read it. Every
-label is canonical (lowercased, whitespace-collapsed), so pools, memories
-and benchmark options agree on string identity regardless of source
-formatting.
+:func:`graph_view`, the one reader of material roles and the activity
+order, derives both from the edges, groups the edges by activity in edge
+order, and returns plain tuples. Benchmark generation, its candidate pools
+and the process memory all read it. Every label is canonical (lowercased,
+whitespace-collapsed), so pools, memories and benchmark options agree on
+string identity regardless of source formatting.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..canon import canon_label
+from .analyze import _precedence_pairs, material_roles, order_activities
 from .model import ActivityNode, ProcessGraph
 
 
@@ -50,8 +51,8 @@ def _labels(entities) -> tuple[str, ...]:
 def _materials(by_id: dict, entity_ids) -> tuple[tuple[str, ...], tuple[str, ...]]:
     labels, forms = [], []
     for eid in entity_ids:
-        node = by_id.get(eid)
-        if node is None or node.kind != "material":
+        node = by_id[eid]
+        if node.kind != "material":
             continue
         labels.append(canon_label(node.label))
         form = node.attributes.get("form")
@@ -61,10 +62,11 @@ def _materials(by_id: dict, entity_ids) -> tuple[tuple[str, ...], tuple[str, ...
 
 
 def graph_view(g: ProcessGraph) -> GraphView:
-    """The view of ``g``. Its target product is what the last step makes:
-    its first output material, else (a noisy record may end in a step that
-    makes none) the first product-role label, else ``""``."""
+    """The view of ``g``, a graph ``compile_graph`` accepts. Its target product is
+    what the last step makes: its first output material, else (a noisy record may
+    end in a step that makes none) the first product-role label, else ``""``."""
     by_id = {e.id: e for e in g.entities()}
+    activities = {a.id: a for a in g.activities}
     used: dict[str, list[str]] = {}
     generated: dict[str, list[str]] = {}
     for eid, aid in g.usage_edges:
@@ -72,16 +74,17 @@ def graph_view(g: ProcessGraph) -> GraphView:
     for aid, eid in g.generation_edges:
         generated.setdefault(aid, []).append(eid)
     steps = []
-    for act in g.ordered_activities():
-        consumed = used.get(act.id, ())
-        tools = _labels([by_id[e] for e in consumed if e in by_id and by_id[e].kind == "tool"])
+    for aid in order_activities(g, _precedence_pairs(g)):
+        act, consumed = activities[aid], used.get(aid, ())
+        tools = _labels([by_id[e] for e in consumed if by_id[e].kind == "tool"])
         steps.append(StepView(act, canon_label(act.label), tools, *_materials(by_id, consumed),
-                              *_materials(by_id, generated.get(act.id, ()))))
-    products = _labels([e for e in g.material_entities if e.role == "product"])
+                              *_materials(by_id, generated.get(aid, ()))))
+    roles = material_roles(g)
+    products = _labels([e for e in g.material_entities if roles[e.id] == "product"])
     last_outputs = steps[-1].outputs if steps else ()
     return GraphView(
         route=tuple(step.label for step in steps),
-        precursors=_labels([e for e in g.material_entities if e.role == "precursor"]),
+        precursors=_labels([e for e in g.material_entities if roles[e.id] == "precursor"]),
         products=products,
         product=(last_outputs or products or ("",))[0],
         tools=_labels(g.tool_entities),

@@ -39,7 +39,7 @@ from .memory import (
     linearize_process,
     sorted_ranks,
 )
-from .provgraph import ProcessGraph
+from .provgraph import ActivityNode, EntityNode, ProcessGraph
 from .taskgen import MASK_TOKEN, BenchItem
 from .taskgen.model import RouteQuestion, StepQuestion
 
@@ -383,24 +383,24 @@ class RetrievalQuery:
 def query_from_item(item: BenchItem) -> RetrievalQuery:
     """Build the query process context from the visible payload only."""
     q = item.question
-    precursors, product = (list(q.precursors), q.product) if isinstance(q, RouteQuestion) else ([], "")
+    precursors, product = (tuple(q.precursors), q.product) if isinstance(q, RouteQuestion) else ((), "")
     if item.task == "A1_route_retrieval":
-        visible: list[str] = []
+        visible: tuple[str, ...] = ()
     elif item.task == "A2_missing_step":
-        visible = [x for x in q.route_with_mask if x != MASK_TOKEN]
+        visible = tuple(x for x in q.route_with_mask if x != MASK_TOKEN)
     elif item.task == "A3_next_activity":
-        visible = list(q.prefix)
+        visible = tuple(q.prefix)
     elif item.task == "D_process_ordering":
-        visible = sorted(s.label for s in q.steps)
+        visible = tuple(sorted(s.label for s in q.steps))
     else:  # B1 / B2 / C1 carry the full route
-        visible = list(q.route)
+        visible = tuple(q.route)
 
     summary = ProcessSummary(
         graph_id=f"query:{item.item_id}",
         route=visible,
         precursors=precursors,
-        products=[product] if product else [],
-        tools=[],
+        products=(product,) if product else (),
+        tools=(),
     )
     text = linearize_parts(
         precursors=precursors,
@@ -474,11 +474,10 @@ class QueryBlock:
             return self._embedded()[0][start:stop]
 
 
-def _context_graph(item: BenchItem, visible: list[str], precursors: list[str], product: str) -> ProcessGraph:
+def _context_graph(item: BenchItem, visible: tuple[str, ...], precursors: tuple[str, ...],
+                   product: str) -> ProcessGraph:
     """Minimal provenance graph over the visible payload; ``visible`` is the
     query's visible route, which an ordering item's steps replace."""
-    from .provgraph import ActivityNode, EntityNode  # local: avoid wide import surface
-
     q = item.question
     g = ProcessGraph(record_id=f"query:{item.item_id}")
     eid = 0

@@ -28,7 +28,8 @@ from .errors import (
 )
 from .jsonio import TRANSIENT, Record, check_ranges, knob
 from .memory import ProcessMemory
-from .prompts import build_prompt, parse_answer
+from .prompts import (DEFAULT_FEW_SHOT_COUNT, DEFAULT_GRAPH_HOPS, DEFAULT_GRAPH_K, DEFAULT_RAG_K,
+                      build_prompt, parse_answer)
 from .retrieval import (DEFAULT_TOP_K, RetrievalWeights, StructureEncoder, queries_from_items,
                         retrieve)
 from .scoring import (
@@ -80,11 +81,11 @@ class PolicyConfig(Record):
     planning: bool = True
     fallback: bool = True
     budgets: dict[str, int] = knob({}, "[1, inf)")  # missing names take DEFAULT_BUDGETS
-    few_shot_count: int = knob(3, "[1, inf)")
+    few_shot_count: int = knob(DEFAULT_FEW_SHOT_COUNT, "[1, inf)")
     few_shot_seed: int = knob(42)
-    rag_k: int = knob(3, "[1, inf)")
-    graph_k: int = knob(3, "[1, inf)")
-    graph_hops: int = knob(1, "[1, inf)")
+    rag_k: int = knob(DEFAULT_RAG_K, "[1, inf)")
+    graph_k: int = knob(DEFAULT_GRAPH_K, "[1, inf)")
+    graph_hops: int = knob(DEFAULT_GRAPH_HOPS, "[1, inf)")
     seed: int = knob(0)
     log_full_prompts: bool = False
 

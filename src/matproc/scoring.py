@@ -22,7 +22,7 @@ import numpy as np
 from .canon import canon_label
 from .errors import ArityMismatch, InvalidParams
 from .jsonio import Record, check_ranges, knob
-from .memory import ProcessMemory, StepQuery, match_steps, next_distribution
+from .memory import ProcessMemory, StepQuery, linearize_parts, match_steps, next_distribution
 from .retrieval import BuiltinTextEmbedder, RetrievalQuery, RetrievedPrecedent, unit_cosines
 from .taskgen import (
     MASK_TOKEN,
@@ -113,7 +113,7 @@ def sequence_similarity(a: list[str], b: list[str]) -> float:
     return _lcs_length(a, b) / max(len(a), len(b))
 
 
-def _precedent_routes(memory: ProcessMemory, precedents) -> list[list[str]]:
+def _precedent_routes(memory: ProcessMemory, precedents) -> list[tuple[str, ...]]:
     by_id = memory.by_graph_id
     return [by_id[p.graph_id].route for p in precedents if p.graph_id in by_id]
 
@@ -335,8 +335,6 @@ def score_options_symbolic(
 
 def option_completed_text(item: BenchItem, option: str) -> str:
     """Render the question with the option substituted into its slot."""
-    from .memory import linearize_parts  # local import keeps module load order simple
-
     q = item.question
     task = item.task
     if task in ("B1_condition_prediction", "B2_full_condition_set", "C1_tool_selection"):

@@ -11,6 +11,8 @@ from matproc.provgraph import ProcessGraph
 from matproc.taskgen import (TUPLE_KEYS, BenchItem, order_satisfies, payload_constraints,
                              render_condition_tuple, render_route)
 
+from helpers import ordered_activities
+
 
 @dataclass
 class ValidityReport:
@@ -27,7 +29,7 @@ def expected_gold(item: BenchItem, g: ProcessGraph) -> str | None:
     """Recompute the gold option string by rule; None when the graph has none.
     The route and a step's tools are derived here from the graph itself, not
     through ``graph_view``, so the generator is never checked against itself."""
-    acts = g.ordered_activities()
+    acts = ordered_activities(g)
     route = [canon_label(a.label) for a in acts]
     q = item.question
     if item.task == "A2_missing_step":

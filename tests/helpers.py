@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from matproc.provgraph import ActivityNode, EntityNode, ProcessGraph, compile_graph
+from matproc.provgraph import (ActivityNode, EntityNode, ProcessGraph, compile_graph, infer_precedence,
+                               order_activities)
 
 
 def assert_same_vectors(got, want):
@@ -108,6 +109,12 @@ def random_graph(seed, n_materials=12, n_tools=3, n_activities=5, p_edge=0.35):
 
 def compiled(g):
     return compile_graph(g)
+
+
+def ordered_activities(g):
+    """``g``'s activities in the order its precedence and source positions give."""
+    by_id = {a.id: a for a in g.activities}
+    return [by_id[aid] for aid in order_activities(g, infer_precedence(g))]
 
 
 @dataclass

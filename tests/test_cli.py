@@ -1746,6 +1746,14 @@ def _weird_material_kind(g):
     g["material_entities"][0]["kind"] = "weird"
 
 
+def _material_of_kind_tool(g):
+    g["material_entities"][0]["kind"] = "tool"
+
+
+def _tool_of_kind_material(g):
+    g["tool_entities"][0]["kind"] = "material"
+
+
 def _an_earlier_graphs_id(g):
     g["record_id"] = read_ndjson(pipeline()["graphs"])[1][0]["record_id"]
 
@@ -1757,12 +1765,15 @@ def _an_earlier_graphs_id(g):
         (_unknown_ordered_id, "ProcessGraph: unknown keys ['ordered_activity_ids']; re-run compile"),
         (_usage_from_unknown_entity, "usage edge ('ghost',"),
         (_weird_material_kind, "has kind 'weird'"),
+        (_material_of_kind_tool, ": material entity 'e0' has kind 'tool'; re-run compile"),
+        (_tool_of_kind_material, ": tool entity 'e3' has kind 'material'; re-run compile"),
         (_an_earlier_graphs_id, ": the record id of an earlier graph"),
         (_stale_role, "EntityNode: unknown keys ['role']; re-run compile"),
         (_a_cycle, ": precedence relation contains a cycle; re-run compile"),
     ],
     ids=["unknown-ordered-id", "usage-from-unknown-entity", "weird-material-kind",
-         "an-earlier-graphs-id", "stale-role", "a-cycle"],
+         "material-of-kind-tool", "tool-of-kind-material", "an-earlier-graphs-id", "stale-role",
+         "a-cycle"],
 )
 def test_a_malformed_graph_store_exits_3_naming_the_graph(tmp_path, capsys, command, edit, message):
     named = []

@@ -1,16 +1,17 @@
 """What a reader derives is what the writer derived.
 
-The graph store holds no material role and no activity order: the reader
-derives them with ``compile_graph``, as ``compile`` did, whatever order the
-node and edge lists are in. A question set holds no step question's
-``activity`` and no masked question's ``masked_index``: each is read off
-the route it already holds. A process memory holds no step's route context
+Neither the graph store nor a graph holds a material role or an activity
+order: ``graph_view`` derives them from the edges, whatever order the node
+and edge lists are in, and ``compile_graph`` only checks a graph. A
+question set holds no step question's ``activity`` and no masked
+question's ``masked_index``: each is read off the route it already holds. A process memory holds no step's route context
 and no prefix index: the step index reads each step's context off its route,
 whatever order the rows were in, and the prefix index is a view of the routes.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 import tempfile
 from pathlib import Path
@@ -23,7 +24,8 @@ from helpers import assert_same_memory, chain_graph
 from matproc.jsonio import read_ndjson, write_ndjson
 from matproc.memory import StepQuery, build_memory, load_memory, save_memory, sorted_ranks
 from matproc.provgraph import (ProcessGraph, SynthParams, compile_graph, generate_synthetic_corpus,
-                               graph_view, parse_record, to_prov_document)
+                               graph_view, infer_precedence, material_roles, order_activities,
+                               parse_record, to_prov_document)
 from matproc.provgraph.store import read_graph_store, write_graph_store
 from matproc.taskgen import MASK_TOKEN, generate_benchmark
 from matproc.taskgen.model import MaskedQuestion, StepQuestion
@@ -33,11 +35,16 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2**32 - 1)
 
 
+def _parsed(n: int, seed: int) -> list[ProcessGraph]:
+    """A synthetic corpus printed as documents and parsed back, unchecked."""
+    corpus = generate_synthetic_corpus(SynthParams(n_records=n), seed=seed)
+    return [parse_record(to_prov_document(g)) for g in corpus]
+
+
 def _compiled(n: int, seed: int) -> list[ProcessGraph]:
     """A synthetic corpus as ``compile`` makes it: printed as documents and
     parsed back."""
-    corpus = generate_synthetic_corpus(SynthParams(n_records=n), seed=seed)
-    return [compile_graph(parse_record(to_prov_document(g))) for g in corpus]
+    return [compile_graph(g) for g in _parsed(n, seed)]
 
 
 def _round_trip(graphs: list[ProcessGraph]) -> tuple[list[dict], list[ProcessGraph]]:
@@ -53,11 +60,29 @@ def test_compiled_graphs_read_back_equal_with_roles_and_order_derived(n, seed):
     graphs = _compiled(n, seed)
     rows, back = _round_trip(graphs)
     assert back == graphs
-    for row, g in zip(rows, back):
+    for row, g, b in zip(rows, graphs, back):
         assert "ordered_activity_ids" not in row
         assert not any("role" in e for e in row["material_entities"] + row["tool_entities"])
-        assert sorted(g.ordered_activity_ids) == sorted(a.id for a in g.activities)
-        assert all(e.role is not None for e in g.entities())
+        assert graph_view(b) == graph_view(g)
+        assert len(graph_view(b).route) == len(b.activities)
+
+
+@PROPERTY
+@given(n=st.integers(1, 12), seed=SEEDS)
+def test_compile_graph_checks_without_writing(n, seed):
+    for g in _parsed(n, seed):
+        before = copy.deepcopy(g)
+        assert compile_graph(g) is g and g == before
+
+
+@PROPERTY
+@given(n=st.integers(1, 12), seed=SEEDS)
+def test_a_parsed_graph_has_the_view_of_its_compiled_and_stored_self(n, seed):
+    parsed = _parsed(n, seed)
+    views = [graph_view(g) for g in parsed]
+    compiled = [compile_graph(copy.deepcopy(g)) for g in parsed]
+    assert [graph_view(g) for g in compiled] == views
+    assert [graph_view(g) for g in _round_trip(compiled)[1]] == views
 
 
 @PROPERTY
@@ -74,8 +99,8 @@ def test_permuted_node_and_edge_lists_read_back_the_same_roles_and_order(n, seed
         permuted.append(p)
     _, back = _round_trip(permuted)
     for g, b in zip(graphs, back):
-        assert b.ordered_activity_ids == g.ordered_activity_ids
-        assert {e.id: e.role for e in b.entities()} == {e.id: e.role for e in g.entities()}
+        assert order_activities(b, infer_precedence(b)) == order_activities(g, infer_precedence(g))
+        assert material_roles(b) == material_roles(g)
         assert graph_view(b).route == graph_view(g).route
 
 

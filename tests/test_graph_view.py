@@ -1,11 +1,13 @@
 """``graph_view`` against the label helpers it replaced.
 
 The helpers are kept below as they were before the view existed: each one
-rebuilt the entity map and rescanned the edge lists on every call. The
-view must give the same values on the pipeline's synthetic corpora and on
-hand-built and generated graphs with duplicate edges and ids, dangling
-edges, tools with a form, empty forms, activities without edges, a last
-step that makes no material, and no precursors or products.
+rebuilt the entity map and rescanned the edge lists on every call. They
+read the material roles and the activity order from ``material_roles`` and
+``order_activities``, as the view does, since a graph no longer holds
+either. The view must give the same values on the pipeline's synthetic
+corpora and on hand-built and generated graphs with duplicate edges, tools
+with a form, empty forms, activities without edges, a last step that makes
+no material, and no precursors or products. A cyclic graph has no view.
 """
 
 from __future__ import annotations
@@ -18,9 +20,13 @@ from hypothesis import strategies as st
 
 from matproc import cli, memory
 from matproc.canon import canon_label
+from matproc.errors import CyclicPrecedence, MalformedDocument
 from matproc.provgraph import (ActivityNode, EntityNode, GraphView, ProcessGraph, StepView,
-                               SynthParams, generate_synthetic_corpus, graph_view, load_graphs)
+                               SynthParams, compile_graph, generate_synthetic_corpus, graph_view,
+                               load_graphs, material_roles)
 from matproc.taskgen import generate, generate_benchmark, pools
+
+from helpers import ordered_activities
 
 # --- the replaced helpers, as they were -------------------------------------------------
 
@@ -38,21 +44,23 @@ def generated_by(g, activity_id):
 
 
 def route_labels(g):
-    return [canon_label(a.label) for a in g.ordered_activities()]
+    return [canon_label(a.label) for a in ordered_activities(g)]
 
 
 def precursor_labels(g):
-    return sorted({canon_label(e.label) for e in g.material_entities if e.role == "precursor"})
+    roles = material_roles(g)
+    return sorted({canon_label(e.label) for e in g.material_entities if roles[e.id] == "precursor"})
 
 
 def product_labels(g):
-    return sorted({canon_label(e.label) for e in g.material_entities if e.role == "product"})
+    roles = material_roles(g)
+    return sorted({canon_label(e.label) for e in g.material_entities if roles[e.id] == "product"})
 
 
 def final_product_label(g):
     by_id = entity_by_id(g)
-    if g.ordered_activity_ids:
-        for ent_id in generated_by(g, g.ordered_activity_ids[-1]):
+    if g.activities:
+        for ent_id in generated_by(g, ordered_activities(g)[-1].id):
             node = by_id.get(ent_id)
             if node is not None and node.kind == "material":
                 return canon_label(node.label)
@@ -99,7 +107,7 @@ def memory_tools(g):
 
 def reference_view(g: ProcessGraph) -> GraphView:
     steps = []
-    for act, label in zip(g.ordered_activities(), route_labels(g)):
+    for act, label in zip(ordered_activities(g), route_labels(g)):
         in_labels, in_forms = step_material_inputs(g, act.id)
         out_labels, out_forms = step_material_outputs(g, act.id)
         steps.append(StepView(act, label, tuple(step_tool_labels(g, act.id)), tuple(in_labels),
@@ -140,22 +148,22 @@ def test_the_view_is_plain_tuples():
 # --- hand-built corner cases ------------------------------------------------------------
 
 
-def entity(node_id, label, kind="material", role=None, form=None):
+def entity(node_id, label, kind="material", form=None):
     attributes = {} if form is None else {"form": form}
-    return EntityNode(id=node_id, label=label, kind=kind, attributes=attributes, role=role)
+    return EntityNode(id=node_id, label=label, kind=kind, attributes=attributes)
 
 
 def chain(labels):
-    """A compiled-looking chain: precursor -> a0 -> m1 -> a1 -> ... -> product."""
+    """A chain whose edges make m0 the precursor and the last material the
+    product: m0 -> a0 -> m1 -> a1 -> ..."""
     g = ProcessGraph(record_id="chain")
-    g.material_entities.append(entity("m0", "Start Powder", role="precursor", form="Powder"))
+    g.material_entities.append(entity("m0", "Start Powder", form="Powder"))
     for i, label in enumerate(labels):
         g.activities.append(ActivityNode(id=f"a{i}", label=label, source_position=i))
-        out = entity(f"m{i + 1}", f"Stage {i}", role="product" if i == len(labels) - 1 else None)
+        out = entity(f"m{i + 1}", f"Stage {i}")
         g.material_entities.append(out)
         g.usage_edges.append((f"m{i}", f"a{i}"))
         g.generation_edges.append((f"a{i}", out.id))
-    g.ordered_activity_ids = [a.id for a in g.activities]
     return g
 
 
@@ -167,40 +175,26 @@ def _dup_edges():
     return g
 
 
-def _dup_ids():
-    g = chain(["Mill", "Press"])
-    g.tool_entities.append(entity("m1", "Die", kind="tool"))  # shadows material m1
-    g.activities.append(ActivityNode(id="a1", label="Anneal", source_position=9))
-    g.ordered_activity_ids.append("a1")
-    return g
-
-
-def _unknown_ids():
-    g = chain(["Mill", "Press"])
-    g.usage_edges += [("ghost", "a0"), ("m0", "nowhere")]
-    g.generation_edges += [("a1", "ghost"), ("nowhere", "m0")]
-    return g
-
-
 def _forms():
     g = chain(["Mill", "Press"])
     g.tool_entities.append(entity("t0", "Die", kind="tool", form="Steel"))
-    g.material_entities.append(entity("m9", "Binder", role="precursor", form=""))
+    g.material_entities.append(entity("m9", "Binder", form=""))
     g.usage_edges += [("t0", "a1"), ("m9", "a1")]
     return g
 
 
 def _edgeless_activity():
+    """An activity no edge constrains comes last: its source position is the highest."""
     g = chain(["Mill", "Press"])
-    g.activities.append(ActivityNode(id="a9", label="Rest", source_position=9))
-    g.ordered_activity_ids.insert(1, "a9")
+    g.activities.insert(1, ActivityNode(id="a9", label="Rest", source_position=9))
     return g
 
 
 def _last_makes_a_tool():
+    """The last step makes a tool; the first makes the one product besides m1."""
     g = chain(["Mill", "Press"])
     g.tool_entities.append(entity("t0", "Pellet Die", kind="tool"))
-    g.generation_edges = [e for e in g.generation_edges if e[0] != "a1"] + [("a1", "t0")]
+    g.generation_edges = [("a0", "m1"), ("a0", "m2"), ("a1", "t0")]
     return g
 
 
@@ -210,27 +204,24 @@ def _last_makes_nothing():
     return g
 
 
-def _last_makes_nothing_and_no_products():
-    g = _last_makes_nothing()
-    for e in g.material_entities:
-        e.role = None
+def _no_precursors_no_products():
+    """m1 passes from a0 to a1; nothing enters a0 and nothing leaves a1."""
+    g = chain(["Mill", "Press"])
+    g.usage_edges, g.generation_edges = [("m1", "a1")], [("a0", "m1")]
     return g
 
 
 def _no_activities():
-    g = ProcessGraph(record_id="empty", material_entities=[entity("m0", "Lone", role="product")])
-    return g
+    return ProcessGraph(record_id="empty", material_entities=[entity("m0", "Lone")])
 
 
 CORNERS = {
     "duplicate-edges": _dup_edges,
-    "duplicate-ids": _dup_ids,
-    "unknown-ids": _unknown_ids,
     "tool-form-and-empty-form": _forms,
     "edgeless-activity": _edgeless_activity,
     "last-step-makes-a-tool": _last_makes_a_tool,
     "last-step-makes-nothing": _last_makes_nothing,
-    "no-precursors-no-products": _last_makes_nothing_and_no_products,
+    "no-precursors-no-products": _no_precursors_no_products,
     "no-activities": _no_activities,
 }
 
@@ -249,40 +240,66 @@ def test_the_corner_cases_reach_every_fallback():
     assert views["duplicate-edges"].steps[0].inputs == ("start powder", "start powder")
     assert views["duplicate-edges"].steps[0].tools == ("ball mill",)
     assert views["tool-form-and-empty-form"].steps[1].input_forms == ()
-    assert views["edgeless-activity"].steps[1][2:] == ((),) * 5
-    assert views["no-activities"] == GraphView((), (), ("lone",), "lone", (), ())
+    assert views["edgeless-activity"].route == ("mill", "press", "rest")
+    assert views["edgeless-activity"].steps[2][2:] == ((),) * 5
+    assert views["no-activities"] == GraphView((), (), (), "", (), ())
+
+
+def _dup_ids():
+    g = chain(["Mill", "Press"])
+    g.tool_entities.append(entity("m1", "Die", kind="tool"))  # shadows material m1
+    return g
+
+
+def _unknown_ids():
+    g = chain(["Mill", "Press"])
+    g.usage_edges += [("ghost", "a0"), ("m0", "nowhere")]
+    return g
+
+
+@pytest.mark.parametrize("build", [_dup_ids, _unknown_ids], ids=["duplicate-ids", "unknown-ids"])
+def test_a_graph_with_repeated_or_unknown_ids_never_reaches_the_view(build):
+    with pytest.raises(MalformedDocument):
+        compile_graph(build())
 
 
 # --- generated graphs -------------------------------------------------------------------
 
-NODE_IDS = st.sampled_from(["n0", "n1", "n2", "n3", "n4", "a0", "a1", "ghost"])
 LABELS = st.sampled_from(["Ball  Milling", "ball milling", "SINTER", " Press ", "x", ""])
 FORMS = st.sampled_from([None, "", "Powder", " pellet ", "FILM"])
-ROLES = st.sampled_from([None, "precursor", "product", "intermediate"])
-KINDS = st.sampled_from(["material", "material", "tool"])
 
 
 @st.composite
 def graphs(draw):
-    def entities():
-        return draw(st.lists(st.builds(entity, NODE_IDS, LABELS, KINDS, ROLES, FORMS), max_size=5))
+    """A graph ``validate_graph`` accepts, with repeated edges, edgeless nodes,
+    source positions out of list order, and often a cycle."""
+    def entities(prefix, kind):
+        drawn = draw(st.lists(st.tuples(LABELS, FORMS), max_size=4))
+        return [entity(f"{prefix}{i}", label, kind, form) for i, (label, form) in enumerate(drawn)]
 
-    activities = draw(st.lists(st.builds(ActivityNode, id=NODE_IDS, label=LABELS), max_size=4))
-    ids = [a.id for a in activities]
-    if ids:
-        order = draw(st.permutations(ids)) if draw(st.booleans()) else draw(
-            st.lists(st.sampled_from(ids), max_size=5))
-    else:
-        order = []
-    edges = st.lists(st.tuples(NODE_IDS, NODE_IDS), max_size=10)
-    return ProcessGraph(record_id="h", material_entities=entities(), tool_entities=entities(),
-                        activities=activities, usage_edges=draw(edges),
-                        generation_edges=draw(edges), ordered_activity_ids=list(order))
+    materials, tools = entities("m", "material"), entities("t", "tool")
+    positions = draw(st.permutations(range(draw(st.integers(0, 4)))))
+    activities = [ActivityNode(id=f"a{i}", label=draw(LABELS), source_position=pos)
+                  for i, pos in enumerate(positions)]
+    usage, generation = [], []
+    if (materials or tools) and activities:
+        ent_ids = st.sampled_from([e.id for e in materials + tools])
+        act_ids = st.sampled_from([a.id for a in activities])
+        usage = draw(st.lists(st.tuples(ent_ids, act_ids), max_size=10))
+        generation = draw(st.lists(st.tuples(act_ids, ent_ids), max_size=6))
+    return ProcessGraph(record_id="h", material_entities=materials, tool_entities=tools,
+                        activities=activities, usage_edges=usage, generation_edges=generation)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(graphs())
 def test_the_view_equals_the_helpers_on_generated_graphs(g):
+    try:
+        compile_graph(g)
+    except CyclicPrecedence:
+        with pytest.raises(CyclicPrecedence):
+            graph_view(g)
+        return
     assert graph_view(g) == reference_view(g)
 
 

@@ -1,8 +1,10 @@
 """Every module-level import in the package is used by its module.
 
 A package ``__init__.py`` imports to re-export, so it is left out; every
-name its ``__all__`` exports must be bound in it instead. The third-party
-modules the package imports are the dependencies ``pyproject.toml`` declares.
+name its ``__all__`` exports must be bound in it instead. No function
+imports a package module its own module already imports at module level.
+The third-party modules the package imports are the dependencies
+``pyproject.toml`` declares.
 """
 
 from __future__ import annotations
@@ -57,6 +59,73 @@ def test_every_module_level_import_is_used():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def _package_modules(stmt: ast.Import | ast.ImportFrom, package: str) -> list[str]:
+    """The absolute names of the package modules ``stmt`` imports from, in a
+    module of ``package``."""
+    if isinstance(stmt, ast.Import):
+        names = [alias.name for alias in stmt.names]
+    elif stmt.level == 0:
+        names = [stmt.module]
+    else:
+        parts = package.split(".")[: len(package.split(".")) - stmt.level + 1]
+        names = [".".join([*parts, *([stmt.module] if stmt.module else [])])]
+    return [name for name in names if name.split(".")[0] == "matproc"]
+
+
+def redundant_local_imports(source: str, package: str) -> list[str]:
+    """Imports inside a function, at any depth, from a package module that
+    the module, a module of ``package``, also imports at module level. An
+    import under ``if TYPE_CHECKING:`` is not a module-level one."""
+    tree = ast.parse(source)
+    top = {name for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
+           for name in _package_modules(stmt, package)}
+    found = []
+
+    def visit(node, in_function):
+        if in_function and isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend(f"{name} (line {node.lineno})"
+                         for name in _package_modules(node, package) if name in top)
+        in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(tree, False)
+    return found
+
+
+def test_the_check_sees_redundant_local_imports_only():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import json\n"
+        "from .memory import build_memory\n"
+        "from ..config import RunConfig\n"
+        "if TYPE_CHECKING:\n"
+        "    from .retrieval import DenseIndex\n"
+        "class Holder:\n"
+        "    from .memory import load_memory\n"
+        "def outer():\n"
+        "    import json\n"
+        "    from .memory import linearize_parts\n"
+        "    from .retrieval import build_dense_index\n"
+        "    from .runner import PolicyConfig\n"
+        "    def inner():\n"
+        "        from matproc.config import knob\n"
+    )
+    assert redundant_local_imports(source, "matproc.taskgen") == [
+        "matproc.taskgen.memory (line 11)", "matproc.config (line 15)"]
+
+
+def test_no_function_imports_a_module_its_module_imports():
+    root = Path(matproc.__file__).parent
+    found = [
+        f"{path.relative_to(root)}: {name}"
+        for path in sorted(root.rglob("*.py"))
+        for name in redundant_local_imports(path.read_text(encoding="utf-8"),
+                                            ".".join(["matproc", *path.relative_to(root).parent.parts]))
+    ]
+    assert found == []
 
 
 def unbound_exports(source: str) -> list[str]:

@@ -356,7 +356,7 @@ def run_objects() -> dict[type, list]:
         AblationRow: [AblationRow("scoring", "lambda=0.5", dataclasses.replace(report, wall_clock_s=0.0))],
         SplitRow: [SplitRow(*pair) for pair in split_items(items, "year").mapping.items()],
         AuditRow: [AuditRow("dual", "year", 0.25), AuditRow("random", "random", 1)],
-        ProcessRow: [ProcessRow(**p.to_dict(),
+        ProcessRow: [ProcessRow(**dataclasses.asdict(p),
                                 embeddings={kind: m[i].tolist() for kind, m in memory.vectors.items()})
                      for i, p in enumerate(memory.processes)],
         TransitionRow: [TransitionRow(a, b, c) for (a, b), c in memory.transition_table.items()],
@@ -365,12 +365,8 @@ def run_objects() -> dict[type, list]:
 
 def _persisted_only(x):
     """``x`` as a round trip returns it: transient fields back at their defaults."""
-    if isinstance(x, EntityNode):
-        return dataclasses.replace(x, role=None)
     if isinstance(x, ProcessGraph):
-        return dataclasses.replace(x, warnings=[], ordered_activity_ids=[],
-                                   material_entities=list(map(_persisted_only, x.material_entities)),
-                                   tool_entities=list(map(_persisted_only, x.tool_entities)))
+        return dataclasses.replace(x, warnings=[])
     if isinstance(x, EvalReport):
         return dataclasses.replace(x, wall_clock_s=0.0)
     return x
@@ -430,9 +426,10 @@ def test_loader_converts_only_lists_to_tuples_and_objects_to_dataclasses():
     assert FieldMap.from_dict({"label_keys": ["name"]}).label_keys == ("name",)
     with pytest.raises(MalformedDocument, match=r"FieldMap\.label_keys: expected tuple\[str, \.\.\.\], got str"):
         FieldMap.from_dict({"label_keys": "name"})
-    row = {"graph_id": "g", "route": ("a",), "precursors": [], "products": [], "tools": []}
-    with pytest.raises(MalformedDocument, match=r"ProcessSummary\.route: expected list\[str\], got tuple"):
-        check_fields(ProcessSummary, row)
+    row = {"record_id": "g", "usage_edges": (("e", "a"),)}
+    with pytest.raises(MalformedDocument,
+                       match=r"ProcessGraph\.usage_edges: expected list\[tuple\[str, str\]\], got tuple"):
+        check_fields(ProcessGraph, row)
 
 
 def test_loader_interns_every_string_and_dict_key():

@@ -60,7 +60,7 @@ def test_build_toy_counts():
     assert memory.transition_table == {("mill", "sinter"): 1, ("mill", "anneal"): 1}
     assert memory.prefix_index[("mill",)] == {"sinter": 1, "anneal": 1}
     assert len(memory.processes) == 2
-    assert memory.processes[0].route == ["mill", "sinter"]
+    assert memory.processes[0].route == ("mill", "sinter")
 
 
 def test_build_empty_train_set():
@@ -423,6 +423,30 @@ def test_a_memory_s_processes_and_step_entries_cannot_be_assigned(variant, tmp_p
     route = memory.by_graph_id[entry.graph_id].route
     assert memory.step_index is index and index.activity[0] == route[entry.position]
     assert "quench" not in index.activity and "activity" not in vars(entry)
+
+
+LABEL_FIELDS = {"processes": ("route", "precursors", "products", "tools"),
+                "step_library": ("tools", "input_labels", "input_forms", "output_labels",
+                                 "output_forms")}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_memory_s_label_lists_are_tuples_that_cannot_change(variant, tmp_path):
+    memory = memory_variant(variant, tmp_path)
+    for records, names in LABEL_FIELDS.items():
+        assert all(type(getattr(r, n)) is tuple for r in getattr(memory, records) for n in names)
+    views = (memory.vocab, dict(memory.transition_table), list(memory.step_index.activity),
+             dict(memory.step_index.input_forms.columns))
+    first = memory.processes[0]
+    entry = next(e for e in memory.step_library if e.input_forms)
+    with pytest.raises(TypeError):
+        first.route[0] = "quench"
+    with pytest.raises(AttributeError):
+        entry.input_forms.append("film")
+    fresh = dataclasses.replace(memory)  # its views are derived afresh from the same records
+    for got in (memory, fresh):
+        assert (got.vocab, got.transition_table, list(got.step_index.activity),
+                got.step_index.input_forms.columns) == views
 
 
 def test_memories_compare_by_identity():

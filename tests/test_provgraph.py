@@ -8,7 +8,7 @@ import random
 import networkx as nx
 import pytest
 
-from matproc.canon import canonical_json
+from matproc.canon import canon_label, canonical_json
 from matproc.errors import CyclicPrecedence, EmptyRecord, InvalidParams, MalformedDocument
 from matproc.provgraph import (
     ActivityNode,
@@ -16,10 +16,11 @@ from matproc.provgraph import (
     FieldMap,
     ProcessGraph,
     SynthParams,
-    assign_roles,
     compile_graph,
     generate_synthetic_corpus,
+    graph_view,
     infer_precedence,
+    material_roles,
     order_activities,
     parse_record,
     to_prov_document,
@@ -179,16 +180,13 @@ def test_parse_generation_onto_tool_kept_and_flagged():
     g = parse_record(doc)
     assert ("a1", "t1") in g.generation_edges
     assert any("tool" in w for w in g.warnings)
-    assign_roles(g)
-    assert g.tool_entities[0].role == "tool"
+    assert material_roles(g)["t1"] == "tool"
 
 
-# --- assign_roles ------------------------------------------------------------
+# --- material_roles ----------------------------------------------------------
 
 def test_roles_chain():
-    g = chain_graph(["mixing", "sintering"])
-    compile_graph(g)
-    by_id = {e.id: e.role for e in g.material_entities}
+    by_id = material_roles(compile_graph(chain_graph(["mixing", "sintering"])))
     assert by_id["p0"] == "precursor"
     assert by_id["m0"] == "intermediate"
     assert by_id["m1"] == "product"
@@ -197,25 +195,20 @@ def test_roles_chain():
 def test_roles_isolated_node_unconnected():
     g = chain_graph(["mixing"])
     g.material_entities.append(EntityNode(id="iso", label="leftover", kind="material"))
-    assign_roles(g)
-    assert next(e for e in g.material_entities if e.id == "iso").role == "unconnected"
+    assert material_roles(g)["iso"] == "unconnected"
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_roles_match_oracle_on_random_graphs(seed):
     g = random_graph(seed, n_materials=20)
-    assign_roles(g)
-    expected = oracle_roles(g)
-    got = {e.id: e.role for e in g.material_entities + g.tool_entities}
-    assert got == expected
+    assert material_roles(g) == oracle_roles(g)
 
 
 def test_flow_asymmetry_invariant():
     # no generation edge terminates at a node whose final role is precursor
     for seed in range(6):
         g = random_graph(seed)
-        assign_roles(g)
-        precursors = {e.id for e in g.material_entities if e.role == "precursor"}
+        precursors = {eid for eid, role in material_roles(g).items() if role == "precursor"}
         assert all(dst not in precursors for (_, dst) in g.generation_edges)
 
 
@@ -347,11 +340,13 @@ def test_synth_graphs_compile_clean():
     corpus = generate_synthetic_corpus(SynthParams(n_records=40), seed=5)
     for g in corpus:
         validate_graph(g)
-        assert g.ordered_activity_ids
-        assert all(e.role is not None for e in g.material_entities + g.tool_entities)
+        assert material_roles(g).keys() == {e.id for e in g.entities()}
         prec = infer_precedence(g)
-        pos = {a: i for i, a in enumerate(g.ordered_activity_ids)}
+        order = order_activities(g, prec)
+        pos = {a: i for i, a in enumerate(order)}
         assert all(pos[i] < pos[j] for (i, j) in prec)
+        label = {a.id: canon_label(a.label) for a in g.activities}
+        assert graph_view(g).route == tuple(label[a] for a in order)
 
 
 def test_synth_rejects_bad_params():
@@ -382,10 +377,9 @@ def test_parse_then_compile_deterministic():
 def test_roles_partition_is_total_and_single():
     corpus = generate_synthetic_corpus(SynthParams(n_records=30), seed=8)
     for g in corpus:
+        roles = material_roles(g)
         for e in g.material_entities:
-            assert e.role in ("precursor", "intermediate", "product", "unconnected")
+            assert roles[e.id] in ("precursor", "intermediate", "product", "unconnected")
         for t in g.tool_entities:
-            assert t.role == "tool"
-        assert {e.id: e.role for e in g.material_entities} == {
-            k: v for k, v in oracle_roles(g).items() if k in {e.id for e in g.material_entities}
-        }
+            assert roles[t.id] == "tool"
+        assert roles == oracle_roles(g)

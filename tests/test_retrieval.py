@@ -1007,7 +1007,7 @@ def test_query_from_item_visible_context():
     by_task, _ = bench_by_task()
 
     a1 = rt.query_from_item(by_task["A1_route_retrieval"])
-    assert a1.summary.route == []
+    assert a1.summary.route == ()
     assert a1.summary.products and a1.summary.precursors
 
     a2_item = by_task["A2_missing_step"]
@@ -1017,15 +1017,15 @@ def test_query_from_item_visible_context():
 
     a3_item = by_task["A3_next_activity"]
     a3 = rt.query_from_item(a3_item)
-    assert a3.summary.route == list(a3_item.question.prefix)
+    assert a3.summary.route == tuple(a3_item.question.prefix)
 
     b1_item = by_task["B1_condition_prediction"]
     b1 = rt.query_from_item(b1_item)
-    assert b1.summary.route == list(b1_item.question.route)
+    assert b1.summary.route == tuple(b1_item.question.route)
 
     d_item = by_task["D_process_ordering"]
     d = rt.query_from_item(d_item)
-    assert d.summary.route == sorted(s.label for s in d_item.question.steps)
+    assert d.summary.route == tuple(sorted(s.label for s in d_item.question.steps))
 
     for q in (a1, a2, a3, b1, d):
         assert q.summary.graph_id.startswith("query:")

@@ -38,7 +38,7 @@ from matproc.taskgen import generate
 from matproc.taskgen.model import QUESTION_TYPES
 
 from gold_oracle import validate_item
-from helpers import chain_graph, compiled
+from helpers import chain_graph, compiled, ordered_activities
 
 
 def toy_corpus():
@@ -104,11 +104,11 @@ def test_pools_counts_match_brute_force():
     succ: dict[str, Counter] = {}
     for g in corpus:
         by_id = {e.id: e for e in g.entities()}
-        labels = [canon_label(a.label) for a in g.ordered_activities()]
+        labels = [canon_label(a.label) for a in ordered_activities(g)]
         routes[tuple(labels)] += 1
         for a, b in zip(labels, labels[1:]):
             succ.setdefault(a, Counter())[b] += 1
-        for act, label in zip(g.ordered_activities(), labels):
+        for act, label in zip(ordered_activities(g), labels):
             acts[label] += 1
             for eid, aid in g.usage_edges:
                 if aid == act.id and by_id[eid].kind == "tool":

@@ -30,6 +30,8 @@ from matproc.taskgen import (
 from matproc.taskgen import generate, model, pools as pools_module
 from matproc.taskgen.pools import PreparedPool
 
+from helpers import ordered_activities
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -87,7 +89,7 @@ def reference_violating(rng, route, constraints, need):
 def condition_tuples(g):
     return [
         render_condition_tuple(act.conditions)
-        for act in g.ordered_activities()
+        for act in ordered_activities(g)
         if all(k in act.conditions for k in TUPLE_KEYS)
     ]
 
