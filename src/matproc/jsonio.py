@@ -36,6 +36,7 @@ import os
 import secrets
 import types
 import typing
+from collections.abc import Mapping
 from pathlib import Path
 from sys import intern
 from typing import Any, Callable, Iterable, Iterator
@@ -64,9 +65,50 @@ def record_fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in _persisted(type(obj))}
 
 
+class ReadOnlyMapping(Mapping):
+    """A copy of a mapping that refuses item assignment. Unlike
+    :class:`types.MappingProxyType` it survives ``deepcopy`` and ``pickle``;
+    it is written as an object, and read back for a ``Mapping[str, X]`` field.
+    Lookups and views are its dict's own."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items=()):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+    def __contains__(self, key):
+        return key in self._items
+
+    def get(self, key, default=None):
+        return self._items.get(key, default)
+
+    def keys(self):
+        return self._items.keys()
+
+    def items(self):
+        return self._items.items()
+
+    def values(self):
+        return self._items.values()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._items!r})"
+
+
 def _encode_default(obj) -> dict | list:
     # an array is written as its list, whose floats have the same repr
-    return obj.tolist() if type(obj) is np.ndarray else record_fields(obj)
+    if type(obj) is np.ndarray:
+        return obj.tolist()
+    return obj._items if isinstance(obj, ReadOnlyMapping) else record_fields(obj)
 
 
 # the stdlib encoder: the canonical spelling hashes are taken over
@@ -163,10 +205,10 @@ _STR = frozenset({str})
 def _plan(tp) -> tuple[frozenset, Callable[[Any], Any] | None]:
     """For annotation ``tp``: the exact JSON types a value may have (a bool
     is never a number; an int is a float, kept as given), and a check of
-    what lies inside that makes lists tuples and objects dataclasses where
-    declared, or None when there is nothing inside to check. Strings,
-    dict keys included, come back interned: the labels and graph ids a
-    store repeats are then held once."""
+    what lies inside that makes lists tuples and objects dataclasses or
+    read-only mappings where declared, or None when there is nothing inside
+    to check. Strings, dict keys included, come back interned: the labels
+    and graph ids a store repeats are then held once."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if dataclasses.is_dataclass(tp):
         return frozenset({dict}), lambda v: tp(**check_fields(tp, v))
@@ -177,22 +219,24 @@ def _plan(tp) -> tuple[frozenset, Callable[[Any], Any] | None]:
         return accepted | {type(None)}, inner and (lambda v: None if v is None else inner(v))
     if origin is None:
         return frozenset({int, float} if tp is float else {tp}), intern if tp is str else None
-    # list[X], dict[str, X], tuple[X, ...] or a fixed-length tuple[X, X, ...]
-    item_types, item_inner = _plan(args[-1] if origin is dict else args[0])
+    # list[X], dict[str, X], Mapping[str, X], tuple[X, ...] or a fixed-length tuple[X, X, ...]
+    keyed = origin in (dict, Mapping)
+    item_types, item_inner = _plan(args[-1] if keyed else args[0])
     length = len(args) if origin is tuple and args[-1] is not Ellipsis else None
 
     def check(v):
-        items = v.values() if origin is dict else v
+        items = v.values() if keyed else v
         if (not item_types.issuperset(map(type, items)) or length not in (None, len(v))
-                or (origin is dict and not _STR.issuperset(map(type, v)))):
+                or (keyed and not _STR.issuperset(map(type, v)))):
             raise _Mismatch
-        if origin is dict:
-            return dict(zip(map(intern, v), items if item_inner is None else map(item_inner, items)))
+        if keyed:
+            out = dict(zip(map(intern, v), items if item_inner is None else map(item_inner, items)))
+            return out if origin is dict else ReadOnlyMapping(out)
         if item_inner is not None:
             return origin(map(item_inner, v))
         return v if type(v) is origin else origin(v)
 
-    return frozenset({list, tuple} if origin is tuple else {origin}), check
+    return frozenset({list, tuple} if origin is tuple else {dict} if keyed else {origin}), check
 
 
 @functools.cache
@@ -211,7 +255,8 @@ def check_fields(cls, row) -> dict:
     """The keyword arguments of ``cls`` that ``row`` holds, each checked
     against its annotation. Unknown and missing keys raise
     :class:`MalformedDocument`; JSON lists become tuples where a tuple is
-    declared and objects become nested dataclasses; strings are interned;
+    declared and objects become nested dataclasses, or read-only mappings
+    where a ``Mapping`` is declared; strings are interned;
     nothing else converts."""
     plans, required = _class_plan(cls)
     where = cls.__name__

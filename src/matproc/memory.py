@@ -9,7 +9,8 @@ prompts. The prefix index is never stored. The transition rows the file
 still holds must be the ones the routes give. A file that stores a process
 twice, or that an older version wrote (a step row holding route context, a
 ``prefix`` row), is refused with a hint to rebuild it. Processes and step
-entries are frozen, like the memory that holds them.
+entries are frozen, like the memory that holds them, and a step's conditions
+are read-only, as its activity's are in the graph.
 
 The prefix index maps every contiguous activity window up to
 ``max_prefix_len`` labels to its immediate successor, which makes the
@@ -31,8 +32,8 @@ import numpy as np
 
 from .canon import canon_label
 from .errors import EmptyLibrary, EmptyTrainSet, MalformedDocument
-from .jsonio import (Record, artifact_header, check_fields, read_artifact, record_fields,
-                     write_ndjson)
+from .jsonio import (ReadOnlyMapping, Record, artifact_header, check_fields, read_artifact,
+                     record_fields, write_ndjson)
 from .provgraph import ProcessGraph, graph_view
 
 if TYPE_CHECKING:
@@ -108,7 +109,7 @@ class StepEntry(Record):
     graph_id: str
     position: int
     tools: tuple[str, ...] = ()
-    conditions: dict[str, str] = field(default_factory=dict)
+    conditions: Mapping[str, str] = field(default_factory=ReadOnlyMapping)
     input_labels: tuple[str, ...] = ()
     input_forms: tuple[str, ...] = ()
     output_labels: tuple[str, ...] = ()
@@ -177,23 +178,6 @@ class StepIndex:
             neighbours=LabelSets(q.neighbour_labels() for q in at),
             input_forms=LabelSets(e.input_forms for e in library),
         )
-
-
-class ReadOnlyMapping(Mapping):
-    """A copy of a mapping that refuses item assignment. Unlike
-    :class:`types.MappingProxyType` it survives ``deepcopy`` and ``pickle``."""
-
-    def __init__(self, items=()):
-        self._items = dict(items)
-
-    def __getitem__(self, key):
-        return self._items[key]
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +298,7 @@ def build_memory(
                     graph_id=g.record_id,
                     position=pos,
                     tools=step.tools,
-                    conditions=dict(step.activity.conditions),
+                    conditions=step.activity.conditions,
                     input_labels=step.inputs,
                     input_forms=step.input_forms,
                     output_labels=step.outputs,

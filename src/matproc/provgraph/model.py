@@ -2,37 +2,40 @@
 
 A record is a directed graph over material entities, tool entities and
 activities. Usage edges run entity -> activity (consumption); generation
-edges run activity -> entity (production). Nothing writes to a graph once
-built: roles and the activity order are derived from the edges, not held.
+edges run activity -> entity (production). A graph is a value: its records
+are frozen, its node and edge lists tuples and its conditions and attributes
+read-only mappings, so a builder assembles its lists and makes the graph
+once. Roles and the activity order are derived from the edges, not held.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..errors import MalformedDocument
-from ..jsonio import TRANSIENT, Record
+from ..jsonio import TRANSIENT, ReadOnlyMapping, Record
 
 MATERIAL_CLASSES = ("battery", "thermoelectric", "magnetic", "other")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntityNode(Record):
     id: str
     label: str
     kind: str  # "material" | "tool"
-    attributes: dict[str, str] = field(default_factory=dict)
+    attributes: Mapping[str, str] = field(default_factory=ReadOnlyMapping)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActivityNode(Record):
     id: str
     label: str
-    conditions: dict[str, str] = field(default_factory=dict)
+    conditions: Mapping[str, str] = field(default_factory=ReadOnlyMapping)
     source_position: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessGraph(Record):
     """One synthesis record as a typed heterogeneous directed graph."""
 
@@ -40,16 +43,16 @@ class ProcessGraph(Record):
     doi: str = ""
     year: int | None = None
     material_class: str = "other"
-    material_entities: list[EntityNode] = field(default_factory=list)
-    tool_entities: list[EntityNode] = field(default_factory=list)
-    activities: list[ActivityNode] = field(default_factory=list)
-    usage_edges: list[tuple[str, str]] = field(default_factory=list)  # (entity, activity)
-    generation_edges: list[tuple[str, str]] = field(default_factory=list)  # (activity, entity)
-    warnings: list[str] = field(default_factory=list, metadata=TRANSIENT)  # parse-time diagnostics
+    material_entities: tuple[EntityNode, ...] = ()
+    tool_entities: tuple[EntityNode, ...] = ()
+    activities: tuple[ActivityNode, ...] = ()
+    usage_edges: tuple[tuple[str, str], ...] = ()  # (entity, activity)
+    generation_edges: tuple[tuple[str, str], ...] = ()  # (activity, entity)
+    warnings: tuple[str, ...] = field(default=(), metadata=TRANSIENT)  # parse-time diagnostics
 
     # --- lookups -------------------------------------------------------------
 
-    def entities(self) -> list[EntityNode]:
+    def entities(self) -> tuple[EntityNode, ...]:
         return self.material_entities + self.tool_entities
 
 

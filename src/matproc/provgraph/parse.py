@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..canon import canon_label
 from ..errors import EmptyRecord, MalformedDocument
-from ..jsonio import Record, loads
+from ..jsonio import ReadOnlyMapping, Record, loads
 from .model import MATERIAL_CLASSES, ActivityNode, EntityNode, ProcessGraph, validate_graph
 
 
@@ -263,9 +263,7 @@ def _build_graph(doc: dict, nodes: dict, relations: list, fm: FieldMap) -> Proce
     if not record_id:
         record_id = doi or "record"
 
-    g = ProcessGraph(record_id=record_id, doi=doi, year=year, material_class=material_class)
-
-    source_position = 0
+    materials, tools, activities = [], [], []
     for node_id, entry in nodes.items():
         obj = entry["obj"]
         label = _as_text(_first(obj, fm.label_keys)) or node_id
@@ -279,28 +277,30 @@ def _build_graph(doc: dict, nodes: dict, relations: list, fm: FieldMap) -> Proce
             if text is not None:
                 attrs[k] = text
         if entry["kind"] == "activity":
-            conditions = {k: canon_label(v) for k, v in attrs.items()}
-            g.activities.append(
-                ActivityNode(id=node_id, label=label, conditions=conditions, source_position=source_position)
-            )
-            source_position += 1
+            conditions = ReadOnlyMapping((k, canon_label(v)) for k, v in attrs.items())
+            activities.append(ActivityNode(id=node_id, label=label, conditions=conditions,
+                                           source_position=len(activities)))
         else:
             kind = "tool" if _is_tool(obj, fm) else "material"
-            node = EntityNode(id=node_id, label=label, kind=kind, attributes=attrs)
-            (g.tool_entities if kind == "tool" else g.material_entities).append(node)
+            node = EntityNode(id=node_id, label=label, kind=kind, attributes=ReadOnlyMapping(attrs))
+            (tools if kind == "tool" else materials).append(node)
 
-    entity_ids = {e.id for e in g.entities()}
-    activity_ids = {a.id for a in g.activities}
-    tool_ids = {t.id for t in g.tool_entities}
+    entity_ids = {e.id for e in [*materials, *tools]}
+    activity_ids = {a.id for a in activities}
+    tool_ids = {t.id for t in tools}
+    usage, generation, warnings = [], [], []
     for kind, ent, act in relations:
         if ent not in entity_ids or act not in activity_ids:
-            g.warnings.append(f"dangling {kind} edge ({ent!r}, {act!r}) dropped")
+            warnings.append(f"dangling {kind} edge ({ent!r}, {act!r}) dropped")
             continue
         if kind == "usage":
-            g.usage_edges.append((ent, act))
+            usage.append((ent, act))
         else:
             if ent in tool_ids:
                 # kept, but flagged: noisy extractions sometimes "generate" tools
-                g.warnings.append(f"generation edge targets tool {ent!r} (kept)")
-            g.generation_edges.append((act, ent))
-    return g
+                warnings.append(f"generation edge targets tool {ent!r} (kept)")
+            generation.append((act, ent))
+    return ProcessGraph(record_id=record_id, doi=doi, year=year, material_class=material_class,
+                        material_entities=tuple(materials), tool_entities=tuple(tools),
+                        activities=tuple(activities), usage_edges=tuple(usage),
+                        generation_edges=tuple(generation), warnings=tuple(warnings))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ..canon import derive_seed
 from ..errors import InvalidParams
-from ..jsonio import check_ranges, knob
+from ..jsonio import ReadOnlyMapping, check_ranges, knob
 from .analyze import compile_graph
 from .model import ActivityNode, EntityNode, ProcessGraph
 
@@ -160,12 +160,9 @@ def _one_record(
 ) -> ProcessGraph:
     token = f"r{idx:05d}"
     y0, y1 = params.year_range
-    g = ProcessGraph(
-        record_id=f"synth-{token}",
-        doi=f"10.5555/synth.{idx:05d}",
-        year=rng.randint(y0, y1),
-        material_class=rng.choices(classes, weights=weights, k=1)[0],
-    )
+    year = rng.randint(y0, y1)
+    material_class = rng.choices(classes, weights=weights, k=1)[0]
+    materials, tools, activities, usage, generation = [], [], [], [], []
     route = _route_labels(params, prefs, rng)
     branch = len(route) >= 4 and rng.random() < params.p_branch
 
@@ -173,41 +170,45 @@ def _one_record(
     aid = _counter("a")
 
     def new_material(label: str, form: str) -> EntityNode:
-        node = EntityNode(id=next(eid), label=label, kind="material", attributes={"form": form})
-        g.material_entities.append(node)
+        node = EntityNode(id=next(eid), label=label, kind="material",
+                          attributes=ReadOnlyMapping({"form": form}))
+        materials.append(node)
         return node
 
     tools_by_label: dict[str, EntityNode] = {}
 
     def tool_for(label: str) -> EntityNode:
         if label not in tools_by_label:
-            node = EntityNode(id=next(eid), label=label, kind="tool", attributes={"category": "tool"})
-            g.tool_entities.append(node)
+            node = EntityNode(id=next(eid), label=label, kind="tool",
+                              attributes=ReadOnlyMapping({"category": "tool"}))
+            tools.append(node)
             tools_by_label[label] = node
         return tools_by_label[label]
 
     def new_activity(label: str) -> ActivityNode:
-        act = ActivityNode(id=next(aid), label=label, source_position=len(g.activities))
+        conditions = {}
         for key in sorted(params.condition_vocab):
             if rng.random() < params.p_condition_present:
                 if rng.random() < params.p_preferred_condition:
-                    act.conditions[key] = prefs.condition[label][key]
+                    conditions[key] = prefs.condition[label][key]
                 else:
-                    act.conditions[key] = rng.choice(list(params.condition_vocab[key]))
+                    conditions[key] = rng.choice(list(params.condition_vocab[key]))
+        act = ActivityNode(id=next(aid), label=label, conditions=ReadOnlyMapping(conditions),
+                           source_position=len(activities))
         if rng.random() < params.p_tool_present:
             if rng.random() < params.p_preferred_tool:
                 tool_label = prefs.tool[label]
             else:
                 tool_label = rng.choice(list(params.tool_vocab))
-            g.usage_edges.append((tool_for(tool_label).id, act.id))
-        g.activities.append(act)
+            usage.append((tool_for(tool_label).id, act.id))
+        activities.append(act)
         return act
 
     def feed(act: ActivityNode, inputs: list[EntityNode], output_label: str, form: str) -> EntityNode:
         for node in inputs:
-            g.usage_edges.append((node.id, act.id))
+            usage.append((node.id, act.id))
         out = new_material(output_label, form)
-        g.generation_edges.append((act.id, out.id))
+        generation.append((act.id, out.id))
         return out
 
     n_precursors = rng.randint(1, 3)
@@ -231,7 +232,7 @@ def _one_record(
         merge_inputs = []
         if current is not None and rng.random() < params.p_extra_precursor:
             name = rng.choice(list(DEFAULT_PRECURSORS))
-            if name not in [p.label for p in g.material_entities]:
+            if name not in [p.label for p in materials]:
                 inputs = inputs + [new_material(name, rng.choice(FORMS))]
         is_last = pos == len(rest) - 1
         out_label = f"compound {token}" if is_last else f"intermediate {token}-{stage}"
@@ -242,7 +243,11 @@ def _one_record(
     if rng.random() < params.p_unconnected:
         new_material("residual solvent", "solution")
 
-    return compile_graph(g)
+    return compile_graph(ProcessGraph(
+        record_id=f"synth-{token}", doi=f"10.5555/synth.{idx:05d}", year=year,
+        material_class=material_class, material_entities=tuple(materials),
+        tool_entities=tuple(tools), activities=tuple(activities), usage_edges=tuple(usage),
+        generation_edges=tuple(generation)))
 
 
 def _counter(prefix: str):
@@ -257,11 +262,11 @@ def to_prov_document(g: ProcessGraph) -> dict:
     graph_objs: list[dict] = []
     for node in g.material_entities + g.tool_entities:
         obj: dict = {"@id": node.id, "@type": "prov:Entity", "prov:label": node.label}
-        obj.update(node.attributes)
+        obj.update(node.attributes.items())
         graph_objs.append(obj)
     for act in g.activities:
         obj = {"@id": act.id, "@type": "prov:Activity", "prov:label": act.label}
-        obj.update(act.conditions)
+        obj.update(act.conditions.items())
         graph_objs.append(obj)
     for ent, act in g.usage_edges:
         graph_objs.append(

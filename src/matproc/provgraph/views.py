@@ -2,10 +2,11 @@
 
 :func:`graph_view`, the one reader of material roles and the activity
 order, derives both from the edges, groups the edges by activity in edge
-order, and returns plain tuples. Benchmark generation, its candidate pools
-and the process memory all read it. Every label is canonical (lowercased,
-whitespace-collapsed), so pools, memories and benchmark options agree on
-string identity regardless of source formatting.
+order, and returns plain tuples. Benchmark generation derives each graph's
+view once, for its candidate pools and its tasks; the process memory reads
+it too. Every label is canonical (lowercased, whitespace-collapsed), so
+pools, memories and benchmark options agree on string identity regardless
+of source formatting.
 """
 
 from __future__ import annotations

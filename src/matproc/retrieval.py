@@ -479,68 +479,54 @@ def _context_graph(item: BenchItem, visible: tuple[str, ...], precursors: tuple[
     """Minimal provenance graph over the visible payload; ``visible`` is the
     query's visible route, which an ordering item's steps replace."""
     q = item.question
-    g = ProcessGraph(record_id=f"query:{item.item_id}")
-    eid = 0
+    materials: list[EntityNode] = []
+    activities: list[ActivityNode] = []
+    # each edge once, in the order it is first met
+    usage: dict[tuple[str, str], None] = {}
+    generation: dict[tuple[str, str], None] = {}
+    named: dict[str, str] = {}
 
     def add_material(label: str) -> str:
-        nonlocal eid
-        node_id = f"qe{eid}"
-        eid += 1
-        g.material_entities.append(EntityNode(id=node_id, label=label, kind="material"))
+        node_id = f"qe{len(materials)}"
+        materials.append(EntityNode(id=node_id, label=label, kind="material"))
         return node_id
-
-    if item.task == "D_process_ordering":
-        by_label: dict[str, str] = {}
-        for pos, step in enumerate(q.steps):
-            act_id = f"qa{pos}"
-            g.activities.append(ActivityNode(id=act_id, label=step.label, source_position=pos))
-            for label in step.inputs:
-                if label not in by_label:
-                    by_label[label] = add_material(label)
-                edge = (by_label[label], act_id)
-                if edge not in g.usage_edges:
-                    g.usage_edges.append(edge)
-            for label in step.outputs:
-                if label not in by_label:
-                    by_label[label] = add_material(label)
-                edge = (act_id, by_label[label])
-                if edge not in g.generation_edges:
-                    g.generation_edges.append(edge)
-        return g
-
-    named: dict[str, str] = {}
 
     def material(label: str) -> str:
         if label not in named:
             named[label] = add_material(label)
         return named[label]
 
-    previous: str | None = None
-    for pos, label in enumerate(visible):
-        act_id = f"qa{pos}"
-        g.activities.append(ActivityNode(id=act_id, label=label, source_position=pos))
-        if pos == 0:
+    if item.task == "D_process_ordering":
+        for pos, step in enumerate(q.steps):
+            act_id = f"qa{pos}"
+            activities.append(ActivityNode(id=act_id, label=step.label, source_position=pos))
+            usage |= dict.fromkeys((material(label), act_id) for label in step.inputs)
+            generation |= dict.fromkeys((act_id, material(label)) for label in step.outputs)
+    else:
+        previous: str | None = None
+        for pos, label in enumerate(visible):
+            act_id = f"qa{pos}"
+            activities.append(ActivityNode(id=act_id, label=label, source_position=pos))
+            if pos == 0:
+                usage |= dict.fromkeys((material(pre), act_id) for pre in precursors)
+            if previous is not None:
+                link = add_material("intermediate")  # fresh node per hand-off
+                generation[previous, link] = None
+                usage[link, act_id] = None
+            previous = act_id
+        if previous is not None and product:
+            generation[previous, material(product)] = None
+        elif previous is None:
             for pre in precursors:
-                g.usage_edges.append((material(pre), act_id))
-        if previous is not None:
-            link = add_material("intermediate")  # fresh node per hand-off
-            g.generation_edges.append((previous, link))
-            g.usage_edges.append((link, act_id))
-        previous = act_id
-    if previous is not None and product:
-        g.generation_edges.append((previous, material(product)))
-    elif previous is None:
-        for pre in precursors:
-            material(pre)
-        if product:
-            material(product)
-    if isinstance(q, StepQuestion):  # its route is ``visible``, so step_index names an activity
-        target = g.activities[q.step_index].id
-        for label in q.step_inputs:
-            node_id = material(label)
-            if (node_id, target) not in g.usage_edges:
-                g.usage_edges.append((node_id, target))
-    return g
+                material(pre)
+            if product:
+                material(product)
+        if isinstance(q, StepQuestion):  # its route is ``visible``, so step_index names an activity
+            target = activities[q.step_index].id
+            usage |= dict.fromkeys((material(label), target) for label in q.step_inputs)
+    return ProcessGraph(record_id=f"query:{item.item_id}", material_entities=tuple(materials),
+                        activities=tuple(activities), usage_edges=tuple(usage),
+                        generation_edges=tuple(generation))
 
 
 # --- memory-side embeddings -----------------------------------------------------------

@@ -41,7 +41,6 @@ class SplitAssignment:
     protocol: str
     mapping: dict[str, str]  # item_id -> partition
     seed: int | None = None
-    warnings: list[str] = field(default_factory=list)
     source: str = field(default="", compare=False)  # the file it was read from, if any
 
     def items_in(self, items: list[BenchItem], partition: str) -> list[BenchItem]:
@@ -125,12 +124,11 @@ def split_random(items: list[BenchItem], ratios=DEFAULT_RATIOS, seed: int = 0) -
 
 def split_by_year(items: list[BenchItem]) -> SplitAssignment:
     """The year rule: up to 2019 train, 2020 dev, from 2021 test; an item
-    with no year is excluded, with a warning."""
+    with no year is excluded."""
     assignment = SplitAssignment(protocol="year", mapping={})
     for it in items:
         if it.year is None:
             assignment.mapping[it.item_id] = "excluded"
-            assignment.warnings.append(f"{it.item_id}: no year, excluded")
         elif it.year <= 2019:
             assignment.mapping[it.item_id] = "train"
         elif it.year == 2020:

@@ -22,7 +22,7 @@ from ..canon import derive_seed
 from ..errors import ConfigConflict, PoolExhausted, RetentionFilterFailed
 from ..jsonio import Record, check_ranges, knob
 from ..memory import StepQuery
-from ..provgraph import ProcessGraph, graph_view
+from ..provgraph import GraphView, ProcessGraph, graph_view
 from .model import (MASK_TOKEN, TUPLE_KEYS, BenchItem, ConditionQuestion, MaskedQuestion,
                     OrderingQuestion, OrderingStep, PrefixQuestion, Question, RouteQuestion,
                     StepQuestion, render_condition_tuple, render_route)
@@ -90,16 +90,17 @@ def _conditioned_or_global(sub: Counter, global_pool: Counter, gold: str, need: 
 
 def instantiate_tasks(
     g: ProcessGraph,
+    view: GraphView,
     pools: DistractorPools,
     k_options: int = DEFAULT_K,
     seed: int = 0,
     caps: GenCaps | None = None,
     skip_log: list | None = None,
 ) -> list[BenchItem]:
+    """The items of graph ``g``, read off ``view``, its :func:`graph_view`."""
     from ..config import RunConfig  # config imports this package
     check_ranges(RunConfig, k_options=k_options)
     caps = caps or GenCaps()
-    view = graph_view(g)
     steps, acts = view.steps, [step.activity for step in view.steps]
     if not acts or not view.precursors:
         raise RetentionFilterFailed(f"{g.record_id}: needs >=1 activity and >=1 precursor")
@@ -301,15 +302,16 @@ def generate_benchmark(
     seed: int = 0,
     caps: GenCaps | None = None,
 ) -> tuple[list[BenchItem], list[dict]]:
-    """Pools over the whole corpus, then per-graph instantiation."""
-    pools = build_candidate_pools(corpus)
+    """Pools over the whole corpus, then per-graph instantiation; both read
+    each graph's one view."""
+    views = [graph_view(g) for g in corpus]
+    pools = build_candidate_pools(views)
     items: list[BenchItem] = []
     skip_log: list[dict] = []
-    for g in corpus:
+    for g, view in zip(corpus, views):
         try:
-            items.extend(
-                instantiate_tasks(g, pools, k_options=k_options, seed=seed, caps=caps, skip_log=skip_log)
-            )
+            items.extend(instantiate_tasks(g, view, pools, k_options=k_options, seed=seed,
+                                           caps=caps, skip_log=skip_log))
         except RetentionFilterFailed:
             skip_log.append({"graph_id": g.record_id, "task": "*", "reason": "retention_filter"})
     return items, skip_log

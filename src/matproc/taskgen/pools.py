@@ -24,38 +24,28 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ..errors import EmptyCorpus, PoolExhausted
-from ..provgraph import ProcessGraph, graph_view
+from ..jsonio import ReadOnlyMapping
+from ..provgraph import GraphView
 from .model import TUPLE_KEYS, render_condition_tuple, render_route
 
 
-class PreparedPool(Mapping):
+class PreparedPool(ReadOnlyMapping):
     """A read-only pool: its counts in pool order, and its keys in sorted
     order (``ordered``) with their ``weights`` and prefix sums
     (``cum_weights``, as ``itertools.accumulate`` gives them)."""
 
-    __slots__ = ("_counts", "ordered", "weights", "cum_weights")
-
     def __init__(self, counts: Mapping):
-        self._counts = dict(counts)
-        self.ordered = tuple(sorted(self._counts))
-        self.weights = tuple(self._counts[k] for k in self.ordered)
+        super().__init__(counts)
+        self.ordered = tuple(sorted(self._items))
+        self.weights = tuple(self._items[k] for k in self.ordered)
         self.cum_weights = tuple(itertools.accumulate(self.weights))
-
-    def __getitem__(self, key):
-        return self._counts[key]
-
-    def __iter__(self):
-        return iter(self._counts)
-
-    def __len__(self) -> int:
-        return len(self._counts)
 
     def without(self, exclude) -> tuple[Sequence, Sequence]:
         """The sorted keys not in ``exclude``, and the prefix sums of their
         weights. The sums before the first excluded key are the pool's own;
         the rest are summed again in order, so each is the float
         ``itertools.accumulate`` gives over the remaining weights."""
-        cut = sorted({bisect_left(self.ordered, k) for k in exclude if k in self._counts})
+        cut = sorted({bisect_left(self.ordered, k) for k in exclude if k in self._items})
         if not cut:
             return self.ordered, self.cum_weights
         first = cut[0]
@@ -108,13 +98,12 @@ def _routes_near(rendered_routes: list[tuple[str, int, int]], length: int) -> Co
     return pool
 
 
-def build_candidate_pools(corpus: list[ProcessGraph]) -> DistractorPools:
-    """Single pass over compiled graphs; counts retained for weighting."""
-    if not corpus:
+def build_candidate_pools(views: list[GraphView]) -> DistractorPools:
+    """Single pass over the corpus' graph views; counts retained for weighting."""
+    if not views:
         raise EmptyCorpus("candidate pools need at least one graph")
     pools = DistractorPools()
-    for g in corpus:
-        view = graph_view(g)
+    for view in views:
         route = view.route
         pools.routes[route] += 1
         for left, right in zip(route, route[1:]):

@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from matproc.provgraph import (ActivityNode, EntityNode, ProcessGraph, compile_graph, infer_precedence,
-                               order_activities)
+from matproc.jsonio import ReadOnlyMapping
+from matproc.provgraph import (ActivityNode, EntityNode, ProcessGraph, compile_graph, graph_view,
+                               infer_precedence, order_activities)
 
 
 def assert_same_vectors(got, want):
@@ -61,54 +62,54 @@ def orthogonal_to(v):
 def chain_graph(labels, record_id="g0", doi="10.1/x", year=2018, material_class="thermoelectric",
                 conditions=None, tools=None, precursors=("lithium carbonate",)):
     """precursors -> a0 -> m1 -> a1 -> ... -> product, one usage/generation per hop."""
-    g = ProcessGraph(record_id=record_id, doi=doi, year=year, material_class=material_class)
-    for i, name in enumerate(precursors):
-        g.material_entities.append(
-            EntityNode(id=f"p{i}", label=name, kind="material", attributes={"form": "powder"})
-        )
-    prev = [e.id for e in g.material_entities]
+    powder = ReadOnlyMapping({"form": "powder"})
+    materials = [EntityNode(id=f"p{i}", label=name, kind="material", attributes=powder)
+                 for i, name in enumerate(precursors)]
+    tool_nodes, activities, usage, generation = [], [], [], []
+    prev = [e.id for e in materials]
     for i, label in enumerate(labels):
         act = ActivityNode(id=f"a{i}", label=label, source_position=i,
-                           conditions=dict((conditions or {}).get(label, {})))
-        g.activities.append(act)
-        for src in prev:
-            g.usage_edges.append((src, act.id))
-        out = EntityNode(id=f"m{i}", label=f"stage {i}", kind="material", attributes={"form": "powder"})
-        g.material_entities.append(out)
-        g.generation_edges.append((act.id, out.id))
-        prev = [out.id]
+                           conditions=ReadOnlyMapping((conditions or {}).get(label, {})))
+        activities.append(act)
+        usage += [(src, act.id) for src in prev]
+        materials.append(EntityNode(id=f"m{i}", label=f"stage {i}", kind="material", attributes=powder))
+        generation.append((act.id, f"m{i}"))
+        prev = [f"m{i}"]
         for tool_label in (tools or {}).get(label, ()):  # one tool entity per (label, activity)
             tid = f"t{i}_{tool_label}"
-            g.tool_entities.append(
-                EntityNode(id=tid, label=tool_label, kind="tool", attributes={"category": "tool"})
-            )
-            g.usage_edges.append((tid, act.id))
-    return g
+            tool_nodes.append(EntityNode(id=tid, label=tool_label, kind="tool",
+                                         attributes=ReadOnlyMapping({"category": "tool"})))
+            usage.append((tid, act.id))
+    return ProcessGraph(record_id=record_id, doi=doi, year=year, material_class=material_class,
+                        material_entities=tuple(materials), tool_entities=tuple(tool_nodes),
+                        activities=tuple(activities), usage_edges=tuple(usage),
+                        generation_edges=tuple(generation))
 
 
 def random_graph(seed, n_materials=12, n_tools=3, n_activities=5, p_edge=0.35):
     """Random bipartite-ish graph; may be cyclic, used for role oracles only."""
     rng = random.Random(seed)
-    g = ProcessGraph(record_id=f"rand-{seed}", doi=f"10.9/{seed}", year=2015)
-    for i in range(n_materials):
-        g.material_entities.append(EntityNode(id=f"m{i}", label=f"mat {i}", kind="material"))
-    for i in range(n_tools):
-        g.tool_entities.append(EntityNode(id=f"t{i}", label=f"tool {i}", kind="tool"))
-    for i in range(n_activities):
-        g.activities.append(ActivityNode(id=f"a{i}", label=f"op {i}", source_position=i))
-    for e in g.material_entities + g.tool_entities:
-        for a in g.activities:
-            if rng.random() < p_edge:
-                g.usage_edges.append((e.id, a.id))
-    for a in g.activities:
-        for e in g.material_entities:
-            if rng.random() < p_edge / 2:
-                g.generation_edges.append((a.id, e.id))
-    return g
+    materials = tuple(EntityNode(id=f"m{i}", label=f"mat {i}", kind="material")
+                      for i in range(n_materials))
+    tools = tuple(EntityNode(id=f"t{i}", label=f"tool {i}", kind="tool") for i in range(n_tools))
+    activities = tuple(ActivityNode(id=f"a{i}", label=f"op {i}", source_position=i)
+                       for i in range(n_activities))
+    usage = tuple((e.id, a.id) for e in materials + tools for a in activities
+                  if rng.random() < p_edge)
+    generation = tuple((a.id, e.id) for a in activities for e in materials
+                       if rng.random() < p_edge / 2)
+    return ProcessGraph(record_id=f"rand-{seed}", doi=f"10.9/{seed}", year=2015,
+                        material_entities=materials, tool_entities=tools, activities=activities,
+                        usage_edges=usage, generation_edges=generation)
 
 
 def compiled(g):
     return compile_graph(g)
+
+
+def views_of(corpus):
+    """Each graph's view, as ``generate_benchmark`` hands them to the pools."""
+    return [graph_view(g) for g in corpus]
 
 
 def ordered_activities(g):

@@ -12,6 +12,7 @@ whatever order the rows were in, and the prefix index is a view of the routes.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 import tempfile
 from pathlib import Path
@@ -93,10 +94,12 @@ def test_permuted_node_and_edge_lists_read_back_the_same_roles_and_order(n, seed
     permuted = []
     for g in graphs:
         p = ProcessGraph.from_dict(g.to_dict())  # ids and source positions kept
+        shuffled = {}
         for name in ("material_entities", "tool_entities", "activities", "usage_edges",
                      "generation_edges"):
-            rng.shuffle(getattr(p, name))
-        permuted.append(p)
+            shuffled[name] = list(getattr(p, name))
+            rng.shuffle(shuffled[name])
+        permuted.append(dataclasses.replace(p, **{k: tuple(v) for k, v in shuffled.items()}))
     _, back = _round_trip(permuted)
     for g, b in zip(graphs, back):
         assert order_activities(b, infer_precedence(b)) == order_activities(g, infer_precedence(g))

@@ -13,6 +13,7 @@ no material, and no precursors or products. A cyclic graph has no view.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,11 @@ from hypothesis import strategies as st
 from matproc import cli, memory
 from matproc.canon import canon_label
 from matproc.errors import CyclicPrecedence, MalformedDocument
+from matproc.jsonio import ReadOnlyMapping
 from matproc.provgraph import (ActivityNode, EntityNode, GraphView, ProcessGraph, StepView,
                                SynthParams, compile_graph, generate_synthetic_corpus, graph_view,
                                load_graphs, material_roles)
-from matproc.taskgen import generate, generate_benchmark, pools
+from matproc.taskgen import generate, generate_benchmark
 
 from helpers import ordered_activities
 
@@ -150,69 +152,64 @@ def test_the_view_is_plain_tuples():
 
 def entity(node_id, label, kind="material", form=None):
     attributes = {} if form is None else {"form": form}
-    return EntityNode(id=node_id, label=label, kind=kind, attributes=attributes)
+    return EntityNode(id=node_id, label=label, kind=kind, attributes=ReadOnlyMapping(attributes))
 
 
 def chain(labels):
     """A chain whose edges make m0 the precursor and the last material the
     product: m0 -> a0 -> m1 -> a1 -> ..."""
-    g = ProcessGraph(record_id="chain")
-    g.material_entities.append(entity("m0", "Start Powder", form="Powder"))
-    for i, label in enumerate(labels):
-        g.activities.append(ActivityNode(id=f"a{i}", label=label, source_position=i))
-        out = entity(f"m{i + 1}", f"Stage {i}")
-        g.material_entities.append(out)
-        g.usage_edges.append((f"m{i}", f"a{i}"))
-        g.generation_edges.append((f"a{i}", out.id))
-    return g
+    return ProcessGraph(
+        record_id="chain",
+        material_entities=(entity("m0", "Start Powder", form="Powder"),
+                           *(entity(f"m{i + 1}", f"Stage {i}") for i in range(len(labels)))),
+        activities=tuple(ActivityNode(id=f"a{i}", label=label, source_position=i)
+                         for i, label in enumerate(labels)),
+        usage_edges=tuple((f"m{i}", f"a{i}") for i in range(len(labels))),
+        generation_edges=tuple((f"a{i}", f"m{i + 1}") for i in range(len(labels))),
+    )
 
 
 def _dup_edges():
     g = chain(["Mill", "Press"])
-    g.tool_entities.append(entity("t0", "Ball  Mill", kind="tool"))
-    g.usage_edges += [("m0", "a0"), ("t0", "a0"), ("t0", "a0")]
-    g.generation_edges.append(("a1", "m2"))
-    return g
+    return replace(g, tool_entities=(entity("t0", "Ball  Mill", kind="tool"),),
+                   usage_edges=(*g.usage_edges, ("m0", "a0"), ("t0", "a0"), ("t0", "a0")),
+                   generation_edges=(*g.generation_edges, ("a1", "m2")))
 
 
 def _forms():
     g = chain(["Mill", "Press"])
-    g.tool_entities.append(entity("t0", "Die", kind="tool", form="Steel"))
-    g.material_entities.append(entity("m9", "Binder", form=""))
-    g.usage_edges += [("t0", "a1"), ("m9", "a1")]
-    return g
+    return replace(g, tool_entities=(entity("t0", "Die", kind="tool", form="Steel"),),
+                   material_entities=(*g.material_entities, entity("m9", "Binder", form="")),
+                   usage_edges=(*g.usage_edges, ("t0", "a1"), ("m9", "a1")))
 
 
 def _edgeless_activity():
     """An activity no edge constrains comes last: its source position is the highest."""
     g = chain(["Mill", "Press"])
-    g.activities.insert(1, ActivityNode(id="a9", label="Rest", source_position=9))
-    return g
+    first, *rest = g.activities
+    return replace(g, activities=(first, ActivityNode(id="a9", label="Rest", source_position=9), *rest))
 
 
 def _last_makes_a_tool():
     """The last step makes a tool; the first makes the one product besides m1."""
     g = chain(["Mill", "Press"])
-    g.tool_entities.append(entity("t0", "Pellet Die", kind="tool"))
-    g.generation_edges = [("a0", "m1"), ("a0", "m2"), ("a1", "t0")]
-    return g
+    return replace(g, tool_entities=(entity("t0", "Pellet Die", kind="tool"),),
+                   generation_edges=(("a0", "m1"), ("a0", "m2"), ("a1", "t0")))
 
 
 def _last_makes_nothing():
     g = chain(["Mill", "Press"])
-    g.generation_edges = [e for e in g.generation_edges if e[0] != "a1"]
-    return g
+    return replace(g, generation_edges=tuple(e for e in g.generation_edges if e[0] != "a1"))
 
 
 def _no_precursors_no_products():
     """m1 passes from a0 to a1; nothing enters a0 and nothing leaves a1."""
     g = chain(["Mill", "Press"])
-    g.usage_edges, g.generation_edges = [("m1", "a1")], [("a0", "m1")]
-    return g
+    return replace(g, usage_edges=(("m1", "a1"),), generation_edges=(("a0", "m1"),))
 
 
 def _no_activities():
-    return ProcessGraph(record_id="empty", material_entities=[entity("m0", "Lone")])
+    return ProcessGraph(record_id="empty", material_entities=(entity("m0", "Lone"),))
 
 
 CORNERS = {
@@ -246,15 +243,13 @@ def test_the_corner_cases_reach_every_fallback():
 
 
 def _dup_ids():
-    g = chain(["Mill", "Press"])
-    g.tool_entities.append(entity("m1", "Die", kind="tool"))  # shadows material m1
-    return g
+    # the tool shadows material m1
+    return replace(chain(["Mill", "Press"]), tool_entities=(entity("m1", "Die", kind="tool"),))
 
 
 def _unknown_ids():
     g = chain(["Mill", "Press"])
-    g.usage_edges += [("ghost", "a0"), ("m0", "nowhere")]
-    return g
+    return replace(g, usage_edges=(*g.usage_edges, ("ghost", "a0"), ("m0", "nowhere")))
 
 
 @pytest.mark.parametrize("build", [_dup_ids, _unknown_ids], ids=["duplicate-ids", "unknown-ids"])
@@ -275,18 +270,18 @@ def graphs(draw):
     source positions out of list order, and often a cycle."""
     def entities(prefix, kind):
         drawn = draw(st.lists(st.tuples(LABELS, FORMS), max_size=4))
-        return [entity(f"{prefix}{i}", label, kind, form) for i, (label, form) in enumerate(drawn)]
+        return tuple(entity(f"{prefix}{i}", label, kind, form) for i, (label, form) in enumerate(drawn))
 
     materials, tools = entities("m", "material"), entities("t", "tool")
     positions = draw(st.permutations(range(draw(st.integers(0, 4)))))
-    activities = [ActivityNode(id=f"a{i}", label=draw(LABELS), source_position=pos)
-                  for i, pos in enumerate(positions)]
-    usage, generation = [], []
+    activities = tuple(ActivityNode(id=f"a{i}", label=draw(LABELS), source_position=pos)
+                       for i, pos in enumerate(positions))
+    usage, generation = (), ()
     if (materials or tools) and activities:
         ent_ids = st.sampled_from([e.id for e in materials + tools])
         act_ids = st.sampled_from([a.id for a in activities])
-        usage = draw(st.lists(st.tuples(ent_ids, act_ids), max_size=10))
-        generation = draw(st.lists(st.tuples(act_ids, ent_ids), max_size=6))
+        usage = tuple(draw(st.lists(st.tuples(ent_ids, act_ids), max_size=10)))
+        generation = tuple(draw(st.lists(st.tuples(act_ids, ent_ids), max_size=6)))
     return ProcessGraph(record_id="h", material_entities=materials, tool_entities=tools,
                         activities=activities, usage_edges=usage, generation_edges=generation)
 
@@ -313,11 +308,11 @@ def test_each_stage_builds_one_view_per_graph(monkeypatch):
         built[g.record_id] += 1
         return graph_view(g)
 
-    for module in (pools, generate, memory):
+    for module in (generate, memory):
         monkeypatch.setattr(module, "graph_view", counted)
     corpus = generate_synthetic_corpus(SynthParams(n_records=100), seed=11)
-    generate_benchmark(corpus, seed=4)
-    assert len(built) == len(corpus) and max(built.values()) <= 2  # pools, then tasks
+    generate_benchmark(corpus, seed=4)  # the pools and the tasks share each view
+    assert built == Counter(g.record_id for g in corpus)
     built.clear()
     memory.build_memory(corpus)
     assert built == Counter(g.record_id for g in corpus)

@@ -25,6 +25,7 @@ from matproc.config import RunConfig
 from matproc.errors import ConfigConflict, InvalidParams, MalformedDocument
 from matproc.jsonio import (
     MAX_DEPTH,
+    ReadOnlyMapping,
     Record,
     _nesting,
     check_fields,
@@ -63,6 +64,7 @@ from matproc.scoring import (
 )
 from matproc.splits import AuditRow, SplitRow, split_items
 from matproc.taskgen import BenchItem, GenCaps, generate_benchmark
+from matproc.taskgen.model import OrderingStep
 
 
 def test_round_trip_and_streaming_agree(tmp_path):
@@ -366,7 +368,7 @@ def run_objects() -> dict[type, list]:
 def _persisted_only(x):
     """``x`` as a round trip returns it: transient fields back at their defaults."""
     if isinstance(x, ProcessGraph):
-        return dataclasses.replace(x, warnings=[])
+        return dataclasses.replace(x, warnings=())
     if isinstance(x, EvalReport):
         return dataclasses.replace(x, wall_clock_s=0.0)
     return x
@@ -390,7 +392,7 @@ def test_every_record_class_is_covered():
 
 
 def test_transient_fields_are_neither_written_nor_read():
-    g = ProcessGraph(record_id="g1", warnings=["dangling edge"])
+    g = ProcessGraph(record_id="g1", warnings=("dangling edge",))
     assert "warnings" not in json.loads(dumps_line(g))
     with pytest.raises(MalformedDocument, match=r"ProcessGraph: unknown keys \['warnings'\]"):
         ProcessGraph.from_dict({"record_id": "g1", "warnings": []})
@@ -420,16 +422,16 @@ def test_loader_keeps_ints_for_floats_and_never_takes_bools_for_numbers():
 
 def test_loader_converts_only_lists_to_tuples_and_objects_to_dataclasses():
     g = ProcessGraph.from_dict({"record_id": "g", "usage_edges": [["e", "a"]],
-                                "activities": [{"id": "a", "label": "mix"}]})
-    assert g.usage_edges == [("e", "a")]
-    assert g.activities == [ActivityNode(id="a", label="mix")]
+                                "activities": [{"id": "a", "label": "mix", "conditions": {"t": "9 h"}}]})
+    assert g.usage_edges == (("e", "a"),)
+    assert g.activities == (ActivityNode(id="a", label="mix", conditions=ReadOnlyMapping({"t": "9 h"})),)
+    assert type(g.activities[0].conditions) is ReadOnlyMapping
     assert FieldMap.from_dict({"label_keys": ["name"]}).label_keys == ("name",)
     with pytest.raises(MalformedDocument, match=r"FieldMap\.label_keys: expected tuple\[str, \.\.\.\], got str"):
         FieldMap.from_dict({"label_keys": "name"})
-    row = {"record_id": "g", "usage_edges": (("e", "a"),)}
-    with pytest.raises(MalformedDocument,
-                       match=r"ProcessGraph\.usage_edges: expected list\[tuple\[str, str\]\], got tuple"):
-        check_fields(ProcessGraph, row)
+    row = {"label": "mix", "inputs": ("e",), "outputs": []}
+    with pytest.raises(MalformedDocument, match=r"OrderingStep\.inputs: expected list\[str\], got tuple"):
+        check_fields(OrderingStep, row)
 
 
 def test_loader_interns_every_string_and_dict_key():
@@ -457,13 +459,13 @@ def test_loader_interns_every_string_and_dict_key():
         ({"record_id": "g", "galaxy": 1}, r"ProcessGraph: unknown keys \['galaxy'\]"),
         ({"record_id": "g", "year": "2019"}, r"ProcessGraph\.year: expected int \| None, got str"),
         ({"record_id": "g", "usage_edges": [["e"]]},
-         r"ProcessGraph\.usage_edges: expected list\[tuple\[str, str\]\], got list"),
+         r"ProcessGraph\.usage_edges: expected tuple\[tuple\[str, str\], \.\.\.\], got list"),
         ({"record_id": "g", "activities": [{"id": "a", "label": "x", "galaxy": 1}]},
          r"ActivityNode: unknown keys \['galaxy'\]"),
         ({"record_id": "g", "activities": [{"id": "a", "label": "x", "conditions": {"t": 5}}]},
-         r"ActivityNode\.conditions: expected dict\[str, str\], got dict"),
+         r"ActivityNode\.conditions: expected Mapping\[str, str\], got dict"),
         ({"record_id": "g", "tool_entities": [3]},
-         r"ProcessGraph\.tool_entities: expected list\[EntityNode\], got list"),
+         r"ProcessGraph\.tool_entities: expected tuple\[EntityNode, \.\.\.\], got list"),
     ],
 )
 def test_loader_errors_name_the_class_the_key_and_the_type(row, message):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matproc.errors import EmptyLibrary, EmptyTrainSet, MalformedDocument
+from matproc.jsonio import ReadOnlyMapping
 from matproc.memory import (
     LabelSets,
     ProcessMemory,
@@ -35,7 +36,7 @@ from matproc.memory import (
     sorted_ranks,
 )
 from matproc.provgraph import SynthParams, generate_synthetic_corpus, graph_view
-from matproc.retrieval import EMBED_DIM
+from matproc.retrieval import EMBED_DIM, BuiltinTextEmbedder
 
 from helpers import assert_same_vectors, chain_graph, compiled
 
@@ -447,6 +448,35 @@ def test_a_memory_s_label_lists_are_tuples_that_cannot_change(variant, tmp_path)
     for got in (memory, fresh):
         assert (got.vocab, got.transition_table, list(got.step_index.activity),
                 got.step_index.input_forms.columns) == views
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_step_entry_s_conditions_cannot_be_set(variant, tmp_path):
+    memory = memory_variant(variant, tmp_path)
+    texts = [linearize_process(memory, p.graph_id) for p in memory.processes]
+    conditioned = [e for e in memory.step_library if e.conditions]
+    assert conditioned and all(type(e.conditions) is ReadOnlyMapping for e in memory.step_library)
+    for entry in conditioned:
+        key = next(iter(entry.conditions))
+        with pytest.raises(TypeError):
+            entry.conditions[key] = "edited"
+        with pytest.raises(TypeError):
+            del entry.conditions[key]
+        assert not any(hasattr(entry.conditions, m) for m in ("update", "pop", "clear", "setdefault"))
+    assert [linearize_process(memory, p.graph_id) for p in memory.processes] == texts
+
+
+@pytest.mark.parametrize("variant", ["built", "loaded"])
+def test_every_stored_text_vector_embeds_its_process_s_text(variant, tmp_path):
+    memory, _ = synth_memory(5, seed=1)
+    if variant == "loaded":
+        save_memory(tmp_path / "memory.ndjson", memory)
+        memory = load_memory(tmp_path / "memory.ndjson")
+    entry = next(e for e in memory.step_library if "atmosphere" in e.conditions)
+    with pytest.raises(TypeError):
+        entry.conditions["atmosphere"] = "edited"
+    texts = [linearize_process(memory, p.graph_id) for p in memory.processes]
+    assert np.array_equal(BuiltinTextEmbedder().embed(texts), memory.vectors["text"])
 
 
 def test_memories_compare_by_identity():

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
+import pickle
 import random
+from dataclasses import replace
 
 import networkx as nx
 import pytest
 
 from matproc.canon import canon_label, canonical_json
 from matproc.errors import CyclicPrecedence, EmptyRecord, InvalidParams, MalformedDocument
+from matproc.jsonio import ReadOnlyMapping
 from matproc.provgraph import (
     ActivityNode,
     EntityNode,
@@ -20,11 +25,13 @@ from matproc.provgraph import (
     generate_synthetic_corpus,
     graph_view,
     infer_precedence,
+    load_graphs,
     material_roles,
     order_activities,
     parse_record,
     to_prov_document,
     validate_graph,
+    write_graph_store,
 )
 
 from helpers import chain_graph, random_graph
@@ -125,8 +132,8 @@ def test_parse_flat_prov_json():
     }
     g = parse_record(doc)
     assert g.year == 2021
-    assert g.usage_edges == [("e1", "a1")]
-    assert g.generation_edges == [("a1", "e2")]
+    assert g.usage_edges == (("e1", "a1"),)
+    assert g.generation_edges == (("a1", "e2"),)
     assert g.activities[0].conditions["duration"] == "2 h"
 
 
@@ -148,8 +155,8 @@ def test_a_field_map_names_the_relation_keys_of_flat_and_json_ld_records():
     ]}
     for doc in (flat, json_ld):
         g = compile_graph(parse_record(doc, fm))
-        assert g.usage_edges == [("e1", "a1")] and g.generation_edges == [("a1", "e2")]
-        assert g.warnings == []
+        assert g.usage_edges == (("e1", "a1"),) and g.generation_edges == (("a1", "e2"),)
+        assert g.warnings == ()
 
 
 def test_parse_rejects_malformed():
@@ -194,7 +201,8 @@ def test_roles_chain():
 
 def test_roles_isolated_node_unconnected():
     g = chain_graph(["mixing"])
-    g.material_entities.append(EntityNode(id="iso", label="leftover", kind="material"))
+    g = replace(g, material_entities=(*g.material_entities,
+                                      EntityNode(id="iso", label="leftover", kind="material")))
     assert material_roles(g)["iso"] == "unconnected"
 
 
@@ -215,33 +223,31 @@ def test_flow_asymmetry_invariant():
 # --- infer_precedence --------------------------------------------------------
 
 def test_precedence_single_flow():
-    g = ProcessGraph(record_id="p")
-    g.material_entities = [EntityNode(id="x", label="x", kind="material")]
-    g.activities = [ActivityNode(id="a1", label="mill", source_position=0),
-                    ActivityNode(id="a2", label="sinter", source_position=1)]
-    g.generation_edges = [("a1", "x")]
-    g.usage_edges = [("x", "a2")]
+    g = ProcessGraph(record_id="p", material_entities=(EntityNode(id="x", label="x", kind="material"),),
+                     activities=(ActivityNode(id="a1", label="mill", source_position=0),
+                                 ActivityNode(id="a2", label="sinter", source_position=1)),
+                     generation_edges=(("a1", "x"),), usage_edges=(("x", "a2"),))
     assert infer_precedence(g) == {("a1", "a2")}
 
 
 def test_precedence_shared_precursor_gives_none():
-    g = ProcessGraph(record_id="p")
-    g.material_entities = [EntityNode(id="x", label="x", kind="material")]
-    g.activities = [ActivityNode(id="a1", label="mill", source_position=0),
-                    ActivityNode(id="a2", label="sinter", source_position=1)]
-    g.usage_edges = [("x", "a1"), ("x", "a2")]
+    g = ProcessGraph(record_id="p", material_entities=(EntityNode(id="x", label="x", kind="material"),),
+                     activities=(ActivityNode(id="a1", label="mill", source_position=0),
+                                 ActivityNode(id="a2", label="sinter", source_position=1)),
+                     usage_edges=(("x", "a1"), ("x", "a2")))
     assert infer_precedence(g) == set()
 
 
 def diamond_graph():
-    g = ProcessGraph(record_id="diamond")
-    for mid in ["x", "y", "u", "v", "w"]:
-        g.material_entities.append(EntityNode(id=mid, label=mid, kind="material"))
-    for i, aid in enumerate(["a1", "a2", "a3", "a4"]):
-        g.activities.append(ActivityNode(id=aid, label=f"op {aid}", source_position=i))
-    g.generation_edges = [("a1", "x"), ("a1", "y"), ("a2", "u"), ("a3", "v"), ("a4", "w")]
-    g.usage_edges = [("x", "a2"), ("y", "a3"), ("u", "a4"), ("v", "a4")]
-    return g
+    return ProcessGraph(
+        record_id="diamond",
+        material_entities=tuple(EntityNode(id=mid, label=mid, kind="material")
+                                for mid in ["x", "y", "u", "v", "w"]),
+        activities=tuple(ActivityNode(id=aid, label=f"op {aid}", source_position=i)
+                         for i, aid in enumerate(["a1", "a2", "a3", "a4"])),
+        generation_edges=(("a1", "x"), ("a1", "y"), ("a2", "u"), ("a3", "v"), ("a4", "w")),
+        usage_edges=(("x", "a2"), ("y", "a3"), ("u", "a4"), ("v", "a4")),
+    )
 
 
 def test_precedence_diamond_matches_oracle():
@@ -264,13 +270,13 @@ def test_precedence_matches_oracle_random(seed):
 
 
 def test_precedence_cycle_flagged():
-    g = ProcessGraph(record_id="cyc")
-    g.material_entities = [EntityNode(id="x", label="x", kind="material"),
-                           EntityNode(id="y", label="y", kind="material")]
-    g.activities = [ActivityNode(id="a1", label="a", source_position=0),
-                    ActivityNode(id="a2", label="b", source_position=1)]
-    g.generation_edges = [("a1", "x"), ("a2", "y")]
-    g.usage_edges = [("x", "a2"), ("y", "a1")]
+    g = ProcessGraph(record_id="cyc",
+                     material_entities=(EntityNode(id="x", label="x", kind="material"),
+                                        EntityNode(id="y", label="y", kind="material")),
+                     activities=(ActivityNode(id="a1", label="a", source_position=0),
+                                 ActivityNode(id="a2", label="b", source_position=1)),
+                     generation_edges=(("a1", "x"), ("a2", "y")),
+                     usage_edges=(("x", "a2"), ("y", "a1")))
     with pytest.raises(CyclicPrecedence):
         infer_precedence(g)
 
@@ -278,16 +284,14 @@ def test_precedence_cycle_flagged():
 # --- order_activities --------------------------------------------------------
 
 def test_order_without_constraints_keeps_source_order():
-    g = ProcessGraph(record_id="o")
-    g.activities = [ActivityNode(id="a2", label="b", source_position=0),
-                    ActivityNode(id="a1", label="a", source_position=1)]
+    g = ProcessGraph(record_id="o", activities=(ActivityNode(id="a2", label="b", source_position=0),
+                                                ActivityNode(id="a1", label="a", source_position=1)))
     assert order_activities(g, set()) == ["a2", "a1"]
 
 
 def test_order_constraint_dominates_source_order():
-    g = ProcessGraph(record_id="o")
-    g.activities = [ActivityNode(id="a2", label="b", source_position=0),
-                    ActivityNode(id="a1", label="a", source_position=1)]
+    g = ProcessGraph(record_id="o", activities=(ActivityNode(id="a2", label="b", source_position=0),
+                                                ActivityNode(id="a1", label="a", source_position=1)))
     assert order_activities(g, {("a1", "a2")}) == ["a1", "a2"]
 
 
@@ -383,3 +387,68 @@ def test_roles_partition_is_total_and_single():
         for t in g.tool_entities:
             assert roles[t.id] == "tool"
         assert roles == oracle_roles(g)
+
+
+# --- a graph is a value -----------------------------------------------------------
+
+GRAPH_VARIANTS = ["synth", "parsed", "stored-and-read", "deep-copied", "unpickled"]
+SEQUENCES = ("material_entities", "tool_entities", "activities", "usage_edges", "generation_edges",
+             "warnings")
+
+
+def graph_variant(variant, tmp_path):
+    """A synth graph with tools and conditions, as synth built it, parsed from
+    its PROV document, read back from a graph store, deep-copied or unpickled."""
+    corpus = generate_synthetic_corpus(SynthParams(n_records=6), seed=5)
+    g = next(g for g in corpus if g.tool_entities and any(a.conditions for a in g.activities))
+    if variant == "parsed":
+        return parse_record(json.dumps(to_prov_document(g)))
+    if variant == "stored-and-read":
+        write_graph_store(tmp_path / "graphs.ndjson", [g])
+        return load_graphs(tmp_path / "graphs.ndjson")[0]
+    if variant == "deep-copied":
+        return copy.deepcopy(g)
+    return pickle.loads(pickle.dumps(g)) if variant == "unpickled" else g
+
+
+@pytest.mark.parametrize("variant", GRAPH_VARIANTS)
+def test_no_field_of_a_graph_or_its_nodes_can_be_assigned(variant, tmp_path):
+    g = graph_variant(variant, tmp_path)
+    before, view = copy.deepcopy(g), graph_view(g)
+    for record in (g, *g.entities(), *g.activities):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, f.name)
+    assert g == before and graph_view(g) == view
+
+
+@pytest.mark.parametrize("variant", GRAPH_VARIANTS)
+def test_no_node_or_edge_list_of_a_graph_can_change(variant, tmp_path):
+    g = graph_variant(variant, tmp_path)
+    before, view = copy.deepcopy(g), graph_view(g)
+    for name in SEQUENCES:
+        sequence = getattr(g, name)
+        assert type(sequence) is tuple, name
+        with pytest.raises(AttributeError):
+            sequence.append(sequence[0] if sequence else "x")
+        with pytest.raises(TypeError):
+            sequence[0:0] = ["x"]
+    assert g == before and graph_view(g) == view
+
+
+@pytest.mark.parametrize("variant", GRAPH_VARIANTS)
+def test_no_condition_or_attribute_of_a_graph_can_be_set(variant, tmp_path):
+    g = graph_variant(variant, tmp_path)
+    before, view = copy.deepcopy(g), graph_view(g)
+    mappings = [*(e.attributes for e in g.entities()), *(a.conditions for a in g.activities)]
+    assert any(mappings) and all(type(m) is ReadOnlyMapping for m in mappings)
+    for mapping in mappings:
+        key = next(iter(mapping), "form")
+        with pytest.raises(TypeError):
+            mapping[key] = "edited"
+        with pytest.raises(TypeError):
+            del mapping[key]
+        assert not any(hasattr(mapping, m) for m in ("update", "pop", "popitem", "clear", "setdefault"))
+    assert g == before and graph_view(g) == view

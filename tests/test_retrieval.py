@@ -111,8 +111,8 @@ def embed_one(g: ProcessGraph) -> np.ndarray:
 def test_embed_structure_single_node_matches_plain_projection():
     # with one node the neighbourhood is the node itself, so attention must
     # collapse and the result is just two projected/squashed rounds, normalized
-    g = ProcessGraph(record_id="solo")
-    g.material_entities.append(EntityNode(id="m0", label="lithium", kind="material"))
+    g = ProcessGraph(record_id="solo",
+                     material_entities=(EntityNode(id="m0", label="lithium", kind="material"),))
     got = embed_one(g)
 
     h = rt.BuiltinTextEmbedder().embed([canon_label("lithium")])[0]
@@ -127,21 +127,17 @@ def test_embed_structure_single_node_matches_plain_projection():
 def _relabelled_copy(g: ProcessGraph) -> ProcessGraph:
     """Same labelled structure under fresh node ids and permuted list orders."""
     rename = {n.id: f"z_{n.id}" for n in [*g.entities(), *g.activities]}
-    out = ProcessGraph(record_id="iso-copy")
-    out.material_entities = [
-        EntityNode(id=rename[e.id], label=e.label, kind=e.kind, attributes=dict(e.attributes))
-        for e in reversed(g.material_entities)
-    ]
-    out.tool_entities = [
-        EntityNode(id=rename[e.id], label=e.label, kind=e.kind, attributes=dict(e.attributes))
-        for e in reversed(g.tool_entities)
-    ]
-    out.activities = [type(a)(id=rename[a.id], label=a.label, conditions=dict(a.conditions),
-                              source_position=a.source_position)
-                      for a in reversed(g.activities)]
-    out.usage_edges = [(rename[s], rename[d]) for (s, d) in reversed(g.usage_edges)]
-    out.generation_edges = [(rename[s], rename[d]) for (s, d) in reversed(g.generation_edges)]
-    return out
+    def renamed(nodes):
+        return tuple(dataclasses.replace(n, id=rename[n.id]) for n in reversed(nodes))
+
+    return ProcessGraph(
+        record_id="iso-copy",
+        material_entities=renamed(g.material_entities),
+        tool_entities=renamed(g.tool_entities),
+        activities=renamed(g.activities),
+        usage_edges=tuple((rename[s], rename[d]) for (s, d) in reversed(g.usage_edges)),
+        generation_edges=tuple((rename[s], rename[d]) for (s, d) in reversed(g.generation_edges)),
+    )
 
 
 def test_embed_structure_isomorphism_invariant():
@@ -218,10 +214,8 @@ def test_embed_structures_equals_embed_structure_on_every_quickstart_test_query(
 
 def graph_of(labels, record_id):
     """Material nodes with ``labels`` and no edge."""
-    g = ProcessGraph(record_id=record_id)
-    for i, label in enumerate(labels):
-        g.material_entities.append(EntityNode(id=f"m{i}", label=label, kind="material"))
-    return g
+    return ProcessGraph(record_id=record_id, material_entities=tuple(
+        EntityNode(id=f"m{i}", label=label, kind="material") for i, label in enumerate(labels)))
 
 
 def test_embed_structures_equals_embed_structure_on_small_and_degenerate_graphs():
@@ -229,10 +223,9 @@ def test_embed_structures_equals_embed_structure_on_small_and_degenerate_graphs(
     two_node_a1 = next(q.context_graph for q in map(rt.query_from_item, items)
                        if q.context_graph.record_id.endswith(":A1_route_retrieval:0")
                        and node_count(q.context_graph) == 2)
-    few_labels = graph_of(["lithium", "lithium", "cobalt"], "two-labels")
-    few_labels.activities.append(ActivityNode(id="a0", label="cobalt", source_position=0))
-    few_labels.usage_edges += [("m0", "a0"), ("m1", "a0")]
-    few_labels.generation_edges.append(("a0", "m2"))
+    few_labels = dataclasses.replace(graph_of(["lithium", "lithium", "cobalt"], "two-labels"),
+                         activities=(ActivityNode(id="a0", label="cobalt", source_position=0),),
+                         usage_edges=(("m0", "a0"), ("m1", "a0")), generation_edges=(("a0", "m2"),))
     odd = [
         graph_of(["lithium"], "one"),
         two_node_a1,
@@ -379,21 +372,20 @@ NODE_LABELS = ["lithium", "Lithium ", "cobalt oxide", "mill", "sinter", "x", "Ø
 def small_graphs(draw):
     """A graph of 0 to 7 nodes with random labels, some shared, and random
     usage and generation links."""
-    g = ProcessGraph(record_id="random")
-    for i in range(draw(st.integers(0, 4))):
-        g.material_entities.append(EntityNode(id=f"m{i}", label=draw(st.sampled_from(NODE_LABELS)),
-                                              kind="material"))
-    for i in range(draw(st.integers(0, 3))):
-        g.activities.append(ActivityNode(id=f"a{i}", label=draw(st.sampled_from(NODE_LABELS)),
-                                         source_position=i))
-    if g.material_entities and g.activities:
-        links = st.tuples(st.sampled_from(g.material_entities), st.sampled_from(g.activities), st.booleans())
+    materials = tuple(EntityNode(id=f"m{i}", label=draw(st.sampled_from(NODE_LABELS)), kind="material")
+                      for i in range(draw(st.integers(0, 4))))
+    activities = tuple(ActivityNode(id=f"a{i}", label=draw(st.sampled_from(NODE_LABELS)), source_position=i)
+                       for i in range(draw(st.integers(0, 3))))
+    usage, generation = [], []
+    if materials and activities:
+        links = st.tuples(st.sampled_from(materials), st.sampled_from(activities), st.booleans())
         for m, a, used in draw(st.lists(links, max_size=6)):
             if used:
-                g.usage_edges.append((m.id, a.id))
+                usage.append((m.id, a.id))
             else:
-                g.generation_edges.append((a.id, m.id))
-    return g
+                generation.append((a.id, m.id))
+    return ProcessGraph(record_id="random", material_entities=materials, activities=activities,
+                        usage_edges=tuple(usage), generation_edges=tuple(generation))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -789,9 +781,7 @@ def equivalence_corpus():
     # tie-break decides their order
     twins = []
     for g in corpus[:3]:
-        twin = copy.deepcopy(g)
-        twin.record_id = f"{g.record_id}-twin"
-        twins.append(twin)
+        twins.append(dataclasses.replace(copy.deepcopy(g), record_id=f"{g.record_id}-twin"))
     return corpus + twins
 
 

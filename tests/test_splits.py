@@ -122,10 +122,9 @@ def test_year_boundaries():
     assert a.mapping["it4"] == "test"
 
 
-def test_year_missing_goes_excluded_with_warning():
+def test_year_missing_goes_excluded():
     a = split_by_year([make_item(0, year=None)])
     assert a.mapping["it0"] == "excluded"
-    assert a.warnings
 
 
 def test_year_boundary_property_on_synthetic():

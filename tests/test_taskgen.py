@@ -38,7 +38,7 @@ from matproc.taskgen import generate
 from matproc.taskgen.model import QUESTION_TYPES
 
 from gold_oracle import validate_item
-from helpers import chain_graph, compiled, ordered_activities
+from helpers import chain_graph, compiled, ordered_activities, views_of
 
 
 def toy_corpus():
@@ -83,7 +83,7 @@ def synth_corpus(n=40, seed=7):
 
 def test_pools_single_graph():
     g = compiled(chain_graph(["mill", "sinter"], record_id="solo"))
-    pools = build_candidate_pools([g])
+    pools = build_candidate_pools([graph_view(g)])
     assert pools.routes == Counter({("mill", "sinter"): 1})
     assert pools.activity_labels == Counter({"mill": 1, "sinter": 1})
     assert pools.successors["mill"] == Counter({"sinter": 1})
@@ -96,7 +96,7 @@ def test_pools_empty_corpus():
 
 def test_pools_counts_match_brute_force():
     corpus = synth_corpus(25)
-    pools = build_candidate_pools(corpus)
+    pools = build_candidate_pools(views_of(corpus))
     acts = Counter()
     routes = Counter()
     tools = Counter()
@@ -128,7 +128,7 @@ def test_pools_degenerate_key_absent():
                              conditions={"mill": {"temperature": f"{i}00 c"}}))
         for i in range(5)
     ]
-    pools = build_candidate_pools(corpus)
+    pools = build_candidate_pools(views_of(corpus))
     assert "atmosphere" not in pools.condition_values
     items, _ = generate_benchmark(corpus, seed=1)
     assert all(it.question.condition_key != "atmosphere"
@@ -139,13 +139,14 @@ def test_pools_degenerate_key_absent():
 
 def test_instantiating_tasks_leaves_the_pools_as_built():
     corpus = synth_corpus(30)
-    pools = build_candidate_pools(corpus)
+    pools = build_candidate_pools(views_of(corpus))
     built = copy.deepcopy(vars(pools))
     assert pools.routes_by_length.keys() == {len(r) for r in pools.routes}
     for g in corpus:
-        instantiate_tasks(g, pools, seed=4)
-    longer = chain_graph(["mill"] * (max(pools.routes_by_length) + 2))  # a length no route has
-    assert instantiate_tasks(compiled(longer), pools, seed=4)
+        instantiate_tasks(g, graph_view(g), pools, seed=4)
+    # a length no route has
+    longer = compiled(chain_graph(["mill"] * (max(pools.routes_by_length) + 2)))
+    assert instantiate_tasks(longer, graph_view(longer), pools, seed=4)
     assert vars(pools) == built
     own = Counter()  # the pool of that length, summed per text in pool order
     for r, count in pools.routes.items():
@@ -155,7 +156,7 @@ def test_instantiating_tasks_leaves_the_pools_as_built():
 
 def test_a_task_within_its_cap_builds_no_selection_rng(monkeypatch):
     corpus = synth_corpus(30)
-    pools = build_candidate_pools(corpus)
+    pools = build_candidate_pools(views_of(corpus))
     seeds = []
 
     class Recorded(random.Random):
@@ -165,7 +166,8 @@ def test_a_task_within_its_cap_builds_no_selection_rng(monkeypatch):
 
     def select_seeds(caps):
         seeds.clear()
-        items = [it.to_dict() for g in corpus for it in instantiate_tasks(g, pools, seed=4, caps=caps)]
+        items = [it.to_dict() for g in corpus
+                 for it in instantiate_tasks(g, graph_view(g), pools, seed=4, caps=caps)]
         selected = {derive_seed(4, g.record_id, task, "select") for g in corpus for task in QUESTION_TYPES}
         return items, len(selected & set(seeds))
 
@@ -190,9 +192,9 @@ def test_a_task_within_its_cap_builds_no_selection_rng(monkeypatch):
 
 def test_single_activity_graph_task_mix():
     corpus = toy_corpus()
-    pools = build_candidate_pools(corpus)
+    pools = build_candidate_pools(views_of(corpus))
     solo = next(g for g in corpus if g.record_id == "g5")
-    items = instantiate_tasks(solo, pools, seed=3)
+    items = instantiate_tasks(solo, graph_view(solo), pools, seed=3)
     tasks = {it.task for it in items}
     assert "C1_tool_selection" in tasks
     assert "B1_condition_prediction" in tasks
@@ -201,14 +203,13 @@ def test_single_activity_graph_task_mix():
 
 
 def test_retention_filter():
-    g = ProcessGraph(record_id="nopre")
-    g.activities = [ActivityNode(id="a0", label="mix", source_position=0)]
-    g.material_entities = [EntityNode(id="m0", label="out", kind="material")]
-    g.generation_edges = [("a0", "m0")]
+    g = ProcessGraph(record_id="nopre", activities=(ActivityNode(id="a0", label="mix", source_position=0),),
+                     material_entities=(EntityNode(id="m0", label="out", kind="material"),),
+                     generation_edges=(("a0", "m0"),))
     compile_graph(g)
-    pools = build_candidate_pools(toy_corpus())
+    pools = build_candidate_pools(views_of(toy_corpus()))
     with pytest.raises(RetentionFilterFailed):
-        instantiate_tasks(g, pools, seed=0)
+        instantiate_tasks(g, graph_view(g), pools, seed=0)
     _, skips = generate_benchmark(toy_corpus() + [g], seed=0)
     assert {"graph_id": "nopre", "task": "*", "reason": "retention_filter"} in skips
 
@@ -216,11 +217,11 @@ def test_retention_filter():
 @pytest.mark.parametrize("k_options", [0, 1, 9])
 def test_an_option_count_no_prompt_can_letter_is_refused_before_any_item(monkeypatch, k_options):
     corpus = toy_corpus()
-    pools = build_candidate_pools(corpus)
+    pools = build_candidate_pools(views_of(corpus))
     built = []
     monkeypatch.setattr(generate, "BenchItem", lambda *args, **kwargs: built.append(kwargs))
     with pytest.raises(InvalidParams, match=fr"^RunConfig\.k_options: {k_options} is outside \[2, 8\]$"):
-        instantiate_tasks(corpus[0], pools, k_options=k_options, seed=0)
+        instantiate_tasks(corpus[0], graph_view(corpus[0]), pools, k_options=k_options, seed=0)
     with pytest.raises(InvalidParams):
         generate_benchmark(corpus, k_options=k_options, seed=0)
     assert built == []
@@ -252,7 +253,7 @@ def test_generation_deterministic():
 
 def test_distractors_observed_in_pools():
     corpus = synth_corpus(30)
-    pools = build_candidate_pools(corpus)
+    pools = build_candidate_pools(views_of(corpus))
     rendered_routes = {render_route(r) for r in pools.routes}
     items, _ = generate_benchmark(corpus, seed=4)
     for it in items:
@@ -397,21 +398,23 @@ def test_validate_flags_corrupted_gold():
 
 def test_validate_flags_valid_order_distractor():
     # two independent first steps merging into a third: two valid orders exist
-    g = ProcessGraph(record_id="merge", doi="10.7/m", year=2018)
-    g.material_entities = [
-        EntityNode(id="p0", label="salt a", kind="material"),
-        EntityNode(id="p1", label="salt b", kind="material"),
-        EntityNode(id="i0", label="phase a", kind="material"),
-        EntityNode(id="i1", label="phase b", kind="material"),
-        EntityNode(id="m", label="final compound", kind="material"),
-    ]
-    g.activities = [
-        ActivityNode(id="a0", label="dissolving", source_position=0),
-        ActivityNode(id="a1", label="grinding", source_position=1),
-        ActivityNode(id="a2", label="sintering", source_position=2),
-    ]
-    g.usage_edges = [("p0", "a0"), ("p1", "a1"), ("i0", "a2"), ("i1", "a2")]
-    g.generation_edges = [("a0", "i0"), ("a1", "i1"), ("a2", "m")]
+    g = ProcessGraph(
+        record_id="merge", doi="10.7/m", year=2018,
+        material_entities=(
+            EntityNode(id="p0", label="salt a", kind="material"),
+            EntityNode(id="p1", label="salt b", kind="material"),
+            EntityNode(id="i0", label="phase a", kind="material"),
+            EntityNode(id="i1", label="phase b", kind="material"),
+            EntityNode(id="m", label="final compound", kind="material"),
+        ),
+        activities=(
+            ActivityNode(id="a0", label="dissolving", source_position=0),
+            ActivityNode(id="a1", label="grinding", source_position=1),
+            ActivityNode(id="a2", label="sintering", source_position=2),
+        ),
+        usage_edges=(("p0", "a0"), ("p1", "a1"), ("i0", "a2"), ("i1", "a2")),
+        generation_edges=(("a0", "i0"), ("a1", "i1"), ("a2", "m")),
+    )
     compile_graph(g)
     steps = [
         {"label": "dissolving", "inputs": ["salt a"], "outputs": ["phase a"]},

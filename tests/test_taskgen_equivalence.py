@@ -30,7 +30,7 @@ from matproc.taskgen import (
 from matproc.taskgen import generate, model, pools as pools_module
 from matproc.taskgen.pools import PreparedPool
 
-from helpers import ordered_activities
+from helpers import ordered_activities, views_of
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def condition_tuples(g):
 
 
 def test_a1_route_pool_matches_per_graph_rendering(corpus):
-    pools = build_candidate_pools(corpus)
+    pools = build_candidate_pools(views_of(corpus))
     floats = 0
     for g in corpus:
         route = graph_view(g).route
@@ -111,7 +111,7 @@ def test_a1_route_pool_matches_per_graph_rendering(corpus):
 
 
 def test_b2_tuple_pool_matches_per_graph_rendering(corpus):
-    pools = build_candidate_pools(corpus)
+    pools = build_candidate_pools(views_of(corpus))
     golds = [gold for g in corpus for gold in condition_tuples(g)]
     assert golds
     for gold in golds:
@@ -120,7 +120,7 @@ def test_b2_tuple_pool_matches_per_graph_rendering(corpus):
 
 
 def test_shared_pools_sample_like_per_graph_pools(corpus):
-    pools = build_candidate_pools(corpus)
+    pools = build_candidate_pools(views_of(corpus))
     cases = 0
     for g in corpus[:40]:
         route = graph_view(g).route
@@ -197,7 +197,7 @@ def test_prepared_sampler_equals_the_choices_reference(where, pool, n, seed):
 
 
 def test_shared_pools_are_prepared_once(corpus):
-    pools = build_candidate_pools(corpus)
+    pools = build_candidate_pools(views_of(corpus))
     shared = [*pools.routes_by_length.values(), pools.rendered_tuples, pools.tool_labels]
     assert all(isinstance(pool, PreparedPool) for pool in shared)
     for pool in shared:
@@ -254,7 +254,7 @@ def test_benchmark_matches_reference_sampling(corpus, monkeypatch, n_graphs, k_o
 
 
 def test_render_route_calls_grow_with_graphs_plus_routes(corpus, monkeypatch):
-    distinct = len(build_candidate_pools(corpus).routes)
+    distinct = len(build_candidate_pools(views_of(corpus)).routes)
     calls = Counter()
 
     def counted(labels):
